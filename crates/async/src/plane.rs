@@ -20,9 +20,15 @@
 //!                                       → executor re-polls task
 //! ```
 //!
-//! Nobody busy-spins: tasks suspend (a parked waker costs a table entry,
-//! not a thread), drainers park on the readiness protocol from PR 5, and
-//! the reactor parks on the completion hook with a millisecond backstop.
+//! Nobody on the async side busy-spins: tasks suspend (a parked waker
+//! costs a table entry, not a thread) and the reactor parks on the
+//! completion hook with a millisecond backstop. The drainers park too,
+//! on the plane's readiness handshake — with one bounded exception: when
+//! the traffic is a caller who waits for each answer, one drainer polls
+//! the readiness bitmap for up to 50 µs before it parks (see
+//! `secmod_kernel::plane`, "Idle drainers"). A fan-out of tasks like the
+//! one this module exists for is streaming traffic and keeps the
+//! drainers in the parking regime, where the park is free batching.
 //! That is how 100k+ logical clients ride on a handful of OS threads —
 //! the paper's fixed-cost-per-dispatch story measured at a concurrency
 //! the original syscall frontend cannot even express.

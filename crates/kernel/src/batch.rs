@@ -668,15 +668,35 @@ pub(crate) mod tests {
     pub(crate) const ALICE_KEY: &[u8] = b"batch-alice-key";
     const MAC_KEY: &[u8] = b"batch-mac-key";
 
+    /// The hook the mid-batch / mid-sweep teardown tests use to ask for a
+    /// teardown while a drain is in flight: the first body to run sets
+    /// `entered`, which the tearing-down thread waits for, and while
+    /// `open` is unset every body sleeps 1 ms, which keeps the drain in
+    /// flight until the teardown has landed.
+    #[derive(Debug, Default)]
+    pub(crate) struct SlowGate {
+        pub(crate) entered: AtomicBool,
+        pub(crate) open: AtomicBool,
+    }
+
+    impl SlowGate {
+        /// Block until a body is running (so a drain is in flight and,
+        /// with the gate closed, will be for a while yet).
+        pub(crate) fn wait_entered(&self) {
+            while !self.entered.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+        }
+    }
+
     /// Register the libc-like module with a policy granting alice every
     /// function except `strlen`; every body returns its u64 argument + 1.
-    /// `slow_gate`, when set, makes every body sleep 1 ms until the flag
-    /// flips — the hook the mid-batch/mid-sweep teardown tests use to
-    /// widen the race window. `n_clients` clients are spawned, each
+    /// `slow_gate`, when set, slows the bodies down as [`SlowGate`]
+    /// describes. `n_clients` clients are spawned, each
     /// presenting the alice credential through its own session (the sweep
     /// tests drain many sessions; the batch tests use client 0).
     pub(crate) fn kernel_with_clients(
-        slow_gate: Option<Arc<AtomicBool>>,
+        slow_gate: Option<Arc<SlowGate>>,
         n_clients: usize,
     ) -> (Kernel, ModuleId, Vec<Pid>, u32) {
         let k = Kernel::new(CostModel::default());
@@ -703,7 +723,8 @@ pub(crate) mod tests {
             let gate = slow_gate.clone();
             functions.register(stub.func_id, move |_ctx, args| {
                 if let Some(gate) = &gate {
-                    if !gate.load(Ordering::Acquire) {
+                    gate.entered.store(true, Ordering::Release);
+                    if !gate.open.load(Ordering::Acquire) {
                         std::thread::sleep(std::time::Duration::from_millis(1));
                     }
                 }
@@ -743,7 +764,7 @@ pub(crate) mod tests {
         (k, m_id, clients, incr_id)
     }
 
-    fn kernel_with_module(slow_gate: Option<Arc<AtomicBool>>) -> (Kernel, ModuleId, Pid, u32) {
+    fn kernel_with_module(slow_gate: Option<Arc<SlowGate>>) -> (Kernel, ModuleId, Pid, u32) {
         let (k, m_id, clients, incr) = kernel_with_clients(slow_gate, 1);
         (k, m_id, clients[0], incr)
     }
@@ -1075,8 +1096,12 @@ pub(crate) mod tests {
 
     #[test]
     fn module_removed_mid_batch_fails_remaining_entries() {
-        const ENTRIES: usize = 192;
-        let gate = Arc::new(AtomicBool::new(false));
+        // Deep enough that the batch outlasts a run of lost lock
+        // handovers: the teardown gets the client's process locks only
+        // between two chunks, on a mutex that is not fair (see
+        // `detach_racing_a_sweep_fails_the_remainder_with_eidrm`).
+        const ENTRIES: usize = 128 * BATCH_CHUNK;
+        let gate = Arc::new(SlowGate::default());
         let (k, m_id, client, incr) = kernel_with_module(Some(Arc::clone(&gate)));
         let (sq, cq) = rings(ENTRIES);
         for i in 0..ENTRIES as u64 {
@@ -1086,13 +1111,14 @@ pub(crate) mod tests {
         let k = &k;
         let report = std::thread::scope(|s| {
             // The teardown actor: wait for the batch to be mid-flight
-            // (bodies sleep while the gate is closed), then detach the
-            // session and remove the module — both bump the kernel epoch.
+            // (the first body is running; bodies sleep while the gate is
+            // closed), then detach the session and remove the module —
+            // both bump the kernel epoch.
             s.spawn(|| {
-                std::thread::sleep(std::time::Duration::from_millis(5));
+                gate.wait_entered();
                 k.smod_detach(client, "mid-batch teardown").unwrap();
                 k.sys_smod_remove(Pid(1), m_id).unwrap();
-                gate.store(true, Ordering::Release);
+                gate.open.store(true, Ordering::Release);
             });
             k.sys_smod_call_batch(client, &sq, &cq, ENTRIES).unwrap()
         });

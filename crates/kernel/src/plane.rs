@@ -23,12 +23,32 @@
 //!          └────────── handle.reap() ◄───┴──────────── completions
 //! ```
 //!
-//! Parking uses the classic permit protocol (`std::thread::park` +
-//! `unpark`): a producer unparks the drainers *after* flagging
-//! readiness, a drainer re-checks the set *after* waking, and the park
-//! itself has a timeout so a lost race costs one timeout tick, never a
-//! hang. Shutdown flags every slot once more and lets each drainer sweep
-//! the set dry before joining.
+//! ## Idle drainers: poll, then park
+//!
+//! A drainer whose sweep found the set empty has two ways to wait. It can
+//! **park** (`std::thread::park_timeout`), which costs the next producer
+//! a futex wake and the entry a wake-up latency, but lets a streaming
+//! producer's entries pile up into one sweep for free. Or it can **poll**
+//! [`RingSet::any_ready`] (a bitmap load, no trap) for a bounded window
+//! (`POLL_WINDOW`) and sweep the moment a bit appears, which costs the
+//! producer nothing and a core its idle time. A per-drainer
+//! `PollController` picks the regime from the traffic: several
+//! consecutive shallow idle episodes (a caller who waits for each answer)
+//! enter polling; one wasted window, or several arrivals in a row that
+//! the park would have batched anyway (a streaming producer), leave it.
+//! At most one drainer per plane polls at a time, and none does where it
+//! shares a single CPU with the thread that started the plane
+//! (`room_to_poll`) or after a sweep that left unserviceable slots
+//! flagged.
+//!
+//! The park itself uses the permit protocol (`park` + `unpark`) and a
+//! Dekker handshake: a producer sets its readiness bit and *then* looks
+//! for someone to wake (`PlaneShared::wake`); a drainer announces
+//! itself idle and *then* re-checks the bitmap, with a `SeqCst` fence
+//! between the two steps on both sides, so one of them always sees the
+//! other. The park timeout only paces retries on slots a sweep could not
+//! serve. Shutdown flags every slot once more and lets each drainer
+//! sweep the set dry before joining.
 //!
 //! ## Multi-tenant planes
 //!
@@ -63,13 +83,79 @@ use secmod_ring::{
     ArgArena, ArgRef, ClaimLedger, RingPairConfig, RingSet, RingSlotId, SessionRings, SmodCallReq,
     SmodCallResp, SubmitError, SMOD_BATCH_DEFAULT_BUDGET,
 };
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Floor for the clamped heartbeat-slack park (a zero park would spin).
 const MIN_PARK: Duration = Duration::from_micros(100);
+
+/// How long a drainer in the polling regime watches the readiness bitmap
+/// before it gives up and parks. Long enough to cover a caller's think
+/// time between two calls, short enough that one wasted window (which
+/// also ends the regime) costs less than a dozen futex wakes.
+const POLL_WINDOW: Duration = Duration::from_micros(50);
+/// A run of sweeps that served at most this many entries before the set
+/// went empty is *shallow*: the signature of a caller who waits for each
+/// answer, for whom a park buys no batching.
+const SHALLOW_RUN: u64 = 2;
+/// Consecutive shallow idle episodes that enter the polling regime.
+const ENTER_AFTER: u32 = 8;
+/// Work that shows up this soon after the set went empty would have been
+/// swept with its successors had the drainer parked instead: the
+/// signature of a streaming producer, whom a polling drainer only chases.
+const FAST_ARRIVAL: Duration = Duration::from_micros(1);
+/// Consecutive fast arrivals that leave the polling regime.
+const LEAVE_AFTER: u32 = 8;
+
+/// One idle episode of a drainer: the wait that began when a sweep found
+/// nothing to drain, and the run of productive sweeps that followed it.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct IdleEpisode {
+    /// Entries served between the end of the wait and the next idle.
+    served: u64,
+    /// How long the wait lasted, polled or parked.
+    arrival_gap: Duration,
+    /// The wait was a poll window that expired with nothing ready.
+    timed_out: bool,
+}
+
+/// Decides, from the idle episodes a drainer has just lived through,
+/// whether its next wait polls or parks. Two regimes with hysteresis:
+/// entering takes [`ENTER_AFTER`] shallow episodes in a row, leaving
+/// takes one wasted window or [`LEAVE_AFTER`] fast arrivals in a row. A
+/// single threshold on the run length flips a fan-out producer into the
+/// chasing regime by itself (each chased sweep is shallow), which is why
+/// there are two.
+#[derive(Debug, Default)]
+struct PollController {
+    polling: bool,
+    /// Consecutive episodes arguing for the other regime.
+    streak: u32,
+}
+
+impl PollController {
+    fn observe(&mut self, episode: IdleEpisode) {
+        let (decisive, argues, needed) = if self.polling {
+            let fast = episode.arrival_gap < FAST_ARRIVAL;
+            (episode.timed_out, fast, LEAVE_AFTER)
+        } else {
+            // A wake-up that served nothing (a park timeout on an idle
+            // plane, a doorbell the other drainer answered) says nothing
+            // about the traffic.
+            if episode.served == 0 {
+                return;
+            }
+            (false, episode.served <= SHALLOW_RUN, ENTER_AFTER)
+        };
+        self.streak = if argues { self.streak + 1 } else { 0 };
+        if decisive || self.streak >= needed {
+            self.polling = !self.polling;
+            self.streak = 0;
+        }
+    }
+}
 
 /// A fault-injection drill: drainer `drainer` claims ready work like a
 /// real sweep would, then dies holding the claims (its thread exits
@@ -270,7 +356,11 @@ struct DrainerParams {
     session_budget: usize,
     park_timeout: Duration,
     pin_drainers: bool,
+    /// `available_parallelism` of the thread that started the plane.
     cores: usize,
+    /// The CPUs that thread may run on. It stands in for the producers,
+    /// whose threads the plane never sees.
+    starter_cpus: affinity::CpuSet,
     /// `deadline / 2` when a health monitor is armed: the park timeout
     /// is clamped to this so a healthy parked drainer always wakes to
     /// beat well inside its deadline.
@@ -289,13 +379,19 @@ struct PlaneShared {
     /// Drainer thread handles for unparking (filled once at start).
     sleepers: RwLock<Vec<std::thread::Thread>>,
     /// How many drainers are (about to be) parked. Producers skip the
-    /// unpark entirely while every drainer is busy sweeping — the hot
-    /// path's wake is then a single relaxed load, not a futex op per
-    /// submission. A drainer increments *before* its final readiness
-    /// check and decrements after waking, so a producer that observes 0
-    /// either raced a drainer that will still see its readiness bit, or
-    /// one that is already sweeping.
+    /// unpark entirely while it is 0 — the hot path's wake is then a
+    /// fence and two loads, not a futex op per submission. A drainer
+    /// increments, fences, and only then makes its final readiness check
+    /// (`drainer_loop`); a producer sets its bit, fences, and only then
+    /// loads this (`wake`). So a producer that observes 0 raced a
+    /// drainer that will still see its readiness bit.
     idle: AtomicUsize,
+    /// Set while one drainer polls the readiness bitmap instead of
+    /// parking. It is the claim that keeps a plane to one spinner, and it
+    /// tells producers that their bit will be seen without an unpark
+    /// even though the other drainers are parked. Cleared before the
+    /// spinner announces itself idle, under the same handshake as `idle`.
+    spinning: AtomicBool,
     /// The QoS scheduler, when the plane is multi-tenant. `None` keeps
     /// the plain sweep.
     sched: Option<Arc<SweepScheduler>>,
@@ -320,13 +416,25 @@ struct PlaneShared {
 }
 
 impl PlaneShared {
-    /// Wake the drainers if any might be parked (unpark on a running
-    /// thread is a stored permit, so overshooting is safe, just not
-    /// free).
+    /// The producer's half of the doorbell, rung *after* the readiness
+    /// bit is set: wake the drainers unless one of them is certain to see
+    /// the bit by itself, because it is polling or has yet to make its
+    /// final check before parking.
     fn wake(&self) {
-        if self.idle.load(Ordering::Acquire) == 0 {
+        // Dekker pair with `drainer_loop`: (set bit, fence, load flags)
+        // here against (store flags, fence, load bits) there. The bit is
+        // set with `Release` only, so the store-load order needs the
+        // fence on this side too.
+        fence(Ordering::SeqCst);
+        if self.spinning.load(Ordering::Relaxed) || self.idle.load(Ordering::Relaxed) == 0 {
             return;
         }
+        self.unpark_all();
+    }
+
+    /// Unpark every drainer (on a running thread that is a stored permit,
+    /// so overshooting is safe, just not free).
+    fn unpark_all(&self) {
         for t in self.sleepers.read().iter() {
             t.unpark();
         }
@@ -394,6 +502,7 @@ impl DispatchPlane {
             completion_hook: RwLock::new(None),
             sleepers: RwLock::new(Vec::new()),
             idle: AtomicUsize::new(0),
+            spinning: AtomicBool::new(false),
             sched,
             monitor: monitor.clone(),
             ledgers: RwLock::new(ledgers),
@@ -404,6 +513,7 @@ impl DispatchPlane {
                 park_timeout: cfg.park_timeout,
                 pin_drainers: cfg.pin_drainers,
                 cores,
+                starter_cpus: thread_cpus(cores),
                 heartbeat_slack: cfg.health.map(|h| (h.deadline / 2).max(MIN_PARK)),
             },
             handles: Mutex::new(Vec::new()),
@@ -533,7 +643,9 @@ impl DispatchPlane {
         self.joined = true;
         self.shared.stop.store(true, Ordering::Release);
         self.shared.set.mark_all_ready();
-        self.shared.wake();
+        // Unconditionally: a parked drainer must not sleep out its
+        // timeout because a polling one made the doorbell look answered.
+        self.shared.unpark_all();
         // Supervisor first: once it is joined, no respawn can race the
         // handle drain below.
         if let Some(sup) = self.supervisor.take() {
@@ -640,12 +752,21 @@ fn drainer_loop(shared: &PlaneShared, ctx: DrainerCtx) -> PlaneStats {
         // leaves the drainer migratable, exactly as before pinning existed.
         let _ = affinity::pin_to_core(core);
     }
-    // With a monitor armed, the park is clamped to half the deadline so
-    // an idle drainer always wakes to beat well before it reads Suspect.
-    let park_timeout = match shared.params.heartbeat_slack {
-        Some(slack) => shared.params.park_timeout.min(slack),
-        None => shared.params.park_timeout,
+    // With a monitor armed, no wait outlasts half the deadline, so an idle
+    // drainer always gets back to the top of the loop to beat well before
+    // it reads Suspect.
+    let under_slack = |wait: Duration| match shared.params.heartbeat_slack {
+        Some(slack) => wait.min(slack),
+        None => wait,
     };
+    let park_timeout = under_slack(shared.params.park_timeout);
+    let poll_window = under_slack(POLL_WINDOW);
+    let may_poll = room_to_poll(
+        &thread_cpus(shared.params.cores),
+        &shared.params.starter_cpus,
+    );
+    let mut controller = PollController::default();
+    let mut episode = IdleEpisode::default();
     let mut stats = PlaneStats::default();
     loop {
         if let Some(hb) = &ctx.heartbeat {
@@ -667,36 +788,14 @@ fn drainer_loop(shared: &PlaneShared, ctx: DrainerCtx) -> PlaneStats {
                 }
             }
         }
-        // Sweep until stopped; `Err` means the drainer's own process
-        // vanished (kernel torn down around the plane) — nothing left to
-        // do either way.
-        let report = match &shared.sched {
-            Some(sched) => shared.kernel.sys_smod_sweep_qos(
-                ctx.pid,
-                &shared.set,
-                sched,
-                &ctx.ledger,
-                shared.params.session_budget,
-            ),
-            None => {
-                shared
-                    .kernel
-                    .sys_smod_sweep(ctx.pid, &shared.set, shared.params.session_budget)
-            }
+        // `Err` means the drainer's own process vanished (kernel torn
+        // down around the plane) — nothing left to do.
+        let Ok(drained) = sweep_once(shared, &ctx, &mut stats) else {
+            break;
         };
-        let Ok(report) = report else { break };
-        stats.absorb(&report);
-        if report.drained > 0 {
-            // Completions were pushed (the sweep also flagged the
-            // completion bitmap): wake the registered consumer.
-            shared.notify_completions();
-        }
-        // Progress = entries answered. A sweep that visited slots but
-        // drained nothing (e.g. a producer stopped reaping and its full
-        // completion ring keeps its slot perpetually "ready") must fall
-        // through to the park below — spinning on a no-progress sweep
-        // would peg a core without serving anyone.
-        if report.drained > 0 {
+        // Progress = entries answered.
+        if drained > 0 {
+            episode.served += drained;
             continue;
         }
         // Post-stop, a no-progress sweep means the set is as dry as it
@@ -707,18 +806,125 @@ fn drainer_loop(shared: &PlaneShared, ctx: DrainerCtx) -> PlaneStats {
         if shared.stop.load(Ordering::Acquire) {
             break;
         }
-        // Announce the park *before* parking: a producer that submits
-        // after reading idle == 0 raced a drainer still mid-sweep; one
-        // that reads idle > 0 unparks us (stored permit — a park after
-        // the unpark returns immediately). The timeout backstops the
-        // remaining window and paces retries on unserviceable slots.
+        // Idle. The episode that just ended tells the controller how to
+        // spend this one.
+        controller.observe(std::mem::take(&mut episode));
+        let idle_from = Instant::now();
+        // Bits still set after a sweep that drained nothing are on slots
+        // it could not serve (a producer stopped reaping and its full
+        // completion ring keeps its slot "ready"; a QoS sweep deferred a
+        // tenant): polling a bitmap that never clears would peg a core
+        // without serving anyone, so those go to the timed park.
+        if may_poll
+            && controller.polling
+            && !shared.set.any_ready()
+            && shared
+                .spinning
+                .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
+                .is_ok()
+        {
+            let hit = poll_ready(shared, idle_from, poll_window);
+            // Producers skipped the unpark while the claim stood. The
+            // fence makes every bit set by one who saw it standing
+            // visible to the sweep (or the final look) that comes next.
+            shared.spinning.store(false, Ordering::Release);
+            fence(Ordering::SeqCst);
+            if hit {
+                shared.kernel.metrics.drainer_spin_hits.incr();
+                episode.arrival_gap = idle_from.elapsed();
+                continue;
+            }
+            shared.kernel.metrics.drainer_spin_timeouts.incr();
+            episode.timed_out = true;
+        }
+        // Announce the park, *then* look once more (the drainer's half
+        // of the handshake in `PlaneShared::wake`): a producer whose bit
+        // this look misses is one that will see `idle > 0` and unpark us
+        // (stored permit — a park after the unpark returns at once).
         shared.idle.fetch_add(1, Ordering::AcqRel);
-        shared.kernel.metrics.drainer_parks.incr();
-        std::thread::park_timeout(park_timeout);
-        shared.kernel.metrics.drainer_unparks.incr();
+        fence(Ordering::SeqCst);
+        let mut rescued = false;
+        if shared.set.any_ready() {
+            // A doorbell that raced the announcement, or flags on slots
+            // no sweep can serve: only a sweep tells them apart. Whatever
+            // is flagged after this one's claim has seen `idle > 0`.
+            let drained = sweep_once(shared, &ctx, &mut stats);
+            episode.served += drained.unwrap_or(0);
+            rescued = drained != Ok(0);
+        }
+        if !rescued {
+            // The timeout paces retries on unserviceable slots.
+            shared.kernel.metrics.drainer_parks.incr();
+            std::thread::park_timeout(park_timeout);
+            shared.kernel.metrics.drainer_unparks.incr();
+        }
         shared.idle.fetch_sub(1, Ordering::AcqRel);
+        episode.arrival_gap = idle_from.elapsed();
     }
     stats
+}
+
+/// One sweep of the set on behalf of drainer `ctx`, folded into `stats`;
+/// returns the entries it answered.
+fn sweep_once(shared: &PlaneShared, ctx: &DrainerCtx, stats: &mut PlaneStats) -> SysResult<u64> {
+    let report = match &shared.sched {
+        Some(sched) => shared.kernel.sys_smod_sweep_qos(
+            ctx.pid,
+            &shared.set,
+            sched,
+            &ctx.ledger,
+            shared.params.session_budget,
+        ),
+        None => shared
+            .kernel
+            .sys_smod_sweep(ctx.pid, &shared.set, shared.params.session_budget),
+    }?;
+    stats.absorb(&report);
+    if report.drained > 0 {
+        // Completions were pushed (the sweep also flagged the completion
+        // bitmap): wake the registered consumer.
+        shared.notify_completions();
+    }
+    Ok(report.drained as u64)
+}
+
+/// The CPUs the calling thread may run on; where the platform does not
+/// tell, the first `cores` of them.
+fn thread_cpus(cores: usize) -> affinity::CpuSet {
+    affinity::get_thread_affinity().unwrap_or_else(|_| {
+        let mut cpus = affinity::CpuSet::empty();
+        for cpu in 0..cores.min(affinity::MAX_CPUS) {
+            let _ = cpus.add(cpu);
+        }
+        cpus
+    })
+}
+
+/// Never poll on one CPU: a drainer confined to `mine` may poll for
+/// producers confined to `theirs` only if the two sets together hold more
+/// than one CPU, or the poll keeps the producer it waits for off the CPU.
+/// A drainer reads its own set after its pin, so a starter pinned to one
+/// CPU leaves room exactly when the drainers pin themselves elsewhere
+/// (`PlaneConfig::pin_drainers`); unpinned, they inherit its one CPU.
+fn room_to_poll(mine: &affinity::CpuSet, theirs: &affinity::CpuSet) -> bool {
+    (0..affinity::MAX_CPUS)
+        .filter(|&cpu| mine.contains(cpu) || theirs.contains(cpu))
+        .nth(1)
+        .is_some()
+}
+
+/// Watch the readiness bitmap from `from` for up to `window`. `true` the
+/// moment a bit (or the stop flag) shows, `false` when the window closes.
+fn poll_ready(shared: &PlaneShared, from: Instant, window: Duration) -> bool {
+    loop {
+        if shared.set.any_ready() || shared.stop.load(Ordering::Acquire) {
+            return true;
+        }
+        if from.elapsed() >= window {
+            return false;
+        }
+        std::hint::spin_loop();
+    }
 }
 
 /// The supervisor: poll the monitor every `check_interval`, and for each
@@ -1495,6 +1701,285 @@ mod tests {
         assert_eq!(stats.completed, ENTRIES);
         assert!(stats.drainer_restarts >= 1);
         assert!(stats.reclaimed >= 1);
+    }
+
+    /// Whether (unpinned) drainers started from this thread may poll.
+    fn host_can_poll() -> bool {
+        let here = thread_cpus(std::thread::available_parallelism().map_or(1, |n| n.get()));
+        room_to_poll(&here, &here)
+    }
+
+    #[test]
+    fn polling_needs_a_second_cpu_between_drainer_and_starter() {
+        let cpus = |list: &[usize]| {
+            let mut set = affinity::CpuSet::empty();
+            for &cpu in list {
+                set.add(cpu).unwrap();
+            }
+            set
+        };
+        // A one-CPU host, and a drainer that inherited its pinned
+        // starter's only CPU: no room.
+        assert!(!room_to_poll(&cpus(&[0]), &cpus(&[0])));
+        assert!(!room_to_poll(&cpus(&[70]), &cpus(&[70])));
+        // A drainer that pinned itself away from its pinned starter, and
+        // the usual case of neither being confined.
+        assert!(room_to_poll(&cpus(&[0]), &cpus(&[1])));
+        assert!(room_to_poll(&cpus(&[0, 1]), &cpus(&[0, 1])));
+        assert!(room_to_poll(&cpus(&[3]), &cpus(&[2, 3])));
+    }
+
+    fn spins(kernel: &Kernel) -> u64 {
+        kernel.metrics.drainer_spin_hits.get() + kernel.metrics.drainer_spin_timeouts.get()
+    }
+
+    fn next_completion(handle: &PlaneHandle) -> SmodCallResp {
+        loop {
+            match handle.reap() {
+                Some(resp) => break resp,
+                None => std::thread::yield_now(),
+            }
+        }
+    }
+
+    /// One depth-1 round trip: submit, wait for the answer.
+    fn round_trip(handle: &PlaneHandle, incr: u32, i: u64) {
+        handle.submit(incr, i, i.to_le_bytes().to_vec()).unwrap();
+        let resp = next_completion(handle);
+        assert_eq!(resp.user_data, i);
+        assert!(resp.is_ok());
+    }
+
+    fn shallow() -> IdleEpisode {
+        IdleEpisode {
+            served: 1,
+            arrival_gap: Duration::from_micros(4),
+            timed_out: false,
+        }
+    }
+
+    fn polling_controller() -> PollController {
+        let mut c = PollController::default();
+        for _ in 0..ENTER_AFTER {
+            assert!(!c.polling);
+            c.observe(shallow());
+        }
+        assert!(c.polling, "{ENTER_AFTER} shallow episodes enter polling");
+        c
+    }
+
+    #[test]
+    fn controller_enters_polling_after_a_streak_of_shallow_episodes() {
+        polling_controller();
+        // A deep run, or one in the middle of the streak, never does.
+        let mut c = PollController::default();
+        for i in 0..10 * ENTER_AFTER {
+            let served = if i % ENTER_AFTER == ENTER_AFTER - 1 {
+                SHALLOW_RUN + 1
+            } else {
+                SHALLOW_RUN
+            };
+            c.observe(IdleEpisode {
+                served,
+                ..shallow()
+            });
+            assert!(!c.polling, "episode {i} entered polling");
+        }
+        // Wake-ups that served nothing neither count nor reset.
+        let mut c = PollController::default();
+        for _ in 0..ENTER_AFTER - 1 {
+            c.observe(shallow());
+            c.observe(IdleEpisode::default());
+        }
+        assert!(!c.polling);
+        c.observe(shallow());
+        assert!(c.polling);
+    }
+
+    #[test]
+    fn controller_leaves_polling_on_one_wasted_window() {
+        let mut c = polling_controller();
+        c.observe(IdleEpisode {
+            served: 0,
+            arrival_gap: POLL_WINDOW,
+            timed_out: true,
+        });
+        assert!(!c.polling);
+        // And needs the whole streak again to come back.
+        for _ in 0..ENTER_AFTER - 1 {
+            c.observe(shallow());
+        }
+        assert!(!c.polling);
+    }
+
+    #[test]
+    fn controller_leaves_polling_after_a_streak_of_fast_arrivals() {
+        let fast = IdleEpisode {
+            served: 1,
+            arrival_gap: FAST_ARRIVAL / 2,
+            timed_out: false,
+        };
+        let mut c = polling_controller();
+        // Fast arrivals broken up by a slow one never add up...
+        for _ in 0..4 {
+            for _ in 0..LEAVE_AFTER - 1 {
+                c.observe(fast);
+            }
+            c.observe(shallow());
+            assert!(c.polling);
+        }
+        // ...an unbroken streak does.
+        for _ in 0..LEAVE_AFTER {
+            assert!(c.polling);
+            c.observe(fast);
+        }
+        assert!(!c.polling);
+    }
+
+    #[test]
+    fn depth_one_round_trips_never_wait_out_the_park_timeout() {
+        // With a park timeout of a minute, one doorbell lost between a
+        // drainer's last look at the bitmap and its park would stall the
+        // loop for longer than the whole test may take.
+        const ROUND_TRIPS: u64 = 100_000;
+        let park_timeout = Duration::from_secs(60);
+        let (k, _m, clients, incr) = kernel_with_clients(None, 1);
+        let plane = DispatchPlane::start(
+            Arc::new(k),
+            PlaneConfig::builder()
+                .drainers(1)
+                .park_timeout(park_timeout)
+                .build(),
+        )
+        .unwrap();
+        let handle = plane.attach(clients[0]).unwrap();
+        let started = Instant::now();
+        for i in 0..ROUND_TRIPS {
+            round_trip(&handle, incr, i);
+        }
+        drop(handle);
+        let stats = plane.shutdown();
+        assert_eq!(stats.completed, ROUND_TRIPS);
+        assert!(
+            started.elapsed() < park_timeout / 2,
+            "{ROUND_TRIPS} round trips and the shutdown took {:?}: a wake-up was lost",
+            started.elapsed()
+        );
+    }
+
+    #[test]
+    fn a_slot_stuck_on_a_full_completion_ring_parks_instead_of_polling() {
+        let (k, _m, clients, incr) = kernel_with_clients(None, 1);
+        let kernel = Arc::new(k);
+        let plane = DispatchPlane::start(
+            Arc::clone(&kernel),
+            PlaneConfig::builder()
+                .drainers(1)
+                .ring(secmod_ring::RingPairConfig {
+                    submission: 4,
+                    completion: 4,
+                })
+                .build(),
+        )
+        .unwrap();
+        let handle = plane.attach(clients[0]).unwrap();
+        // A caller who waits first, so the drainer is in the polling
+        // regime when the slot gets stuck.
+        let mut sent = 0;
+        while sent < 64 || (host_can_poll() && spins(&kernel) == 0) {
+            round_trip(&handle, incr, sent);
+            sent += 1;
+            assert!(sent < 1_000_000, "the drainer never started polling");
+        }
+        // Now stop reaping: four answers fill the completion ring, the
+        // fifth entry stays queued and keeps the slot flagged.
+        for i in 0..5 {
+            handle.submit(incr, sent + i, vec![0; 8]).unwrap();
+            while i < 4 && handle.rings().cq.len() <= i as usize {
+                std::thread::yield_now();
+            }
+        }
+        let parks = &kernel.metrics.drainer_parks;
+        let wait_for_parks = |n: u64| {
+            let from = parks.get();
+            while parks.get() < from + n {
+                std::thread::yield_now();
+            }
+        };
+        // Let a poll window that was open when the slot got stuck close.
+        wait_for_parks(2);
+        let before = spins(&kernel);
+        wait_for_parks(8);
+        assert_eq!(handle.pending(), 1, "the fifth entry cannot be served");
+        assert_eq!(
+            spins(&kernel),
+            before,
+            "a sweep that can serve nothing must lead to the timed park"
+        );
+        // Reaping unsticks it.
+        for i in 0..5 {
+            assert_eq!(next_completion(&handle).user_data, sent + i);
+        }
+        drop(handle);
+        plane.shutdown();
+    }
+
+    #[test]
+    fn only_one_drainer_polls_at_a_time() {
+        let (kernel, plane, clients, incr) = plane_fixture(1, 2);
+        let handle = plane.attach(clients[0]).unwrap();
+        // Hold the spinner's claim ourselves. Both drainers reach the
+        // polling regime (every answer below is a shallow episode for the
+        // one that gave it), and neither may act on it. Doorbells go
+        // unanswered while the claim is held, so each round trip waits
+        // for a park to time out.
+        plane.shared.spinning.store(true, Ordering::Release);
+        for i in 0..64 {
+            round_trip(&handle, incr, i);
+        }
+        assert_eq!(spins(&kernel), 0, "a drainer polled beside the claim");
+        plane.shared.spinning.store(false, Ordering::Release);
+        // Released, the claim is taken by a drainer.
+        let mut sent = 64;
+        while host_can_poll() && spins(&kernel) == 0 {
+            round_trip(&handle, incr, sent);
+            sent += 1;
+            assert!(sent < 1_000_000, "no drainer took the released claim");
+        }
+        drop(handle);
+        plane.shutdown();
+    }
+
+    #[test]
+    fn a_polling_drainer_keeps_its_heartbeat() {
+        use secmod_qos::DrainerState;
+        let (k, _m, clients, incr) = kernel_with_clients(None, 1);
+        let kernel = Arc::new(k);
+        let plane = DispatchPlane::start(
+            Arc::clone(&kernel),
+            PlaneConfig::builder()
+                .drainers(1)
+                .health(HealthConfig::with_deadline(Duration::from_millis(100)))
+                .build(),
+        )
+        .unwrap();
+        let monitor = plane.health_monitor().expect("health is armed");
+        let handle = plane.attach(clients[0]).unwrap();
+        // Three deadlines of a caller who waits: polling all the while
+        // where the host allows it, never once late with a beat.
+        let started = Instant::now();
+        let mut sent = 0;
+        while started.elapsed() < Duration::from_millis(300) {
+            round_trip(&handle, incr, sent);
+            sent += 1;
+            assert_eq!(monitor.state_of(0), DrainerState::Alive);
+        }
+        if host_can_poll() {
+            assert!(spins(&kernel) > 0, "the drainer never polled");
+        }
+        assert_eq!(monitor.restarts.get(), 0);
+        drop(handle);
+        plane.shutdown();
     }
 
     #[test]

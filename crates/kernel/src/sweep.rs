@@ -272,11 +272,11 @@ impl Kernel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::tests::{kernel_with_clients, req};
+    use crate::batch::tests::{kernel_with_clients, req, SlowGate};
     use crate::batch::BATCH_CHUNK;
     use crate::errno::Errno;
     use secmod_ring::{RingPairConfig, RingSlotId, SMOD_BATCH_DEFAULT_BUDGET};
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::atomic::Ordering;
     use std::sync::Arc;
 
     /// Register `clients`' sessions in a fresh ring set (slot i ↔ client i).
@@ -465,8 +465,17 @@ mod tests {
         // mid-drain (bodies sleeping behind the gate), one session
         // detaches. Its remaining entries must fail with EIDRM — and the
         // *other* session must be entirely unaffected.
-        const ENTRIES: usize = 6 * BATCH_CHUNK;
-        let gate = Arc::new(AtomicBool::new(false));
+        //
+        // The detach needs the victim's process locks, which the drain
+        // holds for a whole chunk at a time and hands over only between
+        // chunks, for microseconds, on a mutex that is not fair: a loaded
+        // host can make the detach lose that race several times running.
+        // The victim's queue is therefore deep enough that its drain
+        // outlasts any such run (each lost chunk costs 32 ms of sleeping
+        // bodies; once the detach lands the gate opens and the rest is
+        // answered at full speed).
+        const ENTRIES: usize = 128 * BATCH_CHUNK;
+        let gate = Arc::new(SlowGate::default());
         let (k, _m, clients, incr) = kernel_with_clients(Some(Arc::clone(&gate)), 2);
         let (set, slots) = ring_set_for(&k, &clients, ENTRIES);
         let drainer = sweeper(&k);
@@ -478,13 +487,20 @@ mod tests {
 
         let k = &k;
         let (victim, survivor) = (clients[0], clients[1]);
-        let report = std::thread::scope(|s| {
-            s.spawn(|| {
-                std::thread::sleep(std::time::Duration::from_millis(5));
+        let victim_rings = set.get(slots[0]).unwrap();
+        let (report, answered_at_detach) = std::thread::scope(|s| {
+            let detacher = s.spawn(|| {
+                // The first body is running, so the victim (slot 0, swept
+                // first) is inside its first chunk: the detach is asked
+                // for mid-sweep whatever the scheduler does.
+                gate.wait_entered();
                 k.smod_detach(victim, "mid-sweep teardown").unwrap();
-                gate.store(true, Ordering::Release);
+                let answered = victim_rings.cq.len();
+                gate.open.store(true, Ordering::Release);
+                answered
             });
-            k.sys_smod_sweep(drainer, &set, ENTRIES).unwrap()
+            let report = k.sys_smod_sweep(drainer, &set, ENTRIES).unwrap();
+            (report, detacher.join().unwrap())
         });
 
         assert_eq!(report.drained, 2 * ENTRIES, "every entry must be answered");
@@ -492,7 +508,6 @@ mod tests {
 
         // Victim: a prefix of successes, then EIDRM — never an Allow after
         // the detach.
-        let victim_rings = set.get(slots[0]).unwrap();
         let mut seen_dead = false;
         let mut victim_ok = 0;
         for i in 0..ENTRIES {
@@ -506,6 +521,13 @@ mod tests {
             }
         }
         assert!(seen_dead, "the detach landed after the sweep finished");
+        // The detach takes effect at the next chunk boundary: only the
+        // chunk that had passed its epoch check when the detach returned
+        // may still succeed on top of what was answered by then.
+        assert!(
+            victim_ok <= answered_at_detach + BATCH_CHUNK,
+            "{victim_ok} entries succeeded, {answered_at_detach} were answered when the detach returned"
+        );
         // Survivor: every single entry completed normally.
         let survivor_rings = set.get(slots[1]).unwrap();
         for _ in 0..ENTRIES {

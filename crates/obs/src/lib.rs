@@ -519,6 +519,11 @@ pub struct DispatchMetrics {
     pub drainer_parks: Counter,
     /// Times a parked drainer was explicitly woken by a producer.
     pub drainer_unparks: Counter,
+    /// Poll windows of an idle drainer that ended with work showing up:
+    /// a wake-up no producer paid a futex call for.
+    pub drainer_spin_hits: Counter,
+    /// Poll windows that expired empty (the drainer parked after all).
+    pub drainer_spin_timeouts: Counter,
     /// Entries failed with `EIDRM` (session torn down mid-flight).
     pub eidrm_failures: Counter,
     /// Async submissions re-parked on a full ring and later re-submitted.
@@ -573,6 +578,8 @@ impl DispatchMetrics {
             &self.sweep_sessions,
             &self.drainer_parks,
             &self.drainer_unparks,
+            &self.drainer_spin_hits,
+            &self.drainer_spin_timeouts,
             &self.eidrm_failures,
             &self.async_resubmits,
             &self.trace_dropped,
@@ -630,12 +637,14 @@ impl DispatchMetrics {
         );
         let _ = writeln!(
             out,
-            "sweeps {} traps / {} sessions ({:.1} sessions/trap)  drainer parks {} unparks {}  async resubmits {}  trace dropped {}",
+            "sweeps {} traps / {} sessions ({:.1} sessions/trap)  drainer parks {} unparks {} spin-hits {} spin-timeouts {}  async resubmits {}  trace dropped {}",
             self.sweep_traps.get(),
             self.sweep_sessions.get(),
             self.sessions_per_trap(),
             self.drainer_parks.get(),
             self.drainer_unparks.get(),
+            self.drainer_spin_hits.get(),
+            self.drainer_spin_timeouts.get(),
             self.async_resubmits.get(),
             self.trace_dropped.get(),
         );
@@ -770,6 +779,9 @@ mod tests {
             assert!(m.latency(flavor).summary().p50 > 0);
         }
         assert!(report.contains("9 hits / 1 misses (90.0% hit)"));
+        m.drainer_spin_hits.add(7);
+        m.drainer_spin_timeouts.add(2);
+        assert!(m.text_report().contains("spin-hits 7 spin-timeouts 2"));
         m.trace_dropped.set(17);
         assert_eq!(m.trace_dropped.get(), 17);
         m.trace_dropped.set(3);
@@ -778,6 +790,8 @@ mod tests {
         m.reset();
         assert_eq!(m.latency(Flavor::Syscall).count(), 0);
         assert_eq!(m.gate_hits.get(), 0);
+        assert_eq!(m.drainer_spin_hits.get(), 0);
+        assert_eq!(m.drainer_spin_timeouts.get(), 0);
         assert_eq!(m.trace_dropped.get(), 0);
     }
 
