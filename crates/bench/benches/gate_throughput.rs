@@ -1,13 +1,20 @@
 //! Gateway throughput: what the sharded decision cache buys (and costs)
 //! relative to uncached `PolicyEngine::query`, per workload shape.
 //!
-//! `cached_hot` / `uncached_hot` isolate the per-decision win on a
-//! repeated request (the zipfian best case); `scenario/*` runs the full
-//! multi-threaded scenario engine end to end, so the numbers include
-//! thread spawn, universe construction, and churn-actor kernel work.
+//! `cached_hot` / `uncached_hot` / `uncached_gateway` isolate the
+//! per-decision win on a repeated request (the zipfian best case):
+//! `uncached_hot` is the engine alone against a prebuilt `Environment`,
+//! `uncached_gateway` is what a miss pays on the kernel's path — the same
+//! request through a `CacheConfig::disabled()` gateway (key hash, shard
+//! probe, engine read lock, conditions evaluated against the request's
+//! own fields). `scenario/*` runs the full multi-threaded scenario engine
+//! end to end, so the numbers include thread spawn, universe
+//! construction, and churn-actor kernel work.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use secmod_gate::{build_universe, run_scenario, AccessRequest, ScenarioConfig, ScenarioKind};
+use secmod_gate::{
+    build_universe, run_scenario, AccessRequest, CacheConfig, ScenarioConfig, ScenarioKind,
+};
 
 fn bench_config(kind: ScenarioKind) -> ScenarioConfig {
     ScenarioConfig::builder(kind)
@@ -42,6 +49,14 @@ fn gate_throughput(c: &mut Criterion) {
     let env = request.environment();
     group.bench_function("uncached_hot", |b| {
         b.iter(|| gateway.with_engine(|e| e.query(std::hint::black_box(requesters), &env).unwrap()))
+    });
+    let uncached_cfg = ScenarioConfig::builder(ScenarioKind::Uniform)
+        .seed(42)
+        .cache(CacheConfig::disabled())
+        .build();
+    let (uncached_gateway, _) = build_universe(&uncached_cfg);
+    group.bench_function("uncached_gateway", |b| {
+        b.iter(|| uncached_gateway.is_allowed_tiered(std::hint::black_box(&request)))
     });
 
     // Full scenario engine, 2 threads end to end.

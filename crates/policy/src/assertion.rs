@@ -32,15 +32,19 @@ pub enum LicenseeExpr {
 }
 
 impl LicenseeExpr {
-    /// Is this expression satisfied by the given set of supporting
-    /// principals (identified by their precomputed 64-bit fingerprints)?
-    pub fn satisfied_by(&self, supporters: &std::collections::HashSet<u64>) -> bool {
+    /// Is this expression satisfied when `supports` says which principals
+    /// (identified by their precomputed 64-bit fingerprints) are in the
+    /// support set? A predicate rather than a set type, so the compliance
+    /// checker can answer from the few fingerprints it holds without
+    /// building a set. There is no negation: growing the support set never
+    /// un-satisfies an expression.
+    pub fn satisfied_by(&self, supports: &impl Fn(u64) -> bool) -> bool {
         match self {
-            LicenseeExpr::Single(p) => supporters.contains(&p.fingerprint()),
-            LicenseeExpr::All(parts) => parts.iter().all(|p| p.satisfied_by(supporters)),
-            LicenseeExpr::Any(parts) => parts.iter().any(|p| p.satisfied_by(supporters)),
+            LicenseeExpr::Single(p) => supports(p.fingerprint()),
+            LicenseeExpr::All(parts) => parts.iter().all(|p| p.satisfied_by(supports)),
+            LicenseeExpr::Any(parts) => parts.iter().any(|p| p.satisfied_by(supports)),
             LicenseeExpr::Threshold { k, of } => {
-                of.iter().filter(|p| p.satisfied_by(supporters)).count() >= *k
+                of.iter().filter(|p| p.satisfied_by(supports)).count() >= *k
             }
         }
     }
@@ -153,6 +157,10 @@ mod tests {
         p.fingerprint()
     }
 
+    fn satisfied(expr: &LicenseeExpr, sup: &HashSet<u64>) -> bool {
+        expr.satisfied_by(&|fp| sup.contains(&fp))
+    }
+
     #[test]
     fn licensee_single_and_sets() {
         let alice = Principal::from_key("alice", b"a");
@@ -168,14 +176,14 @@ mod tests {
         ]);
 
         let mut sup: HashSet<u64> = HashSet::new();
-        assert!(!expr.satisfied_by(&sup));
+        assert!(!satisfied(&expr, &sup));
         sup.insert(fp(&bob));
-        assert!(!expr.satisfied_by(&sup));
+        assert!(!satisfied(&expr, &sup));
         sup.insert(fp(&carol));
-        assert!(expr.satisfied_by(&sup));
+        assert!(satisfied(&expr, &sup));
         sup.clear();
         sup.insert(fp(&alice));
-        assert!(expr.satisfied_by(&sup));
+        assert!(satisfied(&expr, &sup));
         assert_eq!(expr.principals().len(), 3);
     }
 
@@ -191,9 +199,9 @@ mod tests {
         let mut sup: HashSet<u64> = HashSet::new();
         sup.insert(fp(&ps[0]));
         sup.insert(fp(&ps[1]));
-        assert!(!expr.satisfied_by(&sup));
+        assert!(!satisfied(&expr, &sup));
         sup.insert(fp(&ps[4]));
-        assert!(expr.satisfied_by(&sup));
+        assert!(satisfied(&expr, &sup));
     }
 
     #[test]

@@ -19,21 +19,64 @@ impl AttrValue {
     /// Interpret the value as a boolean for condition evaluation:
     /// booleans are themselves, integers are `!= 0`, strings are non-empty.
     pub fn truthy(&self) -> bool {
-        match self {
-            AttrValue::Bool(b) => *b,
-            AttrValue::Int(i) => *i != 0,
-            AttrValue::Str(s) => !s.is_empty(),
-        }
+        self.as_ref().truthy()
     }
 
     /// Human-readable type name (for error messages).
     pub fn type_name(&self) -> &'static str {
+        self.as_ref().type_name()
+    }
+
+    /// The borrowed form conditions are evaluated against.
+    pub fn as_ref(&self) -> AttrRef<'_> {
         match self {
-            AttrValue::Int(_) => "int",
-            AttrValue::Str(_) => "string",
-            AttrValue::Bool(_) => "bool",
+            AttrValue::Int(i) => AttrRef::Int(*i),
+            AttrValue::Str(s) => AttrRef::Str(s),
+            AttrValue::Bool(b) => AttrRef::Bool(*b),
         }
     }
+}
+
+/// A borrowed attribute value: what condition evaluation compares, so that
+/// neither a literal in the expression nor an attribute of the request is
+/// cloned to be looked at.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum AttrRef<'a> {
+    /// A signed integer.
+    Int(i64),
+    /// A string.
+    Str(&'a str),
+    /// A boolean.
+    Bool(bool),
+}
+
+impl AttrRef<'_> {
+    /// See [`AttrValue::truthy`].
+    pub fn truthy(self) -> bool {
+        match self {
+            AttrRef::Bool(b) => b,
+            AttrRef::Int(i) => i != 0,
+            AttrRef::Str(s) => !s.is_empty(),
+        }
+    }
+
+    /// See [`AttrValue::type_name`].
+    pub fn type_name(self) -> &'static str {
+        match self {
+            AttrRef::Int(_) => "int",
+            AttrRef::Str(_) => "string",
+            AttrRef::Bool(_) => "bool",
+        }
+    }
+}
+
+/// Attribute lookup by name: the one thing condition evaluation needs from
+/// an action environment. [`Environment`] is the owned implementation;
+/// the gateway's `AccessRequest` answers from its own fields, so a cache
+/// miss builds no map.
+pub trait Attributes {
+    /// The value of attribute `name`, if the environment has one.
+    fn attr(&self, name: &str) -> Option<AttrRef<'_>>;
 }
 
 impl From<i64> for AttrValue {
@@ -133,6 +176,12 @@ impl Environment {
             .with("module_version", version as i64)
             .with("function", function)
             .with("uid", uid)
+    }
+}
+
+impl Attributes for Environment {
+    fn attr(&self, name: &str) -> Option<AttrRef<'_>> {
+        self.get(name).map(AttrValue::as_ref)
     }
 }
 

@@ -7,8 +7,17 @@
 //! own mutex, so concurrent lookups from different threads rarely contend;
 //! a request's shard is chosen by mixing its full key. Every key carries
 //! the invalidation epoch it was computed under, so a stale decision can
-//! never match after an epoch bump — old-epoch entries simply age out
-//! through eviction.
+//! never match after an epoch bump.
+//!
+//! Epochs are monotone (the gateway's only ever grow), which makes the
+//! entries of an older epoch dead weight the moment a newer one is seen:
+//! no lookup will ask for them again. A shard therefore holds entries of
+//! one epoch only — the newest it has been given. An insert at a newer
+//! epoch empties the shard first, and an insert at an older one (a miss
+//! that raced an epoch bump) is dropped. Neither counts as an eviction:
+//! `evictions` counts live entries displaced by sampled LRU because the
+//! working set of *one* epoch outgrew the shard, and a refill after an
+//! epoch bump has the whole capacity to itself.
 
 use crate::engine::Decision;
 use parking_lot::Mutex;
@@ -104,9 +113,11 @@ pub struct CacheStats {
     pub hits: u64,
     /// Lookups that fell through to the policy engine.
     pub misses: u64,
-    /// Entries displaced to make room.
+    /// Live entries displaced to make room (entries expired with their
+    /// epoch are not counted).
     pub evictions: u64,
-    /// Entries written.
+    /// Decisions offered for caching (including any not stored: cache
+    /// disabled, or computed under an epoch already superseded).
     pub insertions: u64,
     /// Entries currently resident.
     pub entries: usize,
@@ -131,6 +142,8 @@ struct Entry {
 
 struct Shard {
     map: HashMap<CacheKey, Entry>,
+    /// The epoch of every resident entry: the newest an insert has carried.
+    epoch: u64,
     /// Shard-local recency clock; bumped on every touch.
     tick: u64,
     capacity: usize,
@@ -179,13 +192,19 @@ impl Shard {
         found
     }
 
-    /// Insert, displacing the least-recently-used of a small sample when
-    /// full.
+    /// Insert, first expiring everything resident if `key` opens a newer
+    /// epoch, and displacing the least-recently-used of a small sample
+    /// when full.
     fn insert(&mut self, key: CacheKey, decision: Decision) {
         self.insertions += 1;
-        if self.capacity == 0 {
-            // Caching disabled: never store anything.
+        if self.capacity == 0 || key.epoch < self.epoch {
+            // Caching disabled, or the epoch moved on while this decision
+            // was being computed: nothing could ever look it up.
             return;
+        }
+        if key.epoch > self.epoch {
+            self.map.clear();
+            self.epoch = key.epoch;
         }
         self.tick += 1;
         let tick = self.tick;
@@ -251,6 +270,7 @@ impl DecisionCache {
                 .map(|_| {
                     Mutex::new(Shard {
                         map: HashMap::with_capacity(per_shard),
+                        epoch: 0,
                         tick: 0,
                         capacity: per_shard,
                         hits: 0,
@@ -357,6 +377,48 @@ mod tests {
         assert_eq!(cache.get(&key(1, 0)), Some(allow()));
     }
 
+    #[test]
+    fn refill_after_an_epoch_bump_has_the_whole_capacity() {
+        // 64 live keys in 4 shards of 64: the live set fits with room to
+        // spare, so refilling it epoch after epoch must never evict, and
+        // what is resident is never more than the live set — the dead
+        // epochs' 640 entries would otherwise fill the cache and make
+        // every later insert pay an eviction.
+        let cache = DecisionCache::new(CacheConfig {
+            shards: 4,
+            capacity: 256,
+        });
+        for epoch in 0..10 {
+            for n in 0..64 {
+                cache.insert(key(n, epoch), allow());
+            }
+            let s = cache.stats();
+            assert!(s.entries <= 64, "{} entries at epoch {epoch}", s.entries);
+            assert_eq!(s.evictions, 0, "evicted at epoch {epoch}");
+        }
+        for n in 0..64 {
+            assert_eq!(cache.get(&key(n, 9)), Some(allow()));
+            assert_eq!(cache.get(&key(n, 8)), None);
+        }
+    }
+
+    #[test]
+    fn insert_at_an_older_epoch_is_dropped() {
+        let cache = DecisionCache::new(CacheConfig {
+            shards: 1,
+            capacity: 8,
+        });
+        cache.insert(key(1, 5), allow());
+        // A miss that raced the bump to epoch 5 arrives late.
+        cache.insert(key(2, 3), allow());
+        assert_eq!(cache.get(&key(2, 3)), None);
+        assert_eq!(cache.get(&key(1, 5)), Some(allow()), "live entry lost");
+        let s = cache.stats();
+        assert_eq!((s.entries, s.evictions, s.insertions), (1, 0, 2));
+    }
+
+    /// The one-epoch thrash: a working set larger than the cache still
+    /// evicts by sampled LRU.
     #[test]
     fn capacity_is_bounded_and_evictions_are_counted() {
         let cache = DecisionCache::new(CacheConfig {

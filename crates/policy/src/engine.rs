@@ -8,20 +8,30 @@
 //! conditions hold in the action environment adds its *authorizer* to the
 //! support set; the request is approved when the policy root becomes
 //! supported.
+//!
+//! It is computed as a worklist over an index kept by `add_assertion`
+//! (licensee fingerprint → the assertions naming it): a newly supported
+//! principal wakes only the assertions that name it, and the query returns
+//! the moment the policy root is supported. Conditions are evaluated only
+//! for the assertions visited before that moment, so an evaluation error
+//! ([`MissingAttr::Strict`] on a missing attribute, an ordered comparison
+//! across types) in an assertion the derivation never reaches is not
+//! raised; one in an assertion it does reach fails the query.
 
 use crate::assertion::Assertion;
-use crate::attr::Environment;
+use crate::attr::Attributes;
 use crate::eval::{evaluate, MissingAttr};
 use crate::principal::Principal;
 use crate::Result;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// The outcome of a compliance query.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Decision {
     /// The action is authorised; the payload lists the assertion indices
     /// (into the engine's assertion list) that fired, in the order they
-    /// contributed support.
+    /// contributed support (empty when the policy root itself is among the
+    /// requesters).
     Allow {
         /// Indices of the assertions used in the derivation.
         used_assertions: Vec<usize>,
@@ -50,6 +60,14 @@ pub struct PolicyEngine {
     /// alter a decision (`add_assertion`, `register_key`). Decision caches
     /// fold this into their keys so stale results can never be served.
     revision: u64,
+    /// Licensee fingerprint → the assertions (ascending indices) whose
+    /// licensee expression names that principal: whom to wake when the
+    /// principal becomes supported.
+    by_licensee: HashMap<u64, Vec<usize>>,
+    /// Assertions whose licensee expression nobody needs to support
+    /// (`All([])`, `Threshold { k: 0, .. }`): no principal wakes them, so
+    /// every query starts with them.
+    vacuous: Vec<usize>,
 }
 
 impl PolicyEngine {
@@ -85,9 +103,21 @@ impl PolicyEngine {
                 })?;
             assertion.verify(key)?;
         }
+        let idx = self.assertions.len();
+        if assertion.licensees.satisfied_by(&|_| false) {
+            self.vacuous.push(idx);
+        } else {
+            for licensee in assertion.licensees.principals() {
+                let woken = self.by_licensee.entry(licensee.fingerprint()).or_default();
+                // A principal named twice by one assertion wakes it once.
+                if woken.last() != Some(&idx) {
+                    woken.push(idx);
+                }
+            }
+        }
         self.assertions.push(assertion);
         self.revision += 1;
-        Ok(self.assertions.len() - 1)
+        Ok(idx)
     }
 
     /// Number of assertions held.
@@ -116,33 +146,121 @@ impl PolicyEngine {
 
     /// Evaluate a request made by `requesters` for an action described by
     /// `env`.
-    pub fn query(&self, requesters: &[Principal], env: &Environment) -> Result<Decision> {
-        let mut support: HashSet<u64> = requesters.iter().map(|p| p.fingerprint()).collect();
+    pub fn query<A: Attributes + ?Sized>(
+        &self,
+        requesters: &[Principal],
+        env: &A,
+    ) -> Result<Decision> {
         // The Allow decision itself never rests on the 64-bit fingerprint:
         // root support is tracked through the full-string `is_policy_root`
         // check (on the handful of requesters and fired assertions, not in
         // the hot membership tests), so an fp64 collision with
         // POLICY_ROOT_FP cannot forge an authorisation.
+        if requesters.iter().any(|p| p.is_policy_root()) {
+            return Ok(Decision::Allow {
+                used_assertions: Vec::new(),
+            });
+        }
+        let mut used: Vec<usize> = Vec::new();
+        let mut root_supported = self.fire(&self.vacuous, requesters, env, &mut used)?;
+        for requester in requesters {
+            if root_supported {
+                break;
+            }
+            root_supported = self.wake(requester.fingerprint(), requesters, env, &mut used)?;
+        }
+        // `used` doubles as the worklist: the principals that became
+        // supported are exactly the authorizers of the fired assertions.
+        let mut next = 0;
+        while !root_supported && next < used.len() {
+            let supported = self.assertions[used[next]].authorizer.fingerprint();
+            next += 1;
+            root_supported = self.wake(supported, requesters, env, &mut used)?;
+        }
+        Ok(if root_supported {
+            Decision::Allow {
+                used_assertions: used,
+            }
+        } else {
+            Decision::Deny
+        })
+    }
+
+    /// Fire what `supported` becoming supported makes fireable; see
+    /// [`PolicyEngine::fire`].
+    fn wake<A: Attributes + ?Sized>(
+        &self,
+        supported: u64,
+        requesters: &[Principal],
+        env: &A,
+        used: &mut Vec<usize>,
+    ) -> Result<bool> {
+        match self.by_licensee.get(&supported) {
+            Some(woken) => self.fire(woken, requesters, env, used),
+            None => Ok(false),
+        }
+    }
+
+    /// Fire each of `woken` that can fire now, recording it in `used`.
+    /// Returns `true` as soon as the policy root is supported. The support
+    /// set is the requesters plus the authorizers of `used` — no longer
+    /// than the delegation chain, so membership is a scan of those few
+    /// fingerprints rather than a set.
+    fn fire<A: Attributes + ?Sized>(
+        &self,
+        woken: &[usize],
+        requesters: &[Principal],
+        env: &A,
+        used: &mut Vec<usize>,
+    ) -> Result<bool> {
+        for &idx in woken {
+            let assertion = &self.assertions[idx];
+            let supports = |fp: u64| {
+                requesters.iter().any(|p| p.fingerprint() == fp)
+                    || used
+                        .iter()
+                        .any(|&u| self.assertions[u].authorizer.fingerprint() == fp)
+            };
+            // Already supported (which covers "already fired"): firing it
+            // adds nothing.
+            if supports(assertion.authorizer.fingerprint())
+                || !assertion.licensees.satisfied_by(&supports)
+                || !evaluate(&assertion.conditions, env, self.missing_attr)?
+            {
+                continue;
+            }
+            used.push(idx);
+            if assertion.authorizer.is_policy_root() {
+                return Ok(true);
+            }
+        }
+        Ok(false)
+    }
+
+    /// The textbook fixpoint the worklist replaced — scan every assertion
+    /// until a pass adds nothing — kept as the oracle the differential
+    /// test compares [`PolicyEngine::query`] against.
+    #[cfg(test)]
+    fn query_naive<A: Attributes + ?Sized>(
+        &self,
+        requesters: &[Principal],
+        env: &A,
+    ) -> Result<Decision> {
+        use std::collections::HashSet;
+        let mut support: HashSet<u64> = requesters.iter().map(|p| p.fingerprint()).collect();
         let mut root_supported = requesters.iter().any(|p| p.is_policy_root());
         let mut used: Vec<usize> = Vec::new();
         let mut fired: HashSet<usize> = HashSet::new();
-
-        // Fixpoint: keep firing assertions until nothing changes or the
-        // policy root is supported.
         loop {
             let mut progressed = false;
             for (idx, assertion) in self.assertions.iter().enumerate() {
-                if fired.contains(&idx) {
-                    continue;
-                }
-                if support.contains(&assertion.authorizer.fingerprint()) {
-                    // Already supported; firing it adds nothing.
-                    continue;
-                }
-                if !assertion.licensees.satisfied_by(&support) {
-                    continue;
-                }
-                if !evaluate(&assertion.conditions, env, self.missing_attr)? {
+                if fired.contains(&idx)
+                    || support.contains(&assertion.authorizer.fingerprint())
+                    || !assertion
+                        .licensees
+                        .satisfied_by(&|fp| support.contains(&fp))
+                    || !evaluate(&assertion.conditions, env, self.missing_attr)?
+                {
                     continue;
                 }
                 support.insert(assertion.authorizer.fingerprint());
@@ -165,7 +283,7 @@ impl PolicyEngine {
     }
 
     /// Convenience wrapper returning a plain boolean (errors count as deny).
-    pub fn is_allowed(&self, requesters: &[Principal], env: &Environment) -> bool {
+    pub fn is_allowed<A: Attributes + ?Sized>(&self, requesters: &[Principal], env: &A) -> bool {
         matches!(self.query(requesters, env), Ok(d) if d.is_allowed())
     }
 }
@@ -174,6 +292,7 @@ impl PolicyEngine {
 mod tests {
     use super::*;
     use crate::assertion::LicenseeExpr;
+    use crate::attr::Environment;
 
     fn alice() -> Principal {
         Principal::from_key("alice", b"alice-key")
@@ -392,5 +511,193 @@ mod tests {
             .unwrap();
         assert!(engine.is_allowed(&[alice()], &call_env("libc", "malloc", 1000)));
         assert!(!engine.is_allowed(&[alice()], &call_env("libc", "malloc", 5000)));
+    }
+
+    #[test]
+    fn vacuous_licensees_fire_without_any_supporter() {
+        // Nobody has to support `All([])` or a zero threshold, so no
+        // principal ever wakes such an assertion: the query must start
+        // with it, even for an empty requester list.
+        for licensees in [
+            LicenseeExpr::All(vec![]),
+            LicenseeExpr::Threshold {
+                k: 0,
+                of: vec![LicenseeExpr::Single(bob())],
+            },
+        ] {
+            let mut engine = PolicyEngine::new();
+            engine
+                .add_assertion(Assertion::policy(licensees, "uid >= 1000").unwrap())
+                .unwrap();
+            assert!(engine.is_allowed(&[alice()], &call_env("libc", "malloc", 1000)));
+            assert!(engine.is_allowed(&[], &call_env("libc", "malloc", 1000)));
+            assert!(!engine.is_allowed(&[alice()], &call_env("libc", "malloc", 0)));
+        }
+    }
+
+    #[test]
+    fn strict_mode_errors_only_where_the_derivation_reaches() {
+        // Alice is granted by assertion 0; assertion 1 also names her but
+        // reads an attribute the environment lacks. The query stops once
+        // POLICY is supported, so assertion 1 is not evaluated and its
+        // error is not raised — a full pass over the assertions did
+        // evaluate it, and failed the whole query.
+        let mut engine = PolicyEngine::new();
+        engine.missing_attr = MissingAttr::Strict;
+        engine.register_key(&bob(), b"bob-key");
+        engine
+            .add_assertion(Assertion::policy(LicenseeExpr::Single(alice()), "uid == 1000").unwrap())
+            .unwrap();
+        engine
+            .add_assertion(
+                Assertion::delegation(bob(), LicenseeExpr::Single(alice()), "nonexistent == 1")
+                    .unwrap()
+                    .sign(b"bob-key"),
+            )
+            .unwrap();
+        let env = call_env("libc", "malloc", 1000);
+        assert!(engine.query(&[alice()], &env).unwrap().is_allowed());
+        assert!(engine.query_naive(&[alice()], &env).is_err());
+
+        // An error in an assertion the derivation does reach propagates
+        // (and counts as a denial through `is_allowed`).
+        engine
+            .add_assertion(
+                Assertion::policy(LicenseeExpr::Single(vendor()), "nonexistent == 1").unwrap(),
+            )
+            .unwrap();
+        assert!(engine.query(&[vendor()], &env).is_err());
+        assert!(engine.query_naive(&[vendor()], &env).is_err());
+        assert!(!engine.is_allowed(&[vendor()], &env));
+    }
+
+    /// The principals the differential test draws from (index 0 is the
+    /// policy root).
+    fn pool() -> Vec<(Principal, Vec<u8>)> {
+        std::iter::once((Principal::policy_root(), Vec::new()))
+            .chain((0..6).map(|i| {
+                let key = format!("pool-key-{i}").into_bytes();
+                (Principal::from_key(&format!("p{i}"), &key), key)
+            }))
+            .collect()
+    }
+
+    fn random_licensees(
+        rng: &mut proptest::TestRng,
+        pool: &[(Principal, Vec<u8>)],
+        depth: u32,
+    ) -> LicenseeExpr {
+        let parts = |rng: &mut proptest::TestRng| -> Vec<LicenseeExpr> {
+            (0..rng.below(4))
+                .map(|_| random_licensees(rng, pool, depth + 1))
+                .collect()
+        };
+        match if depth >= 2 { 0 } else { rng.below(6) } {
+            0..=2 => LicenseeExpr::Single(pool[1 + rng.below(6) as usize].0.clone()),
+            3 => LicenseeExpr::All(parts(rng)),
+            4 => LicenseeExpr::Any(parts(rng)),
+            _ => {
+                let of = parts(rng);
+                LicenseeExpr::Threshold {
+                    k: rng.below(of.len() as u128 + 2) as usize,
+                    of,
+                }
+            }
+        }
+    }
+
+    /// `used` must read as a derivation: in order, each assertion's
+    /// licensees are satisfied by the requesters plus the authorizers
+    /// before it, its conditions hold, it is new, and at the end the
+    /// policy root is supported.
+    fn assert_valid_derivation(
+        engine: &PolicyEngine,
+        requesters: &[Principal],
+        env: &Environment,
+        used: &[usize],
+    ) {
+        let mut support: Vec<u64> = requesters.iter().map(|p| p.fingerprint()).collect();
+        let mut root = requesters.iter().any(|p| p.is_policy_root());
+        for (n, &idx) in used.iter().enumerate() {
+            let a = &engine.assertions()[idx];
+            assert!(!used[..n].contains(&idx), "assertion {idx} fired twice");
+            assert!(a.licensees.satisfied_by(&|fp| support.contains(&fp)));
+            assert!(evaluate(&a.conditions, env, engine.missing_attr).unwrap());
+            support.push(a.authorizer.fingerprint());
+            root |= a.authorizer.is_policy_root();
+        }
+        assert!(root, "derivation {used:?} does not reach POLICY");
+    }
+
+    #[test]
+    fn worklist_agrees_with_the_naive_fixpoint() {
+        // Conditions that hold, fail, or read a missing attribute
+        // (fail-closed) in `env`; none can raise an error, so the two
+        // evaluation orders must give the same answer.
+        const CONDITIONS: [&str; 7] = [
+            "",
+            "false",
+            "uid >= 1000",
+            "uid < 1000",
+            "module == \"libc\"",
+            "module == \"libm\" || !(missing == 1)",
+            "missing == 1",
+        ];
+        let env = call_env("libc", "malloc", 1000);
+        let pool = pool();
+        let mut rng = proptest::TestRng::from_name("worklist_agrees_with_the_naive_fixpoint");
+        let (mut allows, mut denies, mut multi_hop) = (0, 0, 0);
+        for _ in 0..2000 {
+            let mut engine = PolicyEngine::new();
+            for (principal, key) in &pool[1..] {
+                engine.register_key(principal, key);
+            }
+            for _ in 0..rng.below(14) {
+                // Authorizers among the licensees make delegation cycles.
+                let (authorizer, key) = &pool[rng.below(pool.len() as u128) as usize];
+                let assertion = Assertion::delegation(
+                    authorizer.clone(),
+                    random_licensees(&mut rng, &pool, 0),
+                    CONDITIONS[rng.below(CONDITIONS.len() as u128) as usize],
+                )
+                .unwrap()
+                .sign(key);
+                engine.add_assertion(assertion).unwrap();
+            }
+            // Zero to three requesters; one case in sixteen draws POLICY.
+            let requesters: Vec<Principal> = (0..rng.below(4))
+                .map(|_| {
+                    let i = if rng.below(16) == 0 {
+                        0
+                    } else {
+                        1 + rng.below(6)
+                    };
+                    pool[i as usize].0.clone()
+                })
+                .collect();
+
+            let fast = engine.query(&requesters, &env).unwrap();
+            let naive = engine.query_naive(&requesters, &env).unwrap();
+            assert_eq!(
+                fast.is_allowed(),
+                naive.is_allowed(),
+                "requesters {requesters:?} over {:#?}",
+                engine.assertions()
+            );
+            match (&fast, &naive) {
+                (Decision::Allow { used_assertions }, Decision::Allow { used_assertions: n }) => {
+                    assert_valid_derivation(&engine, &requesters, &env, used_assertions);
+                    assert_valid_derivation(&engine, &requesters, &env, n);
+                    allows += 1;
+                    multi_hop += usize::from(used_assertions.len() > 1);
+                }
+                _ => denies += 1,
+            }
+        }
+        // The generator must exercise both answers and real chains.
+        assert!(
+            allows > 200 && denies > 200 && multi_hop > 50,
+            "allows {allows}, denies {denies}, multi-hop {multi_hop}"
+        );
     }
 }

@@ -1,7 +1,7 @@
 //! Evaluation of condition expressions against an action environment.
 
 use crate::ast::{CmpOp, Expr, Operand};
-use crate::attr::{AttrValue, Environment};
+use crate::attr::{AttrRef, Attributes};
 use crate::{PolicyError, Result};
 
 /// How to treat attributes that are referenced by the expression but missing
@@ -17,8 +17,13 @@ pub enum MissingAttr {
     Strict,
 }
 
-/// Evaluate `expr` against `env`.
-pub fn evaluate(expr: &Expr, env: &Environment, missing: MissingAttr) -> Result<bool> {
+/// Evaluate `expr` against `env`. Operands are compared by reference:
+/// nothing is cloned or allocated unless an error message is built.
+pub fn evaluate<A: Attributes + ?Sized>(
+    expr: &Expr,
+    env: &A,
+    missing: MissingAttr,
+) -> Result<bool> {
     match expr {
         Expr::True => Ok(true),
         Expr::False => Ok(false),
@@ -30,7 +35,7 @@ pub fn evaluate(expr: &Expr, env: &Environment, missing: MissingAttr) -> Result<
             let l = resolve(lhs, env, missing)?;
             let r = resolve(rhs, env, missing)?;
             match (l, r) {
-                (Some(l), Some(r)) => compare(&l, *op, &r),
+                (Some(l), Some(r)) => compare(l, *op, r),
                 _ => Ok(false),
             }
         }
@@ -40,17 +45,17 @@ pub fn evaluate(expr: &Expr, env: &Environment, missing: MissingAttr) -> Result<
     }
 }
 
-fn resolve(
-    operand: &Operand,
-    env: &Environment,
+fn resolve<'a, A: Attributes + ?Sized>(
+    operand: &'a Operand,
+    env: &'a A,
     missing: MissingAttr,
-) -> Result<Option<AttrValue>> {
+) -> Result<Option<AttrRef<'a>>> {
     match operand {
-        Operand::Int(v) => Ok(Some(AttrValue::Int(*v))),
-        Operand::Str(s) => Ok(Some(AttrValue::Str(s.clone()))),
-        Operand::Bool(b) => Ok(Some(AttrValue::Bool(*b))),
-        Operand::Attr(name) => match env.get(name) {
-            Some(v) => Ok(Some(v.clone())),
+        Operand::Int(v) => Ok(Some(AttrRef::Int(*v))),
+        Operand::Str(s) => Ok(Some(AttrRef::Str(s))),
+        Operand::Bool(b) => Ok(Some(AttrRef::Bool(*b))),
+        Operand::Attr(name) => match env.attr(name) {
+            Some(v) => Ok(Some(v)),
             None => match missing {
                 MissingAttr::FailClosed => Ok(None),
                 MissingAttr::Strict => Err(PolicyError::EvalError {
@@ -61,12 +66,12 @@ fn resolve(
     }
 }
 
-fn compare(l: &AttrValue, op: CmpOp, r: &AttrValue) -> Result<bool> {
+fn compare(l: AttrRef<'_>, op: CmpOp, r: AttrRef<'_>) -> Result<bool> {
     use std::cmp::Ordering;
     let ordering: Option<Ordering> = match (l, r) {
-        (AttrValue::Int(a), AttrValue::Int(b)) => Some(a.cmp(b)),
-        (AttrValue::Str(a), AttrValue::Str(b)) => Some(a.cmp(b)),
-        (AttrValue::Bool(a), AttrValue::Bool(b)) => Some(a.cmp(b)),
+        (AttrRef::Int(a), AttrRef::Int(b)) => Some(a.cmp(&b)),
+        (AttrRef::Str(a), AttrRef::Str(b)) => Some(a.cmp(b)),
+        (AttrRef::Bool(a), AttrRef::Bool(b)) => Some(a.cmp(&b)),
         _ => None,
     };
     match ordering {
@@ -97,6 +102,7 @@ fn compare(l: &AttrValue, op: CmpOp, r: &AttrValue) -> Result<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::attr::Environment;
     use crate::parser::parse;
 
     fn env() -> Environment {

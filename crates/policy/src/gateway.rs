@@ -17,7 +17,7 @@
 //! stale decisions are unreachable, not merely flushed-eventually.
 
 use crate::assertion::Assertion;
-use crate::attr::Environment;
+use crate::attr::{AttrRef, Attributes, Environment};
 use crate::cache::{fnv64, fnv64_chain, mix64, CacheConfig, CacheKey, CacheStats, DecisionCache};
 use crate::engine::{Decision, PolicyEngine};
 use crate::l0;
@@ -76,7 +76,9 @@ pub struct AccessRequest<'a> {
 }
 
 impl AccessRequest<'_> {
-    /// The action environment an uncached query would evaluate against.
+    /// The action environment of this request in owned form. The gateway
+    /// itself evaluates a miss against the request's [`Attributes`] view,
+    /// which answers the same names with the same values.
     pub fn environment(&self) -> Environment {
         Environment::for_smod_call(
             self.app_domain,
@@ -113,6 +115,21 @@ impl AccessRequest<'_> {
             module: fnv64(self.module.as_bytes()),
             operation,
             epoch,
+        }
+    }
+}
+
+/// The borrowed form of [`AccessRequest::environment`]: the names
+/// `Environment::for_smod_call` sets, answered from the request's fields.
+impl Attributes for AccessRequest<'_> {
+    fn attr(&self, name: &str) -> Option<AttrRef<'_>> {
+        match name {
+            "app_domain" => Some(AttrRef::Str(self.app_domain)),
+            "module" => Some(AttrRef::Str(self.module)),
+            "module_version" => Some(AttrRef::Int(i64::from(self.version))),
+            "function" => Some(AttrRef::Str(self.operation)),
+            "uid" => Some(AttrRef::Int(self.uid)),
+            _ => None,
         }
     }
 }
@@ -165,20 +182,35 @@ impl Gateway {
     /// for cached vs uncached checks (the kernel's `sys_smod_call`) use
     /// this variant.
     pub fn check_with_origin(&self, req: &AccessRequest) -> crate::Result<(Decision, bool)> {
-        let mut key = req.cache_key(self.epoch());
+        let key = req.cache_key(self.epoch());
         if let Some(decision) = self.cache.get(&key) {
             return Ok((decision, true));
         }
-        // Miss: evaluate under the engine read lock. The epoch is re-read
-        // under the lock so the entry is labelled with the epoch the engine
-        // state actually corresponds to (mutators bump while holding the
-        // write lock); only the epoch component can have changed, so the
-        // request hashes are not recomputed.
+        let (decision, _) = self.miss(req, key, Decision::clone)?;
+        Ok((decision, false))
+    }
+
+    /// The one miss path: run the engine on `req`, record the decision in
+    /// the sharded cache, and return its projection through `f` with the
+    /// key it was recorded under. The epoch is re-read under the engine
+    /// read lock so the entry is labelled with the epoch the engine state
+    /// actually corresponds to (mutators bump while holding the write
+    /// lock); only the epoch component can have changed, so the request
+    /// hashes are not recomputed. Conditions are evaluated against the
+    /// request's own fields — no `Environment` is built. An evaluation
+    /// error is returned and cached at no tier.
+    fn miss<R>(
+        &self,
+        req: &AccessRequest,
+        mut key: CacheKey,
+        f: impl FnOnce(&Decision) -> R,
+    ) -> crate::Result<(R, CacheKey)> {
         let engine = self.engine.read();
         key.epoch = self.epoch();
-        let decision = engine.query(req.requesters, &req.environment())?;
-        self.cache.insert(key, decision.clone());
-        Ok((decision, false))
+        let decision = engine.query(req.requesters, req)?;
+        let projected = f(&decision);
+        self.cache.insert(key, decision);
+        Ok((projected, key))
     }
 
     /// The hot-path variant of [`Gateway::check_with_origin`]: answer only
@@ -188,20 +220,12 @@ impl Gateway {
     /// path the cache exists to make cheap). Errors count as deny, as in
     /// [`Gateway::is_allowed`].
     pub fn is_allowed_with_origin(&self, req: &AccessRequest) -> (bool, bool) {
-        let mut key = req.cache_key(self.epoch());
-        if let Some(allowed) = self.cache.probe(&key, |decision| decision.is_allowed()) {
+        let key = req.cache_key(self.epoch());
+        if let Some(allowed) = self.cache.probe(&key, Decision::is_allowed) {
             return (allowed, true);
         }
-        let engine = self.engine.read();
-        key.epoch = self.epoch();
-        match engine.query(req.requesters, &req.environment()) {
-            Ok(decision) => {
-                let allowed = decision.is_allowed();
-                self.cache.insert(key, decision);
-                (allowed, false)
-            }
-            Err(_) => (false, false),
-        }
+        let allowed = matches!(self.miss(req, key, Decision::is_allowed), Ok((true, _)));
+        (allowed, false)
     }
 
     /// The submit-side fast path: like [`Gateway::is_allowed_with_origin`]
@@ -221,20 +245,16 @@ impl Gateway {
             debug_assert!(!cached, "disabled cache reported a hit");
             return (allowed, DecisionTier::Engine);
         }
-        let mut key = req.cache_key(self.epoch());
+        let key = req.cache_key(self.epoch());
         if let Some(allowed) = l0::lookup(self.id, &key) {
             return (allowed, DecisionTier::L0);
         }
-        if let Some(allowed) = self.cache.probe(&key, |decision| decision.is_allowed()) {
+        if let Some(allowed) = self.cache.probe(&key, Decision::is_allowed) {
             l0::insert(self.id, key, allowed);
             return (allowed, DecisionTier::Shared);
         }
-        let engine = self.engine.read();
-        key.epoch = self.epoch();
-        match engine.query(req.requesters, &req.environment()) {
-            Ok(decision) => {
-                let allowed = decision.is_allowed();
-                self.cache.insert(key, decision);
+        match self.miss(req, key, Decision::is_allowed) {
+            Ok((allowed, key)) => {
                 // Label the L0 entry with the same epoch the sharded insert
                 // used — the epoch the locked engine state corresponds to.
                 l0::insert(self.id, key, allowed);
@@ -497,6 +517,78 @@ mod tests {
         // be short-circuited by the permissive gateway's L0 entry.
         assert!(!strict.is_allowed_tiered(&r).0);
         assert_eq!(permissive.is_allowed_tiered(&r), (true, DecisionTier::L0));
+    }
+
+    #[test]
+    fn borrowed_view_answers_what_the_owned_environment_holds() {
+        let requesters = [alice()];
+        let r = AccessRequest {
+            requesters: &requesters,
+            app_domain: "payroll",
+            module: "libcrypto",
+            version: 7,
+            operation: "aes_encrypt",
+            uid: -3,
+        };
+        let env = r.environment();
+        for (name, value) in env.iter() {
+            assert_eq!(r.attr(name), Some(value.as_ref()), "attribute {name}");
+        }
+        // ... and no name the owned form lacks.
+        for name in ["operation", "version", "requesters", "UID", "", "uid "] {
+            assert_eq!(env.get(name), None);
+            assert_eq!(r.attr(name), None, "attribute {name:?}");
+        }
+    }
+
+    #[test]
+    fn every_entry_point_evaluates_a_miss_against_the_request_fields() {
+        // Every attribute a condition can read reaches the engine through
+        // the borrowed view: each request below differs from the granted
+        // one in exactly one field.
+        let gate = Gateway::new(PolicyEngine::new(), CacheConfig::disabled());
+        gate.add_assertion(
+            Assertion::policy(
+                LicenseeExpr::Single(alice()),
+                "app_domain == \"app\" && module == \"libc\" && module_version == 1 \
+                 && function == \"malloc\" && uid == 1000",
+            )
+            .unwrap(),
+        )
+        .unwrap();
+        let requesters = [alice()];
+        let granted = req(&requesters, "libc", "malloc");
+        assert_eq!(
+            gate.is_allowed_tiered(&granted),
+            (true, DecisionTier::Engine)
+        );
+        assert!(gate.check(&granted).unwrap().is_allowed());
+        for denied in [
+            AccessRequest {
+                app_domain: "other",
+                ..granted
+            },
+            AccessRequest {
+                module: "libm",
+                ..granted
+            },
+            AccessRequest {
+                version: 2,
+                ..granted
+            },
+            AccessRequest {
+                operation: "free",
+                ..granted
+            },
+            AccessRequest { uid: 0, ..granted },
+        ] {
+            assert_eq!(
+                gate.is_allowed_tiered(&denied),
+                (false, DecisionTier::Engine)
+            );
+            assert_eq!(gate.is_allowed_with_origin(&denied), (false, false));
+            assert_eq!(gate.check(&denied).unwrap(), Decision::Deny);
+        }
     }
 
     #[test]

@@ -14,7 +14,9 @@
 //!
 //! * [`principal`] — named principals with key material for signing
 //!   assertions.
-//! * [`attr`] — typed action attributes (the "action environment").
+//! * [`attr`] — typed action attributes (the "action environment"), owned
+//!   ([`Environment`]) or answered by name from borrowed fields
+//!   ([`Attributes`]).
 //! * [`lexer`] / [`ast`] / [`parser`] / [`eval`] — a small condition
 //!   expression language (comparisons, boolean connectives, string and
 //!   numeric literals) evaluated against the action environment.
@@ -22,7 +24,8 @@
 //!   licensee expression under conditions, optionally signed.
 //! * [`engine`] — the compliance checker: given a set of requester
 //!   principals and an action environment, decide whether the policy root
-//!   authorises the action (delegation closure over assertions).
+//!   authorises the action (delegation closure over assertions, computed
+//!   as a worklist over a licensee index).
 //! * [`unix`] — the coarse uid/gid baseline the paper contrasts ("the
 //!   current UNIX methods for access control is purely binary").
 //! * [`audit`] — an audit trail of decisions for the examples and tests.
@@ -52,7 +55,7 @@ pub mod principal;
 pub mod unix;
 
 pub use assertion::{Assertion, LicenseeExpr};
-pub use attr::{AttrValue, Environment};
+pub use attr::{AttrRef, AttrValue, Attributes, Environment};
 pub use cache::{CacheConfig, CacheKey, CacheStats, DecisionCache};
 pub use engine::{Decision, PolicyEngine};
 pub use gateway::{AccessRequest, DecisionTier, Gateway};
