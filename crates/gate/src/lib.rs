@@ -29,13 +29,10 @@
 //!   per registered module, so `sys_smod_call`'s per-call check is a
 //!   cache lookup inside the kernel dispatch path itself, and concurrent
 //!   sessions on one module share the same cache.
-//! * [`scenario`] — a **workload scenario engine** generating
-//!   deterministic multi-tenant traffic (uniform, zipfian hot-key,
-//!   adversarial cache-thrash, session churn against a live simulated
-//!   kernel, multi-threaded dispatch through the real `sys_smod_call`
-//!   path — pinned sessions or a sessions-≫-threads pool — and batched
-//!   ring dispatch through `sys_smod_call_batch`) from many threads,
-//!   reporting ops/sec and hit rate per scenario.
+//! * [`scenario`] — a **workload scenario engine**: one table of
+//!   deterministic, seeded traffic shapes ([`ScenarioKind::ALL`]; each
+//!   row's [`ScenarioKind::summary`] says what it does) over one
+//!   multi-threaded runner, reporting ops/sec and hit rate per scenario.
 //!
 //! Quick taste:
 //!
@@ -52,7 +49,6 @@
 
 pub use secmod_policy::cache;
 pub use secmod_policy::gateway;
-mod qos_scenario;
 pub mod scenario;
 
 pub use cache::{CacheConfig, CacheKey, CacheStats, DecisionCache};

@@ -1,13 +1,7 @@
 //! Walkthrough: the `secmod_gate` scenario report.
 //!
-//! Runs the fifteen workload scenarios — uniform, zipfian hot-key,
-//! adversarial cache-thrash, session churn, multi-threaded kernel
-//! dispatch (pinned sessions and the sessions-≫-threads pool), batched
-//! ring dispatch, the dispatch plane (producers ≫ dedicated drainers),
-//! the futures-based async frontend (logical clients ≫ threads), the
-//! drainer-stall fault injection, the zero-copy arena mix, the
-//! weighted-fair multi-tenant plane, the churn storm, the herd
-//! establish, and the drainer-crash recovery drill — against the sharded
+//! Runs every row of the scenario table (`ScenarioKind::ALL`; the key
+//! printed after the rows says what each one does) against the sharded
 //! decision-cache gateway (for the kernel-backed scenarios: the gateway
 //! *embedded in* the kernel's dispatch path) and prints ops/sec, cache
 //! hit rate, the (seed-deterministic) allow/deny split, and the
@@ -131,34 +125,15 @@ fn main() {
     }
 
     println!("\nscenario key:");
-    println!("  uniform  every tenant/module/operation equally likely (steady-state reuse)");
-    println!("  zipfian  hot tenants dominate — the multi-tenant skew a decision cache exists for");
-    println!("  thrash   adversarial unique-key stream: hit rate pinned at 0, pure overhead");
-    println!("  churn    uniform traffic while kernel sessions detach mid-stream (epoch bumps)");
-    println!("  kernel   N threads drive sys_smod_call on one shared kernel; every per-call");
-    println!("           check is served by the module's embedded decision-cache gateway");
-    println!("  pool     kernel dispatch with sessions >> threads (64 sessions round-robined),");
-    println!("           honest session-table shard pressure instead of one pinned session");
-    println!("  ring     producers fill per-session submission rings; drainer threads batch");
-    println!("           through sys_smod_call_batch (fixed costs amortised per batch)");
-    println!("  plane    producers >> drainers: producers attach to a DispatchPlane and never");
-    println!("           trap; dedicated drainers sweep all ready sessions per sys_smod_sweep");
-    println!("  async    logical clients >> threads: tasks await plane.call() futures; a");
-    println!("           reactor thread routes sweep completions back to parked wakers");
-    println!("  stall    the plane workload plus a fault-injection antagonist that claims");
-    println!("           readiness bits and drain slots without draining: decisions are");
-    println!("           untouched, only the latency tail stretches");
-    println!("  arena    mixed 8 B / 64 KiB payloads: every 4th submission rides the shared");
-    println!("           ArgArena as a zero-copy descriptor; settles to 0 bytes in flight");
-    println!("  multitenant  a 1-slot victim tenant vs adversaries flooding 4 slots each on");
-    println!("           one QoS plane; weighted-fair sweeps keep the victim >= 50% of its");
-    println!("           fair drain share (asserted), per-tenant lanes account every entry");
-    println!("  churnstorm   bursty attach/detach: handles live for one burst, sessions are");
-    println!("           torn down and re-handshaken mid-stream; split must match `plane`");
-    println!("  herd     all sessions detached up front, then every thread re-establishes");
-    println!("           its flock through one barrier — the thundering-herd handshake");
-    println!("  crash    a drainer dies mid-claim; the health monitor reclaims its bits and");
-    println!("           respawns it, and every submitted entry completes exactly once");
+    let width = ScenarioKind::ALL.map(|k| k.name().len());
+    let width = width.into_iter().max().unwrap_or(0);
+    for kind in ScenarioKind::ALL {
+        let (name, summary) = (kind.name(), kind.summary());
+        let split = kind
+            .split_of()
+            .map(|base| format!(" [split == `{}`]", base.name()));
+        println!("  {name:<width$}  {summary}{}", split.unwrap_or_default());
+    }
     println!("\nlatency columns (p50/p99/p99.9) are simulated-cost nanoseconds from the");
     println!("kernel's per-flavor dispatch histograms; run with --metrics for the full table.");
 }

@@ -22,9 +22,9 @@
 //! finishes with the **QoS plane**: the weighted-fair `multitenant`
 //! scenario plus a per-tenant lane report showing the victim's drain
 //! share, a **major-frame jitter** analysis (per-tenant inter-service
-//! gap distributions, DRR vs time-sliced frames, with the frame bound
-//! asserted), and a pinned-vs-unpinned drainer wall-clock diagnostic
-//! (non-gating).
+//! gap distributions, DRR vs time-sliced frames; the frame bound is
+//! asserted by `tests/ring_report_claims.rs`), and a pinned-vs-unpinned
+//! drainer wall-clock diagnostic (non-gating).
 //!
 //! ```sh
 //! cargo run --release --example ring_report
@@ -39,8 +39,8 @@ use secmod::{DispatchCall, Dispatcher};
 use std::sync::Arc;
 
 /// Submit `total` incr calls round-robin over `handles` and reap every
-/// completion — the minimal producer loop shared by the QoS fairness
-/// demo and the pinned-drainer diagnostic below.
+/// completion — the minimal producer loop shared by the drainer-count
+/// sweep, the QoS fairness demo and the pinned-drainer diagnostic below.
 fn drive(handles: &[secmod::kernel::PlaneHandle], incr_func: u32, total: u64) {
     let mut sent = 0u64;
     let mut received = 0u64;
@@ -239,22 +239,7 @@ fn main() {
         std::thread::scope(|scope| {
             for &client in &clients {
                 let handle = plane.attach(client).expect("attach");
-                scope.spawn(move || {
-                    let mut received = 0u64;
-                    let mut sent = 0u64;
-                    while received < per_producer {
-                        if sent < per_producer
-                            && handle
-                                .submit(incr_func, sent, sent.to_le_bytes().to_vec())
-                                .is_ok()
-                        {
-                            sent += 1;
-                        }
-                        while handle.reap().is_some() {
-                            received += 1;
-                        }
-                    }
-                });
+                scope.spawn(move || drive(&[handle], incr_func, per_producer));
             }
         });
         let stats = plane.shutdown();
@@ -279,7 +264,7 @@ fn main() {
     const BIG: usize = 64 * 1024;
     const BIG_CALLS: usize = 32;
     let mut sim_ns = [0u64; 2];
-    let mut high_water = 0u64;
+    let (mut high_water, mut in_flight) = (0u64, 0u64);
     for (which, use_arena) in [(0usize, false), (1usize, true)] {
         let dispatch = secmod::gate::build_dispatch_kernel_with_clients(
             &ScenarioConfig::builder(ScenarioKind::PlaneDispatch)
@@ -335,11 +320,7 @@ fn main() {
         if use_arena {
             let arena = &dispatch.kernel.metrics.arena;
             high_water = arena.bytes_in_flight.high_water();
-            assert_eq!(
-                arena.bytes_in_flight.get(),
-                0,
-                "arena leaked bytes after the 64 KiB sweep"
-            );
+            in_flight = arena.bytes_in_flight.get();
         }
     }
     let ratio = sim_ns[0] as f64 / sim_ns[1].max(1) as f64;
@@ -354,7 +335,7 @@ fn main() {
     );
     println!(
         "  copy / arena = {ratio:.1}x {} — arena high water {high_water} B, \
-         0 B in flight after reap",
+         {in_flight} B in flight after reap",
         if ratio >= 2.0 {
             "(>= 2x acceptance bar)"
         } else {
@@ -379,17 +360,16 @@ fn main() {
     );
 
     // --- 6. the multi-threaded ring + plane scenarios ------------------
+    let ring_cfg = ScenarioConfig::builder(ScenarioKind::RingDispatch)
+        .seed(seed)
+        .threads(threads)
+        .ops_per_thread(ops)
+        .build();
     println!(
         "\nScenarioKind::RingDispatch ({threads} producers, {} drainer(s), {ops} ops/producer):",
-        (threads / 2).max(1)
+        ring_cfg.effective_drainers()
     );
-    let report = run_scenario(
-        &ScenarioConfig::builder(ScenarioKind::RingDispatch)
-            .seed(seed)
-            .threads(threads)
-            .ops_per_thread(ops)
-            .build(),
-    );
+    let report = run_scenario(&ring_cfg);
     println!("{report}");
     let plane_cfg = ScenarioConfig::builder(ScenarioKind::PlaneDispatch)
         .seed(seed)
@@ -510,9 +490,10 @@ fn main() {
     // its own time slice, so its gap stretches to the foreign slices —
     // but never past one frame). Both tenants stay backlogged and the
     // scheduler is driven directly with a synthetic clock, so the gap
-    // distributions are exact, not scheduling noise. The frame bound is
-    // asserted: a partitioned tenant's p99 inter-service gap must not
-    // exceed the frame length (tenants x slice_ns).
+    // distributions are exact, not scheduling noise. The frame bound — a
+    // partitioned tenant's p99 inter-service gap never exceeds the frame
+    // length (tenants x slice_ns) — is asserted, over this same synthetic
+    // clock, by tests/ring_report_claims.rs; here it is only printed.
     use secmod::qos::SweepScheduler;
     const SWEEP_PERIOD_NS: u64 = 250; // one scheduling round per period
     const SLICE_NS: u64 = 4_000; // 16 sweeps per tenant slice
@@ -561,21 +542,13 @@ fn main() {
         println!("  {label}:");
         for (tenant, gap) in gaps.iter_mut().enumerate() {
             gap.sort_unstable();
-            assert!(
-                !gap.is_empty(),
-                "tenant {tenant} was never re-served under {label}"
-            );
-            let (p50, p99, max) = (
-                percentile(gap, 0.50),
-                percentile(gap, 0.99),
-                *gap.last().expect("non-empty"),
-            );
+            let Some(&max) = gap.last() else {
+                println!("    tenant {tenant}: never re-served");
+                continue;
+            };
+            let (p50, p99) = (percentile(gap, 0.50), percentile(gap, 0.99));
             let bound = if label == "major_frame" {
-                assert!(
-                    p99 <= FRAME_NS,
-                    "tenant {tenant} p99 gap {p99} ns exceeds the {FRAME_NS} ns frame"
-                );
-                format!(" (p99 <= {FRAME_NS} ns frame: asserted)")
+                format!(" (frame {FRAME_NS} ns)")
             } else {
                 String::new()
             };

@@ -5,6 +5,7 @@
 //! short self-contained program (milliseconds of work), so running all five
 //! is cheap.
 
+use secmod::gate::ScenarioKind;
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -80,8 +81,8 @@ fn every_example_builds_and_runs() {
     }
 }
 
-/// `gate_report` must run all fifteen workload scenarios and report ops/sec
-/// and a cache hit rate for each — and, because decisions are
+/// `gate_report` must run every row of the scenario table and report
+/// ops/sec and a cache hit rate for each — and, because decisions are
 /// seed-deterministic, two runs with the same seed must agree on every
 /// allow/deny count even though timing differs.
 #[test]
@@ -99,23 +100,7 @@ fn gate_report_covers_all_scenarios_deterministically() {
         String::from_utf8_lossy(&output.stdout).into_owned()
     };
     let first = run();
-    for scenario in [
-        "uniform",
-        "zipfian",
-        "thrash",
-        "churn",
-        "kernel",
-        "pool",
-        "ring",
-        "plane",
-        "async",
-        "stall",
-        "arena",
-        "multitenant",
-        "churnstorm",
-        "herd",
-        "crash",
-    ] {
+    for scenario in ScenarioKind::ALL.map(|kind| kind.name()) {
         assert!(
             first.contains(scenario),
             "gate_report output is missing the {scenario} scenario:\n{first}"
@@ -141,7 +126,11 @@ fn gate_report_covers_all_scenarios_deterministically() {
         decisions(&second),
         "allow/deny splits changed between identically seeded runs"
     );
-    assert_eq!(decisions(&first).len(), 15, "expected one row per scenario");
+    assert_eq!(
+        decisions(&first).len(),
+        ScenarioKind::ALL.len(),
+        "expected one row per scenario"
+    );
 
     // Dispatch scenarios additionally report simulated-cost latency
     // quantiles drawn from the kernel's per-flavor histograms.
@@ -205,4 +194,16 @@ fn gate_report_covers_all_scenarios_deterministically() {
         !output.status.success(),
         "unknown --only name must exit non-zero"
     );
+}
+
+/// README's scenario table restates the engine's table; it must list
+/// every row by the engine's own name and summary.
+#[test]
+fn readme_scenario_table_matches_the_engine() {
+    let readme = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("README.md");
+    let readme = std::fs::read_to_string(readme).expect("read README.md");
+    for kind in ScenarioKind::ALL {
+        let row = format!("| `{}` | {} |", kind.name(), kind.summary());
+        assert!(readme.contains(&row), "README is missing the row: {row}");
+    }
 }
