@@ -73,34 +73,52 @@ pub struct BatchReport {
     pub fixed_cost_ns: u64,
 }
 
-/// Drain-local gate hit/miss tally. First-sight decisions inside a drain
-/// record their tier here instead of bumping the shared counters, and the
-/// whole tally is flushed into [`secmod_obs::DispatchMetrics`] once per
-/// drain — the batched analogue of the single-call path's per-trap
-/// increments, keeping `gate_hits`/`gate_misses` exact without putting a
-/// shared-line RMW inside the per-entry loop.
+/// The drain's one tally: everything a drained entry adds to the shared
+/// [`secmod_obs::DispatchMetrics`] registry is counted here and flushed
+/// once per drain, so the per-entry loop writes no shared cache line and
+/// the registry is exact again by the time the drain returns. (A
+/// producer that reaps a completion *while* its drain is still running
+/// may read totals that do not include it yet.)
+///
+/// Latency is tallied as runs of equal `cost_ns`: entries of one
+/// function and payload size cost the same, so a drain has a handful of
+/// distinct values and records each run with one `record_n`.
 #[derive(Default)]
-struct GateTally {
-    hits: u64,
-    misses: u64,
+struct DrainTally {
+    gate_hits: u64,
+    gate_misses: u64,
+    inline_args: u64,
+    arena_args: u64,
+    eidrm_failures: u64,
+    run_cost_ns: u64,
+    run_len: u64,
 }
 
-impl GateTally {
-    fn record(&mut self, tier: secmod_policy::DecisionTier) {
+impl DrainTally {
+    fn gate(&mut self, tier: secmod_policy::DecisionTier) {
         if tier.is_cached() {
-            self.hits += 1;
+            self.gate_hits += 1;
         } else {
-            self.misses += 1;
+            self.gate_misses += 1;
         }
     }
 
-    fn flush(self, metrics: &secmod_obs::DispatchMetrics) {
-        if self.hits > 0 {
-            metrics.gate_hits.add(self.hits);
+    fn latency(&mut self, latency: &secmod_obs::Histogram, cost_ns: u64) {
+        if cost_ns != self.run_cost_ns {
+            latency.record_n(self.run_cost_ns, self.run_len);
+            self.run_cost_ns = cost_ns;
+            self.run_len = 0;
         }
-        if self.misses > 0 {
-            metrics.gate_misses.add(self.misses);
-        }
+        self.run_len += 1;
+    }
+
+    fn flush(self, latency: &secmod_obs::Histogram, metrics: &secmod_obs::DispatchMetrics) {
+        latency.record_n(self.run_cost_ns, self.run_len);
+        metrics.gate_hits.add(self.gate_hits);
+        metrics.gate_misses.add(self.gate_misses);
+        metrics.arena.inline_args.add(self.inline_args);
+        metrics.arena.arena_args.add(self.arena_args);
+        metrics.eidrm_failures.add(self.eidrm_failures);
     }
 }
 
@@ -333,11 +351,8 @@ impl Kernel {
     ) -> DrainOutcome {
         scratch.memo.clear();
         let mut outcome = DrainOutcome::default();
-        // Drain-local gate tally: L0/sharded hits and engine misses are
-        // counted here and flushed into the shared `DispatchMetrics`
-        // counters once per drain, so the hot decision path writes no
-        // shared cache line per entry but the registry stays exact.
-        let mut gate_tally = GateTally::default();
+        let mut tally = DrainTally::default();
+        let latency = self.metrics.latency(flavor);
         let trace = self.tracer.enabled();
         // Two refcount bumps per drain keep the borrows of `d` (mutated
         // inside the pair-locked closure) disjoint from the session/module
@@ -435,7 +450,7 @@ impl Kernel {
                             region,
                             live.as_ref(),
                             memo,
-                            &mut gate_tally,
+                            &mut tally,
                             |body, args| {
                                 let mut ctx = crate::smodreg::HandleCtx {
                                     handle_vm: &mut handle_proc.vm,
@@ -506,11 +521,9 @@ impl Kernel {
                 // flatten the distribution — record the entries that did
                 // real per-entry work, the same set `checked` counts.
                 if resp.cost_ns > 0 {
-                    self.metrics.record_latency(flavor, resp.cost_ns);
+                    tally.latency(latency, resp.cost_ns);
                 }
-                if resp.errno == Errno::EIDRM.code() {
-                    self.metrics.eidrm_failures.incr();
-                }
+                tally.eidrm_failures += u64::from(resp.errno == Errno::EIDRM.code());
                 let mut pending = resp;
                 while let Err(back) = cq.push(pending) {
                     pending = back;
@@ -518,7 +531,7 @@ impl Kernel {
                 }
             }
         }
-        gate_tally.flush(&self.metrics);
+        tally.flush(latency, &self.metrics);
         outcome
     }
 
@@ -540,7 +553,7 @@ impl Kernel {
         region: Option<&ArenaRegion>,
         live: Option<&(String, Option<secmod_policy::Principal>, u32)>,
         memo: &mut Vec<(u32, MemoEntry)>,
-        gate_tally: &mut GateTally,
+        tally: &mut DrainTally,
         run: impl FnOnce(&FunctionBody, &[u8]) -> (SysResult<Vec<u8>>, u64),
     ) -> (SmodCallResp, u64, bool) {
         let fail = |errno: Errno, cost_ns: u64| {
@@ -579,7 +592,7 @@ impl Kernel {
                         };
                         let (allowed, tier) =
                             module.check_operation(app_domain, principal, uid, &stub.symbol);
-                        gate_tally.record(tier);
+                        tally.gate(tier);
                         // The first sight of a function in a drain pays
                         // the true decision cost; repeats are memo hits.
                         policy_cost = if tier.is_cached() {
@@ -607,10 +620,10 @@ impl Kernel {
         // instead of `copy_per_byte_ns x len` — the paper's shared-stack
         // argument. By-value args (inline or heap) still pay per byte.
         let copy_cost = if req.args.is_arena() {
-            self.metrics.arena.arena_args.incr();
+            tally.arena_args += 1;
             self.cost.ring_slot_ns
         } else {
-            self.metrics.arena.inline_args.incr();
+            tally.inline_args += 1;
             self.cost.copy_per_byte_ns * req.args.len() as u64
         };
         match &memo[memo_idx].1 {
@@ -1133,8 +1146,10 @@ pub(crate) mod tests {
         // Completions: a prefix of successes, then EIDRM for everything
         // drained after the module vanished — never an Allow afterwards.
         let mut seen_dead = false;
+        let mut cost_ns = 0;
         for i in 0..ENTRIES {
             let resp = cq.pop_spsc().expect("completion present");
+            cost_ns += resp.cost_ns;
             if resp.is_ok() {
                 assert!(
                     !seen_dead,
@@ -1142,9 +1157,16 @@ pub(crate) mod tests {
                 );
             } else {
                 assert_eq!(resp.errno, Errno::EIDRM.code());
+                assert_eq!(resp.cost_ns, 0);
                 seen_dead = true;
             }
         }
         assert!(seen_dead);
+        // The aborted drain's tally reached the registry intact.
+        let latency = k.metrics.latency(Flavor::Batch);
+        assert_eq!(latency.count(), report.completed as u64);
+        assert_eq!(latency.sum(), cost_ns);
+        assert_eq!(k.metrics.eidrm_failures.get(), report.failed as u64);
+        assert_eq!(k.metrics.arena.inline_args.get(), report.completed as u64);
     }
 }

@@ -1048,7 +1048,8 @@ impl PlaneHandle {
     pub fn submit_many(&self, calls: &[(u32, u64, &[u8])]) -> Result<usize, SubmitError> {
         let mut batch = self.batch();
         for (accepted, (proc_id, user_data, args)) in calls.iter().enumerate() {
-            match batch.push(*proc_id, *user_data, args.to_vec()) {
+            let args = ArgRef::place(args, self.rings.arena.as_ref());
+            match batch.push_ref(*proc_id, *user_data, args) {
                 Ok(()) => {}
                 // `push` already flushed the accepted prefix.
                 Err(SubmitError::Full(_)) => return Ok(accepted),
@@ -1145,6 +1146,14 @@ impl SubmitBatch<'_> {
     /// shutdown sweep drains whatever was accepted.
     pub fn push(&mut self, proc_id: u32, user_data: u64, args: Vec<u8>) -> Result<(), SubmitError> {
         let args = ArgRef::place_vec(args, self.handle.rings.arena.as_ref());
+        self.push_ref(proc_id, user_data, args)
+    }
+
+    /// [`SubmitBatch::push`] of an already placed argument block — what
+    /// the callers that start from a borrowed slice use, so the bytes go
+    /// from the slice into the ring entry (or the arena) with no owned
+    /// copy in between.
+    fn push_ref(&mut self, proc_id: u32, user_data: u64, args: ArgRef) -> Result<(), SubmitError> {
         let req = SmodCallReq {
             session: self.handle.rings.session,
             proc_id,
@@ -1251,7 +1260,8 @@ impl Dispatcher for PlaneHandle {
                 let mut batch = self.batch();
                 while submitted < calls.len() {
                     let call = &calls[submitted];
-                    match batch.push(call.proc_id, base + submitted as u64, call.args.clone()) {
+                    let args = ArgRef::place(&call.args, self.rings.arena.as_ref());
+                    match batch.push_ref(call.proc_id, base + submitted as u64, args) {
                         Ok(()) => submitted += 1,
                         // The bounce already flushed; reap below, retry.
                         Err(SubmitError::Full(_)) => break,

@@ -355,6 +355,11 @@ mod tests {
                 let resp = rings.cq.pop_spsc().unwrap();
                 assert!(resp.is_ok());
                 assert_eq!(resp.user_data, i, "session {s} reordered");
+                assert!(
+                    matches!(resp.ret, secmod_ring::ArgRef::Inline { .. }),
+                    "the body's 8-byte `Vec` must not cross to the reaper: {:?}",
+                    resp.ret
+                );
                 assert_eq!(
                     u64::from_le_bytes(resp.into_ret().try_into().unwrap()),
                     100 * s as u64 + i + 1,
@@ -536,6 +541,149 @@ mod tests {
         }
         assert_eq!(report.completed, victim_ok + ENTRIES);
         assert_eq!(k.session_of(survivor).unwrap().calls(), ENTRIES as u64);
+    }
+
+    #[test]
+    fn registry_totals_equal_what_the_reaped_responses_add_up_to() {
+        // The drain tallies its metrics locally and flushes them when it
+        // returns. Whatever the mix — allowed, denied, unknown function,
+        // wrong session; inline and arena payloads; several distinct
+        // costs; a drain cut short by a full completion ring — the
+        // registry must read exactly what the responses add up to.
+        use secmod_ring::{ArgArena, ArgRef, SmodCallReq};
+        const LARGE: usize = 1000;
+        let (k, m_id, clients, incr) = kernel_with_clients(None, 1);
+        let client = clients[0];
+        let module = k.registry.get(m_id).unwrap();
+        let strlen = module.package.stub_table.by_name("strlen").unwrap().func_id;
+        let cached = k.cost.cached_decision_ns;
+        let uncached = k.cost.policy_per_node_ns * module.policy_complexity as u64;
+        assert_ne!(cached, uncached, "a miss must be visible in cost_ns");
+
+        let session = k.session_of(client).unwrap().id.0;
+        let set = RingSet::with_arena(1, ArgArena::with_capacity(1 << 20), 1 << 20);
+        let slot = set
+            .register(
+                session,
+                client.0,
+                RingPairConfig {
+                    submission: 64,
+                    completion: 64,
+                },
+            )
+            .unwrap();
+        let rings = set.get(slot).unwrap();
+        let drainer = sweeper(&k);
+
+        // (proc_id, payload bytes, names the right session)
+        let kinds = [
+            (incr, 8, true),
+            (incr, 16, true),
+            (incr, LARGE, true),
+            (strlen, 8, true),
+            (9999, 8, true),
+            (incr, 8, false),
+        ];
+        let mut submitted = 0u64;
+        let mut submit = |n: u64| {
+            for _ in 0..n {
+                let (proc_id, len, right_session) = kinds[submitted as usize % kinds.len()];
+                let mut payload = vec![0u8; len];
+                payload[..8].copy_from_slice(&submitted.to_le_bytes());
+                let args = ArgRef::place_vec(payload, rings.arena.as_ref());
+                assert_eq!(args.is_arena(), len == LARGE);
+                let req = SmodCallReq {
+                    session: if right_session {
+                        session
+                    } else {
+                        session + 1000
+                    },
+                    proc_id,
+                    user_data: submitted,
+                    args,
+                };
+                set.submit(slot, req).unwrap();
+                submitted += 1;
+            }
+        };
+
+        #[derive(Default, Debug, PartialEq)]
+        struct Totals {
+            count: u64,
+            sum: u64,
+            inline_args: u64,
+            arena_args: u64,
+            first_sights: u64,
+            misses: u64,
+        }
+        let mut expected = Totals::default();
+        let reap_drain = |expected: &mut Totals, drained: usize| {
+            let mut seen = Vec::new();
+            for _ in 0..drained {
+                let resp = rings
+                    .cq
+                    .pop_spsc()
+                    .expect("one completion per drained entry");
+                let (proc_id, len, right_session) = kinds[resp.user_data as usize % kinds.len()];
+                expected.count += u64::from(resp.cost_ns > 0);
+                expected.sum += resp.cost_ns;
+                if !right_session {
+                    assert_eq!(resp.errno, Errno::EPERM.code());
+                    continue;
+                }
+                let copy_ns = if len == LARGE {
+                    expected.arena_args += 1;
+                    k.cost.ring_slot_ns
+                } else {
+                    expected.inline_args += 1;
+                    k.cost.copy_per_byte_ns * len as u64
+                };
+                if proc_id == 9999 {
+                    assert_eq!(resp.errno, Errno::ENOENT.code());
+                    continue;
+                }
+                let denied = resp.errno == Errno::EACCES.code();
+                assert_eq!(denied, proc_id == strlen);
+                assert!(denied || resp.is_ok());
+                if !seen.contains(&proc_id) {
+                    seen.push(proc_id);
+                    expected.first_sights += 1;
+                }
+                let policy_ns = resp.cost_ns - copy_ns;
+                assert!(policy_ns == cached || policy_ns == uncached);
+                expected.misses += u64::from(policy_ns == uncached);
+            }
+        };
+        let registry = || Totals {
+            count: k.metrics.latency(Flavor::Sweep).count(),
+            sum: k.metrics.latency(Flavor::Sweep).sum(),
+            inline_args: k.metrics.arena.inline_args.get(),
+            arena_args: k.metrics.arena.arena_args.get(),
+            first_sights: k.metrics.gate_hits.get() + k.metrics.gate_misses.get(),
+            misses: k.metrics.gate_misses.get(),
+        };
+
+        // A full mixed drain, left unreaped...
+        submit(40);
+        let first = k.sys_smod_sweep(drainer, &set, 64).unwrap();
+        assert_eq!(first.drained, 40);
+        // ...so the next one runs out of completion ring after 24.
+        submit(40);
+        let short = k.sys_smod_sweep(drainer, &set, 64).unwrap();
+        assert_eq!(short.drained, 24, "a full completion ring ends the drain");
+        reap_drain(&mut expected, first.drained);
+        reap_drain(&mut expected, short.drained);
+        assert_eq!(registry(), expected);
+        assert_eq!(expected.misses, 2, "`incr` and `strlen`, once each");
+        assert!(expected.arena_args > 0 && expected.inline_args > 0);
+
+        let rest = k.sys_smod_sweep(drainer, &set, 64).unwrap();
+        assert_eq!(rest.drained, 16);
+        reap_drain(&mut expected, rest.drained);
+        assert_eq!(registry(), expected);
+        assert_eq!(expected.first_sights, 6, "two functions, three drains");
+        assert_eq!(k.metrics.eidrm_failures.get(), 0);
+        assert_eq!(k.metrics.arena.bytes_in_flight.get(), 0);
     }
 
     #[test]

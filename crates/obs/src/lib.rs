@@ -107,6 +107,12 @@ fn quantile_of(buckets: &[u64], total: u64, q: f64) -> u64 {
 /// enough for the cached dispatch hot path. Reads (`count`, `p`,
 /// `snapshot`) scan the buckets with relaxed loads; under concurrent
 /// recording they see *some* recent state, which is all a report needs.
+///
+/// The header (`buckets` pointer + `sum`) is aligned to a cache line of
+/// its own: every `record` reads the one and writes the other, so two
+/// histograms recorded from different cores must never sit side by side
+/// on a line (in an array, 24 bytes apart, they would).
+#[repr(align(64))]
 pub struct Histogram {
     buckets: Box<[AtomicU64]>,
     /// Running sum of recorded values (for the mean).
@@ -495,21 +501,38 @@ impl Flavor {
     }
 }
 
+/// An empty, cache-line-aligned marker: in a `#[repr(C)]` struct the
+/// field after it starts a new line.
+#[derive(Debug, Default)]
+#[repr(align(64))]
+struct LineBoundary;
+
 /// The dispatch metrics registry: one latency histogram per
 /// [`Flavor`] plus the event counters every layer feeds.
 ///
 /// One registry lives in each `Kernel`; the plane's drainers, the
 /// async reactor, and the syscall paths all record into it, and
 /// `Dispatcher::metrics()` exposes it uniformly.
+///
+/// The layout rule: **a word written per call has exactly one writing
+/// role per cache line.** The roles are the thread that *drains* (the
+/// syscall, batch and sweep callers — in a plane, the drainer threads)
+/// and the thread that *submits and reaps* (plane producers, the async
+/// reactor). They run on different cores at the same time, and a locked
+/// add on a line the other core has just written is paid for on both.
+/// So each histogram is its own line ([`Histogram`] is line-aligned),
+/// and the counters are laid out in declaration order (`repr(C)`) in
+/// three groups divided by line boundaries: drain-side, then
+/// submit-side, then the words nobody writes per call.
 #[derive(Debug, Default)]
+#[repr(C)]
 pub struct DispatchMetrics {
     latency: [Histogram; 5],
+    // --- written by the draining thread -------------------------------
     /// Per-call decision-cache hits observed on dispatch paths.
     pub gate_hits: Counter,
     /// Per-call decision-cache misses (full policy fixpoint runs).
     pub gate_misses: Counter,
-    /// Submissions bounced off a full ring (backpressure events).
-    pub ring_full_bounces: Counter,
     /// `sys_smod_sweep` invocations (traps paid).
     pub sweep_traps: Counter,
     /// Ready sessions visited across all sweeps — divide by
@@ -526,8 +549,14 @@ pub struct DispatchMetrics {
     pub drainer_spin_timeouts: Counter,
     /// Entries failed with `EIDRM` (session torn down mid-flight).
     pub eidrm_failures: Counter,
+    // --- written by the submitting / reaping thread -------------------
+    _submit_side: LineBoundary,
+    /// Submissions bounced off a full ring (backpressure events).
+    pub ring_full_bounces: Counter,
     /// Async submissions re-parked on a full ring and later re-submitted.
     pub async_resubmits: Counter,
+    // --- read per call, written by no call ----------------------------
+    _read_mostly: LineBoundary,
     /// Trace events evicted from the kernel's bounded trace buffer — a
     /// mirror of `Tracer::dropped_events`, refreshed by the kernel's
     /// report path so silently truncated traces show up here.
@@ -793,6 +822,29 @@ mod tests {
         assert_eq!(m.drainer_spin_hits.get(), 0);
         assert_eq!(m.drainer_spin_timeouts.get(), 0);
         assert_eq!(m.trace_dropped.get(), 0);
+    }
+
+    #[test]
+    fn layout_keeps_one_writing_role_per_line() {
+        fn line<T>(field: &T) -> usize {
+            field as *const T as usize / 64
+        }
+        let m = DispatchMetrics::new();
+        let (sweep, plane) = (m.latency(Flavor::Sweep), m.latency(Flavor::Plane));
+        for h in [sweep, plane] {
+            assert_eq!(h as *const Histogram as usize % 64, 0);
+        }
+        assert_ne!(line(sweep), line(plane));
+        // Drain-side counters, submit-side counters and the read-mostly
+        // tail never share a line with each other or with a histogram.
+        let drain_side = [line(&m.gate_hits), line(&m.eidrm_failures)];
+        let submit_side = [line(&m.ring_full_bounces), line(&m.async_resubmits)];
+        let read_mostly = [line(&m.trace_dropped), line(&m.arena)];
+        assert!(line(m.latency(Flavor::Async)) < drain_side[0]);
+        assert!(drain_side[1] < submit_side[0]);
+        assert_eq!(submit_side[0], submit_side[1]);
+        assert!(submit_side[1] < read_mostly[0]);
+        assert_eq!(read_mostly[0], read_mostly[1]);
     }
 
     #[test]

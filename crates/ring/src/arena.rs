@@ -770,8 +770,8 @@ pub enum ArgRef {
         /// The payload bytes (`buf[..len]`).
         buf: InlineBuf,
     },
-    /// An owned heap copy — the pre-arena representation, kept as the
-    /// universal fallback.
+    /// An owned heap copy of a payload above [`INLINE_ARG_MAX`] that
+    /// found no arena room (no region, quota exhausted, arena full).
     Heap(Vec<u8>),
     /// A slot in a shared [`ArgArena`], read in place.
     Arena(ArenaSlot),
@@ -786,47 +786,49 @@ impl ArgRef {
         }
     }
 
-    /// Place `bytes` by the size rule: inline when small, an arena slot
-    /// when a region is given and has budget, an owned copy otherwise.
-    pub fn place(bytes: &[u8], region: Option<&ArenaRegion>) -> ArgRef {
+    /// The part of the size rule that borrowed and owned payloads share:
+    /// inline when small, else an arena slot when a region is given and
+    /// has budget. `None` leaves the caller its by-value fallback.
+    fn place_shared(bytes: &[u8], region: Option<&ArenaRegion>) -> Option<ArgRef> {
         if bytes.len() <= INLINE_ARG_MAX {
             let mut buf = InlineBuf([0u8; INLINE_ARG_MAX]);
             buf.0[..bytes.len()].copy_from_slice(bytes);
-            return ArgRef::Inline {
+            return Some(ArgRef::Inline {
                 len: bytes.len() as u8,
                 buf,
-            };
+            });
         }
-        if let Some(region) = region {
-            if let Some(slot) = region.alloc_with(bytes) {
-                return ArgRef::Arena(slot);
-            }
-        }
-        ArgRef::Heap(bytes.to_vec())
+        region?.alloc_with(bytes).map(ArgRef::Arena)
     }
 
-    /// Wrap an already-owned buffer without copying. Small owned buffers
-    /// stay `Heap` on purpose: the enum is fixed-size, so re-packing an
-    /// existing allocation inline saves no ring bandwidth — it only adds
-    /// a free here and a fresh allocation at [`ArgRef::into_vec`] time.
-    /// The inline variant is for payloads that were never allocated
-    /// (borrowed slices and arrays via [`ArgRef::place`] / `From`).
+    /// Place `bytes` by the size rule: inline when small, an arena slot
+    /// when a region is given and has budget, an owned copy otherwise.
+    pub fn place(bytes: &[u8], region: Option<&ArenaRegion>) -> ArgRef {
+        ArgRef::place_shared(bytes, region).unwrap_or_else(|| ArgRef::Heap(bytes.to_vec()))
+    }
+
+    /// [`ArgRef::place_vec`] with no arena region.
     pub fn from_vec(bytes: Vec<u8>) -> ArgRef {
-        ArgRef::Heap(bytes)
+        ArgRef::place_vec(bytes, None)
     }
 
-    /// [`ArgRef::place`] for an owned buffer: large payloads go to the
-    /// arena when the region has budget, but the quota/full fallback —
-    /// and the small case — reuse the buffer instead of copying it.
+    /// [`ArgRef::place`] for an owned buffer — the same size rule, so a
+    /// payload's representation never depends on whether it arrived as a
+    /// slice or as a `Vec`.
+    ///
+    /// Small buffers are copied inline and the `Vec` is freed here, on
+    /// the thread that allocated it. An `ArgRef` is made to be consumed
+    /// on another thread (the drainer drops a request, the producer drops
+    /// a result), so a small `Heap` would be a `malloc` on one core and a
+    /// `free` on the other for every call — which costs the plane's
+    /// producer more than the ring hand-off itself. The price is that
+    /// [`ArgRef::into_vec`] on an inline payload allocates.
+    ///
+    /// Large buffers go to the arena when the region has budget; only
+    /// the quota/full fallback (and "no region") keeps the buffer, as
+    /// `Heap`, instead of copying it.
     pub fn place_vec(bytes: Vec<u8>, region: Option<&ArenaRegion>) -> ArgRef {
-        if bytes.len() > INLINE_ARG_MAX {
-            if let Some(region) = region {
-                if let Some(slot) = region.alloc_with(&bytes) {
-                    return ArgRef::Arena(slot);
-                }
-            }
-        }
-        ArgRef::Heap(bytes)
+        ArgRef::place_shared(&bytes, region).unwrap_or(ArgRef::Heap(bytes))
     }
 
     /// The payload bytes, wherever they live.
@@ -860,7 +862,8 @@ impl ArgRef {
     }
 
     /// Extract an owned copy of the payload, consuming the ref (and
-    /// freeing the arena slot, when there is one).
+    /// freeing the arena slot, when there is one). Only `Heap` hands its
+    /// buffer over; inline and arena payloads are copied out.
     pub fn into_vec(self) -> Vec<u8> {
         match self {
             ArgRef::Heap(v) => v,
@@ -1020,6 +1023,40 @@ mod tests {
         assert_eq!(cloned.as_slice(), big.as_slice());
         assert_eq!(big.into_vec(), vec![9u8; 1000]);
         assert_eq!(region.in_flight(), 0, "into_vec freed the slot");
+    }
+
+    #[test]
+    fn owned_buffers_follow_the_same_size_rule_as_slices() {
+        let arena = ArgArena::with_capacity(1 << 16);
+        let region = ArenaRegion::new(arena, 4096);
+        for size in [0usize, 8, INLINE_ARG_MAX] {
+            for region in [None, Some(&region)] {
+                let small = ArgRef::place_vec(vec![7u8; size], region);
+                assert!(matches!(small, ArgRef::Inline { .. }), "{size} B");
+                assert_eq!(small.as_slice(), vec![7u8; size]);
+            }
+            assert!(matches!(
+                ArgRef::from(vec![7u8; size]),
+                ArgRef::Inline { .. }
+            ));
+        }
+        let big = vec![9u8; INLINE_ARG_MAX + 1];
+        assert!(matches!(ArgRef::from_vec(big.clone()), ArgRef::Heap(_)));
+        let in_arena = ArgRef::place_vec(big.clone(), Some(&region));
+        assert!(in_arena.is_arena());
+        assert_eq!(in_arena, ArgRef::from_vec(big), "equality is by bytes");
+        drop(in_arena);
+
+        // Quota exhausted: the fallback keeps the caller's buffer.
+        let hog = region.alloc_with(&[1u8; 4096]).unwrap();
+        let payload = vec![3u8; 1000];
+        let buffer = payload.as_ptr();
+        match ArgRef::place_vec(payload, Some(&region)) {
+            ArgRef::Heap(kept) => assert_eq!(kept.as_ptr(), buffer, "no copy"),
+            other => panic!("expected the heap fallback, got {other:?}"),
+        }
+        drop(hog);
+        assert_eq!(region.in_flight(), 0);
     }
 
     #[test]

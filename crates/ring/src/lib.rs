@@ -30,13 +30,14 @@
 //!   bytes are written once into an arena slot and travel by
 //!   `(offset, len, generation)` descriptor ([`ArgRef::Arena`]) instead
 //!   of by value — the ring analogue of the paper's shared argument
-//!   stack; small payloads stay inline in the ring entry and everything
-//!   degrades to an owned copy ([`ArgRef::Heap`]) when no arena is
-//!   attached or it is full. Slots are power-of-two sized off segregated
-//!   freelists, generation-tagged against use-after-reap, quota-bounded
-//!   per session ([`arena::ArenaRegion`]), and freed by RAII
-//!   ([`arena::ArenaSlot`]) so every teardown path — EIDRM fills, ring
-//!   drops, async drop-cancel — releases in-flight bytes automatically.
+//!   stack; small payloads ride inline in the ring entry, borrowed or
+//!   owned alike, and a large one degrades to an owned copy
+//!   ([`ArgRef::Heap`]) when no arena is attached or it is full. Slots
+//!   are power-of-two sized off segregated freelists, generation-tagged
+//!   against use-after-reap, quota-bounded per session
+//!   ([`arena::ArenaRegion`]), and freed by RAII ([`arena::ArenaSlot`])
+//!   so every teardown path — EIDRM fills, ring drops, async drop-cancel
+//!   — releases in-flight bytes automatically.
 //! * [`set`] — a [`RingSet`]: the multi-session registry behind the
 //!   dispatch plane. Per-session [`set::SessionRings`] pairs addressed by
 //!   [`set::RingSlotId`], plus a cache-line-padded readiness bitmap so a
