@@ -20,10 +20,8 @@
 //! * [`native`] — the native backend: the client and the handle are two
 //!   real OS threads that genuinely share one address space (the property
 //!   the paper's UVM patch creates between two processes), synchronised by
-//!   a blocking rendezvous — or, in the ring-backed
-//!   [`native::NativeRingSession`] variant, communicating only through a
-//!   submission/completion ring pair — with a credential check on every
-//!   call.  Used for real wall-clock measurements.
+//!   a blocking rendezvous, with a credential check on every call.
+//!   Used for real wall-clock measurements.
 //! * [`libc_retrofit`] — the paper's flagship use-case: a `malloc`-style
 //!   allocator, `strlen` and `memcpy` living *inside* a SecModule and
 //!   operating directly on the client's heap through the shared pages.
@@ -69,7 +67,7 @@ pub mod sim;
 pub mod stack;
 
 pub use error::SmodError;
-pub use native::{NativeModule, NativeRingSession, NativeSession};
+pub use native::{NativeModule, NativeSession};
 pub use secure_module::{SecureModule, SecureModuleBuilder};
 pub use sim::SimWorld;
 
@@ -78,7 +76,7 @@ pub mod prelude {
     pub use crate::error::SmodError;
     pub use crate::libc_retrofit::SmodLibc;
     pub use crate::marshal::{ArgReader, ArgWriter};
-    pub use crate::native::{NativeModule, NativeRingSession, NativeSession};
+    pub use crate::native::{NativeModule, NativeSession};
     pub use crate::secure_module::{SecureModule, SecureModuleBuilder};
     pub use crate::sim::SimWorld;
     pub use secmod_kernel::{Credential, Pid};

@@ -14,15 +14,6 @@
 //! numbers reflect modern hardware, but the ordering (native syscall ≪ SMOD
 //! dispatch ≪ local RPC) and rough ratios match the paper.
 //!
-//! Two dispatch shapes are provided. [`NativeSession`] is the rendezvous
-//! form: every call blocks the producer on a pair of bounded(0) channels
-//! (the stand-in for trap + SYSV message + context switch).
-//! [`NativeRingSession`] is the ring-backed form the dispatch plane
-//! motivates: producer and drainer are separate OS threads communicating
-//! **only through a submission/completion ring pair**, so the producer
-//! queues calls without ever blocking on the handle and the per-call
-//! rendezvous cost disappears from the producer's critical path.
-//!
 //! Which lock is held where: the shared heap sits behind one `RwLock`
 //! (readers concurrent, writers exclusive — held only for the duration of
 //! a `read`/`write` byte copy); the call rendezvous itself holds no lock
@@ -33,7 +24,6 @@ use crate::{Result, SmodError};
 use crossbeam::channel::{bounded, Receiver, Sender};
 use parking_lot::RwLock;
 use secmod_crypto::hmac::HmacSha256;
-use secmod_ring::{ArenaRegion, ArgArena, ArgRef, Ring};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -279,326 +269,6 @@ impl Drop for NativeSession {
     }
 }
 
-// ---------------------------------------------------------------------
-// The ring-backed native variant: producer and drainer on separate OS
-// threads, communicating only through rings.
-// ---------------------------------------------------------------------
-
-/// One entry on the native submission ring. The per-call credential
-/// token rides in every entry — the drainer re-checks it per call, the
-/// ring-backed form of "credentials are re-verified on every smod_call".
-struct NativeRingReq {
-    token: [u8; 32],
-    func: u32,
-    user_data: u64,
-    /// Inline for small payloads, an arena descriptor for large ones —
-    /// the wall-clock analogue of the kernel's zero-copy argument path.
-    args: ArgRef,
-}
-
-/// The drainer's per-entry verdict, carried back on the completion ring
-/// (kept kernel-agnostic and clonable; [`NativeRingSession::reap`] maps
-/// it onto [`SmodError`]).
-enum NativeRingReply {
-    Ok(Vec<u8>),
-    Denied,
-    Unknown(u32),
-}
-
-/// One reaped completion from the ring-backed native session.
-pub struct NativeCompletion {
-    /// The submission's cookie, echoed verbatim.
-    pub user_data: u64,
-    /// The function result.
-    pub result: Result<Vec<u8>>,
-}
-
-/// The sentinel `func` id that asks the drainer to exit (sent through
-/// the submission ring itself, so shutdown needs no side channel).
-const NATIVE_RING_SHUTDOWN: u32 = u32::MAX;
-
-/// Argument-arena capacity for a ring-backed native session. Sized so a
-/// full 64-deep ring of 64 KiB payloads fits with room to spare.
-const NATIVE_ARENA_BYTES: usize = 8 << 20;
-
-/// The ring-backed variant of [`NativeSession`]: the producer (calling
-/// thread) and a dedicated drainer thread communicate **only through a
-/// submission/completion ring pair** — no channel rendezvous, no lock
-/// hand-off. Where [`NativeSession::call`] blocks the producer on every
-/// call (two bounded(0) channel hops, the stand-in for the per-call
-/// trap + context switch), this variant lets the producer queue many
-/// calls and reap completions when it pleases, the wall-clock analogue
-/// of the simulated kernel's dispatch plane: fixed hand-off cost is
-/// paid per *ring slot*, not per rendezvous.
-///
-/// Functions are addressed by dense id ([`NativeRingSession::function_id`])
-/// so a submission carries no string; the per-session token rides in
-/// every entry and is constant-time-compared by the drainer per call.
-pub struct NativeRingSession {
-    sq: Arc<Ring<NativeRingReq>>,
-    /// The completion ring carries `(user_data, reply)` pairs so cookie
-    /// and verdict stay atomic under concurrent reaping.
-    cq: Arc<Ring<(u64, NativeRingReply)>>,
-    /// Set by shutdown/Drop before the sentinel: lets the drainer
-    /// abandon a completion it cannot publish (full `cq`, producer gone)
-    /// instead of spinning forever against a ring nobody will reap.
-    stop: Arc<std::sync::atomic::AtomicBool>,
-    token: [u8; 32],
-    heap: Arc<SharedHeap>,
-    /// Argument arena shared with the drainer: submissions above
-    /// [`secmod_ring::INLINE_ARG_MAX`] pass by descriptor, the drainer
-    /// reads the bytes in place, and the slot frees when the request
-    /// drops after the call.
-    arena: ArenaRegion,
-    names: Vec<String>,
-    drainer: Option<JoinHandle<u64>>,
-}
-
-impl std::fmt::Debug for NativeRingSession {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "NativeRingSession({} functions, heap={} bytes)",
-            self.names.len(),
-            self.heap.len()
-        )
-    }
-}
-
-impl NativeRingSession {
-    /// Start a ring-backed session: verify the client credential, build
-    /// the ring pair (capacity rounded up to a power of two), and spawn
-    /// the drainer thread that owns the function bodies.
-    pub fn start(
-        module: &NativeModule,
-        client_credential: &[u8],
-        heap_size: usize,
-        ring_capacity: usize,
-    ) -> Result<NativeRingSession> {
-        if !secmod_crypto::ct_eq(client_credential, &module.credential_key) {
-            return Err(SmodError::CredentialRejected);
-        }
-        let client_pid = std::process::id();
-        let mut mac = HmacSha256::new(&module.credential_key);
-        mac.update(&client_pid.to_le_bytes());
-        mac.update(b"secmodule-native-ring-session");
-        let token = mac.finalize();
-
-        let heap = SharedHeap::new(heap_size);
-        // Dense function ids: sorted names so ids are deterministic.
-        let mut names: Vec<String> = module.functions.keys().cloned().collect();
-        names.sort();
-        let bodies: Vec<NativeBody> = names
-            .iter()
-            .map(|n| Arc::clone(&module.functions[n]))
-            .collect();
-        let ctx = NativeCtx {
-            heap: heap.clone(),
-            client_pid,
-        };
-
-        let sq: Arc<Ring<NativeRingReq>> = Arc::new(Ring::with_capacity(ring_capacity));
-        let cq: Arc<Ring<(u64, NativeRingReply)>> = Arc::new(Ring::with_capacity(ring_capacity));
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let arena = ArenaRegion::new(
-            ArgArena::with_capacity(NATIVE_ARENA_BYTES),
-            NATIVE_ARENA_BYTES,
-        );
-
-        let expected = token;
-        let drainer_sq = Arc::clone(&sq);
-        let drainer_cq = Arc::clone(&cq);
-        let drainer_stop = Arc::clone(&stop);
-        let drainer = std::thread::Builder::new()
-            .name("smod-ring-drainer".to_string())
-            .spawn(move || {
-                use std::sync::atomic::Ordering;
-                let mut calls = 0u64;
-                loop {
-                    let req = match drainer_sq.pop_spsc() {
-                        Some(req) => req,
-                        None => {
-                            if drainer_stop.load(Ordering::Acquire) {
-                                // Producer is gone and the queue is dry:
-                                // exit even if the sentinel never fit.
-                                break;
-                            }
-                            // Idle: park briefly; the producer unparks on
-                            // submit, the timeout covers a lost race.
-                            std::thread::park_timeout(std::time::Duration::from_micros(50));
-                            continue;
-                        }
-                    };
-                    if req.func == NATIVE_RING_SHUTDOWN {
-                        break;
-                    }
-                    // Per-call credential re-check, exactly like the
-                    // rendezvous backend.
-                    let reply = if !secmod_crypto::ct_eq(&req.token, &expected) {
-                        NativeRingReply::Denied
-                    } else {
-                        match bodies.get(req.func as usize) {
-                            None => NativeRingReply::Unknown(req.func),
-                            Some(body) => {
-                                calls += 1;
-                                NativeRingReply::Ok(body(&ctx, req.args.as_slice()))
-                            }
-                        }
-                    };
-                    let mut pending = (req.user_data, reply);
-                    // cq is sized like sq, so space exists unless the
-                    // producer stopped reaping; spin-yield until it does —
-                    // but a departing producer (stop set) will never reap,
-                    // so drop the completion rather than hang the drainer
-                    // (and the join in the session's Drop) forever.
-                    while let Err(back) = drainer_cq.push_spsc(pending) {
-                        if drainer_stop.load(Ordering::Acquire) {
-                            break;
-                        }
-                        pending = back;
-                        std::thread::yield_now();
-                    }
-                }
-                calls
-            })
-            .expect("spawn ring drainer thread");
-
-        Ok(NativeRingSession {
-            sq,
-            cq,
-            stop,
-            token,
-            heap,
-            arena,
-            names,
-            drainer: Some(drainer),
-        })
-    }
-
-    /// The heap shared with the drainer.
-    pub fn heap(&self) -> Arc<SharedHeap> {
-        self.heap.clone()
-    }
-
-    /// The dense id of `name`, for building submissions.
-    pub fn function_id(&self, name: &str) -> Option<u32> {
-        self.names.iter().position(|n| n == name).map(|i| i as u32)
-    }
-
-    /// Queue one call. Returns `false` when the submission ring is full
-    /// (reap and retry). Never blocks: the producer's only interaction
-    /// with the handle is this ring slot.
-    pub fn submit(&self, func: u32, user_data: u64, args: &[u8]) -> bool {
-        let ok = self
-            .sq
-            .push_spsc(NativeRingReq {
-                token: self.token,
-                func,
-                user_data,
-                args: ArgRef::place(args, Some(&self.arena)),
-            })
-            .is_ok();
-        if ok {
-            if let Some(handle) = &self.drainer {
-                handle.thread().unpark();
-            }
-        }
-        ok
-    }
-
-    /// Pop one completion, if any.
-    pub fn reap(&self) -> Option<NativeCompletion> {
-        let (user_data, reply) = self.cq.pop_spsc()?;
-        let result = match reply {
-            NativeRingReply::Ok(ret) => Ok(ret),
-            NativeRingReply::Denied => Err(SmodError::CredentialRejected),
-            NativeRingReply::Unknown(func) => Err(SmodError::UnknownFunction(format!("#{func}"))),
-        };
-        Some(NativeCompletion { user_data, result })
-    }
-
-    /// Convenience: submit every argument block for `function`, reap all
-    /// completions, and return the results in submission order.
-    pub fn call_batch(&self, function: &str, args_list: &[&[u8]]) -> Result<Vec<Result<Vec<u8>>>> {
-        let func = self
-            .function_id(function)
-            .ok_or_else(|| SmodError::UnknownFunction(function.to_string()))?;
-        let mut out: Vec<Option<Result<Vec<u8>>>> = (0..args_list.len()).map(|_| None).collect();
-        let mut sent = 0usize;
-        let mut received = 0usize;
-        while received < args_list.len() {
-            let mut progressed = false;
-            if sent < args_list.len() && self.submit(func, sent as u64, args_list[sent]) {
-                sent += 1;
-                progressed = true;
-            }
-            while let Some(completion) = self.reap() {
-                out[completion.user_data as usize] = Some(completion.result);
-                received += 1;
-                progressed = true;
-            }
-            if !progressed {
-                if self.drainer.is_none() {
-                    return Err(SmodError::HandleGone);
-                }
-                std::thread::yield_now();
-            }
-        }
-        Ok(out.into_iter().map(|r| r.expect("all reaped")).collect())
-    }
-
-    /// End the session: send the shutdown sentinel through the
-    /// submission ring (the only channel the pair shares) and return how
-    /// many calls the drainer served.
-    pub fn shutdown(mut self) -> u64 {
-        self.send_shutdown();
-        match self.drainer.take() {
-            Some(h) => h.join().unwrap_or(0),
-            None => 0,
-        }
-    }
-
-    fn send_shutdown(&self) {
-        // Raise the stop flag first: from here on the drainer discards
-        // completions it cannot publish and exits on a dry queue, so the
-        // sentinel push below always terminates — even against a full
-        // completion ring nobody will ever reap again.
-        self.stop.store(true, std::sync::atomic::Ordering::Release);
-        let mut req = NativeRingReq {
-            token: self.token,
-            func: NATIVE_RING_SHUTDOWN,
-            user_data: 0,
-            args: ArgRef::empty(),
-        };
-        loop {
-            match self.sq.push_spsc(req) {
-                Ok(()) => break,
-                Err(back) => {
-                    req = back;
-                    if let Some(handle) = &self.drainer {
-                        handle.thread().unpark();
-                    }
-                    std::thread::yield_now();
-                }
-            }
-        }
-        if let Some(handle) = &self.drainer {
-            handle.thread().unpark();
-        }
-    }
-}
-
-impl Drop for NativeRingSession {
-    fn drop(&mut self) {
-        if self.drainer.is_some() {
-            self.send_shutdown();
-            if let Some(h) = self.drainer.take() {
-                let _ = h.join();
-            }
-        }
-    }
-}
-
 /// The native `getpid()` baseline: a real system call on the host.
 pub fn native_getpid() -> u32 {
     std::process::id()
@@ -689,150 +359,5 @@ mod tests {
     #[test]
     fn native_getpid_returns_this_process() {
         assert_eq!(native_getpid(), std::process::id());
-    }
-
-    // --- the ring-backed variant ------------------------------------
-
-    fn ring_session() -> NativeRingSession {
-        NativeRingSession::start(&NativeModule::benchmark_module(KEY), KEY, 4096, 64).unwrap()
-    }
-
-    #[test]
-    fn ring_session_matches_the_rendezvous_backend() {
-        let s = ring_session();
-        let results = s
-            .call_batch(
-                "testincr",
-                &(0..40u64)
-                    .map(|i| i.to_le_bytes().to_vec())
-                    .collect::<Vec<_>>()
-                    .iter()
-                    .map(|a| a.as_slice())
-                    .collect::<Vec<_>>(),
-            )
-            .unwrap();
-        for (i, r) in results.into_iter().enumerate() {
-            let bytes = r.expect("incr succeeds");
-            assert_eq!(
-                u64::from_le_bytes(bytes.try_into().unwrap()),
-                i as u64 + 1,
-                "completion {i} carries another submission's result"
-            );
-        }
-        assert_eq!(s.shutdown(), 40);
-    }
-
-    #[test]
-    fn ring_session_submit_reap_is_nonblocking() {
-        let s = ring_session();
-        let incr = s.function_id("testincr").unwrap();
-        // Queue more than the drainer has served, then reap them all:
-        // the producer never blocks on the handle, only on ring space.
-        let mut sent = 0u64;
-        let mut seen = 0;
-        while seen < 100 {
-            if sent < 100 && s.submit(incr, sent, &sent.to_le_bytes()) {
-                sent += 1;
-            }
-            while let Some(c) = s.reap() {
-                assert_eq!(
-                    u64::from_le_bytes(c.result.unwrap().try_into().unwrap()),
-                    c.user_data + 1
-                );
-                seen += 1;
-            }
-        }
-        assert_eq!(s.shutdown(), 100);
-    }
-
-    #[test]
-    fn ring_session_rejects_bad_credential_and_unknown_function() {
-        let module = NativeModule::benchmark_module(KEY);
-        assert!(matches!(
-            NativeRingSession::start(&module, b"wrong", 4096, 8),
-            Err(SmodError::CredentialRejected)
-        ));
-        let s = ring_session();
-        assert!(s.function_id("does_not_exist").is_none());
-        // A forged function id past the table is answered, not dropped.
-        assert!(s.submit(1000, 9, &[]));
-        let completion = loop {
-            match s.reap() {
-                Some(c) => break c,
-                None => std::thread::yield_now(),
-            }
-        };
-        assert_eq!(completion.user_data, 9);
-        assert!(matches!(
-            completion.result,
-            Err(SmodError::UnknownFunction(_))
-        ));
-        assert_eq!(s.shutdown(), 0);
-    }
-
-    #[test]
-    fn dropping_a_session_with_unreaped_completions_does_not_hang() {
-        // Regression: fill the completion ring (8 served, never reaped),
-        // leave more work queued, then drop. The drainer is mid-spin on
-        // the full cq; the stop flag must let it abandon the completion
-        // and consume the shutdown sentinel instead of deadlocking the
-        // dropping thread on join().
-        let module = NativeModule::benchmark_module(KEY);
-        let s = NativeRingSession::start(&module, KEY, 1024, 8).unwrap();
-        let incr = s.function_id("testincr").unwrap();
-        let mut sent = 0u64;
-        // Oversubmit: 8 completions fill the cq, the rest stay queued or
-        // leave the drainer blocked publishing.
-        while sent < 16 {
-            if s.submit(incr, sent, &sent.to_le_bytes()) {
-                sent += 1;
-            } else {
-                std::thread::yield_now();
-            }
-        }
-        drop(s); // must return, not hang
-    }
-
-    #[test]
-    fn ring_session_passes_large_args_through_the_arena() {
-        let module = NativeModule::new(KEY).function("sum", |_ctx, args| {
-            let total: u64 = args.iter().map(|&b| b as u64).sum();
-            total.to_le_bytes().to_vec()
-        });
-        let s = NativeRingSession::start(&module, KEY, 1024, 8).unwrap();
-        // 64 KiB is far past INLINE_ARG_MAX: it must ride the arena, be
-        // read in place by the drainer, and settle the region afterwards.
-        let big = vec![1u8; 64 * 1024];
-        let results = s.call_batch("sum", &[big.as_slice(), &[2u8, 3u8]]).unwrap();
-        assert_eq!(
-            u64::from_le_bytes(results[0].as_ref().unwrap().clone().try_into().unwrap()),
-            64 * 1024
-        );
-        assert_eq!(
-            u64::from_le_bytes(results[1].as_ref().unwrap().clone().try_into().unwrap()),
-            5
-        );
-        assert_eq!(
-            s.arena.in_flight(),
-            0,
-            "drained requests must free their arena slots"
-        );
-        s.shutdown();
-    }
-
-    #[test]
-    fn ring_session_shares_the_heap_across_the_ring_boundary() {
-        let module = NativeModule::new(KEY).function("sum_heap", |ctx, args| {
-            let len = u64::from_le_bytes(args[..8].try_into().unwrap()) as usize;
-            let total: u64 = ctx.heap.read(0, len).iter().map(|&b| b as u64).sum();
-            total.to_le_bytes().to_vec()
-        });
-        let s = NativeRingSession::start(&module, KEY, 1024, 8).unwrap();
-        s.heap().write(0, &[10, 20, 30]);
-        let results = s.call_batch("sum_heap", &[&3u64.to_le_bytes()]).unwrap();
-        assert_eq!(
-            u64::from_le_bytes(results[0].as_ref().unwrap().clone().try_into().unwrap()),
-            60
-        );
     }
 }

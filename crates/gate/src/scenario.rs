@@ -741,7 +741,7 @@ fn churn_actor(gateway: &Gateway, cfg: &ScenarioConfig) -> WorkerStats {
 /// pool of established sessions. Built by [`build_dispatch_kernel`] (one
 /// client per worker thread) or [`build_dispatch_kernel_with_clients`]
 /// (an explicit session-pool size); also reused by the `fig8_concurrent`
-/// and `ring_throughput` benches.
+/// and `arg_marshalling` benches.
 pub struct DispatchKernel {
     /// The shared kernel; every syscall takes `&self`.
     pub kernel: Kernel,
@@ -1146,7 +1146,6 @@ fn plane_config(cfg: &ScenarioConfig, live: &Live) -> PlaneConfig {
             after_sweeps: 0,
         };
         plane = plane
-            .qos(QosPolicy::weighted_fair([]))
             .health(HealthConfig::with_deadline(Duration::from_millis(10)))
             .crash(crash);
     }

@@ -178,10 +178,10 @@ impl CostModel {
     ///
     /// `sweep_dispatch_ns(1, n)` is strictly below
     /// `batched_dispatch_ns(n)` for every `n >= 1` (same once-per-batch
-    /// fixed term, cheaper hand-off), and the (64 sessions, batch 32)
-    /// acceptance point of the `sweep_throughput` bench comes out ≥ 1.5x
-    /// cheaper than 64 round-robined batched drains — both properties are
-    /// unit-tested below.
+    /// fixed term, cheaper hand-off), and at the shape the `sweep_inline`
+    /// benchmark workload runs (64 sessions, batch 32) it comes out
+    /// ≥ 1.5x cheaper than 64 round-robined batched drains — both
+    /// properties are unit-tested below.
     pub fn sweep_dispatch_ns(&self, sessions: usize, entries: usize) -> u64 {
         let once_per_sweep = self.stub_call_ns
             + self.syscall_trap_ns
@@ -265,7 +265,7 @@ mod tests {
 
     #[test]
     fn sweep_acceptance_point_meets_the_bar() {
-        // The sweep_throughput bench's acceptance point: 64 sessions with
+        // The `sweep_inline` workload's shape: 64 sessions with
         // 32 entries each, one sweep vs 64 round-robined batched drains at
         // equal total entries. The model must put the sweep >= 1.5x ahead.
         let m = CostModel::default();

@@ -50,23 +50,24 @@
 //! serve. Shutdown flags every slot once more and lets each drainer
 //! sweep the set dry before joining.
 //!
-//! ## Multi-tenant planes
+//! ## Multi-tenant planes, supervised planes
 //!
-//! A plane configured with a [`QosPolicy`] ([`PlaneConfigBuilder::qos`])
-//! hosts sessions from many tenants: [`DispatchPlane::attach_tenant`]
-//! tags each attachment's ring-set slot with a [`TenantId`], and the
-//! drainers switch from the plain sweep to `sys_smod_sweep_qos` — claim
-//! the ready slots into a per-drainer [`ClaimLedger`], let the shared
-//! [`SweepScheduler`] plan a weighted-fair (or major-frame) split, drain
-//! the chosen slots, release the deferred ones. A [`HealthConfig`]
-//! ([`PlaneConfigBuilder::health`]) additionally arms the supervisor: a
-//! dedicated thread polling each drainer's heartbeat. A drainer that
-//! stops beating for two deadlines is declared dead; the supervisor
-//! reclaims whatever its ledger still holds claimed (handing the
-//! readiness bits back to the set so no submitted entry is stranded) and
-//! respawns the seat. [`CrashSpec`] ([`PlaneConfigBuilder::crash`]) is
-//! the fault drill that proves the loop: the targeted drainer claims
-//! ready work exactly like a real sweep would, then dies holding it.
+//! Every drainer sweeps through its seat's [`ClaimLedger`]: the ready
+//! slots it claims stay recorded there until each one's visit has
+//! returned. A plane configured with a [`QosPolicy`]
+//! ([`PlaneConfigBuilder::qos`]) hosts sessions from many tenants:
+//! [`DispatchPlane::attach_tenant`] tags each attachment's ring-set slot
+//! with a [`TenantId`], and the shared [`SweepScheduler`] sits between
+//! claim and drain — it plans a weighted-fair split, the chosen slots are
+//! drained, the deferred ones released. A [`HealthConfig`]
+//! ([`PlaneConfigBuilder::health`]) arms the supervisor, with or without
+//! a policy: a dedicated thread polling each drainer's heartbeat. A
+//! drainer that stops beating for two deadlines is declared dead; the
+//! supervisor reclaims whatever its ledger still holds claimed (handing
+//! the readiness bits back to the set so no submitted entry is stranded)
+//! and respawns the seat. [`CrashSpec`] ([`PlaneConfigBuilder::crash`]) is
+//! the fault drill that proves the loop: the targeted drainer makes the
+//! sweep's own claim, then dies inside its first visit.
 
 use crate::cred::Credential;
 use crate::dispatch::{DispatchCall, DispatchCaps, DispatchError, DispatchOutcome, Dispatcher};
@@ -83,6 +84,7 @@ use secmod_ring::{
     ArgArena, ArgRef, ClaimLedger, RingPairConfig, RingSet, RingSlotId, SessionRings, SmodCallReq,
     SmodCallResp, SubmitError, SMOD_BATCH_DEFAULT_BUDGET,
 };
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -108,6 +110,14 @@ const ENTER_AFTER: u32 = 8;
 const FAST_ARRIVAL: Duration = Duration::from_micros(1);
 /// Consecutive fast arrivals that leave the polling regime.
 const LEAVE_AFTER: u32 = 8;
+/// Entries drained per session per sweep (the anti-starvation budget).
+const SESSION_BUDGET: usize = SMOD_BATCH_DEFAULT_BUDGET;
+/// Capacity of the argument arena shared by a plane's sessions. Payloads
+/// above [`secmod_ring::INLINE_ARG_MAX`] pass by `(offset, len)`
+/// descriptor instead of through the ring slot. Each attached session's
+/// region quota is the full arena (the arena itself is the shared
+/// ceiling).
+const ARENA_BYTES: usize = 1 << 20;
 
 /// One idle episode of a drainer: the wait that began when a sweep found
 /// nothing to drain, and the run of productive sweeps that followed it.
@@ -157,9 +167,10 @@ impl PollController {
     }
 }
 
-/// A fault-injection drill: drainer `drainer` claims ready work like a
-/// real sweep would, then dies holding the claims (its thread exits
-/// without draining or beating). Fires at most once per plane, and only
+/// A fault-injection drill: drainer `drainer` makes the sweep's own
+/// claim into its seat's ledger, takes the first claimed slot's drain
+/// flag, then dies holding both (its thread exits without draining or
+/// beating). Fires at most once per plane, and only
 /// when there is actually ready work to strand — a crash that claims
 /// nothing proves nothing.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -179,31 +190,21 @@ pub struct PlaneConfig {
     pub slots: usize,
     /// Ring pair sizing for each attached session.
     pub ring: RingPairConfig,
-    /// Entries drained per session per sweep (the anti-starvation
-    /// budget).
-    pub session_budget: usize,
     /// How long an idle drainer parks before re-checking the set (the
     /// backstop for a lost unpark race; producers normally wake drainers
     /// long before this expires).
     pub park_timeout: Duration,
-    /// Shared argument-arena capacity attached to the plane's ring set.
-    /// Payloads above [`secmod_ring::INLINE_ARG_MAX`] pass by
-    /// `(offset, len)` descriptor instead of through the ring slot; `0`
-    /// disables the arena (everything travels by value). Each attached
-    /// session's region quota is the full arena (the arena itself is the
-    /// shared ceiling).
-    pub arena_bytes: usize,
     /// Pin drainer `i` to core `i % available_parallelism` via
     /// `sched_setaffinity`. Best-effort: platforms without affinity
     /// support run unpinned.
     pub pin_drainers: bool,
-    /// Multi-tenant scheduling policy. `None` keeps the plain sweep
-    /// (every registration lands in [`TenantId::DEFAULT`] and slots are
-    /// served in bitmap order); `Some` switches the drainers to the
-    /// claim / plan / drain QoS sweep.
+    /// Multi-tenant scheduling policy. `None` drains every claimed slot
+    /// in bitmap order (every registration lands in
+    /// [`TenantId::DEFAULT`]); `Some` puts the weighted-fair scheduler
+    /// between claim and drain.
     pub qos: Option<QosPolicy>,
     /// Arm the drainer health monitor and its supervisor thread. `None`
-    /// runs unsupervised (pre-QoS behaviour).
+    /// runs unsupervised: a dead drainer's claims wait for shutdown.
     pub health: Option<HealthConfig>,
     /// Fault-injection drill: kill one drainer mid-claim. See
     /// [`CrashSpec`].
@@ -216,9 +217,7 @@ impl Default for PlaneConfig {
             drainers: 2,
             slots: 64,
             ring: RingPairConfig::default(),
-            session_budget: SMOD_BATCH_DEFAULT_BUDGET,
             park_timeout: Duration::from_millis(1),
-            arena_bytes: 1 << 20,
             pin_drainers: false,
             qos: None,
             health: None,
@@ -229,7 +228,7 @@ impl Default for PlaneConfig {
 
 impl PlaneConfig {
     /// Start building a config from the defaults:
-    /// `PlaneConfig::builder().drainers(2).session_budget(32).build()`.
+    /// `PlaneConfig::builder().drainers(2).slots(128).build()`.
     pub fn builder() -> PlaneConfigBuilder {
         PlaneConfigBuilder {
             cfg: PlaneConfig::default(),
@@ -262,21 +261,9 @@ impl PlaneConfigBuilder {
         self
     }
 
-    /// Entries drained per session per sweep.
-    pub fn session_budget(mut self, session_budget: usize) -> Self {
-        self.cfg.session_budget = session_budget;
-        self
-    }
-
     /// Idle-drainer park timeout (lost-unpark backstop).
     pub fn park_timeout(mut self, park_timeout: Duration) -> Self {
         self.cfg.park_timeout = park_timeout;
-        self
-    }
-
-    /// Shared argument-arena capacity (0 disables the zero-copy path).
-    pub fn arena_bytes(mut self, arena_bytes: usize) -> Self {
-        self.cfg.arena_bytes = arena_bytes;
         self
     }
 
@@ -286,8 +273,8 @@ impl PlaneConfigBuilder {
         self
     }
 
-    /// Multi-tenant scheduling policy (switches drainers to the QoS
-    /// sweep).
+    /// Multi-tenant scheduling policy (puts the scheduler between the
+    /// drainers' claim and drain).
     pub fn qos(mut self, policy: QosPolicy) -> Self {
         self.cfg.qos = Some(policy);
         self
@@ -314,7 +301,7 @@ impl PlaneConfigBuilder {
 /// Aggregate work done by the plane's drainers (summed at shutdown).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PlaneStats {
-    /// Total `sys_smod_sweep` invocations across all drainers.
+    /// Sweeps run, across all drainers and the shutdown pass.
     pub sweeps: u64,
     /// Sweeps that found at least one ready session.
     pub productive_sweeps: u64,
@@ -353,7 +340,6 @@ impl PlaneStats {
 
 /// Per-drainer spawn parameters the supervisor reuses on respawn.
 struct DrainerParams {
-    session_budget: usize,
     park_timeout: Duration,
     pin_drainers: bool,
     /// `available_parallelism` of the thread that started the plane.
@@ -392,13 +378,11 @@ struct PlaneShared {
     /// even though the other drainers are parked. Cleared before the
     /// spinner announces itself idle, under the same handshake as `idle`.
     spinning: AtomicBool,
-    /// The QoS scheduler, when the plane is multi-tenant. `None` keeps
-    /// the plain sweep.
+    /// The QoS scheduler, when the plane is multi-tenant.
     sched: Option<Arc<SweepScheduler>>,
     /// The drainer health monitor, when armed.
     monitor: Option<Arc<HealthMonitor>>,
-    /// One claim ledger per drainer seat (always allocated — they are a
-    /// few bitmap words). The supervisor swaps in a fresh ledger when it
+    /// One claim ledger per drainer seat. The supervisor swaps in a fresh ledger when it
     /// reclaims a dead seat's, so a corpse and its replacement never
     /// share one.
     ledgers: RwLock<Vec<Arc<ClaimLedger>>>,
@@ -453,7 +437,6 @@ impl PlaneShared {
 /// [`DispatchPlane::shutdown`] also stops and joins the drainers.
 pub struct DispatchPlane {
     shared: Arc<PlaneShared>,
-    session_budget: usize,
     ring: RingPairConfig,
     supervisor: Option<JoinHandle<()>>,
     joined: bool,
@@ -475,13 +458,8 @@ impl DispatchPlane {
     /// `plane-drainer<i>` that the sweep's amortised fixed cost is
     /// charged to.
     pub fn start(kernel: Arc<Kernel>, cfg: PlaneConfig) -> SysResult<DispatchPlane> {
-        let set = if cfg.arena_bytes > 0 {
-            let arena = ArgArena::with_metrics(cfg.arena_bytes, Arc::clone(&kernel.metrics.arena));
-            RingSet::with_arena(cfg.slots, arena, cfg.arena_bytes)
-        } else {
-            RingSet::with_capacity(cfg.slots)
-        };
-        let set = Arc::new(set);
+        let arena = ArgArena::with_metrics(ARENA_BYTES, Arc::clone(&kernel.metrics.arena));
+        let set = Arc::new(RingSet::with_arena(cfg.slots, arena, ARENA_BYTES));
         let n = cfg.drainers.max(1);
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         let sched = cfg
@@ -509,7 +487,6 @@ impl DispatchPlane {
             crash: cfg.crash,
             crash_fired: AtomicBool::new(false),
             params: DrainerParams {
-                session_budget: cfg.session_budget,
                 park_timeout: cfg.park_timeout,
                 pin_drainers: cfg.pin_drainers,
                 cores,
@@ -545,7 +522,6 @@ impl DispatchPlane {
         };
         Ok(DispatchPlane {
             shared,
-            session_budget: cfg.session_budget,
             ring: cfg.ring,
             supervisor,
             joined: false,
@@ -581,11 +557,6 @@ impl DispatchPlane {
             slot,
             rings,
         })
-    }
-
-    /// Entries drained per session per sweep.
-    pub fn session_budget(&self) -> usize {
-        self.session_budget
     }
 
     /// The plane's shared ring set. A completion consumer (the async
@@ -660,27 +631,24 @@ impl DispatchPlane {
         }
         // Safety net: hand back anything a dead drainer still held
         // claimed (a crash the supervisor never saw — not armed, or the
-        // plane stopped inside the detection window), then sweep the set
-        // dry inline since no drainer remains to do it. QoS planes take
-        // the inline pass unconditionally: their final sweeps may have
-        // *deferred* over-budget slots that a plain sweep must now
-        // finish.
-        let mut reclaimed = 0;
+        // plane stopped inside the detection window), then finish inline,
+        // with no scheduler, whatever is still flagged — reclaimed slots,
+        // or slots the drainers' last scheduled sweeps deferred — since
+        // no drainer remains to do it.
         for ledger in self.shared.ledgers.read().iter() {
-            reclaimed += self.shared.set.reclaim(ledger);
+            stats.reclaimed += self.shared.set.reclaim(ledger) as u64;
         }
-        stats.reclaimed += reclaimed as u64;
-        if reclaimed > 0 || self.shared.sched.is_some() {
-            while let Ok(report) = self.shared.kernel.sys_smod_sweep(
+        while self.shared.set.any_ready() {
+            let Ok(report) = self.shared.kernel.sys_smod_sweep(
                 self.shared.reaper_pid,
                 &self.shared.set,
-                self.shared.params.session_budget.max(1),
-            ) {
-                let drained = report.drained;
-                stats.absorb(&report);
-                if drained == 0 {
-                    break;
-                }
+                SESSION_BUDGET,
+            ) else {
+                break;
+            };
+            stats.absorb(&report);
+            if report.drained == 0 {
+                break;
             }
         }
         if let Some(monitor) = &self.shared.monitor {
@@ -772,20 +740,16 @@ fn drainer_loop(shared: &PlaneShared, ctx: DrainerCtx) -> PlaneStats {
         if let Some(hb) = &ctx.heartbeat {
             hb.beat();
         }
-        // The fault drill: claim ready work exactly like a real sweep
-        // would, then die holding it. Only fires against actual ready
-        // work — a crash that strands nothing exercises nothing — and
-        // only once per plane, so the respawned seat does not re-die.
+        // The fault drill fires once per plane, so the respawned seat
+        // does not re-die.
         if let Some(crash) = shared.crash {
             if crash.drainer == ctx.seat
                 && stats.sweeps >= crash.after_sweeps
                 && !shared.crash_fired.load(Ordering::Acquire)
+                && dies_mid_visit(shared, &ctx)
             {
-                let stranded = shared.set.claim_for_crash(&ctx.ledger);
-                if stranded > 0 {
-                    shared.crash_fired.store(true, Ordering::Release);
-                    return stats;
-                }
+                shared.crash_fired.store(true, Ordering::Release);
+                return stats;
             }
         }
         // `Err` means the drainer's own process vanished (kernel torn
@@ -800,9 +764,9 @@ fn drainer_loop(shared: &PlaneShared, ctx: DrainerCtx) -> PlaneStats {
         }
         // Post-stop, a no-progress sweep means the set is as dry as it
         // can get (the shutdown path force-flagged every slot first):
-        // exit even if unserviceable ready bits remain. (A QoS sweep may
-        // still be *deferring* over-budget slots here; the shutdown path
-        // finishes those with its inline plain sweep.)
+        // exit even if unserviceable ready bits remain. (A scheduled
+        // sweep may still be *deferring* over-budget slots here; the
+        // shutdown path finishes those with its inline pass.)
         if shared.stop.load(Ordering::Acquire) {
             break;
         }
@@ -864,21 +828,34 @@ fn drainer_loop(shared: &PlaneShared, ctx: DrainerCtx) -> PlaneStats {
     stats
 }
 
+/// The fault drill's death: make the sweep's claim, start the first visit
+/// and unwind out of it — the claimed bits in the ledger, the slot's drain
+/// flag held, exactly what a drainer killed mid-drain leaves behind.
+/// `false` when nothing was ready (the claim then returns normally: a
+/// crash that strands nothing exercises nothing).
+fn dies_mid_visit(shared: &PlaneShared, ctx: &DrainerCtx) -> bool {
+    // `resume_unwind` is a panic that skips the panic hook: the death is
+    // staged, so it prints nothing.
+    catch_unwind(AssertUnwindSafe(|| {
+        shared.set.claim_ready(&ctx.ledger, |slot, _tenant| {
+            shared.set.drain_claimed(slot, &ctx.ledger, |_, _| {
+                resume_unwind(Box::new("crash drill"))
+            });
+        })
+    }))
+    .is_err()
+}
+
 /// One sweep of the set on behalf of drainer `ctx`, folded into `stats`;
 /// returns the entries it answered.
 fn sweep_once(shared: &PlaneShared, ctx: &DrainerCtx, stats: &mut PlaneStats) -> SysResult<u64> {
-    let report = match &shared.sched {
-        Some(sched) => shared.kernel.sys_smod_sweep_qos(
-            ctx.pid,
-            &shared.set,
-            sched,
-            &ctx.ledger,
-            shared.params.session_budget,
-        ),
-        None => shared
-            .kernel
-            .sys_smod_sweep(ctx.pid, &shared.set, shared.params.session_budget),
-    }?;
+    let report = shared.kernel.sweep_claimed(
+        ctx.pid,
+        &shared.set,
+        &ctx.ledger,
+        shared.sched.as_deref(),
+        SESSION_BUDGET,
+    )?;
     stats.absorb(&report);
     if report.drained > 0 {
         // Completions were pushed (the sweep also flagged the completion
@@ -1661,56 +1638,60 @@ mod tests {
     #[test]
     fn crashed_drainer_is_reclaimed_respawned_and_no_entry_is_lost() {
         const ENTRIES: u64 = 48;
-        let (k, _m, clients, incr) = kernel_with_clients(None, 1);
-        let kernel = Arc::new(k);
-        let plane = DispatchPlane::start(
-            Arc::clone(&kernel),
-            PlaneConfig::builder()
-                .drainers(1)
-                .qos(QosPolicy::weighted_fair([]))
-                .health(HealthConfig::with_deadline(Duration::from_millis(10)))
-                .crash(CrashSpec {
-                    drainer: 0,
-                    after_sweeps: 0,
-                })
-                .build(),
-        )
-        .unwrap();
-        let handle = plane.attach(clients[0]).unwrap();
-        // The lone drainer dies on the first submission it sees (the
-        // crash drill claims the ready bit and exits), so every reaped
-        // completion below proves the supervisor reclaimed the claim and
-        // respawned the seat.
-        let mut seen = vec![false; ENTRIES as usize];
-        let mut received = 0u64;
-        let mut sent = 0u64;
-        while received < ENTRIES {
-            if sent < ENTRIES
-                && handle
-                    .submit(incr, sent, sent.to_le_bytes().to_vec())
-                    .is_ok()
-            {
-                sent += 1;
+        // The ledger is the sweep's, not the scheduler's: a plane with
+        // no policy recovers exactly like one with.
+        for qos in [None, Some(QosPolicy::weighted_fair([]))] {
+            let (k, _m, clients, incr) = kernel_with_clients(None, 1);
+            let plane = DispatchPlane::start(
+                Arc::new(k),
+                PlaneConfig {
+                    drainers: 1,
+                    qos: qos.clone(),
+                    health: Some(HealthConfig::with_deadline(Duration::from_millis(10))),
+                    crash: Some(CrashSpec {
+                        drainer: 0,
+                        after_sweeps: 0,
+                    }),
+                    ..PlaneConfig::default()
+                },
+            )
+            .unwrap();
+            let handle = plane.attach(clients[0]).unwrap();
+            // The lone drainer dies on the first submission it sees (the
+            // crash drill claims the ready bit and exits), so every reaped
+            // completion below proves the supervisor reclaimed the claim
+            // and respawned the seat.
+            let mut seen = vec![false; ENTRIES as usize];
+            let mut received = 0u64;
+            let mut sent = 0u64;
+            while received < ENTRIES {
+                if sent < ENTRIES
+                    && handle
+                        .submit(incr, sent, sent.to_le_bytes().to_vec())
+                        .is_ok()
+                {
+                    sent += 1;
+                }
+                while let Some(resp) = handle.reap() {
+                    assert!(resp.is_ok());
+                    let idx = resp.user_data as usize;
+                    assert!(!seen[idx], "entry {idx} completed twice ({qos:?})");
+                    seen[idx] = true;
+                    received += 1;
+                }
+                std::thread::yield_now();
             }
-            while let Some(resp) = handle.reap() {
-                assert!(resp.is_ok());
-                let idx = resp.user_data as usize;
-                assert!(!seen[idx], "entry {idx} completed twice");
-                seen[idx] = true;
-                received += 1;
-            }
-            std::thread::yield_now();
+            assert!(plane.crash_fired(), "the drill must have fired ({qos:?})");
+            drop(handle);
+            let stats = plane.shutdown();
+            assert!(seen.iter().all(|&s| s), "an entry was lost ({qos:?})");
+            assert_eq!(stats.completed, ENTRIES);
+            assert!(
+                stats.drainer_restarts >= 1,
+                "seat never respawned ({qos:?})"
+            );
+            assert!(stats.reclaimed >= 1, "claim never reclaimed ({qos:?})");
         }
-        assert!(plane.crash_fired(), "the drill must have fired");
-        let monitor = plane.health_monitor().expect("health is armed");
-        assert!(monitor.restarts.get() >= 1, "seat never respawned");
-        assert!(monitor.reclaimed.get() >= 1, "claims never reclaimed");
-        drop(handle);
-        let stats = plane.shutdown();
-        assert!(seen.iter().all(|&s| s), "an entry was lost");
-        assert_eq!(stats.completed, ENTRIES);
-        assert!(stats.drainer_restarts >= 1);
-        assert!(stats.reclaimed >= 1);
     }
 
     /// Whether (unpinned) drainers started from this thread may poll.

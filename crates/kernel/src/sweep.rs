@@ -31,7 +31,17 @@
 //! * every ready slot is visited at most once per sweep and every ready
 //!   slot *is* visited (the readiness words are claimed wholesale), so
 //!   one hot ring can neither starve the others nor be drained past
-//!   `session_budget` in a single sweep — leftovers re-flag the slot.
+//!   `session_budget` in a single sweep — leftovers re-flag the slot;
+//! * every claim is recorded in the sweeping drainer's [`ClaimLedger`]
+//!   until its slot's visit has returned, so a drainer that dies
+//!   mid-sweep strands nothing: whoever holds the ledger hands the
+//!   claims back with [`RingSet::reclaim`].
+//!
+//! There is one sweep, [`Kernel::sweep_claimed`]. A [`SweepScheduler`]
+//! is the only thing that varies: without one every claimed slot is
+//! drained as it is claimed, in bitmap order; with one the claimed slots
+//! are planned first — which tenants drain this round and with what
+//! budget — and the rest go back to the bitmap.
 
 use crate::batch::{fail_all_eidrm, DrainScratch};
 use crate::kernel::Kernel;
@@ -79,8 +89,8 @@ struct SweepTotals {
     sessions_checked: usize,
 }
 
-/// What one slot's visit did (the per-slot slice of the totals, so the
-/// QoS sweep can charge each tenant for exactly its own entries).
+/// What one slot's visit did (the per-slot slice of the totals, so a
+/// scheduled sweep can charge each tenant for exactly its own entries).
 struct SlotDrain {
     remark: bool,
     drained: usize,
@@ -89,11 +99,10 @@ struct SlotDrain {
 }
 
 impl Kernel {
-    /// The shared per-slot sweep body: resolve the slot's session once,
-    /// drain up to `session_budget` entries (or fail everything queued
-    /// with `EIDRM` for a dead/foreign slot), and fold the outcome into
-    /// `totals`. Used verbatim by both the plain and the QoS sweep so
-    /// the epoch / credential / `EIDRM` semantics stay one copy of code.
+    /// The per-slot sweep body: resolve the slot's session once, drain
+    /// up to `session_budget` entries (or fail everything queued with
+    /// `EIDRM` for a dead/foreign slot), and fold the outcome into
+    /// `totals`.
     fn sweep_visit(
         &self,
         set: &RingSet,
@@ -196,74 +205,86 @@ impl Kernel {
         }
         totals.report
     }
+
     /// Drain every ready session in `set`, up to `session_budget` entries
     /// per session, in one syscall-equivalent.
     ///
-    /// `caller` is the sweeping drainer (any live process — typically a
-    /// dedicated [`crate::plane::DispatchPlane`] drainer); it is charged
+    /// `caller` is the sweeping drainer (any live process); it is charged
     /// the amortised fixed cost. Per-entry costs are charged to each
     /// session's own client, exactly as on the batched path. Takes
     /// `&self`: concurrent sweeps partition the ready set between
     /// themselves (the readiness words are claimed atomically), and
     /// producers may keep submitting while a sweep is in flight.
+    ///
+    /// This is [`Kernel::sweep_claimed`] with no scheduler and a ledger
+    /// that lives for the call: the claims of a caller who dies in here
+    /// are observable to nobody, so this is the entry point for callers
+    /// nobody supervises. The plane's drainers sweep through their
+    /// seat's ledger instead.
     pub fn sys_smod_sweep(
         &self,
         caller: Pid,
         set: &RingSet,
         session_budget: usize,
     ) -> SysResult<SweepReport> {
-        self.procs.with(caller, |_| ())?; // the drainer must be a live process
-        let mut totals = SweepTotals::default();
-        let mut scratch = DrainScratch::new();
-        set.sweep_ready(|slot, rings| {
-            self.sweep_visit(set, slot, rings, session_budget, &mut scratch, &mut totals)
-                .remark
-        });
-        Ok(self.finish_sweep(caller, totals))
+        self.sweep_claimed(caller, set, &set.claim_ledger(), None, session_budget)
     }
 
-    /// The tenant-scheduled sweep: claim the ready set into the
-    /// drainer's `ledger`, let `sched` plan which tenants' slots drain
-    /// this round (and with what per-slot budget), drain the chosen
-    /// slots, and release the deferred ones straight back to the bitmap.
+    /// The sweep: claim the ready set into the drainer's `ledger`, visit
+    /// the claimed slots, account for the trap.
     ///
-    /// Per-slot semantics (session resolution, `EIDRM`, budget re-marks,
-    /// cost accounting) are identical to [`Kernel::sys_smod_sweep`] —
-    /// the same code runs. The differences are the scheduler sitting
-    /// between claim and drain, per-tenant deficit charging, and the
-    /// claims being recorded in `ledger` so the plane's health monitor
-    /// can reclaim them if this drainer dies mid-sweep.
-    pub fn sys_smod_sweep_qos(
+    /// Without a scheduler each claimed slot is drained on the spot with
+    /// `session_budget`. With one, `sched` plans which tenants' slots
+    /// drain this round (and with what per-slot budget), the deferred
+    /// ones are released straight back to the bitmap, and each tenant's
+    /// deficit and lane are charged for what its slots drained. Either
+    /// way a claim stays in `ledger` until its visit has returned, so the
+    /// plane's health monitor can reclaim it if this drainer dies
+    /// mid-sweep.
+    pub(crate) fn sweep_claimed(
         &self,
         caller: Pid,
         set: &RingSet,
-        sched: &SweepScheduler,
         ledger: &ClaimLedger,
+        sched: Option<&SweepScheduler>,
         session_budget: usize,
     ) -> SysResult<SweepReport> {
-        self.procs.with(caller, |_| ())?;
-        let mut candidates: Vec<(RingSlotId, u32)> = Vec::new();
-        set.claim_ready(ledger, &mut candidates);
-        let raw: Vec<(usize, u32)> = candidates.iter().map(|(s, t)| (s.0, *t)).collect();
-        // The simulated clock positions the major frame, so
-        // time-partitioned tests are as deterministic as everything else.
-        let plan = sched.plan(&raw, self.clock.now_ns(), session_budget);
-
+        self.procs.with(caller, |_| ())?; // the drainer must be a live process
         let mut totals = SweepTotals::default();
         let mut scratch = DrainScratch::new();
-        for &(slot, _tenant) in &plan.deferred {
-            set.release_claimed(RingSlotId(slot), ledger);
-        }
-        for chosen in &plan.chosen {
-            let lane = sched.metrics().lane(chosen.tenant);
-            set.drain_claimed(RingSlotId(chosen.slot), ledger, |slot, rings| {
-                let drain =
-                    self.sweep_visit(set, slot, rings, chosen.budget, &mut scratch, &mut totals);
-                sched.charge(chosen.tenant, drain.drained as u64);
-                lane.completed.add(drain.completed as u64);
-                lane.failed.add(drain.failed as u64);
-                drain.remark
+        // One claimed slot's visit; `None` when the slot was busy or gone.
+        let mut visit = |slot: RingSlotId, budget: usize| {
+            let mut outcome = None;
+            set.drain_claimed(slot, ledger, |slot, rings| {
+                let drain = self.sweep_visit(set, slot, rings, budget, &mut scratch, &mut totals);
+                let remark = drain.remark;
+                outcome = Some(drain);
+                remark
             });
+            outcome
+        };
+        match sched {
+            None => {
+                set.claim_ready(ledger, |slot, _tenant| {
+                    visit(slot, session_budget);
+                });
+            }
+            Some(sched) => {
+                let mut candidates: Vec<(usize, u32)> = Vec::new();
+                set.claim_ready(ledger, |slot, tenant| candidates.push((slot.0, tenant)));
+                let plan = sched.plan(&candidates, session_budget);
+                for &(slot, _tenant) in &plan.deferred {
+                    set.release_claimed(RingSlotId(slot), ledger);
+                }
+                for chosen in &plan.chosen {
+                    if let Some(drain) = visit(RingSlotId(chosen.slot), chosen.budget) {
+                        sched.charge(chosen.tenant, drain.drained as u64);
+                        let lane = sched.metrics().lane(chosen.tenant);
+                        lane.completed.add(drain.completed as u64);
+                        lane.failed.add(drain.failed as u64);
+                    }
+                }
+            }
         }
         Ok(self.finish_sweep(caller, totals))
     }
@@ -721,7 +742,13 @@ mod tests {
         );
         let ledger = set.claim_ledger();
         let report = k
-            .sys_smod_sweep_qos(drainer, &set, &sched, &ledger, SMOD_BATCH_DEFAULT_BUDGET)
+            .sweep_claimed(
+                drainer,
+                &set,
+                &ledger,
+                Some(&sched),
+                SMOD_BATCH_DEFAULT_BUDGET,
+            )
             .unwrap();
         assert_eq!(report.sessions_ready, SESSIONS);
         assert_eq!(report.completed, SESSIONS * PER_SESSION as usize);
@@ -787,7 +814,7 @@ mod tests {
         let victim_rings = set.get(slots[0]).unwrap();
         let mut guard = 0;
         while !victim_rings.sq.is_empty() {
-            k.sys_smod_sweep_qos(drainer, &set, &sched, &ledger, 64)
+            k.sweep_claimed(drainer, &set, &ledger, Some(&sched), 64)
                 .unwrap();
             for slot in &slots {
                 let rings = set.get(*slot).unwrap();
@@ -825,7 +852,7 @@ mod tests {
         }
         // Drainer A claims everything and dies before draining.
         let dead_ledger = set.claim_ledger();
-        assert_eq!(set.claim_for_crash(&dead_ledger), SESSIONS);
+        assert_eq!(set.claim_ready(&dead_ledger, |_, _| ()), SESSIONS);
         // Supervisor verdict: reclaim, then drainer B sweeps normally.
         assert_eq!(set.reclaim(&dead_ledger), SESSIONS);
         let drainer_b = sweeper(&k);
@@ -834,7 +861,7 @@ mod tests {
         );
         let ledger_b = set.claim_ledger();
         let report = k
-            .sys_smod_sweep_qos(drainer_b, &set, &sched, &ledger_b, 64)
+            .sweep_claimed(drainer_b, &set, &ledger_b, Some(&sched), 64)
             .unwrap();
         assert_eq!(
             report.completed,

@@ -171,23 +171,16 @@ impl Gateway {
             .wrapping_add(self.kernel_epoch.load(SeqCst))
     }
 
-    /// Answer an access request, from cache when possible.
+    /// Answer an access request with the full [`Decision`], from the
+    /// sharded cache when possible. The reference query: it clones the
+    /// decision and never touches the thread-local tier.
     pub fn check(&self, req: &AccessRequest) -> crate::Result<Decision> {
-        self.check_with_origin(req).map(|(decision, _)| decision)
-    }
-
-    /// Answer an access request and report where the answer came from:
-    /// `true` means the decision was served from the cache, `false` means
-    /// the full policy fixpoint ran. Callers that charge different costs
-    /// for cached vs uncached checks (the kernel's `sys_smod_call`) use
-    /// this variant.
-    pub fn check_with_origin(&self, req: &AccessRequest) -> crate::Result<(Decision, bool)> {
         let key = req.cache_key(self.epoch());
         if let Some(decision) = self.cache.get(&key) {
-            return Ok((decision, true));
+            return Ok(decision);
         }
         let (decision, _) = self.miss(req, key, Decision::clone)?;
-        Ok((decision, false))
+        Ok(decision)
     }
 
     /// The one miss path: run the engine on `req`, record the decision in
@@ -213,39 +206,27 @@ impl Gateway {
         Ok((projected, key))
     }
 
-    /// The hot-path variant of [`Gateway::check_with_origin`]: answer only
-    /// "is this allowed?" plus the cache origin, without cloning the
-    /// cached [`Decision`] (an Allow carries its `used_assertions` vector;
-    /// cloning it per call would put a heap allocation inside the very
-    /// path the cache exists to make cheap). Errors count as deny, as in
-    /// [`Gateway::is_allowed`].
-    pub fn is_allowed_with_origin(&self, req: &AccessRequest) -> (bool, bool) {
-        let key = req.cache_key(self.epoch());
-        if let Some(allowed) = self.cache.probe(&key, Decision::is_allowed) {
-            return (allowed, true);
-        }
-        let allowed = matches!(self.miss(req, key, Decision::is_allowed), Ok((true, _)));
-        (allowed, false)
-    }
-
-    /// The submit-side fast path: like [`Gateway::is_allowed_with_origin`]
-    /// but fronted by the calling thread's L0 table and reporting which
-    /// tier answered. An L0 hit is a hash, at most two slot compares, and
-    /// a return — no locks, no shared counters, no atomic writes. Both
+    /// The production query: answer only "is this allowed?", without
+    /// cloning the cached [`Decision`] (an Allow carries its
+    /// `used_assertions` vector; cloning it per call would put a heap
+    /// allocation inside the very path the cache exists to make cheap),
+    /// fronted by the calling thread's L0 table and reporting which tier
+    /// answered. An L0 hit is a hash, at most two slot compares, and a
+    /// return — no locks, no shared counters, no atomic writes. Both
     /// cache tiers key on the same epoch-tagged [`CacheKey`], so the L0
     /// inherits the sharded cache's invalidation contract verbatim: any
     /// epoch movement makes every resident entry unreachable. Errors count
-    /// as deny and are cached at no tier, as in
-    /// [`Gateway::is_allowed_with_origin`].
+    /// as deny, as in [`Gateway::is_allowed`], and are cached at no tier.
     pub fn is_allowed_tiered(&self, req: &AccessRequest) -> (bool, DecisionTier) {
+        let key = req.cache_key(self.epoch());
         // A disabled cache disables every tier: the uncached baseline must
         // not be quietly served by a thread-local cache instead.
         if !self.cache.is_enabled() {
-            let (allowed, cached) = self.is_allowed_with_origin(req);
-            debug_assert!(!cached, "disabled cache reported a hit");
+            let hit = self.cache.probe(&key, Decision::is_allowed);
+            debug_assert!(hit.is_none(), "disabled cache reported a hit");
+            let allowed = matches!(self.miss(req, key, Decision::is_allowed), Ok((true, _)));
             return (allowed, DecisionTier::Engine);
         }
-        let key = req.cache_key(self.epoch());
         if let Some(allowed) = l0::lookup(self.id, &key) {
             return (allowed, DecisionTier::L0);
         }
@@ -264,7 +245,7 @@ impl Gateway {
         }
     }
 
-    /// Convenience wrapper returning a plain boolean (errors count as deny).
+    /// [`Gateway::check`] as a plain boolean (errors count as deny).
     pub fn is_allowed(&self, req: &AccessRequest) -> bool {
         matches!(self.check(req), Ok(d) if d.is_allowed())
     }
@@ -445,18 +426,6 @@ mod tests {
     }
 
     #[test]
-    fn check_with_origin_reports_cache_hits() {
-        let gate = gateway_with_alice();
-        let requesters = [alice()];
-        let r = req(&requesters, "libc", "malloc");
-        let (first, hit_first) = gate.check_with_origin(&r).unwrap();
-        let (second, hit_second) = gate.check_with_origin(&r).unwrap();
-        assert_eq!(first, second);
-        assert!(!hit_first, "first check must run the engine");
-        assert!(hit_second, "second check must be served from cache");
-    }
-
-    #[test]
     fn tiered_lookup_promotes_through_the_stack() {
         crate::l0::clear_thread_cache();
         let gate = gateway_with_alice();
@@ -586,7 +555,6 @@ mod tests {
                 gate.is_allowed_tiered(&denied),
                 (false, DecisionTier::Engine)
             );
-            assert_eq!(gate.is_allowed_with_origin(&denied), (false, false));
             assert_eq!(gate.check(&denied).unwrap(), Decision::Deny);
         }
     }

@@ -18,8 +18,6 @@
 //!   `quantum x weight` drain credit per round, slots of overdrafted
 //!   tenants are deferred (released back to the bitmap), and the
 //!   round-robin cursor rotates so no tenant is always served first.
-//!   The optional ARINC-653-style [`SweepMode::MajorFrame`] instead
-//!   gives each tenant a fixed time slice of the (simulated) clock.
 //! * [`HealthMonitor`] ([`health`]) — per-drainer heartbeat cells with a
 //!   missed-deadline state machine (`Alive -> Suspect -> Dead`). The
 //!   plane's supervisor polls [`HealthMonitor::take_dead`], reclaims the
@@ -84,30 +82,8 @@ impl TenantSpec {
     }
 }
 
-/// How the scheduler divides the sweep among tenants.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SweepMode {
-    /// Deficit round robin: every tenant with ready work accrues
-    /// `quantum x weight` entries of drain credit per round; a tenant
-    /// whose credit is exhausted has its slots deferred to a later
-    /// round. Work-conserving — an idle tenant's share flows to the
-    /// busy ones.
-    WeightedFair,
-    /// ARINC-653-style time partitioning: the major frame is the listed
-    /// tenants in order, each owning a fixed `slice_ns` window of the
-    /// clock; only the tenant owning the current slice is drained.
-    /// Not work-conserving — an idle slice stays idle — which is the
-    /// point: a tenant's worst-case service interval is bounded no
-    /// matter what its neighbours do. Tenants absent from the policy
-    /// ride every slice (they are unpartitioned).
-    MajorFrame {
-        /// Width of each tenant's slice in (simulated-clock) nanoseconds.
-        slice_ns: u64,
-    },
-}
-
-/// The plane-level QoS policy: the tenant roster, the scheduling mode,
-/// and the per-round drain quantum.
+/// The plane-level QoS policy: the tenant roster and the per-round drain
+/// quantum of the deficit-round-robin scheduler ([`sched`]).
 #[derive(Clone, Debug)]
 pub struct QosPolicy {
     /// Known tenants and their weights. Tenants that show up in traffic
@@ -118,8 +94,6 @@ pub struct QosPolicy {
     pub quantum: usize,
     /// Weight assumed for tenants not listed in `tenants`.
     pub default_weight: u32,
-    /// Scheduling mode.
-    pub mode: SweepMode,
 }
 
 impl QosPolicy {
@@ -129,20 +103,6 @@ impl QosPolicy {
             tenants: tenants.into_iter().collect(),
             quantum: 64,
             default_weight: 1,
-            mode: SweepMode::WeightedFair,
-        }
-    }
-
-    /// A major-frame policy: the listed tenants each own a `slice_ns`
-    /// window, in listing order.
-    pub fn major_frame(tenants: impl IntoIterator<Item = TenantSpec>, slice_ns: u64) -> QosPolicy {
-        QosPolicy {
-            tenants: tenants.into_iter().collect(),
-            quantum: 64,
-            default_weight: 1,
-            mode: SweepMode::MajorFrame {
-                slice_ns: slice_ns.max(1),
-            },
         }
     }
 

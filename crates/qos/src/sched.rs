@@ -20,7 +20,7 @@ use parking_lot::Mutex;
 use std::collections::HashMap;
 
 use crate::metrics::QosMetrics;
-use crate::{QosPolicy, SweepMode};
+use crate::QosPolicy;
 
 /// Deficit accrual cap, in rounds: a tenant's banked credit never
 /// exceeds `DEFICIT_CAP_ROUNDS x quantum x weight`, so a long-idle
@@ -95,15 +95,9 @@ impl SweepScheduler {
     }
 
     /// Plan one round over the claimed `candidates` (`(slot, tenant)`
-    /// pairs, in claim order). `now_ns` positions the major frame in
-    /// [`SweepMode::MajorFrame`]; `session_budget` caps any single
-    /// slot's entry budget.
-    pub fn plan(
-        &self,
-        candidates: &[(usize, u32)],
-        now_ns: u64,
-        session_budget: usize,
-    ) -> SweepPlan {
+    /// pairs, in claim order). `session_budget` caps any single slot's
+    /// entry budget.
+    pub fn plan(&self, candidates: &[(usize, u32)], session_budget: usize) -> SweepPlan {
         let mut plan = SweepPlan::default();
         if candidates.is_empty() {
             return plan;
@@ -120,12 +114,7 @@ impl SweepScheduler {
             }
         }
 
-        match self.policy.mode {
-            SweepMode::WeightedFair => self.plan_drr(&groups, session_budget, &mut plan),
-            SweepMode::MajorFrame { slice_ns } => {
-                self.plan_frame(&groups, now_ns, slice_ns, session_budget, &mut plan)
-            }
-        }
+        self.plan_drr(&groups, session_budget, &mut plan);
 
         for c in &plan.chosen {
             self.metrics.lane(c.tenant).chosen.incr();
@@ -193,50 +182,13 @@ impl SweepScheduler {
         }
     }
 
-    fn plan_frame(
-        &self,
-        groups: &[(u32, Vec<usize>)],
-        now_ns: u64,
-        slice_ns: u64,
-        session_budget: usize,
-        plan: &mut SweepPlan,
-    ) {
-        let roster = &self.policy.tenants;
-        let active = if roster.is_empty() {
-            None
-        } else {
-            let idx = (now_ns / slice_ns.max(1)) as usize % roster.len();
-            Some(roster[idx].id.0)
-        };
-        for (tenant, slots) in groups {
-            let partitioned = roster.iter().any(|s| s.id.0 == *tenant);
-            // Unpartitioned tenants ride every slice; partitioned ones
-            // only drain inside their own.
-            let eligible = !partitioned || Some(*tenant) == active;
-            for &slot in slots {
-                if eligible {
-                    plan.chosen.push(ChosenSlot {
-                        slot,
-                        tenant: *tenant,
-                        budget: session_budget,
-                    });
-                } else {
-                    plan.deferred.push((slot, *tenant));
-                }
-            }
-        }
-    }
-
-    /// Charge `tenant` for `entries` actually drained. Weighted-fair
-    /// mode spends the tenant's banked credit (possibly into overdraft);
-    /// major-frame mode keeps no credit, so this only feeds metrics.
+    /// Charge `tenant` for `entries` actually drained: spends the
+    /// tenant's banked credit, possibly into overdraft.
     pub fn charge(&self, tenant: u32, entries: u64) {
         self.metrics.lane(tenant).drained.add(entries);
-        if matches!(self.policy.mode, SweepMode::WeightedFair) {
-            let mut state = self.state.lock();
-            if let Some(lane) = state.lanes.get_mut(&tenant) {
-                lane.deficit -= entries as i64;
-            }
+        let mut state = self.state.lock();
+        if let Some(lane) = state.lanes.get_mut(&tenant) {
+            lane.deficit -= entries as i64;
         }
     }
 }
@@ -265,7 +217,7 @@ mod tests {
             candidates.extend((1..=adv_slots).map(|s| (s, 1u32)));
             // A session budget comfortably above quantum x weight, so the
             // per-slot cap never clips a heavy tenant with few slots.
-            let plan = sched.plan(&candidates, 0, 256);
+            let plan = sched.plan(&candidates, 256);
             for c in &plan.chosen {
                 match c.tenant {
                     0 => victim += c.budget as u64,
@@ -312,7 +264,7 @@ mod tests {
         let sched =
             SweepScheduler::new(QosPolicy::weighted_fair([TenantSpec::new(5, 1)]).with_quantum(64));
         let candidates: Vec<(usize, u32)> = (0..4).map(|s| (s, 5u32)).collect();
-        let plan = sched.plan(&candidates, 0, 128);
+        let plan = sched.plan(&candidates, 128);
         assert_eq!(plan.chosen.len(), 4, "every slot served: {plan:?}");
         for c in &plan.chosen {
             assert_eq!(c.budget, 16, "64 credit / 4 slots");
@@ -323,17 +275,17 @@ mod tests {
     fn overdrafted_tenant_defers_but_recovers() {
         let sched =
             SweepScheduler::new(QosPolicy::weighted_fair([TenantSpec::new(0, 1)]).with_quantum(4));
-        let plan = sched.plan(&[(0, 0)], 0, 64);
+        let plan = sched.plan(&[(0, 0)], 64);
         assert_eq!(plan.chosen.len(), 1);
         // Overshoot the credit far past the cap'd accrual.
         sched.charge(0, 40);
-        let starved = sched.plan(&[(0, 0)], 0, 64);
+        let starved = sched.plan(&[(0, 0)], 64);
         assert!(starved.chosen.is_empty(), "overdraft defers: {starved:?}");
         assert_eq!(starved.deferred, vec![(0, 0)]);
         // Accrual eventually pays the overdraft back.
         let mut served = false;
         for _ in 0..12 {
-            if !sched.plan(&[(0, 0)], 0, 64).chosen.is_empty() {
+            if !sched.plan(&[(0, 0)], 64).chosen.is_empty() {
                 served = true;
                 break;
             }
@@ -352,31 +304,14 @@ mod tests {
         // Many idle rounds (candidates present, never charged) cannot
         // bank more than DEFICIT_CAP_ROUNDS x quantum.
         for _ in 0..100 {
-            sched.plan(&[(0, 0)], 0, 1_000_000);
+            sched.plan(&[(0, 0)], 1_000_000);
         }
-        let plan = sched.plan(&[(0, 0)], 0, 1_000_000);
+        let plan = sched.plan(&[(0, 0)], 1_000_000);
         assert!(
             plan.chosen[0].budget <= (DEFICIT_CAP_ROUNDS as usize) * 8,
             "budget {} exceeds cap",
             plan.chosen[0].budget
         );
-    }
-
-    #[test]
-    fn major_frame_partitions_by_time_slice() {
-        let sched = SweepScheduler::new(QosPolicy::major_frame(
-            [TenantSpec::new(0, 1), TenantSpec::new(1, 1)],
-            1_000,
-        ));
-        let candidates = [(0usize, 0u32), (1usize, 1u32), (2usize, 9u32)];
-        let early = sched.plan(&candidates, 10, 64);
-        let chosen: Vec<u32> = early.chosen.iter().map(|c| c.tenant).collect();
-        assert!(chosen.contains(&0), "slice 0 serves tenant 0: {early:?}");
-        assert!(!chosen.contains(&1), "tenant 1 waits for its slice");
-        assert!(chosen.contains(&9), "unpartitioned tenants ride any slice");
-        let late = sched.plan(&candidates, 1_500, 64);
-        let chosen: Vec<u32> = late.chosen.iter().map(|c| c.tenant).collect();
-        assert!(chosen.contains(&1) && !chosen.contains(&0));
     }
 
     #[test]
@@ -386,8 +321,8 @@ mod tests {
             TenantSpec::new(1, 1),
         ]));
         let candidates = [(0usize, 0u32), (1usize, 1u32)];
-        let first = sched.plan(&candidates, 0, 64).chosen[0].tenant;
-        let second = sched.plan(&candidates, 0, 64).chosen[0].tenant;
+        let first = sched.plan(&candidates, 64).chosen[0].tenant;
+        let second = sched.plan(&candidates, 64).chosen[0].tenant;
         assert_ne!(first, second, "cursor rotates the first-served tenant");
     }
 }

@@ -48,10 +48,9 @@
 //!   with unreaped responses just as cheaply; submission refusals are
 //!   typed ([`set::SubmitError`]) so callers can tell backpressure
 //!   (`Full`: retry after a completion) from teardown (`Detached`: never
-//!   retry). Slots carry a raw tenant id, and the QoS sweep's
-//!   claim / plan / drain split records in-flight claims in a
-//!   per-drainer [`set::ClaimLedger`] so a dead drainer's stranded
-//!   readiness bits can be reclaimed.
+//!   retry). Slots carry a raw tenant id, and every sweep records its
+//!   in-flight claims in a per-drainer [`set::ClaimLedger`] so a dead
+//!   drainer's stranded readiness bits can be reclaimed.
 //!
 //! Nearly all of the workspace's `unsafe` lives in this crate (the rest
 //! is the `vendor/affinity` syscall shim): ring slot payloads live in

@@ -36,16 +36,16 @@
 //! and the QoS layer can schedule per tenant, without a dependency
 //! cycle either way.
 //!
-//! For QoS sweeps the one-shot [`RingSet::sweep_ready`] protocol splits
-//! into claim / plan / drain phases: [`RingSet::claim_ready`] claims
-//! whole bitmap words into the sweeping drainer's [`ClaimLedger`] (a
-//! crash-observable mirror of the bits the `swap(0)` moved into thread
-//! locals), a scheduler decides which claimed slots to drain, and
-//! [`RingSet::drain_claimed`] / [`RingSet::release_claimed`] finish or
-//! hand back each slot, clearing its ledger bit. If the drainer dies
-//! between claim and drain, the bits survive in the ledger and
-//! [`RingSet::reclaim`] moves them back onto the bitmap — that is the
-//! health monitor's no-entry-lost recovery path.
+//! Every claim is ledgered. [`RingSet::claim_ready`] moves whole bitmap
+//! words into the sweeping drainer's [`ClaimLedger`] — a crash-observable
+//! mirror of the bits the claim took off the bitmap — before it hands
+//! out a single slot; [`RingSet::drain_claimed`] visits one claimed slot
+//! and [`RingSet::release_claimed`] hands one back unvisited (a scheduler
+//! sitting between claim and drain deferred it), each clearing the slot's
+//! ledger bit. [`RingSet::sweep_ready`] is the two chained with nothing in
+//! between. If the drainer dies between claim and drain, the bits survive
+//! in the ledger and [`RingSet::reclaim`] moves them back onto the bitmap
+//! — that is the health monitor's no-entry-lost recovery path.
 
 use crate::arena::{ArenaRegion, ArgArena};
 use crate::call::{RingPairConfig, SmodCallReq, SubmissionRing};
@@ -112,51 +112,58 @@ impl std::error::Error for SubmitError {}
 /// A per-drainer mirror of the ready bits the drainer has claimed but
 /// not yet drained or released.
 ///
-/// [`RingSet::sweep_ready`]'s `swap(0)` moves claimed bits into thread
-/// locals — a drainer that dies mid-sweep takes them to the grave. A
-/// QoS sweep instead records every claim here ([`RingSet::claim_ready`])
-/// and clears each slot's bit as the drain or release finishes, so the
-/// set of in-flight claims is observable from outside the drainer
+/// The claiming swap takes bits off the shared bitmap; without a
+/// record, a drainer that died mid-sweep would take them to the grave.
+/// [`RingSet::claim_ready`] therefore records every claimed word here
+/// and each slot's bit is cleared as its drain or release finishes, so
+/// the set of in-flight claims is observable from outside the drainer
 /// thread. When the health monitor declares the drainer dead,
 /// [`RingSet::reclaim`] ORs the surviving bits back onto the readiness
 /// bitmap and clears the stuck drain flags — no entry lost, and none
 /// duplicated, because submission entries are only ever popped during a
 /// drain.
+///
+/// Only the owning drainer writes the words (two read-modify-writes per
+/// visited slot); the supervisor reads them, once, after a `Dead`
+/// verdict. Each word sits on a cache line of its own so those writes
+/// never contend with whatever the allocator placed next to the ledger.
 #[derive(Debug)]
 pub struct ClaimLedger {
-    words: Box<[AtomicU64]>,
+    words: Box<[CachePadded<AtomicU64>]>,
 }
 
 impl ClaimLedger {
     fn new(words: usize) -> ClaimLedger {
         ClaimLedger {
-            words: (0..words).map(|_| AtomicU64::new(0)).collect(),
+            words: (0..words).map(|_| CachePadded(AtomicU64::new(0))).collect(),
         }
     }
 
     #[inline]
     fn record_word(&self, word_idx: usize, bits: u64) {
         if bits != 0 {
-            self.words[word_idx].fetch_or(bits, Ordering::Release);
+            self.words[word_idx].0.fetch_or(bits, Ordering::Release);
         }
     }
 
     #[inline]
     fn clear_bit(&self, slot: usize) {
-        self.words[slot / 64].fetch_and(!(1u64 << (slot % 64)), Ordering::Release);
+        self.words[slot / 64]
+            .0
+            .fetch_and(!(1u64 << (slot % 64)), Ordering::Release);
     }
 
     /// Bits currently claimed and unresolved.
     pub fn claimed_count(&self) -> usize {
         self.words
             .iter()
-            .map(|w| w.load(Ordering::Acquire).count_ones() as usize)
+            .map(|w| w.0.load(Ordering::Acquire).count_ones() as usize)
             .sum()
     }
 
     /// Is every claim resolved (drained or released)?
     pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|w| w.load(Ordering::Acquire) == 0)
+        self.words.iter().all(|w| w.0.load(Ordering::Acquire) == 0)
     }
 }
 
@@ -189,7 +196,7 @@ pub struct SessionRings {
     /// at a time, so a producer re-flagging the bit mid-drain cannot
     /// hand the *same* rings to a second sweeper — which would interleave
     /// completions (breaking per-session FIFO) and double-reserve the
-    /// completion ring's free space. Claimed by [`RingSet::sweep_ready`];
+    /// completion ring's free space. Taken by [`RingSet::drain_claimed`];
     /// a sweeper finding the slot busy hands the ready bit back instead.
     draining: AtomicBool,
     /// Monotonic source of per-session `user_data` cookies (see
@@ -464,76 +471,52 @@ impl RingSet {
     /// behind, e.g. a budget cut the drain short). Returns how many slots
     /// were visited.
     ///
-    /// Claiming is a word-at-a-time `swap(0)`, so two concurrent sweeps
-    /// partition the ready set between them instead of convoying on the
-    /// same rings. On top of the bitmap, each slot carries a drain flag
-    /// giving **per-slot exclusivity**: a producer that re-flags a slot
-    /// while sweeper A is mid-drain cannot hand the same rings to
-    /// sweeper B — B finds the slot busy, returns the ready bit, and
-    /// moves on. One sweeper per slot at a time is what keeps
-    /// completions in per-session submission order and the
-    /// completion-ring space reservation single-counted.
+    /// This is [`RingSet::claim_ready`] with every claimed slot passed
+    /// straight to [`RingSet::drain_claimed`], over a ledger that lives
+    /// for the call — for callers nobody supervises.
     pub fn sweep_ready(
         &self,
         mut visit: impl FnMut(RingSlotId, &Arc<SessionRings>) -> bool,
     ) -> usize {
+        let ledger = self.claim_ledger();
         let mut visited = 0;
-        for (word_idx, word) in self.ready.iter().enumerate() {
-            let mut claimed = word.0.swap(0, Ordering::AcqRel);
-            while claimed != 0 {
-                let bit = claimed.trailing_zeros() as usize;
-                claimed &= claimed - 1;
-                let slot = RingSlotId(word_idx * 64 + bit);
-                let rings = match self.get(slot) {
-                    Some(r) => r,
-                    None => continue, // deregistered after flagging
-                };
-                if rings
-                    .draining
-                    .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
-                    .is_err()
-                {
-                    // Another sweeper is mid-drain on these rings: hand
-                    // the bit back so whoever finishes (or the next
-                    // sweep) picks the work up.
-                    self.mark_ready(slot);
-                    continue;
-                }
-                visited += 1;
-                let remark = visit(slot, &rings);
-                rings.draining.store(false, Ordering::Release);
-                if remark {
-                    self.mark_ready(slot);
-                }
-            }
-        }
+        self.claim_ready(&ledger, |slot, _tenant| {
+            visited += usize::from(self.drain_claimed(slot, &ledger, &mut visit));
+        });
         visited
     }
 
-    /// A fresh [`ClaimLedger`] sized for this set's bitmap. Each QoS
-    /// drainer owns one; the plane supervisor holds a second reference
-    /// for crash recovery.
+    /// A fresh [`ClaimLedger`] sized for this set's bitmap. Each drainer
+    /// owns one; the plane supervisor holds a second reference for crash
+    /// recovery.
     pub fn claim_ledger(&self) -> ClaimLedger {
         ClaimLedger::new(self.ready.len())
     }
 
     /// The tenant id `slot` was registered under, if registered.
     pub fn tenant_of(&self, slot: RingSlotId) -> Option<u32> {
-        self.get(slot).map(|r| r.tenant)
+        self.slots.get(slot.0)?.read().as_ref().map(|r| r.tenant)
     }
 
-    /// Phase one of a QoS sweep: claim every ready word into `ledger`
-    /// and append the still-registered claimed slots (with their tenant
-    /// ids) to `out`. Returns how many slots were claimed.
+    /// Claim every ready word into `ledger` and hand each claimed slot
+    /// that is still registered, with its tenant id, to `each`. Returns
+    /// how many slots were handed out.
     ///
-    /// No drain exclusivity is taken here — that happens per slot in
-    /// [`RingSet::drain_claimed`] — so a scheduler can sit between claim
-    /// and drain without holding any ring busy. Every claimed bit is
-    /// recorded in the ledger *before* the caller learns about it;
-    /// unresolved bits stay there until [`RingSet::drain_claimed`] /
-    /// [`RingSet::release_claimed`] clear them, or [`RingSet::reclaim`]
-    /// sweeps them back after the drainer died.
-    pub fn claim_ready(&self, ledger: &ClaimLedger, out: &mut Vec<(RingSlotId, u32)>) -> usize {
+    /// Claiming is one atomic swap per word, so two concurrent sweeps
+    /// partition the ready set between them instead of convoying on the
+    /// same rings. No drain exclusivity is taken here — that happens per
+    /// slot in [`RingSet::drain_claimed`] — so `each` may drain the slot
+    /// on the spot or queue it for a scheduler without holding any ring
+    /// busy. A word's bits are in the ledger *before* `each` sees the
+    /// first of its slots; unresolved bits stay there until
+    /// [`RingSet::drain_claimed`] / [`RingSet::release_claimed`] clear
+    /// them, or [`RingSet::reclaim`] sweeps them back after the drainer
+    /// died.
+    pub fn claim_ready(
+        &self,
+        ledger: &ClaimLedger,
+        mut each: impl FnMut(RingSlotId, u32),
+    ) -> usize {
         let mut claimed_slots = 0;
         for (word_idx, word) in self.ready.iter().enumerate() {
             let mut claimed = word.0.swap(0, Ordering::AcqRel);
@@ -542,10 +525,10 @@ impl RingSet {
                 let bit = claimed.trailing_zeros() as usize;
                 claimed &= claimed - 1;
                 let slot = RingSlotId(word_idx * 64 + bit);
-                match self.get(slot) {
-                    Some(rings) => {
+                match self.tenant_of(slot) {
+                    Some(tenant) => {
                         claimed_slots += 1;
-                        out.push((slot, rings.tenant));
+                        each(slot, tenant);
                     }
                     // Deregistered after flagging: nothing to drain, so
                     // nothing to keep claimed.
@@ -556,12 +539,16 @@ impl RingSet {
         claimed_slots
     }
 
-    /// Phase three of a QoS sweep: drain one claimed slot. Semantics
-    /// match one [`RingSet::sweep_ready`] visit — the drain flag gives
-    /// per-slot exclusivity (a busy slot hands its bit back instead),
-    /// and a visitor returning `true` re-marks the slot. The slot's
-    /// ledger bit is cleared however the drain resolves. Returns whether
-    /// the visitor ran.
+    /// Visit one claimed slot. The drain flag gives **per-slot
+    /// exclusivity**: a producer that re-flags a slot while sweeper A is
+    /// mid-drain cannot hand the same rings to sweeper B — B finds the
+    /// slot busy, returns the ready bit, and moves on. One sweeper per
+    /// slot at a time is what keeps completions in per-session
+    /// submission order and the completion-ring space reservation
+    /// single-counted. A visitor returning `true` re-marks the slot. The
+    /// slot's ledger bit is cleared however the visit resolves — unless
+    /// the visitor never returns, which is the case the ledger exists
+    /// for. Returns whether the visitor ran.
     pub fn drain_claimed(
         &self,
         slot: RingSlotId,
@@ -577,8 +564,10 @@ impl RingSet {
             .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
             .is_err()
         {
-            self.mark_ready(slot);
-            ledger.clear_bit(slot.0);
+            // Another sweeper is mid-drain on these rings: hand the bit
+            // back so whoever finishes (or the next sweep) picks the
+            // work up.
+            self.release_claimed(slot, ledger);
             return false;
         }
         let remark = visit(slot, &rings);
@@ -612,7 +601,7 @@ impl RingSet {
     pub fn reclaim(&self, ledger: &ClaimLedger) -> usize {
         let mut reclaimed = 0;
         for (word_idx, word) in ledger.words.iter().enumerate() {
-            let mut bits = word.swap(0, Ordering::AcqRel);
+            let mut bits = word.0.swap(0, Ordering::AcqRel);
             if bits == 0 {
                 continue;
             }
@@ -628,40 +617,6 @@ impl RingSet {
             }
         }
         reclaimed
-    }
-
-    /// **Fault injection only**: claim every ready slot into `ledger`
-    /// *and take its drain flag*, then stop — exactly the footprint of a
-    /// drainer that died between claiming and draining. The plane's
-    /// `DrainerCrash` scenario calls this from the drainer that is about
-    /// to "die"; only [`RingSet::reclaim`] can undo it. Returns how many
-    /// slots were stranded.
-    pub fn claim_for_crash(&self, ledger: &ClaimLedger) -> usize {
-        let mut stranded = 0;
-        for (word_idx, word) in self.ready.iter().enumerate() {
-            let mut claimed = word.0.swap(0, Ordering::AcqRel);
-            while claimed != 0 {
-                let bit = claimed.trailing_zeros() as usize;
-                claimed &= claimed - 1;
-                let slot = RingSlotId(word_idx * 64 + bit);
-                let Some(rings) = self.get(slot) else {
-                    continue;
-                };
-                if rings
-                    .draining
-                    .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
-                    .is_err()
-                {
-                    // Another drainer is live on this slot; it is not
-                    // ours to strand.
-                    self.mark_ready(slot);
-                    continue;
-                }
-                ledger.record_word(word_idx, 1u64 << bit);
-                stranded += 1;
-            }
-        }
-        stranded
     }
 }
 
@@ -977,7 +932,8 @@ mod tests {
 
         let ledger = set.claim_ledger();
         let mut candidates = Vec::new();
-        assert_eq!(set.claim_ready(&ledger, &mut candidates), 2);
+        let claimed = set.claim_ready(&ledger, |slot, tenant| candidates.push((slot, tenant)));
+        assert_eq!(claimed, 2);
         assert_eq!(candidates, vec![(a, 3), (b, 4)]);
         assert_eq!(ledger.claimed_count(), 2, "claims are observable");
         assert!(!set.any_ready(), "claimed bits left the bitmap");
@@ -1004,8 +960,7 @@ mod tests {
         let a = set.register(1, 1, RingPairConfig::default()).unwrap();
         set.submit(a, req(1, 0)).unwrap();
         let ledger = set.claim_ledger();
-        let mut candidates = Vec::new();
-        set.claim_ready(&ledger, &mut candidates);
+        assert_eq!(set.claim_ready(&ledger, |_, _| ()), 1);
         // Another sweeper is mid-drain on the slot.
         set.get(a).unwrap().draining.store(true, Ordering::Release);
         assert!(!set.drain_claimed(a, &ledger, |_, _| panic!("busy slot visited")));
@@ -1029,22 +984,35 @@ mod tests {
             }
         }
 
-        // The doomed drainer claims everything (bits + drain flags) and
-        // "dies" before draining.
+        // The doomed drainer claims all three slots, drains the first,
+        // and dies two entries into the second.
         let ledger = set.claim_ledger();
-        assert_eq!(set.claim_for_crash(&ledger), 3);
-        assert_eq!(ledger.claimed_count(), 3);
+        let mut seen = Vec::new();
+        let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            set.claim_ready(&ledger, |slot, _| {
+                set.drain_claimed(slot, &ledger, |slot, rings| {
+                    while let Some(r) = rings.sq.pop() {
+                        seen.push((slot, r.user_data));
+                        if (slot, r.user_data) == (slots[1], 1) {
+                            panic!("drainer dies mid-visit");
+                        }
+                    }
+                    false
+                });
+            })
+        }));
+        assert!(died.is_err());
+        assert_eq!(ledger.claimed_count(), 2, "the unfinished claims survive");
         assert!(!set.any_ready(), "stranded work is invisible to the bitmap");
-        // Even a forced re-mark cannot reach the rings: the dead
-        // drainer's drain flags still exclude everyone.
-        set.mark_all_ready();
+        // Even a forced re-mark cannot reach the slot it died in: the
+        // dead drainer's drain flag still excludes everyone.
+        set.mark_ready(slots[1]);
         assert_eq!(set.sweep_ready(|_, _| panic!("stranded slot drained")), 0);
 
         // Supervisor verdict: reclaim, then a normal sweep finds every
-        // entry exactly once.
-        assert_eq!(set.reclaim(&ledger), 3);
+        // remaining entry exactly once.
+        assert_eq!(set.reclaim(&ledger), 2);
         assert!(ledger.is_empty());
-        let mut seen = Vec::new();
         set.sweep_ready(|slot, rings| {
             while let Some(r) = rings.sq.pop() {
                 seen.push((slot, r.user_data));
@@ -1058,6 +1026,15 @@ mod tests {
             .collect();
         assert_eq!(seen, expect, "no loss, no duplicates");
         assert!(slots.iter().all(|s| set.get(*s).unwrap().sq.is_empty()));
+    }
+
+    #[test]
+    fn ledger_words_sit_on_cache_lines_of_their_own() {
+        let ledger = RingSet::with_capacity(256).claim_ledger();
+        assert_eq!(ledger.words.len(), 4);
+        for word in ledger.words.iter() {
+            assert_eq!(word as *const CachePadded<AtomicU64> as usize % 64, 0);
+        }
     }
 
     #[test]

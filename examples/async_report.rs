@@ -131,8 +131,8 @@ fn main() {
     // --- 3. completions/sec as logical clients scale past threads -----
     // The acceptance shape of the frontend: multiplying logical clients
     // by 10x and 100x while OS threads stay fixed should cost
-    // coordination, not collapse. (Definitive numbers come from
-    // `cargo bench --bench async_throughput`; this is the quick view.)
+    // coordination, not collapse. (Definitive numbers come from the
+    // `async_fanout` benchmark workload; this is the quick view.)
     println!(
         "\nscaling logical clients at fixed OS threads ({threads} executor + {drainers} drainer):"
     );

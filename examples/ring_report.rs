@@ -21,10 +21,10 @@
 //! multi-threaded `ring`, `plane` and `arena` workload scenarios, and
 //! finishes with the **QoS plane**: the weighted-fair `multitenant`
 //! scenario plus a per-tenant lane report showing the victim's drain
-//! share, a **major-frame jitter** analysis (per-tenant inter-service
-//! gap distributions, DRR vs time-sliced frames; the frame bound is
-//! asserted by `tests/ring_report_claims.rs`), and a pinned-vs-unpinned
-//! drainer wall-clock diagnostic (non-gating).
+//! share, a **jitter** analysis (per-tenant inter-service gap
+//! distributions under DRR; that every tenant is re-served is asserted
+//! by `tests/ring_report_claims.rs`), and a pinned-vs-unpinned drainer
+//! wall-clock diagnostic (non-gating).
 //!
 //! ```sh
 //! cargo run --release --example ring_report
@@ -482,86 +482,56 @@ fn main() {
     );
     print!("{}", sched.metrics().text_report());
 
-    // --- 7b. major-frame jitter: inter-service gaps vs DRR -------------
-    // The two QoS modes trade the same quantity in opposite directions:
-    // DRR minimises *jitter* (every backlogged tenant is served nearly
-    // every sweep, so inter-service gaps sit at one sweep period) while
-    // the major frame maximises *isolation* (a tenant drains only inside
-    // its own time slice, so its gap stretches to the foreign slices —
-    // but never past one frame). Both tenants stay backlogged and the
-    // scheduler is driven directly with a synthetic clock, so the gap
-    // distributions are exact, not scheduling noise. The frame bound — a
-    // partitioned tenant's p99 inter-service gap never exceeds the frame
-    // length (tenants x slice_ns) — is asserted, over this same synthetic
-    // clock, by tests/ring_report_claims.rs; here it is only printed.
+    // --- 7b. DRR jitter: inter-service gaps -----------------------------
+    // DRR minimises *jitter*: every backlogged tenant is served nearly
+    // every sweep, so inter-service gaps sit at one sweep period. Both
+    // tenants stay backlogged and the scheduler is driven directly with a
+    // synthetic clock, so the gap distributions are exact, not scheduling
+    // noise. That every tenant is re-served is asserted by
+    // tests/ring_report_claims.rs; here the gaps are only printed.
     use secmod::qos::SweepScheduler;
     const SWEEP_PERIOD_NS: u64 = 250; // one scheduling round per period
-    const SLICE_NS: u64 = 4_000; // 16 sweeps per tenant slice
     const JITTER_TENANTS: u64 = 2;
-    const FRAME_NS: u64 = JITTER_TENANTS * SLICE_NS;
-    const JITTER_ROUNDS: u64 = 4_096; // 1 ms simulated, 128 frames
+    const JITTER_ROUNDS: u64 = 4_096; // 1 ms simulated
     let percentile = |sorted: &[u64], q: f64| -> u64 {
         let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
         sorted[idx]
     };
     println!(
-        "\nmajor-frame jitter — per-tenant inter-service gap over {JITTER_ROUNDS} sweeps\n\
-         (sweep period {SWEEP_PERIOD_NS} ns, slice {SLICE_NS} ns, frame {FRAME_NS} ns; tenant 0\n\
-         offers 1 slot, tenant 1 floods 4; both always backlogged):"
+        "\nDRR jitter — per-tenant inter-service gap over {JITTER_ROUNDS} sweeps\n\
+         (sweep period {SWEEP_PERIOD_NS} ns; tenant 0 offers 1 slot, tenant 1 floods 4;\n\
+         both always backlogged):"
     );
-    for (label, policy) in [
-        (
-            "weighted_fair",
-            QosPolicy::weighted_fair([TenantSpec::new(0, 1), TenantSpec::new(1, 1)])
-                .with_quantum(16),
-        ),
-        (
-            "major_frame",
-            QosPolicy::major_frame([TenantSpec::new(0, 1), TenantSpec::new(1, 1)], SLICE_NS),
-        ),
-    ] {
-        let jitter_sched = SweepScheduler::new(policy);
-        let candidates: Vec<(usize, u32)> = [(0usize, 0u32), (1, 1), (2, 1), (3, 1), (4, 1)].into();
-        let mut last_served = [None::<u64>; 2];
-        let mut gaps: [Vec<u64>; 2] = [Vec::new(), Vec::new()];
-        for round in 0..JITTER_ROUNDS {
-            let now = round * SWEEP_PERIOD_NS;
-            let plan = jitter_sched.plan(&candidates, now, 16);
-            for tenant in 0..JITTER_TENANTS as u32 {
-                if plan.chosen.iter().any(|c| c.tenant == tenant) {
-                    if let Some(prev) = last_served[tenant as usize] {
-                        gaps[tenant as usize].push(now - prev);
-                    }
-                    last_served[tenant as usize] = Some(now);
+    let jitter_sched = SweepScheduler::new(
+        QosPolicy::weighted_fair([TenantSpec::new(0, 1), TenantSpec::new(1, 1)]).with_quantum(16),
+    );
+    let candidates: Vec<(usize, u32)> = [(0usize, 0u32), (1, 1), (2, 1), (3, 1), (4, 1)].into();
+    let mut last_served = [None::<u64>; 2];
+    let mut gaps: [Vec<u64>; 2] = [Vec::new(), Vec::new()];
+    for round in 0..JITTER_ROUNDS {
+        let now = round * SWEEP_PERIOD_NS;
+        let plan = jitter_sched.plan(&candidates, 16);
+        for tenant in 0..JITTER_TENANTS as u32 {
+            if plan.chosen.iter().any(|c| c.tenant == tenant) {
+                if let Some(prev) = last_served[tenant as usize] {
+                    gaps[tenant as usize].push(now - prev);
                 }
-            }
-            for c in &plan.chosen {
-                jitter_sched.charge(c.tenant, c.budget as u64);
+                last_served[tenant as usize] = Some(now);
             }
         }
-        println!("  {label}:");
-        for (tenant, gap) in gaps.iter_mut().enumerate() {
-            gap.sort_unstable();
-            let Some(&max) = gap.last() else {
-                println!("    tenant {tenant}: never re-served");
-                continue;
-            };
-            let (p50, p99) = (percentile(gap, 0.50), percentile(gap, 0.99));
-            let bound = if label == "major_frame" {
-                format!(" (frame {FRAME_NS} ns)")
-            } else {
-                String::new()
-            };
-            println!(
-                "    tenant {tenant}: gap p50 {p50:>5} ns  p99 {p99:>5} ns  max {max:>5} ns{bound}"
-            );
+        for c in &plan.chosen {
+            jitter_sched.charge(c.tenant, c.budget as u64);
         }
     }
-    println!(
-        "  DRR serves every backlogged tenant nearly every sweep (gap ~= sweep period);\n\
-         the major frame buys hard temporal isolation by stretching the gap to the\n\
-         foreign slices, bounded by one frame — predictable latency, higher jitter."
-    );
+    for (tenant, gap) in gaps.iter_mut().enumerate() {
+        gap.sort_unstable();
+        let Some(&max) = gap.last() else {
+            println!("    tenant {tenant}: never re-served");
+            continue;
+        };
+        let (p50, p99) = (percentile(gap, 0.50), percentile(gap, 0.99));
+        println!("    tenant {tenant}: gap p50 {p50:>5} ns  p99 {p99:>5} ns  max {max:>5} ns");
+    }
 
     // --- 8. pinned vs unpinned drainers: wall-clock diagnostic ---------
     // The same plane workload twice, drainers unpinned then pinned to

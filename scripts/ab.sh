@@ -18,8 +18,16 @@
 #
 # Prints one `run` line per run, then per workload and end-to-end metric:
 # median [q1, q3] of each side, the change's median relative to the
-# parent's, and the pairs the change won and lost; then `failed` and
-# `correct` per workload. A commit is exported with `git archive` into a
+# parent's, the pairs the change won and lost, and a verdict:
+#   better / worse   the median moved by more than the metric's bound and
+#                    the change won / lost at least 9 in 10 of the pairs
+#   unchanged        the medians differ by no more than the distance
+#                    between the parent's own quartiles, and that distance
+#                    is itself inside the bound
+#   unresolved       anything else: the runs cannot tell
+# then `failed` and `correct` per workload. Exits 1 on any `worse`, or when
+# the change failed more operations or got fewer runs correct than the
+# parent; 2 on a usage error. A commit is exported with `git archive` into a
 # temporary directory (under $TMPDIR, removed on exit): nothing is
 # written to the repository's .git, and the only files the run leaves in
 # the working tree are the benchmark's own benchmark/out/.
@@ -133,16 +141,33 @@ for w in "${workloads[@]}"; do
             }
             END {
                 sorted(a, NR); sorted(b, NR)
-                printf "%-15s %-13s parent %-34s change %-34s %+7.1f%%  won %d lost %d  (%s is better, bound %g%%)\n",
+                parent = quantile(a, NR, 0.5); change = quantile(b, NR, 0.5)
+                spread = quantile(a, NR, 0.75) - quantile(a, NR, 0.25)
+                moved = change > parent ? change - parent : parent - change
+                gained = (better == "higher") == (change > parent)
+                if (moved > bound * parent && (gained ? wins : losses) >= 0.9 * NR)
+                    verdict = gained ? "better" : "worse"
+                else if (moved <= spread && spread <= bound * parent)
+                    verdict = "unchanged"
+                else
+                    verdict = "unresolved"
+                printf "%-15s %-13s parent %-34s change %-34s %+7.1f%%  won %d lost %d  (%s is better, bound %g%%)  %s\n",
                     w, metric, summary(a, NR), summary(b, NR),
-                    (quantile(b, NR, 0.5) / quantile(a, NR, 0.5) - 1) * 100, wins, losses, better, bound * 100
+                    (parent ? change / parent - 1 : 0) * 100, wins, losses, better, bound * 100, verdict
             }'
     done <<<"$metrics"
-done
+done | tee "$work/verdicts"
+status=0
+if grep -q ' worse$' "$work/verdicts"; then status=1; fi
 for w in "${workloads[@]}"; do
     for name in parent change; do
         awk -v w="$w" -v name="$name" '{ failed += $1; correct += ($2 == "true") }
             END { printf "%-15s %-6s failed %d  correct %d/%d\n", w, name, failed, correct, NR }' \
             "$work/$w.verdict.$name"
-    done
+    done | tee "$work/$w.tally"
+    # failed must not rise and correct must not fall: fields 4 and 6 of
+    # the parent line, then of the change line
+    awk '{ split($6, c, "/"); f[NR] = $4; ok[NR] = c[1] } END { exit !(f[2] > f[1] || ok[2] < ok[1]) }' \
+        "$work/$w.tally" && status=1
 done
+exit "$status"

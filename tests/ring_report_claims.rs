@@ -1,6 +1,6 @@
 //! The claims `examples/ring_report.rs` prints, asserted: the example is
 //! a walkthrough and only narrates; what it says must hold is held here,
-//! on the same shapes and the same synthetic clock.
+//! on the same shapes.
 
 use secmod::gate::{build_dispatch_kernel_with_clients, ScenarioConfig, ScenarioKind};
 use secmod::prelude::Credential;
@@ -63,61 +63,25 @@ fn arena_settles_to_zero_after_a_64k_sweep() {
 }
 
 /// The jitter table: tenant 0 offers one slot, tenant 1 floods four, both
-/// always backlogged, the scheduler driven directly with a synthetic
-/// clock (one round per 250 ns) so the gap distributions are exact. Under
-/// both QoS modes every tenant is served again after its first service,
-/// and under the major frame a tenant's p99 inter-service gap never
-/// exceeds one frame (`tenants x slice_ns`).
+/// always backlogged, the scheduler driven directly. Every tenant is
+/// served again after its first service.
 #[test]
-fn every_tenant_is_reserved_and_a_major_frame_bounds_the_gap() {
-    const SWEEP_PERIOD_NS: u64 = 250;
-    const SLICE_NS: u64 = 4_000;
-    const FRAME_NS: u64 = 2 * SLICE_NS;
+fn every_tenant_is_reserved_against_a_slot_flood() {
     const ROUNDS: u64 = 4_096;
-    let tenants = || [TenantSpec::new(0, 1), TenantSpec::new(1, 1)];
-    for (label, policy, bound) in [
-        (
-            "weighted_fair",
-            QosPolicy::weighted_fair(tenants()).with_quantum(16),
-            None,
-        ),
-        (
-            "major_frame",
-            QosPolicy::major_frame(tenants(), SLICE_NS),
-            Some(FRAME_NS),
-        ),
-    ] {
-        let sched = SweepScheduler::new(policy);
-        let candidates = [(0usize, 0u32), (1, 1), (2, 1), (3, 1), (4, 1)];
-        let mut last_served = [None::<u64>; 2];
-        let mut gaps: [Vec<u64>; 2] = [Vec::new(), Vec::new()];
-        for round in 0..ROUNDS {
-            let now = round * SWEEP_PERIOD_NS;
-            let plan = sched.plan(&candidates, now, 16);
-            for tenant in 0..2usize {
-                if plan.chosen.iter().any(|c| c.tenant == tenant as u32) {
-                    if let Some(prev) = last_served[tenant].replace(now) {
-                        gaps[tenant].push(now - prev);
-                    }
-                }
-            }
-            for c in &plan.chosen {
-                sched.charge(c.tenant, c.budget as u64);
-            }
+    let tenants = [TenantSpec::new(0, 1), TenantSpec::new(1, 1)];
+    let sched = SweepScheduler::new(QosPolicy::weighted_fair(tenants).with_quantum(16));
+    let candidates = [(0usize, 0u32), (1, 1), (2, 1), (3, 1), (4, 1)];
+    let mut services = [0u64; 2];
+    for _ in 0..ROUNDS {
+        let plan = sched.plan(&candidates, 16);
+        for (tenant, served) in services.iter_mut().enumerate() {
+            *served += u64::from(plan.chosen.iter().any(|c| c.tenant == tenant as u32));
         }
-        for (tenant, gap) in gaps.iter_mut().enumerate() {
-            assert!(
-                !gap.is_empty(),
-                "tenant {tenant} was never re-served under {label}"
-            );
-            gap.sort_unstable();
-            let p99 = gap[((gap.len() - 1) as f64 * 0.99).round() as usize];
-            if let Some(frame) = bound {
-                assert!(
-                    p99 <= frame,
-                    "tenant {tenant} p99 gap {p99} ns exceeds the {frame} ns frame"
-                );
-            }
+        for c in &plan.chosen {
+            sched.charge(c.tenant, c.budget as u64);
         }
+    }
+    for (tenant, served) in services.iter().enumerate() {
+        assert!(*served >= 2, "tenant {tenant} was never re-served");
     }
 }
