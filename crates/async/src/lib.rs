@@ -25,10 +25,9 @@
 //! * [`sim`] — [`SimDriver`]: the same frontend single-threaded on the
 //!   simulated clock, for deterministic coherence tests.
 //!
-//! Both frontends implement the unified
-//! [`Dispatcher`][secmod_kernel::dispatch::Dispatcher] vocabulary
-//! (flavor `"async"`), so any harness written against the trait can be
-//! pointed at them unchanged.
+//! Both frontends' futures resolve to the
+//! [`DispatchOutcome`][secmod_kernel::dispatch::DispatchOutcome] a ring
+//! completion maps to.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

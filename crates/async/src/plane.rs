@@ -33,13 +33,9 @@
 //! the paper's fixed-cost-per-dispatch story measured at a concurrency
 //! the original syscall frontend cannot even express.
 
-use crate::exec::{block_on, join_all};
 use crate::route::{route_completions, SlotTable, TableMap};
 use crate::session::{AsyncSession, CallFuture, SessionCore, Target};
 use parking_lot::Mutex;
-use secmod_kernel::dispatch::{
-    DispatchCall, DispatchCaps, DispatchError, DispatchOutcome, Dispatcher,
-};
 use secmod_kernel::plane::{DispatchPlane, PlaneConfig, PlaneStats};
 use secmod_kernel::proc::Pid;
 use secmod_kernel::{Kernel, SysResult};
@@ -84,8 +80,8 @@ pub struct AsyncPlane {
     /// routed completion's cost under the async flavor, and sessions
     /// count their backpressure re-submits here.
     metrics: Arc<DispatchMetrics>,
-    /// Per-client session cache backing [`AsyncPlane::call`] and the
-    /// [`Dispatcher`] impl; cleared at shutdown.
+    /// Per-client session cache backing [`AsyncPlane::call`]; cleared at
+    /// shutdown.
     sessions: Mutex<HashMap<u32, AsyncSession>>,
 }
 
@@ -261,49 +257,13 @@ fn reactor_loop(
     }
 }
 
-impl Dispatcher for AsyncPlane {
-    /// One call, driven to completion on the calling thread.
-    fn dispatch_one(&self, client: Pid, proc_id: u32, args: &[u8]) -> DispatchOutcome {
-        let future = self
-            .call(client, proc_id, args.to_vec())
-            .map_err(DispatchError::from)?;
-        block_on(future)
-    }
-
-    /// All calls submitted up front, awaited together — in flight
-    /// concurrently through one session's rings. Submission is
-    /// coalesced: the whole burst is pushed eagerly with one doorbell
-    /// (see [`AsyncSession::call_batch`]).
-    fn dispatch_batch(
-        &self,
-        client: Pid,
-        calls: &[DispatchCall],
-    ) -> Result<Vec<DispatchOutcome>, DispatchError> {
-        let session = self.session(client).map_err(DispatchError::from)?;
-        let futures: Vec<CallFuture> =
-            session.call_batch(calls.iter().map(|call| (call.proc_id, call.args.clone())));
-        Ok(block_on(join_all(futures)))
-    }
-
-    fn capabilities(&self) -> DispatchCaps {
-        DispatchCaps {
-            flavor: "async",
-            batched: true,
-            trap_free: true,
-            asynchronous: true,
-        }
-    }
-
-    fn metrics(&self) -> Option<&DispatchMetrics> {
-        Some(&self.metrics)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::Executor;
+    use crate::exec::{block_on, join_all, Executor};
     use crate::testutil::kernel_with_clients;
+    use secmod_kernel::dispatch::DispatchError;
+    use secmod_kernel::Errno;
     use std::future::Future;
     use std::pin::Pin;
     use std::task::{Context, Wake, Waker};
@@ -340,26 +300,39 @@ mod tests {
 
     #[test]
     fn async_dispatcher_matches_the_kernel_flavor() {
+        // The same 32 calls — every fifth names an unknown function —
+        // through `sys_smod_call_batch` and through awaited futures.
         let (k, _m, clients, incr) = kernel_with_clients(1);
         let client = clients[0];
-        let calls: Vec<DispatchCall> = (0..32u64)
+        let calls: Vec<(u32, Vec<u8>)> = (0..32u64)
             .map(|i| {
-                if i % 5 == 0 {
-                    DispatchCall::new(u32::MAX, Vec::new()) // unknown function
-                } else {
-                    DispatchCall::new(incr, i.to_le_bytes().to_vec())
-                }
+                let func = if i % 5 == 0 { u32::MAX } else { incr };
+                (func, i.to_le_bytes().to_vec())
             })
             .collect();
-        let expected = k.dispatch_batch(client, &calls).unwrap();
-        let kernel = Arc::new(k);
-        let plane = AsyncPlane::start(kernel, PlaneConfig::default()).unwrap();
-        assert!(plane.capabilities().asynchronous);
-        assert_eq!(plane.dispatch_batch(client, &calls).unwrap(), expected);
+        let session = k.session_of(client).unwrap().id.0;
+        let (sq, cq) = secmod_ring::RingPairConfig::default().build();
+        for (i, (proc_id, args)) in calls.iter().enumerate() {
+            sq.push_spsc(secmod_ring::SmodCallReq {
+                session,
+                proc_id: *proc_id,
+                user_data: i as u64,
+                args: args.as_slice().into(),
+            })
+            .unwrap();
+        }
+        k.sys_smod_call_batch(client, &sq, &cq, 32).unwrap();
+        let expected: Vec<_> = std::iter::from_fn(|| cq.pop_spsc())
+            .map(DispatchError::from_resp)
+            .collect();
+        assert_eq!(expected.len(), 32);
+        assert_eq!(expected[0], Err(DispatchError::Errno(Errno::ENOENT)));
+
+        let plane = AsyncPlane::start(Arc::new(k), PlaneConfig::default()).unwrap();
+        let futures = plane.session(client).unwrap().call_batch(calls);
+        assert_eq!(block_on(join_all(futures)), expected);
         assert_eq!(
-            plane
-                .dispatch_one(client, incr, &41u64.to_le_bytes())
-                .unwrap(),
+            block_on(plane.call(client, incr, 41u64.to_le_bytes()).unwrap()).unwrap(),
             42u64.to_le_bytes().to_vec()
         );
         plane.shutdown();
@@ -405,7 +378,7 @@ mod tests {
             "the cost covers at least the policy decision, got {cost_ns}"
         );
         // The reactor recorded the completion under the async flavor.
-        let summary = plane.metrics().unwrap().latency(secmod_obs::Flavor::Async);
+        let summary = kernel.metrics.latency(secmod_obs::Flavor::Async);
         assert!(summary.count() >= 1);
         plane.shutdown();
     }

@@ -14,8 +14,8 @@
 //!    stalled producer must cost a suspended task, not a burning core).
 //! 2. **Submitted** — wait for the router to deliver the response into
 //!    the table entry and wake us.
-//! 3. **Done** — the entry is removed; the outcome is the same
-//!    [`DispatchOutcome`] every other dispatch flavor produces.
+//! 3. **Done** — the entry is removed; the outcome is the
+//!    [`DispatchOutcome`] its completion maps to.
 //!
 //! Dropping the future at any point removes its table entry: an
 //! already-submitted request still executes (the kernel has it), but its

@@ -21,13 +21,10 @@
 use crate::secure_module::SecureModule;
 use crate::{Result, SmodError};
 use secmod_async::SimDriver;
-use secmod_kernel::dispatch::{
-    DispatchCall, DispatchCaps, DispatchError, DispatchOutcome, Dispatcher,
-};
 use secmod_kernel::smod::{SessionId, SmodCallArgs};
 use secmod_kernel::{CostModel, Credential, Kernel, Pid};
 use secmod_module::ModuleId;
-use secmod_ring::{RingPairConfig, SmodCallReq};
+use secmod_ring::RingPairConfig;
 use secmod_vm::Vaddr;
 use std::collections::HashMap;
 
@@ -163,141 +160,6 @@ impl SimWorld {
         )?)
     }
 
-    /// Batched dispatch through `sys_smod_call_batch`: invoke `symbol`
-    /// once per entry of `args_list`, resolving the session and
-    /// credentials once for the whole batch instead of per call. Returns
-    /// one `(errno, result bytes)` per entry in submission order —
-    /// per-entry failures (e.g. a policy denial) complete their entry
-    /// without failing the batch. Takes `&self` like [`SimWorld::call`].
-    pub fn call_batch(
-        &self,
-        client: Pid,
-        symbol: &str,
-        args_list: &[&[u8]],
-    ) -> Result<Vec<std::result::Result<Vec<u8>, secmod_kernel::Errno>>> {
-        let m_id = *self
-            .client_modules
-            .get(&client)
-            .ok_or(SmodError::NoSession)?;
-        let func_id = *self
-            .stubs
-            .get(&m_id)
-            .and_then(|m| m.get(symbol))
-            .ok_or_else(|| SmodError::UnknownFunction(symbol.to_string()))?;
-        let session = self
-            .kernel
-            .session_of(client)
-            .ok_or(SmodError::NoSession)?
-            .id
-            .0;
-        let (sq, cq) = RingPairConfig {
-            submission: args_list.len().max(1),
-            completion: args_list.len().max(1),
-        }
-        .build();
-        for (i, args) in args_list.iter().enumerate() {
-            sq.push_spsc(SmodCallReq {
-                session,
-                proc_id: func_id,
-                user_data: i as u64,
-                args: (*args).into(),
-            })
-            .expect("submission ring sized to the batch");
-        }
-        self.kernel
-            .sys_smod_call_batch(client, &sq, &cq, args_list.len().max(1))?;
-        let mut out = Vec::with_capacity(args_list.len());
-        while let Some(resp) = cq.pop_spsc() {
-            out.push(if resp.is_ok() {
-                Ok(resp.into_ret())
-            } else {
-                Err(secmod_kernel::Errno::from_code(resp.errno)
-                    .unwrap_or(secmod_kernel::Errno::EINVAL))
-            });
-        }
-        Ok(out)
-    }
-
-    /// Multi-session sweep dispatch through `sys_smod_sweep`: one batch
-    /// of calls **per client**, all drained in a single
-    /// syscall-equivalent that resolves each session once. Each element
-    /// of `batches` is `(client, symbol, argument blocks)`; the return
-    /// value mirrors the input shape, one `(errno | result)` per entry
-    /// per client, in submission order. The sweep is performed by the
-    /// world's registrar process (the stand-in for a dedicated drainer).
-    ///
-    /// This is [`SimWorld::call_batch`] taken one amortisation level
-    /// further: where `call_batch` pays the fixed trap per client,
-    /// `call_sweep` pays it once for all of them. Takes `&self`.
-    #[allow(clippy::type_complexity)]
-    pub fn call_sweep(
-        &self,
-        batches: &[(Pid, &str, &[&[u8]])],
-    ) -> Result<Vec<Vec<std::result::Result<Vec<u8>, secmod_kernel::Errno>>>> {
-        use secmod_ring::RingSet;
-        let set = RingSet::with_capacity(batches.len().max(1));
-        let mut slots = Vec::with_capacity(batches.len());
-        let mut budget = 1usize;
-        for (client, symbol, args_list) in batches {
-            let m_id = *self
-                .client_modules
-                .get(client)
-                .ok_or(SmodError::NoSession)?;
-            let func_id = *self
-                .stubs
-                .get(&m_id)
-                .and_then(|m| m.get(*symbol))
-                .ok_or_else(|| SmodError::UnknownFunction(symbol.to_string()))?;
-            let session = self
-                .kernel
-                .session_of(*client)
-                .ok_or(SmodError::NoSession)?;
-            let capacity = args_list.len().max(1);
-            budget = budget.max(capacity);
-            let slot = set
-                .register(
-                    session.id.0,
-                    client.0,
-                    RingPairConfig {
-                        submission: capacity,
-                        completion: capacity,
-                    },
-                )
-                .expect("ring set sized to the batch list");
-            for (i, args) in args_list.iter().enumerate() {
-                set.submit(
-                    slot,
-                    SmodCallReq {
-                        session: session.id.0,
-                        proc_id: func_id,
-                        user_data: i as u64,
-                        args: (*args).into(),
-                    },
-                )
-                .expect("submission ring sized to the batch");
-            }
-            slots.push(slot);
-        }
-        self.kernel.sys_smod_sweep(self.registrar, &set, budget)?;
-        let mut out = Vec::with_capacity(batches.len());
-        for (slot, (_, _, args_list)) in slots.iter().zip(batches) {
-            let rings = set.get(*slot).expect("slot registered above");
-            let mut results: Vec<std::result::Result<Vec<u8>, secmod_kernel::Errno>> =
-                vec![Err(secmod_kernel::Errno::EINVAL); args_list.len()];
-            while let Some(resp) = rings.cq.pop_spsc() {
-                let idx = resp.user_data as usize;
-                results[idx] = if resp.is_ok() {
-                    Ok(resp.into_ret())
-                } else {
-                    Err(secmod_kernel::Errno::from_code(resp.errno)
-                        .unwrap_or(secmod_kernel::Errno::EINVAL))
-                };
-            }
-            out.push(results);
-        }
-        Ok(out)
-    }
-
     /// Native (non-SecModule) `getpid()` for the baseline measurement.
     pub fn native_getpid(&self, client: Pid) -> Result<Pid> {
         Ok(self.kernel.sys_getpid(client)?)
@@ -350,8 +212,8 @@ impl SimWorld {
         Ok(())
     }
 
-    /// Resolve a connected client's `symbol` to the func id the
-    /// [`Dispatcher`] vocabulary and the async frontend speak.
+    /// Resolve a connected client's `symbol` to the func id the ring
+    /// entries and the async frontend name functions by.
     pub fn func_id(&self, client: Pid, symbol: &str) -> Result<u32> {
         let m_id = *self
             .client_modules
@@ -380,38 +242,11 @@ impl SimWorld {
     }
 }
 
-impl Dispatcher for SimWorld {
-    /// One simulated trap per call, same as [`SimWorld::call`] but in the
-    /// unified vocabulary (func ids instead of symbols — resolve with
-    /// [`SimWorld::func_id`]).
-    fn dispatch_one(&self, client: Pid, proc_id: u32, args: &[u8]) -> DispatchOutcome {
-        self.kernel.dispatch_one(client, proc_id, args)
-    }
-
-    /// One simulated trap per batch, via the kernel's throwaway-ring
-    /// batch path.
-    fn dispatch_batch(
-        &self,
-        client: Pid,
-        calls: &[DispatchCall],
-    ) -> std::result::Result<Vec<DispatchOutcome>, DispatchError> {
-        self.kernel.dispatch_batch(client, calls)
-    }
-
-    fn capabilities(&self) -> DispatchCaps {
-        DispatchCaps {
-            flavor: "sim",
-            batched: true,
-            trap_free: false,
-            asynchronous: false,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::secure_module::SecureModuleBuilder;
+    use secmod_ring::SmodCallReq;
 
     const KEY: &[u8] = b"alice-key";
 
@@ -474,34 +309,6 @@ mod tests {
     }
 
     #[test]
-    fn sim_world_speaks_the_dispatcher_vocabulary() {
-        let (world, client) = connected_world();
-        let incr = world.func_id(client, "incr").unwrap();
-        assert_eq!(world.capabilities().flavor, "sim");
-        assert_eq!(
-            world
-                .dispatch_one(client, incr, &41u64.to_le_bytes())
-                .unwrap(),
-            42u64.to_le_bytes().to_vec()
-        );
-        let calls: Vec<DispatchCall> = (0..4u64)
-            .map(|i| DispatchCall::new(incr, i.to_le_bytes().to_vec()))
-            .collect();
-        for (i, outcome) in world
-            .dispatch_batch(client, &calls)
-            .unwrap()
-            .into_iter()
-            .enumerate()
-        {
-            assert_eq!(outcome.unwrap(), (i as u64 + 1).to_le_bytes().to_vec());
-        }
-        assert!(matches!(
-            world.func_id(client, "nonexistent"),
-            Err(SmodError::UnknownFunction(_))
-        ));
-    }
-
-    #[test]
     fn handle_reads_client_heap_through_shared_pages() {
         let (world, client) = connected_world();
         let addr = world.heap_base();
@@ -558,31 +365,67 @@ mod tests {
         assert!(world.module_id("libdemo").is_none());
     }
 
+    /// One `SmodCallReq` per argument block, in order, for `client`'s
+    /// session.
+    fn incr_reqs<'a>(
+        world: &'a SimWorld,
+        client: Pid,
+        args: &'a [Vec<u8>],
+    ) -> impl Iterator<Item = SmodCallReq> + 'a {
+        let session = world.kernel.session_of(client).unwrap().id.0;
+        let proc_id = world.func_id(client, "incr").unwrap();
+        args.iter().enumerate().map(move |(i, a)| SmodCallReq {
+            session,
+            proc_id,
+            user_data: i as u64,
+            args: a.as_slice().into(),
+        })
+    }
+
+    /// Every completion, in order, is `incr` of its argument block.
+    fn assert_incremented(cq: &secmod_ring::CompletionRing, n: u64) {
+        for i in 0..n {
+            let resp = cq.pop_spsc().expect("one completion per entry");
+            assert_eq!(resp.user_data, i);
+            assert!(resp.is_ok());
+            assert_eq!(
+                u64::from_le_bytes(resp.into_ret().try_into().unwrap()),
+                i + 1
+            );
+        }
+        assert!(cq.pop_spsc().is_none());
+    }
+
     #[test]
     fn call_batch_matches_sequential_calls_at_lower_cost() {
         let (world, client) = connected_world();
         let args: Vec<Vec<u8>> = (0..32u64).map(|i| i.to_le_bytes().to_vec()).collect();
-        let arg_refs: Vec<&[u8]> = args.iter().map(|a| a.as_slice()).collect();
 
         let (_, sequential_ns) = world.measure(|w| {
-            for a in &arg_refs {
+            for a in &args {
                 w.call(client, "incr", a).unwrap();
             }
         });
-        let (batched, batched_ns) =
-            world.measure(|w| w.call_batch(client, "incr", &arg_refs).unwrap());
-        assert_eq!(batched.len(), 32);
-        for (i, result) in batched.into_iter().enumerate() {
-            let bytes = result.expect("batched incr succeeds");
-            assert_eq!(u64::from_le_bytes(bytes.try_into().unwrap()), i as u64 + 1);
+        let (sq, cq) = RingPairConfig {
+            submission: 32,
+            completion: 32,
         }
+        .build();
+        for req in incr_reqs(&world, client, &args) {
+            sq.push_spsc(req).unwrap();
+        }
+        let (report, batched_ns) =
+            world.measure(|w| w.kernel.sys_smod_call_batch(client, &sq, &cq, 32).unwrap());
+        assert_eq!(report.completed, 32);
+        assert_incremented(&cq, 32);
         assert!(
             batched_ns < sequential_ns,
             "batched {batched_ns} ns not cheaper than sequential {sequential_ns} ns"
         );
-        // Unknown symbols and missing sessions fail the whole batch, like
-        // `call`.
-        assert!(world.call_batch(client, "nope", &arg_refs).is_err());
+        assert!(matches!(
+            world.func_id(client, "nope"),
+            Err(SmodError::UnknownFunction(_))
+        ));
     }
 
     #[test]
@@ -605,34 +448,47 @@ mod tests {
             })
             .collect();
         let args: Vec<Vec<u8>> = (0..16u64).map(|i| i.to_le_bytes().to_vec()).collect();
-        let arg_refs: Vec<&[u8]> = args.iter().map(|a| a.as_slice()).collect();
+        let ring = RingPairConfig {
+            submission: 16,
+            completion: 16,
+        };
+        let set = secmod_ring::RingSet::with_capacity(clients.len());
+        let slots: Vec<_> = clients
+            .iter()
+            .map(|&c| {
+                let session = world.kernel.session_of(c).unwrap().id.0;
+                set.register(session, c.0, ring).unwrap()
+            })
+            .collect();
 
         let (_, batched_ns) = world.measure(|w| {
-            for &c in &clients {
-                w.call_batch(c, "incr", &arg_refs).unwrap();
+            for (&c, &slot) in clients.iter().zip(&slots) {
+                let rings = set.get(slot).unwrap();
+                for req in incr_reqs(w, c, &args) {
+                    rings.sq.push_spsc(req).unwrap();
+                }
+                w.kernel
+                    .sys_smod_call_batch(c, &rings.sq, &rings.cq, 16)
+                    .unwrap();
+                assert_incremented(&rings.cq, 16);
             }
         });
-        let batches: Vec<(Pid, &str, &[&[u8]])> = clients
-            .iter()
-            .map(|&c| (c, "incr", arg_refs.as_slice()))
-            .collect();
-        let (swept, sweep_ns) = world.measure(|w| w.call_sweep(&batches).unwrap());
-        assert_eq!(swept.len(), 3);
-        for per_client in swept {
-            assert_eq!(per_client.len(), 16);
-            for (i, result) in per_client.into_iter().enumerate() {
-                let bytes = result.expect("swept incr succeeds");
-                assert_eq!(u64::from_le_bytes(bytes.try_into().unwrap()), i as u64 + 1);
+        let (report, sweep_ns) = world.measure(|w| {
+            for (&c, &slot) in clients.iter().zip(&slots) {
+                for req in incr_reqs(w, c, &args) {
+                    set.submit(slot, req).unwrap();
+                }
             }
+            w.kernel.sys_smod_sweep(w.registrar, &set, 16).unwrap()
+        });
+        assert_eq!((report.sessions_swept, report.completed), (3, 48));
+        for &slot in &slots {
+            assert_incremented(&set.get(slot).unwrap().cq, 16);
         }
         assert!(
             sweep_ns < batched_ns,
             "sweep {sweep_ns} ns not cheaper than per-client batches {batched_ns} ns"
         );
-        // Input validation mirrors call_batch.
-        assert!(world
-            .call_sweep(&[(clients[0], "nope", arg_refs.as_slice())])
-            .is_err());
     }
 
     #[test]

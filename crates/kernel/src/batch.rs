@@ -5,44 +5,42 @@
 //! A single `sys_smod_call` pays fixed costs on every invocation —
 //! syscall entry, process/session resolution, cost-model accounting —
 //! before any useful work happens. The batched entry point resolves the
-//! caller's session, credential prototype and module gateway **once**,
-//! then drains up to `batch_budget` [`SmodCallReq`] entries from a
-//! [`SubmissionRing`], pushing one [`SmodCallResp`] per entry into the
-//! paired [`CompletionRing`]. The fixed work is charged once per batch
-//! through [`crate::cost::CostModel::batched_dispatch_ns`]; per-entry
-//! work (policy decision, argument copy, the function body) is charged
-//! per entry, with cached vs uncached decisions still priced honestly.
+//! caller's session and module gateway **once**, then drains up to
+//! `batch_budget` [`SmodCallReq`] entries from a [`SubmissionRing`],
+//! running each through the same [`Kernel::call_entry`] a single call
+//! runs and pushing one [`SmodCallResp`] per entry into the paired
+//! [`CompletionRing`]. The fixed work is charged once per batch through
+//! [`crate::cost::CostModel::batched_dispatch_ns`] by the same
+//! [`Kernel::finish_trap`] a single call leaves through; per-entry work
+//! (policy decision, argument copy, the function body) is charged per
+//! entry, with cached vs uncached decisions still priced honestly.
 //!
-//! Entries are processed in chunks of [`BATCH_CHUNK`] under one
-//! acquisition of the client/handle pair locks, so a long batch does not
-//! starve teardown: between chunks the kernel re-reads the invalidation
-//! epochs, and if anything moved it re-validates that the session and
-//! its module still exist. A detach or module removal that lands
-//! mid-batch therefore fails every remaining entry with `EIDRM`
-//! ("identifier removed") instead of dispatching into a dead module —
-//! the batched analogue of the single-call path's epoch fold.
+//! Entries are processed in chunks of [`BATCH_CHUNK`] under one hold of
+//! the client/handle pair locks, so a long batch does not starve
+//! teardown: between chunks the kernel re-reads the invalidation epochs,
+//! and if anything moved it re-validates that the session and its module
+//! still exist. A detach or module removal that lands mid-batch therefore
+//! fails every remaining entry with `EIDRM` ("identifier removed")
+//! instead of dispatching into a dead module — the batched analogue of
+//! the single-call path's epoch fold.
 //!
 //! Within a chunk, decisions are served from a **drain-local memo**
 //! keyed by function id: the first entry for a function resolves through
 //! the module gateway (and charges the true cached/uncached cost),
 //! repeats are priced as cached decisions. The memo is cleared whenever
 //! the gateway's epoch moves (policy grant, key registration, or any
-//! kernel detach/remove), so its staleness window is one chunk — the
-//! same window at which teardown is honoured.
+//! kernel detach/remove) or the live credential does, so its staleness
+//! window is one chunk — the same window at which teardown is honoured.
 //!
-//! The chunked loop itself — epoch re-read, per-chunk credential
-//! re-verification, EIDRM on teardown, completion-space reservation — is
-//! factored into [`SessionDrain`] / [`Kernel::drain_session_rings`] so
-//! that the per-session path here and the multi-session
-//! `sys_smod_sweep` share one implementation instead of two copies of
-//! the re-check logic.
+//! The chunked loop itself — epoch re-read, EIDRM on teardown,
+//! completion-space reservation — is [`SessionDrain`] /
+//! [`Kernel::drain_session_rings`], shared by the per-session path here
+//! and the multi-session `sys_smod_sweep`.
 
 use crate::errno::Errno;
 use crate::kernel::Kernel;
 use crate::proc::Pid;
-use crate::smod::{Session, SessionState};
-use crate::smodreg::{FunctionBody, RegisteredModule};
-use crate::trace::Event;
+use crate::smod::{PairHold, Session, SessionState, TrapTally, Verdict};
 use crate::SysResult;
 use secmod_obs::Flavor;
 use secmod_ring::{ArenaRegion, ArgRef, CompletionRing, SmodCallReq, SmodCallResp, SubmissionRing};
@@ -69,69 +67,8 @@ pub struct BatchReport {
     /// The amortised per-batch fixed cost charged to the caller:
     /// [`crate::cost::CostModel::batched_dispatch_ns`] of the entries
     /// that underwent a policy check or body run (validation rejects are
-    /// free, as on the single-call path).
+    /// free; a drain of nothing else pays the bare trap).
     pub fixed_cost_ns: u64,
-}
-
-/// The drain's one tally: everything a drained entry adds to the shared
-/// [`secmod_obs::DispatchMetrics`] registry is counted here and flushed
-/// once per drain, so the per-entry loop writes no shared cache line and
-/// the registry is exact again by the time the drain returns. (A
-/// producer that reaps a completion *while* its drain is still running
-/// may read totals that do not include it yet.)
-///
-/// Latency is tallied as runs of equal `cost_ns`: entries of one
-/// function and payload size cost the same, so a drain has a handful of
-/// distinct values and records each run with one `record_n`.
-#[derive(Default)]
-struct DrainTally {
-    gate_hits: u64,
-    gate_misses: u64,
-    inline_args: u64,
-    arena_args: u64,
-    eidrm_failures: u64,
-    run_cost_ns: u64,
-    run_len: u64,
-}
-
-impl DrainTally {
-    fn gate(&mut self, tier: secmod_policy::DecisionTier) {
-        if tier.is_cached() {
-            self.gate_hits += 1;
-        } else {
-            self.gate_misses += 1;
-        }
-    }
-
-    fn latency(&mut self, latency: &secmod_obs::Histogram, cost_ns: u64) {
-        if cost_ns != self.run_cost_ns {
-            latency.record_n(self.run_cost_ns, self.run_len);
-            self.run_cost_ns = cost_ns;
-            self.run_len = 0;
-        }
-        self.run_len += 1;
-    }
-
-    fn flush(self, latency: &secmod_obs::Histogram, metrics: &secmod_obs::DispatchMetrics) {
-        latency.record_n(self.run_cost_ns, self.run_len);
-        metrics.gate_hits.add(self.gate_hits);
-        metrics.gate_misses.add(self.gate_misses);
-        metrics.arena.inline_args.add(self.inline_args);
-        metrics.arena.arena_args.add(self.arena_args);
-        metrics.eidrm_failures.add(self.eidrm_failures);
-    }
-}
-
-/// One memoised per-drain dispatch decision for a function id.
-enum MemoEntry {
-    /// No such stub: `ENOENT`.
-    Missing,
-    /// Policy denies the caller this function: `EACCES`.
-    Denied,
-    /// Stub exists but no body is registered: `ENOSYS`.
-    NoBody,
-    /// Allowed; the body to run (Arc-cloned once per drain, not per call).
-    Allowed(FunctionBody),
 }
 
 /// Reusable drain buffers: the decision memo and the chunk staging
@@ -139,7 +76,7 @@ enum MemoEntry {
 /// session it visits (the memo is cleared per session — decisions are
 /// valid only for the credential they were resolved under).
 pub(crate) struct DrainScratch {
-    memo: Vec<(u32, MemoEntry)>,
+    memo: Vec<(u32, Verdict)>,
     chunk: Vec<SmodCallReq>,
     responses: Vec<SmodCallResp>,
 }
@@ -163,7 +100,6 @@ impl DrainScratch {
 /// session per sweep.
 pub(crate) struct SessionDrain {
     pub(crate) session: Arc<Session>,
-    module: Arc<RegisteredModule>,
     kernel_epoch: u64,
     gate_epoch: u64,
     /// Credential identity decisions were last memoised under; movement
@@ -179,14 +115,22 @@ pub(crate) struct DrainOutcome {
     pub drained: usize,
     pub completed: usize,
     pub failed: usize,
-    /// Entries that underwent a policy check or body run — the count the
-    /// amortised fixed cost is charged for (validation rejects are free).
+    /// Entries that underwent a policy check or body run (validation
+    /// rejects are free).
     pub checked: usize,
-    /// Per-entry simulated nanoseconds accumulated (policy, copy, body).
-    pub entry_ns: u64,
     /// The session or module vanished mid-drain; the remainder was
     /// completed with `EIDRM`.
     pub aborted: bool,
+}
+
+/// The completion of an entry whose session is gone.
+fn eidrm_resp(user_data: u64) -> SmodCallResp {
+    SmodCallResp {
+        user_data,
+        ret: ArgRef::empty(),
+        errno: Errno::EIDRM.code(),
+        cost_ns: 0,
+    }
 }
 
 /// Fail every queued submission with `EIDRM` — the path for a ring whose
@@ -208,12 +152,7 @@ pub(crate) fn fail_all_eidrm(sq: &SubmissionRing, cq: &CompletionRing) -> usize 
                     took += 1;
                     // `req` drops here, freeing any arena slot its args
                     // held — the EIDRM path leaks nothing.
-                    let mut pending = SmodCallResp {
-                        user_data: req.user_data,
-                        ret: ArgRef::empty(),
-                        errno: Errno::EIDRM.code(),
-                        cost_ns: 0,
-                    };
+                    let mut pending = eidrm_resp(req.user_data);
                     while let Err(back) = cq.push(pending) {
                         pending = back;
                         std::thread::yield_now();
@@ -264,61 +203,46 @@ impl Kernel {
             return Err(Errno::EINVAL);
         }
         let mut drain = self.resolve_session_drain(session);
-        let mut scratch = DrainScratch::new();
+        let mut tally = TrapTally::new(self.metrics.latency(Flavor::Batch), 0);
         let outcome = self.drain_session_rings(
             &mut drain,
             sq,
             cq,
             None,
             batch_budget,
-            &mut scratch,
-            Flavor::Batch,
+            &mut DrainScratch::new(),
+            &mut tally,
         );
-
-        let mut report = BatchReport {
+        // The amortised fixed cost covers the entries that actually went
+        // through a policy check or body; one context-switch pair per
+        // *batch* — the single-call path pays one per call.
+        let fixed_cost_ns = match outcome.checked {
+            0 => 0,
+            checked => self.cost.batched_dispatch_ns(checked),
+        };
+        self.procs
+            .with_mut(caller, |p| self.finish_trap(p, tally, fixed_cost_ns))?;
+        Ok(BatchReport {
             drained: outcome.drained,
             completed: outcome.completed,
             failed: outcome.failed,
             aborted: outcome.aborted,
-            fixed_cost_ns: 0,
-        };
-        // --- amortised accounting ---------------------------------------
-        // The amortised fixed cost covers the entries that actually went
-        // through a policy check or body — entries rejected during
-        // validation (unknown function, wrong session, dead session) are
-        // free, exactly as `sys_smod_call`'s validation-error paths
-        // charge nothing. A drain that checked nothing (empty, or all
-        // entries invalid) still pays the bare trap.
-        if outcome.checked > 0 {
-            report.fixed_cost_ns = self.cost.batched_dispatch_ns(outcome.checked);
-            let _ = self
-                .procs
-                .with_mut(caller, |p| p.cpu_time_ns += report.fixed_cost_ns);
-            self.clock
-                .advance_striped(caller.0 as u64, report.fixed_cost_ns + outcome.entry_ns);
-            // One context-switch pair per *batch* — the single-call path
-            // records one pair per call; this is the amortisation.
-            self.context_switch_n(caller, 2);
-        } else {
-            self.charge(caller, self.cost.syscall_trap_ns);
-        }
-        Ok(report)
+            fixed_cost_ns,
+        })
     }
 
-    /// Resolve a session for a drain: pin the module `Arc`, fold the
-    /// kernel epoch into the gateway, and snapshot the epochs and the
-    /// memoised credential identity. This is the fixed work the batched
-    /// path pays once per syscall and the sweep pays once per session per
-    /// sweep.
+    /// Resolve a session for a drain: fold the kernel epoch into the
+    /// module gateway, and snapshot the epochs and the memoised credential
+    /// identity. This is the fixed work the batched path pays once per
+    /// syscall and the sweep pays once per session per sweep.
     pub(crate) fn resolve_session_drain(&self, session: Arc<Session>) -> SessionDrain {
-        let module = Arc::clone(session.module_ref());
+        let gateway = &session.module_ref().gateway;
         let kernel_epoch = self.smod_epoch();
-        module.gateway.observe_kernel_epoch(kernel_epoch);
-        let gate_epoch = module.gateway.epoch();
+        gateway.observe_kernel_epoch(kernel_epoch);
+        let gate_epoch = gateway.epoch();
         let last_cred = (session.proto.uid, session.proto.principal_fp);
         SessionDrain {
             session,
-            module,
             kernel_epoch,
             gate_epoch,
             last_cred,
@@ -328,16 +252,18 @@ impl Kernel {
 
     /// The shared chunked drain: pop up to `budget` entries from `sq` in
     /// [`BATCH_CHUNK`]-sized chunks, re-reading the invalidation epochs
-    /// and re-verifying the live credential between chunks, running each
-    /// entry under one pair-lock acquisition per chunk, and publishing
-    /// one completion per entry into `cq` (completion space is reserved
-    /// *before* submissions are consumed). Teardown detected mid-drain
-    /// fails the remainder with `EIDRM`.
+    /// between chunks, running each chunk's entries through
+    /// [`Kernel::call_entry`] under one hold of the pair lock (which
+    /// re-verifies the live credential), and publishing one completion
+    /// per entry into `cq` (completion space is reserved *before*
+    /// submissions are consumed). Teardown detected mid-drain fails the
+    /// remainder with `EIDRM`.
     ///
     /// Both `sys_smod_call_batch` (one session per syscall) and
     /// `sys_smod_sweep` (every ready session per syscall) funnel through
     /// here, so the epoch/credential re-check semantics cannot drift
-    /// between the two paths.
+    /// between the two paths. What the drain adds to the metrics registry
+    /// lands in the trap's `tally`.
     #[allow(clippy::too_many_arguments)] // one arg per drain resource; bundling would obscure them
     pub(crate) fn drain_session_rings(
         &self,
@@ -347,18 +273,16 @@ impl Kernel {
         region: Option<&ArenaRegion>,
         budget: usize,
         scratch: &mut DrainScratch,
-        flavor: Flavor,
+        tally: &mut TrapTally<'_>,
     ) -> DrainOutcome {
         scratch.memo.clear();
         let mut outcome = DrainOutcome::default();
-        let mut tally = DrainTally::default();
-        let latency = self.metrics.latency(flavor);
-        let trace = self.tracer.enabled();
-        // Two refcount bumps per drain keep the borrows of `d` (mutated
-        // inside the pair-locked closure) disjoint from the session/module
-        // handles used around it.
+        let checked_before = tally.checked;
+        // One refcount bump per drain keeps the borrow of `d` (mutated
+        // inside the pair-locked closure) disjoint from the session handle
+        // used around it.
         let session = Arc::clone(&d.session);
-        let module = Arc::clone(&d.module);
+        let gateway = &session.module_ref().gateway;
         let DrainScratch {
             memo,
             chunk,
@@ -393,135 +317,55 @@ impl Kernel {
                 let now = self.smod_epoch();
                 if now != d.kernel_epoch {
                     d.kernel_epoch = now;
-                    module.gateway.observe_kernel_epoch(now);
+                    gateway.observe_kernel_epoch(now);
                     d.dead = self.sessions.get(session.id).is_none()
                         || self.registry.get(session.module).is_err();
                 }
-                let gate_now = module.gateway.epoch();
+                let gate_now = gateway.epoch();
                 if gate_now != d.gate_epoch {
                     d.gate_epoch = gate_now;
                     memo.clear();
                 }
             }
 
-            if d.dead {
-                outcome.aborted = true;
-                responses.extend(chunk.iter().map(|req| SmodCallResp {
-                    user_data: req.user_data,
-                    ret: ArgRef::empty(),
-                    errno: Errno::EIDRM.code(),
-                    cost_ns: 0,
-                }));
-            } else {
-                let pair_outcome = session.with_pair(|handle_proc, client_proc| {
-                    // Per-chunk credential re-verification: the client is
-                    // already pair-locked here, so consulting the live
-                    // credential costs a fingerprint comparison, no extra
-                    // locking. A mismatch (revocation mid-batch) switches
-                    // the chunk to a live-derived view and invalidates
-                    // the drain memo.
-                    let module_name = &module.package.image.name;
+            if !d.dead {
+                let held = session.hold_pair(|hold| {
+                    // Decisions are valid only for the credential they
+                    // were resolved under: a revocation mid-drain
+                    // invalidates the memo.
                     let cred_now = (
-                        client_proc.cred.uid,
-                        client_proc.cred.principal_fp64(module_name),
+                        hold.client.cred.uid,
+                        hold.client
+                            .cred
+                            .principal_fp64(&session.module_ref().package.image.name),
                     );
                     if cred_now != d.last_cred {
                         d.last_cred = cred_now;
                         memo.clear();
                     }
-                    let live: Option<(String, Option<secmod_policy::Principal>, u32)> =
-                        if session.proto.matches(&client_proc.cred, module_name) {
-                            None
-                        } else {
-                            Some((
-                                client_proc.name.clone(),
-                                client_proc.cred.principal_for(module_name),
-                                client_proc.cred.uid,
-                            ))
-                        };
-                    let mut client_ns = 0u64;
-                    let mut handle_ns = 0u64;
-                    let mut bodies_run = 0u64;
                     for req in chunk.iter() {
-                        let (resp, extra_ns, ran) = self.batch_entry(
-                            &session,
-                            &module,
-                            req,
-                            region,
-                            live.as_ref(),
-                            memo,
-                            &mut tally,
-                            |body, args| {
-                                let mut ctx = crate::smodreg::HandleCtx {
-                                    handle_vm: &mut handle_proc.vm,
-                                    client_vm: &client_proc.vm,
-                                    client_pid: session.client,
-                                    extra_ns: 0,
-                                };
-                                let result = body(&mut ctx, args);
-                                (result, ctx.extra_ns)
-                            },
-                        );
-                        client_ns += resp.cost_ns - extra_ns;
-                        handle_ns += extra_ns;
-                        bodies_run += u64::from(ran);
-                        responses.push(resp);
+                        responses.push(self.ring_entry(hold, memo, tally, req, region));
                     }
-                    client_proc.cpu_time_ns += client_ns;
-                    handle_proc.cpu_time_ns += handle_ns;
-                    bodies_run
                 });
-                match pair_outcome {
-                    Ok(bodies_run) => {
-                        session.note_calls(bodies_run);
-                        module.note_calls_dispatched(session.client.0 as u64, bodies_run);
-                    }
-                    // The pair became unlockable (a process was reaped):
-                    // the session is dead no matter which errno the lock
-                    // reported, so fail this chunk — and the rest of the
-                    // drain — with the same `EIDRM` the epoch-detected
-                    // teardown path uses, keeping the "everything after
-                    // the vanishing is EIDRM" contract.
-                    Err(_) => {
-                        d.dead = true;
-                        outcome.aborted = true;
-                        responses.extend(chunk.iter().map(|req| SmodCallResp {
-                            user_data: req.user_data,
-                            ret: ArgRef::empty(),
-                            errno: Errno::EIDRM.code(),
-                            cost_ns: 0,
-                        }));
-                    }
-                }
+                // A pair that cannot be locked is a dead session, whatever
+                // errno the lock reported: this chunk and the rest of the
+                // drain fail with the `EIDRM` of an epoch-detected teardown.
+                d.dead = held.is_err();
+            }
+            if d.dead {
+                outcome.aborted = true;
+                responses.extend(chunk.iter().map(|req| eidrm_resp(req.user_data)));
             }
 
             for (req, resp) in chunk.drain(..).zip(responses.drain(..)) {
-                if trace {
-                    self.tracer.record(Event::SmodCall {
-                        session: session.id,
-                        func_id: req.proc_id,
-                        symbol: module
-                            .package
-                            .stub_table
-                            .by_id(req.proc_id)
-                            .map(|s| s.symbol.clone())
-                            .unwrap_or_default(),
-                        allowed: resp.is_ok(),
-                    });
-                }
+                // Free any arena slot the arguments held before the
+                // producer can see the completion.
+                drop(req);
                 outcome.drained += 1;
                 if resp.is_ok() {
                     outcome.completed += 1;
                 } else {
                     outcome.failed += 1;
-                }
-                outcome.checked += usize::from(resp.cost_ns > 0);
-                outcome.entry_ns += resp.cost_ns;
-                // Validation rejects carry `cost_ns == 0` and would only
-                // flatten the distribution — record the entries that did
-                // real per-entry work, the same set `checked` counts.
-                if resp.cost_ns > 0 {
-                    tally.latency(latency, resp.cost_ns);
                 }
                 tally.eidrm_failures += u64::from(resp.errno == Errno::EIDRM.code());
                 let mut pending = resp;
@@ -531,135 +375,57 @@ impl Kernel {
                 }
             }
         }
-        tally.flush(latency, &self.metrics);
+        outcome.checked = tally.checked - checked_before;
         outcome
     }
 
-    /// Process one submission entry: validate, resolve the decision (from
-    /// the drain memo, or through the module gateway on the first sight
-    /// of this function id — cached vs uncached charged honestly), run
-    /// the body via `run` (which supplies the pair-locked
-    /// [`crate::smodreg::HandleCtx`]), and assemble the completion.
-    /// `live` overrides the session prototype when the chunk found the
-    /// live credential diverged from it. Returns the completion, the
-    /// body's extra charged nanoseconds (already included in `cost_ns`),
-    /// and whether a body actually ran.
-    #[allow(clippy::type_complexity, clippy::too_many_arguments)]
-    fn batch_entry(
+    /// One ring entry through [`Kernel::call_entry`]: the entry must name
+    /// the session being drained (`EPERM`, free, otherwise); its argument
+    /// block is priced by how it crossed the ring; the result goes back
+    /// through the session's arena region when there is one and it is
+    /// large, so the producer reads it in place at reap time.
+    fn ring_entry(
         &self,
-        session: &Session,
-        module: &RegisteredModule,
+        hold: &mut PairHold<'_>,
+        memo: &mut Vec<(u32, Verdict)>,
+        tally: &mut TrapTally<'_>,
         req: &SmodCallReq,
         region: Option<&ArenaRegion>,
-        live: Option<&(String, Option<secmod_policy::Principal>, u32)>,
-        memo: &mut Vec<(u32, MemoEntry)>,
-        tally: &mut DrainTally,
-        run: impl FnOnce(&FunctionBody, &[u8]) -> (SysResult<Vec<u8>>, u64),
-    ) -> (SmodCallResp, u64, bool) {
-        let fail = |errno: Errno, cost_ns: u64| {
-            (
-                SmodCallResp {
-                    user_data: req.user_data,
-                    ret: ArgRef::empty(),
-                    errno: errno.code(),
-                    cost_ns,
-                },
-                0,
-                false,
+    ) -> SmodCallResp {
+        let (result, cost_ns) = if req.session != hold.session.id.0 {
+            (Err(Errno::EPERM), 0)
+        } else {
+            // The zero-copy payoff, in cost-model form: an arena-resident
+            // argument block crosses the ring as an `(offset, len, gen)`
+            // descriptor, so the kernel charges one extra slot hand-off
+            // instead of `copy_per_byte_ns x len` — the paper's
+            // shared-stack argument. By-value args (inline or heap) still
+            // pay per byte.
+            let copy_ns = if req.args.is_arena() {
+                tally.arena_args += 1;
+                self.cost.ring_slot_ns
+            } else {
+                tally.inline_args += 1;
+                self.cost.copy_per_byte_ns * req.args.len() as u64
+            };
+            self.call_entry(
+                hold,
+                Some(memo),
+                tally,
+                req.proc_id,
+                req.args.as_slice(),
+                copy_ns,
             )
         };
-        if req.session != session.id.0 {
-            return fail(Errno::EPERM, 0);
-        }
-        // Resolve the decision: memo hit, or first-sight gateway probe.
-        let mut policy_cost = self.cost.cached_decision_ns;
-        let memo_idx = match memo.iter().position(|(id, _)| *id == req.proc_id) {
-            Some(idx) => idx,
-            None => {
-                let entry = match module.package.stub_table.by_id(req.proc_id) {
-                    None => MemoEntry::Missing,
-                    Some(stub) => {
-                        let proto = &session.proto;
-                        let (app_domain, principal, uid) = match live {
-                            Some((name, principal, uid)) => {
-                                (name.as_str(), principal.as_ref(), *uid)
-                            }
-                            None => (
-                                proto.client_name.as_str(),
-                                proto.principal.as_ref(),
-                                proto.uid,
-                            ),
-                        };
-                        let (allowed, tier) =
-                            module.check_operation(app_domain, principal, uid, &stub.symbol);
-                        tally.gate(tier);
-                        // The first sight of a function in a drain pays
-                        // the true decision cost; repeats are memo hits.
-                        policy_cost = if tier.is_cached() {
-                            self.cost.cached_decision_ns
-                        } else {
-                            self.cost.policy_per_node_ns * module.policy_complexity as u64
-                        };
-                        if !allowed {
-                            MemoEntry::Denied
-                        } else {
-                            match module.functions.get(req.proc_id) {
-                                Some(body) => MemoEntry::Allowed(body),
-                                None => MemoEntry::NoBody,
-                            }
-                        }
-                    }
-                };
-                memo.push((req.proc_id, entry));
-                memo.len() - 1
-            }
+        let (ret, errno) = match result {
+            Ok(ret) => (ArgRef::place_vec(ret, region), 0),
+            Err(e) => (ArgRef::empty(), e.code()),
         };
-        // The zero-copy payoff, in cost-model form: an arena-resident
-        // argument block crosses the ring as an `(offset, len, gen)`
-        // descriptor, so the kernel charges one extra slot hand-off
-        // instead of `copy_per_byte_ns x len` — the paper's shared-stack
-        // argument. By-value args (inline or heap) still pay per byte.
-        let copy_cost = if req.args.is_arena() {
-            tally.arena_args += 1;
-            self.cost.ring_slot_ns
-        } else {
-            tally.inline_args += 1;
-            self.cost.copy_per_byte_ns * req.args.len() as u64
-        };
-        match &memo[memo_idx].1 {
-            MemoEntry::Missing => fail(Errno::ENOENT, 0),
-            MemoEntry::Denied => fail(Errno::EACCES, policy_cost + copy_cost),
-            MemoEntry::NoBody => fail(Errno::ENOSYS, policy_cost + copy_cost),
-            MemoEntry::Allowed(body) => {
-                let (result, extra_ns) = run(body, req.args.as_slice());
-                let cost_ns = policy_cost + copy_cost + extra_ns;
-                match result {
-                    // Large results go back through the session's arena
-                    // region too, when there is one — the completion
-                    // carries a descriptor and the producer reads the
-                    // result in place at reap time.
-                    Ok(ret) => (
-                        SmodCallResp {
-                            user_data: req.user_data,
-                            ret: ArgRef::place_vec(ret, region),
-                            errno: 0,
-                            cost_ns,
-                        },
-                        extra_ns,
-                        true,
-                    ),
-                    Err(e) => (
-                        SmodCallResp {
-                            user_data: req.user_data,
-                            ret: ArgRef::empty(),
-                            errno: e.code(),
-                            cost_ns,
-                        },
-                        extra_ns,
-                        true,
-                    ),
-                }
-            }
+        SmodCallResp {
+            user_data: req.user_data,
+            ret,
+            errno,
+            cost_ns,
         }
     }
 }
@@ -671,6 +437,7 @@ pub(crate) mod tests {
     use crate::cred::Credential;
     use crate::smod::{ModuleKeyDelivery, SmodCallArgs};
     use crate::smodreg::FunctionTable;
+    use crate::trace::Event;
     use secmod_module::builder::ModuleBuilder;
     use secmod_module::{ModuleId, SmodPackage, StubTable};
     use secmod_policy::assertion::{Assertion, LicenseeExpr};
@@ -703,7 +470,8 @@ pub(crate) mod tests {
     }
 
     /// Register the libc-like module with a policy granting alice every
-    /// function except `strlen`; every body returns its u64 argument + 1.
+    /// function except `strlen`; every body returns its u64 argument + 1
+    /// (`EINVAL` when that overflows), and `free` has no body at all.
     /// `slow_gate`, when set, slows the bodies down as [`SlowGate`]
     /// describes. `n_clients` clients are spawned, each
     /// presenting the alice credential through its own session (the sweep
@@ -732,7 +500,7 @@ pub(crate) mod tests {
 
         let stub_table = StubTable::generate(&image);
         let mut functions = FunctionTable::new();
-        for stub in &stub_table.stubs {
+        for stub in stub_table.stubs.iter().filter(|s| s.symbol != "free") {
             let gate = slow_gate.clone();
             functions.register(stub.func_id, move |_ctx, args| {
                 if let Some(gate) = &gate {
@@ -742,7 +510,10 @@ pub(crate) mod tests {
                     }
                 }
                 let v = u64::from_le_bytes(args[..8].try_into().map_err(|_| Errno::EINVAL)?);
-                Ok((v + 1).to_le_bytes().to_vec())
+                Ok(v.checked_add(1)
+                    .ok_or(Errno::EINVAL)?
+                    .to_le_bytes()
+                    .to_vec())
             });
         }
         let incr_id = stub_table.by_name("testincr").unwrap().func_id;
@@ -933,11 +704,135 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn every_entry_point_gives_one_call_the_same_errno_bytes_and_cost() {
+        // {allowed, EACCES, ENOENT, ENOSYS, body error} through
+        // {sys_smod_call, sys_smod_call_batch, sys_smod_sweep}: one entry
+        // per trap, so the clock moves by the entry's own cost plus the
+        // entry point's fixed term — its cost-model formula when the entry
+        // was checked, the bare trap when it was not.
+        let (k, m_id, client, incr) = kernel_with_module(None);
+        let func = |name: &str| {
+            let module = k.registry.get(m_id).unwrap();
+            module.package.stub_table.by_name(name).unwrap().func_id
+        };
+        let cases = [
+            (
+                "allowed",
+                incr,
+                41u64,
+                Ok(42u64.to_le_bytes().to_vec()),
+                Some(true),
+            ),
+            ("denied", func("strlen"), 1, Err(Errno::EACCES), Some(false)),
+            ("unknown function", 9999, 1, Err(Errno::ENOENT), None),
+            ("no body", func("free"), 1, Err(Errno::ENOSYS), Some(true)),
+            ("body error", incr, u64::MAX, Err(Errno::EINVAL), Some(true)),
+        ];
+        let single = |proc_id: u32, arg: u64| {
+            k.sys_smod_call(
+                client,
+                SmodCallArgs {
+                    m_id,
+                    func_id: proc_id,
+                    frame_pointer: 0,
+                    return_address: 0,
+                    args: arg.to_le_bytes().to_vec(),
+                },
+            )
+        };
+        // Warm the decision tiers: every priced decision below is a hit.
+        for (_, proc_id, arg, ..) in &cases {
+            let _ = single(*proc_id, *arg);
+        }
+        let drainer = k
+            .spawn_process("sweeper", Credential::root(), vec![0x90; 4096], 2, 2)
+            .unwrap();
+        let set = secmod_ring::RingSet::with_capacity(1);
+        let session = k.session_of(client).unwrap().id.0;
+        let slot = set.register(session, client.0, Default::default()).unwrap();
+        let (sq, cq) = rings(8);
+        let unpack = |resp: SmodCallResp| {
+            let errno = resp.errno;
+            let cost_ns = resp.cost_ns;
+            let ret = resp.into_ret();
+            let result = Errno::from_code(errno).map_or(Ok(ret), Err);
+            (result, cost_ns)
+        };
+        let priced = k.cost.cached_decision_ns + 8 * k.cost.copy_per_byte_ns;
+        let switch_pair = 2 * k.cost.context_switch_ns;
+
+        for (name, proc_id, arg, want, verdict) in cases {
+            let want_cost = if want == Err(Errno::ENOENT) {
+                0
+            } else {
+                priced
+            };
+            let fixed = |formula: u64| match want_cost {
+                0 => k.cost.syscall_trap_ns,
+                _ => formula + switch_pair,
+            };
+            k.tracer.clear();
+
+            let t0 = k.clock.now_ns();
+            assert_eq!(single(proc_id, arg), want, "{name}: sys_smod_call");
+            let call_ns = k.clock.now_ns() - t0;
+            assert_eq!(
+                call_ns - fixed(k.cost.smod_call_overhead(0)),
+                want_cost,
+                "{name}: sys_smod_call cost"
+            );
+
+            sq.push_spsc(req(&k, client, proc_id, 0, arg)).unwrap();
+            let t0 = k.clock.now_ns();
+            k.sys_smod_call_batch(client, &sq, &cq, 8).unwrap();
+            let batch_ns = k.clock.now_ns() - t0;
+            assert_eq!(
+                unpack(cq.pop_spsc().unwrap()),
+                (want.clone(), want_cost),
+                "{name}: sys_smod_call_batch"
+            );
+            assert_eq!(
+                batch_ns - fixed(k.cost.batched_dispatch_ns(1)),
+                want_cost,
+                "{name}: sys_smod_call_batch cost"
+            );
+
+            set.submit(slot, req(&k, client, proc_id, 0, arg)).unwrap();
+            let t0 = k.clock.now_ns();
+            k.sys_smod_sweep(drainer, &set, 8).unwrap();
+            let sweep_ns = k.clock.now_ns() - t0;
+            let swept = set.get(slot).unwrap().cq.pop_spsc().unwrap();
+            assert_eq!(unpack(swept), (want, want_cost), "{name}: sys_smod_sweep");
+            assert_eq!(
+                sweep_ns - fixed(k.cost.sweep_dispatch_ns(1, 1)),
+                want_cost,
+                "{name}: sys_smod_sweep cost"
+            );
+
+            // One `SmodCall` event per path when policy ran, carrying its
+            // verdict; none when it did not.
+            let verdicts: Vec<bool> = k
+                .tracer
+                .events()
+                .iter()
+                .filter_map(|e| match e {
+                    Event::SmodCall { allowed, .. } => Some(*allowed),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(
+                verdicts,
+                vec![verdict; 3].into_iter().flatten().collect::<Vec<_>>()
+            );
+        }
+    }
+
+    #[test]
     fn validation_only_batches_charge_just_the_trap() {
-        // `sys_smod_call` charges nothing on its validation-error paths
-        // (unknown function, wrong module); a batch made entirely of such
-        // entries must not charge the amortised fixed cost either — only
-        // the syscall trap the drain itself cost.
+        // An unknown function is rejected before any decision is taken; a
+        // batch made entirely of such entries does not charge the
+        // amortised fixed cost — only the syscall trap the drain itself
+        // cost, as a `sys_smod_call` of an unknown function does.
         let (k, _m, client, _incr) = kernel_with_module(None);
         let (sq, cq) = rings(8);
         for i in 0..4u64 {

@@ -78,7 +78,7 @@ pub struct Kernel {
     /// histograms plus counters, fed by every dispatch path (syscall,
     /// batch, sweep, plane, async). Shared as an `Arc` so the plane's
     /// drainer threads and the async reactor record into the same
-    /// registry the `Dispatcher::metrics()` accessor exposes.
+    /// registry.
     pub metrics: Arc<DispatchMetrics>,
     pub(crate) next_session: AtomicU32,
     context_switches: StripedCounter,

@@ -57,7 +57,7 @@ pub use batch::{BatchReport, BATCH_CHUNK};
 pub use clock::SimClock;
 pub use cost::CostModel;
 pub use cred::Credential;
-pub use dispatch::{DispatchCall, DispatchCaps, DispatchError, DispatchOutcome, Dispatcher};
+pub use dispatch::{DispatchError, DispatchOutcome};
 pub use errno::Errno;
 pub use kernel::Kernel;
 pub use plane::{CrashSpec, DispatchPlane, PlaneConfig, PlaneHandle, PlaneStats, SubmitBatch};

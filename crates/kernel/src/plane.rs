@@ -70,7 +70,6 @@
 //! sweep's own claim, then dies inside its first visit.
 
 use crate::cred::Credential;
-use crate::dispatch::{DispatchCall, DispatchCaps, DispatchError, DispatchOutcome, Dispatcher};
 use crate::errno::Errno;
 use crate::kernel::Kernel;
 use crate::proc::Pid;
@@ -78,7 +77,7 @@ use crate::smod::SessionState;
 use crate::sweep::SweepReport;
 use crate::SysResult;
 use parking_lot::{Mutex, RwLock};
-use secmod_obs::{DispatchMetrics, Flavor};
+use secmod_obs::Flavor;
 use secmod_qos::{HealthConfig, HealthMonitor, Heartbeat, QosPolicy, SweepScheduler, TenantId};
 use secmod_ring::{
     ArgArena, ArgRef, ClaimLedger, RingPairConfig, RingSet, RingSlotId, SessionRings, SmodCallReq,
@@ -1179,128 +1178,6 @@ impl SubmitBatch<'_> {
 impl Drop for SubmitBatch<'_> {
     fn drop(&mut self) {
         self.flush();
-    }
-}
-
-impl Dispatcher for PlaneHandle {
-    fn dispatch_one(&self, client: Pid, proc_id: u32, args: &[u8]) -> DispatchOutcome {
-        self.dispatch_batch(
-            client,
-            std::slice::from_ref(&DispatchCall::new(proc_id, args)),
-        )?
-        .pop()
-        .expect("one outcome per call")
-    }
-
-    /// Submit the whole batch through the ring (absorbing `Full`
-    /// backpressure by reaping while retrying — the contract says space
-    /// reappears), then wait for every completion.
-    ///
-    /// Exclusivity: a handle being driven through `Dispatcher` must not
-    /// be concurrently driven through raw `submit`/`reap`, or completions
-    /// will be claimed by the wrong waiter. (The async frontend builds
-    /// its own routing on raw handles precisely to lift this limit.)
-    fn dispatch_batch(
-        &self,
-        client: Pid,
-        calls: &[DispatchCall],
-    ) -> Result<Vec<DispatchOutcome>, DispatchError> {
-        if client.0 != self.rings.owner {
-            return Err(Errno::EPERM.into());
-        }
-        if calls.is_empty() {
-            return Ok(Vec::new());
-        }
-        let base = self.alloc_user_data();
-        for _ in 1..calls.len() {
-            self.alloc_user_data();
-        }
-        let mut outcomes: Vec<Option<DispatchOutcome>> = vec![None; calls.len()];
-        let mut received = 0usize;
-        let mut submitted = 0usize;
-        let reap_one =
-            |outcomes: &mut Vec<Option<DispatchOutcome>>, received: &mut usize| match self.reap() {
-                Some(resp) => {
-                    let idx = resp.user_data.wrapping_sub(base) as usize;
-                    if idx < calls.len() && outcomes[idx].is_none() {
-                        outcomes[idx] = Some(DispatchError::from_resp(resp));
-                        *received += 1;
-                    }
-                    true
-                }
-                None => false,
-            };
-        while received < calls.len() {
-            if submitted < calls.len() {
-                // Coalesced: push as much of the remainder as fits, then
-                // one doorbell for the whole burst.
-                let mut batch = self.batch();
-                while submitted < calls.len() {
-                    let call = &calls[submitted];
-                    let args = ArgRef::place(&call.args, self.rings.arena.as_ref());
-                    match batch.push_ref(call.proc_id, base + submitted as u64, args) {
-                        Ok(()) => submitted += 1,
-                        // The bounce already flushed; reap below, retry.
-                        Err(SubmitError::Full(_)) => break,
-                        Err(SubmitError::Detached(_)) => {
-                            // Plane stopped before the rest went in; what
-                            // was already submitted still completes (the
-                            // shutdown sweep drains the set dry).
-                            for slot in outcomes.iter_mut().skip(submitted) {
-                                *slot = Some(Err(DispatchError::Detached));
-                                received += 1;
-                            }
-                            submitted = calls.len();
-                        }
-                    }
-                }
-                batch.flush();
-            }
-            if reap_one(&mut outcomes, &mut received) {
-                continue;
-            }
-            if self.shared.stop.load(Ordering::Acquire) {
-                // The plane may already be past its final sweep: force the
-                // leftovers through ourselves (one teardown-only trap on
-                // the producer), then drain what it produced.
-                let budget = self.rings.sq.len().max(1);
-                let swept = self.shared.kernel.sys_smod_sweep(
-                    Pid(self.rings.owner),
-                    &self.shared.set,
-                    budget,
-                );
-                let progressed = reap_one(&mut outcomes, &mut received);
-                if swept.is_err() && !progressed {
-                    // Even the fallback cannot run (client gone): the
-                    // outstanding entries will never be answered.
-                    for slot in outcomes.iter_mut() {
-                        if slot.is_none() {
-                            *slot = Some(Err(DispatchError::Detached));
-                            received += 1;
-                        }
-                    }
-                }
-            } else {
-                std::thread::yield_now();
-            }
-        }
-        Ok(outcomes
-            .into_iter()
-            .map(|o| o.expect("all outcomes filled"))
-            .collect())
-    }
-
-    fn capabilities(&self) -> DispatchCaps {
-        DispatchCaps {
-            flavor: "plane",
-            batched: true,
-            trap_free: true,
-            asynchronous: false,
-        }
-    }
-
-    fn metrics(&self) -> Option<&DispatchMetrics> {
-        Some(&self.shared.kernel.metrics)
     }
 }
 

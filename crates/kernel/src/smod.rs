@@ -1,25 +1,34 @@
 //! The SecModule syscall family (paper Figure 4) and session management.
 //!
-//! The dispatch path (`sys_smod_call`) takes `&self` and is driven from
-//! many threads at once. Its per-call credential/policy check goes through
-//! the module's embedded [`secmod_policy::Gateway`]: on the hot path the
-//! decision is one sharded-cache lookup (the kernel folds its `smod_epoch`
-//! into the gateway first, so a detach/remove that completed before the
-//! call began makes every older cached decision unreachable); only a miss
-//! falls back to the full `PolicyEngine` fixpoint, and the cost model
-//! charges the cached vs uncached cost accordingly.
+//! The paper prices a protected call as one fixed sequence — trap,
+//! credential check, policy decision, message op, switch pair — and this
+//! module holds it once: [`Kernel::call_entry`] is the per-call sequence,
+//! [`Session::hold_pair`] the lock and credential view it runs under, and
+//! [`Kernel::finish_trap`] the accounting every trap ends in.
+//! `sys_smod_call` is those three at depth 1; the batched and swept
+//! drains ([`crate::batch`], [`crate::sweep`]) run the same three over
+//! ring entries.
+//!
+//! Dispatch takes `&self` and is driven from many threads at once. The
+//! per-call policy check goes through the module's embedded
+//! [`secmod_policy::Gateway`]: on the hot path the decision is one
+//! cache lookup (the kernel folds its `smod_epoch` into the gateway
+//! first, so a detach/remove that completed before the call began makes
+//! every older cached decision unreachable); only a miss falls back to
+//! the full `PolicyEngine` fixpoint, and the cost model charges the
+//! cached vs uncached cost accordingly.
 
 use crate::errno::Errno;
 use crate::kernel::Kernel;
 use crate::msgqueue::MsgQueueId;
 use crate::proc::{Pid, ProcState, Process, SmodLink};
-use crate::smodreg::{FunctionTable, HandleCtx, RegisteredModule};
+use crate::smodreg::{FunctionBody, FunctionTable, HandleCtx, RegisteredModule};
 use crate::table::ProcRef;
 use crate::trace::Event;
 use crate::SysResult;
 use parking_lot::RwLock;
 use secmod_module::{ModuleId, SmodPackage};
-use secmod_obs::Flavor;
+use secmod_obs::{DispatchMetrics, Flavor, Histogram};
 use secmod_policy::{PolicyEngine, Principal};
 use secmod_vm::VmSpace;
 use std::collections::BTreeMap;
@@ -163,29 +172,45 @@ impl Session {
             .is_ok()
     }
 
-    pub(crate) fn note_call(&self) {
-        self.calls.fetch_add(1, Relaxed);
-    }
-
-    /// Record `n` dispatched calls at once (the batched path counts per
-    /// chunk instead of per entry).
-    pub(crate) fn note_calls(&self, n: u64) {
-        self.calls.fetch_add(n, Relaxed);
-    }
-
-    /// Lock the client/handle pair (pid-ordered) and run `f(handle,
-    /// client)`.
-    pub(crate) fn with_pair<R>(
-        &self,
-        f: impl FnOnce(&mut Process, &mut Process) -> R,
-    ) -> SysResult<R> {
-        crate::table::lock_pair_ordered(
+    /// Lock the client/handle pair (pid-ordered), take the credential
+    /// view that holds for as long as the lock does, and run `f`. The
+    /// live credential is consulted on every hold, but only to compare
+    /// `(uid, principal fingerprint)` against the session's memoised
+    /// prototype; only a mismatch (credential revoked or swapped
+    /// mid-session) re-derives the request from the process. Bodies that
+    /// ran under the hold are counted once, after it.
+    pub(crate) fn hold_pair<R>(&self, f: impl FnOnce(&mut PairHold<'_>) -> R) -> SysResult<R> {
+        let (out, bodies_run) = crate::table::lock_pair_ordered(
             self.handle,
             &self.handle_ref,
             self.client,
             &self.client_ref,
-            f,
-        )
+            |handle, client| {
+                let module_name = &self.module_ref.package.image.name;
+                let live = (!self.proto.matches(&client.cred, module_name)).then(|| {
+                    (
+                        client.name.clone(),
+                        client.cred.principal_for(module_name),
+                        client.cred.uid,
+                    )
+                });
+                let mut hold = PairHold {
+                    session: self,
+                    handle,
+                    client,
+                    live,
+                    bodies_run: 0,
+                };
+                let out = f(&mut hold);
+                (out, hold.bodies_run)
+            },
+        )?;
+        if bodies_run > 0 {
+            self.calls.fetch_add(bodies_run, Relaxed);
+            self.module_ref
+                .note_calls_dispatched(self.client.0 as u64, bodies_run);
+        }
+        Ok(out)
     }
 }
 
@@ -299,6 +324,110 @@ pub enum ModuleKeyDelivery {
     },
     /// The package is not encrypted (unmap-based protection only).
     None,
+}
+
+/// One hold of a session's pair lock: what every entry dispatched under
+/// it shares. Built by [`Session::hold_pair`].
+pub(crate) struct PairHold<'a> {
+    pub(crate) session: &'a Session,
+    pub(crate) handle: &'a mut Process,
+    pub(crate) client: &'a mut Process,
+    /// `(client name, principal, uid)` re-derived from the live credential
+    /// when it no longer matches the session's [`CallProto`].
+    live: Option<(String, Option<Principal>, u32)>,
+    bodies_run: u64,
+}
+
+/// What the kernel decided about one function id under one credential
+/// view — the value a drain memoises per function id.
+pub(crate) enum Verdict {
+    /// No such stub: `ENOENT`.
+    Missing,
+    /// Policy denies the caller this function: `EACCES`.
+    Denied,
+    /// Allowed, but no body is registered: `ENOSYS`.
+    NoBody,
+    /// Allowed; the body to run (Arc-cloned once per decision).
+    Allowed(FunctionBody),
+}
+
+/// Everything one trap adds to the shared [`DispatchMetrics`] registry,
+/// counted locally and flushed once by [`Kernel::finish_trap`], so the
+/// per-entry loop writes no shared cache line and the registry is exact
+/// again by the time the trap returns. (A producer that reaps a completion
+/// *while* its drain is still running may read totals that do not include
+/// it yet.)
+///
+/// Latency is tallied as runs of equal cost: entries of one function and
+/// payload size cost the same, so a drain has a handful of distinct values
+/// and records each run with one `record_n`.
+pub(crate) struct TrapTally<'k> {
+    latency: &'k Histogram,
+    /// Added to every latency sample: the whole fixed term at depth 1,
+    /// where the call *is* the trap; nothing on the drains, whose fixed
+    /// term is amortised over entries and charged at the tail.
+    sample_base_ns: u64,
+    run_cost_ns: u64,
+    run_len: u64,
+    /// Entries that underwent a policy check or body run — the count the
+    /// amortised fixed cost is charged for (validation rejects are free).
+    pub(crate) checked: usize,
+    /// Per-entry simulated nanoseconds accumulated (policy, copy, body).
+    pub(crate) entry_ns: u64,
+    gate_hits: u64,
+    gate_misses: u64,
+    pub(crate) inline_args: u64,
+    pub(crate) arena_args: u64,
+    pub(crate) eidrm_failures: u64,
+}
+
+impl<'k> TrapTally<'k> {
+    pub(crate) fn new(latency: &'k Histogram, sample_base_ns: u64) -> TrapTally<'k> {
+        TrapTally {
+            latency,
+            sample_base_ns,
+            run_cost_ns: 0,
+            run_len: 0,
+            checked: 0,
+            entry_ns: 0,
+            gate_hits: 0,
+            gate_misses: 0,
+            inline_args: 0,
+            arena_args: 0,
+            eidrm_failures: 0,
+        }
+    }
+
+    /// Count one checked entry. A zero cost means nothing was checked (or
+    /// the cost model is free): it would only flatten the distribution.
+    fn entry(&mut self, cost_ns: u64) {
+        if cost_ns == 0 {
+            return;
+        }
+        self.checked += 1;
+        self.entry_ns += cost_ns;
+        if cost_ns != self.run_cost_ns {
+            self.record_run();
+            self.run_cost_ns = cost_ns;
+            self.run_len = 0;
+        }
+        self.run_len += 1;
+    }
+
+    fn record_run(&self) {
+        self.latency
+            .record_n(self.sample_base_ns + self.run_cost_ns, self.run_len);
+    }
+
+    fn flush(self, metrics: &DispatchMetrics) {
+        self.record_run();
+        // `Counter::add` skips a zero, the common case at depth 1.
+        metrics.gate_hits.add(self.gate_hits);
+        metrics.gate_misses.add(self.gate_misses);
+        metrics.arena.inline_args.add(self.inline_args);
+        metrics.arena.arena_args.add(self.arena_args);
+        metrics.eidrm_failures.add(self.eidrm_failures);
+    }
 }
 
 impl Kernel {
@@ -646,18 +775,17 @@ impl Kernel {
     /// `sys_smod_call`: the kernel-mediated indirect dispatch of Figure 3.
     ///
     /// The kernel verifies that the caller really is the client of an
-    /// established session for `m_id`, re-checks the credentials against
-    /// the module policy for the named function — through the module's
-    /// shared gateway, so the hot path is one decision-cache lookup and
-    /// only a miss runs the full policy fixpoint — relays the call to the
-    /// handle (message send, context switch), runs the function body with
-    /// access to the shared address space, and relays the result back.
+    /// established session for `m_id`, then runs the one protected-call
+    /// sequence ([`Kernel::call_entry`]) under one hold of the pair lock
+    /// and leaves through the one accounting tail
+    /// ([`Kernel::finish_trap`]) — a drain of depth 1 with no ring and no
+    /// memo, charged [`crate::cost::CostModel::smod_call_overhead`] as its
+    /// fixed term.
     ///
     /// Takes `&self`: any number of threads may dispatch concurrently;
     /// calls on different sessions only share read locks and the module's
     /// sharded decision cache.
     pub fn sys_smod_call(&self, caller: Pid, call: SmodCallArgs) -> SysResult<Vec<u8>> {
-        // --- validation -------------------------------------------------
         let link = self.procs.with(caller, |p| p.smod)?.ok_or(Errno::EPERM)?;
         let session = self.sessions.get(link.session).ok_or(Errno::EPERM)?;
         // Only the client process bound to the session may call through it —
@@ -672,109 +800,159 @@ impl Kernel {
         if call.m_id != session.module {
             return Err(Errno::EACCES);
         }
+        // The kernel epoch is folded into the gateway first (cheap monotone
+        // atomic max), so any detach/remove that completed before this call
+        // started has already invalidated every older cached decision.
+        session
+            .module_ref
+            .gateway
+            .observe_kernel_epoch(self.smod_epoch());
+        let fixed_ns = self.cost.smod_call_overhead(0);
+        let copy_ns = self.cost.copy_per_byte_ns * call.args.len() as u64;
+        let mut tally = TrapTally::new(self.metrics.latency(Flavor::Syscall), fixed_ns);
+        session.hold_pair(|hold| {
+            let (result, _cost_ns) =
+                self.call_entry(hold, None, &mut tally, call.func_id, &call.args, copy_ns);
+            self.finish_trap(hold.client, tally, fixed_ns);
+            result
+        })?
+    }
 
-        // --- per-call credential / policy check -------------------------
-        // The decision comes from the module's shared gateway: the kernel
-        // epoch is folded in first (cheap monotone atomic max), so any
-        // detach/remove that completed before this call started has already
-        // invalidated every older cached decision. The module comes from
-        // the session itself — zero registry traffic per call.
-        let module = session.module_ref();
-        let stub = module
-            .package
-            .stub_table
-            .by_id(call.func_id)
-            .ok_or(Errno::ENOENT)?;
-        // The live credential is consulted on every call, but only to
-        // compare `(uid, principal fingerprint)` against the session's
-        // memoised prototype — the request itself is assembled by
-        // *borrowing* from the prototype, so the hot path does no
-        // client-name/principal clones. A mismatch (credential revoked or
-        // swapped mid-session) takes the slow path: re-derive the request
-        // from the live credential, exactly as the un-memoised path did.
-        module.gateway.observe_kernel_epoch(self.smod_epoch());
-        let proto = &session.proto;
-        let module_name = &module.package.image.name;
-        let cred_matches = self
-            .procs
-            .with(session.client, |p| proto.matches(&p.cred, module_name))?;
-        let (allowed, tier) = if cred_matches {
-            module.check_operation(
-                &proto.client_name,
-                proto.principal.as_ref(),
-                proto.uid,
-                &stub.symbol,
-            )
-        } else {
-            let (client_name, principal, uid) = self.procs.with(session.client, |p| {
-                (
-                    p.name.clone(),
-                    p.cred.principal_for(module_name),
-                    p.cred.uid,
-                )
-            })?;
-            module.check_operation(&client_name, principal.as_ref(), uid, &stub.symbol)
+    /// One protected call, in the paper's order: stub lookup → credential
+    /// view (the session's [`CallProto`], or the live credential when the
+    /// hold found it diverged) → policy decision → pricing → errno mapping
+    /// → function body under a [`HandleCtx`]. Every dispatch path runs
+    /// exactly this: `sys_smod_call` once per trap, the chunk loop of
+    /// [`Kernel::drain_session_rings`] once per drained entry.
+    ///
+    /// `memo`, when the caller keeps one, answers repeats of a function id
+    /// (priced as a cached decision) and learns first sights; without one
+    /// the gateway is asked directly. `copy_ns` is what moving `args`
+    /// across the boundary cost on the caller's transport. Returns the
+    /// body's result (or `ENOENT` / `EACCES` / `ENOSYS`) and the entry's
+    /// simulated cost — policy + copy + whatever the body charged — which
+    /// has then already been charged to the pair and to `tally`. `ENOENT`
+    /// costs nothing: no decision was taken.
+    pub(crate) fn call_entry(
+        &self,
+        hold: &mut PairHold<'_>,
+        memo: Option<&mut Vec<(u32, Verdict)>>,
+        tally: &mut TrapTally<'_>,
+        proc_id: u32,
+        args: &[u8],
+        copy_ns: u64,
+    ) -> (SysResult<Vec<u8>>, u64) {
+        let session = hold.session;
+        let module = &session.module_ref;
+        // A repeat answered by the memo is priced as a cached decision; a
+        // first sight pays what the answering tier really cost.
+        let mut policy_ns = self.cost.cached_decision_ns;
+        let mut decide = || {
+            let Some(stub) = module.package.stub_table.by_id(proc_id) else {
+                return Verdict::Missing;
+            };
+            let proto = &session.proto;
+            let (app_domain, principal, uid) = match &hold.live {
+                Some((name, principal, uid)) => (name.as_str(), principal.as_ref(), *uid),
+                None => (
+                    proto.client_name.as_str(),
+                    proto.principal.as_ref(),
+                    proto.uid,
+                ),
+            };
+            let (allowed, tier) = module.check_operation(app_domain, principal, uid, &stub.symbol);
+            if tier.is_cached() {
+                tally.gate_hits += 1;
+            } else {
+                tally.gate_misses += 1;
+                policy_ns = self.cost.policy_per_node_ns * module.policy_complexity as u64;
+            }
+            if !allowed {
+                return Verdict::Denied;
+            }
+            match module.functions.get(proc_id) {
+                Some(body) => Verdict::Allowed(body),
+                None => Verdict::NoBody,
+            }
         };
-
-        // The single-call path traps per call anyway, so per-call counter
-        // increments are the natural flush point (the batched drains tally
-        // locally and flush once per drain instead).
-        let cached = tier.is_cached();
-        if cached {
-            self.metrics.gate_hits.incr();
-        } else {
-            self.metrics.gate_misses.incr();
+        let first_sight;
+        let verdict = match memo {
+            None => {
+                first_sight = decide();
+                &first_sight
+            }
+            Some(memo) => {
+                let idx = match memo.iter().position(|(id, _)| *id == proc_id) {
+                    Some(idx) => idx,
+                    None => {
+                        memo.push((proc_id, decide()));
+                        memo.len() - 1
+                    }
+                };
+                &memo[idx].1
+            }
+        };
+        if matches!(verdict, Verdict::Missing) {
+            return (Err(Errno::ENOENT), 0);
         }
-
-        let policy_cost = if cached {
-            self.cost.cached_decision_ns
-        } else {
-            self.cost.policy_per_node_ns * module.policy_complexity as u64
-        };
-        let overhead = self.cost.smod_call_overhead(call.args.len()) + policy_cost;
-        self.context_switch_n(caller, 2);
-
         if self.tracer.enabled() {
             self.tracer.record(Event::SmodCall {
                 session: session.id,
-                func_id: call.func_id,
-                symbol: stub.symbol.clone(),
-                allowed,
+                func_id: proc_id,
+                symbol: module
+                    .package
+                    .stub_table
+                    .by_id(proc_id)
+                    .map(|s| s.symbol.clone())
+                    .unwrap_or_default(),
+                allowed: !matches!(verdict, Verdict::Denied),
             });
         }
-        if !allowed {
-            self.charge(caller, overhead);
-            self.metrics.record_latency(Flavor::Syscall, overhead);
-            return Err(Errno::EACCES);
+        let (result, body_ns) = match verdict {
+            Verdict::Allowed(body) => {
+                let mut ctx = HandleCtx {
+                    handle_vm: &mut hold.handle.vm,
+                    client_vm: &hold.client.vm,
+                    client_pid: session.client,
+                    extra_ns: 0,
+                };
+                let result = body(&mut ctx, args);
+                hold.bodies_run += 1;
+                (result, ctx.extra_ns)
+            }
+            Verdict::NoBody => (Err(Errno::ENOSYS), 0),
+            _ => (Err(Errno::EACCES), 0),
+        };
+        hold.client.cpu_time_ns += policy_ns + copy_ns;
+        hold.handle.cpu_time_ns += body_ns;
+        let cost_ns = policy_ns + copy_ns + body_ns;
+        tally.entry(cost_ns);
+        (result, cost_ns)
+    }
+
+    /// The one accounting tail every trap into the dispatch path leaves
+    /// through (`sys_smod_call`, `sys_smod_call_batch`, every sweep).
+    /// `caller` is the trapping process, locked by whoever calls; per-entry
+    /// costs were charged to each entry's pair as it ran and summed in
+    /// `tally`. A trap that checked something charges the caller its
+    /// amortised `fixed_ns` — the cost-model formula of the entry point,
+    /// which already contains the context-switch pair — advances the clock
+    /// by fixed + entries and counts the pair; a trap that checked nothing
+    /// (empty, or nothing but validation rejects) pays the bare trap. Then
+    /// the tally reaches the metrics registry.
+    pub(crate) fn finish_trap(&self, caller: &mut Process, tally: TrapTally<'_>, fixed_ns: u64) {
+        let stripe = caller.pid.0 as u64;
+        if tally.checked == 0 {
+            caller.cpu_time_ns += self.cost.syscall_trap_ns;
+            self.clock
+                .advance_striped(stripe, self.cost.syscall_trap_ns);
+        } else {
+            caller.cpu_time_ns += fixed_ns;
+            self.clock
+                .advance_striped(stripe, fixed_ns + tally.entry_ns);
+            self.context_switch_n(caller.pid, 2);
         }
-
-        // --- execute the function body in the handle ---------------------
-        // The session pins both processes' lock handles, so the pair is
-        // locked (pid-ordered) without touching the process map; the
-        // caller's overhead and the handle's extra time are charged under
-        // the locks already held.
-        let body = module.functions.get(call.func_id).ok_or(Errno::ENOSYS)?;
-        let (result, extra_ns) = session.with_pair(|handle_proc, client_proc| {
-            client_proc.cpu_time_ns += overhead;
-            let mut ctx = HandleCtx {
-                handle_vm: &mut handle_proc.vm,
-                client_vm: &client_proc.vm,
-                client_pid: session.client,
-                extra_ns: 0,
-            };
-            let result = body(&mut ctx, &call.args);
-            handle_proc.cpu_time_ns += ctx.extra_ns;
-            (result, ctx.extra_ns)
-        })?;
-        self.clock
-            .advance_striped(caller.0 as u64, overhead + extra_ns);
-        self.metrics
-            .record_latency(Flavor::Syscall, overhead + extra_ns);
-
-        // --- bookkeeping --------------------------------------------------
-        session.note_call();
-        module.note_call_dispatched(caller.0 as u64);
-        result
+        tally.flush(&self.metrics);
     }
 
     // ----------------------------------------------------------------

@@ -198,13 +198,8 @@ impl RegisteredModule {
         self.sessions_started.add(hint, 1);
     }
 
-    /// Record a dispatched call (hint: the caller pid, for striping).
-    pub(crate) fn note_call_dispatched(&self, hint: u64) {
-        self.calls_dispatched.add(hint, 1);
-    }
-
-    /// Record `n` dispatched calls at once (the batched path counts per
-    /// chunk instead of per entry).
+    /// Record `n` dispatched calls (hint: the client pid, for striping);
+    /// the dispatch path counts once per hold of the pair lock.
     pub(crate) fn note_calls_dispatched(&self, hint: u64, n: u64) {
         self.calls_dispatched.add(hint, n);
     }

@@ -46,7 +46,7 @@
 use crate::batch::{fail_all_eidrm, DrainScratch};
 use crate::kernel::Kernel;
 use crate::proc::Pid;
-use crate::smod::{SessionId, SessionState};
+use crate::smod::{SessionId, SessionState, TrapTally};
 use crate::SysResult;
 use secmod_obs::Flavor;
 use secmod_qos::SweepScheduler;
@@ -81,11 +81,9 @@ pub struct SweepReport {
 
 /// Running totals across one sweep's slot visits, folded into the
 /// report and the amortised cost charge at the end.
-#[derive(Default)]
-struct SweepTotals {
+struct SweepTotals<'k> {
     report: SweepReport,
-    entry_ns_total: u64,
-    checked_total: usize,
+    tally: TrapTally<'k>,
     sessions_checked: usize,
 }
 
@@ -110,7 +108,7 @@ impl Kernel {
         rings: &Arc<SessionRings>,
         session_budget: usize,
         scratch: &mut DrainScratch,
-        totals: &mut SweepTotals,
+        totals: &mut SweepTotals<'_>,
     ) -> SlotDrain {
         totals.report.sessions_ready += 1;
         // --- once-per-sweep resolution of this session ------------------
@@ -128,7 +126,7 @@ impl Kernel {
                 // producer reaps).
                 totals.report.sessions_dead += 1;
                 let failed = fail_all_eidrm(&rings.sq, &rings.cq);
-                self.metrics.eidrm_failures.add(failed as u64);
+                totals.tally.eidrm_failures += failed as u64;
                 totals.report.drained += failed;
                 totals.report.failed += failed;
                 if failed > 0 {
@@ -150,7 +148,7 @@ impl Kernel {
             rings.arena.as_ref(),
             session_budget,
             scratch,
-            Flavor::Sweep,
+            &mut totals.tally,
         );
         // Every drained entry pushed a completion (success or errno):
         // flag the completion bitmap so a parked consumer (the async
@@ -166,8 +164,6 @@ impl Kernel {
         } else {
             totals.report.sessions_swept += 1;
         }
-        totals.checked_total += outcome.checked;
-        totals.entry_ns_total += outcome.entry_ns;
         totals.sessions_checked += usize::from(outcome.checked > 0);
         // Budget leftovers (or a cq-full stall) re-flag the slot so the
         // next sweep picks it straight back up.
@@ -177,33 +173,6 @@ impl Kernel {
             completed: outcome.completed,
             failed: outcome.failed,
         }
-    }
-
-    /// The shared end-of-sweep accounting: trap counters, then either
-    /// the amortised fixed cost (checked work happened) or the bare trap.
-    fn finish_sweep(&self, caller: Pid, mut totals: SweepTotals) -> SweepReport {
-        // One trap, however many sessions it visited — the pair of
-        // counters behind `DispatchMetrics::sessions_per_trap`, the
-        // paper's multi-session amortisation made observable.
-        self.metrics.sweep_traps.incr();
-        self.metrics
-            .sweep_sessions
-            .add(totals.report.sessions_ready as u64);
-        if totals.checked_total > 0 {
-            totals.report.fixed_cost_ns = self
-                .cost
-                .sweep_dispatch_ns(totals.sessions_checked, totals.checked_total);
-            let fixed = totals.report.fixed_cost_ns;
-            let _ = self.procs.with_mut(caller, |p| p.cpu_time_ns += fixed);
-            self.clock
-                .advance_striped(caller.0 as u64, fixed + totals.entry_ns_total);
-            // One context-switch pair per *sweep*, no matter how many
-            // sessions it visited — the multi-session amortisation.
-            self.context_switch_n(caller, 2);
-        } else {
-            self.charge(caller, self.cost.syscall_trap_ns);
-        }
-        totals.report
     }
 
     /// Drain every ready session in `set`, up to `session_budget` entries
@@ -250,7 +219,11 @@ impl Kernel {
         session_budget: usize,
     ) -> SysResult<SweepReport> {
         self.procs.with(caller, |_| ())?; // the drainer must be a live process
-        let mut totals = SweepTotals::default();
+        let mut totals = SweepTotals {
+            report: SweepReport::default(),
+            tally: TrapTally::new(self.metrics.latency(Flavor::Sweep), 0),
+            sessions_checked: 0,
+        };
         let mut scratch = DrainScratch::new();
         // One claimed slot's visit; `None` when the slot was busy or gone.
         let mut visit = |slot: RingSlotId, budget: usize| {
@@ -286,7 +259,25 @@ impl Kernel {
                 }
             }
         }
-        Ok(self.finish_sweep(caller, totals))
+        // One trap, however many sessions it visited — the pair of
+        // counters behind `DispatchMetrics::sessions_per_trap`, the
+        // paper's multi-session amortisation made observable — and one
+        // context-switch pair per *sweep*.
+        let SweepTotals {
+            mut report,
+            tally,
+            sessions_checked,
+        } = totals;
+        self.metrics.sweep_traps.incr();
+        self.metrics
+            .sweep_sessions
+            .add(report.sessions_ready as u64);
+        if tally.checked > 0 {
+            report.fixed_cost_ns = self.cost.sweep_dispatch_ns(sessions_checked, tally.checked);
+        }
+        self.procs
+            .with_mut(caller, |p| self.finish_trap(p, tally, report.fixed_cost_ns))?;
+        Ok(report)
     }
 }
 

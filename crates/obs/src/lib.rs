@@ -511,8 +511,8 @@ struct LineBoundary;
 /// [`Flavor`] plus the event counters every layer feeds.
 ///
 /// One registry lives in each `Kernel`; the plane's drainers, the
-/// async reactor, and the syscall paths all record into it, and
-/// `Dispatcher::metrics()` exposes it uniformly.
+/// async reactor, and the syscall paths all record into it
+/// (`Kernel::metrics`).
 ///
 /// The layout rule: **a word written per call has exactly one writing
 /// role per cache line.** The roles are the thread that *drains* (the

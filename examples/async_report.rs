@@ -27,7 +27,6 @@
 use secmod::gate::{run_scenario, ScenarioConfig, ScenarioKind};
 use secmod::kernel::PlaneConfig;
 use secmod::r#async::{block_on, join_all, AsyncPlane};
-use secmod::Dispatcher;
 use std::sync::Arc;
 
 fn parse_flag(args: &[String], flag: &str) -> Option<u64> {
@@ -78,11 +77,6 @@ fn main() {
         PlaneConfig::builder().drainers(drainers).build(),
     )
     .expect("start async plane");
-    let caps = plane.capabilities();
-    println!(
-        "Dispatcher flavor `{}`: batched={}, trap_free={}, asynchronous={}",
-        caps.flavor, caps.batched, caps.trap_free, caps.asynchronous
-    );
     let session = plane.session(client).expect("attach session");
     let answers: Vec<u64> = block_on(join_all((0..3u64).map(|i| {
         let session = session.clone();
@@ -103,12 +97,10 @@ fn main() {
         "call_costed(incr, 7) -> {} at {cost_ns} simulated ns",
         u64::from_le_bytes(ret.try_into().unwrap())
     );
-    if let Some(metrics) = plane.metrics() {
-        println!(
-            "async flavor so far: {}\n",
-            metrics.latency(secmod::obs::Flavor::Async).summary()
-        );
-    }
+    println!(
+        "async flavor so far: {}\n",
+        kernel.metrics.latency(secmod::obs::Flavor::Async).summary()
+    );
     drop(session);
     plane.shutdown();
 

@@ -14,10 +14,7 @@
 //! cargo run --release --example gate_report -- --metrics
 //! ```
 
-use secmod::gate::{
-    build_dispatch_kernel, run_metrics_demo, run_scenario, ScenarioConfig, ScenarioKind,
-};
-use secmod::Dispatcher;
+use secmod::gate::{run_metrics_demo, run_scenario, ScenarioConfig, ScenarioKind};
 
 fn parse_flag(args: &[String], flag: &str) -> Option<u64> {
     args.iter()
@@ -84,30 +81,6 @@ fn main() {
         "decisions are seed-deterministic; the coherence property guarantees the cache cannot"
     );
     println!("change an answer, only the cost of computing it.\n");
-
-    // Every kernel-backed flavor below speaks the same `Dispatcher`
-    // vocabulary; a probe call shows the trait in the syscall flavor
-    // (the scenario engine drives the others).
-    let probe = build_dispatch_kernel(
-        &ScenarioConfig::builder(ScenarioKind::KernelDispatch)
-            .quick()
-            .seed(seed)
-            .build(),
-    );
-    let caps = probe.kernel.capabilities();
-    let outcome =
-        probe
-            .kernel
-            .dispatch_one(probe.clients[0], probe.func_ids[1], &7u64.to_le_bytes());
-    println!(
-        "dispatcher probe: flavor `{}` (batched={}, trap_free={}, asynchronous={}), \
-         incr(7) -> {:?}\n",
-        caps.flavor,
-        caps.batched,
-        caps.trap_free,
-        caps.asynchronous,
-        outcome.map(|ret| u64::from_le_bytes(ret.try_into().unwrap())),
-    );
 
     for kind in ScenarioKind::ALL {
         if only.is_some_and(|name| name != kind.name()) {

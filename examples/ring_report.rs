@@ -34,8 +34,7 @@
 use secmod::gate::{run_scenario, ScenarioConfig, ScenarioKind};
 use secmod::kernel::CostModel;
 use secmod::prelude::*;
-use secmod::ring::{Ring, SmodCallReq};
-use secmod::{DispatchCall, Dispatcher};
+use secmod::ring::{Ring, RingPairConfig, RingSet, SmodCallReq};
 use std::sync::Arc;
 
 /// Submit `total` incr calls round-robin over `handles` and reap every
@@ -118,54 +117,60 @@ fn main() {
     world.connect(client, "libring", 0).expect("connect");
 
     const BATCH: usize = 32;
-    let args_list: Vec<Vec<u8>> = (0..BATCH as u64)
-        .map(|i| i.to_le_bytes().to_vec())
-        .collect();
-    let arg_refs: Vec<&[u8]> = args_list.iter().map(|a| a.as_slice()).collect();
+    let incr_id = world.func_id(client, "incr").expect("resolve incr");
+    // One ring entry per argument block, for `client`'s session.
+    let reqs = |w: &SimWorld, client| {
+        let session = w.kernel.session_of(client).expect("session").id.0;
+        (0..BATCH as u64).map(move |i| SmodCallReq {
+            session,
+            proc_id: incr_id,
+            user_data: i,
+            args: i.to_le_bytes().into(),
+        })
+    };
     let (_, sequential_ns) = world.measure(|w| {
-        for a in &arg_refs {
-            w.call(client, "incr", a).expect("sequential call");
+        for i in 0..BATCH as u64 {
+            w.call(client, "incr", &i.to_le_bytes())
+                .expect("sequential call");
         }
     });
-    let (results, batched_ns) = world.measure(|w| {
-        w.call_batch(client, "incr", &arg_refs)
+    let ring = RingPairConfig {
+        submission: BATCH,
+        completion: BATCH,
+    };
+    let (sq, cq) = ring.build();
+    for req in reqs(&world, client) {
+        sq.push_spsc(req).expect("ring sized to the batch");
+    }
+    let (report, batched_ns) = world.measure(|w| {
+        w.kernel
+            .sys_smod_call_batch(client, &sq, &cq, BATCH)
             .expect("batched call")
     });
-    let ok = results.iter().filter(|r| r.is_ok()).count();
     println!("\none batch of {BATCH} incr calls through SimWorld (simulated clock):");
     println!("  sequential sys_smod_call x{BATCH}: {sequential_ns:>8} ns");
-    println!("  sys_smod_call_batch (1 drain)  : {batched_ns:>8} ns  ({ok}/{BATCH} completed)");
+    println!(
+        "  sys_smod_call_batch (1 drain)  : {batched_ns:>8} ns  ({}/{BATCH} completed)",
+        report.completed
+    );
     println!(
         "  amortisation: {:.1}x cheaper on the simulated clock",
         sequential_ns as f64 / batched_ns.max(1) as f64
     );
-
-    // The same batch through the unified `Dispatcher` vocabulary — the
-    // trait every flavor (syscall, sim, plane, async) implements, so a
-    // harness written against it can be pointed at any of them.
-    let incr_id = world.func_id(client, "incr").expect("resolve incr");
-    let calls: Vec<DispatchCall> = (0..4u64)
-        .map(|i| DispatchCall::new(incr_id, i.to_le_bytes()))
-        .collect();
-    let outcomes = world
-        .dispatch_batch(client, &calls)
-        .expect("dispatch batch");
-    let caps = world.capabilities();
     println!(
-        "  Dispatcher flavor `{}` (batched={}): dispatch_batch(incr, 0..4) -> {:?}",
-        caps.flavor,
-        caps.batched,
-        outcomes
-            .into_iter()
-            .map(|o| o.map(|ret| u64::from_le_bytes(ret.try_into().unwrap())))
+        "  first four completions -> {:?}",
+        std::iter::from_fn(|| cq.pop_spsc())
+            .take(4)
+            .map(|resp| secmod::DispatchError::from_resp(resp)
+                .map(|ret| u64::from_le_bytes(ret.try_into().unwrap())))
             .collect::<Vec<_>>()
     );
 
     // --- 3. the dispatch plane: multi-session sweeps -------------------
     // 3a. One sweep vs per-client batches on the simulated clock: eight
-    // clients, one batch each — call_batch pays the fixed trap per
-    // client, call_sweep pays it once for all of them and resolves each
-    // session exactly once.
+    // clients, one batch each — sys_smod_call_batch pays the fixed trap
+    // per client, sys_smod_sweep pays it once for all of them and
+    // resolves each session exactly once.
     const PLANE_CLIENTS: usize = 8;
     let mut sweep_world = SimWorld::new();
     sweep_world.install(&module).expect("install");
@@ -181,20 +186,50 @@ fn main() {
             c
         })
         .collect();
+    let sweeper = sweep_world
+        .spawn_client("sweeper", Credential::root())
+        .expect("spawn sweeper");
+    let set = RingSet::with_capacity(PLANE_CLIENTS);
+    let slots: Vec<_> = plane_clients
+        .iter()
+        .map(|&c| {
+            let session = sweep_world.kernel.session_of(c).expect("session").id.0;
+            set.register(session, c.0, ring).expect("register")
+        })
+        .collect();
+    let fill = |w: &SimWorld| {
+        for (&c, &slot) in plane_clients.iter().zip(&slots) {
+            for req in reqs(w, c) {
+                set.submit(slot, req).expect("ring sized to the batch");
+            }
+        }
+    };
+    let reap = || -> usize {
+        let oks = |slot: &secmod::ring::RingSlotId| {
+            let rings = set.get(*slot).expect("slot");
+            std::iter::from_fn(|| rings.cq.pop_spsc())
+                .filter(|resp| resp.is_ok())
+                .count()
+        };
+        slots.iter().map(oks).sum()
+    };
+    fill(&sweep_world);
     let (_, per_client_ns) = sweep_world.measure(|w| {
-        for &c in &plane_clients {
-            w.call_batch(c, "incr", &arg_refs).expect("batched call");
+        for (&c, &slot) in plane_clients.iter().zip(&slots) {
+            let rings = set.get(slot).expect("slot");
+            w.kernel
+                .sys_smod_call_batch(c, &rings.sq, &rings.cq, BATCH)
+                .expect("batched call");
         }
     });
-    let batches: Vec<_> = plane_clients
-        .iter()
-        .map(|&c| (c, "incr", arg_refs.as_slice()))
-        .collect();
-    let (swept, sweep_ns) = sweep_world.measure(|w| w.call_sweep(&batches).expect("sweep"));
-    let swept_ok: usize = swept
-        .iter()
-        .map(|per| per.iter().filter(|r| r.is_ok()).count())
-        .sum();
+    reap();
+    fill(&sweep_world);
+    let (_, sweep_ns) = sweep_world.measure(|w| {
+        w.kernel
+            .sys_smod_sweep(sweeper, &set, BATCH)
+            .expect("sweep")
+    });
+    let swept_ok = reap();
     println!(
         "\ndispatch plane, level 1 — one sweep over {PLANE_CLIENTS} sessions x {BATCH} calls \
          (simulated clock):"
@@ -260,7 +295,7 @@ fn main() {
     // `ArgArena`; the ring carries an `(offset, len, gen)` descriptor
     // and the drain charges one slot hand-off). The paper's shared-stack
     // argument, in cost-model form.
-    use secmod::ring::{ArgArena, ArgRef, RingPairConfig, RingSet};
+    use secmod::ring::{ArgArena, ArgRef};
     const BIG: usize = 64 * 1024;
     const BIG_CALLS: usize = 32;
     let mut sim_ns = [0u64; 2];

@@ -18,15 +18,11 @@ pub use secmod_ring as ring;
 pub use secmod_rpc as rpc;
 pub use secmod_vm as vm;
 
-pub use secmod_kernel::dispatch::{
-    DispatchCall, DispatchCaps, DispatchError, DispatchOutcome, Dispatcher,
-};
+pub use secmod_kernel::dispatch::{DispatchError, DispatchOutcome};
 
-/// Convenience prelude mirroring `secmod_core::prelude`, plus the
-/// unified [`Dispatcher`] vocabulary shared by every dispatch flavor.
+/// Convenience prelude mirroring `secmod_core::prelude`, plus the outcome
+/// vocabulary the ring-based frontends share.
 pub mod prelude {
     pub use secmod_core::prelude::*;
-    pub use secmod_kernel::dispatch::{
-        DispatchCall, DispatchCaps, DispatchError, DispatchOutcome, Dispatcher,
-    };
+    pub use secmod_kernel::dispatch::{DispatchError, DispatchOutcome};
 }
