@@ -171,11 +171,12 @@ impl Kernel {
         let _ = self.procs.with_mut(pid, |p| p.cpu_time_ns += ns);
     }
 
-    /// Record `n` context switches attributed to `pid`'s stripe.
+    /// Count `n` context switches on `pid`'s stripe. Their time is not
+    /// charged here: the dispatch cost formulas (`smod_call_overhead`,
+    /// `batched_dispatch_ns`, `sweep_dispatch_ns`) already contain the
+    /// switch pair.
     pub(crate) fn context_switch_n(&self, pid: Pid, n: u64) {
         self.context_switches.add(pid.0 as u64, n);
-        self.clock
-            .advance_striped(pid.0 as u64, n * self.cost.context_switch_ns);
     }
 
     // ----------------------------------------------------------------
