@@ -169,9 +169,11 @@ impl PollController {
 /// A fault-injection drill: drainer `drainer` makes the sweep's own
 /// claim into its seat's ledger, takes the first claimed slot's drain
 /// flag, then dies holding both (its thread exits without draining or
-/// beating). Fires at most once per plane, and only
-/// when there is actually ready work to strand — a crash that claims
-/// nothing proves nothing.
+/// beating). Fires once per plane, on the first queued work the victim
+/// finds once it has done `after_sweeps` sweeps — a crash that strands
+/// nothing proves nothing — and until it has fired the other drainers
+/// stand aside, so it fires by construction, not by winning a race. A
+/// spec that names no seat of the plane is ignored.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CrashSpec {
     /// Seat index of the drainer to kill (0-based).
@@ -483,7 +485,7 @@ impl DispatchPlane {
             sched,
             monitor: monitor.clone(),
             ledgers: RwLock::new(ledgers),
-            crash: cfg.crash,
+            crash: cfg.crash.filter(|crash| crash.drainer < n),
             crash_fired: AtomicBool::new(false),
             params: DrainerParams {
                 park_timeout: cfg.park_timeout,
@@ -740,13 +742,17 @@ fn drainer_loop(shared: &PlaneShared, ctx: DrainerCtx) -> PlaneStats {
             hb.beat();
         }
         // The fault drill fires once per plane, so the respawned seat
-        // does not re-die.
-        if let Some(crash) = shared.crash {
-            if crash.drainer == ctx.seat
-                && stats.sweeps >= crash.after_sweeps
-                && !shared.crash_fired.load(Ordering::Acquire)
-                && dies_mid_visit(shared, &ctx)
-            {
+        // does not re-die. Until it has, the other seats leave the ready
+        // set to the victim: the drill fires on the first work there is,
+        // not whenever the victim happens to win a claim race.
+        let armed = |_: &CrashSpec| !shared.crash_fired.load(Ordering::Acquire);
+        if let Some(crash) = shared.crash.filter(armed) {
+            if crash.drainer != ctx.seat {
+                if !shared.stop.load(Ordering::Acquire) {
+                    std::thread::park_timeout(park_timeout);
+                    continue;
+                }
+            } else if stats.sweeps >= crash.after_sweeps && dies_mid_visit(shared, &ctx) {
                 shared.crash_fired.store(true, Ordering::Release);
                 return stats;
             }
@@ -830,14 +836,17 @@ fn drainer_loop(shared: &PlaneShared, ctx: DrainerCtx) -> PlaneStats {
 /// The fault drill's death: make the sweep's claim, start the first visit
 /// and unwind out of it — the claimed bits in the ledger, the slot's drain
 /// flag held, exactly what a drainer killed mid-drain leaves behind.
-/// `false` when nothing was ready (the claim then returns normally: a
+/// `false` when nothing was queued (the claim then returns normally: a
 /// crash that strands nothing exercises nothing).
 fn dies_mid_visit(shared: &PlaneShared, ctx: &DrainerCtx) -> bool {
     // `resume_unwind` is a panic that skips the panic hook: the death is
     // staged, so it prints nothing.
     catch_unwind(AssertUnwindSafe(|| {
         shared.set.claim_ready(&ctx.ledger, |slot, _tenant| {
-            shared.set.drain_claimed(slot, &ctx.ledger, |_, _| {
+            shared.set.drain_claimed(slot, &ctx.ledger, |_, rings| {
+                if rings.sq.is_empty() {
+                    return false; // a stale bit: nothing here to strand
+                }
                 resume_unwind(Box::new("crash drill"))
             });
         })
