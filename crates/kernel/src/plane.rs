@@ -745,8 +745,8 @@ fn drainer_loop(shared: &PlaneShared, ctx: DrainerCtx) -> PlaneStats {
         // does not re-die. Until it has, the other seats leave the ready
         // set to the victim: the drill fires on the first work there is,
         // not whenever the victim happens to win a claim race.
-        let armed = |_: &CrashSpec| !shared.crash_fired.load(Ordering::Acquire);
-        if let Some(crash) = shared.crash.filter(armed) {
+        let fired = || shared.crash_fired.load(Ordering::Acquire);
+        if let Some(crash) = shared.crash.filter(|_| !fired()) {
             if crash.drainer != ctx.seat {
                 if !shared.stop.load(Ordering::Acquire) {
                     std::thread::park_timeout(park_timeout);
