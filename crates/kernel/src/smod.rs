@@ -179,6 +179,12 @@ impl Session {
     /// prototype; only a mismatch (credential revoked or swapped
     /// mid-session) re-derives the request from the process. Bodies that
     /// ran under the hold are counted once, after it.
+    ///
+    /// Forced inline together with [`Kernel::call_entry`]: left to the
+    /// optimiser, `sys_smod_call` keeps both as calls and the closure's
+    /// captures go through memory — measured 5-10% of `sync_call` /
+    /// `policy_churn` throughput (PR 22 in CHANGES.md).
+    #[inline(always)]
     pub(crate) fn hold_pair<R>(&self, f: impl FnOnce(&mut PairHold<'_>) -> R) -> SysResult<R> {
         let (out, bodies_run) = crate::table::lock_pair_ordered(
             self.handle,
@@ -833,6 +839,7 @@ impl Kernel {
     /// simulated cost — policy + copy + whatever the body charged — which
     /// has then already been charged to the pair and to `tally`. `ENOENT`
     /// costs nothing: no decision was taken.
+    #[inline(always)] // see `Session::hold_pair`
     pub(crate) fn call_entry(
         &self,
         hold: &mut PairHold<'_>,
