@@ -24,27 +24,26 @@
 //! instead of dispatching into a dead module — the batched analogue of
 //! the single-call path's epoch fold.
 //!
-//! Within a chunk, decisions are served from a **drain-local memo**
-//! keyed by function id: the first entry for a function resolves through
-//! the module gateway (and charges the true cached/uncached cost),
-//! repeats are priced as cached decisions. The memo is cleared whenever
-//! the gateway's epoch moves (policy grant, key registration, or any
-//! kernel detach/remove) or the live credential does, so its staleness
-//! window is one chunk — the same window at which teardown is honoured.
+//! Decisions come from the same place as on the single call: the
+//! session's verdicts, which the pair-lock hold re-stamps with the
+//! gateway epoch (policy grant, key registration, or any kernel
+//! detach/remove clears them), so a decision is stale for at most one
+//! chunk — the same window at which teardown is honoured. A repeat the
+//! session holds is priced as a cached decision; anything else pays what
+//! the gateway's answering tier cost.
 //!
 //! The chunked loop itself — epoch re-read, EIDRM on teardown,
-//! completion-space reservation — is [`SessionDrain`] /
-//! [`Kernel::drain_session_rings`], shared by the per-session path here
-//! and the multi-session `sys_smod_sweep`.
+//! completion-space reservation — is [`Kernel::drain_session_rings`],
+//! shared by the per-session path here and the multi-session
+//! `sys_smod_sweep`.
 
 use crate::errno::Errno;
 use crate::kernel::Kernel;
 use crate::proc::Pid;
-use crate::smod::{PairHold, Session, SessionState, TrapTally, Verdict};
+use crate::smod::{PairHold, Session, SessionState, TrapTally};
 use crate::SysResult;
 use secmod_obs::Flavor;
 use secmod_ring::{ArenaRegion, ArgRef, CompletionRing, SmodCallReq, SmodCallResp, SubmissionRing};
-use std::sync::Arc;
 
 /// Entries processed under one acquisition of the client/handle pair
 /// locks. Small enough that a racing detach waits at most one chunk for
@@ -71,12 +70,9 @@ pub struct BatchReport {
     pub fixed_cost_ns: u64,
 }
 
-/// Reusable drain buffers: the decision memo and the chunk staging
-/// areas. A sweep allocates one of these and reuses it across every
-/// session it visits (the memo is cleared per session — decisions are
-/// valid only for the credential they were resolved under).
+/// Reusable drain buffers: the chunk staging areas. A sweep allocates one
+/// of these and reuses it across every session it visits.
 pub(crate) struct DrainScratch {
-    memo: Vec<(u32, Verdict)>,
     chunk: Vec<SmodCallReq>,
     responses: Vec<SmodCallResp>,
 }
@@ -84,28 +80,10 @@ pub(crate) struct DrainScratch {
 impl DrainScratch {
     pub(crate) fn new() -> DrainScratch {
         DrainScratch {
-            memo: Vec::new(),
             chunk: Vec::with_capacity(BATCH_CHUNK),
             responses: Vec::with_capacity(BATCH_CHUNK),
         }
     }
-}
-
-/// The once-per-drain resolution of a session: the pinned session and
-/// module, the epochs the decision memo is valid under, and the
-/// credential identity the per-chunk re-verification compares against.
-/// Built by [`Kernel::resolve_session_drain`]; consumed by
-/// [`Kernel::drain_session_rings`]. This is the "resolve once" that the
-/// batched path performs per syscall and the sweep performs once per
-/// session per sweep.
-pub(crate) struct SessionDrain {
-    pub(crate) session: Arc<Session>,
-    kernel_epoch: u64,
-    gate_epoch: u64,
-    /// Credential identity decisions were last memoised under; movement
-    /// clears the memo (per-chunk re-verification).
-    last_cred: (u32, Option<u64>),
-    dead: bool,
 }
 
 /// What one [`Kernel::drain_session_rings`] call did (the per-session
@@ -202,10 +180,9 @@ impl Kernel {
         if session.state() != SessionState::Established {
             return Err(Errno::EINVAL);
         }
-        let mut drain = self.resolve_session_drain(session);
         let mut tally = TrapTally::new(self.metrics.latency(Flavor::Batch), 0);
         let outcome = self.drain_session_rings(
-            &mut drain,
+            &session,
             sq,
             cq,
             None,
@@ -231,33 +208,15 @@ impl Kernel {
         })
     }
 
-    /// Resolve a session for a drain: fold the kernel epoch into the
-    /// module gateway, and snapshot the epochs and the memoised credential
-    /// identity. This is the fixed work the batched path pays once per
-    /// syscall and the sweep pays once per session per sweep.
-    pub(crate) fn resolve_session_drain(&self, session: Arc<Session>) -> SessionDrain {
-        let gateway = &session.module_ref().gateway;
-        let kernel_epoch = self.smod_epoch();
-        gateway.observe_kernel_epoch(kernel_epoch);
-        let gate_epoch = gateway.epoch();
-        let last_cred = (session.proto.uid, session.proto.principal_fp);
-        SessionDrain {
-            session,
-            kernel_epoch,
-            gate_epoch,
-            last_cred,
-            dead: false,
-        }
-    }
-
-    /// The shared chunked drain: pop up to `budget` entries from `sq` in
-    /// [`BATCH_CHUNK`]-sized chunks, re-reading the invalidation epochs
-    /// between chunks, running each chunk's entries through
-    /// [`Kernel::call_entry`] under one hold of the pair lock (which
-    /// re-verifies the live credential), and publishing one completion
-    /// per entry into `cq` (completion space is reserved *before*
-    /// submissions are consumed). Teardown detected mid-drain fails the
-    /// remainder with `EIDRM`.
+    /// The shared chunked drain: fold the kernel epoch into the module
+    /// gateway, then pop up to `budget` entries from `sq` in
+    /// [`BATCH_CHUNK`]-sized chunks, re-reading the kernel epoch between
+    /// chunks, running each chunk's entries through [`Kernel::call_entry`]
+    /// under one hold of the pair lock (which re-verifies the live
+    /// credential and re-stamps the session's verdicts), and publishing
+    /// one completion per entry into `cq` (completion space is reserved
+    /// *before* submissions are consumed). Teardown detected mid-drain
+    /// fails the remainder with `EIDRM`.
     ///
     /// Both `sys_smod_call_batch` (one session per syscall) and
     /// `sys_smod_sweep` (every ready session per syscall) funnel through
@@ -267,7 +226,7 @@ impl Kernel {
     #[allow(clippy::too_many_arguments)] // one arg per drain resource; bundling would obscure them
     pub(crate) fn drain_session_rings(
         &self,
-        d: &mut SessionDrain,
+        session: &Session,
         sq: &SubmissionRing,
         cq: &CompletionRing,
         region: Option<&ArenaRegion>,
@@ -275,19 +234,13 @@ impl Kernel {
         scratch: &mut DrainScratch,
         tally: &mut TrapTally<'_>,
     ) -> DrainOutcome {
-        scratch.memo.clear();
         let mut outcome = DrainOutcome::default();
         let checked_before = tally.checked;
-        // One refcount bump per drain keeps the borrow of `d` (mutated
-        // inside the pair-locked closure) disjoint from the session handle
-        // used around it.
-        let session = Arc::clone(&d.session);
         let gateway = &session.module_ref().gateway;
-        let DrainScratch {
-            memo,
-            chunk,
-            responses,
-        } = scratch;
+        let mut kernel_epoch = self.smod_epoch();
+        gateway.observe_kernel_epoch(kernel_epoch);
+        let mut dead = false;
+        let DrainScratch { chunk, responses } = scratch;
 
         while outcome.drained < budget {
             // Reserve completion space *before* consuming submissions: a
@@ -310,49 +263,30 @@ impl Kernel {
             }
 
             // Epoch fold between chunks: a detach/remove that completed
-            // since the last chunk invalidates the pinned session; any
-            // epoch movement (including live policy mutations through the
-            // gateway) invalidates the drain-local decision memo.
-            if !d.dead {
+            // since the last chunk invalidates the pinned session (and,
+            // through the gateway epoch, the session's verdicts).
+            if !dead {
                 let now = self.smod_epoch();
-                if now != d.kernel_epoch {
-                    d.kernel_epoch = now;
+                if now != kernel_epoch {
+                    kernel_epoch = now;
                     gateway.observe_kernel_epoch(now);
-                    d.dead = self.sessions.get(session.id).is_none()
+                    dead = self.sessions.get(session.id).is_none()
                         || self.registry.get(session.module).is_err();
-                }
-                let gate_now = gateway.epoch();
-                if gate_now != d.gate_epoch {
-                    d.gate_epoch = gate_now;
-                    memo.clear();
                 }
             }
 
-            if !d.dead {
+            if !dead {
                 let held = session.hold_pair(|hold| {
-                    // Decisions are valid only for the credential they
-                    // were resolved under: a revocation mid-drain
-                    // invalidates the memo.
-                    let cred_now = (
-                        hold.client.cred.uid,
-                        hold.client
-                            .cred
-                            .principal_fp64(&session.module_ref().package.image.name),
-                    );
-                    if cred_now != d.last_cred {
-                        d.last_cred = cred_now;
-                        memo.clear();
-                    }
                     for req in chunk.iter() {
-                        responses.push(self.ring_entry(hold, memo, tally, req, region));
+                        responses.push(self.ring_entry(hold, tally, req, region));
                     }
                 });
                 // A pair that cannot be locked is a dead session, whatever
                 // errno the lock reported: this chunk and the rest of the
                 // drain fail with the `EIDRM` of an epoch-detected teardown.
-                d.dead = held.is_err();
+                dead = held.is_err();
             }
-            if d.dead {
+            if dead {
                 outcome.aborted = true;
                 responses.extend(chunk.iter().map(|req| eidrm_resp(req.user_data)));
             }
@@ -387,7 +321,6 @@ impl Kernel {
     fn ring_entry(
         &self,
         hold: &mut PairHold<'_>,
-        memo: &mut Vec<(u32, Verdict)>,
         tally: &mut TrapTally<'_>,
         req: &SmodCallReq,
         region: Option<&ArenaRegion>,
@@ -408,14 +341,7 @@ impl Kernel {
                 tally.inline_args += 1;
                 self.cost.copy_per_byte_ns * req.args.len() as u64
             };
-            self.call_entry(
-                hold,
-                Some(memo),
-                tally,
-                req.proc_id,
-                req.args.as_slice(),
-                copy_ns,
-            )
+            self.call_entry(hold, tally, req.proc_id, req.args.as_slice(), copy_ns)
         };
         let (ret, errno) = match result {
             Ok(ret) => (ArgRef::place_vec(ret, region), 0),
@@ -441,9 +367,10 @@ pub(crate) mod tests {
     use secmod_module::builder::ModuleBuilder;
     use secmod_module::{ModuleId, SmodPackage, StubTable};
     use secmod_policy::assertion::{Assertion, LicenseeExpr};
-    use secmod_policy::{PolicyEngine, Principal};
+    use secmod_policy::{CacheConfig, PolicyEngine, Principal};
     use secmod_ring::{Ring, SMOD_BATCH_DEFAULT_BUDGET};
     use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
 
     pub(crate) const ALICE_KEY: &[u8] = b"batch-alice-key";
     const MAC_KEY: &[u8] = b"batch-mac-key";
@@ -480,7 +407,15 @@ pub(crate) mod tests {
         slow_gate: Option<Arc<SlowGate>>,
         n_clients: usize,
     ) -> (Kernel, ModuleId, Vec<Pid>, u32) {
-        let k = Kernel::new(CostModel::default());
+        clients_on(Kernel::new(CostModel::default()), slow_gate, n_clients)
+    }
+
+    /// [`kernel_with_clients`] on a kernel the caller booted.
+    pub(crate) fn clients_on(
+        k: Kernel,
+        slow_gate: Option<Arc<SlowGate>>,
+        n_clients: usize,
+    ) -> (Kernel, ModuleId, Vec<Pid>, u32) {
         let registrar = k
             .spawn_process("registrar", Credential::root(), vec![0x90; 4096], 2, 2)
             .unwrap();
@@ -660,8 +595,8 @@ pub(crate) mod tests {
 
     #[test]
     fn live_policy_mutation_is_visible_at_the_next_chunk() {
-        // The drain memo may serve a decision for at most one chunk: a
-        // grant added mid-batch (here: between two batched drains, and
+        // A session's verdict may serve a decision for at most one chunk:
+        // a grant added mid-batch (here: between two batched drains, and
         // within one batch across a chunk boundary) must flip the denied
         // function to allowed.
         let (k, m_id, client, _incr) = kernel_with_module(None);
@@ -686,7 +621,7 @@ pub(crate) mod tests {
             assert_eq!(cq.pop_spsc().unwrap().errno, Errno::EACCES.code());
         }
         // Grant strlen through the live gateway (bumps the gateway epoch,
-        // which clears any drain memo at the next chunk boundary).
+        // which clears the session's verdicts at the next hold).
         let alice = Principal::from_key("uid1000", ALICE_KEY);
         k.registry
             .get(m_id)
@@ -905,6 +840,59 @@ pub(crate) mod tests {
         for _ in 0..8 {
             assert_eq!(cq.pop_spsc().unwrap().errno, Errno::EACCES.code());
         }
+    }
+
+    #[test]
+    fn the_uncached_baseline_is_uncached_on_every_path() {
+        // `CacheConfig::disabled()` is the uncached baseline: however often
+        // a function repeats, on the single call, the batch and the sweep,
+        // every checked entry is an engine evaluation, priced as one.
+        const N: u64 = 16;
+        let k = Kernel::with_gate_config(CostModel::default(), CacheConfig::disabled());
+        let (k, m_id, clients, incr) = clients_on(k, None, 1);
+        let client = clients[0];
+        let complexity = k.registry.get(m_id).unwrap().policy_complexity as u64;
+        let entry_ns = k.cost.policy_per_node_ns * complexity + 8 * k.cost.copy_per_byte_ns;
+
+        for i in 0..N {
+            let t0 = k.clock.now_ns();
+            let args = SmodCallArgs {
+                m_id,
+                func_id: incr,
+                frame_pointer: 0,
+                return_address: 0,
+                args: i.to_le_bytes().to_vec(),
+            };
+            k.sys_smod_call(client, args).unwrap();
+            let call_ns = k.clock.now_ns() - t0;
+            assert_eq!(call_ns, k.cost.smod_call_overhead(0) + entry_ns);
+        }
+
+        let (sq, cq) = rings(N as usize);
+        for i in 0..N {
+            sq.push_spsc(req(&k, client, incr, i, i)).unwrap();
+        }
+        let batch = k.sys_smod_call_batch(client, &sq, &cq, N as usize).unwrap();
+        assert_eq!(batch.completed, N as usize);
+        let mut costs: Vec<u64> = (0..N).map(|_| cq.pop_spsc().unwrap().cost_ns).collect();
+
+        let drainer = k
+            .spawn_process("sweeper", Credential::root(), vec![0x90; 4096], 2, 2)
+            .unwrap();
+        let set = secmod_ring::RingSet::with_capacity(1);
+        let session = k.session_of(client).unwrap().id.0;
+        let slot = set.register(session, client.0, Default::default()).unwrap();
+        for i in 0..N {
+            set.submit(slot, req(&k, client, incr, i, i)).unwrap();
+        }
+        let sweep = k.sys_smod_sweep(drainer, &set, N as usize).unwrap();
+        assert_eq!(sweep.completed, N as usize);
+        let swept = set.get(slot).unwrap();
+        costs.extend((0..N).map(|_| swept.cq.pop_spsc().unwrap().cost_ns));
+
+        assert_eq!(costs, vec![entry_ns; 2 * N as usize]);
+        assert_eq!(k.metrics.gate_hits.get(), 0);
+        assert_eq!(k.metrics.gate_misses.get(), 3 * N);
     }
 
     #[test]

@@ -10,13 +10,15 @@
 //! ring entries.
 //!
 //! Dispatch takes `&self` and is driven from many threads at once. The
-//! per-call policy check goes through the module's embedded
-//! [`secmod_policy::Gateway`]: on the hot path the decision is one
-//! cache lookup (the kernel folds its `smod_epoch` into the gateway
-//! first, so a detach/remove that completed before the call began makes
-//! every older cached decision unreachable); only a miss falls back to
-//! the full `PolicyEngine` fixpoint, and the cost model charges the
-//! cached vs uncached cost accordingly.
+//! per-call policy decision is the session's own first: each [`Session`]
+//! keeps one verdict slot per stub, stamped with the gateway epoch it was
+//! filled at and read under the pair lock every path already holds.
+//! Anything the session does not hold is asked of the module's embedded
+//! [`secmod_policy::Gateway`] (the kernel folds its `smod_epoch` into the
+//! gateway first, so a detach/remove that completed before the call began
+//! makes every older decision unreachable, the session's included); only
+//! a miss there falls back to the full `PolicyEngine` fixpoint, and the
+//! cost model charges the cached vs uncached cost accordingly.
 
 use crate::errno::Errno;
 use crate::kernel::Kernel;
@@ -26,7 +28,7 @@ use crate::smodreg::{FunctionBody, FunctionTable, HandleCtx, RegisteredModule};
 use crate::table::ProcRef;
 use crate::trace::Event;
 use crate::SysResult;
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 use secmod_module::{ModuleId, SmodPackage};
 use secmod_obs::{DispatchMetrics, Flavor, Histogram};
 use secmod_policy::{PolicyEngine, Principal};
@@ -142,6 +144,8 @@ pub struct Session {
     module_ref: Arc<RegisteredModule>,
     /// Memoised per-call access-request prototype (no per-dispatch clones).
     pub(crate) proto: CallProto,
+    /// The session's decisions; locked once per [`Session::hold_pair`].
+    verdicts: Mutex<Verdicts>,
     /// The client process's lock handle.
     client_ref: ProcRef,
     /// The handle process's lock handle.
@@ -173,12 +177,15 @@ impl Session {
     }
 
     /// Lock the client/handle pair (pid-ordered), take the credential
-    /// view that holds for as long as the lock does, and run `f`. The
-    /// live credential is consulted on every hold, but only to compare
-    /// `(uid, principal fingerprint)` against the session's memoised
-    /// prototype; only a mismatch (credential revoked or swapped
-    /// mid-session) re-derives the request from the process. Bodies that
-    /// ran under the hold are counted once, after it.
+    /// view and the session's verdicts for as long as the lock is held,
+    /// and run `f`. The live credential is consulted on every hold, but
+    /// only to compare `(uid, principal fingerprint)` against the
+    /// session's memoised prototype; only a mismatch (credential revoked
+    /// or swapped mid-session) re-derives the request from the process.
+    /// The verdicts are cleared when the gateway epoch, read under the
+    /// lock, differs from their stamp, so a verdict is stale for at most
+    /// the rest of one hold. Bodies that ran under the hold are counted
+    /// once, after it.
     ///
     /// Forced inline together with [`Kernel::call_entry`]: left to the
     /// optimiser, `sys_smod_call` keeps both as calls and the closure's
@@ -200,11 +207,18 @@ impl Session {
                         client.cred.uid,
                     )
                 });
+                let mut verdicts = self.verdicts.lock();
+                let epoch = self.module_ref.gateway.epoch();
+                if verdicts.epoch != epoch {
+                    verdicts.epoch = epoch;
+                    verdicts.slots.fill_with(|| None);
+                }
                 let mut hold = PairHold {
                     session: self,
                     handle,
                     client,
                     live,
+                    verdicts: &mut verdicts,
                     bodies_run: 0,
                 };
                 let out = f(&mut hold);
@@ -341,14 +355,35 @@ pub(crate) struct PairHold<'a> {
     /// `(client name, principal, uid)` re-derived from the live credential
     /// when it no longer matches the session's [`CallProto`].
     live: Option<(String, Option<Principal>, u32)>,
+    verdicts: &'a mut Verdicts,
     bodies_run: u64,
 }
 
-/// What the kernel decided about one function id under one credential
-/// view — the value a drain memoises per function id.
+/// A session's decisions: one slot per stub of its module (func ids are
+/// dense, so the table is sized once at session start), each valid for
+/// the session's [`CallProto`] identity at the gateway epoch the table is
+/// stamped with. Only read and filled under the pair lock, so the mutex
+/// around it is never contended.
+pub(crate) struct Verdicts {
+    epoch: u64,
+    slots: Box<[Option<Verdict>]>,
+}
+
+impl std::fmt::Debug for Verdicts {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let held = self.slots.iter().filter(|slot| slot.is_some()).count();
+        write!(
+            f,
+            "Verdicts(epoch {}, {held}/{} held)",
+            self.epoch,
+            self.slots.len()
+        )
+    }
+}
+
+/// What the kernel decided about one existing function id under one
+/// credential view — the value a session's [`Verdicts`] slot holds.
 pub(crate) enum Verdict {
-    /// No such stub: `ENOENT`.
-    Missing,
     /// Policy denies the caller this function: `EACCES`.
     Denied,
     /// Allowed, but no body is registered: `ENOSYS`.
@@ -656,6 +691,16 @@ impl Kernel {
                 client_name,
                 uid: client_cred.uid,
             },
+            verdicts: Mutex::new(Verdicts {
+                epoch: 0,
+                slots: module
+                    .package
+                    .stub_table
+                    .stubs
+                    .iter()
+                    .map(|_| None)
+                    .collect(),
+            }),
             client_ref: self.procs.get(client)?,
             handle_ref: self.procs.get(handle)?,
         });
@@ -784,8 +829,8 @@ impl Kernel {
     /// established session for `m_id`, then runs the one protected-call
     /// sequence ([`Kernel::call_entry`]) under one hold of the pair lock
     /// and leaves through the one accounting tail
-    /// ([`Kernel::finish_trap`]) — a drain of depth 1 with no ring and no
-    /// memo, charged [`crate::cost::CostModel::smod_call_overhead`] as its
+    /// ([`Kernel::finish_trap`]) — a drain of depth 1 with no ring,
+    /// charged [`crate::cost::CostModel::smod_call_overhead`] as its
     /// fixed term.
     ///
     /// Takes `&self`: any number of threads may dispatch concurrently;
@@ -818,7 +863,7 @@ impl Kernel {
         let mut tally = TrapTally::new(self.metrics.latency(Flavor::Syscall), fixed_ns);
         session.hold_pair(|hold| {
             let (result, _cost_ns) =
-                self.call_entry(hold, None, &mut tally, call.func_id, &call.args, copy_ns);
+                self.call_entry(hold, &mut tally, call.func_id, &call.args, copy_ns);
             self.finish_trap(hold.client, tally, fixed_ns);
             result
         })?
@@ -831,19 +876,26 @@ impl Kernel {
     /// exactly this: `sys_smod_call` once per trap, the chunk loop of
     /// [`Kernel::drain_session_rings`] once per drained entry.
     ///
-    /// `memo`, when the caller keeps one, answers repeats of a function id
-    /// (priced as a cached decision) and learns first sights; without one
-    /// the gateway is asked directly. `copy_ns` is what moving `args`
-    /// across the boundary cost on the caller's transport. Returns the
-    /// body's result (or `ENOENT` / `EACCES` / `ENOSYS`) and the entry's
-    /// simulated cost — policy + copy + whatever the body charged — which
-    /// has then already been charged to the pair and to `tally`. `ENOENT`
-    /// costs nothing: no decision was taken.
+    /// The decision is the session's verdict when it holds one for this
+    /// function and the credential view is its own, priced as a cached
+    /// decision; anything else asks the gateway and pays what the
+    /// answering tier cost. The session keeps only an answer a cache tier
+    /// gave for its own identity, so an engine answer is never turned into
+    /// a cached one (a disabled cache stays uncached on every path) and a
+    /// diverged credential is decided by the gateway every time. `gate_hits`
+    /// counts every decision taken without the engine, `gate_misses` every
+    /// engine evaluation.
+    ///
+    /// `copy_ns` is what moving `args` across the boundary cost on the
+    /// caller's transport. Returns the body's result (or `ENOENT` /
+    /// `EACCES` / `ENOSYS`) and the entry's simulated cost — policy +
+    /// copy + whatever the body charged — which has then already been
+    /// charged to the pair and to `tally`. `ENOENT` costs nothing: no
+    /// decision was taken.
     #[inline(always)] // see `Session::hold_pair`
     pub(crate) fn call_entry(
         &self,
         hold: &mut PairHold<'_>,
-        memo: Option<&mut Vec<(u32, Verdict)>>,
         tally: &mut TrapTally<'_>,
         proc_id: u32,
         args: &[u8],
@@ -851,57 +903,52 @@ impl Kernel {
     ) -> (SysResult<Vec<u8>>, u64) {
         let session = hold.session;
         let module = &session.module_ref;
-        // A repeat answered by the memo is priced as a cached decision; a
-        // first sight pays what the answering tier really cost.
-        let mut policy_ns = self.cost.cached_decision_ns;
-        let mut decide = || {
-            let Some(stub) = module.package.stub_table.by_id(proc_id) else {
-                return Verdict::Missing;
-            };
-            let proto = &session.proto;
-            let (app_domain, principal, uid) = match &hold.live {
-                Some((name, principal, uid)) => (name.as_str(), principal.as_ref(), *uid),
-                None => (
-                    proto.client_name.as_str(),
-                    proto.principal.as_ref(),
-                    proto.uid,
-                ),
-            };
-            let (allowed, tier) = module.check_operation(app_domain, principal, uid, &stub.symbol);
-            if tier.is_cached() {
-                tally.gate_hits += 1;
-            } else {
-                tally.gate_misses += 1;
-                policy_ns = self.cost.policy_per_node_ns * module.policy_complexity as u64;
-            }
-            if !allowed {
-                return Verdict::Denied;
-            }
-            match module.functions.get(proc_id) {
-                Some(body) => Verdict::Allowed(body),
-                None => Verdict::NoBody,
-            }
-        };
-        let first_sight;
-        let verdict = match memo {
-            None => {
-                first_sight = decide();
-                &first_sight
-            }
-            Some(memo) => {
-                let idx = match memo.iter().position(|(id, _)| *id == proc_id) {
-                    Some(idx) => idx,
-                    None => {
-                        memo.push((proc_id, decide()));
-                        memo.len() - 1
-                    }
-                };
-                &memo[idx].1
-            }
-        };
-        if matches!(verdict, Verdict::Missing) {
+        let Some(slot) = hold.verdicts.slots.get_mut(proc_id as usize) else {
             return (Err(Errno::ENOENT), 0);
-        }
+        };
+        let mut policy_ns = self.cost.cached_decision_ns;
+        let fresh;
+        let verdict = match slot {
+            Some(verdict) if hold.live.is_none() => {
+                tally.gate_hits += 1;
+                &*verdict
+            }
+            _ => {
+                let Some(stub) = module.package.stub_table.by_id(proc_id) else {
+                    return (Err(Errno::ENOENT), 0);
+                };
+                let proto = &session.proto;
+                let (app_domain, principal, uid) = match &hold.live {
+                    Some((name, principal, uid)) => (name.as_str(), principal.as_ref(), *uid),
+                    None => (
+                        proto.client_name.as_str(),
+                        proto.principal.as_ref(),
+                        proto.uid,
+                    ),
+                };
+                let (allowed, tier) =
+                    module.check_operation(app_domain, principal, uid, &stub.symbol);
+                if tier.is_cached() {
+                    tally.gate_hits += 1;
+                } else {
+                    tally.gate_misses += 1;
+                    policy_ns = self.cost.policy_per_node_ns * module.policy_complexity as u64;
+                }
+                let verdict = if !allowed {
+                    Verdict::Denied
+                } else if let Some(body) = module.functions.get(proc_id) {
+                    Verdict::Allowed(body)
+                } else {
+                    Verdict::NoBody
+                };
+                if tier.is_cached() && hold.live.is_none() {
+                    &*slot.insert(verdict)
+                } else {
+                    fresh = verdict;
+                    &fresh
+                }
+            }
+        };
         if self.tracer.enabled() {
             self.tracer.record(Event::SmodCall {
                 session: session.id,
@@ -928,7 +975,7 @@ impl Kernel {
                 (result, ctx.extra_ns)
             }
             Verdict::NoBody => (Err(Errno::ENOSYS), 0),
-            _ => (Err(Errno::EACCES), 0),
+            Verdict::Denied => (Err(Errno::EACCES), 0),
         };
         hold.client.cpu_time_ns += policy_ns + copy_ns;
         hold.handle.cpu_time_ns += body_ns;
@@ -1536,9 +1583,10 @@ mod tests {
         let func = testincr_id(&k, m_id);
 
         // First call misses (plus the session-establishment lookups);
-        // repeated calls of the same function are pure cache hits — served
-        // from the thread-local L0 tier, so the *sharded* cache sees only
-        // the one insert while the kernel's gate counters see every hit.
+        // repeated calls of the same function are pure cache hits — the
+        // second from the thread-local L0 tier, the rest from the session's
+        // own verdict, so the *sharded* cache sees only the one insert
+        // while the kernel's gate counters see every hit.
         let before = k.registry.get(m_id).unwrap().gateway.cache_stats();
         let (hits0, misses0) = (k.metrics.gate_hits.get(), k.metrics.gate_misses.get());
         for i in 0..50u64 {

@@ -140,9 +140,8 @@ impl Kernel {
                 };
             }
         };
-        let mut drain = self.resolve_session_drain(session);
         let outcome = self.drain_session_rings(
-            &mut drain,
+            &session,
             &rings.sq,
             &rings.cq,
             rings.arena.as_ref(),
@@ -625,12 +624,11 @@ mod tests {
             sum: u64,
             inline_args: u64,
             arena_args: u64,
-            first_sights: u64,
+            decisions: u64,
             misses: u64,
         }
         let mut expected = Totals::default();
         let reap_drain = |expected: &mut Totals, drained: usize| {
-            let mut seen = Vec::new();
             for _ in 0..drained {
                 let resp = rings
                     .cq
@@ -657,10 +655,7 @@ mod tests {
                 let denied = resp.errno == Errno::EACCES.code();
                 assert_eq!(denied, proc_id == strlen);
                 assert!(denied || resp.is_ok());
-                if !seen.contains(&proc_id) {
-                    seen.push(proc_id);
-                    expected.first_sights += 1;
-                }
+                expected.decisions += 1;
                 let policy_ns = resp.cost_ns - copy_ns;
                 assert!(policy_ns == cached || policy_ns == uncached);
                 expected.misses += u64::from(policy_ns == uncached);
@@ -671,7 +666,7 @@ mod tests {
             sum: k.metrics.latency(Flavor::Sweep).sum(),
             inline_args: k.metrics.arena.inline_args.get(),
             arena_args: k.metrics.arena.arena_args.get(),
-            first_sights: k.metrics.gate_hits.get() + k.metrics.gate_misses.get(),
+            decisions: k.metrics.gate_hits.get() + k.metrics.gate_misses.get(),
             misses: k.metrics.gate_misses.get(),
         };
 
@@ -693,9 +688,48 @@ mod tests {
         assert_eq!(rest.drained, 16);
         reap_drain(&mut expected, rest.drained);
         assert_eq!(registry(), expected);
-        assert_eq!(expected.first_sights, 6, "two functions, three drains");
+        assert_eq!(
+            expected.decisions, 54,
+            "every entry past the session and stub checks takes one decision"
+        );
         assert_eq!(k.metrics.eidrm_failures.get(), 0);
         assert_eq!(k.metrics.arena.bytes_in_flight.get(), 0);
+    }
+
+    #[test]
+    fn a_verdict_decided_in_a_sweep_answers_the_next_single_call() {
+        // The session's verdicts are one table for every path: a function
+        // decided inside a sweep (an engine miss, then a cached answer the
+        // session keeps) is answered by the next `sys_smod_call` without
+        // asking the gateway — one gate hit, and the sharded tier (which
+        // the call would reach, its thread's L0 being wiped) sees nothing.
+        let (k, m_id, clients, incr) = kernel_with_clients(None, 1);
+        let client = clients[0];
+        let (set, slots) = ring_set_for(&k, &clients, 8);
+        let drainer = sweeper(&k);
+        for i in 0..2 {
+            set.submit(slots[0], req(&k, client, incr, i, i)).unwrap();
+        }
+        assert_eq!(k.sys_smod_sweep(drainer, &set, 8).unwrap().completed, 2);
+        assert_eq!(k.metrics.gate_misses.get(), 1);
+
+        secmod_policy::l0::clear_thread_cache();
+        let gateway = &k.registry.get(m_id).unwrap().gateway;
+        let (hits, sharded_hits) = (k.metrics.gate_hits.get(), gateway.cache_stats().hits);
+        let call = crate::smod::SmodCallArgs {
+            m_id,
+            func_id: incr,
+            frame_pointer: 0,
+            return_address: 0,
+            args: 41u64.to_le_bytes().to_vec(),
+        };
+        assert_eq!(
+            k.sys_smod_call(client, call).unwrap(),
+            42u64.to_le_bytes().to_vec()
+        );
+        assert_eq!(k.metrics.gate_hits.get(), hits + 1);
+        assert_eq!(k.metrics.gate_misses.get(), 1);
+        assert_eq!(gateway.cache_stats().hits, sharded_hits);
     }
 
     #[test]
