@@ -329,14 +329,15 @@ impl Kernel {
     /// Simulate a crash of `pid` (e.g. SIGSEGV).  Returns whether a core
     /// image was produced; for smod pair members it never is.
     pub fn crash_process(&self, pid: Pid) -> SysResult<bool> {
-        // Tear down any session (also protects the module text mapped in a
-        // crashing handle).
-        if self.procs.with(pid, |p| p.smod.is_some())? {
-            self.smod_detach_either(pid, "crash")?;
-        }
-        let dumped = self.procs.with_mut(pid, |p| p.crash(11))?;
+        let (dumped, paired) = self
+            .procs
+            .with_mut(pid, |p| (p.crash(11), p.smod.is_some()))?;
         if !dumped {
             self.tracer.record(Event::CoreDumpSuppressed { pid });
+        }
+        // Then tear down any session, which reaps a crashed handle.
+        if paired {
+            self.smod_detach_either(pid, "crash")?;
         }
         Ok(dumped)
     }

@@ -23,7 +23,7 @@
 use crate::errno::Errno;
 use crate::kernel::Kernel;
 use crate::msgqueue::MsgQueueId;
-use crate::proc::{Pid, ProcState, Process, SmodLink};
+use crate::proc::{Pid, Process, SmodLink};
 use crate::smodreg::{FunctionBody, FunctionTable, HandleCtx, RegisteredModule};
 use crate::table::ProcRef;
 use crate::trace::Event;
@@ -1013,17 +1013,15 @@ impl Kernel {
     // Session teardown and the special functions of §4.3
     // ----------------------------------------------------------------
 
-    /// Detach the SecModule session of a *client* process: kill the handle,
-    /// remove the queues and the session, clear the flags.
+    /// Detach the SecModule session of a *client* process: kill and reap
+    /// the handle, remove the queues and the session, clear the flags.
     pub fn smod_detach(&self, client: Pid, reason: &str) -> SysResult<()> {
         let link = self.procs.with(client, |p| p.smod)?.ok_or(Errno::EINVAL)?;
         let session = self.sessions.remove(link.session).ok_or(Errno::EINVAL)?;
 
-        // Kill the handle.
-        let _ = self.procs.with_mut(session.handle, |h| {
-            h.state = ProcState::Zombie(0);
-            h.smod = None;
-        });
+        // Kill the handle and reap it here: `sys_wait` never sees handles,
+        // so nothing else would.
+        self.procs.remove(session.handle);
         // Clear the client.
         let _ = self.procs.with_mut(client, |c| {
             c.smod = None;
@@ -1467,7 +1465,7 @@ mod tests {
         let client = spawn_alice(&k);
         let (_, handle) = establish(&k, client, m_id);
         k.sys_exit(client, 0).unwrap();
-        assert!(!k.procs.with(handle, |p| p.is_alive()).unwrap());
+        assert_eq!(k.procs.with(handle, |_| ()).unwrap_err(), Errno::ESRCH);
         assert!(k.sessions.is_empty());
         assert!(k
             .tracer
@@ -1482,13 +1480,29 @@ mod tests {
         let client = spawn_alice(&k);
         let (_, handle) = establish(&k, client, m_id);
         k.sys_execve(client, "newprog", vec![0xCC; 4096]).unwrap();
-        assert!(!k.procs.with(handle, |p| p.is_alive()).unwrap());
+        assert_eq!(k.procs.with(handle, |_| ()).unwrap_err(), Errno::ESRCH);
         assert!(k.sessions.is_empty());
         // The new image can set up a new session (its crt0 would do this).
         let (session2, handle2) = k.sys_smod_start_session(client, m_id).unwrap();
         k.sys_smod_session_info(handle2).unwrap();
         k.sys_smod_handle_info(client).unwrap();
         assert_eq!(k.session_of(client).unwrap().id, session2);
+    }
+
+    #[test]
+    fn detach_and_reestablish_cycles_leave_no_process_behind() {
+        // Every detach reaps its handle: a client cycling its session
+        // (what `policy_churn` does every 4096 ops) must not grow the
+        // process table by one zombie per cycle.
+        let (k, m_id) = kernel_with_module();
+        let client = spawn_alice(&k);
+        establish(&k, client, m_id);
+        let before = k.procs.len();
+        for _ in 0..100 {
+            k.smod_detach(client, "cycle").unwrap();
+            establish(&k, client, m_id);
+        }
+        assert_eq!(k.procs.len(), before);
     }
 
     #[test]

@@ -167,7 +167,10 @@ fn execve_detaches_the_session_and_kills_the_handle() {
         .kernel
         .sys_execve(client, "fresh-image", vec![0xCC; 4096])
         .unwrap();
-    assert!(!world.kernel.procs.with(handle, |p| p.is_alive()).unwrap());
+    assert_eq!(
+        world.kernel.procs.with(handle, |_| ()).unwrap_err(),
+        Errno::ESRCH
+    );
     assert!(world.kernel.sessions.is_empty());
     assert!(world
         .kernel
