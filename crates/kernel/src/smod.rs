@@ -10,15 +10,13 @@
 //! ring entries.
 //!
 //! Dispatch takes `&self` and is driven from many threads at once. The
-//! per-call policy decision is the session's own first: each [`Session`]
-//! keeps one verdict slot per stub, stamped with the gateway epoch it was
-//! filled at and read under the pair lock every path already holds.
-//! Anything the session does not hold is asked of the module's embedded
-//! [`secmod_policy::Gateway`] (the kernel folds its `smod_epoch` into the
-//! gateway first, so a detach/remove that completed before the call began
-//! makes every older decision unreachable, the session's included); only
-//! a miss there falls back to the full `PolicyEngine` fixpoint, and the
-//! cost model charges the cached vs uncached cost accordingly.
+//! per-call policy decision is the session's verdict when it holds one
+//! (see [`Kernel::call_entry`]); otherwise it goes through the module's
+//! embedded [`secmod_policy::Gateway`]: the kernel folds its `smod_epoch`
+//! into the gateway first, so a detach/remove that completed before the
+//! call began makes every older decision unreachable; only a miss falls
+//! back to the full `PolicyEngine` fixpoint, and the cost model charges
+//! the cached vs uncached cost accordingly.
 
 use crate::errno::Errno;
 use crate::kernel::Kernel;
@@ -182,10 +180,8 @@ impl Session {
     /// only to compare `(uid, principal fingerprint)` against the
     /// session's memoised prototype; only a mismatch (credential revoked
     /// or swapped mid-session) re-derives the request from the process.
-    /// The verdicts are cleared when the gateway epoch, read under the
-    /// lock, differs from their stamp, so a verdict is stale for at most
-    /// the rest of one hold. Bodies that ran under the hold are counted
-    /// once, after it.
+    /// Verdicts stamped with another gateway epoch are cleared. Bodies
+    /// that ran under the hold are counted once, after it.
     ///
     /// Forced inline together with [`Kernel::call_entry`]: left to the
     /// optimiser, `sys_smod_call` keeps both as calls and the closure's
@@ -211,7 +207,7 @@ impl Session {
                 let epoch = self.module_ref.gateway.epoch();
                 if verdicts.epoch != epoch {
                     verdicts.epoch = epoch;
-                    verdicts.slots.fill_with(|| None);
+                    verdicts.slots.fill(None);
                 }
                 let mut hold = PairHold {
                     session: self,
@@ -359,11 +355,9 @@ pub(crate) struct PairHold<'a> {
     bodies_run: u64,
 }
 
-/// A session's decisions: one slot per stub of its module (func ids are
-/// dense, so the table is sized once at session start), each valid for
-/// the session's [`CallProto`] identity at the gateway epoch the table is
-/// stamped with. Only read and filled under the pair lock, so the mutex
-/// around it is never contended.
+/// A session's decisions: one slot per stub (func ids are dense), valid
+/// for its [`CallProto`] identity at the gateway epoch they are stamped
+/// with. Only touched under the pair lock, so the mutex is uncontended.
 pub(crate) struct Verdicts {
     epoch: u64,
     slots: Box<[Option<Verdict>]>,
@@ -371,18 +365,13 @@ pub(crate) struct Verdicts {
 
 impl std::fmt::Debug for Verdicts {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let held = self.slots.iter().filter(|slot| slot.is_some()).count();
-        write!(
-            f,
-            "Verdicts(epoch {}, {held}/{} held)",
-            self.epoch,
-            self.slots.len()
-        )
+        write!(f, "Verdicts(epoch {})", self.epoch)
     }
 }
 
 /// What the kernel decided about one existing function id under one
 /// credential view — the value a session's [`Verdicts`] slot holds.
+#[derive(Clone)]
 pub(crate) enum Verdict {
     /// Policy denies the caller this function: `EACCES`.
     Denied,
@@ -693,13 +682,7 @@ impl Kernel {
             },
             verdicts: Mutex::new(Verdicts {
                 epoch: 0,
-                slots: module
-                    .package
-                    .stub_table
-                    .stubs
-                    .iter()
-                    .map(|_| None)
-                    .collect(),
+                slots: vec![None; module.package.stub_table.len()].into(),
             }),
             client_ref: self.procs.get(client)?,
             handle_ref: self.procs.get(handle)?,
@@ -876,16 +859,12 @@ impl Kernel {
     /// exactly this: `sys_smod_call` once per trap, the chunk loop of
     /// [`Kernel::drain_session_rings`] once per drained entry.
     ///
-    /// The decision is the session's verdict when it holds one for this
-    /// function and the credential view is its own, priced as a cached
-    /// decision; anything else asks the gateway and pays what the
-    /// answering tier cost. The session keeps only an answer a cache tier
-    /// gave for its own identity, so an engine answer is never turned into
-    /// a cached one (a disabled cache stays uncached on every path) and a
-    /// diverged credential is decided by the gateway every time. `gate_hits`
-    /// counts every decision taken without the engine, `gate_misses` every
-    /// engine evaluation.
-    ///
+    /// The decision is the session's verdict when it holds one and the
+    /// credential view is its own (a gate hit at the cached price);
+    /// anything else asks the gateway and pays what the answering tier
+    /// cost. The session keeps only a cache tier's answer for its own
+    /// identity: an engine answer never becomes a cached one, and a
+    /// diverged credential is decided by the gateway every time.
     /// `copy_ns` is what moving `args` across the boundary cost on the
     /// caller's transport. Returns the body's result (or `ENOENT` /
     /// `EACCES` / `ENOSYS`) and the entry's simulated cost — policy +

@@ -7,7 +7,7 @@
 //!   ─────────────                       ────────────────────────────
 //!   SmodCallReq ─push→ SubmissionRing ─pop→ resolve session ONCE
 //!                                            ├─ policy check per entry
-//!                                            │  (gateway cache / memo)
+//!                                            │  (session verdict / gateway)
 //!                                            ├─ function body per entry
 //!   SmodCallResp ←pop─ CompletionRing ←push──┘
 //! ```
