@@ -5,8 +5,8 @@
 //! session's batch; what remains is one trap and one session resolution
 //! *per session* per drain round. The sweep hoists those too: a single
 //! invocation claims the ring set's readiness bitmap, resolves each
-//! ready session — session table lookup, ownership check, credential
-//! prototype, module gateway, epoch fold — **once per sweep**, and runs
+//! ready session — session table lookup, ownership check, epoch fold
+//! into the module gateway — **once per sweep**, and runs
 //! the same chunked pair-lock drain ([`Kernel::drain_session_rings`])
 //! the batched path uses, so the epoch-re-read / credential-re-check /
 //! `EIDRM` semantics are shared code, not a second copy.
