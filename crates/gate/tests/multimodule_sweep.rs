@@ -2,9 +2,11 @@
 //! N *different* modules — each with its own policy engine, function
 //! table, and embedded gateway — must be observationally identical to N
 //! per-module sweeps run sequentially: per session the same results in
-//! the same order, and per module the *same gateway cache counters*
-//! (each session resolved once per sweep, each distinct decision missed
-//! exactly once, no cross-module pollution of anything).
+//! the same order, and the *same decision counters* — per module the
+//! gateway cache's misses, evictions and insertions, and the kernel's
+//! gate hits and misses (each session resolved once per sweep, each
+//! distinct decision missed exactly once, no cross-module pollution of
+//! anything).
 //!
 //! Two identical multi-module kernels are built from the same seed; one
 //! is driven with one ring set per module (sequential sweeps), the
@@ -261,8 +263,22 @@ fn run_combined(u: &MultiModuleUniverse, plan: &Plan) -> Vec<Vec<(i32, Vec<u8>)>
         .collect()
 }
 
-fn cache_counters(u: &MultiModuleUniverse) -> Vec<(u64, u64, u64, u64)> {
-    u.modules
+/// The decision counters that do not depend on which cache tier answered.
+/// The sharded tier's *hits* are left out: whether the thread-local L0
+/// still held an entry (and so spared the sharded tier a lookup) depends
+/// on the gateway's process-unique id and on which test ran on this
+/// thread before, not on the sweep.
+#[derive(Debug, PartialEq)]
+struct DecisionCounters {
+    /// Per module: the sharded tier's misses, evictions and insertions.
+    per_module: Vec<(u64, u64, u64)>,
+    /// The kernel's gate hits and misses.
+    gate: (u64, u64),
+}
+
+fn cache_counters(u: &MultiModuleUniverse) -> DecisionCounters {
+    let per_module = u
+        .modules
         .iter()
         .map(|&m| {
             let s = u
@@ -272,17 +288,22 @@ fn cache_counters(u: &MultiModuleUniverse) -> Vec<(u64, u64, u64, u64)> {
                 .expect("module registered")
                 .gateway
                 .cache_stats();
-            (s.hits, s.misses, s.evictions, s.insertions)
+            (s.misses, s.evictions, s.insertions)
         })
-        .collect()
+        .collect();
+    let metrics = &u.kernel.metrics;
+    DecisionCounters {
+        per_module,
+        gate: (metrics.gate_hits.get(), metrics.gate_misses.get()),
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
     /// One sweep over sessions of N different modules equals N
     /// per-module sweeps run sequentially: identical per-session results
-    /// in identical order, identical per-module gateway cache counters,
-    /// and no more simulated cost than the N sweeps it subsumes (modulo
+    /// in identical order, identical decision counters
+    /// (`cache_counters`), and no more simulated cost than the N sweeps it subsumes (modulo
     /// its own single trap when every per-module sweep was skipped).
     #[test]
     fn combined_sweep_equals_per_module_sweeps(
@@ -308,7 +329,7 @@ proptest! {
         prop_assert_eq!(
             cache_counters(&sequential_u),
             cache_counters(&combined_u),
-            "per-module gateway caches diverged"
+            "decision counters diverged"
         );
         let trap = combined_u.kernel.cost.syscall_trap_ns;
         prop_assert!(
