@@ -5,7 +5,7 @@
 //! `session.call(proc_id, args).await` — that costs a parked waker in a
 //! routing table while its request rides the PR 4 rings, so 100k+
 //! logical clients multiplex over a handful of OS threads: the plane's
-//! drainers plus one reactor plus however many executor workers you give
+//! drainers plus however many executor workers you give
 //! [`Executor::new`]. Nothing here changes what a dispatch *is* — the
 //! same `sys_smod_sweep` drains the same rings under the same paper cost
 //! model — only how many concurrent callers can be waiting on one.
@@ -20,8 +20,8 @@
 //! * [`session`] — [`AsyncSession`] / [`CallFuture`]: the awaitable
 //!   call itself, including backpressure suspension and drop-to-cancel.
 //! * [`plane`] — [`AsyncPlane`]: a
-//!   [`DispatchPlane`][secmod_kernel::plane::DispatchPlane] plus the
-//!   reactor thread that turns completion notifications into wake-ups.
+//!   [`DispatchPlane`][secmod_kernel::plane::DispatchPlane] whose
+//!   drainers route the completions they post to the awaiting wakers.
 //! * [`sim`] — [`SimDriver`]: the same frontend single-threaded on the
 //!   simulated clock, for deterministic coherence tests.
 //!

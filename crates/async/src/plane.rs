@@ -1,31 +1,33 @@
 //! [`AsyncPlane`]: the futures frontend over a
 //! [`DispatchPlane`][secmod_kernel::plane::DispatchPlane].
 //!
-//! The plane's drainer threads already sweep the ring set and post
-//! completions; what the async frontend adds is a **reactor** — one
-//! thread that parks on the plane's completion notification, claims the
-//! ring set's *completion* bitmap (the mirror image of the readiness
-//! bitmap the drainers claim), and routes every posted response to the
-//! waker parked under its `user_data` cookie. The division of labor:
+//! The plane's drainer threads sweep the ring set and post completions;
+//! what the async frontend adds is the **routing**: the drainer that has
+//! just posted completions claims the ring set's *completion* bitmap (the
+//! mirror image of the readiness bitmap it claims to sweep) and hands
+//! every posted response to the waker parked under its `user_data`
+//! cookie. Whoever sweeps, routes — the same rule [`crate::SimDriver`]
+//! follows on its caller's thread. The division of labor:
 //!
 //! ```text
 //!   task: session.call(..).await
-//!     │ push sq, mark_ready, park waker in SlotTable
+//!     │ park waker in SlotTable, push sq, mark_ready
 //!     ▼
-//!   drainer threads ──sweep──▶ kernel ──post cq──▶ mark_completed
-//!     │                                               │ notify
-//!     ▼                                               ▼
-//!   (next session)                    reactor: sweep_completed
-//!                                       → route resp to waker
-//!                                       → executor re-polls task
+//!   drainer: sweep ──▶ kernel ──post cq──▶ mark_completed
+//!     then, completion hook on the same thread: sweep_completed
+//!       → route resp to waker → executor re-polls task
 //! ```
 //!
+//! No completion is left behind: every `mark_completed` is made by a
+//! sweep whose thread fires the hook afterwards (a drainer, or the
+//! shutdown thread after the plane's final sweeps). Drainers may route
+//! at once; each completion is still popped exactly once.
+//!
 //! Nobody on the async side busy-spins: tasks suspend (a parked waker
-//! costs a table entry, not a thread) and the reactor parks on the
-//! completion hook with a millisecond backstop. The drainers park too,
-//! on the plane's readiness handshake — with one bounded exception: when
-//! the traffic is a caller who waits for each answer, one drainer polls
-//! the readiness bitmap for up to 50 µs before it parks (see
+//! costs a table entry, not a thread). The drainers park too, on the
+//! plane's readiness handshake — with one bounded exception: when the
+//! traffic is a caller who waits for each answer, one drainer polls the
+//! readiness bitmap for up to 50 µs before it parks (see
 //! `secmod_kernel::plane`, "Idle drainers"). A fan-out of tasks like the
 //! one this module exists for is streaming traffic and keeps the
 //! drainers in the parking regime, where the park is free batching.
@@ -42,43 +44,20 @@ use secmod_kernel::{Kernel, SysResult};
 use secmod_obs::DispatchMetrics;
 use secmod_ring::RingSet;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex};
-use std::time::Duration;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
-/// How long the reactor sleeps when no completion notification arrives —
-/// a liveness backstop only; the hook is the real wake path.
-const REACTOR_BACKSTOP: Duration = Duration::from_millis(1);
-
-/// The reactor's parking spot: completion hooks flip `notified`, the
-/// reactor consumes it. `std::sync` because the vendored parking_lot shim
-/// has no `Condvar`.
-struct ReactorSignal {
-    notified: StdMutex<bool>,
-    available: Condvar,
-    stop: AtomicBool,
-}
-
-impl ReactorSignal {
-    fn notify(&self) {
-        *self.notified.lock().unwrap_or_else(|e| e.into_inner()) = true;
-        self.available.notify_one();
-    }
-}
-
-/// The async dispatch frontend: a [`DispatchPlane`] plus the reactor
-/// thread that turns its completions into task wake-ups.
+/// The async dispatch frontend: a [`DispatchPlane`] whose drainers route
+/// the completions they post to the wakers of the tasks awaiting them.
 pub struct AsyncPlane {
     /// `None` only after [`AsyncPlane::shutdown`] has taken it.
     plane: Option<DispatchPlane>,
     set: Arc<RingSet>,
     tables: Arc<TableMap>,
-    signal: Arc<ReactorSignal>,
-    reactor: Option<std::thread::JoinHandle<()>>,
     routed: Arc<AtomicU64>,
-    /// The kernel's dispatch-metrics registry: the reactor records each
-    /// routed completion's cost under the async flavor, and sessions
-    /// count their backpressure re-submits here.
+    /// The kernel's dispatch-metrics registry: routing records each
+    /// completion's cost under the async flavor, and sessions count
+    /// their backpressure re-submits here.
     metrics: Arc<DispatchMetrics>,
     /// Per-client session cache backing [`AsyncPlane::call`]; cleared at
     /// shutdown.
@@ -95,41 +74,28 @@ impl std::fmt::Debug for AsyncPlane {
 }
 
 impl AsyncPlane {
-    /// Start the underlying plane and the reactor thread.
+    /// Start the underlying plane with completion routing on its drainers.
     pub fn start(kernel: Arc<Kernel>, cfg: PlaneConfig) -> SysResult<AsyncPlane> {
         let metrics = Arc::clone(&kernel.metrics);
         let plane = DispatchPlane::start(kernel, cfg)?;
         let set = plane.ring_set();
         let tables: Arc<TableMap> = Arc::new(Mutex::new(HashMap::new()));
-        let signal = Arc::new(ReactorSignal {
-            notified: StdMutex::new(false),
-            available: Condvar::new(),
-            stop: AtomicBool::new(false),
-        });
         let routed = Arc::new(AtomicU64::new(0));
-        let reactor = {
+        // The hook runs on whichever drainer just posted completions (and
+        // once more on the shutdown thread, after the last sweep).
+        {
             let set = Arc::clone(&set);
             let tables = Arc::clone(&tables);
-            let signal = Arc::clone(&signal);
             let routed = Arc::clone(&routed);
             let metrics = Arc::clone(&metrics);
-            std::thread::Builder::new()
-                .name("smod-reactor".into())
-                .spawn(move || reactor_loop(&set, &tables, &signal, &routed, &metrics))
-                .expect("spawn reactor thread")
-        };
-        // The hook fires from whichever drainer just posted completions
-        // (and once more at plane shutdown).
-        {
-            let signal = Arc::clone(&signal);
-            plane.on_completions(Arc::new(move || signal.notify()));
+            plane.on_completions(Arc::new(move || {
+                route_completions(&set, &tables, &metrics, Some(&routed));
+            }));
         }
         Ok(AsyncPlane {
             plane: Some(plane),
             set,
             tables,
-            signal,
-            reactor: Some(reactor),
             routed,
             metrics,
             sessions: Mutex::new(HashMap::new()),
@@ -196,10 +162,10 @@ impl AsyncPlane {
         self.plane.as_ref().expect("plane not shut down").kernel()
     }
 
-    /// Stop everything, in dependency order: drainers first (every
-    /// accepted submission is swept through and posted), then the
-    /// reactor (a final routing pass delivers those responses), then the
-    /// tables detach (anything still parked resolves `Detached`).
+    /// Stop everything, in dependency order: the plane first (every
+    /// accepted submission is swept through and posted, and its final
+    /// completion hook routes those responses), then the tables detach
+    /// (anything still parked resolves `Detached`).
     pub fn shutdown(mut self) -> PlaneStats {
         self.stop_parts().expect("shutdown consumes a live plane")
     }
@@ -207,11 +173,6 @@ impl AsyncPlane {
     fn stop_parts(&mut self) -> Option<PlaneStats> {
         let plane = self.plane.take()?;
         let stats = plane.shutdown();
-        self.signal.stop.store(true, Ordering::Release);
-        self.signal.notify();
-        if let Some(reactor) = self.reactor.take() {
-            reactor.join().expect("reactor thread panicked");
-        }
         for table in self.tables.lock().values() {
             table.detach();
         }
@@ -223,37 +184,6 @@ impl AsyncPlane {
 impl Drop for AsyncPlane {
     fn drop(&mut self) {
         self.stop_parts();
-    }
-}
-
-fn reactor_loop(
-    set: &RingSet,
-    tables: &TableMap,
-    signal: &ReactorSignal,
-    routed: &AtomicU64,
-    metrics: &DispatchMetrics,
-) {
-    loop {
-        // Order matters: observe `stop` *before* routing, so the pass
-        // after the final observation covers every completion posted
-        // before the flag flipped (the plane joins its drainers first).
-        let stop = signal.stop.load(Ordering::Acquire);
-        let n = route_completions(set, tables, Some(metrics));
-        if n > 0 {
-            routed.fetch_add(n as u64, Ordering::Relaxed);
-        }
-        if stop {
-            return;
-        }
-        let mut notified = signal.notified.lock().unwrap_or_else(|e| e.into_inner());
-        if !*notified {
-            notified = signal
-                .available
-                .wait_timeout(notified, REACTOR_BACKSTOP)
-                .unwrap_or_else(|e| e.into_inner())
-                .0;
-        }
-        *notified = false;
     }
 }
 
@@ -290,9 +220,10 @@ mod tests {
             .collect();
         let sum: u64 = handles.into_iter().map(|h| h.join()).sum();
         assert_eq!(sum, (1..=100u64).sum::<u64>());
-        assert!(
-            plane.routed() >= 100,
-            "every completion routes through the reactor"
+        assert_eq!(
+            plane.routed(),
+            100,
+            "every completion is routed exactly once, and counted before its wake"
         );
         assert_eq!(session.in_flight(), 0);
         plane.shutdown();
@@ -357,7 +288,7 @@ mod tests {
         let mut future = session.call(incr, 1u64.to_le_bytes());
         let _ = Pin::new(&mut future).poll(&mut cx);
         drop(future);
-        // The orphaned completion (if any) is discarded by the reactor;
+        // The orphaned completion (if any) is discarded by the router;
         // nothing stays registered and the session keeps working.
         let ret = block_on(session.call(incr, 9u64.to_le_bytes())).unwrap();
         assert_eq!(ret, 10u64.to_le_bytes().to_vec());
@@ -377,7 +308,7 @@ mod tests {
             cost_ns >= kernel.cost.cached_decision_ns,
             "the cost covers at least the policy decision, got {cost_ns}"
         );
-        // The reactor recorded the completion under the async flavor.
+        // Routing recorded the completion under the async flavor.
         let summary = kernel.metrics.latency(secmod_obs::Flavor::Async);
         assert!(summary.count() >= 1);
         plane.shutdown();

@@ -20,7 +20,7 @@ use parking_lot::Mutex;
 use secmod_obs::{DispatchMetrics, Flavor};
 use secmod_ring::{RingSet, SmodCallResp};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::task::Waker;
 
@@ -83,10 +83,15 @@ pub(crate) type TableMap = Mutex<HashMap<usize, Arc<SlotTable>>>;
 /// async-flavor histogram — the latency observed *through the futures
 /// frontend*, as opposed to the sweep-flavor records the drainer made
 /// while producing it.
+///
+/// `counter`, if given, gains each session's count while its table is
+/// still locked, so no call resolves before its completion is counted.
+/// Several passes may run at once; each completion is popped by one.
 pub(crate) fn route_completions(
     set: &RingSet,
     tables: &TableMap,
-    metrics: Option<&DispatchMetrics>,
+    metrics: &DispatchMetrics,
+    counter: Option<&AtomicU64>,
 ) -> usize {
     let mut routed = 0;
     set.sweep_completed(|slot, rings| {
@@ -100,12 +105,11 @@ pub(crate) fn route_completions(
         let mut wakers: Vec<Waker> = Vec::new();
         {
             let mut pending = table.pending.lock();
+            let mut popped = 0;
             while let Some(resp) = rings.cq.pop() {
-                routed += 1;
-                if let Some(metrics) = metrics {
-                    if resp.cost_ns > 0 {
-                        metrics.record_latency(Flavor::Async, resp.cost_ns);
-                    }
+                popped += 1;
+                if resp.cost_ns > 0 {
+                    metrics.record_latency(Flavor::Async, resp.cost_ns);
                 }
                 if let Some(entry) = pending.get_mut(&resp.user_data) {
                     entry.resp = Some(resp);
@@ -115,6 +119,10 @@ pub(crate) fn route_completions(
                 }
                 // else: cancelled mid-await — the response is discarded.
             }
+            if let Some(counter) = counter {
+                counter.fetch_add(popped as u64, Ordering::Relaxed);
+            }
+            routed += popped;
         }
         // Wake outside the pending lock: a woken future's poll re-locks
         // the table immediately.
@@ -175,7 +183,7 @@ mod tests {
         set.mark_completed(slot);
 
         let metrics = DispatchMetrics::new();
-        let routed = route_completions(&set, &tables, Some(&metrics));
+        let routed = route_completions(&set, &tables, &metrics, None);
         assert_eq!(routed, 2);
         assert_eq!(counter.0.load(Ordering::Acquire), 1);
         let pending = table.pending.lock();

@@ -1,8 +1,8 @@
 //! [`SimDriver`]: the async frontend on the simulated clock — no OS
 //! threads, no wall time, fully deterministic.
 //!
-//! Where [`crate::AsyncPlane`] pairs drainer threads with a reactor
-//! thread, the sim driver is both at once, single-threaded: each
+//! Where [`crate::AsyncPlane`]'s drainer threads sweep and then route
+//! what they posted, the sim driver does both on its caller's thread: each
 //! [`SimDriver::run`] round polls every unfinished future (submissions
 //! land in the rings), performs one `sys_smod_sweep` as its dedicated
 //! drainer process (costs accrue to the simulated clock, exactly like
@@ -65,7 +65,7 @@ impl<'k> SimDriver<'k> {
         session_budget: usize,
     ) -> SysResult<SimDriver<'k>> {
         let drainer =
-            kernel.spawn_process("sim-reactor", Credential::root(), vec![0x90; 4096], 2, 2)?;
+            kernel.spawn_process("sim-drainer", Credential::root(), vec![0x90; 4096], 2, 2)?;
         // Same zero-copy path the live plane uses: large payloads ride a
         // shared arena (1 MiB, quota = whole arena per session) so the sim
         // exercises descriptor dispatch deterministically too.
@@ -131,7 +131,7 @@ impl<'k> SimDriver<'k> {
             .kernel
             .sys_smod_sweep(self.drainer, &self.set, self.session_budget)
             .expect("sim drainer sweep");
-        let routed = route_completions(&self.set, &self.tables, Some(&self.kernel.metrics));
+        let routed = route_completions(&self.set, &self.tables, &self.kernel.metrics, None);
         (report.drained, routed)
     }
 

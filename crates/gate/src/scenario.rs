@@ -344,7 +344,7 @@ const SCENARIOS: [Row; 15] = [
     Row {
         kind: ScenarioKind::AsyncDispatch,
         name: "async",
-        summary: "logical clients >> threads: tasks await calls on an AsyncPlane via its reactor",
+        summary: "logical clients >> threads: tasks await calls on an AsyncPlane; drainers route",
         frontend: Frontend::Async,
         ..BASE
     },

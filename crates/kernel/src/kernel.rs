@@ -77,7 +77,7 @@ pub struct Kernel {
     /// The dispatch observability registry: per-flavor latency
     /// histograms plus counters, fed by every dispatch path (syscall,
     /// batch, sweep, plane, async). Shared as an `Arc` so the plane's
-    /// drainer threads and the async reactor record into the same
+    /// drainer threads and the async frontend record into the same
     /// registry.
     pub metrics: Arc<DispatchMetrics>,
     pub(crate) next_session: AtomicU32,

@@ -359,9 +359,9 @@ struct PlaneShared {
     set: Arc<RingSet>,
     stop: AtomicBool,
     /// Invoked by a drainer after any sweep that produced completions
-    /// (and once more at shutdown). The async frontend's reactor hangs
-    /// its wake-up here so it parks instead of polling the completion
-    /// bitmap; `None` costs the drainers one relaxed load per sweep.
+    /// (and once more at shutdown). The async frontend routes the posted
+    /// completions to their wakers from here, on the thread that posted
+    /// them; `None` costs the drainers one relaxed load per sweep.
     completion_hook: RwLock<Option<Arc<dyn Fn() + Send + Sync>>>,
     /// Drainer thread handles for unparking (filled once at start).
     sleepers: RwLock<Vec<std::thread::Thread>>,
@@ -561,7 +561,7 @@ impl DispatchPlane {
     }
 
     /// The plane's shared ring set. A completion consumer (the async
-    /// frontend's reactor) holds this to sweep the completion bitmap;
+    /// frontend's router) holds this to sweep the completion bitmap;
     /// everything else should go through [`DispatchPlane::attach`].
     pub fn ring_set(&self) -> Arc<RingSet> {
         Arc::clone(&self.shared.set)
@@ -574,9 +574,11 @@ impl DispatchPlane {
 
     /// Register the completion-notification hook: called by a drainer
     /// after every sweep that pushed completions, and once more at
-    /// shutdown. At most one consumer; registering again replaces the
-    /// previous hook. The hook runs on drainer threads — it must be
-    /// cheap and must not block (an unpark, a condvar signal).
+    /// shutdown, on the thread that ran the last sweep. At most one
+    /// consumer; registering again replaces the previous hook. The hook
+    /// runs on drainer threads, several at once when there are several
+    /// drainers: it routes what was posted and must not block beyond
+    /// short mutex holds.
     pub fn on_completions(&self, hook: Arc<dyn Fn() + Send + Sync>) {
         *self.shared.completion_hook.write() = Some(hook);
     }
@@ -657,8 +659,8 @@ impl DispatchPlane {
             stats.reclaimed += monitor.reclaimed.get();
         }
         // One final notification after the last drainer exits: whatever
-        // the shutdown sweeps completed is now visible, and a consumer
-        // parked on the hook must not sleep through it.
+        // the shutdown sweeps completed is now visible, and this thread
+        // ran those sweeps, so it is the one to hand them on.
         self.shared.notify_completions();
         stats
     }
@@ -867,7 +869,7 @@ fn sweep_once(shared: &PlaneShared, ctx: &DrainerCtx, stats: &mut PlaneStats) ->
     stats.absorb(&report);
     if report.drained > 0 {
         // Completions were pushed (the sweep also flagged the completion
-        // bitmap): wake the registered consumer.
+        // bitmap): hand them to the registered consumer on this thread.
         shared.notify_completions();
     }
     Ok(report.drained as u64)
@@ -1452,7 +1454,7 @@ mod tests {
             std::thread::yield_now();
         }
         let before_shutdown = fired.load(Ordering::Acquire);
-        // The completion bitmap was flagged for the reactor's benefit.
+        // The completion bitmap was flagged for a completion consumer.
         let set = plane.ring_set();
         assert!(set.any_completed());
         plane.shutdown();

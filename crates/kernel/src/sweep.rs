@@ -150,8 +150,8 @@ impl Kernel {
             &mut totals.tally,
         );
         // Every drained entry pushed a completion (success or errno):
-        // flag the completion bitmap so a parked consumer (the async
-        // reactor) learns about the responses without polling rings.
+        // flag the completion bitmap so a completion consumer (the async
+        // router) finds the responses without polling rings.
         if outcome.drained > 0 {
             set.mark_completed(slot);
         }

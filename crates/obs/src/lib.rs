@@ -22,7 +22,7 @@
 //!   registry as the table `gate_report --metrics` prints.
 //!
 //! The crate sits *below* the kernel (it depends on nothing), so every
-//! layer — kernel syscalls, the dispatch plane, the async reactor — can
+//! layer — kernel syscalls, the dispatch plane, the async frontend — can
 //! record into one shared registry without a dependency cycle.
 
 #![forbid(unsafe_code)]
@@ -470,8 +470,8 @@ pub enum Flavor {
     /// `DispatchPlane` producers (submit/reap through dedicated
     /// drainers; latency recorded at reap).
     Plane,
-    /// The futures frontend (latency recorded as the reactor routes each
-    /// completion).
+    /// The futures frontend (latency recorded as each completion is
+    /// routed to its waker).
     Async,
 }
 
@@ -511,15 +511,16 @@ struct LineBoundary;
 /// [`Flavor`] plus the event counters every layer feeds.
 ///
 /// One registry lives in each `Kernel`; the plane's drainers, the
-/// async reactor, and the syscall paths all record into it
+/// async frontend, and the syscall paths all record into it
 /// (`Kernel::metrics`).
 ///
 /// The layout rule: **a word written per call has exactly one writing
 /// role per cache line.** The roles are the thread that *drains* (the
-/// syscall, batch and sweep callers — in a plane, the drainer threads)
-/// and the thread that *submits and reaps* (plane producers, the async
-/// reactor). They run on different cores at the same time, and a locked
-/// add on a line the other core has just written is paid for on both.
+/// syscall, batch and sweep callers — in a plane, the drainer threads,
+/// which also route async completions) and the thread that *submits and
+/// reaps* (plane producers, async tasks). They run on different cores at
+/// the same time, and a locked add on a line the other core has just
+/// written is paid for on both.
 /// So each histogram is its own line ([`Histogram`] is line-aligned),
 /// and the counters are laid out in declaration order (`repr(C)`) in
 /// three groups divided by line boundaries: drain-side, then

@@ -3,17 +3,17 @@
 //! Demonstrates `plane.call(proc_id, args).await` end to end:
 //!
 //! ```text
-//!   logical client (task)        reactor thread        drainer threads
-//!   ─────────────────────        ──────────────        ───────────────
-//!   poll: park waker,                                  sweep ready
-//!     submit SmodCallReq ──ring──────────────────────▶ sessions,
-//!                                                      post SmodCallResp,
-//!                          ◀─completion bitmap────────  mark completed
-//!   woken: poll again,     route: pop completions,
-//!     take response ◀──────  wake parked wakers
+//!   logical client (task)                  drainer threads
+//!   ─────────────────────                  ───────────────
+//!   poll: park waker,                      sweep ready
+//!     submit SmodCallReq ──ring──────────▶ sessions,
+//!                                          post SmodCallResp,
+//!                                          mark completed, then
+//!   woken: poll again,                     route: pop completions,
+//!     take response ◀────────────────────    wake parked wakers
 //! ```
 //!
-//! A handful of OS threads (executor workers + drainers + one reactor)
+//! A handful of OS threads (executor workers + drainers)
 //! multiplex the whole logical-client population: tasks suspend instead
 //! of blocking, so scaling logical clients 10x–1000x past the thread
 //! count costs coordination, not threads.
@@ -57,10 +57,10 @@ fn main() {
     println!("secmod_async futures frontend report");
     println!(
         "seed {seed}, {logical} logical clients over {threads} executor thread(s) + \
-         {drainers} drainer(s) + 1 reactor"
+         {drainers} drainer(s)"
     );
-    println!("tasks await plane.call() futures; the reactor routes sweep completions");
-    println!("back to parked wakers, so clients suspend instead of blocking.\n");
+    println!("tasks await plane.call() futures; the drainer that swept a call routes its");
+    println!("completion back to the parked waker, so clients suspend instead of blocking.\n");
 
     // --- 1. a taste of the API: three awaited calls on one session ----
     let dispatch = secmod::gate::build_dispatch_kernel(
@@ -86,7 +86,7 @@ fn main() {
         })
     })));
     println!(
-        "three awaited incr calls -> {answers:?} ({} completions routed by the reactor)",
+        "three awaited incr calls -> {answers:?} ({} completions routed by the drainers)",
         plane.routed()
     );
     // `call_costed` surfaces the simulated per-call cost next to the
@@ -150,7 +150,7 @@ fn main() {
         );
     }
     println!("\nthe p50/p99/p99.9 columns are simulated-cost nanoseconds per completed call,");
-    println!("recorded by the reactor's routing pass into the kernel's async-flavor histogram.");
+    println!("recorded by the drainers' routing pass into the kernel's async-flavor histogram.");
 
     println!("\npaper mapping: the async frontend rides the same amortisation argument as the");
     println!("dispatch plane — producers never trap, sweeps amortise the fixed syscall cost");
