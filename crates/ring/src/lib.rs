@@ -44,7 +44,7 @@
 //!   sweep (`sys_smod_sweep`) finds the rings with work in a handful of
 //!   word loads and resolves each ready session once per visit. A
 //!   mirror-image completion bitmap points the other way, letting a
-//!   completion consumer (the async frontend's reactor) find the sessions
+//!   completion consumer (the async frontend's router) find the sessions
 //!   with unreaped responses just as cheaply; submission refusals are
 //!   typed ([`set::SubmitError`]) so callers can tell backpressure
 //!   (`Full`: retry after a completion) from teardown (`Detached`: never

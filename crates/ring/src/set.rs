@@ -15,7 +15,7 @@
 //!   and
 //! * a mirror-image **completion bitmap** pointing the other way: the
 //!   kernel sets a slot's completed bit after pushing into its completion
-//!   ring, and a completion consumer (the async frontend's reactor) claims
+//!   ring, and a completion consumer (the async frontend's router) claims
 //!   whole words with the same clear-then-drain protocol instead of
 //!   polling every session's completion ring.
 //!
@@ -421,9 +421,8 @@ impl RingSet {
 
     /// Is any slot flagged as having unreaped completions?
     pub fn any_completed(&self) -> bool {
-        // Acquire pairs with the kernel's release `mark_completed`, so a
-        // reactor deciding whether to park sees every bit set before the
-        // call (its park timeout backstops the remaining window).
+        // Acquire pairs with the kernel's release `mark_completed`, so
+        // the caller sees every bit set before the call.
         self.completed
             .iter()
             .any(|w| w.0.load(Ordering::Acquire) != 0)
@@ -435,12 +434,17 @@ impl RingSet {
     /// many slots were visited.
     ///
     /// Same word-at-a-time `swap(0)` claim as [`RingSet::sweep_ready`],
-    /// pointing the other way. There is no per-slot exclusivity flag on
-    /// this path: completion reaping is single-consumer by construction
-    /// (each completion ring belongs to the one frontend that registered
-    /// the slot), so the bitmap race is the only one to handle — a
-    /// `mark_completed` racing the swap either lands before the reap (and
-    /// is consumed) or re-sets the bit for the next sweep.
+    /// pointing the other way, with no per-slot exclusivity flag: several
+    /// consumers may claim the completed bitmap at once. Each claimed bit
+    /// goes to one of them, but a slot re-marked after one consumer's
+    /// claim can be claimed by another while the first still reaps it, so
+    /// the visitor must reap with the multi-consumer `pop`, never
+    /// `pop_spsc`.
+    /// Each completion is then popped exactly once; which consumer pops
+    /// it, and in what order relative to the other consumers, is not
+    /// defined — a consumer that routes by `user_data` depends on
+    /// neither. A `mark_completed` racing the swap either lands before
+    /// the reap (and is consumed) or re-sets the bit for the next sweep.
     pub fn sweep_completed(
         &self,
         mut visit: impl FnMut(RingSlotId, &Arc<SessionRings>) -> bool,
@@ -778,6 +782,69 @@ mod tests {
         // Deregistration clears a pending completed bit.
         set.mark_completed(a);
         set.deregister(a).unwrap();
+        assert!(!set.any_completed());
+    }
+
+    #[test]
+    fn concurrent_completion_consumers_pop_each_completion_once() {
+        // One poster fills three slots' small completion rings and flags
+        // them; two consumers claim the completed bitmap and pop at the
+        // same time. Every cookie must come out exactly once.
+        const POSTED: u64 = 20_000;
+        let set = RingSet::with_capacity(3);
+        let cfg = RingPairConfig {
+            submission: 2,
+            completion: 8,
+        };
+        let slots: Vec<RingSlotId> = (0..3).map(|i| set.register(i, i, cfg).unwrap()).collect();
+        let posted = AtomicBool::new(false);
+        let seen: Vec<Vec<u64>> = std::thread::scope(|s| {
+            let consumers: Vec<_> = (0..2)
+                .map(|_| {
+                    let (set, posted) = (&set, &posted);
+                    s.spawn(move || {
+                        let mut seen = Vec::new();
+                        loop {
+                            // Read the flag before the pass: a pass begun
+                            // after the last mark claims whatever is left.
+                            let last = posted.load(Ordering::Acquire);
+                            set.sweep_completed(|_, rings| {
+                                while let Some(resp) = rings.cq.pop() {
+                                    seen.push(resp.user_data);
+                                }
+                                false
+                            });
+                            if last {
+                                return seen;
+                            }
+                        }
+                    })
+                })
+                .collect();
+            for user_data in 0..POSTED {
+                let slot = slots[(user_data % 3) as usize];
+                let rings = set.get(slot).unwrap();
+                let mut resp = crate::SmodCallResp {
+                    user_data,
+                    ret: crate::ArgRef::empty(),
+                    errno: 0,
+                    cost_ns: 0,
+                };
+                while let Err(back) = rings.cq.push(resp) {
+                    resp = back;
+                    std::thread::yield_now();
+                }
+                set.mark_completed(slot);
+            }
+            posted.store(true, Ordering::Release);
+            consumers.into_iter().map(|c| c.join().unwrap()).collect()
+        });
+        let mut all: Vec<u64> = seen.concat();
+        all.sort_unstable();
+        assert_eq!(all, (0..POSTED).collect::<Vec<_>>(), "lost or duplicated");
+        for slot in slots {
+            assert!(set.get(slot).unwrap().cq.pop().is_none(), "left behind");
+        }
         assert!(!set.any_completed());
     }
 
