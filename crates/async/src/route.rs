@@ -85,8 +85,9 @@ pub(crate) type TableMap = Mutex<HashMap<usize, Arc<SlotTable>>>;
 /// while producing it.
 ///
 /// `counter`, if given, gains each session's count while its table is
-/// still locked, so no call resolves before its completion is counted.
-/// Several passes may run at once; each completion is popped by one.
+/// still locked (the unlock publishes the relaxed add to whoever locks
+/// next), so no call resolves before its completion is counted. Several
+/// passes may run at once; each completion is popped by one of them.
 pub(crate) fn route_completions(
     set: &RingSet,
     tables: &TableMap,
