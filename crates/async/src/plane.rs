@@ -361,6 +361,49 @@ mod tests {
     }
 
     #[test]
+    fn a_bounced_call_is_not_left_waiting_for_a_wake_already_sent() {
+        // A 2-slot submission ring under 32 concurrent callers: nearly
+        // every call bounces `Full` at least once. A bounce whose waiter
+        // registration lands after the drainer emptied the ring and woke
+        // the (still empty) waiter list must retry, not wait for a wake
+        // that was already sent; each round is joined with a timeout, so
+        // a lost wakeup fails here instead of hanging.
+        const WIDTH: u64 = 32;
+        const ROUNDS: u64 = 5_000;
+        let (k, _m, clients, incr) = kernel_with_clients(1);
+        let plane = AsyncPlane::start(
+            Arc::new(k),
+            PlaneConfig::builder()
+                .drainers(1)
+                .ring(secmod_ring::RingPairConfig {
+                    submission: 1,
+                    completion: 64,
+                })
+                .build(),
+        )
+        .unwrap();
+        let session = plane.session(clients[0]).unwrap();
+        let exec = Executor::new(2);
+        let (tx, rx) = std::sync::mpsc::channel();
+        for round in 0..ROUNDS {
+            for i in 0..WIDTH {
+                let (session, tx) = (session.clone(), tx.clone());
+                exec.spawn(async move {
+                    let _ = tx.send(session.call(incr, i.to_le_bytes()).await);
+                });
+            }
+            for _ in 0..WIDTH {
+                let ret = rx
+                    .recv_timeout(std::time::Duration::from_secs(3))
+                    .unwrap_or_else(|_| panic!("round {round}: a bounced call was never woken"));
+                assert!(ret.is_ok());
+            }
+        }
+        drop(exec);
+        plane.shutdown();
+    }
+
+    #[test]
     fn calls_after_shutdown_resolve_detached() {
         let (k, _m, clients, incr) = kernel_with_clients(1);
         let kernel = Arc::new(k);

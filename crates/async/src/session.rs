@@ -69,10 +69,10 @@ impl Target {
         }
     }
 
-    fn alloc_user_data(&self) -> u64 {
+    pub(crate) fn rings(&self) -> &Arc<SessionRings> {
         match self {
-            Target::Plane(handle) => handle.alloc_user_data(),
-            Target::Raw { rings, .. } => rings.alloc_user_data(),
+            Target::Plane(handle) => handle.rings(),
+            Target::Raw { rings, .. } => rings,
         }
     }
 
@@ -80,13 +80,6 @@ impl Target {
         match self {
             Target::Plane(handle) => handle.slot(),
             Target::Raw { slot, .. } => *slot,
-        }
-    }
-
-    fn owner(&self) -> u32 {
-        match self {
-            Target::Plane(handle) => handle.owner(),
-            Target::Raw { rings, .. } => rings.owner,
         }
     }
 }
@@ -185,7 +178,7 @@ impl AsyncSession {
         let mut futures = Vec::new();
         let mut batch = handle.batch();
         for (proc_id, args) in calls {
-            let ud = self.core.target.alloc_user_data();
+            let ud = self.core.target.rings().alloc_user_data();
             // Register the cookie before submitting so a completion
             // racing this loop has somewhere to land; the waker is
             // parked by the first poll.
@@ -221,7 +214,7 @@ impl AsyncSession {
 
     /// The client pid this session dispatches as.
     pub fn client(&self) -> Pid {
-        Pid(self.core.target.owner())
+        Pid(self.core.target.rings().owner)
     }
 
     /// Calls currently awaiting completion on this session.
@@ -268,7 +261,8 @@ impl CallInner {
                         self.state = CallState::Done;
                         return Poll::Ready(Err(DispatchError::Detached));
                     }
-                    let ud = *user_data.get_or_insert_with(|| self.core.target.alloc_user_data());
+                    let ud = *user_data
+                        .get_or_insert_with(|| self.core.target.rings().alloc_user_data());
                     // Park the waker *before* submitting: a completion
                     // racing this poll finds somewhere to deliver.
                     table.pending.lock().entry(ud).or_default().waker = Some(cx.waker().clone());
@@ -287,6 +281,14 @@ impl CallInner {
                                 metrics.async_resubmits.incr();
                             }
                             table.submit_waiters.lock().push(cx.waker().clone());
+                            // A drainer may have emptied the ring and woken
+                            // the waiters between the bounce and the push
+                            // above: with room now, retry instead of waiting
+                            // for a wake that was already sent.
+                            let sq = &self.core.target.rings().sq;
+                            if sq.len() < sq.capacity() {
+                                continue;
+                            }
                             return Poll::Pending;
                         }
                         Err(SubmitError::Detached(_)) => {
