@@ -16,7 +16,7 @@
 //!   [`Executor`] (fixed worker pool, one injector queue),
 //!   [`block_on`], [`join_all`]. Pure `std::task`, no unsafe.
 //! * `route` (internal) — [`SlotTable`]: per-session `user_data` →
-//!   parked-waker maps, fed by the ring set's completion bitmap.
+//!   parked-waker maps, fed by the attached sessions' completion rings.
 //! * [`session`] — [`AsyncSession`] / [`CallFuture`]: the awaitable
 //!   call itself, including backpressure suspension and drop-to-cancel.
 //! * [`plane`] — [`AsyncPlane`]: a

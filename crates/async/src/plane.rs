@@ -1,27 +1,27 @@
 //! [`AsyncPlane`]: the futures frontend over a
-//! [`DispatchPlane`][secmod_kernel::plane::DispatchPlane].
+//! [`DispatchPlane`].
 //!
 //! The plane's drainer threads sweep the ring set and post completions;
 //! what the async frontend adds is the **routing**: the drainer that has
-//! just posted completions claims the ring set's *completion* bitmap (the
-//! mirror image of the readiness bitmap it claims to sweep) and hands
-//! every posted response to the waker parked under its `user_data`
-//! cookie. Whoever sweeps, routes — the same rule [`crate::SimDriver`]
-//! follows on its caller's thread. The division of labor:
+//! just posted completions pops the completion ring of every session
+//! attached here and hands each response to the waker parked under its
+//! `user_data` cookie. Whoever sweeps, routes — the same rule
+//! [`crate::SimDriver`] follows on its caller's thread. The division of
+//! labor:
 //!
 //! ```text
 //!   task: session.call(..).await
 //!     │ park waker in SlotTable, push sq, mark_ready
 //!     ▼
-//!   drainer: sweep ──▶ kernel ──post cq──▶ mark_completed
-//!     then, completion hook on the same thread: sweep_completed
+//!   drainer: sweep ──▶ kernel ──post cq
+//!     then, completion hook on the same thread: pop every attached cq
 //!       → route resp to waker → executor re-polls task
 //! ```
 //!
-//! No completion is left behind: every `mark_completed` is made by a
-//! sweep whose thread fires the hook afterwards (a drainer, or the
-//! shutdown thread after the plane's final sweeps). Drainers may route
-//! at once; each completion is still popped exactly once.
+//! No completion is left behind: every completion is posted by a sweep
+//! whose thread fires the hook afterwards (a drainer, or the shutdown
+//! thread after the plane's final sweeps). Drainers may route at once;
+//! each completion is still popped exactly once.
 //!
 //! Nobody on the async side busy-spins: tasks suspend (a parked waker
 //! costs a table entry, not a thread). The drainers park too, on the
@@ -35,15 +35,14 @@
 //! the paper's fixed-cost-per-dispatch story measured at a concurrency
 //! the original syscall frontend cannot even express.
 
-use crate::route::{route_completions, SlotTable, TableMap};
+use crate::route::{route_completions, Route, SlotTable, TableMap};
 use crate::session::{AsyncSession, CallFuture, SessionCore, Target};
 use parking_lot::Mutex;
 use secmod_kernel::plane::{DispatchPlane, PlaneConfig, PlaneStats};
 use secmod_kernel::proc::Pid;
 use secmod_kernel::{Kernel, SysResult};
 use secmod_obs::DispatchMetrics;
-use secmod_ring::RingSet;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -52,7 +51,6 @@ use std::sync::Arc;
 pub struct AsyncPlane {
     /// `None` only after [`AsyncPlane::shutdown`] has taken it.
     plane: Option<DispatchPlane>,
-    set: Arc<RingSet>,
     tables: Arc<TableMap>,
     routed: Arc<AtomicU64>,
     /// The kernel's dispatch-metrics registry: routing records each
@@ -78,23 +76,20 @@ impl AsyncPlane {
     pub fn start(kernel: Arc<Kernel>, cfg: PlaneConfig) -> SysResult<AsyncPlane> {
         let metrics = Arc::clone(&kernel.metrics);
         let plane = DispatchPlane::start(kernel, cfg)?;
-        let set = plane.ring_set();
-        let tables: Arc<TableMap> = Arc::new(Mutex::new(HashMap::new()));
+        let tables: Arc<TableMap> = Arc::new(Mutex::new(BTreeMap::new()));
         let routed = Arc::new(AtomicU64::new(0));
         // The hook runs on whichever drainer just posted completions (and
         // once more on the shutdown thread, after the last sweep).
         {
-            let set = Arc::clone(&set);
             let tables = Arc::clone(&tables);
             let routed = Arc::clone(&routed);
             let metrics = Arc::clone(&metrics);
             plane.on_completions(Arc::new(move || {
-                route_completions(&set, &tables, &metrics, Some(&routed));
+                route_completions(&tables, &metrics, Some(&routed));
             }));
         }
         Ok(AsyncPlane {
             plane: Some(plane),
-            set,
             tables,
             routed,
             metrics,
@@ -110,9 +105,11 @@ impl AsyncPlane {
         let plane = self.plane.as_ref().expect("plane not shut down");
         let handle = plane.attach(client)?;
         let table = Arc::new(SlotTable::default());
-        self.tables
-            .lock()
-            .insert(handle.slot().0, Arc::clone(&table));
+        let route = Route {
+            rings: Arc::clone(handle.rings()),
+            table: Arc::clone(&table),
+        };
+        self.tables.lock().insert(handle.slot().0, route);
         Ok(AsyncSession {
             core: Arc::new(SessionCore {
                 target: Target::Plane(handle),
@@ -152,11 +149,6 @@ impl AsyncPlane {
         self.routed.load(Ordering::Relaxed)
     }
 
-    /// The shared ring set (the same one the drainers sweep).
-    pub fn ring_set(&self) -> Arc<RingSet> {
-        Arc::clone(&self.set)
-    }
-
     /// The kernel the plane dispatches into.
     pub fn kernel(&self) -> Arc<Kernel> {
         self.plane.as_ref().expect("plane not shut down").kernel()
@@ -173,8 +165,8 @@ impl AsyncPlane {
     fn stop_parts(&mut self) -> Option<PlaneStats> {
         let plane = self.plane.take()?;
         let stats = plane.shutdown();
-        for table in self.tables.lock().values() {
-            table.detach();
+        for route in self.tables.lock().values() {
+            route.table.detach();
         }
         self.sessions.lock().clear();
         Some(stats)
@@ -200,18 +192,21 @@ mod tests {
 
     #[test]
     fn a_hundred_logical_clients_share_two_executor_threads() {
-        let (k, _m, clients, incr) = kernel_with_clients(1);
+        // Spread over four sessions, so one drainer's routing pass pops
+        // completions the other drainer posted.
+        let (k, _m, clients, incr) = kernel_with_clients(4);
         let kernel = Arc::new(k);
         let plane = AsyncPlane::start(
             Arc::clone(&kernel),
             PlaneConfig::builder().drainers(2).build(),
         )
         .unwrap();
-        let session = plane.session(clients[0]).unwrap();
+        let sessions: Vec<AsyncSession> =
+            clients.iter().map(|c| plane.session(*c).unwrap()).collect();
         let exec = Executor::new(2);
         let handles: Vec<_> = (0..100u64)
             .map(|i| {
-                let session = session.clone();
+                let session = sessions[i as usize % sessions.len()].clone();
                 exec.spawn(async move {
                     let ret = session.call(incr, i.to_le_bytes()).await.unwrap();
                     u64::from_le_bytes(ret.try_into().unwrap())
@@ -225,7 +220,7 @@ mod tests {
             100,
             "every completion is routed exactly once, and counted before its wake"
         );
-        assert_eq!(session.in_flight(), 0);
+        assert!(sessions.iter().all(|s| s.in_flight() == 0));
         plane.shutdown();
     }
 
@@ -401,6 +396,26 @@ mod tests {
         }
         drop(exec);
         plane.shutdown();
+    }
+
+    #[test]
+    fn calls_on_a_detached_session_resolve_eidrm() {
+        let (k, _m, clients, incr) = kernel_with_clients(1);
+        let kernel = Arc::new(k);
+        let plane = AsyncPlane::start(Arc::clone(&kernel), PlaneConfig::default()).unwrap();
+        let session = plane.session(clients[0]).unwrap();
+        kernel
+            .smod_detach(clients[0], "detached before calling")
+            .unwrap();
+        // Large payloads, so the arena has blocks in flight to give back.
+        let futures = (0..8u8).map(|i| session.call(incr, vec![i; 1000]));
+        for result in block_on(join_all(futures)) {
+            assert_eq!(result, Err(DispatchError::Errno(Errno::EIDRM)));
+        }
+        assert_eq!(session.in_flight(), 0);
+        drop(session);
+        plane.shutdown();
+        assert_eq!(kernel.metrics.arena.bytes_in_flight.get(), 0);
     }
 
     #[test]

@@ -1,15 +1,16 @@
 //! Completion routing: `user_data` → waker tables, fed by the
-//! [`RingSet`] completion bitmap.
+//! completion rings of the attached sessions.
 //!
 //! Each attached session (= one ring-set slot) owns a [`SlotTable`]: a
 //! map from in-flight `user_data` cookies to the pending call's state
 //! (parked waker, then the routed response), plus a list of wakers
 //! parked on submission backpressure. A router pass
-//! ([`route_completions`]) claims the completion bitmap with one
-//! `swap(0)` per word, pops each flagged session's completion ring, and
-//! routes every response to its waker — the "waker storm": one sweep's
-//! worth of completions wakes every logical client it answered, however
-//! many OS threads those clients are multiplexed over.
+//! ([`route_completions`]) pops the completion ring of every attached
+//! session in slot order and routes each response to its waker — the
+//! "waker storm": one sweep's worth of completions wakes every logical
+//! client it answered, however many OS threads those clients are
+//! multiplexed over. A session with nothing posted costs the pass one
+//! empty pop.
 //!
 //! Cancellation falls out of the table shape: a [`crate::CallFuture`]
 //! that is dropped mid-await removes its own entry, so its completion
@@ -18,8 +19,8 @@
 
 use parking_lot::Mutex;
 use secmod_obs::{DispatchMetrics, Flavor};
-use secmod_ring::{RingSet, SmodCallResp};
-use std::collections::HashMap;
+use secmod_ring::{SessionRings, SmodCallResp};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::task::Waker;
@@ -72,13 +73,20 @@ impl SlotTable {
     }
 }
 
-/// The router's shared view: slot index → table.
-pub(crate) type TableMap = Mutex<HashMap<usize, Arc<SlotTable>>>;
+/// One attached session as the router sees it: the rings it pops and
+/// the table it routes into.
+pub(crate) struct Route {
+    pub(crate) rings: Arc<SessionRings>,
+    pub(crate) table: Arc<SlotTable>,
+}
 
-/// One router pass: claim the completion bitmap, pop every flagged
-/// session's completions, deliver each to its waker (or discard it if
-/// the awaiting future was cancelled), then release that session's
-/// backpressure waiters. Returns how many completions were routed.
+/// The router's shared view: slot index → route, iterated in slot order.
+pub(crate) type TableMap = Mutex<BTreeMap<usize, Route>>;
+
+/// One router pass: pop every attached session's completions, deliver
+/// each to its waker (or discard it if the awaiting future was
+/// cancelled), and release the backpressure waiters of every session
+/// that had completions. Returns how many completions were routed.
 /// Each routed completion's simulated cost lands in `metrics`'
 /// async-flavor histogram — the latency observed *through the futures
 /// frontend*, as opposed to the sweep-flavor records the drainer made
@@ -86,63 +94,51 @@ pub(crate) type TableMap = Mutex<HashMap<usize, Arc<SlotTable>>>;
 ///
 /// `counter`, if given, gains each session's count while its table is
 /// still locked (the unlock publishes the relaxed add to whoever locks
-/// next), so no call resolves before its completion is counted. Several
-/// passes may run at once; each completion is popped by one of them.
+/// next), so no call resolves before its completion is counted. Every
+/// wake runs after the map and every table are unlocked: a woken
+/// future's poll re-locks its table immediately. Passes on several
+/// threads take turns on the map; each completion is popped once.
 pub(crate) fn route_completions(
-    set: &RingSet,
     tables: &TableMap,
     metrics: &DispatchMetrics,
     counter: Option<&AtomicU64>,
 ) -> usize {
     let mut routed = 0;
-    set.sweep_completed(|slot, rings| {
-        let table = tables.lock().get(&slot.0).cloned();
-        let Some(table) = table else {
-            // A session that was attached outside the async frontend (or
-            // already fully torn down): leave its completions for
-            // whoever owns the rings, and don't re-mark on its behalf.
-            return false;
+    let mut wakers: Vec<Waker> = Vec::new();
+    for route in tables.lock().values() {
+        let Some(first) = route.rings.cq.pop() else {
+            continue;
         };
-        let mut wakers: Vec<Waker> = Vec::new();
-        {
-            let mut pending = table.pending.lock();
-            let mut popped = 0;
-            while let Some(resp) = rings.cq.pop() {
-                popped += 1;
-                if resp.cost_ns > 0 {
-                    metrics.record_latency(Flavor::Async, resp.cost_ns);
-                }
-                if let Some(entry) = pending.get_mut(&resp.user_data) {
-                    entry.resp = Some(resp);
-                    if let Some(waker) = entry.waker.take() {
-                        wakers.push(waker);
-                    }
-                }
-                // else: cancelled mid-await — the response is discarded.
+        let mut pending = route.table.pending.lock();
+        let mut popped = 0u64;
+        for resp in std::iter::once(first).chain(std::iter::from_fn(|| route.rings.cq.pop())) {
+            popped += 1;
+            if resp.cost_ns > 0 {
+                metrics.record_latency(Flavor::Async, resp.cost_ns);
             }
-            if let Some(counter) = counter {
-                counter.fetch_add(popped as u64, Ordering::Relaxed);
+            if let Some(entry) = pending.get_mut(&resp.user_data) {
+                entry.resp = Some(resp);
+                wakers.extend(entry.waker.take());
             }
-            routed += popped;
+            // else: cancelled mid-await — the response is discarded.
         }
-        // Wake outside the pending lock: a woken future's poll re-locks
-        // the table immediately.
-        for waker in wakers {
-            waker.wake();
+        if let Some(counter) = counter {
+            counter.fetch_add(popped, Ordering::Relaxed);
         }
-        let waiters: Vec<Waker> = table.submit_waiters.lock().drain(..).collect();
-        for waker in waiters {
-            waker.wake();
-        }
-        false
-    });
+        drop(pending);
+        routed += popped as usize;
+        wakers.append(&mut route.table.submit_waiters.lock());
+    }
+    for waker in wakers {
+        waker.wake();
+    }
     routed
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use secmod_ring::RingPairConfig;
+    use secmod_ring::{RingPairConfig, RingSet};
     use std::sync::atomic::AtomicUsize;
     use std::task::Wake;
 
@@ -168,7 +164,11 @@ mod tests {
         let slot = set.register(1, 1, RingPairConfig::default()).unwrap();
         let rings = set.get(slot).unwrap();
         let table = Arc::new(SlotTable::default());
-        let tables: TableMap = Mutex::new([(slot.0, Arc::clone(&table))].into_iter().collect());
+        let route = Route {
+            rings: Arc::clone(&rings),
+            table: Arc::clone(&table),
+        };
+        let tables: TableMap = Mutex::new([(slot.0, route)].into_iter().collect());
 
         let counter = Arc::new(CountWake(AtomicUsize::new(0)));
         table.pending.lock().insert(
@@ -181,10 +181,9 @@ mod tests {
         // user_data 9 has no entry: a cancelled call.
         rings.cq.push(resp(7)).unwrap();
         rings.cq.push(resp(9)).unwrap();
-        set.mark_completed(slot);
 
         let metrics = DispatchMetrics::new();
-        let routed = route_completions(&set, &tables, &metrics, None);
+        let routed = route_completions(&tables, &metrics, None);
         assert_eq!(routed, 2);
         assert_eq!(counter.0.load(Ordering::Acquire), 1);
         let pending = table.pending.lock();

@@ -13,13 +13,13 @@
 //! proptests compare async outcomes against sequential `sys_smod_call`
 //! byte for byte.
 
-use crate::route::{route_completions, TableMap};
+use crate::route::{route_completions, Route, TableMap};
 use crate::session::{AsyncSession, SessionCore, Target};
 use crate::SlotTable;
 use parking_lot::Mutex;
 use secmod_kernel::{Credential, Errno, Kernel, Pid, SessionState, SysResult};
 use secmod_ring::{ArgArena, RingPairConfig, RingSet};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::Arc;
@@ -74,7 +74,7 @@ impl<'k> SimDriver<'k> {
             kernel,
             drainer,
             set: Arc::new(RingSet::with_arena(slots, arena, SIM_ARENA_BYTES)),
-            tables: Arc::new(Mutex::new(HashMap::new())),
+            tables: Arc::new(Mutex::new(BTreeMap::new())),
             ring,
             session_budget: session_budget.max(1),
         })
@@ -95,7 +95,11 @@ impl<'k> SimDriver<'k> {
             .ok_or(Errno::ENOMEM)?;
         let rings = self.set.get(slot).expect("freshly registered slot");
         let table = Arc::new(SlotTable::default());
-        self.tables.lock().insert(slot.0, Arc::clone(&table));
+        let route = Route {
+            rings: Arc::clone(&rings),
+            table: Arc::clone(&table),
+        };
+        self.tables.lock().insert(slot.0, route);
         Ok(AsyncSession {
             core: Arc::new(SessionCore {
                 target: Target::Raw {
@@ -131,7 +135,7 @@ impl<'k> SimDriver<'k> {
             .kernel
             .sys_smod_sweep(self.drainer, &self.set, self.session_budget)
             .expect("sim drainer sweep");
-        let routed = route_completions(&self.set, &self.tables, &self.kernel.metrics, None);
+        let routed = route_completions(&self.tables, &self.kernel.metrics, None);
         (report.drained, routed)
     }
 
@@ -257,6 +261,34 @@ mod tests {
             })
             .collect();
         assert_eq!(driver.run(futures), (1..=16u64).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn submitted_calls_of_a_detached_session_resolve_eidrm() {
+        use secmod_kernel::dispatch::DispatchError;
+        let (k, _m, clients, incr) = kernel_with_clients(1);
+        let driver = SimDriver::new(&k, 1, RingPairConfig::default(), 8).unwrap();
+        let session = driver.attach(clients[0]).unwrap();
+        // Large payloads, so the arena has blocks in flight to give back.
+        let mut futures: Vec<_> = (0..8u8)
+            .map(|i| session.call(incr, vec![i; 1000]))
+            .collect();
+        let waker = Waker::from(Arc::new(NoopWake));
+        let mut cx = Context::from_waker(&waker);
+        for future in &mut futures {
+            assert!(
+                Pin::new(future).poll(&mut cx).is_pending(),
+                "queued, not run"
+            );
+        }
+        k.smod_detach(clients[0], "detached with calls queued")
+            .unwrap();
+        for result in driver.run(futures) {
+            assert_eq!(result, Err(DispatchError::Errno(Errno::EIDRM)));
+        }
+        assert_eq!(session.in_flight(), 0);
+        drop(session);
+        assert_eq!(k.metrics.arena.bytes_in_flight.get(), 0);
     }
 
     #[test]

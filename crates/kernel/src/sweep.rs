@@ -7,7 +7,7 @@
 //! invocation claims the ring set's readiness bitmap, resolves each
 //! ready session — session table lookup, ownership check, epoch fold
 //! into the module gateway — **once per sweep**, and runs
-//! the same chunked pair-lock drain ([`Kernel::drain_session_rings`])
+//! the same chunked pair-lock drain (`Kernel::drain_session_rings`)
 //! the batched path uses, so the epoch-re-read / credential-re-check /
 //! `EIDRM` semantics are shared code, not a second copy.
 //!
@@ -37,7 +37,7 @@
 //!   mid-sweep strands nothing: whoever holds the ledger hands the
 //!   claims back with [`RingSet::reclaim`].
 //!
-//! There is one sweep, [`Kernel::sweep_claimed`]. A [`SweepScheduler`]
+//! There is one sweep, `Kernel::sweep_claimed`. A [`SweepScheduler`]
 //! is the only thing that varies: without one every claimed slot is
 //! drained as it is claimed, in bitmap order; with one the claimed slots
 //! are planned first — which tenants drain this round and with what
@@ -52,7 +52,6 @@ use secmod_obs::Flavor;
 use secmod_qos::SweepScheduler;
 use secmod_ring::set::ClaimLedger;
 use secmod_ring::{RingSet, RingSlotId, SessionRings};
-use std::sync::Arc;
 
 /// What one `sys_smod_sweep` invocation did.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -103,9 +102,7 @@ impl Kernel {
     /// `totals`.
     fn sweep_visit(
         &self,
-        set: &RingSet,
-        slot: RingSlotId,
-        rings: &Arc<SessionRings>,
+        rings: &SessionRings,
         session_budget: usize,
         scratch: &mut DrainScratch,
         totals: &mut SweepTotals<'_>,
@@ -129,9 +126,6 @@ impl Kernel {
                 totals.tally.eidrm_failures += failed as u64;
                 totals.report.drained += failed;
                 totals.report.failed += failed;
-                if failed > 0 {
-                    set.mark_completed(slot);
-                }
                 return SlotDrain {
                     remark: !rings.sq.is_empty(),
                     drained: failed,
@@ -149,12 +143,6 @@ impl Kernel {
             scratch,
             &mut totals.tally,
         );
-        // Every drained entry pushed a completion (success or errno):
-        // flag the completion bitmap so a completion consumer (the async
-        // router) finds the responses without polling rings.
-        if outcome.drained > 0 {
-            set.mark_completed(slot);
-        }
         totals.report.drained += outcome.drained;
         totals.report.completed += outcome.completed;
         totals.report.failed += outcome.failed;
@@ -184,7 +172,7 @@ impl Kernel {
     /// themselves (the readiness words are claimed atomically), and
     /// producers may keep submitting while a sweep is in flight.
     ///
-    /// This is [`Kernel::sweep_claimed`] with no scheduler and a ledger
+    /// This is `Kernel::sweep_claimed` with no scheduler and a ledger
     /// that lives for the call: the claims of a caller who dies in here
     /// are observable to nobody, so this is the entry point for callers
     /// nobody supervises. The plane's drainers sweep through their
@@ -227,8 +215,8 @@ impl Kernel {
         // One claimed slot's visit; `None` when the slot was busy or gone.
         let mut visit = |slot: RingSlotId, budget: usize| {
             let mut outcome = None;
-            set.drain_claimed(slot, ledger, |slot, rings| {
-                let drain = self.sweep_visit(set, slot, rings, budget, &mut scratch, &mut totals);
+            set.drain_claimed(slot, ledger, |_, rings| {
+                let drain = self.sweep_visit(rings, budget, &mut scratch, &mut totals);
                 let remark = drain.remark;
                 outcome = Some(drain);
                 remark
@@ -353,11 +341,6 @@ mod tests {
             k.cost
                 .sweep_dispatch_ns(SESSIONS, SESSIONS * PER_SESSION as usize)
         );
-        // Every session that received completions is flagged on the
-        // completion bitmap, exactly once each.
-        assert!(set.any_completed());
-        let flagged = set.sweep_completed(|_, _| false);
-        assert_eq!(flagged, SESSIONS, "each swept session flags completed");
         // Per-session completions: FIFO, correct values, no cross-session
         // leakage (user_data encodes the producing session).
         for (s, _) in clients.iter().enumerate() {

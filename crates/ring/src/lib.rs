@@ -42,11 +42,8 @@
 //!   dispatch plane. Per-session [`set::SessionRings`] pairs addressed by
 //!   [`set::RingSlotId`], plus a cache-line-padded readiness bitmap so a
 //!   sweep (`sys_smod_sweep`) finds the rings with work in a handful of
-//!   word loads and resolves each ready session once per visit. A
-//!   mirror-image completion bitmap points the other way, letting a
-//!   completion consumer (the async frontend's router) find the sessions
-//!   with unreaped responses just as cheaply; submission refusals are
-//!   typed ([`set::SubmitError`]) so callers can tell backpressure
+//!   word loads and resolves each ready session once per visit.
+//!   Submission refusals are typed ([`set::SubmitError`]) so callers can tell backpressure
 //!   (`Full`: retry after a completion) from teardown (`Detached`: never
 //!   retry). Slots carry a raw tenant id, and every sweep records its
 //!   in-flight claims in a per-drainer [`set::ClaimLedger`] so a dead

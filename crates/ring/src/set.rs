@@ -11,13 +11,11 @@
 //!   validate against), addressed by a stable [`RingSlotId`],
 //! * a cheap **"has work" readiness bitmap** — one bit per slot in
 //!   cache-line-padded `AtomicU64` words — so an idle sweep costs a few
-//!   word loads instead of touching every ring's head/tail cache lines,
-//!   and
-//! * a mirror-image **completion bitmap** pointing the other way: the
-//!   kernel sets a slot's completed bit after pushing into its completion
-//!   ring, and a completion consumer (the async frontend's router) claims
-//!   whole words with the same clear-then-drain protocol instead of
-//!   polling every session's completion ring.
+//!   word loads instead of touching every ring's head/tail cache lines.
+//!
+//! Completions need no bitmap: whoever consumes them (a plane handle's
+//! owner, the async frontend's router) already knows which sessions it
+//! serves and pops their completion rings directly.
 //!
 //! The readiness protocol is clear-then-drain, the classic lost-wakeup
 //! shape: a producer pushes into its submission ring and *then* sets the
@@ -226,10 +224,6 @@ pub struct RingSet {
     slots: Box<[RwLock<Option<Arc<SessionRings>>>]>,
     /// One ready bit per slot, 64 slots per padded word.
     ready: Box<[CachePadded<AtomicU64>]>,
-    /// One completed bit per slot: set by the kernel after pushing
-    /// completions, claimed by the completion consumer. Same
-    /// clear-then-drain protocol as `ready`, opposite direction.
-    completed: Box<[CachePadded<AtomicU64>]>,
     /// Free slot indices (registration pops, deregistration pushes).
     free: Mutex<Vec<usize>>,
     len: AtomicUsize,
@@ -269,9 +263,6 @@ impl RingSet {
         RingSet {
             slots: (0..cap).map(|_| RwLock::new(None)).collect(),
             ready: (0..cap / 64)
-                .map(|_| CachePadded(AtomicU64::new(0)))
-                .collect(),
-            completed: (0..cap / 64)
                 .map(|_| CachePadded(AtomicU64::new(0)))
                 .collect(),
             free: Mutex::new((0..cap).rev().collect()),
@@ -343,9 +334,6 @@ impl RingSet {
         self.ready[slot.0 / 64]
             .0
             .fetch_and(!(1u64 << (slot.0 % 64)), Ordering::AcqRel);
-        self.completed[slot.0 / 64]
-            .0
-            .fetch_and(!(1u64 << (slot.0 % 64)), Ordering::AcqRel);
         self.len.fetch_sub(1, Ordering::Relaxed);
         self.free.lock().push(slot.0);
         Some(rings)
@@ -407,66 +395,6 @@ impl RingSet {
                 self.mark_ready(RingSlotId(idx));
             }
         }
-    }
-
-    /// Mark a slot as having unreaped completions. The kernel calls this
-    /// after pushing into a slot's completion ring; the release store
-    /// pairs with the completion consumer's acquire swap in
-    /// [`RingSet::sweep_completed`].
-    pub fn mark_completed(&self, slot: RingSlotId) {
-        self.completed[slot.0 / 64]
-            .0
-            .fetch_or(1u64 << (slot.0 % 64), Ordering::Release);
-    }
-
-    /// Is any slot flagged as having unreaped completions?
-    pub fn any_completed(&self) -> bool {
-        // Acquire pairs with the kernel's release `mark_completed`, so
-        // the caller sees every bit set before the call.
-        self.completed
-            .iter()
-            .any(|w| w.0.load(Ordering::Acquire) != 0)
-    }
-
-    /// Claim the current completed set and visit each claimed slot:
-    /// `visit(slot, rings)` reaps the slot's completion ring; returning
-    /// `true` re-marks the slot (completions left unreaped). Returns how
-    /// many slots were visited.
-    ///
-    /// Same word-at-a-time `swap(0)` claim as [`RingSet::sweep_ready`],
-    /// pointing the other way, with no per-slot exclusivity flag: several
-    /// consumers may claim the completed bitmap at once. Each claimed bit
-    /// goes to one of them, but a slot re-marked after one consumer's
-    /// claim can be claimed by another while the first still reaps it, so
-    /// the visitor must reap with the multi-consumer `pop`, never
-    /// `pop_spsc`.
-    /// Each completion is then popped exactly once; which consumer pops
-    /// it, and in what order relative to the other consumers, is not
-    /// defined — a consumer that routes by `user_data` depends on
-    /// neither. A `mark_completed` racing the swap either lands before
-    /// the reap (and is consumed) or re-sets the bit for the next sweep.
-    pub fn sweep_completed(
-        &self,
-        mut visit: impl FnMut(RingSlotId, &Arc<SessionRings>) -> bool,
-    ) -> usize {
-        let mut visited = 0;
-        for (word_idx, word) in self.completed.iter().enumerate() {
-            let mut claimed = word.0.swap(0, Ordering::AcqRel);
-            while claimed != 0 {
-                let bit = claimed.trailing_zeros() as usize;
-                claimed &= claimed - 1;
-                let slot = RingSlotId(word_idx * 64 + bit);
-                let rings = match self.get(slot) {
-                    Some(r) => r,
-                    None => continue, // deregistered after flagging
-                };
-                visited += 1;
-                if visit(slot, &rings) {
-                    self.mark_completed(slot);
-                }
-            }
-        }
-        visited
     }
 
     /// Claim the current ready set and visit each claimed slot exactly
@@ -750,102 +678,6 @@ mod tests {
             }
             other => panic!("expected Detached, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn completion_bitmap_claims_and_remarks_like_ready() {
-        let set = RingSet::with_capacity(2);
-        let a = set.register(1, 1, RingPairConfig::default()).unwrap();
-        let b = set.register(2, 2, RingPairConfig::default()).unwrap();
-        assert!(!set.any_completed());
-        set.mark_completed(a);
-        set.mark_completed(b);
-        assert!(set.any_completed());
-
-        // First sweep claims both; slot `a` reports leftovers and is
-        // re-marked, `b` is done.
-        let mut seen = Vec::new();
-        let visited = set.sweep_completed(|slot, _| {
-            seen.push(slot);
-            slot == a
-        });
-        assert_eq!(visited, 2);
-        assert_eq!(seen, vec![a, b]);
-        assert!(set.any_completed(), "short reap must re-flag the slot");
-        let visited = set.sweep_completed(|slot, _| {
-            assert_eq!(slot, a);
-            false
-        });
-        assert_eq!(visited, 1);
-        assert!(!set.any_completed());
-
-        // Deregistration clears a pending completed bit.
-        set.mark_completed(a);
-        set.deregister(a).unwrap();
-        assert!(!set.any_completed());
-    }
-
-    #[test]
-    fn concurrent_completion_consumers_pop_each_completion_once() {
-        // One poster fills three slots' small completion rings and flags
-        // them; two consumers claim the completed bitmap and pop at the
-        // same time. Every cookie must come out exactly once.
-        const POSTED: u64 = 20_000;
-        let set = RingSet::with_capacity(3);
-        let cfg = RingPairConfig {
-            submission: 2,
-            completion: 8,
-        };
-        let slots: Vec<RingSlotId> = (0..3).map(|i| set.register(i, i, cfg).unwrap()).collect();
-        let posted = AtomicBool::new(false);
-        let seen: Vec<Vec<u64>> = std::thread::scope(|s| {
-            let consumers: Vec<_> = (0..2)
-                .map(|_| {
-                    let (set, posted) = (&set, &posted);
-                    s.spawn(move || {
-                        let mut seen = Vec::new();
-                        loop {
-                            // Read the flag before the pass: a pass begun
-                            // after the last mark claims whatever is left.
-                            let last = posted.load(Ordering::Acquire);
-                            set.sweep_completed(|_, rings| {
-                                while let Some(resp) = rings.cq.pop() {
-                                    seen.push(resp.user_data);
-                                }
-                                false
-                            });
-                            if last {
-                                return seen;
-                            }
-                        }
-                    })
-                })
-                .collect();
-            for user_data in 0..POSTED {
-                let slot = slots[(user_data % 3) as usize];
-                let rings = set.get(slot).unwrap();
-                let mut resp = crate::SmodCallResp {
-                    user_data,
-                    ret: crate::ArgRef::empty(),
-                    errno: 0,
-                    cost_ns: 0,
-                };
-                while let Err(back) = rings.cq.push(resp) {
-                    resp = back;
-                    std::thread::yield_now();
-                }
-                set.mark_completed(slot);
-            }
-            posted.store(true, Ordering::Release);
-            consumers.into_iter().map(|c| c.join().unwrap()).collect()
-        });
-        let mut all: Vec<u64> = seen.concat();
-        all.sort_unstable();
-        assert_eq!(all, (0..POSTED).collect::<Vec<_>>(), "lost or duplicated");
-        for slot in slots {
-            assert!(set.get(slot).unwrap().cq.pop().is_none(), "left behind");
-        }
-        assert!(!set.any_completed());
     }
 
     #[test]
