@@ -7,11 +7,11 @@
 //! before any useful work happens. The batched entry point resolves the
 //! caller's session and module gateway **once**, then drains up to
 //! `batch_budget` [`SmodCallReq`] entries from a [`SubmissionRing`],
-//! running each through the same [`Kernel::call_entry`] a single call
+//! running each through the same `Kernel::call_entry` a single call
 //! runs and pushing one [`SmodCallResp`] per entry into the paired
 //! [`CompletionRing`]. The fixed work is charged once per batch through
 //! [`crate::cost::CostModel::batched_dispatch_ns`] by the same
-//! [`Kernel::finish_trap`] a single call leaves through; per-entry work
+//! `Kernel::finish_trap` a single call leaves through; per-entry work
 //! (policy decision, argument copy, the function body) is charged per
 //! entry, with cached vs uncached decisions still priced honestly.
 //!
@@ -33,7 +33,7 @@
 //! the gateway's answering tier cost.
 //!
 //! The chunked loop itself — epoch re-read, EIDRM on teardown,
-//! completion-space reservation — is [`Kernel::drain_session_rings`],
+//! completion-space reservation — is `Kernel::drain_session_rings`,
 //! shared by the per-session path here and the multi-session
 //! `sys_smod_sweep`.
 

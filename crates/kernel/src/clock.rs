@@ -23,7 +23,7 @@ pub(crate) fn stripe_index(hint: u64, buckets: usize) -> usize {
 /// time, which makes them deterministic and lets the default cost model be
 /// calibrated against the paper's 599 MHz Pentium III.
 ///
-/// The counter is **striped**: `advance` adds to one of [`STRIPES`]
+/// The counter is **striped**: `advance` adds to one of `STRIPES`
 /// independent atomics chosen by the caller's hint (the kernel passes the
 /// charged pid), and `now_ns` sums the stripes. Concurrent `&self` syscall
 /// paths therefore do not bounce a single cache line between cores on

@@ -2,16 +2,16 @@
 //!
 //! The paper prices a protected call as one fixed sequence — trap,
 //! credential check, policy decision, message op, switch pair — and this
-//! module holds it once: [`Kernel::call_entry`] is the per-call sequence,
-//! [`Session::hold_pair`] the lock and credential view it runs under, and
-//! [`Kernel::finish_trap`] the accounting every trap ends in.
+//! module holds it once: `Kernel::call_entry` is the per-call sequence,
+//! `Session::hold_pair` the lock and credential view it runs under, and
+//! `Kernel::finish_trap` the accounting every trap ends in.
 //! `sys_smod_call` is those three at depth 1; the batched and swept
 //! drains ([`crate::batch`], [`crate::sweep`]) run the same three over
 //! ring entries.
 //!
 //! Dispatch takes `&self` and is driven from many threads at once. The
 //! per-call policy decision is the session's verdict when it holds one
-//! (see [`Kernel::call_entry`]); otherwise it goes through the module's
+//! (see `Kernel::call_entry`); otherwise it goes through the module's
 //! embedded [`secmod_policy::Gateway`]: the kernel folds its `smod_epoch`
 //! into the gateway first, so a detach/remove that completed before the
 //! call began makes every older decision unreachable; only a miss falls
@@ -810,9 +810,9 @@ impl Kernel {
     ///
     /// The kernel verifies that the caller really is the client of an
     /// established session for `m_id`, then runs the one protected-call
-    /// sequence ([`Kernel::call_entry`]) under one hold of the pair lock
+    /// sequence (`Kernel::call_entry`) under one hold of the pair lock
     /// and leaves through the one accounting tail
-    /// ([`Kernel::finish_trap`]) — a drain of depth 1 with no ring,
+    /// (`Kernel::finish_trap`) — a drain of depth 1 with no ring,
     /// charged [`crate::cost::CostModel::smod_call_overhead`] as its
     /// fixed term.
     ///

@@ -1,7 +1,7 @@
 //! Client-side stub generation (§4.2, Figure 5).
 //!
 //! "Most functions in the libraries targeted for SecModule conversion
-//! resolved to calling autogenerated assembly stub function[s]."  A stub
+//! resolved to calling autogenerated assembly stub function\[s\]."  A stub
 //! pushes the `(moduleID, funcID)` pair that names the protected function
 //! and relays to the kernel's `sys_smod_call()` (Figure 3, step 1→2).
 //! Because the real stub manipulates the stack frame it cannot be written

@@ -41,7 +41,7 @@ const SUB_BUCKETS: u64 = 1 << SUB_BITS;
 pub const NUM_BUCKETS: usize = (SUB_BUCKETS as usize) * (64 - SUB_BITS as usize + 1);
 
 /// The bucket index a value lands in. Monotonic in `v`; exact below
-/// [`SUB_BUCKETS`], log-linear above.
+/// `SUB_BUCKETS`, log-linear above.
 #[inline]
 pub fn bucket_index(v: u64) -> usize {
     if v < SUB_BUCKETS {

@@ -27,7 +27,7 @@
 //!   the slot and settles the accounting, which is what makes every
 //!   teardown path (EIDRM fills, ring drops, async drop-cancel, bounced
 //!   submissions) leak-free without special cases: the slot rides inside
-//!   [`ArgRef::Arena`][crate::ArgRef::Arena] and dies with the request
+//!   [`ArgRef::Arena`] and dies with the request
 //!   or response that owned it.
 //!
 //! # Safety

@@ -2,7 +2,7 @@
 //!
 //! The paper modifies `sys_obreak()` (and the `uvm_map()` call it makes) so
 //! that "additional heap space [is requested] as shared, if the request came
-//! for one of the process[es] in a SecModule pair".  Here, growth of a
+//! for one of the process\[es\] in a SecModule pair".  Here, growth of a
 //! paired process's heap creates/extends a *shared* entry; the peer picks up
 //! the new pages lazily through the modified fault path
 //! ([`crate::space::VmSpace::fault_with_peer`]).
