@@ -106,12 +106,12 @@ pub(crate) fn route_completions(
     let mut routed = 0;
     let mut wakers: Vec<Waker> = Vec::new();
     for route in tables.lock().values() {
-        let Some(first) = route.rings.cq.pop() else {
+        if route.rings.cq.is_empty() {
             continue;
-        };
+        }
         let mut pending = route.table.pending.lock();
         let mut popped = 0u64;
-        for resp in std::iter::once(first).chain(std::iter::from_fn(|| route.rings.cq.pop())) {
+        while let Some(resp) = route.rings.cq.pop() {
             popped += 1;
             if resp.cost_ns > 0 {
                 metrics.record_latency(Flavor::Async, resp.cost_ns);
