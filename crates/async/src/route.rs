@@ -9,8 +9,8 @@
 //! session in slot order and routes each response to its waker — the
 //! "waker storm": one sweep's worth of completions wakes every logical
 //! client it answered, however many OS threads those clients are
-//! multiplexed over. A session with nothing posted costs the pass one
-//! empty pop.
+//! multiplexed over. A session with nothing posted costs the pass two
+//! atomic loads (its completion ring's emptiness check).
 //!
 //! Cancellation falls out of the table shape: a [`crate::CallFuture`]
 //! that is dropped mid-await removes its own entry, so its completion
