@@ -32,10 +32,15 @@
 //! session holds is priced as a cached decision; anything else pays what
 //! the gateway's answering tier cost.
 //!
-//! The chunked loop itself — epoch re-read, EIDRM on teardown,
-//! completion-space reservation — is `Kernel::drain_session_rings`,
-//! shared by the per-session path here and the multi-session
-//! `sys_smod_sweep`.
+//! There is one drain loop and one account of what it did.
+//! `Kernel::drain_session_rings` — completion-space reservation, epoch
+//! re-read, the chunk under the pair lock — runs for this entry point and
+//! for every slot a sweep visits. A drain that starts without a session
+//! (a sweep slot whose session is gone) or loses it mid-way answers
+//! everything it consumes with `EIDRM` from that same loop, which is the
+//! only place an `EIDRM` completion is posted. What the drain did is
+//! counted in the trap's `TrapTally`, and this entry point and the sweep
+//! both hand it back as one [`DrainReport`].
 
 use crate::errno::Errno;
 use crate::kernel::Kernel;
@@ -50,23 +55,36 @@ use secmod_ring::{ArenaRegion, ArgRef, CompletionRing, SmodCallReq, SmodCallResp
 /// the client lock; large enough that lock traffic stays amortised.
 pub const BATCH_CHUNK: usize = 32;
 
-/// What one `sys_smod_call_batch` invocation did.
+/// What one drain trap did: the report `sys_smod_call_batch` and every
+/// sweep return. The trap's `TrapTally` counts it while the drain runs
+/// and `Kernel::finish_trap` hands it back, so there is one account per
+/// trap and no copy of it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct BatchReport {
-    /// Submission entries consumed (≤ the batch budget).
+pub struct DrainReport {
+    /// Ring-set slots a sweep claimed and visited (the batched path visits
+    /// its caller's own rings, no slot, and leaves this 0).
+    pub sessions_ready: usize,
+    /// Visited slots whose session was live and drained without a
+    /// teardown.
+    pub sessions_swept: usize,
+    /// Sessions found dead: a slot whose session was gone, not
+    /// established or owned by a different pid, or a session (the
+    /// batching caller's included) torn down mid-drain. Every entry
+    /// drained from it after that completed with `EIDRM`.
+    pub sessions_dead: usize,
+    /// Submission entries consumed.
     pub drained: usize,
     /// Entries that completed successfully (`errno == 0`).
     pub completed: usize,
     /// Entries that completed with an error (denied, unknown function,
-    /// wrong session, or failed because the session died mid-batch).
+    /// wrong session, or `EIDRM`).
     pub failed: usize,
-    /// The session or its module vanished mid-batch; every entry drained
-    /// after the vanishing completed with `EIDRM`.
-    pub aborted: bool,
-    /// The amortised per-batch fixed cost charged to the caller:
-    /// [`crate::cost::CostModel::batched_dispatch_ns`] of the entries
-    /// that underwent a policy check or body run (validation rejects are
-    /// free; a drain of nothing else pays the bare trap).
+    /// The amortised fixed cost charged to the trapping caller: the entry
+    /// point's cost-model formula
+    /// ([`crate::cost::CostModel::batched_dispatch_ns`],
+    /// [`crate::cost::CostModel::sweep_dispatch_ns`]) over the entries that
+    /// underwent a policy check or body run, or 0 when none did (validation
+    /// rejects and `EIDRM` fills are free; such a trap pays the bare trap).
     pub fixed_cost_ns: u64,
 }
 
@@ -83,63 +101,6 @@ impl DrainScratch {
             chunk: Vec::with_capacity(BATCH_CHUNK),
             responses: Vec::with_capacity(BATCH_CHUNK),
         }
-    }
-}
-
-/// What one [`Kernel::drain_session_rings`] call did (the per-session
-/// slice of a [`BatchReport`] / [`crate::sweep::SweepReport`]).
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct DrainOutcome {
-    pub drained: usize,
-    pub completed: usize,
-    pub failed: usize,
-    /// Entries that underwent a policy check or body run (validation
-    /// rejects are free).
-    pub checked: usize,
-    /// The session or module vanished mid-drain; the remainder was
-    /// completed with `EIDRM`.
-    pub aborted: bool,
-}
-
-/// The completion of an entry whose session is gone.
-fn eidrm_resp(user_data: u64) -> SmodCallResp {
-    SmodCallResp {
-        user_data,
-        ret: ArgRef::empty(),
-        errno: Errno::EIDRM.code(),
-        cost_ns: 0,
-    }
-}
-
-/// Fail every queued submission with `EIDRM` — the path for a ring whose
-/// session was already gone when the drain reached it. Respects
-/// completion-ring space exactly like a live drain: entries that cannot
-/// be answered yet stay queued (the caller re-flags the slot). Returns
-/// how many entries were answered.
-pub(crate) fn fail_all_eidrm(sq: &SubmissionRing, cq: &CompletionRing) -> usize {
-    let mut failed = 0;
-    loop {
-        let cq_free = cq.capacity() - cq.len().min(cq.capacity());
-        if cq_free == 0 {
-            return failed;
-        }
-        let mut took = 0;
-        while took < cq_free {
-            match sq.pop() {
-                Some(req) => {
-                    took += 1;
-                    // `req` drops here, freeing any arena slot its args
-                    // held — the EIDRM path leaks nothing.
-                    let mut pending = eidrm_resp(req.user_data);
-                    while let Err(back) = cq.push(pending) {
-                        pending = back;
-                        std::thread::yield_now();
-                    }
-                }
-                None => return failed + took,
-            }
-        }
-        failed += took;
     }
 }
 
@@ -167,7 +128,7 @@ impl Kernel {
         sq: &SubmissionRing,
         cq: &CompletionRing,
         batch_budget: usize,
-    ) -> SysResult<BatchReport> {
+    ) -> SysResult<DrainReport> {
         if cq.capacity() < sq.capacity() {
             return Err(Errno::EINVAL);
         }
@@ -181,8 +142,8 @@ impl Kernel {
             return Err(Errno::EINVAL);
         }
         let mut tally = TrapTally::new(self.metrics.latency(Flavor::Batch), 0);
-        let outcome = self.drain_session_rings(
-            &session,
+        self.drain_session_rings(
+            Some(&session),
             sq,
             cq,
             None,
@@ -193,56 +154,50 @@ impl Kernel {
         // The amortised fixed cost covers the entries that actually went
         // through a policy check or body; one context-switch pair per
         // *batch* — the single-call path pays one per call.
-        let fixed_cost_ns = match outcome.checked {
-            0 => 0,
-            checked => self.cost.batched_dispatch_ns(checked),
-        };
+        let fixed_ns = self.cost.batched_dispatch_ns(tally.checked);
         self.procs
-            .with_mut(caller, |p| self.finish_trap(p, tally, fixed_cost_ns))?;
-        Ok(BatchReport {
-            drained: outcome.drained,
-            completed: outcome.completed,
-            failed: outcome.failed,
-            aborted: outcome.aborted,
-            fixed_cost_ns,
-        })
+            .with_mut(caller, |p| self.finish_trap(p, tally, fixed_ns))
     }
 
-    /// The shared chunked drain: fold the kernel epoch into the module
-    /// gateway, then pop up to `budget` entries from `sq` in
-    /// [`BATCH_CHUNK`]-sized chunks, re-reading the kernel epoch between
-    /// chunks, running each chunk's entries through [`Kernel::call_entry`]
-    /// under one hold of the pair lock (which re-verifies the live
-    /// credential and re-stamps the session's verdicts), and publishing
-    /// one completion per entry into `cq` (completion space is reserved
-    /// *before* submissions are consumed). Teardown detected mid-drain
-    /// fails the remainder with `EIDRM`.
+    /// The one chunked drain: pop up to `budget` entries from `sq` in
+    /// [`BATCH_CHUNK`]-sized chunks and publish one completion per entry
+    /// into `cq`, reserving completion space *before* consuming
+    /// submissions. For a live `session` the kernel epoch is folded into
+    /// the module gateway first and re-read between chunks, and each
+    /// chunk runs through [`Kernel::call_entry`] under one hold of the
+    /// pair lock (which re-verifies the live credential and re-stamps the
+    /// session's verdicts). A session torn down mid-drain, or `None` — a
+    /// slot whose session was already gone — makes the drain *dead*: every
+    /// entry it consumes from then on completes with `EIDRM`.
     ///
-    /// Both `sys_smod_call_batch` (one session per syscall) and
-    /// `sys_smod_sweep` (every ready session per syscall) funnel through
-    /// here, so the epoch/credential re-check semantics cannot drift
-    /// between the two paths. What the drain adds to the metrics registry
-    /// lands in the trap's `tally`.
+    /// `sys_smod_call_batch`, every live sweep visit and every dead-slot
+    /// visit funnel through here, so the epoch/credential re-check and the
+    /// `EIDRM` fill cannot drift between paths. What the drain did lands in
+    /// the trap's `tally`: its [`DrainReport`] counts and what it adds to
+    /// the metrics registry.
     #[allow(clippy::too_many_arguments)] // one arg per drain resource; bundling would obscure them
     pub(crate) fn drain_session_rings(
         &self,
-        session: &Session,
+        session: Option<&Session>,
         sq: &SubmissionRing,
         cq: &CompletionRing,
         region: Option<&ArenaRegion>,
         budget: usize,
         scratch: &mut DrainScratch,
         tally: &mut TrapTally<'_>,
-    ) -> DrainOutcome {
-        let mut outcome = DrainOutcome::default();
-        let checked_before = tally.checked;
-        let gateway = &session.module_ref().gateway;
+    ) {
         let mut kernel_epoch = self.smod_epoch();
-        gateway.observe_kernel_epoch(kernel_epoch);
-        let mut dead = false;
+        if let Some(session) = session {
+            session
+                .module_ref()
+                .gateway
+                .observe_kernel_epoch(kernel_epoch);
+        }
+        let mut dead = session.is_none();
+        let mut drained = 0;
         let DrainScratch { chunk, responses } = scratch;
 
-        while outcome.drained < budget {
+        while drained < budget {
             // Reserve completion space *before* consuming submissions: a
             // chunk is only popped if its completions can be published
             // without waiting on the consumer. A caller that batches
@@ -251,7 +206,7 @@ impl Kernel {
             // against its own unreaped completion ring; concurrent
             // reaping only ever increases the space observed here.
             let cq_free = cq.capacity() - cq.len().min(cq.capacity());
-            let take = BATCH_CHUNK.min(budget - outcome.drained).min(cq_free);
+            let take = BATCH_CHUNK.min(budget - drained).min(cq_free);
             while chunk.len() < take {
                 match sq.pop() {
                     Some(req) => chunk.push(req),
@@ -262,44 +217,48 @@ impl Kernel {
                 break;
             }
 
-            // Epoch fold between chunks: a detach/remove that completed
-            // since the last chunk invalidates the pinned session (and,
-            // through the gateway epoch, the session's verdicts).
-            if !dead {
+            if let Some(session) = session.filter(|_| !dead) {
+                // Epoch fold between chunks: a detach/remove that
+                // completed since the last chunk invalidates the pinned
+                // session (and, through the gateway epoch, its verdicts).
                 let now = self.smod_epoch();
                 if now != kernel_epoch {
                     kernel_epoch = now;
-                    gateway.observe_kernel_epoch(now);
+                    session.module_ref().gateway.observe_kernel_epoch(now);
                     dead = self.sessions.get(session.id).is_none()
                         || self.registry.get(session.module).is_err();
                 }
-            }
-
-            if !dead {
-                let held = session.hold_pair(|hold| {
-                    for req in chunk.iter() {
-                        responses.push(self.ring_entry(hold, tally, req, region));
-                    }
-                });
-                // A pair that cannot be locked is a dead session, whatever
-                // errno the lock reported: this chunk and the rest of the
-                // drain fail with the `EIDRM` of an epoch-detected teardown.
-                dead = held.is_err();
+                if !dead {
+                    let held = session.hold_pair(|hold| {
+                        for req in chunk.iter() {
+                            responses.push(self.ring_entry(hold, tally, req, region));
+                        }
+                    });
+                    // A pair that cannot be locked is a dead session,
+                    // whatever errno the lock reported: this chunk and the
+                    // rest of the drain fail with the `EIDRM` of an
+                    // epoch-detected teardown.
+                    dead = held.is_err();
+                }
             }
             if dead {
-                outcome.aborted = true;
-                responses.extend(chunk.iter().map(|req| eidrm_resp(req.user_data)));
+                responses.extend(chunk.iter().map(|req| SmodCallResp {
+                    user_data: req.user_data,
+                    ret: ArgRef::empty(),
+                    errno: Errno::EIDRM.code(),
+                    cost_ns: 0,
+                }));
             }
 
             for (req, resp) in chunk.drain(..).zip(responses.drain(..)) {
                 // Free any arena slot the arguments held before the
                 // producer can see the completion.
                 drop(req);
-                outcome.drained += 1;
+                drained += 1;
                 if resp.is_ok() {
-                    outcome.completed += 1;
+                    tally.report.completed += 1;
                 } else {
-                    outcome.failed += 1;
+                    tally.report.failed += 1;
                 }
                 tally.eidrm_failures += u64::from(resp.errno == Errno::EIDRM.code());
                 let mut pending = resp;
@@ -309,8 +268,8 @@ impl Kernel {
                 }
             }
         }
-        outcome.checked = tally.checked - checked_before;
-        outcome
+        tally.report.drained += drained;
+        tally.report.sessions_dead += usize::from(dead);
     }
 
     /// One ring entry through [`Kernel::call_entry`]: the entry must name
@@ -520,7 +479,7 @@ pub(crate) mod tests {
         assert_eq!(report.drained, 40);
         assert_eq!(report.completed, 40);
         assert_eq!(report.failed, 0);
-        assert!(!report.aborted);
+        assert_eq!(report.sessions_dead, 0);
         assert_eq!(report.fixed_cost_ns, k.cost.batched_dispatch_ns(40));
         for i in 0..40u64 {
             let resp = cq.pop_spsc().expect("completion present");
@@ -579,7 +538,7 @@ pub(crate) mod tests {
         assert_eq!(report.drained, 5);
         assert_eq!(report.completed, 2);
         assert_eq!(report.failed, 3);
-        assert!(!report.aborted);
+        assert_eq!(report.sessions_dead, 0);
         let errnos: Vec<i32> = (0..5).map(|_| cq.pop_spsc().unwrap().errno).collect();
         assert_eq!(
             errnos,
@@ -932,7 +891,7 @@ pub(crate) mod tests {
         // An empty drain still charges a trap and reports zero work.
         let before = k.clock.now_ns();
         let report = k.sys_smod_call_batch(client, &sq, &cq, 8).unwrap();
-        assert_eq!(report, BatchReport::default());
+        assert_eq!(report, DrainReport::default());
         assert_eq!(k.clock.now_ns() - before, k.cost.syscall_trap_ns);
         let _ = incr;
     }
@@ -1035,7 +994,10 @@ pub(crate) mod tests {
         });
 
         assert_eq!(report.drained, ENTRIES, "every entry must be answered");
-        assert!(report.aborted, "teardown mid-batch must be reported");
+        assert_eq!(
+            report.sessions_dead, 1,
+            "teardown mid-batch must be reported"
+        );
         assert!(
             report.completed > 0,
             "the leading chunk ran before teardown"

@@ -147,14 +147,6 @@ impl Kernel {
         self.metrics.text_report()
     }
 
-    /// Boot with a custom address-space layout (smaller layouts make unit
-    /// tests cheaper).
-    pub fn with_layout(cost: CostModel, layout: Layout) -> Kernel {
-        let mut k = Kernel::new(cost);
-        k.layout = layout;
-        k
-    }
-
     /// Boot with a custom decision-cache sizing for registered modules
     /// ([`CacheConfig::disabled`] gives the uncached-baseline kernel).
     pub fn with_gate_config(cost: CostModel, gate_config: CacheConfig) -> Kernel {
@@ -430,28 +422,6 @@ impl Kernel {
         self.charge(pid, cost);
         self.msgs.msgrcv(queue, mtype)
     }
-
-    // ----------------------------------------------------------------
-    // Reporting
-    // ----------------------------------------------------------------
-
-    /// A `dmesg`-style boot/system information block, the analogue of the
-    /// paper's Figure 7.
-    pub fn system_info(&self) -> String {
-        format!(
-            "SecModule simulated kernel (cost model: P-III 599 MHz / OpenBSD 3.6 calibration)\n\
-             cpu0: simulated, syscall trap {} ns, context switch {} ns\n\
-             real mem = simulated\n\
-             processes: {}, modules registered: {}, active sessions: {}\n\
-             simulated clock: {} ns\n",
-            self.cost.syscall_trap_ns,
-            self.cost.context_switch_ns,
-            self.procs.len(),
-            self.registry.len(),
-            self.sessions.len(),
-            self.clock.now_ns()
-        )
-    }
 }
 
 #[cfg(test)]
@@ -578,13 +548,5 @@ mod tests {
         assert_eq!(k.procs.with(p, |proc_| proc_.name.clone()).unwrap(), "new");
         // Old heap contents are gone (fresh zero-filled heap).
         assert_eq!(k.read_user_memory(p, addr, 8).unwrap(), vec![0u8; 8]);
-    }
-
-    #[test]
-    fn system_info_mentions_calibration() {
-        let k = kernel();
-        let info = k.system_info();
-        assert!(info.contains("OpenBSD 3.6"));
-        assert!(info.contains("syscall trap"));
     }
 }

@@ -53,7 +53,7 @@ pub mod sweep;
 pub mod table;
 pub mod trace;
 
-pub use batch::{BatchReport, BATCH_CHUNK};
+pub use batch::{DrainReport, BATCH_CHUNK};
 pub use clock::SimClock;
 pub use cost::CostModel;
 pub use cred::Credential;
@@ -64,7 +64,6 @@ pub use plane::{CrashSpec, DispatchPlane, PlaneConfig, PlaneHandle, PlaneStats, 
 pub use proc::{Pid, ProcFlags, ProcState, Process};
 pub use smod::{Session, SessionId, SessionState, SessionTable, SmodCallArgs};
 pub use smodreg::RegisteredModule;
-pub use sweep::SweepReport;
 pub use trace::{Event, Tracer};
 
 /// Result alias for syscalls: either a value or an errno.

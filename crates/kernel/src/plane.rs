@@ -69,12 +69,12 @@
 //! the fault drill that proves the loop: the targeted drainer makes the
 //! sweep's own claim, then dies inside its first visit.
 
+use crate::batch::DrainReport;
 use crate::cred::Credential;
 use crate::errno::Errno;
 use crate::kernel::Kernel;
 use crate::proc::Pid;
 use crate::smod::SessionState;
-use crate::sweep::SweepReport;
 use crate::SysResult;
 use parking_lot::{Mutex, RwLock};
 use secmod_obs::Flavor;
@@ -320,7 +320,7 @@ pub struct PlaneStats {
 }
 
 impl PlaneStats {
-    fn absorb(&mut self, report: &SweepReport) {
+    fn absorb(&mut self, report: &DrainReport) {
         self.sweeps += 1;
         self.productive_sweeps += u64::from(report.sessions_ready > 0);
         self.drained += report.drained as u64;

@@ -18,6 +18,7 @@
 //! back to the full `PolicyEngine` fixpoint, and the cost model charges
 //! the cached vs uncached cost accordingly.
 
+use crate::batch::DrainReport;
 use crate::errno::Errno;
 use crate::kernel::Kernel;
 use crate::msgqueue::MsgQueueId;
@@ -381,12 +382,13 @@ pub(crate) enum Verdict {
     Allowed(FunctionBody),
 }
 
-/// Everything one trap adds to the shared [`DispatchMetrics`] registry,
-/// counted locally and flushed once by [`Kernel::finish_trap`], so the
-/// per-entry loop writes no shared cache line and the registry is exact
-/// again by the time the trap returns. (A producer that reaps a completion
-/// *while* its drain is still running may read totals that do not include
-/// it yet.)
+/// The one account of a trap: everything it adds to the shared
+/// [`DispatchMetrics`] registry, counted locally and flushed once by
+/// [`Kernel::finish_trap`] (so the per-entry loop writes no shared cache
+/// line and the registry is exact again by the time the trap returns),
+/// and the [`DrainReport`] a drain trap returns. (A producer that reaps a
+/// completion *while* its drain is still running may read totals that do
+/// not include it yet.)
 ///
 /// Latency is tallied as runs of equal cost: entries of one function and
 /// payload size cost the same, so a drain has a handful of distinct values
@@ -409,6 +411,12 @@ pub(crate) struct TrapTally<'k> {
     pub(crate) inline_args: u64,
     pub(crate) arena_args: u64,
     pub(crate) eidrm_failures: u64,
+    /// What the trap did to the rings it drained; `finish_trap` fills in
+    /// the fixed cost and returns it.
+    pub(crate) report: DrainReport,
+    /// Sessions that had at least one checked entry — the sessions a
+    /// sweep's fixed cost charges a credential check for.
+    pub(crate) sessions_checked: usize,
 }
 
 impl<'k> TrapTally<'k> {
@@ -425,6 +433,8 @@ impl<'k> TrapTally<'k> {
             inline_args: 0,
             arena_args: 0,
             eidrm_failures: 0,
+            report: DrainReport::default(),
+            sessions_checked: 0,
         }
     }
 
@@ -449,7 +459,7 @@ impl<'k> TrapTally<'k> {
             .record_n(self.sample_base_ns + self.run_cost_ns, self.run_len);
     }
 
-    fn flush(self, metrics: &DispatchMetrics) {
+    fn flush(self, metrics: &DispatchMetrics) -> DrainReport {
         self.record_run();
         // `Counter::add` skips a zero, the common case at depth 1.
         metrics.gate_hits.add(self.gate_hits);
@@ -457,6 +467,7 @@ impl<'k> TrapTally<'k> {
         metrics.arena.inline_args.add(self.inline_args);
         metrics.arena.arena_args.add(self.arena_args);
         metrics.eidrm_failures.add(self.eidrm_failures);
+        self.report
     }
 }
 
@@ -972,8 +983,14 @@ impl Kernel {
     /// which already contains the context-switch pair — advances the clock
     /// by fixed + entries and counts the pair; a trap that checked nothing
     /// (empty, or nothing but validation rejects) pays the bare trap. Then
-    /// the tally reaches the metrics registry.
-    pub(crate) fn finish_trap(&self, caller: &mut Process, tally: TrapTally<'_>, fixed_ns: u64) {
+    /// the tally reaches the metrics registry, and its report — with the
+    /// fixed cost charged, 0 for a bare trap — is returned.
+    pub(crate) fn finish_trap(
+        &self,
+        caller: &mut Process,
+        mut tally: TrapTally<'_>,
+        fixed_ns: u64,
+    ) -> DrainReport {
         let stripe = caller.pid.0 as u64;
         if tally.checked == 0 {
             caller.cpu_time_ns += self.cost.syscall_trap_ns;
@@ -984,8 +1001,9 @@ impl Kernel {
             self.clock
                 .advance_striped(stripe, fixed_ns + tally.entry_ns);
             self.context_switch_n(caller.pid, 2);
+            tally.report.fixed_cost_ns = fixed_ns;
         }
-        tally.flush(&self.metrics);
+        tally.flush(&self.metrics)
     }
 
     // ----------------------------------------------------------------

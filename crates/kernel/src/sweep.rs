@@ -6,10 +6,11 @@
 //! *per session* per drain round. The sweep hoists those too: a single
 //! invocation claims the ring set's readiness bitmap, resolves each
 //! ready session — session table lookup, ownership check, epoch fold
-//! into the module gateway — **once per sweep**, and runs
-//! the same chunked pair-lock drain (`Kernel::drain_session_rings`)
-//! the batched path uses, so the epoch-re-read / credential-re-check /
-//! `EIDRM` semantics are shared code, not a second copy.
+//! into the module gateway — **once per sweep**, and runs every claimed
+//! slot through the chunked drain the batched path runs
+//! (`Kernel::drain_session_rings`). Each visit adds to the trap's one
+//! `TrapTally`, which the sweep returns as its [`DrainReport`], the same
+//! report `sys_smod_call_batch` returns.
 //!
 //! Cost model: the trap, stubs and context-switch pair are charged once
 //! per sweep, credential/session resolution once per session, and per
@@ -22,12 +23,13 @@
 //! Safety semantics per slot:
 //!
 //! * a slot whose session is gone, half-established, or registered under
-//!   a different owner pid than the live session's client fails every
-//!   queued entry with `EIDRM` — a stale or replayed slot can never
-//!   dispatch into somebody else's session;
+//!   a different owner pid than the live session's client is drained
+//!   with no session and no budget: every queued entry its completion
+//!   ring has room for completes with `EIDRM`, and a stale or replayed
+//!   slot can never dispatch into somebody else's session;
 //! * a detach/remove racing an in-flight sweep is honoured at the next
-//!   chunk boundary of that session's drain, failing the remainder with
-//!   `EIDRM` exactly like the batched path;
+//!   chunk boundary of that session's drain, which fails the remainder
+//!   with `EIDRM` in the same loop, exactly like the batched path;
 //! * every ready slot is visited at most once per sweep and every ready
 //!   slot *is* visited (the readiness words are claimed wholesale), so
 //!   one hot ring can neither starve the others nor be drained past
@@ -41,9 +43,10 @@
 //! is the only thing that varies: without one every claimed slot is
 //! drained as it is claimed, in bitmap order; with one the claimed slots
 //! are planned first — which tenants drain this round and with what
-//! budget — and the rest go back to the bitmap.
+//! budget — and the rest go back to the bitmap, and each tenant's lane is
+//! charged what its slots' visits added to the trap's report.
 
-use crate::batch::{fail_all_eidrm, DrainScratch};
+use crate::batch::{DrainReport, DrainScratch};
 use crate::kernel::Kernel;
 use crate::proc::Pid;
 use crate::smod::{SessionId, SessionState, TrapTally};
@@ -53,113 +56,43 @@ use secmod_qos::SweepScheduler;
 use secmod_ring::set::ClaimLedger;
 use secmod_ring::{RingSet, RingSlotId, SessionRings};
 
-/// What one `sys_smod_sweep` invocation did.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SweepReport {
-    /// Slots claimed from the readiness bitmap (visited this sweep).
-    pub sessions_ready: usize,
-    /// Ready sessions that resolved to a live session and were drained
-    /// to completion (no mid-drain teardown).
-    pub sessions_swept: usize,
-    /// Ready slots whose session was gone, not established, owned by a
-    /// different pid, or torn down mid-drain; their queued entries
-    /// completed with `EIDRM`.
-    pub sessions_dead: usize,
-    /// Submission entries consumed across all visited sessions.
-    pub drained: usize,
-    /// Entries that completed successfully (`errno == 0`).
-    pub completed: usize,
-    /// Entries that completed with an error.
-    pub failed: usize,
-    /// The amortised fixed cost charged to the sweeping caller:
-    /// [`crate::cost::CostModel::sweep_dispatch_ns`] over the sessions
-    /// that did checked work and the entries they checked (validation
-    /// rejects and `EIDRM` fills are free, as everywhere else).
-    pub fixed_cost_ns: u64,
-}
-
-/// Running totals across one sweep's slot visits, folded into the
-/// report and the amortised cost charge at the end.
-struct SweepTotals<'k> {
-    report: SweepReport,
-    tally: TrapTally<'k>,
-    sessions_checked: usize,
-}
-
-/// What one slot's visit did (the per-slot slice of the totals, so a
-/// scheduled sweep can charge each tenant for exactly its own entries).
-struct SlotDrain {
-    remark: bool,
-    drained: usize,
-    completed: usize,
-    failed: usize,
-}
-
 impl Kernel {
-    /// The per-slot sweep body: resolve the slot's session once, drain
-    /// up to `session_budget` entries (or fail everything queued with
-    /// `EIDRM` for a dead/foreign slot), and fold the outcome into
-    /// `totals`.
+    /// The per-slot sweep body: resolve the slot's session once and drain
+    /// its rings into the sweep's `tally` — up to `session_budget` entries
+    /// of a live session; for a dead or foreign slot, `EIDRM` for every
+    /// queued entry its completion ring has room for, so one visit empties
+    /// it unless the producer has stopped reaping.
     fn sweep_visit(
         &self,
         rings: &SessionRings,
         session_budget: usize,
         scratch: &mut DrainScratch,
-        totals: &mut SweepTotals<'_>,
-    ) -> SlotDrain {
-        totals.report.sessions_ready += 1;
+        tally: &mut TrapTally<'_>,
+    ) {
+        tally.report.sessions_ready += 1;
         // --- once-per-sweep resolution of this session ------------------
         let live = self
             .sessions
             .get(SessionId(rings.session))
             .filter(|s| s.client.0 == rings.owner)
             .filter(|s| s.state() == SessionState::Established);
-        let session = match live {
-            Some(session) => session,
-            None => {
-                // Dead / foreign slot: answer everything queued with
-                // EIDRM. A full completion ring leaves the rest queued
-                // and re-flags the slot for a later sweep (after the
-                // producer reaps).
-                totals.report.sessions_dead += 1;
-                let failed = fail_all_eidrm(&rings.sq, &rings.cq);
-                totals.tally.eidrm_failures += failed as u64;
-                totals.report.drained += failed;
-                totals.report.failed += failed;
-                return SlotDrain {
-                    remark: !rings.sq.is_empty(),
-                    drained: failed,
-                    completed: 0,
-                    failed,
-                };
-            }
+        let budget = if live.is_some() {
+            session_budget
+        } else {
+            usize::MAX
         };
-        let outcome = self.drain_session_rings(
-            &session,
+        let (checked, dead) = (tally.checked, tally.report.sessions_dead);
+        self.drain_session_rings(
+            live.as_deref(),
             &rings.sq,
             &rings.cq,
             rings.arena.as_ref(),
-            session_budget,
+            budget,
             scratch,
-            &mut totals.tally,
+            tally,
         );
-        totals.report.drained += outcome.drained;
-        totals.report.completed += outcome.completed;
-        totals.report.failed += outcome.failed;
-        if outcome.aborted {
-            totals.report.sessions_dead += 1;
-        } else {
-            totals.report.sessions_swept += 1;
-        }
-        totals.sessions_checked += usize::from(outcome.checked > 0);
-        // Budget leftovers (or a cq-full stall) re-flag the slot so the
-        // next sweep picks it straight back up.
-        SlotDrain {
-            remark: !rings.sq.is_empty(),
-            drained: outcome.drained,
-            completed: outcome.completed,
-            failed: outcome.failed,
-        }
+        tally.sessions_checked += usize::from(tally.checked > checked);
+        tally.report.sessions_swept += usize::from(tally.report.sessions_dead == dead);
     }
 
     /// Drain every ready session in `set`, up to `session_budget` entries
@@ -182,7 +115,7 @@ impl Kernel {
         caller: Pid,
         set: &RingSet,
         session_budget: usize,
-    ) -> SysResult<SweepReport> {
+    ) -> SysResult<DrainReport> {
         self.sweep_claimed(caller, set, &set.claim_ledger(), None, session_budget)
     }
 
@@ -204,29 +137,23 @@ impl Kernel {
         ledger: &ClaimLedger,
         sched: Option<&SweepScheduler>,
         session_budget: usize,
-    ) -> SysResult<SweepReport> {
+    ) -> SysResult<DrainReport> {
         self.procs.with(caller, |_| ())?; // the drainer must be a live process
-        let mut totals = SweepTotals {
-            report: SweepReport::default(),
-            tally: TrapTally::new(self.metrics.latency(Flavor::Sweep), 0),
-            sessions_checked: 0,
-        };
+        let mut tally = TrapTally::new(self.metrics.latency(Flavor::Sweep), 0);
         let mut scratch = DrainScratch::new();
-        // One claimed slot's visit; `None` when the slot was busy or gone.
-        let mut visit = |slot: RingSlotId, budget: usize| {
-            let mut outcome = None;
+        // One claimed slot's visit; `false` when the slot was busy or gone.
+        let mut visit = |slot: RingSlotId, budget: usize, tally: &mut TrapTally<'_>| {
             set.drain_claimed(slot, ledger, |_, rings| {
-                let drain = self.sweep_visit(rings, budget, &mut scratch, &mut totals);
-                let remark = drain.remark;
-                outcome = Some(drain);
-                remark
-            });
-            outcome
+                self.sweep_visit(rings, budget, &mut scratch, tally);
+                // Budget leftovers (or a cq-full stall) re-flag the slot
+                // so the next sweep picks it straight back up.
+                !rings.sq.is_empty()
+            })
         };
         match sched {
             None => {
                 set.claim_ready(ledger, |slot, _tenant| {
-                    visit(slot, session_budget);
+                    visit(slot, session_budget, &mut tally);
                 });
             }
             Some(sched) => {
@@ -237,11 +164,16 @@ impl Kernel {
                     set.release_claimed(RingSlotId(slot), ledger);
                 }
                 for chosen in &plan.chosen {
-                    if let Some(drain) = visit(RingSlotId(chosen.slot), chosen.budget) {
-                        sched.charge(chosen.tenant, drain.drained as u64);
+                    // The tenant pays for exactly what its slot's visit
+                    // added to the trap's report.
+                    let before = tally.report;
+                    if visit(RingSlotId(chosen.slot), chosen.budget, &mut tally) {
+                        let after = &tally.report;
+                        sched.charge(chosen.tenant, (after.drained - before.drained) as u64);
                         let lane = sched.metrics().lane(chosen.tenant);
-                        lane.completed.add(drain.completed as u64);
-                        lane.failed.add(drain.failed as u64);
+                        lane.completed
+                            .add((after.completed - before.completed) as u64);
+                        lane.failed.add((after.failed - before.failed) as u64);
                     }
                 }
             }
@@ -250,21 +182,15 @@ impl Kernel {
         // counters behind `DispatchMetrics::sessions_per_trap`, the
         // paper's multi-session amortisation made observable — and one
         // context-switch pair per *sweep*.
-        let SweepTotals {
-            mut report,
-            tally,
-            sessions_checked,
-        } = totals;
         self.metrics.sweep_traps.incr();
         self.metrics
             .sweep_sessions
-            .add(report.sessions_ready as u64);
-        if tally.checked > 0 {
-            report.fixed_cost_ns = self.cost.sweep_dispatch_ns(sessions_checked, tally.checked);
-        }
+            .add(tally.report.sessions_ready as u64);
+        let fixed_ns = self
+            .cost
+            .sweep_dispatch_ns(tally.sessions_checked, tally.checked);
         self.procs
-            .with_mut(caller, |p| self.finish_trap(p, tally, report.fixed_cost_ns))?;
-        Ok(report)
+            .with_mut(caller, |p| self.finish_trap(p, tally, fixed_ns))
     }
 }
 
@@ -456,6 +382,67 @@ mod tests {
         for _ in 0..4 {
             assert!(live.cq.pop_spsc().unwrap().is_ok());
         }
+    }
+
+    #[test]
+    fn a_dead_slot_is_answered_as_far_as_its_completion_ring_has_room() {
+        // A detached session's slot holds more than a sweep's budget, and
+        // its completion ring is mostly full of completions the client has
+        // not reaped. Each sweep answers exactly what fits, the slot stays
+        // flagged while entries remain, and once the client reaps, one
+        // visit answers everything left, past the budget: every entry gets
+        // exactly one EIDRM.
+        const BUDGET: usize = SMOD_BATCH_DEFAULT_BUDGET;
+        const RING: usize = 4 * BUDGET;
+        const ROOM: usize = BUDGET / 2;
+        const QUEUED: usize = 2 * BUDGET + ROOM;
+        let (k, _m, clients, incr) = kernel_with_clients(None, 1);
+        let client = clients[0];
+        let (set, slots) = ring_set_for(&k, &clients, RING);
+        let rings = set.get(slots[0]).unwrap();
+        let drainer = sweeper(&k);
+        for i in 0..(RING - ROOM) as u64 {
+            set.submit(slots[0], req(&k, client, incr, i, i)).unwrap();
+        }
+        let live = k.sys_smod_sweep(drainer, &set, RING).unwrap();
+        assert_eq!(live.completed, RING - ROOM);
+        let user_data = |i: usize| (RING + i) as u64;
+        for i in 0..QUEUED {
+            set.submit(slots[0], req(&k, client, incr, user_data(i), 0))
+                .unwrap();
+        }
+        k.smod_detach(client, "dead slot").unwrap();
+
+        let first = k.sys_smod_sweep(drainer, &set, BUDGET).unwrap();
+        assert_eq!(
+            (first.sessions_dead, first.drained, first.failed),
+            (1, ROOM, ROOM)
+        );
+        assert_eq!(rings.sq.len(), QUEUED - ROOM);
+        assert!(set.any_ready(), "a slot with entries left stays flagged");
+
+        let mut eidrm = Vec::new();
+        let reap = |eidrm: &mut Vec<u64>| {
+            while let Some(resp) = rings.cq.pop_spsc() {
+                if resp.user_data >= RING as u64 {
+                    assert_eq!(resp.errno, Errno::EIDRM.code());
+                    eidrm.push(resp.user_data);
+                } else {
+                    assert!(resp.is_ok());
+                }
+            }
+        };
+        reap(&mut eidrm);
+        let rest = k.sys_smod_sweep(drainer, &set, BUDGET).unwrap();
+        assert_eq!(
+            (rest.sessions_dead, rest.drained, rest.failed),
+            (1, QUEUED - ROOM, QUEUED - ROOM)
+        );
+        assert!(rings.sq.is_empty());
+        assert!(!set.any_ready(), "an emptied slot is not re-flagged");
+        reap(&mut eidrm);
+        assert_eq!(eidrm, (0..QUEUED).map(user_data).collect::<Vec<_>>());
+        assert_eq!(k.metrics.eidrm_failures.get(), QUEUED as u64);
     }
 
     #[test]
@@ -722,7 +709,7 @@ mod tests {
         let drainer = sweeper(&k);
         let before = k.clock.now_ns();
         let report = k.sys_smod_sweep(drainer, &set, 8).unwrap();
-        assert_eq!(report, SweepReport::default());
+        assert_eq!(report, DrainReport::default());
         assert_eq!(k.clock.now_ns() - before, k.cost.syscall_trap_ns);
         // A vanished drainer cannot sweep.
         assert_eq!(
@@ -776,6 +763,78 @@ mod tests {
         let lane = sched.metrics().lane(0);
         assert_eq!(lane.drained.get(), (SESSIONS as u64) * PER_SESSION);
         assert_eq!(lane.completed.get(), (SESSIONS as u64) * PER_SESSION);
+    }
+
+    #[test]
+    fn qos_lanes_count_each_tenants_failures_as_its_completions_do() {
+        use secmod_qos::{QosPolicy, SweepScheduler, TenantSpec};
+        // Tenant 0: one detached slot (every entry fails with EIDRM) and
+        // one live slot. Tenant 1: one live slot whose calls alternate
+        // between a granted and a denied function. Each lane must count
+        // exactly what its tenant's reaped completions add up to.
+        const PER_SLOT: u64 = 40;
+        let (k, m_id, clients, incr) = kernel_with_clients(None, 3);
+        let strlen = k
+            .registry
+            .get(m_id)
+            .unwrap()
+            .package
+            .stub_table
+            .by_name("strlen")
+            .unwrap()
+            .func_id;
+        let set = RingSet::with_capacity(clients.len());
+        let tenants = [0u32, 0, 1];
+        let slots: Vec<RingSlotId> = clients
+            .iter()
+            .zip(tenants)
+            .map(|(&c, tenant)| {
+                let session = k.session_of(c).unwrap();
+                set.register_for_tenant(session.id.0, c.0, tenant, RingPairConfig::default())
+                    .unwrap()
+            })
+            .collect();
+        for (s, &client) in clients.iter().enumerate() {
+            for i in 0..PER_SLOT {
+                let proc_id = if s == 2 && i % 2 == 1 { strlen } else { incr };
+                set.submit(slots[s], req(&k, client, proc_id, i, i))
+                    .unwrap();
+            }
+        }
+        k.smod_detach(clients[0], "tenant 0 loses a session")
+            .unwrap();
+
+        let drainer = sweeper(&k);
+        let sched = SweepScheduler::new(
+            QosPolicy::weighted_fair([TenantSpec::new(0, 1), TenantSpec::new(1, 1)])
+                .with_quantum(16),
+        );
+        let ledger = set.claim_ledger();
+        let mut reaped = [(0u64, 0u64); 2]; // (completed, failed) per tenant
+        let mut guard = 0;
+        while set.any_ready() {
+            k.sweep_claimed(drainer, &set, &ledger, Some(&sched), 16)
+                .unwrap();
+            for (s, slot) in slots.iter().enumerate() {
+                let totals = &mut reaped[tenants[s] as usize];
+                while let Some(resp) = set.get(*slot).unwrap().cq.pop_spsc() {
+                    if resp.is_ok() {
+                        totals.0 += 1;
+                    } else {
+                        totals.1 += 1;
+                    }
+                }
+            }
+            guard += 1;
+            assert!(guard < 100, "the sweeps failed to converge");
+        }
+        assert_eq!(reaped, [(PER_SLOT, PER_SLOT), (PER_SLOT / 2, PER_SLOT / 2)]);
+        for (tenant, (completed, failed)) in reaped.into_iter().enumerate() {
+            let lane = sched.metrics().lane(tenant as u32);
+            assert_eq!(lane.completed.get(), completed, "tenant {tenant}");
+            assert_eq!(lane.failed.get(), failed, "tenant {tenant}");
+            assert_eq!(lane.drained.get(), completed + failed, "tenant {tenant}");
+        }
     }
 
     #[test]
