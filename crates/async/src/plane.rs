@@ -149,11 +149,6 @@ impl AsyncPlane {
         self.routed.load(Ordering::Relaxed)
     }
 
-    /// The kernel the plane dispatches into.
-    pub fn kernel(&self) -> Arc<Kernel> {
-        self.plane.as_ref().expect("plane not shut down").kernel()
-    }
-
     /// Stop everything, in dependency order: the plane first (every
     /// accepted submission is swept through and posted, and its final
     /// completion hook routes those responses), then the tables detach

@@ -40,7 +40,7 @@ use secmod_module::builder::{FunctionSpec, ModuleBuilder};
 use secmod_module::{ModuleId, SmodPackage, StubTable};
 use secmod_obs::{Flavor, LatencySummary};
 use secmod_policy::{Assertion, LicenseeExpr, PolicyEngine, Principal};
-use secmod_qos::{HealthConfig, QosPolicy, SweepScheduler, TenantId, TenantLane, TenantSpec};
+use secmod_qos::{QosPolicy, SweepScheduler, TenantId, TenantLane, TenantSpec};
 use secmod_ring::{
     CompletionRing, RingPairConfig, SmodCallReq, SmodCallResp, SubmissionRing, SubmitError,
     SMOD_BATCH_DEFAULT_BUDGET,
@@ -187,9 +187,9 @@ enum Fault {
     /// re-handshake — so epoch churn lands mid-traffic.
     Storm,
     /// Drainer 0 carries a [`CrashSpec`]: it claims ready slots exactly
-    /// like a real sweep and dies holding them. The armed health monitor
-    /// must notice the missed heartbeats, reclaim the stranded claims and
-    /// respawn the seat, all mid-traffic.
+    /// like a real sweep and dies holding them. Its exit guard must
+    /// reclaim the stranded claims and respawn the seat, all mid-traffic,
+    /// even when it is the plane's only drainer.
     Crash,
 }
 
@@ -394,7 +394,7 @@ const SCENARIOS: [Row; 15] = [
     Row {
         kind: ScenarioKind::DrainerCrash,
         name: "crash",
-        summary: "drainer 0 dies holding claims; the monitor reclaims, respawns; exactly-once",
+        summary: "drainer 0 dies holding claims; its exit guard reclaims, respawns; exactly-once",
         fault: Fault::Crash,
         checks: &[Check::CrashRecovered],
         ..ON_PLANE
@@ -504,13 +504,11 @@ impl ScenarioConfig {
             // `drainers` knob does not apply to them.
             return (self.threads / 2).max(1);
         }
-        let seats = if self.drainers > 0 {
+        if self.drainers > 0 {
             self.drainers
         } else {
             (self.threads / 4).max(1)
-        };
-        // The crash drill kills one seat; another must keep draining.
-        seats.max(if row.fault == Fault::Crash { 2 } else { 1 })
+        }
     }
 
     /// The logical-client count the async scenario will use.
@@ -1125,8 +1123,7 @@ impl World {
 }
 
 /// The plane a row runs on: a slot per attachment, a QoS policy for
-/// tenant rows, the armed health monitor and [`CrashSpec`] for the crash
-/// drill.
+/// tenant rows, the [`CrashSpec`] for the crash drill.
 fn plane_config(cfg: &ScenarioConfig, live: &Live) -> PlaneConfig {
     let row = cfg.kind.row();
     let slots = match row.tenancy {
@@ -1145,9 +1142,7 @@ fn plane_config(cfg: &ScenarioConfig, live: &Live) -> PlaneConfig {
             drainer: 0,
             after_sweeps: 0,
         };
-        plane = plane
-            .health(HealthConfig::with_deadline(Duration::from_millis(10)))
-            .crash(crash);
+        plane = plane.crash(crash);
     }
     plane.build()
 }
@@ -1830,7 +1825,7 @@ mod tests {
         assert_eq!(two.effective_drainers(), 2);
         assert_eq!(split(&run_scenario(&two)), split(report_of(cfg.kind)));
         // Ring drainers are batch-trap callers — max(1, threads/2), knob or
-        // no knob — and the crash drill needs a survivor beside the corpse.
+        // no knob — and the crash drill's lone seat respawns itself.
         let (kind, threads) = (ScenarioKind::RingDispatch, 6);
         let ring = ScenarioConfig {
             kind,
@@ -1839,7 +1834,7 @@ mod tests {
         };
         assert_eq!(ring.effective_drainers(), 3);
         let kind = ScenarioKind::DrainerCrash;
-        assert_eq!(ScenarioConfig { kind, ..cfg }.effective_drainers(), 2);
+        assert_eq!(ScenarioConfig { kind, ..cfg }.effective_drainers(), 1);
     }
 
     #[test]

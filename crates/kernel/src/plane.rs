@@ -50,24 +50,29 @@
 //! serve. Shutdown flags every slot once more and lets each drainer
 //! sweep the set dry before joining.
 //!
-//! ## Multi-tenant planes, supervised planes
+//! ## Multi-tenant planes, dead drainers
 //!
-//! Every drainer sweeps through its seat's [`ClaimLedger`]: the ready
+//! Every drainer sweeps through its own [`ClaimLedger`]: the ready
 //! slots it claims stay recorded there until each one's visit has
 //! returned. A plane configured with a [`QosPolicy`]
 //! ([`PlaneConfigBuilder::qos`]) hosts sessions from many tenants:
 //! [`DispatchPlane::attach_tenant`] tags each attachment's ring-set slot
 //! with a [`TenantId`], and the shared [`SweepScheduler`] sits between
 //! claim and drain — it plans a weighted-fair split, the chosen slots are
-//! drained, the deferred ones released. A [`HealthConfig`]
-//! ([`PlaneConfigBuilder::health`]) arms the supervisor, with or without
-//! a policy: a dedicated thread polling each drainer's heartbeat. A
-//! drainer that stops beating for two deadlines is declared dead; the
-//! supervisor reclaims whatever its ledger still holds claimed (handing
-//! the readiness bits back to the set so no submitted entry is stranded)
-//! and respawns the seat. [`CrashSpec`] ([`PlaneConfigBuilder::crash`]) is
-//! the fault drill that proves the loop: the targeted drainer makes the
-//! sweep's own claim, then dies inside its first visit.
+//! drained, the deferred ones released.
+//!
+//! A drainer recovers its own seat, the way the kernel tears a process
+//! down on its exit path rather than on a timer. Each drainer thread owns
+//! an exit guard that runs however the thread ends — a return, or a
+//! panic unwinding out of a visit. The guard hands back whatever the
+//! ledger still holds claimed (the readiness bits go back to the set and
+//! the drain flag the drainer died holding is cleared, so no submitted
+//! entry is stranded) and, unless the plane is stopping, spawns the
+//! seat's next drainer. Nothing watches a live drainer, so a long drain
+//! is never mistaken for a dead one. [`CrashSpec`]
+//! ([`PlaneConfigBuilder::crash`]) is the fault drill that proves the
+//! loop: the targeted drainer makes the sweep's own claim, then dies
+//! inside its first visit.
 
 use crate::batch::DrainReport;
 use crate::cred::Credential;
@@ -77,8 +82,8 @@ use crate::proc::Pid;
 use crate::smod::SessionState;
 use crate::SysResult;
 use parking_lot::{Mutex, RwLock};
-use secmod_obs::Flavor;
-use secmod_qos::{HealthConfig, HealthMonitor, Heartbeat, QosPolicy, SweepScheduler, TenantId};
+use secmod_obs::{Counter, Flavor};
+use secmod_qos::{QosPolicy, SweepScheduler, TenantId};
 use secmod_ring::{
     ArgArena, ArgRef, ClaimLedger, RingPairConfig, RingSet, RingSlotId, SessionRings, SmodCallReq,
     SmodCallResp, SubmitError, SMOD_BATCH_DEFAULT_BUDGET,
@@ -86,11 +91,8 @@ use secmod_ring::{
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
-
-/// Floor for the clamped heartbeat-slack park (a zero park would spin).
-const MIN_PARK: Duration = Duration::from_micros(100);
 
 /// How long a drainer in the polling regime watches the readiness bitmap
 /// before it gives up and parks. Long enough to cover a caller's think
@@ -168,12 +170,14 @@ impl PollController {
 
 /// A fault-injection drill: drainer `drainer` makes the sweep's own
 /// claim into its seat's ledger, takes the first claimed slot's drain
-/// flag, then dies holding both (its thread exits without draining or
-/// beating). Fires once per plane, on the first queued work the victim
-/// finds once it has done `after_sweeps` sweeps — a crash that strands
-/// nothing proves nothing — and until it has fired the other drainers
-/// stand aside, so it fires by construction, not by winning a race. A
-/// spec that names no seat of the plane is ignored.
+/// flag, then dies holding both (its thread exits without draining).
+/// Fires once per plane, on the first queued work the victim finds once
+/// it has done `after_sweeps` sweeps — a crash that strands nothing
+/// proves nothing. Until it has fired the other drainers stand aside,
+/// and the victim, once due, parks between claims instead of sweeping,
+/// so it fires by construction, not by winning a race. A plane that
+/// stops first never fires it. A spec that names no seat of the plane is
+/// ignored.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CrashSpec {
     /// Seat index of the drainer to kill (0-based).
@@ -204,9 +208,6 @@ pub struct PlaneConfig {
     /// [`TenantId::DEFAULT`]); `Some` puts the weighted-fair scheduler
     /// between claim and drain.
     pub qos: Option<QosPolicy>,
-    /// Arm the drainer health monitor and its supervisor thread. `None`
-    /// runs unsupervised: a dead drainer's claims wait for shutdown.
-    pub health: Option<HealthConfig>,
     /// Fault-injection drill: kill one drainer mid-claim. See
     /// [`CrashSpec`].
     pub crash: Option<CrashSpec>,
@@ -221,7 +222,6 @@ impl Default for PlaneConfig {
             park_timeout: Duration::from_millis(1),
             pin_drainers: false,
             qos: None,
-            health: None,
             crash: None,
         }
     }
@@ -281,12 +281,6 @@ impl PlaneConfigBuilder {
         self
     }
 
-    /// Arm the drainer health monitor and supervisor.
-    pub fn health(mut self, health: HealthConfig) -> Self {
-        self.cfg.health = Some(health);
-        self
-    }
-
     /// Arm the drainer-crash fault drill.
     pub fn crash(mut self, crash: CrashSpec) -> Self {
         self.cfg.crash = Some(crash);
@@ -312,10 +306,11 @@ pub struct PlaneStats {
     pub completed: u64,
     /// Entries completed with an error.
     pub failed: u64,
-    /// Drainers the supervisor respawned after a `Dead` verdict.
+    /// Drainers respawned by the exit guard of a drainer that died while
+    /// the plane was running.
     pub drainer_restarts: u64,
-    /// Readiness bits reclaimed from dead drainers' claim ledgers
-    /// (supervisor recoveries plus the shutdown safety net).
+    /// Readiness bits the drainers' exit guards handed back from their
+    /// claim ledgers: the claims each drainer died holding.
     pub reclaimed: u64,
 }
 
@@ -339,7 +334,8 @@ impl PlaneStats {
     }
 }
 
-/// Per-drainer spawn parameters the supervisor reuses on respawn.
+/// Per-drainer spawn parameters, reused when a dead drainer's exit guard
+/// respawns its seat.
 struct DrainerParams {
     park_timeout: Duration,
     pin_drainers: bool,
@@ -348,10 +344,6 @@ struct DrainerParams {
     /// The CPUs that thread may run on. It stands in for the producers,
     /// whose threads the plane never sees.
     starter_cpus: affinity::CpuSet,
-    /// `deadline / 2` when a health monitor is armed: the park timeout
-    /// is clamped to this so a healthy parked drainer always wakes to
-    /// beat well inside its deadline.
-    heartbeat_slack: Option<Duration>,
 }
 
 struct PlaneShared {
@@ -363,8 +355,10 @@ struct PlaneShared {
     /// completions to their wakers from here, on the thread that posted
     /// them; `None` costs the drainers one relaxed load per sweep.
     completion_hook: RwLock<Option<Arc<dyn Fn() + Send + Sync>>>,
-    /// Drainer thread handles for unparking (filled once at start).
-    sleepers: RwLock<Vec<std::thread::Thread>>,
+    /// Drainer threads for unparking, one entry per seat. Sized at start;
+    /// each drainer installs itself before its first sweep, so a
+    /// replacement always lands after the drainer it replaces.
+    sleepers: RwLock<Vec<Option<Thread>>>,
     /// How many drainers are (about to be) parked. Producers skip the
     /// unpark entirely while it is 0 — the hot path's wake is then a
     /// fence and two loads, not a futex op per submission. A drainer
@@ -381,22 +375,19 @@ struct PlaneShared {
     spinning: AtomicBool,
     /// The QoS scheduler, when the plane is multi-tenant.
     sched: Option<Arc<SweepScheduler>>,
-    /// The drainer health monitor, when armed.
-    monitor: Option<Arc<HealthMonitor>>,
-    /// One claim ledger per drainer seat. The supervisor swaps in a fresh ledger when it
-    /// reclaims a dead seat's, so a corpse and its replacement never
-    /// share one.
-    ledgers: RwLock<Vec<Arc<ClaimLedger>>>,
     /// Fault drill, if armed, and its fired-once latch.
     crash: Option<CrashSpec>,
     crash_fired: AtomicBool,
-    /// Spawn parameters reused by supervisor respawns.
+    /// Spawn parameters reused by respawns.
     params: DrainerParams,
-    /// Live drainer join handles. Shared (not on `DispatchPlane`) so the
-    /// supervisor can push respawned seats; drained once at shutdown
-    /// after the supervisor has been joined.
+    /// Drainer join handles. Shared (not on `DispatchPlane`) so a dying
+    /// drainer can push its replacement's; drained at shutdown, where
+    /// joining a dying drainer waits out that push.
     handles: Mutex<Vec<JoinHandle<PlaneStats>>>,
-    /// Kernel process charged for the shutdown safety-net sweep.
+    /// Seats respawned, and claims handed back, by drainers' exit guards.
+    restarts: Counter,
+    reclaimed: Counter,
+    /// Kernel process charged for the shutdown's inline sweep.
     reaper_pid: Pid,
 }
 
@@ -420,7 +411,7 @@ impl PlaneShared {
     /// Unpark every drainer (on a running thread that is a stored permit,
     /// so overshooting is safe, just not free).
     fn unpark_all(&self) {
-        for t in self.sleepers.read().iter() {
+        for t in self.sleepers.read().iter().flatten() {
             t.unpark();
         }
     }
@@ -439,14 +430,13 @@ impl PlaneShared {
 pub struct DispatchPlane {
     shared: Arc<PlaneShared>,
     ring: RingPairConfig,
-    supervisor: Option<JoinHandle<()>>,
     joined: bool,
 }
 
 impl std::fmt::Debug for DispatchPlane {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DispatchPlane")
-            .field("drainers", &self.shared.handles.lock().len())
+            .field("drainers", &self.shared.sleepers.read().len())
             .field("attached", &self.shared.set.len())
             .field("multi_tenant", &self.shared.sched.is_some())
             .finish()
@@ -467,66 +457,42 @@ impl DispatchPlane {
             .qos
             .as_ref()
             .map(|p| Arc::new(SweepScheduler::new(p.clone())));
-        let monitor = cfg.health.map(|h| Arc::new(HealthMonitor::new(h.deadline)));
-        let ledgers = (0..n).map(|_| Arc::new(set.claim_ledger())).collect();
-        // The reaper process exists for one job: charging the shutdown
-        // safety-net sweep somewhere real if the drainers can no longer
-        // run it (e.g. an unrecovered crash drill).
+        // The reaper process exists for one job: charging the shutdown's
+        // inline sweep somewhere real once no drainer is left to run it.
         let reaper_pid =
             kernel.spawn_process("plane-reaper", Credential::root(), vec![0x90; 4096], 2, 2)?;
-        let shared = Arc::new(PlaneShared {
-            kernel: Arc::clone(&kernel),
-            set,
-            stop: AtomicBool::new(false),
-            completion_hook: RwLock::new(None),
-            sleepers: RwLock::new(Vec::new()),
-            idle: AtomicUsize::new(0),
-            spinning: AtomicBool::new(false),
-            sched,
-            monitor: monitor.clone(),
-            ledgers: RwLock::new(ledgers),
-            crash: cfg.crash.filter(|crash| crash.drainer < n),
-            crash_fired: AtomicBool::new(false),
-            params: DrainerParams {
-                park_timeout: cfg.park_timeout,
-                pin_drainers: cfg.pin_drainers,
-                cores,
-                starter_cpus: thread_cpus(cores),
-                heartbeat_slack: cfg.health.map(|h| (h.deadline / 2).max(MIN_PARK)),
-            },
-            handles: Mutex::new(Vec::new()),
-            reaper_pid,
-        });
-        for seat in 0..n {
-            let heartbeat = monitor.as_ref().map(|m| m.register().1);
-            let handle = spawn_drainer(&shared, seat, 0, heartbeat)?;
-            shared.handles.lock().push(handle);
-        }
-        *shared.sleepers.write() = shared
-            .handles
-            .lock()
-            .iter()
-            .map(|h| h.thread().clone())
-            .collect();
-        let supervisor = match (&monitor, cfg.health) {
-            (Some(monitor), Some(health)) => {
-                let shared = Arc::clone(&shared);
-                let monitor = Arc::clone(monitor);
-                Some(
-                    std::thread::Builder::new()
-                        .name("smod-plane-supervisor".into())
-                        .spawn(move || supervisor_loop(&shared, &monitor, health.check_interval))
-                        .expect("spawn plane supervisor thread"),
-                )
-            }
-            _ => None,
-        };
-        Ok(DispatchPlane {
-            shared,
+        let plane = DispatchPlane {
+            shared: Arc::new(PlaneShared {
+                kernel: Arc::clone(&kernel),
+                set,
+                stop: AtomicBool::new(false),
+                completion_hook: RwLock::new(None),
+                sleepers: RwLock::new(vec![None; n]),
+                idle: AtomicUsize::new(0),
+                spinning: AtomicBool::new(false),
+                sched,
+                crash: cfg.crash.filter(|crash| crash.drainer < n),
+                crash_fired: AtomicBool::new(false),
+                params: DrainerParams {
+                    park_timeout: cfg.park_timeout,
+                    pin_drainers: cfg.pin_drainers,
+                    cores,
+                    starter_cpus: thread_cpus(cores),
+                },
+                handles: Mutex::new(Vec::new()),
+                restarts: Counter::default(),
+                reclaimed: Counter::default(),
+                reaper_pid,
+            }),
             ring: cfg.ring,
-            supervisor,
             joined: false,
-        })
+        };
+        // A failed spawn drops `plane`, which stops and joins the seats
+        // already running.
+        for seat in 0..n {
+            spawn_drainer(&plane.shared, seat, 0)?;
+        }
+        Ok(plane)
     }
 
     /// Attach a client's established session: register its ring pair in
@@ -567,11 +533,6 @@ impl DispatchPlane {
         Arc::clone(&self.shared.set)
     }
 
-    /// The kernel this plane dispatches into.
-    pub fn kernel(&self) -> Arc<Kernel> {
-        Arc::clone(&self.shared.kernel)
-    }
-
     /// Register the completion-notification hook: called by a drainer
     /// after every sweep that pushed completions, and once more at
     /// shutdown, on the thread that ran the last sweep. At most one
@@ -595,11 +556,6 @@ impl DispatchPlane {
         self.shared.sched.clone()
     }
 
-    /// The drainer health monitor, when armed.
-    pub fn health_monitor(&self) -> Option<Arc<HealthMonitor>> {
-        self.shared.monitor.clone()
-    }
-
     /// Whether the armed [`CrashSpec`] has fired (always `false` without
     /// one). Crash drills poll this to know the victim is down before
     /// asserting on recovery.
@@ -620,27 +576,18 @@ impl DispatchPlane {
         // Unconditionally: a parked drainer must not sleep out its
         // timeout because a polling one made the doorbell look answered.
         self.shared.unpark_all();
-        // Supervisor first: once it is joined, no respawn can race the
-        // handle drain below.
-        if let Some(sup) = self.supervisor.take() {
-            sup.thread().unpark();
-            sup.join().expect("plane supervisor panicked");
-        }
+        // A drainer that dies now pushes its replacement's handle before
+        // its own join returns, so the loop sees every one.
         let mut stats = PlaneStats::default();
         loop {
             let handle = self.shared.handles.lock().pop();
             let Some(handle) = handle else { break };
             stats.merge(&handle.join().expect("plane drainer panicked"));
         }
-        // Safety net: hand back anything a dead drainer still held
-        // claimed (a crash the supervisor never saw — not armed, or the
-        // plane stopped inside the detection window), then finish inline,
-        // with no scheduler, whatever is still flagged — reclaimed slots,
-        // or slots the drainers' last scheduled sweeps deferred — since
-        // no drainer remains to do it.
-        for ledger in self.shared.ledgers.read().iter() {
-            stats.reclaimed += self.shared.set.reclaim(ledger) as u64;
-        }
+        // Every drainer handed back its own claims on the way out. Finish
+        // inline, with no scheduler, whatever is still flagged — slots the
+        // drainers' last scheduled sweeps deferred, or a seat's work when
+        // its respawn failed — since no drainer remains to do it.
         while self.shared.set.any_ready() {
             let Ok(report) = self.shared.kernel.sys_smod_sweep(
                 self.shared.reaper_pid,
@@ -654,10 +601,8 @@ impl DispatchPlane {
                 break;
             }
         }
-        if let Some(monitor) = &self.shared.monitor {
-            stats.drainer_restarts += monitor.restarts.get();
-            stats.reclaimed += monitor.reclaimed.get();
-        }
+        stats.drainer_restarts += self.shared.restarts.get();
+        stats.reclaimed += self.shared.reclaimed.get();
         // One final notification after the last drainer exits: whatever
         // the shutdown sweeps completed is now visible, and this thread
         // ran those sweeps, so it is the one to hand them on.
@@ -674,15 +619,11 @@ impl Drop for DispatchPlane {
     }
 }
 
-/// Spawn the drainer for `seat` (generation 0 at plane start; respawns
-/// carry the supervisor's restart generation in the process name so the
-/// cost model attributes each incarnation separately).
-fn spawn_drainer(
-    shared: &Arc<PlaneShared>,
-    seat: usize,
-    generation: u64,
-    heartbeat: Option<Heartbeat>,
-) -> SysResult<JoinHandle<PlaneStats>> {
+/// Spawn the drainer for `seat` and push its join handle. Generation 0 is
+/// the plane's start; each respawn carries the next generation in the
+/// process name, so the cost model attributes each drainer separately.
+/// `EAGAIN` when no thread can be spawned.
+fn spawn_drainer(shared: &Arc<PlaneShared>, seat: usize, generation: u64) -> SysResult<()> {
     let name = if generation == 0 {
         format!("plane-drainer{seat}")
     } else {
@@ -694,44 +635,77 @@ fn spawn_drainer(
     let ctx = DrainerCtx {
         pid,
         seat,
-        heartbeat,
-        ledger: Arc::clone(&shared.ledgers.read()[seat]),
+        generation,
+        ledger: shared.set.claim_ledger(),
         pin_core: shared
             .params
             .pin_drainers
             .then_some(seat % shared.params.cores),
     };
-    let shared = Arc::clone(shared);
-    Ok(std::thread::Builder::new()
+    let shared_for_thread = Arc::clone(shared);
+    let handle = std::thread::Builder::new()
         .name(format!("smod-drainer{seat}"))
-        .spawn(move || drainer_loop(&shared, ctx))
-        .expect("spawn plane drainer thread"))
+        .spawn(move || {
+            // Armed inside the thread: a spawn that fails must not run
+            // the exit path of a drainer that never ran.
+            let guard = ExitGuard {
+                shared: shared_for_thread,
+                ctx,
+            };
+            guard.shared.sleepers.write()[seat] = Some(std::thread::current());
+            drainer_loop(&guard.shared, &guard.ctx)
+        })
+        .map_err(|_| Errno::EAGAIN)?;
+    shared.handles.lock().push(handle);
+    Ok(())
 }
 
-/// Everything one drainer incarnation owns.
+/// Everything one drainer owns.
 struct DrainerCtx {
     pid: Pid,
     seat: usize,
-    heartbeat: Option<Heartbeat>,
-    ledger: Arc<ClaimLedger>,
+    generation: u64,
+    ledger: ClaimLedger,
     pin_core: Option<usize>,
 }
 
-fn drainer_loop(shared: &PlaneShared, ctx: DrainerCtx) -> PlaneStats {
+/// A drainer thread's exit path. It drops however `drainer_loop` ends:
+/// the crash drill's return, a panic unwinding out of a visit, or the
+/// exit after the stop-time sweep.
+struct ExitGuard {
+    shared: Arc<PlaneShared>,
+    ctx: DrainerCtx,
+}
+
+impl Drop for ExitGuard {
+    fn drop(&mut self) {
+        let shared = &self.shared;
+        // Only this thread ever claimed into the ledger, and it is done:
+        // whatever the ledger holds, the drainer died holding. Empty on a
+        // clean exit.
+        let reclaimed = shared.set.reclaim(&self.ctx.ledger);
+        shared.reclaimed.add(reclaimed as u64);
+        if shared.stop.load(Ordering::Acquire) {
+            return;
+        }
+        // A failed respawn (no process or thread to be had) leaves the
+        // seat empty; the other seats, or the shutdown's inline sweep,
+        // drain what it would have.
+        if spawn_drainer(shared, self.ctx.seat, self.ctx.generation + 1).is_ok() {
+            shared.restarts.incr();
+            // The reclaimed work must not wait for the next doorbell.
+            shared.wake();
+        }
+    }
+}
+
+fn drainer_loop(shared: &PlaneShared, ctx: &DrainerCtx) -> PlaneStats {
     if let Some(core) = ctx.pin_core {
         // Best-effort: a refused mask (container cpuset, non-Linux) just
         // leaves the drainer migratable, exactly as before pinning existed.
         let _ = affinity::pin_to_core(core);
     }
-    // With a monitor armed, no wait outlasts half the deadline, so an idle
-    // drainer always gets back to the top of the loop to beat well before
-    // it reads Suspect.
-    let under_slack = |wait: Duration| match shared.params.heartbeat_slack {
-        Some(slack) => wait.min(slack),
-        None => wait,
-    };
-    let park_timeout = under_slack(shared.params.park_timeout);
-    let poll_window = under_slack(POLL_WINDOW);
+    let park_timeout = shared.params.park_timeout;
     let may_poll = room_to_poll(
         &thread_cpus(shared.params.cores),
         &shared.params.starter_cpus,
@@ -740,28 +714,28 @@ fn drainer_loop(shared: &PlaneShared, ctx: DrainerCtx) -> PlaneStats {
     let mut episode = IdleEpisode::default();
     let mut stats = PlaneStats::default();
     loop {
-        if let Some(hb) = &ctx.heartbeat {
-            hb.beat();
-        }
         // The fault drill fires once per plane, so the respawned seat
-        // does not re-die. Until it has, the other seats leave the ready
-        // set to the victim: the drill fires on the first work there is,
-        // not whenever the victim happens to win a claim race.
-        let fired = || shared.crash_fired.load(Ordering::Acquire);
-        if let Some(crash) = shared.crash.filter(|_| !fired()) {
-            if crash.drainer != ctx.seat {
-                if !shared.stop.load(Ordering::Acquire) {
-                    std::thread::park_timeout(park_timeout);
-                    continue;
-                }
-            } else if stats.sweeps >= crash.after_sweeps && dies_mid_visit(shared, &ctx) {
+        // does not re-die. Until it has (or the plane stops), the other
+        // seats leave the ready set to the victim, and the victim, once
+        // due, only ever claims to die: the drill fires on the first work
+        // there is, not whenever the victim happens to win a race.
+        let armed =
+            || !shared.crash_fired.load(Ordering::Acquire) && !shared.stop.load(Ordering::Acquire);
+        if let Some(crash) = shared.crash.filter(|_| armed()) {
+            let due = crash.drainer == ctx.seat && stats.sweeps >= crash.after_sweeps;
+            if due && dies_mid_visit(shared, ctx) {
                 shared.crash_fired.store(true, Ordering::Release);
                 return stats;
             }
+            if due || crash.drainer != ctx.seat {
+                std::thread::park_timeout(park_timeout);
+                continue;
+            }
         }
-        // `Err` means the drainer's own process vanished (kernel torn
-        // down around the plane) — nothing left to do.
-        let Ok(drained) = sweep_once(shared, &ctx, &mut stats) else {
+        // `Err` means the drainer's own process is gone (killed through
+        // the kernel): end this drainer, and its exit guard starts the
+        // seat over on a fresh one.
+        let Ok(drained) = sweep_once(shared, ctx, &mut stats) else {
             break;
         };
         // Progress = entries answered.
@@ -794,7 +768,7 @@ fn drainer_loop(shared: &PlaneShared, ctx: DrainerCtx) -> PlaneStats {
                 .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
                 .is_ok()
         {
-            let hit = poll_ready(shared, idle_from, poll_window);
+            let hit = poll_ready(shared, idle_from);
             // Producers skipped the unpark while the claim stood. The
             // fence makes every bit set by one who saw it standing
             // visible to the sweep (or the final look) that comes next.
@@ -819,7 +793,7 @@ fn drainer_loop(shared: &PlaneShared, ctx: DrainerCtx) -> PlaneStats {
             // A doorbell that raced the announcement, or flags on slots
             // no sweep can serve: only a sweep tells them apart. Whatever
             // is flagged after this one's claim has seen `idle > 0`.
-            let drained = sweep_once(shared, &ctx, &mut stats);
+            let drained = sweep_once(shared, ctx, &mut stats);
             episode.served += drained.unwrap_or(0);
             rescued = drained != Ok(0);
         }
@@ -900,56 +874,18 @@ fn room_to_poll(mine: &affinity::CpuSet, theirs: &affinity::CpuSet) -> bool {
         .is_some()
 }
 
-/// Watch the readiness bitmap from `from` for up to `window`. `true` the
-/// moment a bit (or the stop flag) shows, `false` when the window closes.
-fn poll_ready(shared: &PlaneShared, from: Instant, window: Duration) -> bool {
+/// Watch the readiness bitmap from `from` for up to [`POLL_WINDOW`].
+/// `true` the moment a bit (or the stop flag) shows, `false` when the
+/// window closes.
+fn poll_ready(shared: &PlaneShared, from: Instant) -> bool {
     loop {
         if shared.set.any_ready() || shared.stop.load(Ordering::Acquire) {
             return true;
         }
-        if from.elapsed() >= window {
+        if from.elapsed() >= POLL_WINDOW {
             return false;
         }
         std::hint::spin_loop();
-    }
-}
-
-/// The supervisor: poll the monitor every `check_interval`, and for each
-/// seat newly judged dead, reclaim its ledger's stranded claims back
-/// into the readiness bitmap and respawn the seat.
-fn supervisor_loop(
-    shared: &Arc<PlaneShared>,
-    monitor: &Arc<HealthMonitor>,
-    check_interval: Duration,
-) {
-    while !shared.stop.load(Ordering::Acquire) {
-        std::thread::park_timeout(check_interval.max(MIN_PARK));
-        for seat in monitor.take_dead() {
-            // Swap the corpse's ledger out of service first, so the
-            // replacement never shares it, then hand its claimed bits
-            // back. Safe to reclaim: a Dead verdict means two missed
-            // deadlines — the corpse is not mid-drain, it is gone.
-            let stale = {
-                let mut ledgers = shared.ledgers.write();
-                std::mem::replace(&mut ledgers[seat], Arc::new(shared.set.claim_ledger()))
-            };
-            let reclaimed = shared.set.reclaim(&stale);
-            monitor.reclaimed.add(reclaimed as u64);
-            let Some(heartbeat) = monitor.revive(seat) else {
-                continue;
-            };
-            let generation = monitor.restarts.get() + 1;
-            // A spawn failure means the kernel was torn down around the
-            // plane: no process table to respawn into, and shutdown will
-            // reclaim whatever remains.
-            if let Ok(handle) = spawn_drainer(shared, seat, generation, Some(heartbeat)) {
-                shared.sleepers.write()[seat] = handle.thread().clone();
-                shared.handles.lock().push(handle);
-                monitor.restarts.incr();
-                // The respawned seat must see the reclaimed work.
-                shared.wake();
-            }
-        }
     }
 }
 
@@ -983,28 +919,11 @@ impl PlaneHandle {
     /// to reappear as the in-flight entries complete — reap, yield and
     /// retry. [`SubmitError::Detached`] means the plane has shut down:
     /// no drainer will ever run again and retrying is useless.
+    ///
+    /// This is a one-entry [`SubmitBatch`]: the push, and the doorbell
+    /// when the batch drops.
     pub fn submit(&self, proc_id: u32, user_data: u64, args: Vec<u8>) -> Result<(), SubmitError> {
-        // Large payloads go through the session's arena region (when the
-        // plane has one): the ring slot then carries a 12-byte descriptor
-        // and the kernel reads the bytes in place. Quota exhaustion falls
-        // back to by-value transparently.
-        let args = ArgRef::place_vec(args, self.rings.arena.as_ref());
-        let req = SmodCallReq {
-            session: self.rings.session,
-            proc_id,
-            user_data,
-            args,
-        };
-        if self.shared.stop.load(Ordering::Acquire) {
-            return Err(SubmitError::Detached(req));
-        }
-        let outcome = self.rings.sq.push(req);
-        self.shared.set.mark_ready(self.slot);
-        self.shared.wake();
-        if outcome.is_err() {
-            self.shared.kernel.metrics.ring_full_bounces.incr();
-        }
-        outcome.map_err(SubmitError::Full)
+        self.batch().push(proc_id, user_data, args)
     }
 
     /// Begin a coalesced submission batch. Entries pushed through the
@@ -1080,11 +999,6 @@ impl PlaneHandle {
         &self.rings
     }
 
-    /// The raw pid of the client this handle was attached for.
-    pub fn owner(&self) -> u32 {
-        self.rings.owner
-    }
-
     /// Allocate the next per-session `user_data` cookie (see
     /// [`SessionRings::alloc_user_data`]).
     pub fn alloc_user_data(&self) -> u64 {
@@ -1123,8 +1037,11 @@ impl std::fmt::Debug for SubmitBatch<'_> {
 
 impl SubmitBatch<'_> {
     /// Push one call into the submission ring *without* ringing the
-    /// doorbell. Placement (inline vs. arena) and the session id work
-    /// exactly like [`PlaneHandle::submit`]; only the wakeup is deferred.
+    /// doorbell; the session id is filled in from the attachment. Large
+    /// payloads go through the session's arena region (when the plane
+    /// has one): the ring slot then carries a 12-byte descriptor and the
+    /// kernel reads the bytes in place. Quota exhaustion falls back to
+    /// by-value transparently.
     ///
     /// On [`SubmitError::Full`] the accepted prefix is flushed first
     /// (drainers are already making space when the caller sees the
@@ -1532,7 +1449,6 @@ mod tests {
                 PlaneConfig {
                     drainers: 1,
                     qos: qos.clone(),
-                    health: Some(HealthConfig::with_deadline(Duration::from_millis(10))),
                     crash: Some(CrashSpec {
                         drainer: 0,
                         after_sweeps: 0,
@@ -1544,7 +1460,7 @@ mod tests {
             let handle = plane.attach(clients[0]).unwrap();
             // The lone drainer dies on the first submission it sees (the
             // crash drill claims the ready bit and exits), so every reaped
-            // completion below proves the supervisor reclaimed the claim
+            // completion below proves its exit guard reclaimed the claim
             // and respawned the seat.
             let mut seen = vec![false; ENTRIES as usize];
             let mut received = 0u64;
@@ -1827,35 +1743,37 @@ mod tests {
     }
 
     #[test]
-    fn a_polling_drainer_keeps_its_heartbeat() {
-        use secmod_qos::DrainerState;
-        let (k, _m, clients, incr) = kernel_with_clients(None, 1);
-        let kernel = Arc::new(k);
-        let plane = DispatchPlane::start(
-            Arc::clone(&kernel),
-            PlaneConfig::builder()
-                .drainers(1)
-                .health(HealthConfig::with_deadline(Duration::from_millis(100)))
-                .build(),
-        )
-        .unwrap();
-        let monitor = plane.health_monitor().expect("health is armed");
+    fn a_drainer_inside_a_long_drain_is_not_replaced() {
+        // One doorbell, 96 entries, 1 ms bodies: a single sweep that runs
+        // for ~100 ms. Nothing may take the drainer for dead meanwhile
+        // and start a second one on the same rings.
+        use crate::batch::tests::SlowGate;
+        const ENTRIES: u64 = 96;
+        let gate = Arc::new(SlowGate::default());
+        let (k, _m, clients, incr) = kernel_with_clients(Some(gate), 1);
+        let plane =
+            DispatchPlane::start(Arc::new(k), PlaneConfig::builder().drainers(1).build()).unwrap();
         let handle = plane.attach(clients[0]).unwrap();
-        // Three deadlines of a caller who waits: polling all the while
-        // where the host allows it, never once late with a beat.
-        let started = Instant::now();
-        let mut sent = 0;
-        while started.elapsed() < Duration::from_millis(300) {
-            round_trip(&handle, incr, sent);
-            sent += 1;
-            assert_eq!(monitor.state_of(0), DrainerState::Alive);
+        let mut batch = handle.batch();
+        for i in 0..ENTRIES {
+            batch.push(incr, i, i.to_le_bytes().to_vec()).unwrap();
         }
-        if host_can_poll() {
-            assert!(spins(&kernel) > 0, "the drainer never polled");
+        drop(batch);
+        let mut last = None;
+        for _ in 0..ENTRIES {
+            let resp = next_completion(&handle);
+            assert!(resp.is_ok());
+            assert!(
+                last < Some(resp.user_data),
+                "completion {} after {last:?}: per-session FIFO broken",
+                resp.user_data
+            );
+            last = Some(resp.user_data);
         }
-        assert_eq!(monitor.restarts.get(), 0);
         drop(handle);
-        plane.shutdown();
+        let stats = plane.shutdown();
+        assert_eq!(stats.drainer_restarts, 0, "a live drainer was replaced");
+        assert_eq!(stats.completed, ENTRIES);
     }
 
     #[test]

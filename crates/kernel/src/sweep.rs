@@ -128,7 +128,7 @@ impl Kernel {
     /// ones are released straight back to the bitmap, and each tenant's
     /// deficit and lane are charged for what its slots drained. Either
     /// way a claim stays in `ledger` until its visit has returned, so the
-    /// plane's health monitor can reclaim it if this drainer dies
+    /// drainer's exit guard can reclaim it if the drainer dies
     /// mid-sweep.
     pub(crate) fn sweep_claimed(
         &self,
@@ -920,7 +920,7 @@ mod tests {
         // Drainer A claims everything and dies before draining.
         let dead_ledger = set.claim_ledger();
         assert_eq!(set.claim_ready(&dead_ledger, |_, _| ()), SESSIONS);
-        // Supervisor verdict: reclaim, then drainer B sweeps normally.
+        // A's exit path reclaims, then drainer B sweeps normally.
         assert_eq!(set.reclaim(&dead_ledger), SESSIONS);
         let drainer_b = sweeper(&k);
         let sched = SweepScheduler::new(

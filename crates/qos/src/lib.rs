@@ -1,13 +1,14 @@
 //! `secmod_qos` — tenant isolation for shared dispatch planes: who gets
-//! the sweep budget, and what happens when a drainer dies.
+//! the sweep budget.
 //!
 //! The paper measures access-control dispatch cost for a single caller;
 //! at production scale one [`DispatchPlane`](../secmod_kernel) is shared
 //! by many modules and many *tenants*, and the bottleneck moves from
 //! per-call cost to scheduling: an adversarial tenant that floods its
-//! rings must not starve a well-behaved neighbour, and a drainer thread
-//! that dies mid-sweep must not strand the readiness bits it claimed.
-//! This crate is that scheduling/supervision layer:
+//! rings must not starve a well-behaved neighbour. This crate is that
+//! scheduling layer. (A drainer that dies mid-sweep is the plane's own
+//! business: its exit guard hands the claimed readiness bits back and
+//! respawns the seat, on the dying thread, with nothing from here.)
 //!
 //! * [`TenantId`] / [`TenantSpec`] / [`QosPolicy`] — tenant identities
 //!   and their weights. The ring layer carries the tenant as a raw `u32`
@@ -18,28 +19,21 @@
 //!   `quantum x weight` drain credit per round, slots of overdrafted
 //!   tenants are deferred (released back to the bitmap), and the
 //!   round-robin cursor rotates so no tenant is always served first.
-//! * [`HealthMonitor`] ([`health`]) — per-drainer heartbeat cells with a
-//!   missed-deadline state machine (`Alive -> Suspect -> Dead`). The
-//!   plane's supervisor polls [`HealthMonitor::take_dead`], reclaims the
-//!   dead drainer's claimed-but-undrained bits from its `ClaimLedger`,
-//!   and respawns the drainer.
 //! * [`QosMetrics`] / [`TenantLane`] ([`metrics`]) — per-tenant sweep
 //!   counters (claimed / chosen / deferred / drained / completed) and a
 //!   starvation gauge whose high-water mark records the worst streak of
 //!   consecutive unserved rounds.
 //!
 //! Like `secmod_obs`, the crate sits *below* the kernel so the ring, the
-//! kernel sweep path, and the plane supervisor can all share one
+//! kernel sweep path, and the plane's drainers can all share one
 //! scheduler without a dependency cycle.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod health;
 pub mod metrics;
 pub mod sched;
 
-pub use health::{DrainerState, HealthConfig, HealthMonitor, Heartbeat};
 pub use metrics::{QosMetrics, TenantLane};
 pub use sched::{ChosenSlot, SweepPlan, SweepScheduler};
 

@@ -43,7 +43,8 @@
 //! ledger bit. [`RingSet::sweep_ready`] is the two chained with nothing in
 //! between. If the drainer dies between claim and drain, the bits survive
 //! in the ledger and [`RingSet::reclaim`] moves them back onto the bitmap
-//! — that is the health monitor's no-entry-lost recovery path.
+//! — that is the plane's no-entry-lost recovery path, run by the dying
+//! drainer's exit guard.
 
 use crate::arena::{ArenaRegion, ArgArena};
 use crate::call::{RingPairConfig, SmodCallReq, SubmissionRing};
@@ -114,17 +115,16 @@ impl std::error::Error for SubmitError {}
 /// record, a drainer that died mid-sweep would take them to the grave.
 /// [`RingSet::claim_ready`] therefore records every claimed word here
 /// and each slot's bit is cleared as its drain or release finishes, so
-/// the set of in-flight claims is observable from outside the drainer
-/// thread. When the health monitor declares the drainer dead,
-/// [`RingSet::reclaim`] ORs the surviving bits back onto the readiness
-/// bitmap and clears the stuck drain flags — no entry lost, and none
-/// duplicated, because submission entries are only ever popped during a
-/// drain.
+/// the set of in-flight claims outlives the sweep that made them. When
+/// the drainer dies, its exit path calls [`RingSet::reclaim`], which ORs
+/// the surviving bits back onto the readiness bitmap and clears the
+/// stuck drain flags — no entry lost, and none duplicated, because
+/// submission entries are only ever popped during a drain.
 ///
 /// Only the owning drainer writes the words (two read-modify-writes per
-/// visited slot); the supervisor reads them, once, after a `Dead`
-/// verdict. Each word sits on a cache line of its own so those writes
-/// never contend with whatever the allocator placed next to the ledger.
+/// visited slot), and its exit path reads them, once. Each word sits on
+/// a cache line of its own so those writes never contend with whatever
+/// the allocator placed next to the ledger.
 #[derive(Debug)]
 pub struct ClaimLedger {
     words: Box<[CachePadded<AtomicU64>]>,
@@ -419,8 +419,7 @@ impl RingSet {
     }
 
     /// A fresh [`ClaimLedger`] sized for this set's bitmap. Each drainer
-    /// owns one; the plane supervisor holds a second reference for crash
-    /// recovery.
+    /// owns one and reclaims it on its way out.
     pub fn claim_ledger(&self) -> ClaimLedger {
         ClaimLedger::new(self.ready.len())
     }
@@ -524,9 +523,10 @@ impl RingSet {
     /// flag of each affected slot. Returns how many slots were
     /// reclaimed.
     ///
-    /// **Only safe once the owning drainer is certainly dead** (the
-    /// health monitor's `Dead` verdict): clearing a live drainer's drain
-    /// flag would let a second sweeper interleave the same rings. The
+    /// **Only safe once the owning drainer is certainly dead** (called
+    /// from its own exit path, after its last visit): clearing a live
+    /// drainer's drain flag would let a second sweeper interleave the
+    /// same rings. The
     /// entries themselves were never popped — submission entries leave
     /// the ring only inside a drain — so the re-marked slots re-drain
     /// exactly the entries the dead drainer stranded, once.
@@ -908,8 +908,8 @@ mod tests {
         set.mark_ready(slots[1]);
         assert_eq!(set.sweep_ready(|_, _| panic!("stranded slot drained")), 0);
 
-        // Supervisor verdict: reclaim, then a normal sweep finds every
-        // remaining entry exactly once.
+        // The dead drainer's exit path: reclaim, then a normal sweep
+        // finds every remaining entry exactly once.
         assert_eq!(set.reclaim(&ledger), 2);
         assert!(ledger.is_empty());
         set.sweep_ready(|slot, rings| {
