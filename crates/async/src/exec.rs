@@ -179,7 +179,13 @@ impl Executor {
 
 impl Drop for Executor {
     fn drop(&mut self) {
-        self.queue.shutdown.store(true, Ordering::Release);
+        // Under the injector lock: a worker reads `shutdown` and starts
+        // its wait inside one critical section, so the flag and the
+        // notify cannot both land between the two.
+        {
+            let _injector = self.queue.injector();
+            self.queue.shutdown.store(true, Ordering::Release);
+        }
         self.queue.available.notify_all();
         for worker in self.workers.drain(..) {
             worker.join().expect("executor worker panicked");
@@ -368,6 +374,37 @@ mod tests {
         flag.store(true, Ordering::Release);
         waker_out.lock().take().unwrap().wake();
         handle.join();
+    }
+
+    #[test]
+    fn dropping_an_executor_never_strands_its_worker() {
+        // A worker that has just found the queue empty and `shutdown`
+        // clear is about to wait; `drop` must not slip its store and its
+        // notify into that gap. The loop runs on a thread of its own and
+        // the watchdog checks it keeps moving, so a stranded worker (whose
+        // join never returns) fails the test instead of hanging it.
+        const CYCLES: usize = 200_000;
+        let cycle = Arc::new(AtomicUsize::new(0));
+        let (tx, rx) = std::sync::mpsc::channel();
+        {
+            let cycle = Arc::clone(&cycle);
+            std::thread::spawn(move || {
+                for i in 0..CYCLES {
+                    cycle.store(i, Ordering::Relaxed);
+                    drop(Executor::new(1));
+                }
+                let _ = tx.send(());
+            });
+        }
+        let mut last = usize::MAX;
+        while let Err(err) = rx.recv_timeout(std::time::Duration::from_secs(5)) {
+            let now = cycle.load(Ordering::Relaxed);
+            assert!(
+                err == std::sync::mpsc::RecvTimeoutError::Timeout && now != last,
+                "cycle {now}: dropping the executor stranded its idle worker"
+            );
+            last = now;
+        }
     }
 
     #[test]
