@@ -7,11 +7,12 @@
 //! single-queue core): a task is an `Arc` holding the boxed future and a
 //! re-enqueue flag; its [`Waker`] (via `std::task::Wake`, so no unsafe
 //! vtables) pushes the task back onto one shared injector queue; worker
-//! threads pop and poll. One global queue is deliberate — the workload
-//! this executor exists for (100k+ logical clients awaiting ring
-//! completions) is wake-dominated and the tasks are tiny, so per-worker
-//! deques and work stealing would be complexity without a measurable win
-//! at the bench's scale.
+//! threads take their share of it under one lock and poll. One global
+//! queue is deliberate — the workload this executor exists for (100k+
+//! logical clients awaiting ring completions) is wake-dominated and the
+//! tasks are tiny, so work stealing would be complexity without a
+//! measurable win at the bench's scale. Tasks must not block their
+//! worker: a task waiting on one taken in the same share never runs it.
 
 use parking_lot::Mutex;
 use std::collections::VecDeque;
@@ -28,19 +29,36 @@ type BoxFuture = Pin<Box<dyn Future<Output = ()> + Send + 'static>>;
 /// vendored parking_lot shim carries no `Condvar`); poison is shrugged
 /// off the same way the shim does it.
 struct Queue {
-    injector: StdMutex<VecDeque<Arc<Task>>>,
+    injector: StdMutex<Injector>,
     available: Condvar,
-    shutdown: AtomicBool,
+}
+
+/// Everything a worker reads before it decides to sleep, under one lock.
+#[derive(Default)]
+struct Injector {
+    tasks: VecDeque<Arc<Task>>,
+    /// Workers inside `Condvar::wait`. A push notifies only when this is
+    /// non-zero: a worker that is not waiting re-checks `tasks` under the
+    /// lock before it waits, and a futex `notify_one` is a syscall even
+    /// when nobody sleeps.
+    sleeping: usize,
+    /// Set by [`Executor`]'s drop; workers exit once `tasks` is empty.
+    shutdown: bool,
 }
 
 impl Queue {
-    fn injector(&self) -> std::sync::MutexGuard<'_, VecDeque<Arc<Task>>> {
+    fn injector(&self) -> std::sync::MutexGuard<'_, Injector> {
         self.injector.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     fn push(&self, task: Arc<Task>) {
-        self.injector().push_back(task);
-        self.available.notify_one();
+        let mut injector = self.injector();
+        injector.tasks.push_back(task);
+        let sleeping = injector.sleeping > 0;
+        drop(injector);
+        if sleeping {
+            self.available.notify_one();
+        }
     }
 }
 
@@ -123,16 +141,16 @@ impl Executor {
     /// Spawn `threads` workers (min 1).
     pub fn new(threads: usize) -> Executor {
         let queue = Arc::new(Queue {
-            injector: StdMutex::new(VecDeque::new()),
+            injector: StdMutex::new(Injector::default()),
             available: Condvar::new(),
-            shutdown: AtomicBool::new(false),
         });
-        let workers = (0..threads.max(1))
+        let threads = threads.max(1);
+        let workers = (0..threads)
             .map(|i| {
                 let queue = Arc::clone(&queue);
                 std::thread::Builder::new()
                     .name(format!("smod-async{i}"))
-                    .spawn(move || worker_loop(&queue))
+                    .spawn(move || worker_loop(&queue, threads))
                     .expect("spawn executor worker")
             })
             .collect();
@@ -182,10 +200,7 @@ impl Drop for Executor {
         // Under the injector lock: a worker reads `shutdown` and starts
         // its wait inside one critical section, so the flag and the
         // notify cannot both land between the two.
-        {
-            let _injector = self.queue.injector();
-            self.queue.shutdown.store(true, Ordering::Release);
-        }
+        self.queue.injector().shutdown = true;
         self.queue.available.notify_all();
         for worker in self.workers.drain(..) {
             worker.join().expect("executor worker panicked");
@@ -193,23 +208,32 @@ impl Drop for Executor {
     }
 }
 
-fn worker_loop(queue: &Arc<Queue>) {
+fn worker_loop(queue: &Arc<Queue>, threads: usize) {
+    // Tasks taken from the injector in one lock: this worker's share of
+    // whatever is queued, so a burst of wakes costs one lock round trip
+    // here rather than one per task.
+    let mut batch: VecDeque<Arc<Task>> = VecDeque::new();
     loop {
-        let task = {
+        if batch.is_empty() {
             let mut injector = queue.injector();
             loop {
-                if let Some(task) = injector.pop_front() {
-                    break task;
+                let share = injector.tasks.len().div_ceil(threads);
+                if share > 0 {
+                    batch.extend(injector.tasks.drain(..share));
+                    break;
                 }
-                if queue.shutdown.load(Ordering::Acquire) {
+                if injector.shutdown {
                     return;
                 }
+                injector.sleeping += 1;
                 injector = queue
                     .available
                     .wait(injector)
                     .unwrap_or_else(|e| e.into_inner());
+                injector.sleeping -= 1;
             }
-        };
+        }
+        let task = batch.pop_front().expect("refilled above");
         // Clear `queued` *before* polling: a wake that lands mid-poll
         // re-enqueues the task, guaranteeing at least one more poll sees
         // whatever the waker announced.
@@ -386,7 +410,7 @@ mod tests {
         const CYCLES: usize = 200_000;
         let cycle = Arc::new(AtomicUsize::new(0));
         let (tx, rx) = std::sync::mpsc::channel();
-        {
+        let cycler = {
             let cycle = Arc::clone(&cycle);
             std::thread::spawn(move || {
                 for i in 0..CYCLES {
@@ -394,8 +418,8 @@ mod tests {
                     drop(Executor::new(1));
                 }
                 let _ = tx.send(());
-            });
-        }
+            })
+        };
         let mut last = usize::MAX;
         while let Err(err) = rx.recv_timeout(std::time::Duration::from_secs(5)) {
             let now = cycle.load(Ordering::Relaxed);
@@ -405,6 +429,65 @@ mod tests {
             );
             last = now;
         }
+        cycler.join().expect("the create/drop loop finished");
+    }
+
+    #[test]
+    fn a_sleeping_worker_is_notified_for_every_wake() {
+        // One worker, and a task that parks its waker on every poll. An
+        // outside thread wakes it only once the worker is inside its
+        // wait, so each wake goes through the `sleeping`-gated notify. A
+        // lost notify is a poll that never comes: the deadline fails the
+        // test instead of hanging it.
+        const WAKES: usize = 100_000;
+        struct Parker {
+            polls: AtomicUsize,
+            waker: Mutex<Option<Waker>>,
+        }
+        struct Parked(Arc<Parker>);
+        impl Future for Parked {
+            type Output = ();
+            fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+                *self.0.waker.lock() = Some(cx.waker().clone());
+                if self.0.polls.fetch_add(1, Ordering::AcqRel) == WAKES {
+                    Poll::Ready(())
+                } else {
+                    Poll::Pending
+                }
+            }
+        }
+
+        let exec = Executor::new(1);
+        let parker = Arc::new(Parker {
+            polls: AtomicUsize::new(0),
+            waker: Mutex::new(None),
+        });
+        let handle = exec.spawn(Parked(Arc::clone(&parker)));
+        let await_until = |what: &str, done: &dyn Fn() -> bool| {
+            let start = std::time::Instant::now();
+            while !done() {
+                assert!(
+                    start.elapsed() < std::time::Duration::from_secs(10),
+                    "{what}"
+                );
+                std::thread::yield_now();
+            }
+        };
+        for wake in 1..=WAKES {
+            await_until(&format!("wake {wake} was lost"), &|| {
+                parker.polls.load(Ordering::Acquire) == wake && exec.queue.injector().sleeping == 1
+            });
+            parker
+                .waker
+                .lock()
+                .take()
+                .expect("parked by the poll")
+                .wake();
+        }
+        await_until("the last wake was lost", &|| {
+            parker.polls.load(Ordering::Acquire) == WAKES + 1
+        });
+        handle.join();
     }
 
     #[test]

@@ -21,9 +21,37 @@ use parking_lot::Mutex;
 use secmod_obs::{DispatchMetrics, Flavor};
 use secmod_ring::{SessionRings, SmodCallResp};
 use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::task::Waker;
+
+/// The cookie table's hasher. A session allocates its cookies itself,
+/// one after another, so there is no adversary for SipHash to resist: a
+/// multiply by 2^64 / φ spreads consecutive cookies across the high bits
+/// the table's control bytes read and, being odd, keeps the low bits
+/// that pick a bucket distinct.
+#[derive(Default)]
+pub(crate) struct CookieHasher(u64);
+
+impl Hasher for CookieHasher {
+    fn write_u64(&mut self, cookie: u64) {
+        self.0 = cookie.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(self.0.rotate_left(8) ^ u64::from(byte));
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// [`SlotTable::pending`]'s `BuildHasher`.
+pub(crate) type CookieHash = BuildHasherDefault<CookieHasher>;
 
 /// One in-flight call's routing state.
 #[derive(Debug, Default)]
@@ -38,7 +66,7 @@ pub(crate) struct Pending {
 /// backpressure-waiter parking.
 #[derive(Debug, Default)]
 pub struct SlotTable {
-    pub(crate) pending: Mutex<HashMap<u64, Pending>>,
+    pub(crate) pending: Mutex<HashMap<u64, Pending, CookieHash>>,
     /// Wakers of callers whose submit bounced with `Full`, woken after
     /// the next routed completion (completions imply the drainer popped
     /// submissions, i.e. submission-ring space reappeared).

@@ -8,12 +8,15 @@
 //! drives the whole life cycle from its `poll`:
 //!
 //! 1. **Unsubmitted** — allocate the cookie, park the waker in the
-//!    session's [`SlotTable`], push into the submission ring. A `Full`
-//!    bounce parks the task on the table's backpressure list instead of
-//!    spinning (the paper's fixed-cost argument in async clothing: a
-//!    stalled producer must cost a suspended task, not a burning core).
-//! 2. **Submitted** — wait for the router to deliver the response into
-//!    the table entry and wake us.
+//!    session's [`SlotTable`], copy the arguments from the future's own
+//!    buffer into the submission ring, and return `Pending` straight
+//!    after the push: the waker parked first is the one a completion
+//!    routed at any later moment wakes. A `Full` bounce parks the task on
+//!    the table's backpressure list instead of spinning (the paper's
+//!    fixed-cost argument in async clothing: a stalled producer must cost
+//!    a suspended task, not a burning core).
+//! 2. **Submitted** — woken, take the response the router delivered
+//!    into the table entry, or re-park the waker if it has not come yet.
 //! 3. **Done** — the entry is removed; the outcome is the
 //!    [`DispatchOutcome`] its completion maps to.
 //!
@@ -49,23 +52,42 @@ pub(crate) enum Target {
     },
 }
 
+/// Why a submit did not land (the bounced request itself is dropped,
+/// which frees any arena slot it held, so a retry re-places cleanly).
+enum Refused {
+    /// The submission ring is full; space reappears as entries complete.
+    Full,
+    /// The slot or the plane is gone; no retry will ever land.
+    Detached,
+}
+
 impl Target {
-    fn submit(&self, proc_id: u32, user_data: u64, args: Vec<u8>) -> Result<(), SubmitError> {
+    /// Copy `args` straight from the caller's buffer into the ring entry
+    /// (or the arena, when large): the future keeps its own bytes for a
+    /// retry, so a bounce costs no copy it would not pay anyway.
+    fn submit(&self, proc_id: u32, user_data: u64, args: &[u8]) -> Result<(), Refused> {
         match self {
-            // PlaneHandle::submit does the inline-vs-arena placement.
-            Target::Plane(handle) => handle.submit(proc_id, user_data, args),
-            Target::Raw { set, slot, rings } => set.submit(
-                *slot,
-                SmodCallReq {
-                    session: rings.session,
-                    proc_id,
-                    user_data,
-                    // Large payloads ride the set's arena when it has one
-                    // (a bounced req frees its slot on drop, so retries
-                    // re-place cleanly).
-                    args: ArgRef::place_vec(args, rings.arena.as_ref()),
-                },
-            ),
+            // A one-entry `submit_many` does the inline-vs-arena placement
+            // and rings the doorbell.
+            Target::Plane(handle) => match handle.submit_many(&[(proc_id, user_data, args)]) {
+                Ok(0) => Err(Refused::Full),
+                Ok(_) => Ok(()),
+                Err(_) => Err(Refused::Detached),
+            },
+            Target::Raw { set, slot, rings } => set
+                .submit(
+                    *slot,
+                    SmodCallReq {
+                        session: rings.session,
+                        proc_id,
+                        user_data,
+                        args: ArgRef::place(args, rings.arena.as_ref()),
+                    },
+                )
+                .map_err(|err| match err {
+                    SubmitError::Full(_) => Refused::Full,
+                    SubmitError::Detached(_) => Refused::Detached,
+                }),
         }
     }
 
@@ -183,20 +205,22 @@ impl AsyncSession {
             // racing this loop has somewhere to land; the waker is
             // parked by the first poll.
             self.core.table.pending.lock().entry(ud).or_default();
-            let state = match batch.push(proc_id, ud, args.clone()) {
+            let state = match batch.push(proc_id, ud, args) {
                 Ok(()) => CallState::Submitted { user_data: ud },
                 // Bounced (the guard flushed the prefix) or the plane is
-                // stopping: hand the poll path an unsubmitted future with
-                // the cookie pinned — it retries or resolves `Detached`.
+                // stopping: take the arguments back out of the refused
+                // request and hand the poll path an unsubmitted future
+                // with the cookie pinned — it retries or resolves
+                // `Detached`.
                 Err(err) => {
-                    if matches!(err, SubmitError::Full(_)) {
+                    if err.is_full() {
                         if let Some(metrics) = &self.core.metrics {
                             metrics.async_resubmits.incr();
                         }
                     }
                     CallState::Unsubmitted {
                         proc_id,
-                        args,
+                        args: err.into_req().args.into_vec(),
                         user_data: Some(ud),
                     }
                 }
@@ -266,13 +290,16 @@ impl CallInner {
                     // Park the waker *before* submitting: a completion
                     // racing this poll finds somewhere to deliver.
                     table.pending.lock().entry(ud).or_default().waker = Some(cx.waker().clone());
-                    match self.core.target.submit(*proc_id, ud, args.clone()) {
+                    match self.core.target.submit(*proc_id, ud, args) {
                         Ok(()) => {
+                            // The waker parked above is this poll's one
+                            // registration: a completion routed from here
+                            // on finds it and wakes the task, and the
+                            // next poll takes the response.
                             self.state = CallState::Submitted { user_data: ud };
-                            // Fall through: the response may already be
-                            // routed by the time we re-check.
+                            return Poll::Pending;
                         }
-                        Err(SubmitError::Full(_)) => {
+                        Err(Refused::Full) => {
                             // Backpressure: suspend until the router sees
                             // a completion on this session (which implies
                             // submission-ring space reappeared). Each
@@ -291,7 +318,7 @@ impl CallInner {
                             }
                             return Poll::Pending;
                         }
-                        Err(SubmitError::Detached(_)) => {
+                        Err(Refused::Detached) => {
                             table.pending.lock().remove(&ud);
                             self.state = CallState::Done;
                             return Poll::Ready(Err(DispatchError::Detached));
@@ -387,5 +414,65 @@ impl Future for CostedCallFuture {
             Poll::Ready(Err(e)) => Poll::Ready(Err(e)),
             Poll::Pending => Poll::Pending,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::testutil::kernel_with_clients;
+    use crate::SimDriver;
+    use secmod_ring::RingPairConfig;
+    use std::future::Future;
+    use std::pin::Pin;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+    use std::task::{Context, Poll, Wake, Waker};
+
+    struct CountWake(AtomicUsize);
+
+    impl Wake for CountWake {
+        fn wake(self: Arc<Self>) {
+            self.0.fetch_add(1, Ordering::AcqRel);
+        }
+    }
+
+    #[test]
+    fn the_first_poll_submits_and_parks_the_one_waker_a_route_wakes() {
+        let (k, _m, clients, incr) = kernel_with_clients(1);
+        let driver = SimDriver::new(&k, 1, RingPairConfig::default(), 8).unwrap();
+        let session = driver.attach(clients[0]).unwrap();
+        // An inline payload and one large enough to ride the arena.
+        for len in [8, 1000] {
+            let mut args = 41u64.to_le_bytes().to_vec();
+            args.resize(len, 0);
+            let wakes = Arc::new(CountWake(AtomicUsize::new(0)));
+            let waker = Waker::from(Arc::clone(&wakes));
+            let mut cx = Context::from_waker(&waker);
+            let mut call = session.call(incr, args);
+
+            assert!(Pin::new(&mut call).poll(&mut cx).is_pending());
+            assert_eq!(session.in_flight(), 1, "the first poll submitted");
+            assert_eq!(
+                Arc::strong_count(&wakes),
+                3,
+                "one waker parked in the table, beside ours and the Arc"
+            );
+            assert_eq!(wakes.0.load(Ordering::Acquire), 0);
+
+            assert_eq!(
+                driver.pump(),
+                (1, 1),
+                "one sweep drains it, one route routes it"
+            );
+            assert_eq!(wakes.0.load(Ordering::Acquire), 1, "woken exactly once");
+            assert_eq!(
+                Pin::new(&mut call).poll(&mut cx),
+                Poll::Ready(Ok(42u64.to_le_bytes().to_vec()))
+            );
+            assert_eq!(session.in_flight(), 0);
+            assert_eq!(wakes.0.load(Ordering::Acquire), 1);
+        }
+        drop(session);
+        assert_eq!(k.metrics.arena.bytes_in_flight.get(), 0);
     }
 }
