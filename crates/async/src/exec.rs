@@ -54,9 +54,9 @@ impl Queue {
     fn push(&self, task: Arc<Task>) {
         let mut injector = self.injector();
         injector.tasks.push_back(task);
-        let sleeping = injector.sleeping > 0;
+        let notify = injector.sleeping > 0;
         drop(injector);
-        if sleeping {
+        if notify {
             self.available.notify_one();
         }
     }

@@ -455,7 +455,7 @@ mod tests {
             assert_eq!(
                 Arc::strong_count(&wakes),
                 3,
-                "one waker parked in the table, beside ours and the Arc"
+                "one clone parked in the table, beside `wakes` and `waker`"
             );
             assert_eq!(wakes.0.load(Ordering::Acquire), 0);
 
