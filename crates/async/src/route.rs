@@ -39,10 +39,8 @@ impl Hasher for CookieHasher {
         self.0 = cookie.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     }
 
-    fn write(&mut self, bytes: &[u8]) {
-        for &byte in bytes {
-            self.write_u64(self.0.rotate_left(8) ^ u64::from(byte));
-        }
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("cookies hash through write_u64")
     }
 
     fn finish(&self) -> u64 {
