@@ -292,6 +292,15 @@ mod tests {
     }
 
     #[test]
+    fn attach_refuses_the_sessions_handle() {
+        let (k, _m, clients, _incr) = kernel_with_clients(1);
+        let driver = SimDriver::new(&k, 1, RingPairConfig::default(), 4).unwrap();
+        let handle = k.session_of(clients[0]).unwrap().handle;
+        assert!(matches!(driver.attach(handle), Err(Errno::EPERM)));
+        assert!(driver.ring_set().is_empty());
+    }
+
+    #[test]
     fn dropped_sessions_free_their_slots() {
         let (k, _m, clients, _incr) = kernel_with_clients(1);
         // Capacity rounds up to one bitmap word (64 slots); attach/drop

@@ -133,11 +133,7 @@ impl Kernel {
             return Err(Errno::EINVAL);
         }
         // --- once-per-batch resolution (the amortised fixed work) -------
-        let link = self.procs.with(caller, |p| p.smod)?.ok_or(Errno::EPERM)?;
-        let session = self.sessions.get(link.session).ok_or(Errno::EPERM)?;
-        if caller != session.client {
-            return Err(Errno::EPERM);
-        }
+        let session = self.client_session(caller)?;
         if session.state() != SessionState::Established {
             return Err(Errno::EINVAL);
         }
@@ -550,6 +546,51 @@ pub(crate) mod tests {
                 0
             ]
         );
+    }
+
+    #[test]
+    fn both_call_entry_points_resolve_the_caller_the_same_way() {
+        // `sys_smod_call` and `sys_smod_call_batch` find the caller's
+        // session through the client index: a pid that does not exist is
+        // `ESRCH`; the handle and a detached client hold no session and
+        // get `EPERM`; a client that re-established (`policy_churn`'s
+        // cycle) calls on its new session straight away.
+        let (k, m_id, client, incr) = kernel_with_module(None);
+        let (sq, cq) = rings(8);
+        let single = |caller: Pid| {
+            k.sys_smod_call(
+                caller,
+                SmodCallArgs {
+                    m_id,
+                    func_id: incr,
+                    frame_pointer: 0,
+                    return_address: 0,
+                    args: 1u64.to_le_bytes().to_vec(),
+                },
+            )
+        };
+        let errnos = |caller: Pid| {
+            (
+                single(caller).unwrap_err(),
+                k.sys_smod_call_batch(caller, &sq, &cq, 8).unwrap_err(),
+            )
+        };
+        let handle = k.session_of(client).unwrap().handle;
+        assert_eq!(errnos(Pid(9_999)), (Errno::ESRCH, Errno::ESRCH));
+        assert_eq!(errnos(handle), (Errno::EPERM, Errno::EPERM));
+        k.smod_detach(client, "cycle").unwrap();
+        assert_eq!(errnos(client), (Errno::EPERM, Errno::EPERM));
+
+        let (session, handle) = k.sys_smod_start_session(client, m_id).unwrap();
+        k.sys_smod_session_info(handle).unwrap();
+        k.sys_smod_handle_info(client).unwrap();
+        assert_eq!(single(client).unwrap(), 2u64.to_le_bytes());
+        sq.push_spsc(req(&k, client, incr, 7, 41)).unwrap();
+        let report = k.sys_smod_call_batch(client, &sq, &cq, 8).unwrap();
+        assert_eq!(report.completed, 1);
+        assert_eq!(cq.pop_spsc().unwrap().ret_bytes(), 42u64.to_le_bytes());
+        let now = k.session_of(client).unwrap();
+        assert_eq!((now.id, now.calls()), (session, 2));
     }
 
     #[test]

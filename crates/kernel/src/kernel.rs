@@ -15,9 +15,11 @@
 //! * [`SmodRegistry`] — `RwLock` around the module table; sessions pin
 //!   their module's `Arc` at establishment, so dispatch never touches the
 //!   registry lock at all.
-//! * sessions — 16 `RwLock`-sharded session maps; per-session counters
-//!   and handshake state are atomics inside the shared `Session`, which
-//!   also pins both processes' lock handles for the dispatch pair.
+//! * sessions — 16 `RwLock`-sharded session maps by id, and 16 more by
+//!   client pid (the client index a call resolves its caller through);
+//!   the handshake state is an atomic and the call counter is written
+//!   under the pair lock, inside the shared `Session`, which also pins
+//!   both processes' lock handles for the dispatch pair.
 //! * [`MsgSubsystem`], [`Tracer`], [`secmod_crypto::KeyStore`] — each
 //!   behind its own `Mutex` (tracing is skipped entirely when disabled).
 //! * clock and context-switch counter — cache-line-striped atomics
@@ -25,8 +27,11 @@
 //!   loaded on the hot path and RMW'd only by detach/remove.
 //!
 //! Lock ordering: process-map shard / session shard read → process pair;
-//! no path holds a process lock while taking a registry or session
-//! *write* lock.
+//! no path holds a process lock while taking a registry or session-id
+//! *write* lock. The one session lock taken under a process lock is a
+//! client-index shard's write lock, by `sys_smod_start_session` under the
+//! client's lock; no path takes another lock while it holds a session
+//! shard.
 
 use crate::clock::{SimClock, StripedCounter};
 use crate::cost::CostModel;

@@ -1200,6 +1200,9 @@ mod tests {
             .spawn_process("loner", Credential::user(5, 5), vec![0x90; 4096], 2, 2)
             .unwrap();
         assert_eq!(plane.attach(loner).unwrap_err(), Errno::EPERM);
+        // A session's handle is a member of the pair, not its client.
+        let session_handle = kernel.session_of(clients[0]).unwrap().handle;
+        assert_eq!(plane.attach(session_handle).unwrap_err(), Errno::EPERM);
         // Attach, fill the (64-slot) set, and overflow it.
         let handle = plane.attach(clients[0]).unwrap();
         let mut extras = Vec::new();

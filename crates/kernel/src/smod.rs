@@ -116,12 +116,13 @@ impl CallProto {
 }
 
 /// An active client/handle session. Shared (`Arc`) between the session
-/// table and in-flight dispatches; the handshake state and call counter
-/// are atomics so the dispatch path never takes a session lock. The
-/// session also pins the registered module and both processes' lock
-/// handles, so a dispatch resolves everything it needs with a single
-/// sharded map lookup (the caller's link) plus one session lookup — no
-/// registry traffic on the hot path.
+/// table and in-flight dispatches. The session pins the registered
+/// module and both processes' lock handles, so a dispatch resolves
+/// everything it needs with one lookup in the table's client index — no
+/// process-table or registry traffic on the hot path. The handshake
+/// state is an atomic any thread may read; the call counter is written
+/// only under `Session::hold_pair`, which is also where the caller's
+/// ownership of the session is checked.
 #[derive(Debug)]
 pub struct Session {
     /// The session id.
@@ -177,12 +178,17 @@ impl Session {
 
     /// Lock the client/handle pair (pid-ordered), take the credential
     /// view and the session's verdicts for as long as the lock is held,
-    /// and run `f`. The live credential is consulted on every hold, but
-    /// only to compare `(uid, principal fingerprint)` against the
-    /// session's memoised prototype; only a mismatch (credential revoked
-    /// or swapped mid-session) re-derives the request from the process.
-    /// Verdicts stamped with another gateway epoch are cleared. Bodies
-    /// that ran under the hold are counted once, after it.
+    /// and run `f`. The hold fails with `EPERM`, before `f` runs, unless
+    /// the client's link still names this session: only the client bound
+    /// to a session may call through it (§1's "handle must be valid only
+    /// for a specific process"), and checking it here, under the client's
+    /// lock, makes a stale client-index entry harmless. The live
+    /// credential is consulted on every hold, but only to compare
+    /// `(uid, principal fingerprint)` against the session's memoised
+    /// prototype; only a mismatch (credential revoked or swapped
+    /// mid-session) re-derives the request from the process. Verdicts
+    /// stamped with another gateway epoch are cleared. Bodies that ran
+    /// under the hold are counted once, at its end.
     ///
     /// Forced inline together with [`Kernel::call_entry`]: left to the
     /// optimiser, `sys_smod_call` keeps both as calls and the closure's
@@ -196,6 +202,9 @@ impl Session {
             self.client,
             &self.client_ref,
             |handle, client| {
+                if client.smod.map(|link| link.session) != Some(self.id) {
+                    return Err(Errno::EPERM);
+                }
                 let module_name = &self.module_ref.package.image.name;
                 let live = (!self.proto.matches(&client.cred, module_name)).then(|| {
                     (
@@ -219,11 +228,16 @@ impl Session {
                     bodies_run: 0,
                 };
                 let out = f(&mut hold);
-                (out, hold.bodies_run)
+                let bodies_run = hold.bodies_run;
+                if bodies_run > 0 {
+                    // The pair lock is the counter's only writer.
+                    self.calls
+                        .store(self.calls.load(Relaxed) + bodies_run, Relaxed);
+                }
+                Ok((out, bodies_run))
             },
-        )?;
+        )??;
         if bodies_run > 0 {
-            self.calls.fetch_add(bodies_run, Relaxed);
             self.module_ref
                 .note_calls_dispatched(self.client.0 as u64, bodies_run);
         }
@@ -234,19 +248,27 @@ impl Session {
 const SESSION_SHARDS: usize = 16;
 
 /// The kernel's table of active sessions: sharded `RwLock`s around shared
-/// [`Session`]s. Dispatch reads clone the `Arc` and drop the shard lock;
-/// only session establishment and teardown take a write lock, and
-/// concurrent dispatches on different sessions touch different shard lock
-/// words.
+/// [`Session`]s, keyed twice — by session id, and by client pid in the
+/// client index that `sys_smod_call` and `sys_smod_call_batch` resolve
+/// their caller through. A session enters the index in
+/// `sys_smod_start_session`, under the client's process lock, once its
+/// link to the client has won; it leaves in `SessionTable::remove`,
+/// which every teardown goes through. The index only finds a session: the
+/// ownership check lives in `Session::hold_pair`, under the client's
+/// lock. Dispatch reads clone the `Arc` and drop the shard lock; only
+/// session establishment and teardown take a write lock, and concurrent
+/// dispatches on different sessions touch different shard lock words.
 #[derive(Debug)]
 pub struct SessionTable {
     shards: [RwLock<BTreeMap<SessionId, Arc<Session>>>; SESSION_SHARDS],
+    by_client: [RwLock<BTreeMap<Pid, Arc<Session>>>; SESSION_SHARDS],
 }
 
 impl Default for SessionTable {
     fn default() -> Self {
         SessionTable {
             shards: std::array::from_fn(|_| RwLock::new(BTreeMap::new())),
+            by_client: std::array::from_fn(|_| RwLock::new(BTreeMap::new())),
         }
     }
 }
@@ -294,12 +316,33 @@ impl SessionTable {
         all
     }
 
+    fn client_shard(&self, client: Pid) -> &RwLock<BTreeMap<Pid, Arc<Session>>> {
+        &self.by_client[crate::clock::stripe_index(client.0 as u64, SESSION_SHARDS)]
+    }
+
     fn insert(&self, session: Arc<Session>) {
         self.shard(session.id).write().insert(session.id, session);
     }
 
+    fn index_client(&self, session: &Arc<Session>) {
+        self.client_shard(session.client)
+            .write()
+            .insert(session.client, Arc::clone(session));
+    }
+
+    /// Remove a session, and its client's index entry when that entry is
+    /// this session: a start_session that lost the link race was never
+    /// indexed, and the winner's entry must stay.
     fn remove(&self, id: SessionId) -> Option<Arc<Session>> {
-        self.shard(id).write().remove(&id)
+        let session = self.shard(id).write().remove(&id)?;
+        let mut index = self.client_shard(session.client).write();
+        if index
+            .get(&session.client)
+            .is_some_and(|indexed| Arc::ptr_eq(indexed, &session))
+        {
+            index.remove(&session.client);
+        }
+        Some(session)
     }
 }
 
@@ -707,7 +750,7 @@ impl Kernel {
         // removed module.
         let published = self
             .registry
-            .if_present(m_id, || self.sessions.insert(session_entry));
+            .if_present(m_id, || self.sessions.insert(Arc::clone(&session_entry)));
         if published.is_err() {
             self.procs.remove(handle);
             let _ = self.msgs.remove(call_queue);
@@ -717,7 +760,8 @@ impl Kernel {
 
         // Link the pair and apply the client-side restrictions. The link is
         // a check-and-set under the client's lock so two racing
-        // start_sessions for one client cannot both succeed.
+        // start_sessions for one client cannot both succeed; only the
+        // winner enters the client index, under the same lock.
         let linked = self.procs.with_mut(client, |p| {
             if p.smod.is_some() {
                 return false;
@@ -730,6 +774,7 @@ impl Kernel {
                 peer: handle,
                 module: m_id,
             });
+            self.sessions.index_client(&session_entry);
             true
         })?;
         if !linked {
@@ -819,26 +864,21 @@ impl Kernel {
 
     /// `sys_smod_call`: the kernel-mediated indirect dispatch of Figure 3.
     ///
-    /// The kernel verifies that the caller really is the client of an
-    /// established session for `m_id`, then runs the one protected-call
-    /// sequence (`Kernel::call_entry`) under one hold of the pair lock
-    /// and leaves through the one accounting tail
-    /// (`Kernel::finish_trap`) — a drain of depth 1 with no ring,
-    /// charged [`crate::cost::CostModel::smod_call_overhead`] as its
-    /// fixed term.
+    /// The kernel finds the caller's session with one client-index lookup
+    /// (`ESRCH` for no such process, `EPERM` for a caller that holds no
+    /// session), checks that it is established and for `m_id`, then runs
+    /// the one protected-call sequence (`Kernel::call_entry`) under one
+    /// hold of the pair lock — which fails with `EPERM` unless the caller
+    /// is still the session's client — and leaves through the one
+    /// accounting tail (`Kernel::finish_trap`): a drain of depth 1 with
+    /// no ring, charged [`crate::cost::CostModel::smod_call_overhead`] as
+    /// its fixed term.
     ///
     /// Takes `&self`: any number of threads may dispatch concurrently;
     /// calls on different sessions only share read locks and the module's
     /// sharded decision cache.
     pub fn sys_smod_call(&self, caller: Pid, call: SmodCallArgs) -> SysResult<Vec<u8>> {
-        let link = self.procs.with(caller, |p| p.smod)?.ok_or(Errno::EPERM)?;
-        let session = self.sessions.get(link.session).ok_or(Errno::EPERM)?;
-        // Only the client process bound to the session may call through it —
-        // this is the "handle must be valid only for a specific process"
-        // requirement (question 2 in §1).
-        if caller != session.client {
-            return Err(Errno::EPERM);
-        }
+        let session = self.client_session(caller)?;
         if session.state() != SessionState::Established {
             return Err(Errno::EINVAL);
         }
@@ -1061,10 +1101,23 @@ impl Kernel {
         Ok((child, session, handle))
     }
 
-    /// The session a client currently holds, if any.
+    /// The session a client currently holds, if any. A handle holds none:
+    /// only clients are in the index this answers from.
     pub fn session_of(&self, pid: Pid) -> Option<Arc<Session>> {
-        let link = self.procs.with(pid, |p| p.smod).ok()??;
-        self.sessions.get(link.session)
+        self.sessions.client_shard(pid).read().get(&pid).cloned()
+    }
+
+    /// The session `caller` holds as its client: `ESRCH` when no such
+    /// process exists, `EPERM` when it holds none. Whether `caller` still
+    /// owns what the index returned is checked by `Session::hold_pair`.
+    pub(crate) fn client_session(&self, caller: Pid) -> SysResult<Arc<Session>> {
+        self.session_of(caller).ok_or_else(|| {
+            if self.procs.exists(caller) {
+                Errno::EPERM
+            } else {
+                Errno::ESRCH
+            }
+        })
     }
 }
 
@@ -1566,6 +1619,76 @@ mod tests {
             k.sys_smod_start_session(client, m_id).unwrap_err(),
             Errno::EBUSY
         );
+    }
+
+    #[test]
+    fn racing_start_sessions_index_only_the_winner() {
+        // Two start_sessions for one client, released together: exactly
+        // one wins and calls through its session after the handshake. The
+        // loser — whether refused up front or at the link — leaves no
+        // client-index entry behind, so once the winner detaches the index
+        // is empty too.
+        let (k, m_id) = kernel_with_module();
+        let client = spawn_alice(&k);
+        let func = testincr_id(&k, m_id);
+        for round in 0..200u64 {
+            let barrier = std::sync::Barrier::new(2);
+            let results: Vec<SysResult<(SessionId, Pid)>> = std::thread::scope(|s| {
+                let racers: Vec<_> = (0..2)
+                    .map(|_| {
+                        s.spawn(|| {
+                            barrier.wait();
+                            k.sys_smod_start_session(client, m_id)
+                        })
+                    })
+                    .collect();
+                racers.into_iter().map(|r| r.join().unwrap()).collect()
+            });
+            let won: Vec<_> = results.iter().filter_map(|r| r.as_ref().ok()).collect();
+            assert_eq!(won.len(), 1, "round {round}: {results:?}");
+            assert!(results.contains(&Err(Errno::EBUSY)), "round {round}");
+            let (session, handle) = *won[0];
+            assert_eq!(k.session_of(client).unwrap().id, session);
+            k.sys_smod_session_info(handle).unwrap();
+            k.sys_smod_handle_info(client).unwrap();
+            let reply = call(&k, client, m_id, func, round.to_le_bytes().to_vec()).unwrap();
+            assert_eq!(reply, (round + 1).to_le_bytes());
+            k.smod_detach(client, "round over").unwrap();
+            assert!(k.sessions.is_empty());
+            assert!(k.session_of(client).is_none(), "round {round}");
+        }
+    }
+
+    #[test]
+    fn a_stale_client_index_entry_fails_instead_of_calling() {
+        // The ownership check under the pair lock is what makes the index
+        // safe: plant a detached session back in it, and a call fails
+        // `EPERM` while a batched entry completes `EIDRM` — neither runs.
+        use secmod_ring::{CompletionRing, Ring, SmodCallReq, SubmissionRing};
+        let (k, m_id) = kernel_with_module();
+        let client = spawn_alice(&k);
+        establish(&k, client, m_id);
+        let stale = k.session_of(client).unwrap();
+        k.smod_detach(client, "stale").unwrap();
+        k.sessions.index_client(&stale);
+        let func = testincr_id(&k, m_id);
+        assert_eq!(
+            call(&k, client, m_id, func, 1u64.to_le_bytes().to_vec()).unwrap_err(),
+            Errno::EPERM
+        );
+        let (sq, cq): (SubmissionRing, CompletionRing) =
+            (Ring::with_capacity(4), Ring::with_capacity(4));
+        sq.push_spsc(SmodCallReq {
+            session: stale.id.0,
+            proc_id: func,
+            user_data: 0,
+            args: 1u64.to_le_bytes().into(),
+        })
+        .unwrap();
+        let report = k.sys_smod_call_batch(client, &sq, &cq, 4).unwrap();
+        assert_eq!(report.sessions_dead, 1);
+        assert_eq!(cq.pop_spsc().unwrap().errno, Errno::EIDRM.code());
+        assert_eq!(stale.calls(), 0);
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! The rule under test: per call, producer and drainer share nothing but
 //! the ring. A payload of at most `INLINE_ARG_MAX` bytes rides inside
 //! the ring entry, so the only allocation a drained call makes is the
-//! function body's own result `Vec`, a submission from a borrowed slice
+//! function body's own result `Vec` (as does a direct `sys_smod_call`
+//! whose arguments the caller owns), a submission from a borrowed slice
 //! makes none, and nothing allocated on one side of a running plane is
 //! freed on the other.
 //!
@@ -14,6 +15,7 @@
 
 use secmod::gate::{build_dispatch_kernel_with_clients, ScenarioConfig, ScenarioKind};
 use secmod::kernel::plane::{DispatchPlane, PlaneConfig, PlaneHandle};
+use secmod::kernel::SmodCallArgs;
 use secmod::prelude::Credential;
 use secmod::ring::{ArgRef, RingPairConfig, RingSet, SmodCallReq, SubmitError};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -119,6 +121,7 @@ fn the_dispatch_path_allocates_and_frees_where_it_should() {
         .threads(1)
         .build();
     let dispatch = build_dispatch_kernel_with_clients(&cfg, 1);
+    let module = dispatch.module;
     let kernel = Arc::new(dispatch.kernel);
     let client = dispatch.clients[0];
     let allowed = dispatch.func_ids[1];
@@ -173,6 +176,36 @@ fn the_dispatch_path_allocates_and_frees_where_it_should() {
         rounds(sweeps, large) - rounds(sweeps, small),
         extra_calls,
         "a drained 8-byte call allocates once: the body's result `Vec`"
+    );
+
+    // --- one thread: `sys_smod_call` with arguments the caller owns ----
+    // The argument `Vec`s are built before counting, so what is left is
+    // the kernel's: resolving the caller's session allocates nothing, and
+    // the body's result `Vec` is the one allocation per call.
+    let owned = |n: u64| -> Vec<SmodCallArgs> {
+        (0..n)
+            .map(|i| SmodCallArgs {
+                m_id: module,
+                func_id: allowed,
+                frame_pointer: 0,
+                return_address: 0,
+                args: i.to_le_bytes().to_vec(),
+            })
+            .collect()
+    };
+    let direct = |calls: Vec<SmodCallArgs>| {
+        let before = allocs();
+        for (i, call) in (0u64..).zip(calls) {
+            let ret = kernel.sys_smod_call(client, call).expect("allowed");
+            assert_eq!(ret, (i + 1).to_le_bytes());
+        }
+        allocs() - before
+    };
+    direct(owned(100)); // warm-up, as above
+    assert_eq!(
+        direct(owned(CALLS)),
+        CALLS,
+        "a direct call allocates once: the body's result `Vec`"
     );
 
     // --- a running plane: the submit side, then both sides -------------
