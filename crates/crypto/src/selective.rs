@@ -123,13 +123,6 @@ impl SelectiveEncryptor {
         Ok(())
     }
 
-    /// Encrypt into a fresh buffer, leaving the original untouched.
-    pub fn apply_to_vec(&self, data: &[u8], skip_ranges: &[SkipRange]) -> Result<Vec<u8>> {
-        let mut out = data.to_vec();
-        self.apply(&mut out, skip_ranges)?;
-        Ok(out)
-    }
-
     /// Count how many bytes of a buffer of length `len` would be protected
     /// (encrypted) given the skip ranges.
     pub fn protected_bytes(len: usize, skip_ranges: &[SkipRange]) -> usize {

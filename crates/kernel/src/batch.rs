@@ -221,7 +221,10 @@ impl Kernel {
                 if now != kernel_epoch {
                     kernel_epoch = now;
                     session.module_ref().gateway.observe_kernel_epoch(now);
-                    dead = self.sessions.get(session.id).is_none()
+                    dead = self
+                        .sessions
+                        .get(session.client)
+                        .is_none_or(|now| now.id != session.id)
                         || self.registry.get(session.module).is_err();
                 }
                 if !dead {

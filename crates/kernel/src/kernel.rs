@@ -15,23 +15,24 @@
 //! * [`SmodRegistry`] — `RwLock` around the module table; sessions pin
 //!   their module's `Arc` at establishment, so dispatch never touches the
 //!   registry lock at all.
-//! * sessions — 16 `RwLock`-sharded session maps by id, and 16 more by
-//!   client pid (the client index a call resolves its caller through);
-//!   the handshake state is an atomic and the call counter is written
-//!   under the pair lock, inside the shared `Session`, which also pins
-//!   both processes' lock handles for the dispatch pair.
+//! * sessions — 16 `RwLock`-sharded maps from client pid to the shared
+//!   `Session` (one lookup resolves a caller); the handshake state is an
+//!   atomic and the call counter is written under the pair lock, inside
+//!   the `Session`, which also pins both processes' lock handles for the
+//!   dispatch pair.
 //! * [`MsgSubsystem`], [`Tracer`], [`secmod_crypto::KeyStore`] — each
 //!   behind its own `Mutex` (tracing is skipped entirely when disabled).
 //! * clock and context-switch counter — cache-line-striped atomics
 //!   (stripe by charged pid, sum on read); `smod_epoch` — one atomic,
 //!   loaded on the hot path and RMW'd only by detach/remove.
 //!
-//! Lock ordering: process-map shard / session shard read → process pair;
-//! no path holds a process lock while taking a registry or session-id
-//! *write* lock. The one session lock taken under a process lock is a
-//! client-index shard's write lock, by `sys_smod_start_session` under the
-//! client's lock; no path takes another lock while it holds a session
-//! shard.
+//! Lock ordering: registry → process → session shard. Dispatch takes a
+//! process-map shard or session shard read, drops it, then the process
+//! pair. `sys_smod_start_session` publishes under registry read → client
+//! process → session shard write; `sys_smod_remove` reads the session
+//! shards under the registry write lock. No path takes the registry
+//! under a process lock, and none takes another lock while it holds a
+//! session shard.
 
 use crate::clock::{SimClock, StripedCounter};
 use crate::cost::CostModel;
@@ -244,14 +245,20 @@ impl Kernel {
         Ok(child_pid)
     }
 
-    /// `exit()`: the process becomes a zombie; if it is a SecModule client
-    /// its handle is killed and the session removed.
+    /// `exit()`: the process becomes a zombie; if it is a member of a
+    /// SecModule pair the session is removed and the handle killed — and
+    /// reaped, so a handle's exit ends there.
     pub fn sys_exit(&self, pid: Pid, status: i32) -> SysResult<()> {
         let trap = self.cost.syscall_trap_ns;
         self.charge(pid, trap);
-        // Detach any smod session first (kills the handle).
-        if self.procs.with(pid, |p| p.smod.is_some())? {
-            self.smod_detach(pid, "client exit")?;
+        let (paired, is_handle) = self
+            .procs
+            .with(pid, |p| (p.smod.is_some(), p.flags.smod_handle))?;
+        if paired {
+            self.smod_detach(pid, "exit")?;
+            if is_handle {
+                return Ok(());
+            }
         }
         self.procs
             .with_mut(pid, |p| p.state = ProcState::Zombie(status))
@@ -334,7 +341,7 @@ impl Kernel {
         }
         // Then tear down any session, which reaps a crashed handle.
         if paired {
-            self.smod_detach_either(pid, "crash")?;
+            self.smod_detach(pid, "crash")?;
         }
         Ok(dumped)
     }
@@ -342,7 +349,8 @@ impl Kernel {
     /// `execve()`: §4.3 — "first detach the requesting client process from
     /// the SecModule system, kill the associated handle process, and then …
     /// run sys_execve() as per normal."  The new image starts with a fresh
-    /// address space and no session.
+    /// address space and no session. A handle's execve fails `ESRCH`: the
+    /// detach reaps it.
     pub fn sys_execve(&self, pid: Pid, new_name: &str, new_text: Vec<u8>) -> SysResult<()> {
         let trap = self.cost.syscall_trap_ns + self.cost.fork_ns / 2;
         self.charge(pid, trap);

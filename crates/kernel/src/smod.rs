@@ -21,7 +21,6 @@
 use crate::batch::DrainReport;
 use crate::errno::Errno;
 use crate::kernel::Kernel;
-use crate::msgqueue::MsgQueueId;
 use crate::proc::{Pid, Process, SmodLink};
 use crate::smodreg::{FunctionBody, FunctionTable, HandleCtx, RegisteredModule};
 use crate::table::ProcRef;
@@ -118,11 +117,11 @@ impl CallProto {
 /// An active client/handle session. Shared (`Arc`) between the session
 /// table and in-flight dispatches. The session pins the registered
 /// module and both processes' lock handles, so a dispatch resolves
-/// everything it needs with one lookup in the table's client index — no
-/// process-table or registry traffic on the hot path. The handshake
-/// state is an atomic any thread may read; the call counter is written
-/// only under `Session::hold_pair`, which is also where the caller's
-/// ownership of the session is checked.
+/// everything it needs with one lookup of its client in the
+/// [`SessionTable`] — no process-table or registry traffic on the hot
+/// path. The handshake state is an atomic any thread may read; the call
+/// counter is written only under `Session::hold_pair`, which is also
+/// where the caller's ownership of the session is checked.
 #[derive(Debug)]
 pub struct Session {
     /// The session id.
@@ -133,10 +132,6 @@ pub struct Session {
     pub handle: Pid,
     /// The module this session grants access to.
     pub module: ModuleId,
-    /// Message queue used for client → handle call delivery.
-    pub call_queue: MsgQueueId,
-    /// Message queue used for handle → client replies.
-    pub reply_queue: MsgQueueId,
     state: AtomicU8,
     calls: AtomicU64,
     /// The registered module (shared with the registry): dispatch goes
@@ -182,7 +177,7 @@ impl Session {
     /// the client's link still names this session: only the client bound
     /// to a session may call through it (§1's "handle must be valid only
     /// for a specific process"), and checking it here, under the client's
-    /// lock, makes a stale client-index entry harmless. The live
+    /// lock, makes a stale table entry harmless. The live
     /// credential is consulted on every hold, but only to compare
     /// `(uid, principal fingerprint)` against the session's memoised
     /// prototype; only a mismatch (credential revoked or swapped
@@ -247,28 +242,26 @@ impl Session {
 
 const SESSION_SHARDS: usize = 16;
 
-/// The kernel's table of active sessions: sharded `RwLock`s around shared
-/// [`Session`]s, keyed twice — by session id, and by client pid in the
-/// client index that `sys_smod_call` and `sys_smod_call_batch` resolve
-/// their caller through. A session enters the index in
-/// `sys_smod_start_session`, under the client's process lock, once its
-/// link to the client has won; it leaves in `SessionTable::remove`,
-/// which every teardown goes through. The index only finds a session: the
-/// ownership check lives in `Session::hold_pair`, under the client's
-/// lock. Dispatch reads clone the `Arc` and drop the shard lock; only
-/// session establishment and teardown take a write lock, and concurrent
-/// dispatches on different sessions touch different shard lock words.
+/// The kernel's table of active sessions: 16 `RwLock`-sharded maps from
+/// client pid to the client's one [`Session`]. Every lookup, publication
+/// and teardown starts from the client: `sys_smod_start_session` inserts
+/// under the client's process lock, in the same step that links the
+/// client; a teardown removes the entry only while it is still the
+/// session it tore down; a handle reaches its session through its link's
+/// peer. The table only finds a session: the ownership check lives in
+/// `Session::hold_pair`, under the client's lock. Dispatch reads clone
+/// the `Arc` and drop the shard lock; only establishment and teardown
+/// take a write lock, and concurrent dispatches for different clients
+/// touch different shard lock words.
 #[derive(Debug)]
 pub struct SessionTable {
-    shards: [RwLock<BTreeMap<SessionId, Arc<Session>>>; SESSION_SHARDS],
-    by_client: [RwLock<BTreeMap<Pid, Arc<Session>>>; SESSION_SHARDS],
+    shards: [RwLock<BTreeMap<Pid, Arc<Session>>>; SESSION_SHARDS],
 }
 
 impl Default for SessionTable {
     fn default() -> Self {
         SessionTable {
             shards: std::array::from_fn(|_| RwLock::new(BTreeMap::new())),
-            by_client: std::array::from_fn(|_| RwLock::new(BTreeMap::new())),
         }
     }
 }
@@ -279,13 +272,13 @@ impl SessionTable {
         SessionTable::default()
     }
 
-    fn shard(&self, id: SessionId) -> &RwLock<BTreeMap<SessionId, Arc<Session>>> {
-        &self.shards[crate::clock::stripe_index(id.0 as u64, SESSION_SHARDS)]
+    fn shard(&self, client: Pid) -> &RwLock<BTreeMap<Pid, Arc<Session>>> {
+        &self.shards[crate::clock::stripe_index(client.0 as u64, SESSION_SHARDS)]
     }
 
-    /// Look up a session.
-    pub fn get(&self, id: SessionId) -> Option<Arc<Session>> {
-        self.shard(id).read().get(&id).cloned()
+    /// The session `client` holds, if any.
+    pub fn get(&self, client: Pid) -> Option<Arc<Session>> {
+        self.shard(client).read().get(&client).cloned()
     }
 
     /// Number of active sessions.
@@ -305,44 +298,19 @@ impl SessionTable {
             .any(|s| s.read().values().any(|session| session.module == module))
     }
 
-    /// Snapshot of the active sessions (ascending session id).
-    pub fn snapshot(&self) -> Vec<Arc<Session>> {
-        let mut all: Vec<Arc<Session>> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.read().values().cloned().collect::<Vec<_>>())
-            .collect();
-        all.sort_unstable_by_key(|s| s.id);
-        all
-    }
-
-    fn client_shard(&self, client: Pid) -> &RwLock<BTreeMap<Pid, Arc<Session>>> {
-        &self.by_client[crate::clock::stripe_index(client.0 as u64, SESSION_SHARDS)]
-    }
-
     fn insert(&self, session: Arc<Session>) {
-        self.shard(session.id).write().insert(session.id, session);
-    }
-
-    fn index_client(&self, session: &Arc<Session>) {
-        self.client_shard(session.client)
+        self.shard(session.client)
             .write()
-            .insert(session.client, Arc::clone(session));
+            .insert(session.client, session);
     }
 
-    /// Remove a session, and its client's index entry when that entry is
-    /// this session: a start_session that lost the link race was never
-    /// indexed, and the winner's entry must stay.
-    fn remove(&self, id: SessionId) -> Option<Arc<Session>> {
-        let session = self.shard(id).write().remove(&id)?;
-        let mut index = self.client_shard(session.client).write();
-        if index
-            .get(&session.client)
-            .is_some_and(|indexed| Arc::ptr_eq(indexed, &session))
-        {
-            index.remove(&session.client);
-        }
-        Some(session)
+    /// Remove `client`'s session while it is still session `id`: a
+    /// teardown that read an old link must not remove the session
+    /// established since.
+    fn remove(&self, client: Pid, id: SessionId) -> Option<Arc<Session>> {
+        let mut shard = self.shard(client).write();
+        shard.get(&client).filter(|s| s.id == id)?;
+        shard.remove(&client)
     }
 }
 
@@ -713,18 +681,12 @@ impl Kernel {
         handle_proc.flags.smod_handle = true;
         self.procs.insert(handle_proc);
 
-        // Create the synchronisation queues (SYSV MSG, §4.1 "second goal").
-        let call_queue = self.msgs.msgget();
-        let reply_queue = self.msgs.msgget();
-
         let session = SessionId(self.next_session.fetch_add(1, Relaxed));
         let session_entry = Arc::new(Session {
             id: session,
             client,
             handle,
             module: m_id,
-            call_queue,
-            reply_queue,
             state: AtomicU8::new(SessionState::Created.as_u8()),
             calls: AtomicU64::new(0),
             module_ref: Arc::clone(&module),
@@ -741,49 +703,38 @@ impl Kernel {
             client_ref: self.procs.get(client)?,
             handle_ref: self.procs.get(handle)?,
         });
-        // Publish the session under the registry read lock, re-checking
-        // that the module is still registered: a concurrent
-        // sys_smod_remove holds the registry *write* lock across its
-        // no-active-sessions check, so it either sees this session (and
-        // returns EBUSY) or has already removed the module (and this
-        // re-check fails) — a session can never be established against a
-        // removed module.
-        let published = self
+        // Publish in one step — link the client, insert the session —
+        // under the registry read lock, re-checking that the module is
+        // still registered: sys_smod_remove holds the write lock across
+        // its no-active-sessions check, so it either sees this session
+        // (EBUSY) or has removed the module first (this re-check fails).
+        // And under the client's lock, where the link is a check-and-set:
+        // of two racing start_sessions for one client only one publishes.
+        let linked = self
             .registry
-            .if_present(m_id, || self.sessions.insert(Arc::clone(&session_entry)));
-        if published.is_err() {
+            .if_present(m_id, || {
+                self.procs.with_mut(client, |p| {
+                    if p.smod.is_some() {
+                        return false;
+                    }
+                    p.flags.smod_client = true;
+                    p.flags.no_coredump = true;
+                    p.flags.no_ptrace = true;
+                    p.smod = Some(SmodLink {
+                        session,
+                        peer: handle,
+                        module: m_id,
+                    });
+                    self.sessions.insert(session_entry);
+                    true
+                })
+            })
+            .and_then(|linked| linked);
+        if linked != Ok(true) {
+            // Lost the race, or the module or the client is gone: nothing
+            // was published, only the handle was built.
             self.procs.remove(handle);
-            let _ = self.msgs.remove(call_queue);
-            let _ = self.msgs.remove(reply_queue);
-            return Err(Errno::ENOENT);
-        }
-
-        // Link the pair and apply the client-side restrictions. The link is
-        // a check-and-set under the client's lock so two racing
-        // start_sessions for one client cannot both succeed; only the
-        // winner enters the client index, under the same lock.
-        let linked = self.procs.with_mut(client, |p| {
-            if p.smod.is_some() {
-                return false;
-            }
-            p.flags.smod_client = true;
-            p.flags.no_coredump = true;
-            p.flags.no_ptrace = true;
-            p.smod = Some(SmodLink {
-                session,
-                peer: handle,
-                module: m_id,
-            });
-            self.sessions.index_client(&session_entry);
-            true
-        })?;
-        if !linked {
-            // Lost the race: tear the half-built session down again.
-            self.sessions.remove(session);
-            self.procs.remove(handle);
-            let _ = self.msgs.remove(call_queue);
-            let _ = self.msgs.remove(reply_queue);
-            return Err(Errno::EBUSY);
+            return Err(linked.err().unwrap_or(Errno::EBUSY));
         }
         self.procs.with_mut(handle, |h| {
             h.smod = Some(SmodLink {
@@ -809,8 +760,7 @@ impl Kernel {
     pub fn sys_smod_session_info(&self, handle: Pid) -> SysResult<()> {
         let trap = self.cost.syscall_trap_ns;
         self.charge(handle, trap);
-        let link = self.procs.with(handle, |p| p.smod)?.ok_or(Errno::EINVAL)?;
-        let session = self.sessions.get(link.session).ok_or(Errno::EINVAL)?;
+        let session = self.member_session(handle)?;
         if session.handle != handle {
             return Err(Errno::EPERM);
         }
@@ -844,8 +794,7 @@ impl Kernel {
     pub fn sys_smod_handle_info(&self, client: Pid) -> SysResult<()> {
         let trap = self.cost.syscall_trap_ns;
         self.charge(client, trap);
-        let link = self.procs.with(client, |p| p.smod)?.ok_or(Errno::EINVAL)?;
-        let session = self.sessions.get(link.session).ok_or(Errno::EINVAL)?;
+        let session = self.member_session(client)?;
         if session.client != client {
             return Err(Errno::EPERM);
         }
@@ -864,7 +813,7 @@ impl Kernel {
 
     /// `sys_smod_call`: the kernel-mediated indirect dispatch of Figure 3.
     ///
-    /// The kernel finds the caller's session with one client-index lookup
+    /// The kernel finds the caller's session with one session-table lookup
     /// (`ESRCH` for no such process, `EPERM` for a caller that holds no
     /// session), checks that it is established and for `m_id`, then runs
     /// the one protected-call sequence (`Kernel::call_entry`) under one
@@ -1050,39 +999,31 @@ impl Kernel {
     // Session teardown and the special functions of §4.3
     // ----------------------------------------------------------------
 
-    /// Detach the SecModule session of a *client* process: kill and reap
-    /// the handle, remove the queues and the session, clear the flags.
-    pub fn smod_detach(&self, client: Pid, reason: &str) -> SysResult<()> {
-        let link = self.procs.with(client, |p| p.smod)?.ok_or(Errno::EINVAL)?;
-        let session = self.sessions.remove(link.session).ok_or(Errno::EINVAL)?;
+    /// Detach the SecModule session `pid` is a member of — as its client
+    /// or as its handle: remove the session, kill and reap the handle, and
+    /// clear the client's link and flags. The one teardown: `sys_exit`,
+    /// `sys_execve` and `crash_process` all come through here.
+    pub fn smod_detach(&self, pid: Pid, reason: &str) -> SysResult<()> {
+        let session = self.member_session(pid)?;
+        let session = self
+            .sessions
+            .remove(session.client, session.id)
+            .ok_or(Errno::EINVAL)?;
 
         // Kill the handle and reap it here: `sys_wait` never sees handles,
         // so nothing else would.
         self.procs.remove(session.handle);
         // Clear the client.
-        let _ = self.procs.with_mut(client, |c| {
+        let _ = self.procs.with_mut(session.client, |c| {
             c.smod = None;
             c.flags.smod_client = false;
         });
-        let _ = self.msgs.remove(session.call_queue);
-        let _ = self.msgs.remove(session.reply_queue);
         self.smod_epoch.fetch_add(1, SeqCst);
         self.tracer.record(Event::SessionDetached {
             session: session.id,
             reason: reason.to_string(),
         });
         Ok(())
-    }
-
-    /// Detach a session given *either* member of the pair.
-    pub fn smod_detach_either(&self, pid: Pid, reason: &str) -> SysResult<()> {
-        let link = self.procs.with(pid, |p| p.smod)?.ok_or(Errno::EINVAL)?;
-        let client = if self.procs.with(pid, |p| p.flags.smod_handle)? {
-            link.peer
-        } else {
-            pid
-        };
-        self.smod_detach(client, reason)
     }
 
     /// The paper's `fork()` special handling (§4.3): "the ideal action is to
@@ -1102,14 +1043,27 @@ impl Kernel {
     }
 
     /// The session a client currently holds, if any. A handle holds none:
-    /// only clients are in the index this answers from.
+    /// the session table is keyed by client.
     pub fn session_of(&self, pid: Pid) -> Option<Arc<Session>> {
-        self.sessions.client_shard(pid).read().get(&pid).cloned()
+        self.sessions.get(pid)
+    }
+
+    /// The session `pid` is a member of, through its link: a client's own
+    /// entry, or a handle's peer's. `EINVAL` when `pid` holds no link or
+    /// the link names a session that is gone.
+    fn member_session(&self, pid: Pid) -> SysResult<Arc<Session>> {
+        let (link, is_handle) = self.procs.with(pid, |p| (p.smod, p.flags.smod_handle))?;
+        let link = link.ok_or(Errno::EINVAL)?;
+        let client = if is_handle { link.peer } else { pid };
+        self.sessions
+            .get(client)
+            .filter(|s| s.id == link.session)
+            .ok_or(Errno::EINVAL)
     }
 
     /// The session `caller` holds as its client: `ESRCH` when no such
     /// process exists, `EPERM` when it holds none. Whether `caller` still
-    /// owns what the index returned is checked by `Session::hold_pair`.
+    /// owns what the table returned is checked by `Session::hold_pair`.
     pub(crate) fn client_session(&self, caller: Pid) -> SysResult<Arc<Session>> {
         self.session_of(caller).ok_or_else(|| {
             if self.procs.exists(caller) {
@@ -1540,6 +1494,39 @@ mod tests {
     }
 
     #[test]
+    fn a_handles_exit_execve_or_crash_frees_its_client() {
+        // Each ends the pair from the handle's side. The detach reaps the
+        // handle and clears the *client's* link, so the client can start
+        // and use a new session. A handle's execve fails `ESRCH`: the
+        // detach has reaped the process it would have replaced.
+        let (k, m_id) = kernel_with_module();
+        let client = spawn_alice(&k);
+        let func = testincr_id(&k, m_id);
+        for end in ["exit", "execve", "crash"] {
+            let (_, handle) = establish(&k, client, m_id);
+            match end {
+                "exit" => k.sys_exit(handle, 0).unwrap(),
+                "execve" => assert_eq!(
+                    k.sys_execve(handle, "other", vec![0xCC; 4096]),
+                    Err(Errno::ESRCH)
+                ),
+                _ => assert!(!k.crash_process(handle).unwrap()),
+            }
+            assert!(!k.procs.exists(handle), "{end}");
+            assert!(k.sessions.is_empty(), "{end}");
+            let (link, flagged) = k
+                .procs
+                .with(client, |p| (p.smod, p.flags.smod_client))
+                .unwrap();
+            assert!(link.is_none() && !flagged, "{end}: client still linked");
+            establish(&k, client, m_id);
+            let reply = call(&k, client, m_id, func, 1u64.to_le_bytes().to_vec()).unwrap();
+            assert_eq!(reply, 2u64.to_le_bytes(), "{end}");
+            k.smod_detach(client, "next end").unwrap();
+        }
+    }
+
+    #[test]
     fn detach_and_reestablish_cycles_leave_no_process_behind() {
         // Every detach reaps its handle: a client cycling its session
         // (what `policy_churn` does every 4096 ops) must not grow the
@@ -1626,11 +1613,12 @@ mod tests {
         // Two start_sessions for one client, released together: exactly
         // one wins and calls through its session after the handshake. The
         // loser — whether refused up front or at the link — leaves no
-        // client-index entry behind, so once the winner detaches the index
-        // is empty too.
+        // table entry and no handle behind, so once the winner detaches
+        // the table is empty and the process count is back where it was.
         let (k, m_id) = kernel_with_module();
         let client = spawn_alice(&k);
         let func = testincr_id(&k, m_id);
+        let procs = k.procs.len();
         for round in 0..200u64 {
             let barrier = std::sync::Barrier::new(2);
             let results: Vec<SysResult<(SessionId, Pid)>> = std::thread::scope(|s| {
@@ -1656,12 +1644,65 @@ mod tests {
             k.smod_detach(client, "round over").unwrap();
             assert!(k.sessions.is_empty());
             assert!(k.session_of(client).is_none(), "round {round}");
+            assert_eq!(k.procs.len(), procs, "round {round}");
+        }
+    }
+
+    #[test]
+    fn racing_start_session_and_remove_agree() {
+        // `sys_smod_remove`'s no-active-sessions check runs under the
+        // registry write lock, start_session's publication under its read
+        // lock. Released together, either the remove sees the session
+        // (`EBUSY`) and the session completes its handshake and calls, or
+        // the module goes first and start_session fails `ENOENT` with no
+        // table entry, no handle process and no client link left behind.
+        let registrar = Pid(1);
+        for round in 0..100u64 {
+            let (k, m_id) = kernel_with_module();
+            let client = spawn_alice(&k);
+            let procs = k.procs.len();
+            let barrier = std::sync::Barrier::new(2);
+            let (started, removed) = std::thread::scope(|s| {
+                let start = s.spawn(|| {
+                    barrier.wait();
+                    k.sys_smod_start_session(client, m_id)
+                });
+                let remove = s.spawn(|| {
+                    barrier.wait();
+                    // A growing head start for start_session walks the
+                    // remove across its whole establishment, so both
+                    // outcomes occur.
+                    let t0 = std::time::Instant::now();
+                    while t0.elapsed() < std::time::Duration::from_micros(round * 5) {
+                        std::hint::spin_loop();
+                    }
+                    k.sys_smod_remove(registrar, m_id)
+                });
+                (start.join().unwrap(), remove.join().unwrap())
+            });
+            match removed {
+                Err(Errno::EBUSY) => {
+                    let (_, handle) = started.unwrap();
+                    k.sys_smod_session_info(handle).unwrap();
+                    k.sys_smod_handle_info(client).unwrap();
+                    let func = testincr_id(&k, m_id);
+                    let reply = call(&k, client, m_id, func, round.to_le_bytes().to_vec());
+                    assert_eq!(reply.unwrap(), (round + 1).to_le_bytes());
+                }
+                Ok(()) => {
+                    assert_eq!(started.unwrap_err(), Errno::ENOENT, "round {round}");
+                    assert!(k.sessions.is_empty(), "round {round}");
+                    assert_eq!(k.procs.len(), procs, "round {round}");
+                    assert!(k.procs.with(client, |p| p.smod).unwrap().is_none());
+                }
+                other => panic!("round {round}: remove returned {other:?}"),
+            }
         }
     }
 
     #[test]
     fn a_stale_client_index_entry_fails_instead_of_calling() {
-        // The ownership check under the pair lock is what makes the index
+        // The ownership check under the pair lock is what makes the table
         // safe: plant a detached session back in it, and a call fails
         // `EPERM` while a batched entry completes `EIDRM` — neither runs.
         use secmod_ring::{CompletionRing, Ring, SmodCallReq, SubmissionRing};
@@ -1670,7 +1711,7 @@ mod tests {
         establish(&k, client, m_id);
         let stale = k.session_of(client).unwrap();
         k.smod_detach(client, "stale").unwrap();
-        k.sessions.index_client(&stale);
+        k.sessions.insert(Arc::clone(&stale));
         let func = testincr_id(&k, m_id);
         assert_eq!(
             call(&k, client, m_id, func, 1u64.to_le_bytes().to_vec()).unwrap_err(),

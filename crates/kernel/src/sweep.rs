@@ -22,11 +22,11 @@
 //!
 //! Safety semantics per slot:
 //!
-//! * a slot whose session is gone, half-established, or registered under
-//!   a different owner pid than the live session's client is drained
-//!   with no session and no budget: every queued entry its completion
-//!   ring has room for completes with `EIDRM`, and a stale or replayed
-//!   slot can never dispatch into somebody else's session;
+//! * a slot whose owner pid holds no session, a half-established one, or
+//!   one under another id than the slot names is drained with no session
+//!   and no budget: every queued entry its completion ring has room for
+//!   completes with `EIDRM`, and a stale or replayed slot can never
+//!   dispatch into somebody else's session;
 //! * a detach/remove racing an in-flight sweep is honoured at the next
 //!   chunk boundary of that session's drain, which fails the remainder
 //!   with `EIDRM` in the same loop, exactly like the batched path;
@@ -49,7 +49,7 @@
 use crate::batch::{DrainReport, DrainScratch};
 use crate::kernel::Kernel;
 use crate::proc::Pid;
-use crate::smod::{SessionId, SessionState, TrapTally};
+use crate::smod::{SessionState, TrapTally};
 use crate::SysResult;
 use secmod_obs::Flavor;
 use secmod_qos::SweepScheduler;
@@ -73,8 +73,8 @@ impl Kernel {
         // --- once-per-sweep resolution of this session ------------------
         let live = self
             .sessions
-            .get(SessionId(rings.session))
-            .filter(|s| s.client.0 == rings.owner)
+            .get(Pid(rings.owner))
+            .filter(|s| s.id.0 == rings.session)
             .filter(|s| s.state() == SessionState::Established);
         let budget = if live.is_some() {
             session_budget
@@ -338,7 +338,7 @@ mod tests {
 
     #[test]
     fn dead_and_foreign_slots_fail_with_eidrm() {
-        let (k, _m, clients, incr) = kernel_with_clients(None, 3);
+        let (k, m_id, clients, incr) = kernel_with_clients(None, 3);
         let (set, slots) = ring_set_for(&k, &clients, 8);
         let drainer = sweeper(&k);
         // Slot 0: session detached before the sweep.
@@ -363,6 +363,11 @@ mod tests {
                 .unwrap();
         }
         k.smod_detach(clients[0], "pre-sweep detach").unwrap();
+        // Client 0 re-establishes: both slots' owner now holds a live
+        // session, under an id neither slot names.
+        let (_, handle) = k.sys_smod_start_session(clients[0], m_id).unwrap();
+        k.sys_smod_session_info(handle).unwrap();
+        k.sys_smod_handle_info(clients[0]).unwrap();
 
         let report = k
             .sys_smod_sweep(drainer, &set, SMOD_BATCH_DEFAULT_BUDGET)

@@ -51,7 +51,7 @@ use crate::call::{RingPairConfig, SmodCallReq, SubmissionRing};
 use crate::ring::CachePadded;
 use crate::CompletionRing;
 use parking_lot::{Mutex, RwLock};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// A stable index into a [`RingSet`] (valid until deregistered).
@@ -118,8 +118,16 @@ impl std::error::Error for SubmitError {}
 /// the set of in-flight claims outlives the sweep that made them. When
 /// the drainer dies, its exit path calls [`RingSet::reclaim`], which ORs
 /// the surviving bits back onto the readiness bitmap and clears the
-/// stuck drain flags — no entry lost, and none duplicated, because
-/// submission entries are only ever popped during a drain.
+/// drain flag the drainer died holding — no entry lost, and none
+/// duplicated, because submission entries are only ever popped during a
+/// drain.
+///
+/// A drain flag names its holder: each ledger has a nonzero id of its
+/// own, and [`RingSet::drain_claimed`] writes it into the slot's flag for
+/// the length of the visit. `reclaim` clears a flag only while it still
+/// holds its ledger's id, so a slot the dead drainer claimed but never
+/// reached — re-flagged since, and mid-drain on another drainer — keeps
+/// that drainer's flag.
 ///
 /// Only the owning drainer writes the words (two read-modify-writes per
 /// visited slot), and its exit path reads them, once. Each word sits on
@@ -127,12 +135,19 @@ impl std::error::Error for SubmitError {}
 /// the allocator placed next to the ledger.
 #[derive(Debug)]
 pub struct ClaimLedger {
+    /// What this ledger's drainer writes into the drain flag of the slot
+    /// it visits; nonzero, and unique per ledger.
+    id: usize,
     words: Box<[CachePadded<AtomicU64>]>,
 }
+
+/// The source of [`ClaimLedger`] ids; 0 is the idle drain flag.
+static NEXT_LEDGER_ID: AtomicUsize = AtomicUsize::new(1);
 
 impl ClaimLedger {
     fn new(words: usize) -> ClaimLedger {
         ClaimLedger {
+            id: NEXT_LEDGER_ID.fetch_add(1, Ordering::Relaxed),
             words: (0..words).map(|_| CachePadded(AtomicU64::new(0))).collect(),
         }
     }
@@ -194,9 +209,11 @@ pub struct SessionRings {
     /// at a time, so a producer re-flagging the bit mid-drain cannot
     /// hand the *same* rings to a second sweeper — which would interleave
     /// completions (breaking per-session FIFO) and double-reserve the
-    /// completion ring's free space. Taken by [`RingSet::drain_claimed`];
-    /// a sweeper finding the slot busy hands the ready bit back instead.
-    draining: AtomicBool,
+    /// completion ring's free space. 0 when idle, else the id of the
+    /// [`ClaimLedger`] whose drainer is visiting the slot. Taken by
+    /// [`RingSet::drain_claimed`]; a sweeper finding the slot busy hands
+    /// the ready bit back instead.
+    draining: AtomicUsize,
     /// Monotonic source of per-session `user_data` cookies (see
     /// [`SessionRings::alloc_user_data`]).
     next_user_data: AtomicU64,
@@ -319,7 +336,7 @@ impl RingSet {
             arena: self.arena.as_ref().map(|(arena, quota)| {
                 ArenaRegion::with_magazine(Arc::clone(arena), *quota, crate::MAGAZINE_DEPTH)
             }),
-            draining: AtomicBool::new(false),
+            draining: AtomicUsize::new(0),
             next_user_data: AtomicU64::new(0),
         }));
         self.len.fetch_add(1, Ordering::Relaxed);
@@ -492,7 +509,7 @@ impl RingSet {
         };
         if rings
             .draining
-            .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
+            .compare_exchange(0, ledger.id, Ordering::Acquire, Ordering::Relaxed)
             .is_err()
         {
             // Another sweeper is mid-drain on these rings: hand the bit
@@ -502,7 +519,7 @@ impl RingSet {
             return false;
         }
         let remark = visit(slot, &rings);
-        rings.draining.store(false, Ordering::Release);
+        rings.draining.store(0, Ordering::Release);
         if remark {
             self.mark_ready(slot);
         }
@@ -520,16 +537,18 @@ impl RingSet {
 
     /// Recover a dead drainer's unresolved claims: move every bit still
     /// in `ledger` back onto the readiness bitmap and clear the drain
-    /// flag of each affected slot. Returns how many slots were
+    /// flag its drainer died holding. Returns how many slots were
     /// reclaimed.
     ///
     /// **Only safe once the owning drainer is certainly dead** (called
     /// from its own exit path, after its last visit): clearing a live
     /// drainer's drain flag would let a second sweeper interleave the
-    /// same rings. The
-    /// entries themselves were never popped — submission entries leave
-    /// the ring only inside a drain — so the re-marked slots re-drain
-    /// exactly the entries the dead drainer stranded, once.
+    /// same rings. A flag is cleared only while it holds `ledger`'s id,
+    /// so a claimed slot the drainer never reached, now mid-drain on
+    /// another drainer, keeps that drainer's flag. The entries
+    /// themselves were never popped — submission entries leave the ring
+    /// only inside a drain — so the re-marked slots re-drain exactly the
+    /// entries the dead drainer stranded, once.
     pub fn reclaim(&self, ledger: &ClaimLedger) -> usize {
         let mut reclaimed = 0;
         for (word_idx, word) in ledger.words.iter().enumerate() {
@@ -543,7 +562,12 @@ impl RingSet {
                 bits &= bits - 1;
                 let slot = RingSlotId(word_idx * 64 + bit);
                 if let Some(rings) = self.get(slot) {
-                    rings.draining.store(false, Ordering::Release);
+                    let _ = rings.draining.compare_exchange(
+                        ledger.id,
+                        0,
+                        Ordering::Release,
+                        Ordering::Relaxed,
+                    );
                 }
                 reclaimed += 1;
             }
@@ -555,6 +579,7 @@ impl RingSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicBool;
 
     fn req(session: u32, user_data: u64) -> SmodCallReq {
         SmodCallReq {
@@ -861,11 +886,15 @@ mod tests {
         let ledger = set.claim_ledger();
         assert_eq!(set.claim_ready(&ledger, |_, _| ()), 1);
         // Another sweeper is mid-drain on the slot.
-        set.get(a).unwrap().draining.store(true, Ordering::Release);
+        let other = set.claim_ledger();
+        set.get(a)
+            .unwrap()
+            .draining
+            .store(other.id, Ordering::Release);
         assert!(!set.drain_claimed(a, &ledger, |_, _| panic!("busy slot visited")));
         assert!(set.any_ready(), "bit handed back for the live drainer");
         assert!(ledger.is_empty(), "claim resolved without draining");
-        set.get(a).unwrap().draining.store(false, Ordering::Release);
+        set.get(a).unwrap().draining.store(0, Ordering::Release);
     }
 
     #[test]
@@ -925,6 +954,54 @@ mod tests {
             .collect();
         assert_eq!(seen, expect, "no loss, no duplicates");
         assert!(slots.iter().all(|s| set.get(*s).unwrap().sq.is_empty()));
+    }
+
+    #[test]
+    fn reclaim_leaves_a_live_drainers_flag_alone() {
+        // Drainer D claims slots a and b and dies inside a's visit. b is
+        // re-flagged, and drainer L claims it and is mid-drain when D's
+        // exit path reclaims. Only a's flag was D's: a third drainer must
+        // still find b busy, and may drain a.
+        let set = RingSet::with_capacity(2);
+        let a = set.register(1, 1, RingPairConfig::default()).unwrap();
+        let b = set.register(2, 2, RingPairConfig::default()).unwrap();
+        set.submit(a, req(1, 0)).unwrap();
+        set.submit(b, req(2, 0)).unwrap();
+
+        let dead = set.claim_ledger();
+        assert_eq!(set.claim_ready(&dead, |_, _| ()), 2);
+        let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            set.drain_claimed(a, &dead, |_, _| {
+                std::panic::resume_unwind(Box::new("drainer dies mid-visit"))
+            })
+        }));
+        assert!(died.is_err());
+
+        set.submit(b, req(2, 1)).unwrap();
+        let live = set.claim_ledger();
+        assert_eq!(set.claim_ready(&live, |_, _| ()), 1);
+        let third = set.claim_ledger();
+        let mut drained = Vec::new();
+        assert!(set.drain_claimed(b, &live, |_, rings| {
+            assert_eq!(set.reclaim(&dead), 2);
+            assert_eq!(set.claim_ready(&third, |_, _| ()), 2);
+            assert!(
+                !set.drain_claimed(b, &third, |_, _| panic!("b drained twice at once")),
+                "a live drainer's flag survives the reclaim"
+            );
+            while let Some(r) = rings.sq.pop() {
+                drained.push((b, r.user_data));
+            }
+            false
+        }));
+        assert!(set.drain_claimed(a, &third, |_, rings| {
+            while let Some(r) = rings.sq.pop() {
+                drained.push((a, r.user_data));
+            }
+            false
+        }));
+        assert_eq!(drained, vec![(b, 0), (b, 1), (a, 0)]);
+        assert!(third.is_empty() && live.is_empty() && dead.is_empty());
     }
 
     #[test]

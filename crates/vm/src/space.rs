@@ -95,12 +95,6 @@ impl VmSpace {
         self.smod_share
     }
 
-    /// Mark this space as a member of an smod pair sharing `range` (used by
-    /// the kernel when establishing the pair).
-    pub fn set_smod_share_range(&mut self, range: VRange) {
-        self.smod_share = Some(range);
-    }
-
     /// Is there any mapping covering `addr`?
     pub fn has_mapping(&self, addr: Vaddr) -> bool {
         self.map.entry_at(addr).is_some()
