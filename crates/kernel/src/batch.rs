@@ -554,7 +554,7 @@ pub(crate) mod tests {
     #[test]
     fn both_call_entry_points_resolve_the_caller_the_same_way() {
         // `sys_smod_call` and `sys_smod_call_batch` find the caller's
-        // session through the client index: a pid that does not exist is
+        // session through the session table: a pid that does not exist is
         // `ESRCH`; the handle and a detached client hold no session and
         // get `EPERM`; a client that re-established (`policy_churn`'s
         // cycle) calls on its new session straight away.

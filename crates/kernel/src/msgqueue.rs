@@ -5,6 +5,10 @@
 //! synchronized … The `msgsnd()` and `msgrcv()` functions already contain
 //! efficient blocking and awakening that we desire for synchronization.  So
 //! for the second goal, no changes were needed."
+//!
+//! Sessions create no queues of their own: the dispatch paths charge the
+//! paper's message operation through the cost model
+//! ([`crate::cost::CostModel::msg_op_ns`]).
 
 use crate::errno::Errno;
 use crate::SysResult;
@@ -36,8 +40,8 @@ struct Queue {
 /// The kernel's set of message queues.
 ///
 /// Interior-mutable: the queue map sits behind one mutex (queue operations
-/// are short and the SMOD dispatch path touches per-session queues, not a
-/// global hot queue), the operation counters are atomics.
+/// are short and no SMOD dispatch path touches a queue), the operation
+/// counters are atomics.
 #[derive(Debug, Default)]
 pub struct MsgSubsystem {
     inner: Mutex<MsgInner>,
