@@ -12,8 +12,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use secmod_core::marshal::{ArgReader, ArgWriter};
-use secmod_core::native::{NativeModule, NativeSession};
+use secmod_core::prelude::*;
 use secmod_gate::{build_dispatch_kernel_with_clients, ScenarioConfig, ScenarioKind};
+use secmod_kernel::SmodCallArgs;
 use secmod_ring::{ArenaRegion, ArgArena, ArgRef, RingPairConfig, RingSet, SmodCallReq};
 use secmod_rpc::xdr::{XdrDecoder, XdrEncoder};
 use std::sync::Arc;
@@ -142,18 +143,40 @@ fn arg_marshalling(c: &mut Criterion) {
         assert_eq!(region.in_flight(), 0, "bench leaked arena bytes");
     }
 
-    // End-to-end dispatch with growing argument payloads on the native
-    // backend (the shared-heap design keeps this nearly flat).
-    let module = NativeModule::new(KEY).function("sink", |_ctx, args| {
-        (args.len() as u64).to_le_bytes().to_vec()
-    });
-    let session = NativeSession::start(&module, KEY, 4096).unwrap();
+    // End-to-end `sys_smod_call` with growing argument payloads into a
+    // body that only reads their length: the per-byte copy and the
+    // argument `Vec` are all that grow.
+    let module = SecureModuleBuilder::new("libsink", 1)
+        .function("sink", |_ctx, args| {
+            Ok((args.len() as u64).to_le_bytes().to_vec())
+        })
+        .allow_credential(KEY)
+        .build()
+        .unwrap();
+    let mut world = SimWorld::new();
+    let m_id = world.install(&module).unwrap();
+    let cred = Credential::user(1000, 100).with_smod_credential("libsink", KEY);
+    let client = world.spawn_client("bench-client", cred).unwrap();
+    world.connect(client, "libsink", 0).unwrap();
+    let func_id = world.func_id(client, "sink").unwrap();
     for size in [8usize, 512, 8192] {
         let payload = vec![7u8; size];
+        group.throughput(Throughput::Bytes(size as u64));
         group.bench_with_input(
             BenchmarkId::new("smod_dispatch_with_args", size),
             &size,
-            |b, _| b.iter(|| std::hint::black_box(session.call("sink", &payload).unwrap())),
+            |b, _| {
+                b.iter(|| {
+                    let call = SmodCallArgs {
+                        m_id,
+                        func_id,
+                        frame_pointer: 0xBFFF_0000,
+                        return_address: 0x0000_1000,
+                        args: payload.clone(),
+                    };
+                    std::hint::black_box(world.kernel.sys_smod_call(client, call).unwrap())
+                })
+            },
         );
     }
     group.finish();

@@ -1,12 +1,17 @@
-//! Criterion version of Figure 8: native getpid vs SMOD dispatch (native
-//! backend) vs local RPC, per call. The RPC row comes in two transports:
-//! the paper's Unix socket (host-socket-bound, excluded from the perf
-//! gate) and the in-process shared-memory ring pair (`shm:`), which
-//! measures the identical record-marked RPC protocol without the socket
-//! stack — stable enough to live inside the `--compare` gate.
+//! Criterion version of Figure 8: native getpid vs the kernel's protected
+//! call vs local RPC, per call. The SMOD rows call the libc module's
+//! `getpid` and `testincr` through `sys_smod_call` on the bench thread
+//! (`smod_*`) and through a depth-1 round trip over a one-drainer dispatch
+//! plane (`smod_*_cross_thread`). The RPC row comes in two transports: the
+//! paper's Unix socket, and the in-process shared-memory ring pair
+//! (`shm:`), which measures the identical record-marked RPC protocol
+//! without the socket stack.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use secmod_core::native::{native_getpid, NativeModule, NativeSession};
+use secmod_core::libc_retrofit::libc_module;
+use secmod_core::native::{native_getpid, CrossThread};
+use secmod_core::prelude::*;
+use secmod_kernel::SmodCallArgs;
 use secmod_rpc::services::{
     spawn_local_testincr_server, spawn_shm_testincr_server, TestIncrClient,
 };
@@ -20,17 +25,35 @@ fn fig8_dispatch(c: &mut Criterion) {
         b.iter(|| std::hint::black_box(native_getpid()))
     });
 
-    let session = NativeSession::start(&NativeModule::benchmark_module(KEY), KEY, 4096).unwrap();
-    group.bench_function("smod_getpid", |b| {
-        b.iter(|| std::hint::black_box(session.call("getpid", &[]).unwrap()))
-    });
-    let mut i = 0u64;
-    group.bench_function("smod_testincr", |b| {
-        b.iter(|| {
-            i += 1;
-            std::hint::black_box(session.call("testincr", &i.to_le_bytes()).unwrap())
-        })
-    });
+    let mut world = SimWorld::new();
+    let m_id = world.install(&libc_module(KEY)).unwrap();
+    let cred = Credential::user(1000, 100).with_smod_credential("libc", KEY);
+    let client = world.spawn_client("bench-client", cred).unwrap();
+    world.connect(client, "libc", 0).unwrap();
+    let mut cross = CrossThread::start(&world, client).unwrap();
+    for symbol in ["getpid", "testincr"] {
+        let func_id = world.func_id(client, symbol).unwrap();
+        let mut i = 0u64;
+        group.bench_function(format!("smod_{symbol}"), |b| {
+            b.iter(|| {
+                i += 1;
+                let call = SmodCallArgs {
+                    m_id,
+                    func_id,
+                    frame_pointer: 0xBFFF_0000,
+                    return_address: 0x0000_1000,
+                    args: i.to_le_bytes().to_vec(),
+                };
+                std::hint::black_box(world.kernel.sys_smod_call(client, call).unwrap())
+            })
+        });
+        group.bench_function(format!("smod_{symbol}_cross_thread"), |b| {
+            b.iter(|| {
+                i += 1;
+                std::hint::black_box(cross.call(func_id, &i.to_le_bytes()).unwrap())
+            })
+        });
+    }
 
     let server = spawn_local_testincr_server().unwrap();
     let rpc = TestIncrClient::connect(server.endpoint()).unwrap();

@@ -1,10 +1,8 @@
 //! Cost of establishing (and tearing down) a SecModule session — the
-//! initialisation sequence of Figure 1 — on both backends, plus module
-//! registration.
+//! initialisation sequence of Figure 1 — plus module registration.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use secmod_core::libc_retrofit::libc_module;
-use secmod_core::native::{NativeModule, NativeSession};
 use secmod_core::prelude::*;
 
 const KEY: &[u8] = b"bench-credential";
@@ -34,14 +32,6 @@ fn session_setup(c: &mut Criterion) {
                 .unwrap();
             world.connect(client, "libc", 0).unwrap();
             world.disconnect(client).unwrap();
-        })
-    });
-
-    group.bench_function("native_session_start_teardown", |b| {
-        let module = NativeModule::benchmark_module(KEY);
-        b.iter(|| {
-            let session = NativeSession::start(&module, KEY, 4096).unwrap();
-            std::hint::black_box(session.shutdown())
         })
     });
 

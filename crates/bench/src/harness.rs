@@ -12,13 +12,17 @@
 //! [`run_simulated`] reproduces the first three rows on the deterministic,
 //! paper-calibrated kernel simulator (the RPC row has no simulated
 //! equivalent — it is a real userland RPC stack, measured natively).
-//! [`run_native`] measures all four rows in wall-clock time on the host:
-//! absolute values reflect modern hardware, but the *ordering* and rough
-//! ratios are the reproduction target.
+//! [`run_native`] measures the same rows in wall-clock time on the host.
+//! Its SMOD rows time the simulated rows' own kernel call, crossed two
+//! ways: `sys_smod_call` on the calling thread, and a depth-1 round trip
+//! through a one-drainer dispatch plane ([`CrossThread`]). Absolute values
+//! reflect modern hardware; the *ordering* and rough ratios are the
+//! reproduction target.
 
 use secmod_core::libc_retrofit::libc_module;
-use secmod_core::native::{native_getpid, NativeModule, NativeSession};
+use secmod_core::native::{native_getpid, CrossThread};
 use secmod_core::prelude::*;
+use secmod_kernel::SmodCallArgs;
 use secmod_rpc::services::{spawn_local_testincr_server, TestIncrClient};
 use std::time::Instant;
 
@@ -75,16 +79,45 @@ pub struct Figure8Row {
     pub mean_us: f64,
     /// Standard deviation across trials in microseconds.
     pub stdev_us: f64,
+    /// Cost per call of the fastest trial in microseconds (the reading
+    /// host noise disturbs least).
+    pub fastest_us: f64,
     /// The paper's corresponding measurement, if any.
     pub paper_us: Option<f64>,
 }
 
-fn mean_and_stdev(samples: &[f64]) -> (f64, f64) {
-    let n = samples.len() as f64;
-    let mean = samples.iter().sum::<f64>() / n;
-    let var = samples.iter().map(|s| (s - mean).powi(2)).sum::<f64>() / n;
-    (mean, var.sqrt())
+impl Figure8Row {
+    /// Summarise one µs/call sample per trial.
+    fn new(name: &str, paper_us: Option<f64>, calls_per_trial: u64, samples: &[f64]) -> Figure8Row {
+        let n = samples.len() as f64;
+        let mean = samples.iter().sum::<f64>() / n;
+        let var = samples.iter().map(|s| (s - mean).powi(2)).sum::<f64>() / n;
+        Figure8Row {
+            name: name.to_string(),
+            calls_per_trial,
+            trials: samples.len(),
+            mean_us: mean,
+            stdev_us: var.sqrt(),
+            fastest_us: samples.iter().copied().fold(f64::INFINITY, f64::min),
+            paper_us,
+        }
+    }
 }
+
+/// The row named exactly `name`.
+fn row<'a>(rows: &'a [Figure8Row], name: &str) -> Option<&'a Figure8Row> {
+    rows.iter().find(|r| r.name == name)
+}
+
+/// The SMOD rows: name, paper value, the libc symbol they call.
+const SMOD_ROWS: [(&str, f64, &str); 2] = [
+    ("SMOD(SMOD-getpid)", PAPER_SMOD_GETPID_US, "getpid"),
+    ("SMOD(test-incr)", PAPER_SMOD_TESTINCR_US, "testincr"),
+];
+
+/// The two ways the wall-clock SMOD rows cross into the kernel, as their
+/// row names spell them.
+const CROSSINGS: [&str; 2] = ["in-thread", "cross-thread"];
 
 /// A complete report: the simulated table and the native table.
 #[derive(Clone, Debug)]
@@ -100,9 +133,10 @@ impl Figure8Report {
     pub fn render(&self) -> String {
         let mut out = String::new();
         let render_table = |title: &str, rows: &[Figure8Row]| -> String {
+            let width = rows.iter().map(|r| r.name.len()).fold(22, usize::max);
             let mut s = format!("\n== {title} ==\n");
             s.push_str(&format!(
-                "{:<22} {:>12} {:>8} {:>14} {:>16} {:>12}\n",
+                "{:<width$} {:>12} {:>8} {:>14} {:>16} {:>12}\n",
                 "Test Function",
                 "Calls/Trial",
                 "Trials",
@@ -112,7 +146,7 @@ impl Figure8Report {
             ));
             for r in rows {
                 s.push_str(&format!(
-                    "{:<22} {:>12} {:>8} {:>14.6} {:>16.6} {:>12}\n",
+                    "{:<width$} {:>12} {:>8} {:>14.6} {:>16.6} {:>12}\n",
                     r.name,
                     r.calls_per_trial,
                     r.trials,
@@ -130,26 +164,27 @@ impl Figure8Report {
             &self.simulated,
         ));
         out.push_str(&render_table(
-            "Figure 8 (native backend, wall-clock on this host)",
+            "Figure 8 (native crossings into the kernel, wall-clock on this host)",
             &self.native,
         ));
-        if let (Some(smod), Some(rpc)) = (
-            self.native
-                .iter()
-                .find(|r| r.name.contains("SMOD(test-incr)")),
-            self.native.iter().find(|r| r.name.contains("RPC")),
-        ) {
-            out.push_str(&format!(
-                "\nnative RPC / SMOD ratio: {:.1}x (paper: {:.1}x)\n",
-                rpc.mean_us / smod.mean_us,
-                PAPER_RPC_TESTINCR_US / PAPER_SMOD_TESTINCR_US
-            ));
+        out.push('\n');
+        for crossing in CROSSINGS {
+            let smod = format!("SMOD(test-incr) {crossing}");
+            if let (Some(smod), Some(rpc)) = (
+                row(&self.native, &smod),
+                row(&self.native, "RPC(test-incr)"),
+            ) {
+                out.push_str(&format!(
+                    "native RPC / {} ratio: {:.1}x (paper: {:.1}x)\n",
+                    smod.name,
+                    rpc.mean_us / smod.mean_us,
+                    PAPER_RPC_TESTINCR_US / PAPER_SMOD_TESTINCR_US
+                ));
+            }
         }
         if let (Some(getpid), Some(smod)) = (
-            self.simulated.iter().find(|r| r.name.contains("getpid()")),
-            self.simulated
-                .iter()
-                .find(|r| r.name.contains("SMOD(test-incr)")),
+            row(&self.simulated, "getpid()"),
+            row(&self.simulated, "SMOD(test-incr)"),
         ) {
             out.push_str(&format!(
                 "simulated SMOD / getpid ratio: {:.1}x (paper: {:.1}x)\n",
@@ -163,9 +198,8 @@ impl Figure8Report {
 
 const CREDENTIAL: &[u8] = b"figure8-credential";
 
-/// Run the simulated rows (native getpid, SMOD-getpid, SMOD-testincr) using
-/// the kernel simulator's clock.  Deterministic.
-pub fn run_simulated(config: TrialConfig) -> Vec<Figure8Row> {
+/// A world with the libc module installed and one connected client.
+fn libc_world() -> (SimWorld, Pid) {
     let mut world = SimWorld::new();
     world
         .install(&libc_module(CREDENTIAL))
@@ -177,6 +211,13 @@ pub fn run_simulated(config: TrialConfig) -> Vec<Figure8Row> {
         )
         .expect("spawn client");
     world.connect(client, "libc", 0).expect("connect");
+    (world, client)
+}
+
+/// Run the simulated rows (native getpid, SMOD-getpid, SMOD-testincr) using
+/// the kernel simulator's clock.  Deterministic.
+pub fn run_simulated(config: TrialConfig) -> Vec<Figure8Row> {
+    let (mut world, client) = libc_world();
 
     // The simulator is deterministic, so "trials" differ only through the
     // measured-loop structure; we still run them to mirror the methodology.
@@ -192,15 +233,12 @@ pub fn run_simulated(config: TrialConfig) -> Vec<Figure8Row> {
                 let elapsed = world.now_ns() - start;
                 samples.push(elapsed as f64 / config.calls_per_trial as f64 / 1000.0);
             }
-            let (mean, stdev) = mean_and_stdev(&samples);
-            rows.push(Figure8Row {
-                name: name.to_string(),
-                calls_per_trial: config.calls_per_trial,
-                trials: config.trials,
-                mean_us: mean,
-                stdev_us: stdev,
-                paper_us: paper,
-            });
+            rows.push(Figure8Row::new(
+                name,
+                paper,
+                config.calls_per_trial,
+                &samples,
+            ));
         };
 
     measure("getpid()", Some(PAPER_GETPID_US), &mut |w, _| {
@@ -223,76 +261,67 @@ pub fn run_simulated(config: TrialConfig) -> Vec<Figure8Row> {
     rows
 }
 
-/// Run all four rows in wall-clock time on the host.
+/// Run the wall-clock rows on the host: `getpid()`, each SMOD row once
+/// per crossing, and RPC(test-incr).
 pub fn run_native(config: TrialConfig) -> Vec<Figure8Row> {
     let mut rows = Vec::new();
-    let mut push_row = |name: &str, paper: Option<f64>, calls: u64, samples: Vec<f64>| {
-        let (mean, stdev) = mean_and_stdev(&samples);
-        rows.push(Figure8Row {
-            name: name.to_string(),
-            calls_per_trial: calls,
-            trials: samples.len(),
-            mean_us: mean,
-            stdev_us: stdev,
-            paper_us: paper,
-        });
-    };
-
-    // Native getpid.
-    let mut samples = Vec::new();
-    for _ in 0..config.trials {
-        let start = Instant::now();
-        for _ in 0..config.calls_per_trial {
-            std::hint::black_box(native_getpid());
-        }
-        samples.push(start.elapsed().as_secs_f64() * 1e6 / config.calls_per_trial as f64);
-    }
-    push_row(
-        "getpid()",
-        Some(PAPER_GETPID_US),
-        config.calls_per_trial,
-        samples,
-    );
-
-    // SMOD rows over the native backend.
-    let session = NativeSession::start(
-        &NativeModule::benchmark_module(CREDENTIAL),
-        CREDENTIAL,
-        4096,
-    )
-    .expect("native session");
-    for (name, paper, func) in [
-        ("SMOD(SMOD-getpid)", PAPER_SMOD_GETPID_US, "getpid"),
-        ("SMOD(test-incr)", PAPER_SMOD_TESTINCR_US, "testincr"),
-    ] {
-        let mut samples = Vec::new();
+    let mut timed = |name: &str, paper: f64, calls: u64, per_call: &mut dyn FnMut(u64)| {
+        let mut samples = Vec::with_capacity(config.trials);
         for _ in 0..config.trials {
             let start = Instant::now();
-            for i in 0..config.calls_per_trial {
-                std::hint::black_box(session.call(func, &i.to_le_bytes()).unwrap());
+            for i in 0..calls {
+                per_call(i);
             }
-            samples.push(start.elapsed().as_secs_f64() * 1e6 / config.calls_per_trial as f64);
+            samples.push(start.elapsed().as_secs_f64() * 1e6 / calls as f64);
         }
-        push_row(name, Some(paper), config.calls_per_trial, samples);
+        rows.push(Figure8Row::new(name, Some(paper), calls, &samples));
+    };
+    let calls = config.calls_per_trial;
+
+    timed("getpid()", PAPER_GETPID_US, calls, &mut |_| {
+        std::hint::black_box(native_getpid());
+    });
+
+    // The SMOD rows: the simulated rows' kernel call, on the host clock.
+    let (world, client) = libc_world();
+    let m_id = world.module_id("libc").expect("libc installed");
+    let func_id = |symbol| world.func_id(client, symbol).expect("libc symbol");
+    for (name, paper, symbol) in SMOD_ROWS {
+        let func_id = func_id(symbol);
+        timed(&format!("{name} in-thread"), paper, calls, &mut |i| {
+            let call = SmodCallArgs {
+                m_id,
+                func_id,
+                frame_pointer: 0xBFFF_0000,
+                return_address: 0x0000_1000,
+                args: i.to_le_bytes().to_vec(),
+            };
+            let reply = world.kernel.sys_smod_call(client, call);
+            std::hint::black_box(reply.expect("libc allows the client every call"));
+        });
     }
+    let mut cross = CrossThread::start(&world, client).expect("cross-thread crossing");
+    for (name, paper, symbol) in SMOD_ROWS {
+        let func_id = func_id(symbol);
+        timed(&format!("{name} cross-thread"), paper, calls, &mut |i| {
+            let reply = cross.call(func_id, &i.to_le_bytes());
+            std::hint::black_box(reply.expect("libc allows the client every call"));
+        });
+    }
+    // Stop the drainer before the RPC row shares the host with it.
+    drop(cross);
 
     // RPC(test-incr) over a local Unix socket.
     let server = spawn_local_testincr_server().expect("rpc server");
     let rpc = TestIncrClient::connect(server.endpoint()).expect("rpc client");
-    rpc.incr(0).unwrap();
-    let mut samples = Vec::new();
-    for _ in 0..config.trials {
-        let start = Instant::now();
-        for i in 0..config.rpc_calls_per_trial {
-            std::hint::black_box(rpc.incr(i).unwrap());
-        }
-        samples.push(start.elapsed().as_secs_f64() * 1e6 / config.rpc_calls_per_trial as f64);
-    }
-    push_row(
+    rpc.incr(0).expect("rpc warm-up call");
+    timed(
         "RPC(test-incr)",
-        Some(PAPER_RPC_TESTINCR_US),
+        PAPER_RPC_TESTINCR_US,
         config.rpc_calls_per_trial,
-        samples,
+        &mut |i| {
+            std::hint::black_box(rpc.incr(i).expect("rpc call"));
+        },
     );
     rows
 }
@@ -308,6 +337,11 @@ pub fn run_figure8(config: TrialConfig) -> Figure8Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
+
+    /// Held by each test that runs the wall-clock rows: two of them at
+    /// once on a small host would time each other's spinning crossings.
+    static HOST_CLOCK: Mutex<()> = Mutex::new(());
 
     #[test]
     fn simulated_rows_reproduce_the_papers_shape() {
@@ -344,22 +378,31 @@ mod tests {
 
     #[test]
     fn native_rows_preserve_the_ordering() {
+        let _host = HOST_CLOCK
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
         let config = TrialConfig {
             calls_per_trial: 500,
             rpc_calls_per_trial: 200,
             trials: 2,
         };
         let rows = run_native(config);
-        assert_eq!(rows.len(), 4);
-        let getpid = rows[0].mean_us;
-        let smod = rows[2].mean_us;
-        let rpc = rows[3].mean_us;
-        assert!(getpid < smod, "getpid {getpid} vs smod {smod}");
-        assert!(smod < rpc * 2.0, "smod {smod} vs rpc {rpc}");
+        assert_eq!(rows.len(), 6);
+        let fastest = |name: &str| row(&rows, name).expect(name).fastest_us;
+        let getpid = fastest("getpid()");
+        let rpc = fastest("RPC(test-incr)");
+        for crossing in CROSSINGS {
+            let smod = fastest(&format!("SMOD(test-incr) {crossing}"));
+            assert!(getpid < smod, "getpid {getpid} vs {crossing} smod {smod}");
+            assert!(smod < rpc, "{crossing} smod {smod} vs rpc {rpc}");
+        }
     }
 
     #[test]
     fn report_renders_both_tables() {
+        let _host = HOST_CLOCK
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
         let config = TrialConfig {
             calls_per_trial: 100,
             rpc_calls_per_trial: 50,
@@ -372,6 +415,10 @@ mod tests {
         assert!(text.contains("SMOD(test-incr)"));
         assert!(text.contains("RPC(test-incr)"));
         assert!(text.contains("microsec/CALL"));
+        for crossing in CROSSINGS {
+            let ratio = format!("native RPC / SMOD(test-incr) {crossing} ratio");
+            assert_eq!(text.matches(&ratio).count(), 1, "{ratio}");
+        }
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! * [`sysinfo`] — the Figure 7 system-information block.
 //! * [`harness`] — the trial runner that regenerates Figure 8 (calls/trial,
 //!   trials, µs/call, standard deviation) for the four configurations, on
-//!   both the simulated backend (deterministic, paper-calibrated) and the
-//!   native backend (wall-clock on the host).
+//!   the simulated clock (deterministic, paper-calibrated) and on the
+//!   host's wall clock, where each SMOD row is the same kernel call crossed
+//!   in-thread and cross-thread.
 //!
 //! The `figure8` binary prints the tables; the Criterion benches under
 //! `benches/` cover the same code paths plus the ablations (policy

@@ -21,7 +21,8 @@ pub fn simulated_system_info(cost: &CostModel) -> String {
     )
 }
 
-/// Render a best-effort description of the real host (for the native rows).
+/// Render a best-effort description of the real host (for the wall-clock
+/// rows).
 pub fn host_system_info() -> String {
     let cpus = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -45,7 +46,7 @@ pub fn host_system_info() -> String {
         })
         .unwrap_or(0);
     format!(
-        "Host system (native backend measurements)\n\
+        "Host system (wall-clock measurements)\n\
          cpu0: {model} ({cpus} hardware threads)\n\
          real mem = {} MB\n\
          os: {}\n",

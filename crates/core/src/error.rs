@@ -17,10 +17,6 @@ pub enum SmodError {
     UnknownFunction(String),
     /// The client has no established session for the module.
     NoSession,
-    /// The native backend's handle thread is gone.
-    HandleGone,
-    /// Credential verification failed on the native backend.
-    CredentialRejected,
     /// Marshalled arguments could not be decoded.
     BadArguments(String),
 }
@@ -34,8 +30,6 @@ impl std::fmt::Display for SmodError {
             SmodError::Crypto(e) => write!(f, "crypto error: {e}"),
             SmodError::UnknownFunction(name) => write!(f, "unknown function `{name}`"),
             SmodError::NoSession => write!(f, "no established SecModule session"),
-            SmodError::HandleGone => write!(f, "the handle co-process has terminated"),
-            SmodError::CredentialRejected => write!(f, "credential rejected"),
             SmodError::BadArguments(m) => write!(f, "bad arguments: {m}"),
         }
     }
@@ -85,8 +79,6 @@ mod tests {
             .to_string()
             .contains("`f`"));
         assert!(!SmodError::NoSession.to_string().is_empty());
-        assert!(!SmodError::HandleGone.to_string().is_empty());
-        assert!(!SmodError::CredentialRejected.to_string().is_empty());
         assert!(!SmodError::BadArguments("x".into()).to_string().is_empty());
     }
 }

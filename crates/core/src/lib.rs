@@ -17,11 +17,11 @@
 //!   processes, forced address-space sharing, kernel-mediated dispatch and
 //!   a calibrated cost model.  Deterministic; used by most tests and the
 //!   simulated Figure 8 harness.
-//! * [`native`] — the native backend: the client and the handle are two
-//!   real OS threads that genuinely share one address space (the property
-//!   the paper's UVM patch creates between two processes), synchronised by
-//!   a blocking rendezvous, with a credential check on every call.
-//!   Used for real wall-clock measurements.
+//! * [`native`] — the wall-clock crossings into that same kernel: the
+//!   host's `getpid()` baseline, and [`native::CrossThread`], a depth-1
+//!   round trip through a one-drainer dispatch plane. With `sys_smod_call`
+//!   run in-thread, they time Figure 8's protected call on the host clock;
+//!   every crossing ends in the kernel's one call path.
 //! * [`libc_retrofit`] — the paper's flagship use-case: a `malloc`-style
 //!   allocator, `strlen` and `memcpy` living *inside* a SecModule and
 //!   operating directly on the client's heap through the shared pages.
@@ -67,7 +67,6 @@ pub mod sim;
 pub mod stack;
 
 pub use error::SmodError;
-pub use native::{NativeModule, NativeSession};
 pub use secure_module::{SecureModule, SecureModuleBuilder};
 pub use sim::SimWorld;
 
@@ -76,7 +75,6 @@ pub mod prelude {
     pub use crate::error::SmodError;
     pub use crate::libc_retrofit::SmodLibc;
     pub use crate::marshal::{ArgReader, ArgWriter};
-    pub use crate::native::{NativeModule, NativeSession};
     pub use crate::secure_module::{SecureModule, SecureModuleBuilder};
     pub use crate::sim::SimWorld;
     pub use secmod_kernel::{Credential, Pid};

@@ -1,359 +1,253 @@
-//! The native backend: real threads, real shared memory, real time.
+//! The wall-clock crossings: the kernel's protected call, timed on the
+//! host's clock.
 //!
-//! The paper's mechanism makes two *processes* share their data/heap/stack
-//! while keeping the module text private to the handle.  Two threads of one
-//! process already share an address space, so the native backend runs the
-//! client on the calling thread and the handle on a dedicated thread, with
-//! a blocking rendezvous (the stand-in for `sys_smod_call`'s trap + SYSV
-//! message + context switch) and a credential check on every call.  The
-//! protected function bodies live only in the handle thread's dispatch
-//! table — the client never holds them — and operate on a genuinely shared
-//! heap.
-//!
-//! This is the backend the wall-clock Figure 8 reproduction uses: absolute
-//! numbers reflect modern hardware, but the ordering (native syscall ≪ SMOD
-//! dispatch ≪ local RPC) and rough ratios match the paper.
-//!
-//! Which lock is held where: the shared heap sits behind one `RwLock`
-//! (readers concurrent, writers exclusive — held only for the duration of
-//! a `read`/`write` byte copy); the call rendezvous itself holds no lock
-//! at all, it is a pair of bounded(0) channels, so a session serialises
-//! its own calls but separate sessions never contend.
+//! Figure 8's wall-clock rows price the call its simulated rows price, and
+//! they cross into it two ways. In-thread, the caller runs `sys_smod_call`
+//! itself. Cross-thread, [`CrossThread`] hands each call to a one-drainer
+//! [`DispatchPlane`]: submit one entry, then spin on `reap` until its
+//! completion arrives. Both end in the kernel's `call_entry`, under the
+//! same credential view, policy verdict and client/handle pair lock, so
+//! the crossing is all that differs between the two rows. The handle's
+//! body reaches the client heap through the shared pages
+//! (`HandleCtx::read` / `HandleCtx::write`) on either crossing.
+//! [`native_getpid`] is the baseline both are set against.
 
-use crate::{Result, SmodError};
-use crossbeam::channel::{bounded, Receiver, Sender};
-use parking_lot::RwLock;
-use secmod_crypto::hmac::HmacSha256;
-use std::collections::HashMap;
+use crate::sim::SimWorld;
+use crate::Result;
+use secmod_kernel::{DispatchPlane, Errno, Pid, PlaneConfig, PlaneHandle};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
-/// The heap shared between the client and the handle thread.
-#[derive(Debug, Default)]
-pub struct SharedHeap {
-    bytes: RwLock<Vec<u8>>,
-}
-
-impl SharedHeap {
-    /// Create a heap of `size` zeroed bytes.
-    pub fn new(size: usize) -> Arc<SharedHeap> {
-        Arc::new(SharedHeap {
-            bytes: RwLock::new(vec![0u8; size]),
-        })
-    }
-
-    /// Heap size in bytes.
-    pub fn len(&self) -> usize {
-        self.bytes.read().len()
-    }
-
-    /// Is the heap empty?
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Read `len` bytes at `offset`.
-    pub fn read(&self, offset: usize, len: usize) -> Vec<u8> {
-        let bytes = self.bytes.read();
-        bytes[offset..offset + len].to_vec()
-    }
-
-    /// Write bytes at `offset`.
-    pub fn write(&self, offset: usize, data: &[u8]) {
-        let mut bytes = self.bytes.write();
-        bytes[offset..offset + data.len()].copy_from_slice(data);
-    }
-}
-
-/// The execution context handed to native function bodies.
-pub struct NativeCtx {
-    /// The heap shared with the client.
-    pub heap: Arc<SharedHeap>,
-    /// The (OS) process id of the client, as `getpid` must report it.
-    pub client_pid: u32,
-}
-
-/// A native function body.
-pub type NativeBody = Arc<dyn Fn(&NativeCtx, &[u8]) -> Vec<u8> + Send + Sync>;
-
-/// A module definition for the native backend.
-#[derive(Clone, Default)]
-pub struct NativeModule {
-    functions: HashMap<String, NativeBody>,
-    credential_key: Vec<u8>,
-}
-
-impl std::fmt::Debug for NativeModule {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "NativeModule({} functions)", self.functions.len())
-    }
-}
-
-impl NativeModule {
-    /// Create an empty module protected by the given credential key.
-    pub fn new(credential_key: &[u8]) -> NativeModule {
-        NativeModule {
-            functions: HashMap::new(),
-            credential_key: credential_key.to_vec(),
-        }
-    }
-
-    /// Register a function.
-    pub fn function<F>(mut self, name: &str, body: F) -> NativeModule
-    where
-        F: Fn(&NativeCtx, &[u8]) -> Vec<u8> + Send + Sync + 'static,
-    {
-        self.functions.insert(name.to_string(), Arc::new(body));
-        self
-    }
-
-    /// The standard benchmark module: `testincr` and `getpid`.
-    pub fn benchmark_module(credential_key: &[u8]) -> NativeModule {
-        NativeModule::new(credential_key)
-            .function("testincr", |_ctx, args| {
-                let v = u64::from_le_bytes(args[..8].try_into().unwrap_or([0; 8]));
-                (v + 1).to_le_bytes().to_vec()
-            })
-            .function("getpid", |ctx, _args| {
-                (ctx.client_pid as u64).to_le_bytes().to_vec()
-            })
-    }
-}
-
-enum HandleRequest {
-    Call {
-        token: [u8; 32],
-        function: String,
-        args: Vec<u8>,
-    },
-    Shutdown,
-}
-
-enum HandleReply {
-    Ok(Vec<u8>),
-    Denied,
-    Unknown(String),
-}
-
-/// An established native session: a handle thread bound to exactly one
-/// client, sharing a heap with it.
-pub struct NativeSession {
-    tx: Sender<HandleRequest>,
-    rx: Receiver<HandleReply>,
-    token: [u8; 32],
-    heap: Arc<SharedHeap>,
-    handle_thread: Option<JoinHandle<u64>>,
-}
-
-impl std::fmt::Debug for NativeSession {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "NativeSession(heap={} bytes)", self.heap.len())
-    }
-}
-
-impl NativeSession {
-    /// Start a session: verify the client credential against the module's
-    /// credential key, spawn the handle thread, and derive the per-session
-    /// token the handle will demand on every call.
-    pub fn start(
-        module: &NativeModule,
-        client_credential: &[u8],
-        heap_size: usize,
-    ) -> Result<NativeSession> {
-        if !secmod_crypto::ct_eq(client_credential, &module.credential_key) {
-            return Err(SmodError::CredentialRejected);
-        }
-        let client_pid = std::process::id();
-        // The token binds the session to this client (pid) and credential.
-        let mut mac = HmacSha256::new(&module.credential_key);
-        mac.update(&client_pid.to_le_bytes());
-        mac.update(b"secmodule-native-session");
-        let token = mac.finalize();
-
-        let heap = SharedHeap::new(heap_size);
-        let functions = module.functions.clone();
-        let expected_token = token;
-        let ctx = NativeCtx {
-            heap: heap.clone(),
-            client_pid,
-        };
-
-        let (req_tx, req_rx) = bounded::<HandleRequest>(0);
-        let (rep_tx, rep_rx) = bounded::<HandleReply>(0);
-        let handle_thread = std::thread::Builder::new()
-            .name("smod-handle".to_string())
-            .spawn(move || {
-                let mut calls: u64 = 0;
-                while let Ok(req) = req_rx.recv() {
-                    match req {
-                        HandleRequest::Shutdown => break,
-                        HandleRequest::Call {
-                            token,
-                            function,
-                            args,
-                        } => {
-                            // Credential re-check on every call.
-                            let reply = if !secmod_crypto::ct_eq(&token, &expected_token) {
-                                HandleReply::Denied
-                            } else {
-                                match functions.get(&function) {
-                                    None => HandleReply::Unknown(function),
-                                    Some(body) => {
-                                        calls += 1;
-                                        HandleReply::Ok(body(&ctx, &args))
-                                    }
-                                }
-                            };
-                            if rep_tx.send(reply).is_err() {
-                                break;
-                            }
-                        }
-                    }
-                }
-                calls
-            })
-            .expect("spawn handle thread");
-
-        Ok(NativeSession {
-            tx: req_tx,
-            rx: rep_rx,
-            token,
-            heap,
-            handle_thread: Some(handle_thread),
-        })
-    }
-
-    /// The heap shared with the handle.
-    pub fn heap(&self) -> Arc<SharedHeap> {
-        self.heap.clone()
-    }
-
-    /// Dispatch a call to the handle and wait for the reply.
-    pub fn call(&self, function: &str, args: &[u8]) -> Result<Vec<u8>> {
-        self.call_with_token(self.token, function, args)
-    }
-
-    /// Dispatch a call presenting an explicit token (used by tests to show
-    /// that a forged token is rejected).
-    pub fn call_with_token(&self, token: [u8; 32], function: &str, args: &[u8]) -> Result<Vec<u8>> {
-        self.tx
-            .send(HandleRequest::Call {
-                token,
-                function: function.to_string(),
-                args: args.to_vec(),
-            })
-            .map_err(|_| SmodError::HandleGone)?;
-        match self.rx.recv().map_err(|_| SmodError::HandleGone)? {
-            HandleReply::Ok(result) => Ok(result),
-            HandleReply::Denied => Err(SmodError::CredentialRejected),
-            HandleReply::Unknown(name) => Err(SmodError::UnknownFunction(name)),
-        }
-    }
-
-    /// End the session and return how many calls the handle served.
-    pub fn shutdown(mut self) -> u64 {
-        let _ = self.tx.send(HandleRequest::Shutdown);
-        match self.handle_thread.take() {
-            Some(h) => h.join().unwrap_or(0),
-            None => 0,
-        }
-    }
-}
-
-impl Drop for NativeSession {
-    fn drop(&mut self) {
-        let _ = self.tx.send(HandleRequest::Shutdown);
-        if let Some(h) = self.handle_thread.take() {
-            let _ = h.join();
-        }
-    }
-}
+/// Empty polls of the completion ring before a caller starts yielding its
+/// CPU: tens of microseconds, well past an uncontended round trip, so only
+/// a caller that shares a CPU with the drainer it waits on ever yields.
+const SPIN_POLLS: u32 = 1 << 10;
 
 /// The native `getpid()` baseline: a real system call on the host.
 pub fn native_getpid() -> u32 {
     std::process::id()
 }
 
+/// A depth-1 protected call across threads: one client's session attached
+/// to a one-drainer [`DispatchPlane`] on a [`SimWorld`]'s kernel. This is
+/// the benchmark's `plane_pingpong` round trip without its think time.
+#[derive(Debug)]
+pub struct CrossThread {
+    // Declared first so the slot detaches before the plane shuts down.
+    handle: PlaneHandle,
+    _plane: DispatchPlane,
+}
+
+impl CrossThread {
+    /// Start a one-drainer plane on `world`'s kernel and attach `client`'s
+    /// established session: `EPERM` when `client` holds no session.
+    pub fn start(world: &SimWorld, client: Pid) -> Result<CrossThread> {
+        let config = PlaneConfig::builder().drainers(1).slots(1).build();
+        let plane = DispatchPlane::start(Arc::clone(&world.kernel), config)?;
+        Ok(CrossThread {
+            handle: plane.attach(client)?,
+            _plane: plane,
+        })
+    }
+
+    /// Call `func_id` with `args` and spin until the answer arrives. A
+    /// refusal comes back as the errno `sys_smod_call` would have returned.
+    pub fn call(&mut self, func_id: u32, args: &[u8]) -> Result<Vec<u8>> {
+        // `&mut self` keeps one call in flight, so the ring is never full
+        // and the one completion is this call's; the plane outlives the
+        // handle, so every submit is accepted.
+        if !matches!(self.handle.submit_many(&[(func_id, 0, args)]), Ok(1)) {
+            return Err(Errno::EAGAIN.into());
+        }
+        let mut polls = 0;
+        loop {
+            if let Some(resp) = self.handle.reap() {
+                if resp.is_ok() {
+                    return Ok(resp.into_ret());
+                }
+                return Err(Errno::from_code(resp.errno).unwrap_or(Errno::EINVAL).into());
+            }
+            if polls < SPIN_POLLS {
+                polls += 1;
+                std::hint::spin_loop();
+            } else {
+                std::thread::yield_now();
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::secure_module::SecureModuleBuilder;
+    use crate::SmodError;
+    use secmod_kernel::{Credential, SmodCallArgs};
+    use secmod_vm::Vaddr;
 
     const KEY: &[u8] = b"native-credential";
 
-    fn session() -> NativeSession {
-        NativeSession::start(&NativeModule::benchmark_module(KEY), KEY, 4096).unwrap()
+    /// One crossing: call a symbol, get the answer.
+    type Call<'a> = &'a mut dyn FnMut(&str, &[u8]) -> Result<Vec<u8>>;
+
+    fn le(bytes: &[u8]) -> u64 {
+        u64::from_le_bytes(bytes[..8].try_into().unwrap())
+    }
+
+    /// A connected client of a module with Figure 8's two functions, a
+    /// `load` and `store` over the client heap, and a `secret` the policy
+    /// denies.
+    fn world() -> (SimWorld, Pid) {
+        let module = SecureModuleBuilder::new("libnative", 1)
+            .function("testincr", |_ctx, args| {
+                Ok((le(args) + 1).to_le_bytes().to_vec())
+            })
+            .function("getpid", |ctx, _args| {
+                Ok((ctx.client_pid.0 as u64).to_le_bytes().to_vec())
+            })
+            .function("load", |ctx, args| {
+                ctx.read(Vaddr(le(args)), le(&args[8..]) as usize)
+            })
+            .function("store", |ctx, args| {
+                ctx.write(Vaddr(le(args)), &args[8..])?;
+                Ok(Vec::new())
+            })
+            .function("secret", |_ctx, _args| Ok(b"secret".to_vec()))
+            .allow_credential_if(KEY, "function != \"secret\"")
+            .build()
+            .unwrap();
+        let mut world = SimWorld::new();
+        world.install(&module).unwrap();
+        let cred = Credential::user(1000, 100).with_smod_credential("libnative", KEY);
+        let client = world.spawn_client("app", cred).unwrap();
+        world.connect(client, "libnative", 0).unwrap();
+        (world, client)
+    }
+
+    /// `func_id` through `sys_smod_call` on this thread, as `caller`.
+    fn in_thread(world: &SimWorld, caller: Pid, func_id: u32, args: &[u8]) -> Result<Vec<u8>> {
+        let call = SmodCallArgs {
+            m_id: world.module_id("libnative").unwrap(),
+            func_id,
+            frame_pointer: 0xBFFF_0000,
+            return_address: 0x0000_1000,
+            args: args.to_vec(),
+        };
+        Ok(world.kernel.sys_smod_call(caller, call)?)
+    }
+
+    /// Run `check` on the in-thread crossing, then on the cross-thread one.
+    fn on_both(world: &SimWorld, client: Pid, mut check: impl FnMut(Call<'_>)) {
+        check(&mut |symbol, args| in_thread(world, client, world.func_id(client, symbol)?, args));
+        let mut cross = CrossThread::start(world, client).unwrap();
+        check(&mut |symbol, args| cross.call(world.func_id(client, symbol)?, args));
+    }
+
+    fn refused_with(result: Result<Vec<u8>>, expected: Errno) -> bool {
+        matches!(result, Err(SmodError::Kernel(errno)) if errno == expected)
     }
 
     #[test]
     fn testincr_and_getpid() {
-        let s = session();
-        let r = s.call("testincr", &41u64.to_le_bytes()).unwrap();
-        assert_eq!(u64::from_le_bytes(r.try_into().unwrap()), 42);
-        let r = s.call("getpid", &[]).unwrap();
-        assert_eq!(
-            u64::from_le_bytes(r.try_into().unwrap()),
-            std::process::id() as u64
-        );
-        assert_eq!(s.shutdown(), 2);
+        let (world, client) = world();
+        on_both(&world, client, |call| {
+            assert_eq!(le(&call("testincr", &41u64.to_le_bytes()).unwrap()), 42);
+            assert_eq!(le(&call("getpid", &[]).unwrap()), client.0 as u64);
+        });
     }
 
     #[test]
     fn wrong_credential_cannot_start_a_session() {
-        let module = NativeModule::benchmark_module(KEY);
+        let (mut world, _) = world();
+        let cred = Credential::user(1000, 100).with_smod_credential("libnative", b"wrong");
+        let intruder = world.spawn_client("intruder", cred).unwrap();
         assert!(matches!(
-            NativeSession::start(&module, b"wrong", 4096),
-            Err(SmodError::CredentialRejected)
+            world.connect(intruder, "libnative", 0),
+            Err(SmodError::Kernel(Errno::EACCES))
         ));
+        assert!(world.kernel.session_of(intruder).is_none());
     }
 
     #[test]
     fn forged_token_is_rejected_per_call() {
-        let s = session();
+        // The kernel's token is the session: a pid holding the module's
+        // credential but not the session is refused on every call.
+        let (mut world, client) = world();
+        let cred = Credential::user(1000, 100).with_smod_credential("libnative", KEY);
+        let intruder = world.spawn_client("intruder", cred).unwrap();
+        let incr = world.func_id(client, "testincr").unwrap();
+        for _ in 0..3 {
+            let result = in_thread(&world, intruder, incr, &1u64.to_le_bytes());
+            assert!(refused_with(result, Errno::EPERM));
+        }
         assert!(matches!(
-            s.call_with_token([0u8; 32], "testincr", &1u64.to_le_bytes()),
-            Err(SmodError::CredentialRejected)
+            CrossThread::start(&world, intruder),
+            Err(SmodError::Kernel(Errno::EPERM))
         ));
-        // The genuine token still works afterwards.
-        assert!(s.call("testincr", &1u64.to_le_bytes()).is_ok());
+        // The owner's next call still succeeds.
+        on_both(&world, client, |call| {
+            assert_eq!(le(&call("testincr", &1u64.to_le_bytes()).unwrap()), 2);
+        });
     }
 
     #[test]
     fn unknown_function() {
-        let s = session();
-        assert!(matches!(
-            s.call("does_not_exist", &[]),
-            Err(SmodError::UnknownFunction(_))
+        let (world, client) = world();
+        on_both(&world, client, |call| {
+            assert!(matches!(
+                call("does_not_exist", &[]),
+                Err(SmodError::UnknownFunction(_))
+            ));
+        });
+        // An id past the stub table reaches the kernel, which has no entry.
+        assert!(refused_with(
+            in_thread(&world, client, 99, &[]),
+            Errno::ENOENT
         ));
+        let mut cross = CrossThread::start(&world, client).unwrap();
+        assert!(refused_with(cross.call(99, &[]), Errno::ENOENT));
     }
 
     #[test]
     fn shared_heap_is_visible_to_both_sides() {
-        let module = NativeModule::new(KEY).function("sum_heap", |ctx, args| {
-            let len = u64::from_le_bytes(args[..8].try_into().unwrap()) as usize;
-            let total: u64 = ctx.heap.read(0, len).iter().map(|&b| b as u64).sum();
-            total.to_le_bytes().to_vec()
+        let (world, client) = world();
+        let mut at = world.heap_base().0;
+        on_both(&world, client, |call| {
+            // The client pokes, the body reads.
+            world.poke(client, Vaddr(at), b"from client").unwrap();
+            let args = [at.to_le_bytes(), 11u64.to_le_bytes()].concat();
+            assert_eq!(call("load", &args).unwrap(), b"from client");
+            // The body writes, the client peeks.
+            let args = [&(at + 32).to_le_bytes()[..], b"from handle"].concat();
+            call("store", &args).unwrap();
+            assert_eq!(
+                world.peek(client, Vaddr(at + 32), 11).unwrap(),
+                b"from handle"
+            );
+            at += 64;
         });
-        let s = NativeSession::start(&module, KEY, 1024).unwrap();
-        s.heap().write(0, &[1, 2, 3, 4, 5]);
-        let r = s.call("sum_heap", &5u64.to_le_bytes()).unwrap();
-        assert_eq!(u64::from_le_bytes(r.try_into().unwrap()), 15);
-        // The handle can also write back; the client observes it.
-        let module2 = NativeModule::new(KEY).function("store", |ctx, args| {
-            ctx.heap.write(100, args);
-            Vec::new()
-        });
-        let s2 = NativeSession::start(&module2, KEY, 1024).unwrap();
-        s2.call("store", b"from handle").unwrap();
-        assert_eq!(s2.heap().read(100, 11), b"from handle");
     }
 
     #[test]
     fn many_calls_are_stable() {
-        let s = session();
-        for i in 0..1000u64 {
-            let r = s.call("testincr", &i.to_le_bytes()).unwrap();
-            assert_eq!(u64::from_le_bytes(r.try_into().unwrap()), i + 1);
-        }
+        let (world, client) = world();
+        on_both(&world, client, |call| {
+            for i in 0..1000u64 {
+                assert_eq!(le(&call("testincr", &i.to_le_bytes()).unwrap()), i + 1);
+            }
+        });
+    }
+
+    #[test]
+    fn both_crossings_reach_the_same_call_entry() {
+        let (world, client) = world();
+        let mut answers = Vec::new();
+        on_both(&world, client, |call| {
+            let denied = call("secret", &[]);
+            assert!(refused_with(denied, Errno::EACCES));
+            answers.push(call("testincr", &7u64.to_le_bytes()).unwrap());
+            answers.push(call("getpid", &[]).unwrap());
+        });
+        assert_eq!(answers[..2], answers[2..]);
     }
 
     #[test]

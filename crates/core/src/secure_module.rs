@@ -16,8 +16,8 @@ use std::sync::Arc;
 /// The body of a protected function, as registered by the module author.
 pub type BodyFn = Arc<dyn Fn(&mut HandleCtx<'_>, &[u8]) -> SysResult<Vec<u8>> + Send + Sync>;
 
-/// A fully built SecModule, ready to install into a [`crate::sim::SimWorld`]
-/// (or to be converted for the native backend).
+/// A fully built SecModule, ready to install into a [`crate::sim::SimWorld`],
+/// whose kernel both the simulated and the wall-clock rows call.
 pub struct SecureModule {
     /// Module name.
     pub name: String,

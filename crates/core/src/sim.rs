@@ -27,12 +27,14 @@ use secmod_module::ModuleId;
 use secmod_ring::RingPairConfig;
 use secmod_vm::Vaddr;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A simulated machine running the SecModule framework.
 pub struct SimWorld {
     /// The underlying kernel (public so tests and benches can inspect the
-    /// clock, the tracer, processes and sessions directly).
-    pub kernel: Kernel,
+    /// clock, the tracer, processes and sessions directly, and shared so a
+    /// [`secmod_kernel::plane::DispatchPlane`] can start on it).
+    pub kernel: Arc<Kernel>,
     registrar: Pid,
     /// Installed modules by name.
     modules: HashMap<String, ModuleId>,
@@ -70,7 +72,7 @@ impl SimWorld {
             .spawn_process("smod-registrar", Credential::root(), vec![0x90; 4096], 2, 2)
             .expect("registrar process");
         SimWorld {
-            kernel,
+            kernel: Arc::new(kernel),
             registrar,
             modules: HashMap::new(),
             stubs: HashMap::new(),

@@ -20,8 +20,8 @@
 //! simulated clock, calibrated so that the default configuration reproduces
 //! the magnitude of the paper's Figure 8 measurements (a 599 MHz Pentium
 //! III running OpenBSD 3.6).  The `secmod-core` crate drives this kernel
-//! for its simulated backend and uses real threads + real time for its
-//! native backend.
+//! for its simulated backend, and times the same kernel's calls on the
+//! host's wall clock for its native rows.
 //!
 //! Security behaviours from the paper that the simulator enforces:
 //!
