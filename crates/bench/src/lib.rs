@@ -9,10 +9,9 @@
 //!   host's wall clock, where each SMOD row is the same kernel call crossed
 //!   in-thread and cross-thread.
 //!
-//! The `figure8` binary prints the tables; the Criterion benches under
-//! `benches/` cover the same code paths plus the ablations (policy
-//! complexity, argument size, forced sharing, crypto, XDR, session setup,
-//! message queues).
+//! The `figure8` binary prints the tables. Every other performance
+//! number comes from the repo benchmark (`benchmark/`), which verifies
+//! each call it times.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -33,7 +33,7 @@ use secmod_kernel::dispatch::DispatchError;
 use secmod_kernel::smod::SmodCallArgs;
 use secmod_kernel::smodreg::FunctionTable;
 use secmod_kernel::{
-    CrashSpec, Credential, DispatchPlane, Errno, Kernel, Pid, PlaneConfig, PlaneHandle, PlaneStats,
+    Credential, DispatchPlane, Errno, Kernel, Pid, PlaneConfig, PlaneHandle, PlaneStats,
     SubmitBatch,
 };
 use secmod_module::builder::{FunctionSpec, ModuleBuilder};
@@ -186,10 +186,11 @@ enum Fault {
     /// epoch under the other producers' cache entries) and a full
     /// re-handshake — so epoch churn lands mid-traffic.
     Storm,
-    /// Drainer 0 carries a [`CrashSpec`]: it claims ready slots exactly
-    /// like a real sweep and dies holding them. Its exit guard must
-    /// reclaim the stranded claims and respawn the seat, all mid-traffic,
-    /// even when it is the plane's only drainer.
+    /// Drainer 0 carries the crash drill ([`PlaneConfig::crash`]): it
+    /// claims ready slots exactly like a real sweep and dies holding
+    /// them. Its exit guard must reclaim the stranded claims and respawn
+    /// the seat, all mid-traffic, even when it is the plane's only
+    /// drainer.
     Crash,
 }
 
@@ -738,8 +739,8 @@ fn churn_actor(gateway: &Gateway, cfg: &ScenarioConfig) -> WorkerStats {
 /// module (whose embedded gateway serves every per-call check), and a
 /// pool of established sessions. Built by [`build_dispatch_kernel`] (one
 /// client per worker thread) or [`build_dispatch_kernel_with_clients`]
-/// (an explicit session-pool size); also reused by the `fig8_concurrent`
-/// and `arg_marshalling` benches.
+/// (an explicit session-pool size); also reused by the ring and sweep
+/// coherence suites under `tests/`.
 pub struct DispatchKernel {
     /// The shared kernel; every syscall takes `&self`.
     pub kernel: Kernel,
@@ -1123,7 +1124,7 @@ impl World {
 }
 
 /// The plane a row runs on: a slot per attachment, a QoS policy for
-/// tenant rows, the [`CrashSpec`] for the crash drill.
+/// tenant rows, the crash drill for the crash row.
 fn plane_config(cfg: &ScenarioConfig, live: &Live) -> PlaneConfig {
     let row = cfg.kind.row();
     let slots = match row.tenancy {
@@ -1138,11 +1139,7 @@ fn plane_config(cfg: &ScenarioConfig, live: &Live) -> PlaneConfig {
         plane = plane.qos(QosPolicy::weighted_fair(equal).with_quantum(16));
     }
     if row.fault == Fault::Crash {
-        let crash = CrashSpec {
-            drainer: 0,
-            after_sweeps: 0,
-        };
-        plane = plane.crash(crash);
+        plane = plane.crash();
     }
     plane.build()
 }

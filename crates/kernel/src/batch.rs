@@ -18,8 +18,9 @@
 //! Entries are processed in chunks of [`BATCH_CHUNK`] under one hold of
 //! the client/handle pair locks, so a long batch does not starve
 //! teardown: between chunks the kernel re-reads the invalidation epochs,
-//! and if anything moved it re-validates that the session and its module
-//! still exist. A detach or module removal that lands mid-batch therefore
+//! and if anything moved it re-validates that the session is still in
+//! the session table (a session there pins its module). A detach or
+//! module removal that lands mid-batch therefore
 //! fails every remaining entry with `EIDRM` ("identifier removed")
 //! instead of dispatching into a dead module — the batched analogue of
 //! the single-call path's epoch fold.
@@ -51,8 +52,9 @@ use secmod_obs::Flavor;
 use secmod_ring::{ArenaRegion, ArgRef, CompletionRing, SmodCallReq, SmodCallResp, SubmissionRing};
 
 /// Entries processed under one acquisition of the client/handle pair
-/// locks. Small enough that a racing detach waits at most one chunk for
-/// the client lock; large enough that lock traffic stays amortised.
+/// locks. Small enough that a racing detach costs at most one chunk of
+/// work it no longer wanted; large enough that lock traffic stays
+/// amortised.
 pub const BATCH_CHUNK: usize = 32;
 
 /// What one drain trap did: the report `sys_smod_call_batch` and every
@@ -215,8 +217,11 @@ impl Kernel {
 
             if let Some(session) = session.filter(|_| !dead) {
                 // Epoch fold between chunks: a detach/remove that
-                // completed since the last chunk invalidates the pinned
-                // session (and, through the gateway epoch, its verdicts).
+                // bumped the epoch since the last chunk invalidates the
+                // pinned session (and, through the gateway epoch, its
+                // verdicts). The table alone says whether the session
+                // lives: `sys_smod_remove` refuses a module that a
+                // session in the table is bound to.
                 let now = self.smod_epoch();
                 if now != kernel_epoch {
                     kernel_epoch = now;
@@ -224,8 +229,7 @@ impl Kernel {
                     dead = self
                         .sessions
                         .get(session.client)
-                        .is_none_or(|now| now.id != session.id)
-                        || self.registry.get(session.module).is_err();
+                        .is_none_or(|now| now.id != session.id);
                 }
                 if !dead {
                     let held = session.hold_pair(|hold| {
@@ -1010,11 +1014,7 @@ pub(crate) mod tests {
 
     #[test]
     fn module_removed_mid_batch_fails_remaining_entries() {
-        // Deep enough that the batch outlasts a run of lost lock
-        // handovers: the teardown gets the client's process locks only
-        // between two chunks, on a mutex that is not fair (see
-        // `detach_racing_a_sweep_fails_the_remainder_with_eidrm`).
-        const ENTRIES: usize = 128 * BATCH_CHUNK;
+        const ENTRIES: usize = 4 * BATCH_CHUNK;
         let gate = Arc::new(SlowGate::default());
         let (k, m_id, client, incr) = kernel_with_module(Some(Arc::clone(&gate)));
         let (sq, cq) = rings(ENTRIES);
@@ -1023,18 +1023,21 @@ pub(crate) mod tests {
         }
 
         let k = &k;
-        let report = std::thread::scope(|s| {
+        let (report, answered_at_detach) = std::thread::scope(|s| {
             // The teardown actor: wait for the batch to be mid-flight
             // (the first body is running; bodies sleep while the gate is
             // closed), then detach the session and remove the module —
             // both bump the kernel epoch.
-            s.spawn(|| {
+            let teardown = s.spawn(|| {
                 gate.wait_entered();
                 k.smod_detach(client, "mid-batch teardown").unwrap();
+                let answered = cq.len();
                 k.sys_smod_remove(Pid(1), m_id).unwrap();
                 gate.open.store(true, Ordering::Release);
+                answered
             });
-            k.sys_smod_call_batch(client, &sq, &cq, ENTRIES).unwrap()
+            let report = k.sys_smod_call_batch(client, &sq, &cq, ENTRIES).unwrap();
+            (report, teardown.join().unwrap())
         });
 
         assert_eq!(report.drained, ENTRIES, "every entry must be answered");
@@ -1066,6 +1069,14 @@ pub(crate) mod tests {
             }
         }
         assert!(seen_dead);
+        // The detach takes effect at the next chunk boundary: only the
+        // chunk in flight when it returned may still succeed on top of
+        // what was answered by then.
+        assert!(
+            report.completed <= answered_at_detach + BATCH_CHUNK,
+            "{} entries succeeded, {answered_at_detach} were answered when the detach returned",
+            report.completed
+        );
         // The aborted drain's tally reached the registry intact.
         let latency = k.metrics.latency(Flavor::Batch);
         assert_eq!(latency.count(), report.completed as u64);

@@ -60,7 +60,7 @@ pub use cred::Credential;
 pub use dispatch::{DispatchError, DispatchOutcome};
 pub use errno::Errno;
 pub use kernel::Kernel;
-pub use plane::{CrashSpec, DispatchPlane, PlaneConfig, PlaneHandle, PlaneStats, SubmitBatch};
+pub use plane::{DispatchPlane, PlaneConfig, PlaneHandle, PlaneStats, SubmitBatch};
 pub use proc::{Pid, ProcFlags, ProcState, Process};
 pub use smod::{Session, SessionId, SessionState, SessionTable, SmodCallArgs};
 pub use smodreg::RegisteredModule;

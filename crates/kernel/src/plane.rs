@@ -69,10 +69,10 @@
 //! the drain flag the drainer died holding is cleared, so no submitted
 //! entry is stranded) and, unless the plane is stopping, spawns the
 //! seat's next drainer. Nothing watches a live drainer, so a long drain
-//! is never mistaken for a dead one. [`CrashSpec`]
+//! is never mistaken for a dead one. [`PlaneConfig::crash`]
 //! ([`PlaneConfigBuilder::crash`]) is the fault drill that proves the
-//! loop: the targeted drainer makes the sweep's own claim, then dies
-//! inside its first visit.
+//! loop: drainer 0 makes the sweep's own claim, then dies inside its
+//! first visit.
 
 use crate::batch::DrainReport;
 use crate::cred::Credential;
@@ -168,24 +168,6 @@ impl PollController {
     }
 }
 
-/// A fault-injection drill: drainer `drainer` makes the sweep's own
-/// claim into its seat's ledger, takes the first claimed slot's drain
-/// flag, then dies holding both (its thread exits without draining).
-/// Fires once per plane, on the first queued work the victim finds once
-/// it has done `after_sweeps` sweeps — a crash that strands nothing
-/// proves nothing. Until it has fired the other drainers stand aside,
-/// and the victim, once due, parks between claims instead of sweeping,
-/// so it fires by construction, not by winning a race. A plane that
-/// stops first never fires it. A spec that names no seat of the plane is
-/// ignored.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CrashSpec {
-    /// Seat index of the drainer to kill (0-based).
-    pub drainer: usize,
-    /// Minimum sweeps the victim completes before it dies.
-    pub after_sweeps: u64,
-}
-
 /// Sizing and behaviour of a [`DispatchPlane`].
 #[derive(Clone, Debug)]
 pub struct PlaneConfig {
@@ -208,9 +190,15 @@ pub struct PlaneConfig {
     /// [`TenantId::DEFAULT`]); `Some` puts the weighted-fair scheduler
     /// between claim and drain.
     pub qos: Option<QosPolicy>,
-    /// Fault-injection drill: kill one drainer mid-claim. See
-    /// [`CrashSpec`].
-    pub crash: Option<CrashSpec>,
+    /// Fault-injection drill: drainer 0 makes the sweep's own claim
+    /// into its seat's ledger, takes the first claimed slot's drain flag,
+    /// then dies holding both (its thread exits without draining). Fires
+    /// once per plane, on the first queued work drainer 0 claims — a
+    /// crash that strands nothing proves nothing. Until it has fired the
+    /// other drainers stand aside, and drainer 0 parks between claims
+    /// instead of sweeping, so it fires by construction, not by winning a
+    /// race. A plane that stops first never fires it.
+    pub crash: bool,
 }
 
 impl Default for PlaneConfig {
@@ -222,7 +210,7 @@ impl Default for PlaneConfig {
             park_timeout: Duration::from_millis(1),
             pin_drainers: false,
             qos: None,
-            crash: None,
+            crash: false,
         }
     }
 }
@@ -281,9 +269,9 @@ impl PlaneConfigBuilder {
         self
     }
 
-    /// Arm the drainer-crash fault drill.
-    pub fn crash(mut self, crash: CrashSpec) -> Self {
-        self.cfg.crash = Some(crash);
+    /// Arm the drainer-crash fault drill ([`PlaneConfig::crash`]).
+    pub fn crash(mut self) -> Self {
+        self.cfg.crash = true;
         self
     }
 
@@ -375,8 +363,8 @@ struct PlaneShared {
     spinning: AtomicBool,
     /// The QoS scheduler, when the plane is multi-tenant.
     sched: Option<Arc<SweepScheduler>>,
-    /// Fault drill, if armed, and its fired-once latch.
-    crash: Option<CrashSpec>,
+    /// Whether the fault drill is armed, and its fired-once latch.
+    crash: bool,
     crash_fired: AtomicBool,
     /// Spawn parameters reused by respawns.
     params: DrainerParams,
@@ -471,7 +459,7 @@ impl DispatchPlane {
                 idle: AtomicUsize::new(0),
                 spinning: AtomicBool::new(false),
                 sched,
-                crash: cfg.crash.filter(|crash| crash.drainer < n),
+                crash: cfg.crash,
                 crash_fired: AtomicBool::new(false),
                 params: DrainerParams {
                     park_timeout: cfg.park_timeout,
@@ -556,9 +544,9 @@ impl DispatchPlane {
         self.shared.sched.clone()
     }
 
-    /// Whether the armed [`CrashSpec`] has fired (always `false` without
-    /// one). Crash drills poll this to know the victim is down before
-    /// asserting on recovery.
+    /// Whether the armed crash drill has fired (always `false` on a
+    /// plane without one). Crash drills poll this to know the victim is
+    /// down before asserting on recovery.
     pub fn crash_fired(&self) -> bool {
         self.shared.crash_fired.load(Ordering::Acquire)
     }
@@ -716,21 +704,19 @@ fn drainer_loop(shared: &PlaneShared, ctx: &DrainerCtx) -> PlaneStats {
     loop {
         // The fault drill fires once per plane, so the respawned seat
         // does not re-die. Until it has (or the plane stops), the other
-        // seats leave the ready set to the victim, and the victim, once
-        // due, only ever claims to die: the drill fires on the first work
-        // there is, not whenever the victim happens to win a race.
-        let armed =
-            || !shared.crash_fired.load(Ordering::Acquire) && !shared.stop.load(Ordering::Acquire);
-        if let Some(crash) = shared.crash.filter(|_| armed()) {
-            let due = crash.drainer == ctx.seat && stats.sweeps >= crash.after_sweeps;
-            if due && dies_mid_visit(shared, ctx) {
+        // seats leave the ready set to drainer 0, and drainer 0 only ever
+        // claims to die: the drill fires on the first work there is, not
+        // whenever drainer 0 happens to win a race.
+        if shared.crash
+            && !shared.crash_fired.load(Ordering::Acquire)
+            && !shared.stop.load(Ordering::Acquire)
+        {
+            if ctx.seat == 0 && dies_mid_visit(shared, ctx) {
                 shared.crash_fired.store(true, Ordering::Release);
                 return stats;
             }
-            if due || crash.drainer != ctx.seat {
-                std::thread::park_timeout(park_timeout);
-                continue;
-            }
+            std::thread::park_timeout(park_timeout);
+            continue;
         }
         // `Err` means the drainer's own process is gone (killed through
         // the kernel): end this drainer, and its exit guard starts the
@@ -1452,10 +1438,7 @@ mod tests {
                 PlaneConfig {
                     drainers: 1,
                     qos: qos.clone(),
-                    crash: Some(CrashSpec {
-                        drainer: 0,
-                        after_sweeps: 0,
-                    }),
+                    crash: true,
                     ..PlaneConfig::default()
                 },
             )

@@ -304,6 +304,11 @@ impl SessionTable {
             .insert(session.client, session);
     }
 
+    /// Remove whatever session `client` holds.
+    fn take(&self, client: Pid) -> Option<Arc<Session>> {
+        self.shard(client).write().remove(&client)
+    }
+
     /// Remove `client`'s session while it is still session `id`: a
     /// teardown that read an old link must not remove the session
     /// established since.
@@ -1003,12 +1008,24 @@ impl Kernel {
     /// or as its handle: remove the session, kill and reap the handle, and
     /// clear the client's link and flags. The one teardown: `sys_exit`,
     /// `sys_execve` and `crash_process` all come through here.
+    ///
+    /// A client's session leaves the table, and the epoch moves, before
+    /// any process lock is taken: a drain holds the client's lock for a
+    /// whole chunk, so a detach that waited for it could wait out the
+    /// drain. Each chunk boundary re-reads the epoch, so at most the chunk
+    /// in flight runs after the detach. A handle finds its session
+    /// through its own link, under its own lock.
     pub fn smod_detach(&self, pid: Pid, reason: &str) -> SysResult<()> {
-        let session = self.member_session(pid)?;
-        let session = self
-            .sessions
-            .remove(session.client, session.id)
-            .ok_or(Errno::EINVAL)?;
+        let session = match self.sessions.take(pid) {
+            Some(session) => session,
+            None => {
+                let session = self.member_session(pid)?;
+                self.sessions
+                    .remove(session.client, session.id)
+                    .ok_or(Errno::EINVAL)?
+            }
+        };
+        self.smod_epoch.fetch_add(1, SeqCst);
 
         // Kill the handle and reap it here: `sys_wait` never sees handles,
         // so nothing else would.
@@ -1018,7 +1035,6 @@ impl Kernel {
             c.smod = None;
             c.flags.smod_client = false;
         });
-        self.smod_epoch.fetch_add(1, SeqCst);
         self.tracer.record(Event::SessionDetached {
             session: session.id,
             reason: reason.to_string(),

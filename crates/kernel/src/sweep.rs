@@ -456,16 +456,7 @@ mod tests {
         // mid-drain (bodies sleeping behind the gate), one session
         // detaches. Its remaining entries must fail with EIDRM — and the
         // *other* session must be entirely unaffected.
-        //
-        // The detach needs the victim's process locks, which the drain
-        // holds for a whole chunk at a time and hands over only between
-        // chunks, for microseconds, on a mutex that is not fair: a loaded
-        // host can make the detach lose that race several times running.
-        // The victim's queue is therefore deep enough that its drain
-        // outlasts any such run (each lost chunk costs 32 ms of sleeping
-        // bodies; once the detach lands the gate opens and the rest is
-        // answered at full speed).
-        const ENTRIES: usize = 128 * BATCH_CHUNK;
+        const ENTRIES: usize = 4 * BATCH_CHUNK;
         let gate = Arc::new(SlowGate::default());
         let (k, _m, clients, incr) = kernel_with_clients(Some(Arc::clone(&gate)), 2);
         let (set, slots) = ring_set_for(&k, &clients, ENTRIES);
@@ -513,8 +504,8 @@ mod tests {
         }
         assert!(seen_dead, "the detach landed after the sweep finished");
         // The detach takes effect at the next chunk boundary: only the
-        // chunk that had passed its epoch check when the detach returned
-        // may still succeed on top of what was answered by then.
+        // chunk in flight when it returned may still succeed on top of
+        // what was answered by then.
         assert!(
             victim_ok <= answered_at_detach + BATCH_CHUNK,
             "{victim_ok} entries succeeded, {answered_at_detach} were answered when the detach returned"

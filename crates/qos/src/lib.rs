@@ -81,13 +81,11 @@ impl TenantSpec {
 #[derive(Clone, Debug)]
 pub struct QosPolicy {
     /// Known tenants and their weights. Tenants that show up in traffic
-    /// without a spec get [`QosPolicy::default_weight`].
+    /// without a spec weigh 1.
     pub tenants: Vec<TenantSpec>,
     /// Base drain credit (in ring entries) accrued per scheduling round,
     /// scaled by each tenant's weight.
     pub quantum: usize,
-    /// Weight assumed for tenants not listed in `tenants`.
-    pub default_weight: u32,
 }
 
 impl QosPolicy {
@@ -96,7 +94,6 @@ impl QosPolicy {
         QosPolicy {
             tenants: tenants.into_iter().collect(),
             quantum: 64,
-            default_weight: 1,
         }
     }
 
@@ -106,13 +103,12 @@ impl QosPolicy {
         self
     }
 
-    /// The weight of `tenant` (the listed weight, or `default_weight`).
+    /// The weight of `tenant` (the listed weight, or 1).
     pub fn weight_of(&self, tenant: u32) -> u64 {
         self.tenants
             .iter()
             .find(|s| s.id.0 == tenant)
-            .map(|s| s.weight as u64)
-            .unwrap_or_else(|| self.default_weight.max(1) as u64)
+            .map_or(1, |s| s.weight as u64)
     }
 }
 
