@@ -34,14 +34,16 @@
 //! the gateway's answering tier cost.
 //!
 //! There is one drain loop and one account of what it did.
-//! `Kernel::drain_session_rings` — completion-space reservation, epoch
-//! re-read, the chunk under the pair lock — runs for this entry point and
-//! for every slot a sweep visits. A drain that starts without a session
-//! (a sweep slot whose session is gone) or loses it mid-way answers
-//! everything it consumes with `EIDRM` from that same loop, which is the
-//! only place an `EIDRM` completion is posted. What the drain did is
-//! counted in the trap's `TrapTally`, and this entry point and the sweep
-//! both hand it back as one [`DrainReport`].
+//! `Kernel::drain_session_rings` — completion-space reservation, a chunk
+//! claimed off the submission ring at once, epoch re-read, the chunk
+//! under the pair lock, its arguments freed, its completions published
+//! at once — runs for this entry point and for every slot a sweep
+//! visits. A drain that starts without a session (a sweep slot whose
+//! session is gone) or loses it mid-way answers everything it consumes
+//! with `EIDRM` from that same loop, which is the only place an `EIDRM`
+//! completion is posted. What the drain did is counted in the trap's
+//! `TrapTally`, and this entry point and the sweep both hand it back as
+//! one [`DrainReport`].
 
 use crate::errno::Errno;
 use crate::kernel::Kernel;
@@ -157,16 +159,19 @@ impl Kernel {
             .with_mut(caller, |p| self.finish_trap(p, tally, fixed_ns))
     }
 
-    /// The one chunked drain: pop up to `budget` entries from `sq` in
-    /// [`BATCH_CHUNK`]-sized chunks and publish one completion per entry
-    /// into `cq`, reserving completion space *before* consuming
-    /// submissions. For a live `session` the kernel epoch is folded into
-    /// the module gateway first and re-read between chunks, and each
-    /// chunk runs through [`Kernel::call_entry`] under one hold of the
-    /// pair lock (which re-verifies the live credential and re-stamps the
-    /// session's verdicts). A session torn down mid-drain, or `None` — a
-    /// slot whose session was already gone — makes the drain *dead*: every
-    /// entry it consumes from then on completes with `EIDRM`.
+    /// The one chunked drain: claim up to `budget` entries from `sq` in
+    /// [`BATCH_CHUNK`]-sized chunks, one head CAS per chunk, reserving
+    /// completion space *before* consuming submissions; run the chunk,
+    /// drop its requests (freeing their arena argument slots), then
+    /// publish its completions into `cq` with one tail CAS unless an
+    /// overcommitted `cq` makes it wait. For a live `session` the kernel
+    /// epoch is folded into the module gateway first and re-read between
+    /// chunks, and each chunk runs through [`Kernel::call_entry`] under
+    /// one hold of the pair lock (which re-verifies the live credential
+    /// and re-stamps the session's verdicts). A session torn down
+    /// mid-drain, or `None` — a slot whose session was already gone —
+    /// makes the drain *dead*: every entry it consumes from then on
+    /// completes with `EIDRM`.
     ///
     /// `sys_smod_call_batch`, every live sweep visit and every dead-slot
     /// visit funnel through here, so the epoch/credential re-check and the
@@ -205,13 +210,7 @@ impl Kernel {
             // reaping only ever increases the space observed here.
             let cq_free = cq.capacity() - cq.len().min(cq.capacity());
             let take = BATCH_CHUNK.min(budget - drained).min(cq_free);
-            while chunk.len() < take {
-                match sq.pop() {
-                    Some(req) => chunk.push(req),
-                    None => break,
-                }
-            }
-            if chunk.is_empty() {
+            if sq.pop_many(chunk, take) == 0 {
                 break;
             }
 
@@ -253,20 +252,20 @@ impl Kernel {
                 }));
             }
 
-            for (req, resp) in chunk.drain(..).zip(responses.drain(..)) {
-                // Free any arena slot the arguments held before the
-                // producer can see the completion.
-                drop(req);
-                drained += 1;
+            // Free any arena slot the arguments held before the producer
+            // can see a completion, then publish the chunk's completions.
+            drained += chunk.len();
+            chunk.clear();
+            for resp in responses.iter() {
                 if resp.is_ok() {
                     tally.report.completed += 1;
                 } else {
                     tally.report.failed += 1;
                 }
                 tally.eidrm_failures += u64::from(resp.errno == Errno::EIDRM.code());
-                let mut pending = resp;
-                while let Err(back) = cq.push(pending) {
-                    pending = back;
+            }
+            while !responses.is_empty() {
+                if cq.push_many(responses) == 0 {
                     std::thread::yield_now();
                 }
             }

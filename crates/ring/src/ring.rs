@@ -9,11 +9,22 @@
 //! head/tail counters only ever race on CAS, never on the slot payloads:
 //! between the claim and the publish exactly one thread owns the slot.
 //!
+//! [`Ring::push_many`] and [`Ring::pop_many`] claim a *run* of positions
+//! with one CAS: they read the slots at `pos..pos + n` and, if every one
+//! passes the check above, advance the counter from `pos` to `pos + n`.
+//! Head and tail are monotone `u64`s that only move by claims, so a CAS
+//! that still finds `pos` proves no other thread claimed any position in
+//! the run, and a slot's sequence number names the one lap it belongs
+//! to. Each position of the run is then filled or taken exactly as a
+//! single push or pop would; `push` and `pop` are the run of one.
+//!
 //! This crate is the one place in the workspace that uses `unsafe`: the
 //! payload lives in an `UnsafeCell<MaybeUninit<T>>` per slot, exactly as
-//! in crossbeam's `ArrayQueue`. The unsafe surface is four lines (one
-//! write and one read per path), each guarded by the sequence protocol
-//! above; everything else in the workspace stays `#![forbid(unsafe_code)]`.
+//! in crossbeam's `ArrayQueue`. The unsafe surface is two lines, the
+//! write in `fill` and the read in `take`, which every path (single,
+//! run and SPSC alike) goes through, each guarded by the sequence
+//! protocol above; everything else in the workspace stays
+//! `#![forbid(unsafe_code)]`.
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
@@ -124,34 +135,68 @@ impl<T> Ring<T> {
         value
     }
 
-    /// Multi-producer push. Returns the value back when the ring is full.
-    pub fn push(&self, value: T) -> Result<(), T> {
-        let mut tail = self.tail.0.load(Ordering::Relaxed);
+    /// Claim the longest run of up to `max` positions of `counter` (head
+    /// or tail) whose slots all read `seq == pos + lag`: `lag` 0 finds
+    /// free slots for producers, `lag` 1 published ones for consumers.
+    /// One CAS claims the whole run; the returned `(start, n)` hands
+    /// positions `start..start + n` to the caller, `n == 0` meaning the
+    /// ring was full (or empty) at `counter`, or `max` was 0.
+    #[inline]
+    fn claim(&self, counter: &AtomicU64, lag: u64, max: usize) -> (u64, usize) {
+        let mut start = counter.load(Ordering::Relaxed);
         loop {
-            let slot = &self.slots[(tail & self.mask) as usize];
-            let seq = slot.seq.load(Ordering::Acquire);
-            if seq == tail {
-                // Slot free at our position: claim it by advancing tail.
-                match self.tail.0.compare_exchange_weak(
-                    tail,
-                    tail + 1,
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => {
-                        self.fill(tail, value);
-                        return Ok(());
+            let mut n = 0;
+            while n < max {
+                let pos = start + n as u64;
+                let seq = self.slots[(pos & self.mask) as usize]
+                    .seq
+                    .load(Ordering::Acquire);
+                if seq != pos + lag {
+                    if n == 0 && seq > pos + lag {
+                        // Another thread claimed `start`: catch up.
+                        start = counter.load(Ordering::Relaxed);
+                        continue;
                     }
-                    Err(actual) => tail = actual,
+                    break; // not yet recycled (full) or published (empty)
                 }
-            } else if seq < tail {
-                // The consumer has not recycled this slot yet: full.
-                return Err(value);
-            } else {
-                // Another producer claimed this position; catch up.
-                tail = self.tail.0.load(Ordering::Relaxed);
+                n += 1;
+            }
+            if n == 0 {
+                return (start, 0);
+            }
+            match counter.compare_exchange_weak(
+                start,
+                start + n as u64,
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => return (start, n),
+                Err(actual) => start = actual,
             }
         }
+    }
+
+    /// Multi-producer push. Returns the value back when the ring is full.
+    pub fn push(&self, value: T) -> Result<(), T> {
+        match self.claim(&self.tail.0, 0, 1) {
+            (pos, 1) => {
+                self.fill(pos, value);
+                Ok(())
+            }
+            _ => Err(value),
+        }
+    }
+
+    /// Multi-producer push of a run: move as many entries as there are
+    /// free slots from the front of `values` into the ring, in order,
+    /// under one tail CAS. Returns how many it pushed (0 when the ring is
+    /// full); the rest stay in `values`.
+    pub fn push_many(&self, values: &mut Vec<T>) -> usize {
+        let (start, n) = self.claim(&self.tail.0, 0, values.len());
+        for (pos, value) in (start..).zip(values.drain(..n)) {
+            self.fill(pos, value);
+        }
+        n
     }
 
     /// Single-producer push fast path: no CAS, plain tail store.
@@ -170,30 +215,24 @@ impl<T> Ring<T> {
         Ok(())
     }
 
-    /// Multi-consumer pop. Returns `None` when the ring is empty.
+    /// Multi-consumer pop. Returns `None` when the ring is empty (or a
+    /// producer is mid-write at the head; callers retry on their own
+    /// terms).
     pub fn pop(&self) -> Option<T> {
-        let mut head = self.head.0.load(Ordering::Relaxed);
-        loop {
-            let slot = &self.slots[(head & self.mask) as usize];
-            let seq = slot.seq.load(Ordering::Acquire);
-            if seq == head + 1 {
-                match self.head.0.compare_exchange_weak(
-                    head,
-                    head + 1,
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => return Some(self.take(head)),
-                    Err(actual) => head = actual,
-                }
-            } else if seq <= head {
-                // Nothing published at our position yet: empty (or a
-                // producer mid-write; callers retry on their own terms).
-                return None;
-            } else {
-                head = self.head.0.load(Ordering::Relaxed);
-            }
+        match self.claim(&self.head.0, 1, 1) {
+            (pos, 1) => Some(self.take(pos)),
+            _ => None,
         }
+    }
+
+    /// Multi-consumer pop of a run: append up to `max` entries to `out`
+    /// in FIFO order, claiming the published run at the head with one
+    /// head CAS. Returns how many it took; a run stops short at the first
+    /// slot not yet published.
+    pub fn pop_many(&self, out: &mut Vec<T>, max: usize) -> usize {
+        let (start, n) = self.claim(&self.head.0, 1, max);
+        out.extend((start..start + n as u64).map(|pos| self.take(pos)));
+        n
     }
 
     /// Single-consumer pop fast path: no CAS, plain head store. Correct
@@ -291,6 +330,183 @@ mod tests {
         assert_eq!(ring.pop(), Some(vec![0u8; 100]));
         assert_eq!(ring.pop(), Some(vec![1u8; 100]));
         drop(ring); // four entries still queued
+    }
+
+    #[test]
+    fn runs_keep_fifo_order_across_the_wrap() {
+        let ring = Ring::with_capacity(8);
+        let mut out = Vec::new();
+        let mut next = 0u32;
+        // Runs of 5 on an 8-slot ring straddle the mask on most rounds.
+        for round in 0..10u32 {
+            let mut values: Vec<u32> = (next..next + 5).collect();
+            assert_eq!(ring.push_many(&mut values), 5);
+            assert!(values.is_empty());
+            assert_eq!(ring.pop_many(&mut out, 5), 5);
+            assert_eq!(out, (round * 5..round * 5 + 5).collect::<Vec<_>>());
+            out.clear();
+            next += 5;
+        }
+        assert!(ring.is_empty());
+    }
+
+    #[test]
+    fn a_run_stops_at_the_first_slot_not_ready() {
+        let ring = Ring::with_capacity(8);
+        // Push: a full ring takes nothing; one free slot takes one.
+        let mut values: Vec<u32> = (0..6).collect();
+        assert_eq!(ring.push_many(&mut values), 6);
+        let mut values = vec![6, 7, 8, 9];
+        assert_eq!(ring.push_many(&mut values), 2, "only two slots free");
+        assert_eq!(values, vec![8, 9], "the unpushed suffix stays, in order");
+        assert_eq!(ring.push_many(&mut values), 0, "full ring");
+        assert_eq!(values.len(), 2);
+
+        // Pop: stops at the first slot not yet published. Claim tail
+        // position 8 by hand and leave it unpublished, as a producer
+        // between its CAS and its fill would, then publish position 9
+        // behind it.
+        let mut out = Vec::new();
+        assert_eq!(ring.pop_many(&mut out, 3), 3);
+        assert_eq!(out, vec![0, 1, 2]);
+        ring.tail.0.store(9, Ordering::Relaxed);
+        ring.push(99).unwrap();
+        out.clear();
+        assert_eq!(ring.pop_many(&mut out, 8), 5, "only 3..=7 are published");
+        assert_eq!(out, vec![3, 4, 5, 6, 7]);
+        assert_eq!(ring.pop_many(&mut out, 8), 0, "position 8 is unpublished");
+        ring.fill(8, 98);
+        out.clear();
+        assert_eq!(ring.pop_many(&mut out, 8), 2);
+        assert_eq!(out, vec![98, 99]);
+        assert_eq!(ring.pop_many(&mut out, 8), 0, "empty ring");
+    }
+
+    #[test]
+    fn a_push_run_stops_at_a_slot_not_yet_recycled() {
+        let ring = Ring::with_capacity(4);
+        let mut values: Vec<u32> = (0..4).collect();
+        assert_eq!(ring.push_many(&mut values), 4);
+        // Claim head position 0 by hand without recycling its slot, as a
+        // consumer between its CAS and its read would; recycle position 1.
+        ring.head.0.store(1, Ordering::Relaxed);
+        assert_eq!(ring.pop(), Some(1));
+        let mut values = vec![4, 5];
+        assert_eq!(
+            ring.push_many(&mut values),
+            0,
+            "slot of position 4 not recycled"
+        );
+        assert_eq!(ring.take(0), 0);
+        assert_eq!(ring.push_many(&mut values), 2);
+        let mut out = Vec::new();
+        assert_eq!(ring.pop_many(&mut out, 4), 4);
+        assert_eq!(out, vec![2, 3, 4, 5]);
+    }
+
+    #[test]
+    fn a_zero_length_run_returns_at_once() {
+        let ring = Ring::with_capacity(4);
+        ring.push(1u32).unwrap();
+        let mut out = Vec::new();
+        assert_eq!(ring.pop_many(&mut out, 0), 0, "non-empty ring, max 0");
+        assert!(out.is_empty());
+        assert_eq!(ring.push_many(&mut Vec::new()), 0);
+        assert_eq!(ring.len(), 1);
+        assert_eq!(ring.pop(), Some(1));
+    }
+
+    #[test]
+    fn runs_mix_with_the_spsc_fast_paths() {
+        let ring = Ring::with_capacity(8);
+        ring.push_spsc(0u32).unwrap();
+        let mut values = vec![1, 2, 3];
+        assert_eq!(ring.push_many(&mut values), 3);
+        ring.push_spsc(4).unwrap();
+        assert_eq!(ring.pop_spsc(), Some(0));
+        let mut out = Vec::new();
+        assert_eq!(ring.pop_many(&mut out, 2), 2);
+        assert_eq!(out, vec![1, 2]);
+        assert_eq!(ring.pop_spsc(), Some(3));
+        assert_eq!(ring.pop_many(&mut out, 8), 1);
+        assert_eq!(out, vec![1, 2, 4]);
+        assert_eq!(ring.pop_spsc(), None);
+    }
+
+    #[test]
+    fn concurrent_runs_never_lose_duplicate_or_reorder() {
+        const PRODUCERS: u64 = 4;
+        const CONSUMERS: usize = 2;
+        const PER_PRODUCER: u64 = 20_000;
+        let ring = Ring::with_capacity(64);
+        let received = AtomicU64::new(0);
+        let seen = std::thread::scope(|s| {
+            for p in 0..PRODUCERS {
+                let ring = &ring;
+                s.spawn(move || {
+                    let mut rng = 0x9e37_79b9_7f4a_7c15 ^ p;
+                    let mut next = 0;
+                    let mut run = Vec::new();
+                    while next < PER_PRODUCER {
+                        // xorshift: run lengths 1..=40, some longer than
+                        // the free space a busy ring has.
+                        rng ^= rng << 13;
+                        rng ^= rng >> 7;
+                        rng ^= rng << 17;
+                        let len = (rng % 40 + 1).min(PER_PRODUCER - next);
+                        run.extend((next..next + len).map(|i| (p, i)));
+                        next += len;
+                        while !run.is_empty() {
+                            if ring.push_many(&mut run) == 0 {
+                                std::thread::yield_now();
+                            }
+                        }
+                    }
+                });
+            }
+            let consumers: Vec<_> = (0..CONSUMERS)
+                .map(|c| {
+                    let (ring, received) = (&ring, &received);
+                    s.spawn(move || {
+                        let mut rng = 0x2545_f491_4f6c_dd1d ^ c as u64;
+                        let mut last_seen = [None::<u64>; PRODUCERS as usize];
+                        let mut got = Vec::new();
+                        let mut out = Vec::new();
+                        while received.load(Ordering::Relaxed) < PRODUCERS * PER_PRODUCER {
+                            rng ^= rng << 13;
+                            rng ^= rng >> 7;
+                            rng ^= rng << 17;
+                            let n = ring.pop_many(&mut out, (rng % 48) as usize);
+                            if n == 0 {
+                                std::thread::yield_now();
+                                continue;
+                            }
+                            received.fetch_add(n as u64, Ordering::Relaxed);
+                            for (p, i) in out.drain(..) {
+                                // Per-producer FIFO within one consumer's
+                                // view: its claims are ordered runs of
+                                // the ring's one global order.
+                                let prev = last_seen[p as usize].replace(i);
+                                assert!(prev.is_none_or(|prev| i > prev), "producer {p} reordered");
+                                got.push((p, i));
+                            }
+                        }
+                        got
+                    })
+                })
+                .collect();
+            consumers
+                .into_iter()
+                .flat_map(|c| c.join().unwrap())
+                .collect::<Vec<_>>()
+        });
+        assert_eq!(ring.pop(), None);
+        let mut seen = seen;
+        seen.sort_unstable();
+        let want: Vec<_> = (0..PRODUCERS)
+            .flat_map(|p| (0..PER_PRODUCER).map(move |i| (p, i)))
+            .collect();
+        assert_eq!(seen, want, "every entry exactly once");
     }
 
     #[test]
