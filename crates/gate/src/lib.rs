@@ -16,9 +16,9 @@
 //!   capacity and hit/miss/eviction counters.
 //! * [`gateway`] — the [`Gateway`]: a `Sync` front for
 //!   [`secmod_policy::PolicyEngine`] whose mutating operations
-//!   (`add_assertion`, `register_key`) bump an invalidation **epoch**, and
-//!   which folds the kernel's `smod_epoch` (bumped by `sys_smod_remove` /
-//!   `smod_detach`) in through [`Gateway::observe_kernel_epoch`]. The
+//!   (`add_assertion`, `register_key`) bump an invalidation **epoch**;
+//!   nothing else does, because nothing else changes a decision (a
+//!   kernel's session teardown or module removal leaves it valid). The
 //!   epoch is part of every cache key, so a stale decision is unreachable
 //!   the moment a mutation returns — coherence by construction, which the
 //!   crate's property test (`tests/coherence.rs`) checks against an

@@ -168,9 +168,10 @@ enum Draw {
 enum Fault {
     /// None: producers only.
     None,
-    /// A churn actor attaches and detaches real kernel sessions; every
-    /// detach bumps `Kernel::smod_epoch`, which the actor folds into the
-    /// gateway, invalidating the cache under the workers' feet.
+    /// A churn actor attaches and detaches real kernel sessions and bumps
+    /// the gateway's epoch after every detach (an out-of-band policy
+    /// mutation per cycle), invalidating the cache under the workers'
+    /// feet.
     Churn,
     /// A stall antagonist repeatedly claims the ring set's readiness bits
     /// and drain-exclusivity flags and sleeps on them without draining:
@@ -182,9 +183,10 @@ enum Fault {
     /// re-handshake theirs simultaneously from one barrier.
     Herd,
     /// Every [`STORM_REHANDSHAKE_EVERY`] bursts a producer cycles its
-    /// whole kernel session — `smod_detach` (bumping the invalidation
-    /// epoch under the other producers' cache entries) and a full
-    /// re-handshake — so epoch churn lands mid-traffic.
+    /// whole kernel session — `smod_detach` (bumping the teardown fence
+    /// under the drainers' chunk loops; the other producers' decisions
+    /// stay warm) and a full re-handshake — so session churn lands
+    /// mid-traffic.
     Storm,
     /// Drainer 0 carries the crash drill ([`PlaneConfig::crash`]): it
     /// claims ready slots exactly like a real sweep and dies holding
@@ -304,7 +306,7 @@ const SCENARIOS: [Row; 15] = [
     Row {
         kind: ScenarioKind::Churn,
         name: "churn",
-        summary: "uniform, while a churn actor detaches real kernel sessions (epoch bumps)",
+        summary: "uniform, while a churn actor detaches sessions and bumps the epoch per cycle",
         fault: Fault::Churn,
         split_of: Some(ScenarioKind::Uniform),
         ..BASE
@@ -719,14 +721,16 @@ fn establish(kernel: &Kernel, client: Pid, module: ModuleId) {
 }
 
 /// The churn actor: detach and re-establish a real SecModule session on a
-/// kernel of its own, `total ops / churn_interval` times, folding the
-/// kernel's invalidation epoch into the gateway after every detach.
+/// kernel of its own, `total ops / churn_interval` times. A detach alone
+/// changes no decision, so after each one the actor bumps the gateway's
+/// epoch: one out-of-band policy mutation per cycle, which keeps the
+/// workers' lookups under invalidation load.
 fn churn_actor(gateway: &Gateway, cfg: &ScenarioConfig) -> WorkerStats {
     let own = build_dispatch_kernel_with_clients(cfg, 1);
     let (kernel, client) = (&own.kernel, own.clients[0]);
     for _ in 0..(cfg.total_ops() / cfg.churn_interval).max(1) {
         kernel.smod_detach(client, "churn").expect("detach");
-        gateway.observe_kernel_epoch(kernel.smod_epoch());
+        gateway.bump_epoch();
         establish(kernel, client, own.module);
     }
     WorkerStats {

@@ -113,8 +113,8 @@ proptest! {
                         mirror.add_assertion(assertion)
                     );
                 }
-                // Out-of-band invalidation (the kernel detach/remove class):
-                // must never change any answer.
+                // Out-of-band invalidation (a policy mutation the engine
+                // does not see): must never change any answer.
                 _ => gateway.bump_epoch(),
             }
         }
@@ -325,7 +325,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
     /// For ANY interleaving of kernel dispatches, policy grants (live,
     /// through the embedded gateway), and session detach/re-establish
-    /// cycles (kernel epoch bumps), the cached kernel answers exactly what
+    /// cycles (teardown-fence bumps), the cached kernel answers exactly what
     /// an uncached mirror engine answers.
     #[test]
     fn kernel_gateway_matches_uncached_engine(
@@ -395,8 +395,9 @@ proptest! {
                         mirror.add_assertion(assertion).is_ok()
                     );
                 }
-                // Detach + re-establish: bumps the kernel epoch, which the
-                // next dispatch must fold in before consulting the cache.
+                // Detach + re-establish: bumps the kernel's teardown fence
+                // and changes no decision, so the cached ones stay valid
+                // and must still agree with the mirror.
                 3 => {
                     if connected[who] {
                         kernel.smod_detach(clients[who], "coherence churn").unwrap();
@@ -420,9 +421,11 @@ proptest! {
     }
 }
 
-/// A module removal (epoch bump) must invalidate every decision cached for
-/// it: re-registering the same name/version with a *stricter* policy must
-/// not serve the old policy's cached Allow to the new module.
+/// A module removal must take every decision cached for it along: the
+/// removed module's gateway goes with it, and re-registering the same
+/// name/version with a *stricter* policy builds a fresh gateway whose
+/// process-unique id partitions the L0, so the old policy's cached Allow
+/// is never served to the new module.
 #[test]
 fn remove_and_reregister_never_serves_stale_allow() {
     let (kernel, m_id, clients) = kernel_universe();
@@ -433,12 +436,12 @@ fn remove_and_reregister_never_serves_stale_allow() {
     assert_eq!(dispatch(&kernel, clients[0], m_id, getpid_id), Ok(true));
     drop(module);
 
-    // Tear down and remove the module (both bump the kernel epoch).
+    // Tear down and remove the module (both bump the teardown fence).
     kernel.smod_detach(clients[0], "teardown").unwrap();
     kernel.sys_smod_remove(Pid(1), m_id).unwrap();
 
     // Re-register the same module name/version with an empty (deny-all)
-    // policy. If the old epoch's cached Allow leaked through, the session
+    // policy. If the old module's cached Allow leaked through, the session
     // start below would succeed.
     let image = ModuleBuilder::libc_like();
     let key = b"0123456789abcdef".to_vec();
@@ -465,7 +468,7 @@ fn remove_and_reregister_never_serves_stale_allow() {
 
 /// Sessions detaching *while* other threads dispatch concurrently must
 /// never flip a decision: allowed operations stay allowed, the restricted
-/// operation stays denied, across every epoch bump the churn injects.
+/// operation stays denied, across every teardown the churn injects.
 #[test]
 fn concurrent_dispatch_with_racing_detach_stays_coherent() {
     let cfg = ScenarioConfig::builder(ScenarioKind::KernelDispatch)
@@ -481,7 +484,7 @@ fn concurrent_dispatch_with_racing_detach_stays_coherent() {
     let allowed = dispatch_kernel.func_ids[1];
 
     // A churn client with its own credential cycles sessions, bumping the
-    // kernel epoch under the workers' feet.
+    // kernel's teardown fence under the workers' feet.
     let churn_key = b"kcoh-churn-key".to_vec();
     {
         let module = kernel.registry.get(m_id).unwrap();

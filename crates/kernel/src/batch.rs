@@ -17,21 +17,22 @@
 //!
 //! Entries are processed in chunks of [`BATCH_CHUNK`] under one hold of
 //! the client/handle pair locks, so a long batch does not starve
-//! teardown: between chunks the kernel re-reads the invalidation epochs,
-//! and if anything moved it re-validates that the session is still in
-//! the session table (a session there pins its module). A detach or
-//! module removal that lands mid-batch therefore
-//! fails every remaining entry with `EIDRM` ("identifier removed")
-//! instead of dispatching into a dead module — the batched analogue of
-//! the single-call path's epoch fold.
+//! teardown: between chunks the kernel re-reads its `smod_epoch` (the
+//! teardown fence every detach and removal bumps), and if it moved it
+//! re-validates that the session is still in the session table (a
+//! session there pins its module). A detach or module removal that
+//! lands mid-batch therefore fails every remaining entry with `EIDRM`
+//! ("identifier removed") instead of dispatching into a dead module —
+//! the batched analogue of the single call's link check, which refuses
+//! a torn-down session with `EPERM`.
 //!
 //! Decisions come from the same place as on the single call: the
 //! session's verdicts, which the pair-lock hold re-stamps with the
-//! gateway epoch (policy grant, key registration, or any kernel
-//! detach/remove clears them), so a decision is stale for at most one
-//! chunk — the same window at which teardown is honoured. A repeat the
-//! session holds is priced as a cached decision; anything else pays what
-//! the gateway's answering tier cost.
+//! gateway epoch (a policy grant or key registration clears them; a
+//! teardown changes no decision and clears nothing), so a decision is
+//! stale for at most one chunk. A repeat the session holds is priced as
+//! a cached decision; anything else pays what the gateway's answering
+//! tier cost.
 //!
 //! There is one drain loop and one account of what it did.
 //! `Kernel::drain_session_rings` — completion-space reservation, a chunk
@@ -164,8 +165,8 @@ impl Kernel {
     /// completion space *before* consuming submissions; run the chunk,
     /// drop its requests (freeing their arena argument slots), then
     /// publish its completions into `cq` with one tail CAS unless an
-    /// overcommitted `cq` makes it wait. For a live `session` the kernel
-    /// epoch is folded into the module gateway first and re-read between
+    /// overcommitted `cq` makes it wait. For a live `session` the kernel's
+    /// teardown fence (`smod_epoch`) is read first and re-read between
     /// chunks, and each chunk runs through [`Kernel::call_entry`] under
     /// one hold of the pair lock (which re-verifies the live credential
     /// and re-stamps the session's verdicts). A session torn down
@@ -189,13 +190,7 @@ impl Kernel {
         scratch: &mut DrainScratch,
         tally: &mut TrapTally<'_>,
     ) {
-        let mut kernel_epoch = self.smod_epoch();
-        if let Some(session) = session {
-            session
-                .module_ref()
-                .gateway
-                .observe_kernel_epoch(kernel_epoch);
-        }
+        let mut smod_epoch = self.smod_epoch();
         let mut dead = session.is_none();
         let mut drained = 0;
         let DrainScratch { chunk, responses } = scratch;
@@ -215,16 +210,14 @@ impl Kernel {
             }
 
             if let Some(session) = session.filter(|_| !dead) {
-                // Epoch fold between chunks: a detach/remove that
-                // bumped the epoch since the last chunk invalidates the
-                // pinned session (and, through the gateway epoch, its
-                // verdicts). The table alone says whether the session
-                // lives: `sys_smod_remove` refuses a module that a
-                // session in the table is bound to.
+                // Teardown fence between chunks: a detach/remove that
+                // bumped the epoch since the last chunk may have taken
+                // the pinned session. The table alone says whether the
+                // session lives: `sys_smod_remove` refuses a module that
+                // a session in the table is bound to.
                 let now = self.smod_epoch();
-                if now != kernel_epoch {
-                    kernel_epoch = now;
-                    session.module_ref().gateway.observe_kernel_epoch(now);
+                if now != smod_epoch {
+                    smod_epoch = now;
                     dead = self
                         .sessions
                         .get(session.client)
@@ -1026,7 +1019,7 @@ pub(crate) mod tests {
             // The teardown actor: wait for the batch to be mid-flight
             // (the first body is running; bodies sleep while the gate is
             // closed), then detach the session and remove the module —
-            // both bump the kernel epoch.
+            // both bump the teardown fence.
             let teardown = s.spawn(|| {
                 gate.wait_entered();
                 k.smod_detach(client, "mid-batch teardown").unwrap();

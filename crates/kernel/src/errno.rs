@@ -26,7 +26,7 @@ pub enum Errno {
     ENOSYS,
     /// No child processes.
     ECHILD,
-    /// Identifier removed (message queue or module deregistered).
+    /// Identifier removed (session torn down or module deregistered).
     EIDRM,
     /// Object already exists.
     EEXIST,

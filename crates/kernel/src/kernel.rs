@@ -20,8 +20,8 @@
 //!   atomic and the call counter is written under the pair lock, inside
 //!   the `Session`, which also pins both processes' lock handles for the
 //!   dispatch pair.
-//! * [`MsgSubsystem`], [`Tracer`], [`secmod_crypto::KeyStore`] — each
-//!   behind its own `Mutex` (tracing is skipped entirely when disabled).
+//! * [`Tracer`], [`secmod_crypto::KeyStore`] — each behind its own
+//!   `Mutex` (tracing is skipped entirely when disabled).
 //! * clock and context-switch counter — cache-line-striped atomics
 //!   (stripe by charged pid, sum on read); `smod_epoch` — one atomic,
 //!   loaded on the hot path and RMW'd only by detach/remove.
@@ -38,7 +38,6 @@ use crate::clock::{SimClock, StripedCounter};
 use crate::cost::CostModel;
 use crate::cred::Credential;
 use crate::errno::Errno;
-use crate::msgqueue::{Message, MsgQueueId, MsgSubsystem};
 use crate::proc::{Pid, ProcState, Process};
 use crate::smod::SessionTable;
 use crate::smodreg::SmodRegistry;
@@ -57,8 +56,6 @@ use std::sync::Arc;
 pub struct Kernel {
     /// All processes.
     pub procs: ProcessTable,
-    /// SYSV message queues.
-    pub msgs: MsgSubsystem,
     /// The simulated clock.
     pub clock: SimClock,
     /// The cost model used to charge operations to the clock (immutable
@@ -88,10 +85,8 @@ pub struct Kernel {
     pub metrics: Arc<DispatchMetrics>,
     pub(crate) next_session: AtomicU32,
     context_switches: StripedCounter,
-    /// Monotone epoch bumped by every SecModule event that can invalidate a
-    /// cached access decision (`sys_smod_remove`, `smod_detach`). The
-    /// per-module gateways fold this into their cache keys; see
-    /// `Kernel::smod_epoch`.
+    /// Monotone teardown fence bumped by every `sys_smod_remove` and
+    /// `smod_detach`; see `Kernel::smod_epoch`.
     pub(crate) smod_epoch: AtomicU64,
 }
 
@@ -117,7 +112,6 @@ impl Kernel {
     pub fn new(cost: CostModel) -> Kernel {
         Kernel {
             procs: ProcessTable::new(),
-            msgs: MsgSubsystem::new(),
             clock: SimClock::new(),
             cost,
             keystore: KeyStore::new(b"secmodule-kernel-keystore"),
@@ -133,9 +127,12 @@ impl Kernel {
         }
     }
 
-    /// The SecModule invalidation epoch: strictly increases whenever a
-    /// module is removed or a session detaches, so any decision cached
-    /// against an earlier epoch is dead on arrival.
+    /// The SecModule teardown fence: strictly increases whenever a module
+    /// is removed or a session detaches, so a drain that re-reads it
+    /// between chunks notices the teardown within one chunk. It is not a
+    /// decision epoch: a teardown changes no access decision, and cached
+    /// decisions outlive it (only a policy mutation moves a gateway's
+    /// epoch).
     pub fn smod_epoch(&self) -> u64 {
         self.smod_epoch.load(SeqCst)
     }
@@ -410,31 +407,6 @@ impl Kernel {
             })?,
         }
     }
-
-    // ----------------------------------------------------------------
-    // SYSV message queues
-    // ----------------------------------------------------------------
-
-    /// `msgget(IPC_PRIVATE)`.
-    pub fn sys_msgget(&self, pid: Pid) -> SysResult<MsgQueueId> {
-        let trap = self.cost.syscall_trap_ns;
-        self.charge(pid, trap);
-        Ok(self.msgs.msgget())
-    }
-
-    /// `msgsnd`.
-    pub fn sys_msgsnd(&self, pid: Pid, queue: MsgQueueId, msg: Message) -> SysResult<()> {
-        let cost = self.cost.syscall_trap_ns + self.cost.msg_op_ns;
-        self.charge(pid, cost);
-        self.msgs.msgsnd(queue, msg)
-    }
-
-    /// `msgrcv` (non-blocking: `EAGAIN` when nothing matches).
-    pub fn sys_msgrcv(&self, pid: Pid, queue: MsgQueueId, mtype: i64) -> SysResult<Message> {
-        let cost = self.cost.syscall_trap_ns + self.cost.msg_op_ns;
-        self.charge(pid, cost);
-        self.msgs.msgrcv(queue, mtype)
-    }
 }
 
 #[cfg(test)]
@@ -523,24 +495,6 @@ mod tests {
         let new = k.sys_obreak(p, Vaddr(old.0 + 8192)).unwrap();
         assert_eq!(new.0, old.0 + 8192);
         k.write_user_memory(p, old, b"grown").unwrap();
-    }
-
-    #[test]
-    fn message_queues_work_through_syscalls() {
-        let k = kernel();
-        let p = spawn(&k, "p");
-        let q = k.sys_msgget(p).unwrap();
-        k.sys_msgsnd(
-            p,
-            q,
-            Message {
-                mtype: 1,
-                data: b"ping".to_vec(),
-            },
-        )
-        .unwrap();
-        assert_eq!(k.sys_msgrcv(p, q, 1).unwrap().data, b"ping");
-        assert_eq!(k.sys_msgrcv(p, q, 1).unwrap_err(), Errno::EAGAIN);
     }
 
     #[test]

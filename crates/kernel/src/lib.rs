@@ -2,7 +2,8 @@
 //!
 //! A deterministic, user-space simulation of the operating-system substrate
 //! the SecModule paper modifies: an OpenBSD-flavoured kernel with a process
-//! table, credentials, SYSV message queues, a syscall cost model, and — the
+//! table, credentials, a syscall cost model (it prices a SYSV message
+//! op as [`cost::CostModel::msg_op_ns`]), and — the
 //! paper's contribution — the `smod_*` syscall family of Figure 4:
 //!
 //! ```text
@@ -44,7 +45,6 @@ pub mod cred;
 pub mod dispatch;
 pub mod errno;
 pub mod kernel;
-pub mod msgqueue;
 pub mod plane;
 pub mod proc;
 pub mod smod;

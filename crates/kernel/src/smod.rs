@@ -12,11 +12,12 @@
 //! Dispatch takes `&self` and is driven from many threads at once. The
 //! per-call policy decision is the session's verdict when it holds one
 //! (see `Kernel::call_entry`); otherwise it goes through the module's
-//! embedded [`secmod_policy::Gateway`]: the kernel folds its `smod_epoch`
-//! into the gateway first, so a detach/remove that completed before the
-//! call began makes every older decision unreachable; only a miss falls
-//! back to the full `PolicyEngine` fixpoint, and the cost model charges
-//! the cached vs uncached cost accordingly.
+//! embedded [`secmod_policy::Gateway`], whose epoch only a policy
+//! mutation moves: a session's teardown changes no decision, so it
+//! invalidates none. Only a miss falls back to the full `PolicyEngine`
+//! fixpoint, and the cost model charges the cached vs uncached cost
+//! accordingly. The kernel's `smod_epoch` is the teardown fence alone:
+//! a drain re-reads it between chunks to notice a detach or removal.
 
 use crate::batch::DrainReport;
 use crate::errno::Errno;
@@ -632,7 +633,6 @@ impl Kernel {
         let (client_name, client_cred) = self
             .procs
             .with(client, |p| (p.name.clone(), p.cred.clone()))?;
-        module.gateway.observe_kernel_epoch(self.smod_epoch());
         let mut all_cached = true;
         let principal = client_cred.principal_for(&module_name);
         // No credential for this module denies outright, without touching
@@ -839,13 +839,6 @@ impl Kernel {
         if call.m_id != session.module {
             return Err(Errno::EACCES);
         }
-        // The kernel epoch is folded into the gateway first (cheap monotone
-        // atomic max), so any detach/remove that completed before this call
-        // started has already invalidated every older cached decision.
-        session
-            .module_ref
-            .gateway
-            .observe_kernel_epoch(self.smod_epoch());
         let fixed_ns = self.cost.smod_call_overhead(0);
         let copy_ns = self.cost.copy_per_byte_ns * call.args.len() as u64;
         let mut tally = TrapTally::new(self.metrics.latency(Flavor::Syscall), fixed_ns);

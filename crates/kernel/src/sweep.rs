@@ -5,10 +5,9 @@
 //! session's batch; what remains is one trap and one session resolution
 //! *per session* per drain round. The sweep hoists those too: a single
 //! invocation claims the ring set's readiness bitmap, resolves each
-//! ready session — session table lookup, ownership check, epoch fold
-//! into the module gateway — **once per sweep**, and runs every claimed
-//! slot through the chunked drain the batched path runs
-//! (`Kernel::drain_session_rings`). Each visit adds to the trap's one
+//! ready session — session table lookup and ownership check — **once
+//! per sweep**, and runs every claimed slot through the chunked drain
+//! the batched path runs (`Kernel::drain_session_rings`). Each visit adds to the trap's one
 //! `TrapTally`, which the sweep returns as its [`DrainReport`], the same
 //! report `sys_smod_call_batch` returns.
 //!
@@ -197,9 +196,12 @@ impl Kernel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::tests::{kernel_with_clients, req, SlowGate};
+    use crate::batch::tests::{clients_on, kernel_with_clients, req, SlowGate, ALICE_KEY};
     use crate::batch::BATCH_CHUNK;
     use crate::errno::Errno;
+    use secmod_module::ModuleId;
+    use secmod_policy::assertion::{Assertion, LicenseeExpr};
+    use secmod_policy::Principal;
     use secmod_ring::{RingPairConfig, RingSlotId, SMOD_BATCH_DEFAULT_BUDGET};
     use std::sync::atomic::Ordering;
     use std::sync::Arc;
@@ -998,5 +1000,243 @@ mod tests {
             "sweep {sweep_ns} ns not >= 1.5x cheaper than round-robin {round_robin_ns} ns \
              (ratio {ratio:.2})"
         );
+    }
+
+    /// The three entry points that run `Kernel::call_entry`.
+    #[derive(Clone, Copy, Debug)]
+    enum Entry {
+        Call,
+        Batch,
+        Sweep,
+    }
+
+    const ENTRIES: [Entry; 3] = [Entry::Call, Entry::Batch, Entry::Sweep];
+
+    /// Ask `func` of `client`'s current session twice through `entry`
+    /// (two calls, or one trap draining two entries) and return the errno
+    /// code both answers agree on (0: allowed).
+    fn ask(k: &Kernel, entry: Entry, client: Pid, func: u32) -> i32 {
+        let codes: Vec<i32> = match entry {
+            Entry::Call => (0..2u64)
+                .map(|i| {
+                    let call = crate::smod::SmodCallArgs {
+                        m_id: k.session_of(client).unwrap().module,
+                        func_id: func,
+                        frame_pointer: 0,
+                        return_address: 0,
+                        args: i.to_le_bytes().to_vec(),
+                    };
+                    k.sys_smod_call(client, call)
+                        .map_or_else(Errno::code, |_| 0)
+                })
+                .collect(),
+            Entry::Batch => {
+                let (sq, cq) = (
+                    secmod_ring::Ring::with_capacity(2),
+                    secmod_ring::Ring::with_capacity(2),
+                );
+                for i in 0..2 {
+                    sq.push_spsc(req(k, client, func, i, i)).unwrap();
+                }
+                let report = k.sys_smod_call_batch(client, &sq, &cq, 2).unwrap();
+                assert_eq!(report.drained, 2);
+                std::iter::from_fn(|| cq.pop_spsc())
+                    .map(|r| r.errno)
+                    .collect()
+            }
+            Entry::Sweep => {
+                let (set, slots) = ring_set_for(k, &[client], 2);
+                for i in 0..2 {
+                    set.submit(slots[0], req(k, client, func, i, i)).unwrap();
+                }
+                let report = k.sys_smod_sweep(sweeper(k), &set, 2).unwrap();
+                assert_eq!(report.drained, 2);
+                let rings = set.get(slots[0]).unwrap();
+                std::iter::from_fn(|| rings.cq.pop_spsc())
+                    .map(|r| r.errno)
+                    .collect()
+            }
+        };
+        assert_eq!(codes.len(), 2, "{entry:?}");
+        assert_eq!(
+            codes[0], codes[1],
+            "{entry:?} answered one request two ways"
+        );
+        codes[0]
+    }
+
+    fn establish(k: &Kernel, client: Pid, m_id: ModuleId) {
+        let (_session, handle) = k.sys_smod_start_session(client, m_id).unwrap();
+        k.sys_smod_session_info(handle).unwrap();
+        k.sys_smod_handle_info(client).unwrap();
+    }
+
+    #[test]
+    fn a_detach_leaves_every_other_sessions_decisions_warm() {
+        // Fails on a kernel whose detach moves the gateway epoch: there B's
+        // next decision goes back to the engine, and A's return re-runs
+        // every check it had. A detach changes no decision.
+        let (k, m_id, clients, incr) = kernel_with_clients(None, 2);
+        let (a, b) = (clients[0], clients[1]);
+        secmod_policy::l0::clear_thread_cache();
+        for entry in ENTRIES {
+            for client in [a, b] {
+                assert_eq!(ask(&k, entry, client, incr), 0);
+            }
+        }
+        let gateway = &k.registry.get(m_id).unwrap().gateway;
+        let evaluations = gateway.cache_stats().insertions;
+        let misses = k.metrics.gate_misses.get();
+
+        k.smod_detach(a, "leaves").unwrap();
+        for entry in ENTRIES {
+            let hits = k.metrics.gate_hits.get();
+            assert_eq!(ask(&k, entry, b, incr), 0);
+            assert_eq!(k.metrics.gate_hits.get(), hits + 2, "{entry:?}");
+            assert_eq!(
+                k.metrics.gate_misses.get(),
+                misses,
+                "{entry:?}: B went cold"
+            );
+        }
+
+        // A comes back with a session that holds no verdicts; its session
+        // check and its calls are answered from the gateway's tiers.
+        establish(&k, a, m_id);
+        for entry in ENTRIES {
+            assert_eq!(ask(&k, entry, a, incr), 0);
+        }
+        assert_eq!(k.metrics.gate_misses.get(), misses);
+        assert_eq!(
+            gateway.cache_stats().insertions,
+            evaluations,
+            "A's re-established session reached the engine"
+        );
+    }
+
+    #[test]
+    fn a_module_removal_leaves_other_modules_decisions_warm() {
+        // Fails on a kernel whose module removal moves every gateway's
+        // epoch: there the kept module's decisions go cold too.
+        let (k, kept, clients, incr) = kernel_with_clients(None, 1);
+        let (k, removed, gone, _) = clients_on(k, None, 1);
+        let client = clients[0];
+        secmod_policy::l0::clear_thread_cache();
+        for entry in ENTRIES {
+            assert_eq!(ask(&k, entry, client, incr), 0);
+        }
+        let gateway = &k.registry.get(kept).unwrap().gateway;
+        let evaluations = gateway.cache_stats().insertions;
+        let misses = k.metrics.gate_misses.get();
+
+        k.smod_detach(gone[0], "module going away").unwrap();
+        k.sys_smod_remove(Pid(1), removed).unwrap();
+        for entry in ENTRIES {
+            let hits = k.metrics.gate_hits.get();
+            assert_eq!(ask(&k, entry, client, incr), 0);
+            assert_eq!(k.metrics.gate_hits.get(), hits + 2, "{entry:?}");
+            assert_eq!(k.metrics.gate_misses.get(), misses, "{entry:?} went cold");
+        }
+        assert_eq!(gateway.cache_stats().insertions, evaluations);
+    }
+
+    /// Which tier holds the stale answer when the policy moves.
+    #[derive(Clone, Copy, Debug)]
+    enum Stale {
+        /// The asking session's own verdict.
+        Verdict,
+        /// The thread's L0 (the session is new, so it holds no verdict).
+        L0,
+        /// The sharded cache (new session, and the thread's L0 wiped).
+        Sharded,
+    }
+
+    /// A policy mutation.
+    #[derive(Clone, Copy, Debug)]
+    enum Mutation {
+        /// `add_assertion` granting alice `strlen`.
+        Grant,
+        /// `register_key` alone: no answer changes, every tier re-asks.
+        Key,
+        /// `register_key`, then the delegation it makes admissible, which
+        /// grants alice `strlen`.
+        KeyThenDelegation,
+    }
+
+    #[test]
+    fn a_policy_mutation_still_reaches_every_tier() {
+        // Passes whether or not a teardown moves the gateway epoch: it pins
+        // that every policy mutation still invalidates every tier. For
+        // each entry point, a stale `strlen` deny sits in one tier, a
+        // bystander detaches, the policy moves, and the next answer must
+        // come from the engine: one gate miss, and the new answer.
+        const VENDOR_KEY: &[u8] = b"warmth-vendor-key";
+        let vendor = Principal::from_key("vendor", VENDOR_KEY);
+        let alice = Principal::from_key("uid1000", ALICE_KEY);
+        let delegation = || {
+            Assertion::delegation(
+                vendor.clone(),
+                LicenseeExpr::Single(alice.clone()),
+                "function == \"strlen\"",
+            )
+            .unwrap()
+            .sign(VENDOR_KEY)
+        };
+        let eacces = Errno::EACCES.code();
+        for mutation in [Mutation::Grant, Mutation::Key, Mutation::KeyThenDelegation] {
+            for stale in [Stale::Verdict, Stale::L0, Stale::Sharded] {
+                for entry in ENTRIES {
+                    let case = format!("{mutation:?} / {stale:?} / {entry:?}");
+                    let (k, m_id, clients, _) = kernel_with_clients(None, 2);
+                    let (a, bystander) = (clients[0], clients[1]);
+                    let module = k.registry.get(m_id).unwrap();
+                    let strlen = module.package.stub_table.by_name("strlen").unwrap().func_id;
+                    let gateway = &module.gateway;
+                    gateway
+                        .add_assertion(
+                            Assertion::policy(LicenseeExpr::Single(vendor.clone()), "").unwrap(),
+                        )
+                        .unwrap();
+                    assert!(gateway.add_assertion(delegation()).is_err(), "{case}");
+
+                    secmod_policy::l0::clear_thread_cache();
+                    assert_eq!(ask(&k, entry, a, strlen), eacces, "{case}");
+                    if !matches!(stale, Stale::Verdict) {
+                        k.smod_detach(a, "fresh session").unwrap();
+                        establish(&k, a, m_id);
+                    }
+                    if matches!(stale, Stale::Sharded) {
+                        secmod_policy::l0::clear_thread_cache();
+                    }
+
+                    k.smod_detach(bystander, "bystander").unwrap();
+                    match mutation {
+                        Mutation::Grant => {
+                            gateway
+                                .add_assertion(
+                                    Assertion::policy(
+                                        LicenseeExpr::Single(alice.clone()),
+                                        "function == \"strlen\"",
+                                    )
+                                    .unwrap(),
+                                )
+                                .unwrap();
+                        }
+                        Mutation::Key => gateway.register_key(&vendor, VENDOR_KEY),
+                        Mutation::KeyThenDelegation => {
+                            gateway.register_key(&vendor, VENDOR_KEY);
+                            gateway.add_assertion(delegation()).unwrap();
+                        }
+                    }
+                    let misses = k.metrics.gate_misses.get();
+                    let expected = match mutation {
+                        Mutation::Key => eacces,
+                        Mutation::Grant | Mutation::KeyThenDelegation => 0,
+                    };
+                    assert_eq!(ask(&k, entry, a, strlen), expected, "{case}: stale answer");
+                    assert_eq!(k.metrics.gate_misses.get(), misses + 1, "{case}");
+                }
+            }
+        }
     }
 }

@@ -2,15 +2,13 @@
 //! `secmod_policy::PolicyEngine` that serves repeated decisions from the
 //! sharded cache and invalidates them by epoch.
 //!
-//! Invalidation contract: every mutation that can change a decision bumps
-//! an epoch *before the mutating call returns* —
-//!
-//! * [`Gateway::add_assertion`] and [`Gateway::register_key`] bump the
-//!   gateway's own epoch (mirroring `PolicyEngine::revision`),
-//! * the kernel's `sys_smod_remove` and `smod_detach` bump its
-//!   `smod_epoch`, which the kernel (or any other holder of a monotone
-//!   external epoch) folds in with [`Gateway::observe_kernel_epoch`] —
-//!   or [`Gateway::bump_epoch`] when no kernel is in the loop.
+//! Invalidation contract: grant / key registration bump the epoch;
+//! nothing else changes a decision. [`Gateway::add_assertion`] and
+//! [`Gateway::register_key`] bump it *before the mutating call returns*
+//! (mirroring `PolicyEngine::revision`); [`Gateway::bump_epoch`] is the
+//! hook for a policy mutation made out of band. A decision is a function
+//! of the policy and the [`AccessRequest`] alone, so a session's teardown
+//! or another module's removal leaves it valid.
 //!
 //! Because the epoch is part of every cache key, a lookup that starts after
 //! a mutation completes can only hit entries computed at the new epoch —
@@ -139,10 +137,8 @@ impl Attributes for AccessRequest<'_> {
 pub struct Gateway {
     engine: RwLock<PolicyEngine>,
     cache: DecisionCache,
-    /// Epoch component owned by the gateway: bumped by local mutations.
+    /// The invalidation epoch: bumped by every policy mutation.
     epoch: AtomicU64,
-    /// Epoch component observed from a kernel via `sync_kernel_epoch`.
-    kernel_epoch: AtomicU64,
     /// Process-unique id tagging this gateway's entries in per-thread L0
     /// tables.
     id: u64,
@@ -159,16 +155,13 @@ impl Gateway {
             engine: RwLock::new(engine),
             cache: DecisionCache::new(config),
             epoch,
-            kernel_epoch: AtomicU64::new(0),
             id: NEXT_GATEWAY_ID.fetch_add(1, SeqCst),
         }
     }
 
-    /// The effective invalidation epoch folded into every cache key.
+    /// The invalidation epoch folded into every cache key.
     pub fn epoch(&self) -> u64 {
-        self.epoch
-            .load(SeqCst)
-            .wrapping_add(self.kernel_epoch.load(SeqCst))
+        self.epoch.load(SeqCst)
     }
 
     /// Answer an access request with the full [`Decision`], from the
@@ -268,25 +261,9 @@ impl Gateway {
     }
 
     /// Invalidate every cached decision without touching the engine — the
-    /// hook for out-of-band events (session detach, module removal) when no
-    /// kernel handle is available to sync from.
+    /// hook for a policy mutation the fronted engine does not see.
     pub fn bump_epoch(&self) {
         self.epoch.fetch_add(1, SeqCst);
-    }
-
-    /// Fold a kernel's SecModule invalidation epoch (the value of its
-    /// `smod_epoch()`) into this gateway's, so decisions cached before a
-    /// `sys_smod_remove`/`smod_detach` can no longer be served. Monotone:
-    /// a stale kernel snapshot never rewinds the epoch.
-    pub fn observe_kernel_epoch(&self, kernel_epoch: u64) {
-        // Load-before-RMW: on the steady-state hot path the observed epoch
-        // is already current, and a plain load of a shared cache line does
-        // not bounce it between cores the way an unconditional fetch_max
-        // would.
-        if self.kernel_epoch.load(SeqCst) >= kernel_epoch {
-            return;
-        }
-        self.kernel_epoch.fetch_max(kernel_epoch, SeqCst);
     }
 
     /// Run a closure against the fronted engine (read-locked): the escape
@@ -397,32 +374,29 @@ mod tests {
     }
 
     #[test]
-    fn kernel_epoch_sync_invalidates_and_is_monotone() {
+    fn bump_epoch_invalidates_every_tier() {
+        crate::l0::clear_thread_cache();
         let gate = gateway_with_alice();
         let requesters = [alice()];
         let r = req(&requesters, "libc", "malloc");
         assert!(gate.is_allowed(&r));
         assert!(gate.is_allowed(&r));
         assert_eq!(gate.cache_stats().hits, 1);
+        assert_eq!(gate.is_allowed_tiered(&r), (true, DecisionTier::Shared));
+        assert_eq!(gate.is_allowed_tiered(&r), (true, DecisionTier::L0));
 
-        // A fresh kernel snapshot (epoch 0) must not rewind the gateway's
-        // epoch; a real detach-driven bump is exercised end-to-end by the
-        // gate crate's scenario engine and kernel-backed coherence tests.
         let before = gate.epoch();
-        gate.observe_kernel_epoch(0);
-        assert_eq!(gate.epoch(), before);
-        // Observing a newer kernel epoch invalidates; observing an older
-        // one afterwards changes nothing (monotone fold).
-        gate.observe_kernel_epoch(3);
-        assert_eq!(gate.epoch(), before + 3);
-        gate.observe_kernel_epoch(2);
-        assert_eq!(gate.epoch(), before + 3);
         gate.bump_epoch();
-        assert_eq!(gate.epoch(), before + 4);
-        // The old cached entry is unreachable: next check is a miss.
+        assert_eq!(gate.epoch(), before + 1);
+        // The old entries are unreachable in both tiers: the next check is
+        // a sharded miss, and the next tiered lookup runs the engine.
+        let stats = gate.cache_stats();
         assert!(gate.is_allowed(&r));
-        assert_eq!(gate.cache_stats().hits, 1);
-        assert_eq!(gate.cache_stats().misses, 2);
+        assert_eq!(gate.cache_stats().hits, stats.hits);
+        assert_eq!(gate.cache_stats().misses, stats.misses + 1);
+        gate.bump_epoch();
+        assert_eq!(gate.is_allowed_tiered(&r), (true, DecisionTier::Engine));
+        assert_eq!(gate.is_allowed_tiered(&r), (true, DecisionTier::L0));
     }
 
     #[test]
@@ -465,9 +439,9 @@ mod tests {
         let (allowed, tier) = gate.is_allowed_tiered(&r);
         assert!(allowed, "stale deny served from L0 after add_assertion");
         assert_eq!(tier, DecisionTier::Engine);
-        // Kernel-epoch folds invalidate the same way.
-        let before = gate.epoch();
-        gate.observe_kernel_epoch(before + 10);
+        // An out-of-band bump invalidates the same way.
+        assert_eq!(gate.is_allowed_tiered(&r), (true, DecisionTier::L0));
+        gate.bump_epoch();
         assert_eq!(gate.is_allowed_tiered(&r).1, DecisionTier::Engine);
     }
 
