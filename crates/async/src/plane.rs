@@ -186,6 +186,101 @@ mod tests {
     use std::task::{Context, Wake, Waker};
 
     #[test]
+    fn each_entry_is_counted_exactly_once() {
+        // One kernel behind every entry point: the dispatch histograms
+        // partition the entries the gate decided, and the async overlay
+        // counts each routed completion once.
+        use secmod_kernel::smod::SmodCallArgs;
+        use secmod_kernel::Credential;
+        use secmod_obs::Flavor;
+        use secmod_ring::{RingPairConfig, RingSet, SmodCallReq};
+        const CALLS: u64 = 12;
+        let (k, m_id, clients, incr) = kernel_with_clients(5);
+        let kernel = Arc::new(k);
+        let req = |session: u32, i: u64| SmodCallReq {
+            session,
+            proc_id: incr,
+            user_data: i,
+            args: i.to_le_bytes().into(),
+        };
+        let session_of = |client: Pid| kernel.session_of(client).unwrap().id.0;
+
+        for i in 0..CALLS {
+            let call = SmodCallArgs {
+                m_id,
+                func_id: incr,
+                frame_pointer: 0,
+                return_address: 0,
+                args: i.to_le_bytes().to_vec(),
+            };
+            kernel.sys_smod_call(clients[0], call).unwrap();
+        }
+
+        let (sq, cq) = RingPairConfig::default().build();
+        for i in 0..CALLS {
+            sq.push(req(session_of(clients[1]), i)).unwrap();
+        }
+        let batch = kernel
+            .sys_smod_call_batch(clients[1], &sq, &cq, 128)
+            .unwrap();
+        assert_eq!(batch.completed as u64, CALLS);
+
+        let set = RingSet::with_capacity(1);
+        let ring = RingPairConfig::default();
+        let slot = set
+            .register(session_of(clients[2]), clients[2].0, ring)
+            .unwrap();
+        for i in 0..CALLS {
+            set.submit(slot, req(session_of(clients[2]), i)).unwrap();
+        }
+        let sweeper = kernel
+            .spawn_process("sweeper", Credential::root(), vec![0x90; 4096], 2, 2)
+            .unwrap();
+        let sweep = kernel.sys_smod_sweep(sweeper, &set, 128).unwrap();
+        assert_eq!(sweep.completed as u64, CALLS);
+
+        let plane = DispatchPlane::start(Arc::clone(&kernel), PlaneConfig::default()).unwrap();
+        let handle = plane.attach(clients[3]).unwrap();
+        for i in 0..CALLS {
+            handle.submit(incr, i, i.to_le_bytes().to_vec()).unwrap();
+        }
+        let mut reaped = 0;
+        while reaped < CALLS {
+            match handle.reap() {
+                Some(resp) => {
+                    assert!(resp.is_ok());
+                    reaped += 1;
+                }
+                None => std::thread::yield_now(),
+            }
+        }
+        drop(handle);
+        plane.shutdown();
+
+        let async_plane = AsyncPlane::start(Arc::clone(&kernel), PlaneConfig::default()).unwrap();
+        let session = async_plane.session(clients[4]).unwrap();
+        for i in 0..CALLS {
+            block_on(session.call(incr, i.to_le_bytes())).unwrap();
+        }
+        let routed = async_plane.routed();
+        async_plane.shutdown();
+
+        let m = &kernel.metrics;
+        let count = |flavor| m.latency(flavor).count();
+        assert_eq!(count(Flavor::Syscall), CALLS);
+        assert_eq!(count(Flavor::Batch), CALLS);
+        assert_eq!(count(Flavor::Sweep), CALLS, "only sys_smod_sweep");
+        assert_eq!(count(Flavor::Plane), 2 * CALLS, "both planes' drainers");
+        let dispatched: u64 = [Flavor::Syscall, Flavor::Batch, Flavor::Sweep, Flavor::Plane]
+            .into_iter()
+            .map(count)
+            .sum();
+        assert_eq!(dispatched, m.gate_hits.get() + m.gate_misses.get());
+        assert_eq!(routed, CALLS);
+        assert_eq!(count(Flavor::Async), routed);
+    }
+
+    #[test]
     fn a_hundred_logical_clients_share_two_executor_threads() {
         // Spread over four sessions, so one drainer's routing pass pops
         // completions the other drainer posted.

@@ -10,7 +10,11 @@
 //! "waker storm": one sweep's worth of completions wakes every logical
 //! client it answered, however many OS threads those clients are
 //! multiplexed over. A session with nothing posted costs the pass two
-//! atomic loads (its completion ring's emptiness check).
+//! atomic loads (its completion ring's emptiness check). The pass also
+//! records each routed completion's cost under the async flavor, one
+//! `record_n` per run of equal costs — the drainer that produced the
+//! completion already recorded it under the plane flavor, so async is
+//! an overlay, not a second count of the same dispatch.
 //!
 //! Cancellation falls out of the table shape: a [`crate::CallFuture`]
 //! that is dropped mid-await removes its own entry, so its completion
@@ -115,8 +119,11 @@ pub(crate) type TableMap = Mutex<BTreeMap<usize, Route>>;
 /// that had completions. Returns how many completions were routed.
 /// Each routed completion's simulated cost lands in `metrics`'
 /// async-flavor histogram — the latency observed *through the futures
-/// frontend*, as opposed to the sweep-flavor records the drainer made
-/// while producing it.
+/// frontend*, an overlay on the plane-flavor record the drainer made
+/// while producing it. A session's completions are tallied in runs of
+/// equal cost (one function and payload size cost the same), and each
+/// run is one `record_n`, so a pass pays two atomic adds per run rather
+/// than per completion.
 ///
 /// `counter`, if given, gains each session's count while its table is
 /// still locked (the unlock publishes the relaxed add to whoever locks
@@ -129,6 +136,7 @@ pub(crate) fn route_completions(
     metrics: &DispatchMetrics,
     counter: Option<&AtomicU64>,
 ) -> usize {
+    let latency = metrics.latency(Flavor::Async);
     let mut routed = 0;
     let mut wakers: Vec<Waker> = Vec::new();
     for route in tables.lock().values() {
@@ -137,10 +145,16 @@ pub(crate) fn route_completions(
         }
         let mut pending = route.table.pending.lock();
         let mut popped = 0u64;
+        // The current run of equal, nonzero costs: `(cost, length)`.
+        let mut run = (0u64, 0u64);
         while let Some(resp) = route.rings.cq.pop() {
             popped += 1;
             if resp.cost_ns > 0 {
-                metrics.record_latency(Flavor::Async, resp.cost_ns);
+                if resp.cost_ns != run.0 {
+                    latency.record_n(run.0, run.1);
+                    run = (resp.cost_ns, 0);
+                }
+                run.1 += 1;
             }
             if let Some(entry) = pending.get_mut(&resp.user_data) {
                 entry.resp = Some(resp);
@@ -148,6 +162,7 @@ pub(crate) fn route_completions(
             }
             // else: cancelled mid-await — the response is discarded.
         }
+        latency.record_n(run.0, run.1);
         if let Some(counter) = counter {
             counter.fetch_add(popped, Ordering::Relaxed);
         }
@@ -211,6 +226,7 @@ mod tests {
         let metrics = DispatchMetrics::new();
         let routed = route_completions(&tables, &metrics, None);
         assert_eq!(routed, 2);
+        assert_eq!(metrics.latency(Flavor::Async).count(), 0, "free entries");
         assert_eq!(counter.0.load(Ordering::Acquire), 1);
         let pending = table.pending.lock();
         assert!(pending.get(&7).unwrap().resp.is_some());
@@ -222,6 +238,33 @@ mod tests {
         // The submission path consumed nothing here, but the rings must
         // be fully reaped.
         assert!(rings.cq.pop().is_none());
+    }
+
+    #[test]
+    fn each_routed_cost_is_recorded_once_in_runs() {
+        let set = RingSet::with_capacity(1);
+        let slot = set.register(1, 1, RingPairConfig::default()).unwrap();
+        let rings = set.get(slot).unwrap();
+        let route = Route {
+            rings: Arc::clone(&rings),
+            table: Arc::new(SlotTable::default()),
+        };
+        let tables: TableMap = Mutex::new([(slot.0, route)].into_iter().collect());
+        let costs = [90u64, 90, 0, 90, 300, 300, 90];
+        for (user_data, cost_ns) in (0u64..).zip(costs) {
+            rings
+                .cq
+                .push(SmodCallResp {
+                    cost_ns,
+                    ..resp(user_data)
+                })
+                .unwrap();
+        }
+        let metrics = DispatchMetrics::new();
+        assert_eq!(route_completions(&tables, &metrics, None), costs.len());
+        let latency = metrics.latency(Flavor::Async);
+        assert_eq!(latency.count(), 6, "every costed completion, once");
+        assert_eq!(latency.sum(), costs.iter().sum::<u64>());
     }
 
     #[test]

@@ -15,10 +15,10 @@
 //!   to a cached [`secmod_policy::Decision`], with sampled-LRU bounded
 //!   capacity and hit/miss/eviction counters.
 //! * [`gateway`] — the [`Gateway`]: a `Sync` front for
-//!   [`secmod_policy::PolicyEngine`] whose mutating operations
-//!   (`add_assertion`, `register_key`) bump an invalidation **epoch**;
-//!   nothing else does, because nothing else changes a decision (a
-//!   kernel's session teardown or module removal leaves it valid). The
+//!   [`secmod_policy::PolicyEngine`] whose accepted `add_assertion`
+//!   bumps an invalidation **epoch**; nothing else does, because nothing
+//!   else changes a decision (a key registration stores no assertion, and
+//!   a kernel's session teardown or module removal leaves it valid). The
 //!   epoch is part of every cache key, so a stale decision is unreachable
 //!   the moment a mutation returns — coherence by construction, which the
 //!   crate's property test (`tests/coherence.rs`) checks against an

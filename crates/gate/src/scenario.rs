@@ -42,8 +42,8 @@ use secmod_obs::{Flavor, LatencySummary};
 use secmod_policy::{Assertion, LicenseeExpr, PolicyEngine, Principal};
 use secmod_qos::{QosPolicy, SweepScheduler, TenantId, TenantLane, TenantSpec};
 use secmod_ring::{
-    CompletionRing, RingPairConfig, SmodCallReq, SmodCallResp, SubmissionRing, SubmitError,
-    SMOD_BATCH_DEFAULT_BUDGET,
+    CompletionRing, RingPairConfig, RingSet, SmodCallReq, SmodCallResp, SubmissionRing,
+    SubmitError, SMOD_BATCH_DEFAULT_BUDGET,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
@@ -1564,10 +1564,12 @@ pub fn run_scenario(cfg: &ScenarioConfig) -> ScenarioReport {
 /// `gate_report --metrics` walkthrough and the CI observability smoke.
 ///
 /// The syscall, batch, plane and async rows run in turn on the same
-/// world; the two plane frontends bring their own drainer threads, whose
-/// `sys_smod_sweep`s populate the sweep flavor — so one small demo lights
-/// up every row of the report. The draw includes `restricted`, so denied
-/// calls are recorded too — a deny still costs its policy check.
+/// world, then one direct `sys_smod_sweep` over every client's session
+/// fills the sweep row: a plane's drainers record what they drain under
+/// `plane`, and the async frontend overlays `async` on its completions,
+/// so each entry is counted once among syscall, batch, sweep and plane.
+/// The draw includes `restricted`, so denied calls are recorded too — a
+/// deny still costs its policy check.
 pub fn run_metrics_demo(seed: u64) -> String {
     let cfg = ScenarioConfig::builder(ScenarioKind::KernelDispatch)
         .quick()
@@ -1587,7 +1589,43 @@ pub fn run_metrics_demo(seed: u64) -> String {
     let World::Kernel(live) = world else {
         unreachable!("the kernel row builds a kernel world");
     };
+    sweep_every_operation(&live);
     live.kernel.metrics_report()
+}
+
+/// One direct `sys_smod_sweep` over a ring set holding a slot per client,
+/// each queued with one call of every operation.
+fn sweep_every_operation(live: &Live) {
+    let kernel = &live.kernel;
+    let set = RingSet::with_capacity(live.clients.len());
+    for &client in &live.clients {
+        let session = kernel.session_of(client).expect("established").id.0;
+        let ring = RingPairConfig::default();
+        let slot = set.register(session, client.0, ring).expect("a free slot");
+        for (user_data, &proc_id) in (0u64..).zip(&live.func_ids) {
+            let args = user_data.to_le_bytes().into();
+            let req = SmodCallReq {
+                session,
+                proc_id,
+                user_data,
+                args,
+            };
+            set.submit(slot, req).expect("room");
+        }
+    }
+    let sweeper = kernel
+        .spawn_process(
+            "metrics-sweeper",
+            Credential::root(),
+            vec![0x90; 4096],
+            2,
+            2,
+        )
+        .expect("spawn sweeper");
+    let report = kernel
+        .sys_smod_sweep(sweeper, &set, SMOD_BATCH_DEFAULT_BUDGET)
+        .expect("sweep");
+    assert_eq!(report.drained, live.clients.len() * live.func_ids.len());
 }
 
 /// The outcome of one scenario run.

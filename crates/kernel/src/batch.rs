@@ -28,7 +28,7 @@
 //!
 //! Decisions come from the same place as on the single call: the
 //! session's verdicts, which the pair-lock hold re-stamps with the
-//! gateway epoch (a policy grant or key registration clears them; a
+//! gateway epoch (a policy grant clears them; a key registration or a
 //! teardown changes no decision and clears nothing), so a decision is
 //! stale for at most one chunk. A repeat the session holds is priced as
 //! a cached decision; anything else pays what the gateway's answering

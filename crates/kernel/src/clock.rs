@@ -5,6 +5,17 @@ use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 /// Number of independent counter stripes (power of two).
 const STRIPES: usize = 16;
 
+/// One stripe: an `AtomicU64` padded out to a cache line of its own, so
+/// two threads charging different stripes never write the same line.
+#[derive(Debug, Default)]
+#[repr(align(64))]
+struct Stripe(AtomicU64);
+
+/// A full set of stripes, all zero.
+fn stripes() -> [Stripe; STRIPES] {
+    std::array::from_fn(|_| Stripe::default())
+}
+
 /// Map a hint (a pid, a session id) onto one of `buckets` stripes/shards
 /// with a SplitMix-style multiply so consecutive ids spread across
 /// distinct cache lines. Shared by the clock stripes, the striped
@@ -24,21 +35,20 @@ pub(crate) fn stripe_index(hint: u64, buckets: usize) -> usize {
 /// calibrated against the paper's 599 MHz Pentium III.
 ///
 /// The counter is **striped**: `advance` adds to one of `STRIPES`
-/// independent atomics chosen by the caller's hint (the kernel passes the
-/// charged pid), and `now_ns` sums the stripes. Concurrent `&self` syscall
+/// independent atomics, each on its own cache line, chosen by the
+/// caller's hint (the kernel passes the charged pid), and `now_ns` sums
+/// the stripes. Concurrent `&self` syscall
 /// paths therefore do not bounce a single cache line between cores on
 /// every charge — the dominant scaling cost of a naive shared counter —
 /// while total advanced time stays exact.
 #[derive(Debug)]
 pub struct SimClock {
-    stripes: [AtomicU64; STRIPES],
+    stripes: [Stripe; STRIPES],
 }
 
 impl Default for SimClock {
     fn default() -> Self {
-        SimClock {
-            stripes: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
+        SimClock { stripes: stripes() }
     }
 }
 
@@ -52,7 +62,7 @@ impl SimClock {
     pub fn now_ns(&self) -> u64 {
         self.stripes
             .iter()
-            .fold(0u64, |acc, s| acc.saturating_add(s.load(Relaxed)))
+            .fold(0u64, |acc, s| acc.saturating_add(s.0.load(Relaxed)))
     }
 
     /// Advance the clock by `ns` nanoseconds (stripe 0).
@@ -64,7 +74,7 @@ impl SimClock {
     /// `hint` (any per-thread-ish value — the kernel passes the pid being
     /// charged — so concurrent charges land on distinct cache lines).
     pub fn advance_striped(&self, hint: u64, ns: u64) {
-        let stripe = &self.stripes[stripe_index(hint, STRIPES)];
+        let stripe = &self.stripes[stripe_index(hint, STRIPES)].0;
         // Saturating add (fetch_add would wrap); contention on a stripe is
         // rare by construction, so the CAS loop is effectively one shot.
         let mut current = stripe.load(Relaxed);
@@ -90,14 +100,12 @@ impl SimClock {
 /// concurrent increments do not fight over one cache line; reads sum.
 #[derive(Debug)]
 pub struct StripedCounter {
-    stripes: [AtomicU64; STRIPES],
+    stripes: [Stripe; STRIPES],
 }
 
 impl Default for StripedCounter {
     fn default() -> Self {
-        StripedCounter {
-            stripes: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
+        StripedCounter { stripes: stripes() }
     }
 }
 
@@ -109,20 +117,38 @@ impl StripedCounter {
 
     /// Add `n` on the stripe selected by `hint`.
     pub fn add(&self, hint: u64, n: u64) {
-        self.stripes[stripe_index(hint, STRIPES)].fetch_add(n, Relaxed);
+        self.stripes[stripe_index(hint, STRIPES)]
+            .0
+            .fetch_add(n, Relaxed);
     }
 
     /// The total across all stripes.
     pub fn sum(&self) -> u64 {
         self.stripes
             .iter()
-            .fold(0u64, |acc, s| acc.wrapping_add(s.load(Relaxed)))
+            .fold(0u64, |acc, s| acc.wrapping_add(s.0.load(Relaxed)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn layout_gives_every_stripe_its_own_line() {
+        fn lines(stripes: &[Stripe; STRIPES]) -> Vec<usize> {
+            stripes
+                .iter()
+                .map(|s| &s.0 as *const AtomicU64 as usize / 64)
+                .collect()
+        }
+        let (clock, counter) = (SimClock::new(), StripedCounter::new());
+        for lines in [lines(&clock.stripes), lines(&counter.stripes)] {
+            let distinct: std::collections::BTreeSet<_> = lines.iter().collect();
+            assert_eq!(distinct.len(), STRIPES, "two stripes share a line");
+        }
+        assert_eq!(std::mem::size_of::<SimClock>(), STRIPES * 64);
+    }
 
     #[test]
     fn advances_monotonically() {

@@ -825,6 +825,7 @@ fn sweep_once(shared: &PlaneShared, ctx: &DrainerCtx, stats: &mut PlaneStats) ->
         &ctx.ledger,
         shared.sched.as_deref(),
         SESSION_BUDGET,
+        Flavor::Plane,
     )?;
     stats.absorb(&report);
     if report.drained > 0 {
@@ -952,21 +953,11 @@ impl PlaneHandle {
         Ok(calls.len())
     }
 
-    /// Pop one completion, if any. Each reaped completion's simulated
-    /// cost lands in the plane-flavor latency histogram — the latency a
-    /// producer *observes* through the plane, as opposed to the
-    /// sweep-flavor records the drainers make while producing it.
+    /// Pop one completion, if any. Records nothing: the drainer already
+    /// put the entry's cost in the plane-flavor histogram when it
+    /// computed it, so a reap touches no line but the ring's.
     pub fn reap(&self) -> Option<SmodCallResp> {
-        let resp = self.rings.cq.pop();
-        if let Some(resp) = &resp {
-            if resp.cost_ns > 0 {
-                self.shared
-                    .kernel
-                    .metrics
-                    .record_latency(Flavor::Plane, resp.cost_ns);
-            }
-        }
-        resp
+        self.rings.cq.pop()
     }
 
     /// Entries currently queued for dispatch (approximate).

@@ -13,7 +13,8 @@
 //!   relaxed `fetch_add`s — no locks, no allocation, mergeable across
 //!   threads, cheap enough to leave on in the hot dispatch path.
 //! * [`DispatchMetrics`] — one histogram per dispatch flavor
-//!   ([`Flavor`]: syscall / batch / sweep / plane / async) plus the
+//!   ([`Flavor`]: syscall / batch / sweep / plane partition the
+//!   dispatched entries, async overlays the routed ones) plus the
 //!   counters the system already computes and used to throw away: gate
 //!   hit/miss, ring full-bounces, sweep sessions-per-trap, drainer
 //!   park/unpark cycles, EIDRM teardown failures, async re-submits.
@@ -465,13 +466,16 @@ pub enum Flavor {
     Syscall,
     /// `sys_smod_call_batch`: one session drained per trap.
     Batch,
-    /// `sys_smod_sweep`: every ready session drained per trap.
+    /// `sys_smod_sweep`: every ready session drained per trap. Direct
+    /// calls only; a plane's drainers record under [`Flavor::Plane`].
     Sweep,
-    /// `DispatchPlane` producers (submit/reap through dedicated
-    /// drainers; latency recorded at reap).
+    /// What a `DispatchPlane`'s drainers drained (recorded by the drain,
+    /// as it computes each entry's cost; a producer's reap records
+    /// nothing).
     Plane,
-    /// The futures frontend (latency recorded as each completion is
-    /// routed to its waker).
+    /// The futures frontend: each completion routed to its waker,
+    /// recorded in runs of equal cost. An overlay on the plane entries it
+    /// routed, not a fifth share of the dispatched entries.
     Async,
 }
 
@@ -512,7 +516,10 @@ struct LineBoundary;
 ///
 /// One registry lives in each `Kernel`; the plane's drainers, the
 /// async frontend, and the syscall paths all record into it
-/// (`Kernel::metrics`).
+/// (`Kernel::metrics`). Each dispatched entry is recorded once, by the
+/// drain that computed its cost, under its entry point's flavor: the
+/// `syscall`, `batch`, `sweep` and `plane` counts sum to `gate_hits +
+/// gate_misses`, and `async` counts the completions routed on top.
 ///
 /// The layout rule: **a word written per call has exactly one writing
 /// role per cache line.** The roles are the thread that *drains* (the
@@ -576,12 +583,6 @@ impl DispatchMetrics {
     /// The latency histogram for one dispatch flavor.
     pub fn latency(&self, flavor: Flavor) -> &Histogram {
         &self.latency[flavor.index()]
-    }
-
-    /// Record one call's latency under `flavor`.
-    #[inline]
-    pub fn record_latency(&self, flavor: Flavor, ns: u64) {
-        self.latency[flavor.index()].record(ns);
     }
 
     /// Average ready sessions visited per sweep trap.
@@ -795,8 +796,8 @@ mod tests {
     fn metrics_registry_round_trips() {
         let m = DispatchMetrics::new();
         for flavor in Flavor::ALL {
-            m.record_latency(flavor, 100);
-            m.record_latency(flavor, 10_000);
+            m.latency(flavor).record(100);
+            m.latency(flavor).record(10_000);
         }
         m.gate_hits.add(9);
         m.gate_misses.incr();

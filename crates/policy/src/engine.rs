@@ -57,8 +57,12 @@ pub struct PolicyEngine {
     /// How to treat attributes missing from the environment.
     pub missing_attr: MissingAttr,
     /// Monotone mutation counter: bumped by every state change that can
-    /// alter a decision (`add_assertion`, `register_key`). Decision caches
+    /// alter a decision — an accepted `add_assertion`. Decision caches
     /// fold this into their keys so stale results can never be served.
+    /// `register_key` does not bump it: keys are read only by
+    /// `add_assertion`'s signature check, and an assertion rejected for
+    /// a missing key is never stored, so a registration alone changes no
+    /// decision.
     revision: u64,
     /// Licensee fingerprint → the assertions (ascending indices) whose
     /// licensee expression names that principal: whom to wake when the
@@ -84,11 +88,12 @@ impl PolicyEngine {
     }
 
     /// Register a principal's key material so its assertions can be
-    /// signature-checked.
+    /// signature-checked. Leaves [`PolicyEngine::revision`] alone: only
+    /// the assertions the key later admits change a decision, and adding
+    /// each of those bumps it.
     pub fn register_key(&mut self, principal: &Principal, key_material: &[u8]) {
         self.keys
             .insert(principal.fingerprint.clone(), key_material.to_vec());
-        self.revision += 1;
     }
 
     /// Add an assertion.  Non-policy assertions must verify against the
@@ -460,17 +465,18 @@ mod tests {
     fn revision_bumps_on_every_invalidating_mutation() {
         let mut engine = PolicyEngine::new();
         assert_eq!(engine.revision(), 0);
+        // A key alone changes no decision: nothing it verifies is stored yet.
         engine.register_key(&vendor(), b"vendor-key");
-        assert_eq!(engine.revision(), 1);
+        assert_eq!(engine.revision(), 0);
         engine
             .add_assertion(Assertion::policy(LicenseeExpr::Single(alice()), "").unwrap())
             .unwrap();
-        assert_eq!(engine.revision(), 2);
+        assert_eq!(engine.revision(), 1);
         // A rejected assertion changes nothing and must not bump.
         let unsigned =
             Assertion::delegation(vendor(), LicenseeExpr::Single(alice()), "true").unwrap();
         assert!(engine.add_assertion(unsigned).is_err());
-        assert_eq!(engine.revision(), 2);
+        assert_eq!(engine.revision(), 1);
     }
 
     #[test]

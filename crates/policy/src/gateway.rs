@@ -2,13 +2,14 @@
 //! `secmod_policy::PolicyEngine` that serves repeated decisions from the
 //! sharded cache and invalidates them by epoch.
 //!
-//! Invalidation contract: grant / key registration bump the epoch;
-//! nothing else changes a decision. [`Gateway::add_assertion`] and
-//! [`Gateway::register_key`] bump it *before the mutating call returns*
-//! (mirroring `PolicyEngine::revision`); [`Gateway::bump_epoch`] is the
-//! hook for a policy mutation made out of band. A decision is a function
-//! of the policy and the [`AccessRequest`] alone, so a session's teardown
-//! or another module's removal leaves it valid.
+//! Invalidation contract: an accepted grant bumps the epoch; nothing
+//! else changes a decision. [`Gateway::add_assertion`] bumps it *before
+//! the mutating call returns* (mirroring `PolicyEngine::revision`);
+//! [`Gateway::bump_epoch`] is the hook for a policy mutation made out of
+//! band. A decision is a function of the stored assertions and the
+//! [`AccessRequest`] alone, so a session's teardown, another module's
+//! removal, or a key registration (which stores no assertion) leaves it
+//! valid.
 //!
 //! Because the epoch is part of every cache key, a lookup that starts after
 //! a mutation completes can only hit entries computed at the new epoch —
@@ -251,13 +252,13 @@ impl Gateway {
         Ok(idx)
     }
 
-    /// Register a principal's key material, invalidating the cache (key
-    /// registration can make previously rejected assertions admissible, so
-    /// it is treated as decision-affecting just like in `PolicyEngine`).
+    /// Register a principal's key material. The cache stays valid: keys
+    /// are read only by [`Gateway::add_assertion`]'s signature check, and
+    /// an assertion rejected for a missing key was never stored, so no
+    /// decision depended on the key's absence. The assertions the key
+    /// later admits go through `add_assertion`, which bumps the epoch.
     pub fn register_key(&self, principal: &Principal, key_material: &[u8]) {
-        let mut engine = self.engine.write();
-        engine.register_key(principal, key_material);
-        self.epoch.fetch_add(1, SeqCst);
+        self.engine.write().register_key(principal, key_material);
     }
 
     /// Invalidate every cached decision without touching the engine — the

@@ -28,7 +28,14 @@
 //!   teardown path (EIDRM fills, ring drops, async drop-cancel, bounced
 //!   submissions) leak-free without special cases: the slot rides inside
 //!   [`ArgRef::Arena`] and dies with the request
-//!   or response that owned it.
+//!   or response that owned it. Every slot belongs to a region: it holds
+//!   the region's state (which owns the arena) and its
+//!   `(offset, len, generation)` triple, 24 bytes in all, and derives the
+//!   block it was charged from `len`.
+//!
+//! [`ArgRef`] is 32 bytes: payloads up to [`INLINE_ARG_MAX`] (24) bytes
+//! ride inline, which with the entry header fits a whole
+//! `SmodCallReq`/`SmodCallResp` ring slot in one 64-byte cache line.
 //!
 //! # Safety
 //!
@@ -53,10 +60,12 @@ use std::sync::Arc;
 /// are tracked per granule.
 pub const ARENA_GRANULE: usize = 64;
 
-/// Payloads at or below this many bytes ride inline in the ring entry
-/// (copying 64 B is cheaper than an arena round trip); larger payloads
-/// go through the arena when one is attached.
-pub const INLINE_ARG_MAX: usize = 64;
+/// Payloads at or below this many bytes ride inline in the ring entry;
+/// larger payloads go through the arena when one is attached. 24 is what
+/// keeps [`ArgRef`] at 32 bytes and so each call-ring slot at one 64-byte
+/// line: a 25–64 B payload costs an arena slot (or a heap copy) instead
+/// of a second cache line on every entry.
+pub const INLINE_ARG_MAX: usize = 24;
 
 /// Default per-class resident cap for region magazines (see
 /// [`ArenaRegion::with_magazine`]): how many free blocks of one size
@@ -95,10 +104,10 @@ pub struct ArgArena {
     metrics: Option<Arc<ArenaMetrics>>,
 }
 
-// SAFETY: the arena is a slot allocator — `alloc_with` hands each
-// `[offset, offset + len)` range to exactly one `ArenaSlot` owner, and
-// the range is not touched by anyone else until that slot is dropped
-// (frees re-insert it into a freelist under a lock). Cross-thread
+// SAFETY: the arena is a slot allocator — `alloc_block` and `grab_blocks`
+// hand each `[offset, offset + len)` range to exactly one `ArenaSlot`
+// owner, and the range is not touched by anyone else until that slot is
+// dropped (frees re-insert it into a freelist under a lock). Cross-thread
 // handoff of a slot happens through the dispatch rings, whose
 // `Release`/`Acquire` sequence protocol orders the producer's writes
 // before the consumer's reads. All remaining shared state is atomics
@@ -163,11 +172,19 @@ impl ArgArena {
         ARENA_GRANULE << class
     }
 
-    /// Copy `payload` into a freshly allocated slot. Returns `None` when
-    /// the payload exceeds the largest size class or the arena is out of
-    /// space (callers fall back to an owned copy and count it).
-    pub fn alloc_with(self: &Arc<Self>, payload: &[u8]) -> Option<ArenaSlot> {
-        let class = self.class_of(payload.len())?;
+    /// The class and block size of a live slot holding `len` bytes: what
+    /// it was charged, derived rather than stored.
+    fn block_of(&self, len: u32) -> (usize, u64) {
+        let class = self
+            .class_of(len as usize)
+            .expect("a live slot was allocated from a valid class");
+        (class, Self::class_bytes(class) as u64)
+    }
+
+    /// Take one free block of `class`: a freelist pop, else a fresh carve
+    /// from the bump region. `None` when the arena is out of space. The
+    /// block is counted as allocated at once.
+    fn alloc_block(&self, class: usize) -> Option<u32> {
         let block = Self::class_bytes(class);
         let offset = match self.classes[class].0.lock().pop() {
             Some(offset) => offset,
@@ -184,27 +201,27 @@ impl ArgArena {
                 offset as u32
             }
         };
-        let gen = self.generations[offset as usize / ARENA_GRANULE].load(Ordering::Acquire);
-        // SAFETY: `[offset, offset + block)` was either popped from a
-        // freelist or freshly carved from the bump pointer — in both
-        // cases this thread is its only owner until the returned slot is
-        // dropped. The cells are one contiguous allocation, so offsetting
-        // from the range's first cell stays in bounds.
-        unsafe {
-            let base = self.bytes[offset as usize].get();
-            std::ptr::copy_nonoverlapping(payload.as_ptr(), base, payload.len());
-        }
         if let Some(m) = &self.metrics {
             m.allocs.incr();
             m.bytes_in_flight.add(block as u64);
         }
-        Some(ArenaSlot {
-            arena: Arc::clone(self),
-            offset,
-            len: payload.len() as u32,
-            gen,
-            region: None,
-        })
+        Some(offset)
+    }
+
+    /// Copy `payload` into the block at `offset`, which the caller owns,
+    /// and return the block's current generation.
+    fn write(&self, offset: u32, payload: &[u8]) -> u32 {
+        let gen = self.generations[offset as usize / ARENA_GRANULE].load(Ordering::Acquire);
+        // SAFETY: the block at `offset` was popped from a freelist, carved
+        // from the bump pointer or popped from a magazine by the caller —
+        // in every case this thread is its only owner until the slot it
+        // becomes is dropped. The cells are one contiguous allocation, so
+        // offsetting from the range's first cell stays in bounds.
+        unsafe {
+            let base = self.bytes[offset as usize].get();
+            std::ptr::copy_nonoverlapping(payload.as_ptr(), base, payload.len());
+        }
+        gen
     }
 
     /// Read a slot's bytes. Only called through [`ArenaSlot::as_slice`],
@@ -223,9 +240,7 @@ impl ArgArena {
     /// stale descriptors are detectable. Internal: driven by
     /// [`ArenaSlot`]'s `Drop`.
     fn free(&self, offset: u32, len: u32, gen: u32) {
-        let class = self
-            .class_of(len as usize)
-            .expect("freed slot was allocated from a valid class");
+        let (class, block) = self.block_of(len);
         let granule = offset as usize / ARENA_GRANULE;
         let current = self.generations[granule].load(Ordering::Acquire);
         if current != gen {
@@ -239,7 +254,7 @@ impl ArgArena {
         self.generations[granule].store(gen.wrapping_add(1), Ordering::Release);
         if let Some(m) = &self.metrics {
             m.frees.incr();
-            m.bytes_in_flight.sub(Self::class_bytes(class) as u64);
+            m.bytes_in_flight.sub(block);
         }
         self.classes[class].0.lock().push(offset);
     }
@@ -302,28 +317,6 @@ impl ArgArena {
         self.classes[class].0.lock().append(offsets);
     }
 
-    /// Copy `payload` into a block previously acquired by
-    /// [`ArgArena::grab_blocks`]: the pointer-pop fast path. No freelist,
-    /// no metrics traffic — the block was fully accounted at grab time.
-    fn adopt(self: &Arc<Self>, offset: u32, payload: &[u8]) -> ArenaSlot {
-        let gen = self.generations[offset as usize / ARENA_GRANULE].load(Ordering::Acquire);
-        // SAFETY: the block was grabbed for exactly one magazine and
-        // popped from it by the caller, so this thread is its only owner
-        // until the returned slot is dropped; the cells are one
-        // contiguous in-bounds allocation (same argument as `alloc_with`).
-        unsafe {
-            let base = self.bytes[offset as usize].get();
-            std::ptr::copy_nonoverlapping(payload.as_ptr(), base, payload.len());
-        }
-        ArenaSlot {
-            arena: Arc::clone(self),
-            offset,
-            len: payload.len() as u32,
-            gen,
-            region: None,
-        }
-    }
-
     /// Count one fallback-to-copy event (arena full or quota exhausted).
     fn count_fallback(&self) {
         if let Some(m) = &self.metrics {
@@ -349,9 +342,6 @@ impl ArgArena {
 /// `try_lock`, degrading to the shared path instead of ever blocking a
 /// drainer against a producer).
 struct Magazine {
-    /// The arena the parked blocks belong to (needed so the terminal
-    /// `RegionState` drop can flush them back without an outside handle).
-    arena: Arc<ArgArena>,
     /// `stacks[c]` holds free offsets of class `c` blocks, newest last.
     stacks: Box<[Vec<u32>]>,
     /// Per-class resident cap; recycle falls back to the shared freelist
@@ -369,18 +359,12 @@ impl Magazine {
             .sum()
     }
 
-    /// Return every parked block to the shared freelists and uncharge
-    /// them from `in_flight`. Returns the bytes released.
-    fn flush(&mut self, in_flight: &AtomicU64) -> u64 {
-        let mut released = 0u64;
-        for class in 0..self.stacks.len() {
-            let n = self.stacks[class].len();
-            if n == 0 {
-                continue;
-            }
-            released += (n * ArgArena::class_bytes(class)) as u64;
-            let arena = Arc::clone(&self.arena);
-            arena.return_blocks(class, &mut self.stacks[class]);
+    /// Return every parked block to `arena`'s shared freelists and
+    /// uncharge them from `in_flight`. Returns the bytes released.
+    fn flush(&mut self, arena: &ArgArena, in_flight: &AtomicU64) -> u64 {
+        let released = self.resident_bytes();
+        for (class, stack) in self.stacks.iter_mut().enumerate() {
+            arena.return_blocks(class, stack);
         }
         if released > 0 {
             in_flight.fetch_sub(released, Ordering::AcqRel);
@@ -399,9 +383,11 @@ impl std::fmt::Debug for Magazine {
 }
 
 /// Internal per-region accounting shared by the region and the slots it
-/// allocated (slots settle the quota on drop).
-#[derive(Debug, Default)]
+/// allocated (slots settle the quota on drop). It owns the arena handle,
+/// so a slot reaches both its bytes and its region through one pointer.
+#[derive(Debug)]
 struct RegionState {
+    arena: Arc<ArgArena>,
     in_flight: AtomicU64,
     /// The region's magazine, when enabled ([`ArenaRegion::with_magazine`]).
     magazine: Option<Mutex<Magazine>>,
@@ -415,11 +401,8 @@ impl RegionState {
     /// magazine, the class is too big, the stack is full, the lock is
     /// contended, or the generation is stale (the shared path then counts
     /// the mismatch, as before).
-    fn try_recycle(&self, arena: &ArgArena, offset: u32, len: u32, gen: u32) -> bool {
+    fn try_recycle(&self, class: usize, offset: u32, gen: u32) -> bool {
         let Some(mutex) = self.magazine.as_ref() else {
-            return false;
-        };
-        let Some(class) = arena.class_of(len as usize) else {
             return false;
         };
         let Some(mut mag) = mutex.try_lock() else {
@@ -429,10 +412,11 @@ impl RegionState {
             return false;
         }
         let granule = offset as usize / ARENA_GRANULE;
-        if arena.generations[granule].load(Ordering::Acquire) != gen {
+        let generations = &self.arena.generations;
+        if generations[granule].load(Ordering::Acquire) != gen {
             return false;
         }
-        arena.generations[granule].store(gen.wrapping_add(1), Ordering::Release);
+        generations[granule].store(gen.wrapping_add(1), Ordering::Release);
         mag.stacks[class].push(offset);
         true
     }
@@ -446,19 +430,18 @@ impl Drop for RegionState {
         // scenario/teardown `bytes_in_flight == 0` assertions holding
         // bit-for-bit with magazines enabled.
         if let Some(mutex) = self.magazine.as_mut() {
-            mutex.get_mut().flush(&self.in_flight);
+            mutex.get_mut().flush(&self.arena, &self.in_flight);
         }
     }
 }
 
 /// A per-session quota over a shared [`ArgArena`].
 ///
-/// Cloning is cheap (two `Arc`s); clones share the quota accounting, so
+/// Cloning is cheap (one `Arc`); clones share the quota accounting, so
 /// a session's producer and the kernel's result placement draw from the
 /// same budget.
 #[derive(Clone, Debug)]
 pub struct ArenaRegion {
-    arena: Arc<ArgArena>,
     state: Arc<RegionState>,
     /// Most bytes this region may hold in flight at once.
     quota: u64,
@@ -467,11 +450,7 @@ pub struct ArenaRegion {
 impl ArenaRegion {
     /// A region of `arena` bounded to `quota` bytes in flight.
     pub fn new(arena: Arc<ArgArena>, quota: usize) -> ArenaRegion {
-        ArenaRegion {
-            arena,
-            state: Arc::new(RegionState::default()),
-            quota: quota as u64,
-        }
+        ArenaRegion::build(arena, quota, None)
     }
 
     /// [`ArenaRegion::new`] plus a magazine: the region keeps up to
@@ -488,15 +467,18 @@ impl ArenaRegion {
         // maximum (4 KiB blocks).
         let n_classes = arena.classes.len().min(MAG_MAX_CLASS + 1);
         let magazine = Magazine {
-            arena: Arc::clone(&arena),
             stacks: (0..n_classes).map(|_| Vec::with_capacity(depth)).collect(),
             depth: depth.max(1),
         };
+        ArenaRegion::build(arena, quota, Some(Mutex::new(magazine)))
+    }
+
+    fn build(arena: Arc<ArgArena>, quota: usize, magazine: Option<Mutex<Magazine>>) -> ArenaRegion {
         ArenaRegion {
-            arena,
             state: Arc::new(RegionState {
+                arena,
                 in_flight: AtomicU64::new(0),
-                magazine: Some(Mutex::new(magazine)),
+                magazine,
             }),
             quota: quota as u64,
         }
@@ -529,19 +511,27 @@ impl ArenaRegion {
         granted as usize
     }
 
+    /// Copy `payload` into the block at `offset`, which this region has
+    /// charged and the caller owns, and wrap it as this region's slot.
+    fn adopt(&self, offset: u32, payload: &[u8]) -> ArenaSlot {
+        ArenaSlot {
+            gen: self.state.arena.write(offset, payload),
+            state: Arc::clone(&self.state),
+            offset,
+            len: payload.len() as u32,
+        }
+    }
+
     /// Pop a parked block and adopt the payload into it. The quota stays
     /// as-is: the block was already charged when it entered the magazine.
     fn alloc_from_magazine(
         &self,
         mag: &mut Magazine,
         class: usize,
-        block: u64,
         payload: &[u8],
     ) -> Option<ArenaSlot> {
         let offset = mag.stacks.get_mut(class)?.pop()?;
-        let mut slot = self.arena.adopt(offset, payload);
-        slot.region = Some((Arc::clone(&self.state), block));
-        Some(slot)
+        Some(self.adopt(offset, payload))
     }
 
     /// Refill `class`'s stack: charge as many blocks as quota allows (up
@@ -559,6 +549,7 @@ impl ArenaRegion {
             return 0;
         }
         let got = self
+            .state
             .arena
             .grab_blocks(class, granted, &mut mag.stacks[class]);
         if got < granted {
@@ -582,8 +573,9 @@ impl ArenaRegion {
     /// magazine can always reach exactly the in-flight bytes a plain
     /// region could.
     pub fn alloc_with(&self, payload: &[u8]) -> Option<ArenaSlot> {
-        let Some(class) = self.arena.class_of(payload.len()) else {
-            self.arena.count_fallback();
+        let arena = &self.state.arena;
+        let Some(class) = arena.class_of(payload.len()) else {
+            arena.count_fallback();
             return None;
         };
         let block = ArgArena::class_bytes(class) as u64;
@@ -592,15 +584,11 @@ impl ArenaRegion {
             if class < MAG_MAX_CLASS + 1 {
                 if let Some(mut mag) = mutex.try_lock() {
                     if class < mag.stacks.len() {
-                        if let Some(slot) =
-                            self.alloc_from_magazine(&mut mag, class, block, payload)
-                        {
+                        if let Some(slot) = self.alloc_from_magazine(&mut mag, class, payload) {
                             return Some(slot);
                         }
                         if self.refill_magazine(&mut mag, class, block) > 0 {
-                            if let Some(slot) =
-                                self.alloc_from_magazine(&mut mag, class, block, payload)
-                            {
+                            if let Some(slot) = self.alloc_from_magazine(&mut mag, class, payload) {
                                 return Some(slot);
                             }
                         }
@@ -614,25 +602,20 @@ impl ArenaRegion {
         if self.charge(block).is_err()
             && (self.flush_magazine() == 0 || self.charge(block).is_err())
         {
-            self.arena.count_fallback();
+            arena.count_fallback();
             return None;
         }
-        match self.arena.alloc_with(payload) {
-            Some(mut slot) => {
-                slot.region = Some((Arc::clone(&self.state), block));
-                Some(slot)
-            }
+        let mut offset = arena.alloc_block(class);
+        if offset.is_none() && self.flush_magazine() > 0 {
+            // Arena-level exhaustion: our own parked blocks may be
+            // exactly the capacity the arena is missing.
+            offset = arena.alloc_block(class);
+        }
+        match offset {
+            Some(offset) => Some(self.adopt(offset, payload)),
             None => {
-                // Arena-level exhaustion: our own parked blocks may be
-                // exactly the capacity the arena is missing.
-                if self.flush_magazine() > 0 {
-                    if let Some(mut slot) = self.arena.alloc_with(payload) {
-                        slot.region = Some((Arc::clone(&self.state), block));
-                        return Some(slot);
-                    }
-                }
                 self.state.in_flight.fetch_sub(block, Ordering::AcqRel);
-                self.arena.count_fallback();
+                arena.count_fallback();
                 None
             }
         }
@@ -658,7 +641,7 @@ impl ArenaRegion {
     /// bytes released. A no-op (0) for regions without a magazine.
     pub fn flush_magazine(&self) -> u64 {
         match self.state.magazine.as_ref() {
-            Some(mutex) => mutex.lock().flush(&self.state.in_flight),
+            Some(mutex) => mutex.lock().flush(&self.state.arena, &self.state.in_flight),
             None => 0,
         }
     }
@@ -670,27 +653,29 @@ impl ArenaRegion {
 
     /// The shared arena this region draws from.
     pub fn arena(&self) -> &Arc<ArgArena> {
-        &self.arena
+        &self.state.arena
     }
 }
 
 /// RAII ownership of one arena allocation: dropping the slot frees it
-/// (and settles the owning region's quota). Not `Clone` — exactly one
-/// owner at a time is the whole safety argument.
+/// (and settles the owning region's quota by the block its `len` was
+/// charged). Not `Clone` — exactly one owner at a time is the whole
+/// safety argument.
 pub struct ArenaSlot {
-    arena: Arc<ArgArena>,
+    /// The owning region's state, and through it the arena.
+    state: Arc<RegionState>,
     offset: u32,
     len: u32,
     /// Generation observed at alloc; must still match at free.
     gen: u32,
-    /// `(region state, charged bytes)` when allocated through a region.
-    region: Option<(Arc<RegionState>, u64)>,
 }
+
+const _: () = assert!(std::mem::size_of::<ArenaSlot>() == 24);
 
 impl ArenaSlot {
     /// The payload, read in place from the shared arena.
     pub fn as_slice(&self) -> &[u8] {
-        self.arena.slice(self.offset, self.len)
+        self.state.arena.slice(self.offset, self.len)
     }
 
     /// Payload length in bytes.
@@ -712,7 +697,7 @@ impl ArenaSlot {
     /// Does this slot's generation still match the arena's tag (i.e. the
     /// slot has not been recycled under a stale descriptor)?
     pub fn is_current(&self) -> bool {
-        self.arena.generations[self.offset as usize / ARENA_GRANULE].load(Ordering::Acquire)
+        self.state.arena.generations[self.offset as usize / ARENA_GRANULE].load(Ordering::Acquire)
             == self.gen
     }
 }
@@ -729,18 +714,16 @@ impl std::fmt::Debug for ArenaSlot {
 
 impl Drop for ArenaSlot {
     fn drop(&mut self) {
-        if let Some((state, block)) = self.region.take() {
-            // Region slots park their block in the magazine when there
-            // is room: the generation was checked and bumped exactly as
-            // `free` would, and the block stays charged for reuse.
-            if state.try_recycle(&self.arena, self.offset, self.len, self.gen) {
-                return;
-            }
-            self.arena.free(self.offset, self.len, self.gen);
-            state.in_flight.fetch_sub(block, Ordering::AcqRel);
-        } else {
-            self.arena.free(self.offset, self.len, self.gen);
+        let state = &self.state;
+        let (class, block) = state.arena.block_of(self.len);
+        // Park the block in the magazine when there is room: the
+        // generation is checked and bumped exactly as `free` would, and
+        // the block stays charged for reuse.
+        if state.try_recycle(class, self.offset, self.gen) {
+            return;
         }
+        state.arena.free(self.offset, self.len, self.gen);
+        state.in_flight.fetch_sub(block, Ordering::AcqRel);
     }
 }
 
@@ -756,7 +739,8 @@ pub struct InlineBuf(pub [u8; INLINE_ARG_MAX]);
 
 /// An argument or result payload: inline bytes for small blocks, an
 /// owned heap copy when no arena is available (or it is full), or an
-/// arena descriptor for the zero-copy path.
+/// arena descriptor for the zero-copy path. 32 bytes in every variant,
+/// so a call-ring entry carrying one fits a single cache line.
 ///
 /// Equality and hashing are by payload bytes — two `ArgRef`s carrying
 /// the same bytes compare equal regardless of representation, which is
@@ -771,11 +755,14 @@ pub enum ArgRef {
         buf: InlineBuf,
     },
     /// An owned heap copy of a payload above [`INLINE_ARG_MAX`] that
-    /// found no arena room (no region, quota exhausted, arena full).
+    /// found no arena room (no region, quota exhausted, arena full, or
+    /// larger than the arena's largest class).
     Heap(Vec<u8>),
     /// A slot in a shared [`ArgArena`], read in place.
     Arena(ArenaSlot),
 }
+
+const _: () = assert!(std::mem::size_of::<ArgRef>() == 32);
 
 impl ArgRef {
     /// An empty payload.
@@ -934,12 +921,18 @@ impl<const N: usize> From<[u8; N]> for ArgRef {
 mod tests {
     use super::*;
 
+    /// A region of `arena` whose quota never binds: the arena alone
+    /// decides whether an allocation fits.
+    fn unlimited(arena: &Arc<ArgArena>) -> ArenaRegion {
+        ArenaRegion::new(Arc::clone(arena), usize::MAX)
+    }
+
     #[test]
     fn round_trips_payloads_of_every_class() {
-        let arena = ArgArena::with_capacity(1 << 20);
+        let region = unlimited(&ArgArena::with_capacity(1 << 20));
         for size in [1usize, 63, 64, 65, 512, 4096, 65536] {
             let payload: Vec<u8> = (0..size).map(|i| (i % 251) as u8).collect();
-            let slot = arena.alloc_with(&payload).expect("alloc");
+            let slot = region.alloc_with(&payload).expect("alloc");
             assert_eq!(slot.as_slice(), payload.as_slice(), "size {size}");
             assert!(slot.is_current());
         }
@@ -947,11 +940,11 @@ mod tests {
 
     #[test]
     fn freed_blocks_are_reused_and_generations_advance() {
-        let arena = ArgArena::with_capacity(4096);
-        let slot = arena.alloc_with(&[7u8; 100]).unwrap();
+        let region = unlimited(&ArgArena::with_capacity(4096));
+        let slot = region.alloc_with(&[7u8; 100]).unwrap();
         let (off1, _, gen1) = slot.descriptor();
         drop(slot);
-        let slot2 = arena.alloc_with(&[9u8; 100]).unwrap();
+        let slot2 = region.alloc_with(&[9u8; 100]).unwrap();
         let (off2, _, gen2) = slot2.descriptor();
         assert_eq!(off1, off2, "freelist must recycle the block");
         assert_eq!(gen2, gen1.wrapping_add(1), "free must bump the generation");
@@ -959,14 +952,14 @@ mod tests {
 
     #[test]
     fn exhaustion_returns_none_and_recovers() {
-        let arena = ArgArena::with_capacity(256);
-        let a = arena.alloc_with(&[1u8; 128]).unwrap();
-        let b = arena.alloc_with(&[2u8; 128]).unwrap();
-        assert!(arena.alloc_with(&[3u8; 64]).is_none(), "arena is full");
+        let region = unlimited(&ArgArena::with_capacity(256));
+        let a = region.alloc_with(&[1u8; 128]).unwrap();
+        let b = region.alloc_with(&[2u8; 128]).unwrap();
+        assert!(region.alloc_with(&[3u8; 64]).is_none(), "arena is full");
         // Payloads beyond the largest class can never fit.
-        assert!(arena.alloc_with(&vec![0u8; 1024]).is_none());
+        assert!(region.alloc_with(&vec![0u8; 1024]).is_none());
         drop(a);
-        let c = arena.alloc_with(&[4u8; 128]).unwrap();
+        let c = region.alloc_with(&[4u8; 128]).unwrap();
         assert_eq!(c.as_slice(), &[4u8; 128]);
         drop((b, c));
     }
@@ -1172,17 +1165,17 @@ mod tests {
 
     #[test]
     fn concurrent_alloc_free_never_overlaps() {
-        let arena = ArgArena::with_capacity(1 << 20);
+        let region = unlimited(&ArgArena::with_capacity(1 << 20));
         let threads = 4;
         std::thread::scope(|scope| {
             for t in 0..threads {
-                let arena = &arena;
+                let region = &region;
                 scope.spawn(move || {
                     for round in 0..500u32 {
                         let size = 65 + ((t * 131 + round as usize * 37) % 2000);
                         let fill = (t as u8).wrapping_mul(31).wrapping_add(round as u8);
                         let payload = vec![fill; size];
-                        if let Some(slot) = arena.alloc_with(&payload) {
+                        if let Some(slot) = region.alloc_with(&payload) {
                             // An overlap with another thread's live slot
                             // would tear this read.
                             assert_eq!(slot.as_slice(), payload.as_slice());
@@ -1191,5 +1184,52 @@ mod tests {
                 });
             }
         });
+    }
+
+    #[test]
+    fn region_slots_return_exactly_what_they_charged_across_threads() {
+        // Each slot is allocated here and dropped on another thread; the
+        // block it settles is derived from its length, so it must be the
+        // block it was charged, to the byte, with or without a magazine.
+        let charges = [
+            (25usize, 64u64),
+            (64, 64),
+            (65, 128),
+            (4096, 4096),
+            (4097, 8192),
+            (65536, 65536),
+        ];
+        for (size, charged) in charges {
+            for magazine in [false, true] {
+                let case = format!("{size} B, magazine {magazine}");
+                let metrics = Arc::new(secmod_obs::ArenaMetrics::new());
+                let arena = ArgArena::with_metrics(1 << 20, Arc::clone(&metrics));
+                let region = if magazine {
+                    ArenaRegion::with_magazine(arena, 1 << 20, MAGAZINE_DEPTH)
+                } else {
+                    ArenaRegion::new(arena, 1 << 20)
+                };
+                let slots: Vec<ArenaSlot> = (0..8u8)
+                    .map(|i| region.alloc_with(&vec![i; size]).expect(&case))
+                    .collect();
+                let parked = region.magazine_resident();
+                assert_eq!(region.in_flight(), 8 * charged + parked, "{case}");
+                assert_eq!(metrics.bytes_in_flight.get(), region.in_flight(), "{case}");
+                std::thread::scope(|scope| {
+                    scope.spawn(move || {
+                        for (i, slot) in (0u8..).zip(slots) {
+                            assert_eq!(slot.as_slice(), vec![i; size].as_slice());
+                            drop(slot);
+                        }
+                    });
+                });
+                assert_eq!(region.in_flight(), region.magazine_resident(), "{case}");
+                region.flush_magazine();
+                assert_eq!(region.in_flight(), 0, "{case}");
+                assert_eq!(metrics.bytes_in_flight.get(), 0, "{case}");
+                assert_eq!(metrics.allocs.get(), metrics.frees.get(), "{case}");
+                assert_eq!(metrics.gen_mismatches.get(), 0, "{case}");
+            }
+        }
     }
 }

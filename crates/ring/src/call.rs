@@ -13,13 +13,20 @@
 //! does it at 4+ threads) may interleave their chunks, so
 //! order-sensitive clients must match on `user_data`.
 //!
+//! Both entries are sized to the ring's cache line: a request is 48 B
+//! and a response 56 B, so with its sequence word each ring slot is one
+//! 64-byte line and a hand-off moves exactly one line between cores.
+//! What keeps them there is [`ArgRef`]'s 32 bytes: payloads up to
+//! [`crate::INLINE_ARG_MAX`] (24) bytes ride inline, larger ones by
+//! arena descriptor or heap pointer.
+//!
 //! The types are deliberately kernel-agnostic (raw `u32` session ids,
 //! raw errno codes): this crate sits below `secmod_kernel` in the
 //! dependency graph so both the kernel and the RPC transport can share
 //! one definition.
 
 use crate::arena::ArgRef;
-use crate::ring::Ring;
+use crate::ring::{Ring, Slot};
 
 /// Default number of submission entries a single `sys_smod_call_batch`
 /// invocation will drain.
@@ -77,6 +84,13 @@ impl SmodCallResp {
         self.ret.into_vec()
     }
 }
+
+// Each ring slot of either direction is exactly one cache line: the
+// 8-B sequence word plus a 48-B request or a 56-B response.
+const _: () = assert!(std::mem::size_of::<SmodCallReq>() == 48);
+const _: () = assert!(std::mem::size_of::<SmodCallResp>() == 56);
+const _: () = assert!(std::mem::size_of::<Slot<SmodCallReq>>() == 64);
+const _: () = assert!(std::mem::size_of::<Slot<SmodCallResp>>() == 64);
 
 /// Client → kernel request ring.
 pub type SubmissionRing = Ring<SmodCallReq>;

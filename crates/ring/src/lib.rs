@@ -12,7 +12,8 @@
 //! requests and LSM deployments amortise per-hook work on hot paths:
 //!
 //! * [`ring`] — a bounded power-of-two [`Ring`]: Vyukov-style sequence
-//!   slots with cache-line-padded head/tail counters. Multi-producer /
+//!   slots, one cache line each, with cache-line-padded head/tail
+//!   counters. Multi-producer /
 //!   multi-consumer by CAS, plus documented single-producer
 //!   ([`Ring::push_spsc`]) and single-consumer ([`Ring::pop_spsc`]) fast
 //!   paths that replace the CAS with a plain store.
@@ -30,8 +31,9 @@
 //!   bytes are written once into an arena slot and travel by
 //!   `(offset, len, generation)` descriptor ([`ArgRef::Arena`]) instead
 //!   of by value — the ring analogue of the paper's shared argument
-//!   stack; small payloads ride inline in the ring entry, borrowed or
-//!   owned alike, and a large one degrades to an owned copy
+//!   stack; payloads up to 24 B ride inline in the ring entry, borrowed
+//!   or owned alike (which keeps every call-ring slot to one 64-byte
+//!   cache line), and a larger one degrades to an owned copy
 //!   ([`ArgRef::Heap`]) when no arena is attached or it is full. Slots
 //!   are power-of-two sized off segregated freelists, generation-tagged
 //!   against use-after-reap, quota-bounded per session

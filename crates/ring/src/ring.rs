@@ -1,5 +1,7 @@
 //! A bounded lock-free ring: fixed power-of-two capacity, Vyukov-style
-//! per-slot sequence numbers, cache-line-padded head/tail counters.
+//! per-slot sequence numbers, cache-line-padded head/tail counters, and
+//! one cache line per slot (a call-ring slot — sequence word plus a
+//! 48-B request or 56-B response — fills exactly one).
 //!
 //! The protocol (D. Vyukov's bounded MPMC queue): slot `i` carries a
 //! sequence number. A producer may claim position `t` when
@@ -36,7 +38,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 #[repr(align(64))]
 pub struct CachePadded<T>(pub T);
 
-struct Slot<T> {
+/// One ring position: the sequence word and the entry it guards, aligned
+/// to a cache line. A slot of the call rings is exactly one line
+/// (`crate::call` asserts it), so a hand-off moves one line between
+/// cores, and no two positions share a line for neighbouring producers
+/// and consumers to false-share.
+#[repr(align(64))]
+pub(crate) struct Slot<T> {
     /// Vyukov sequence word; see the module docs for the protocol.
     seq: AtomicU64,
     value: UnsafeCell<MaybeUninit<T>>,
@@ -260,6 +268,20 @@ impl<T> Drop for Ring<T> {
 mod tests {
     use super::*;
     use std::sync::Arc;
+
+    #[test]
+    fn slots_start_on_cache_lines() {
+        use crate::call::{SmodCallReq, SmodCallResp};
+        fn lines<T>(ring: &Ring<T>) {
+            let base = ring.slots.as_ptr() as usize;
+            assert_eq!(base % 64, 0, "slot array is line-aligned");
+            let second = &ring.slots[1] as *const Slot<T> as usize;
+            assert_eq!(second - base, 64, "one slot per line");
+        }
+        lines(&Ring::<SmodCallReq>::with_capacity(8));
+        lines(&Ring::<SmodCallResp>::with_capacity(8));
+        lines(&Ring::<u32>::with_capacity(8));
+    }
 
     #[test]
     fn capacity_rounds_to_power_of_two() {

@@ -24,13 +24,15 @@ proptest! {
     ) {
         let metrics = Arc::new(secmod_obs::ArenaMetrics::new());
         let arena = ArgArena::with_metrics(capacity_kib * 1024, Arc::clone(&metrics));
+        // A quota that never binds: the arena alone decides what fits.
+        let region = ArenaRegion::new(arena, usize::MAX);
         let mut live: Vec<(ArenaSlot, Vec<u8>)> = Vec::new();
         for (kind, size, fill) in steps {
             if kind < 3 {
                 let payload = vec![fill; size];
                 // A full arena refuses; that is the fallback path, not a
                 // failure.
-                if let Some(slot) = arena.alloc_with(&payload) {
+                if let Some(slot) = region.alloc_with(&payload) {
                     live.push((slot, payload));
                 }
             } else if !live.is_empty() {
