@@ -1,14 +1,12 @@
 //! # secmod-gate
 //!
-//! A concurrent access-control gateway in front of the SecModule policy
-//! stack — the layer that makes per-call checks survivable at production
-//! traffic levels.
+//! The concurrent access-control gateway in front of the SecModule policy
+//! stack, and the one test world every gate suite drives it through.
 //!
 //! The paper measures every `sys_smod_call` re-running the full credential
 //! check on a single-threaded dispatch path; Linux Security Modules
 //! deployments learned the same lesson the hard way and answered with the
-//! access vector cache. This crate is that answer for SecModule, plus the
-//! workload machinery to measure it honestly:
+//! access vector cache. This crate is that answer for SecModule:
 //!
 //! * [`cache`] — a **sharded decision cache**: N independently locked
 //!   shards mapping (principal-set fingerprint, module, operation, epoch)
@@ -24,24 +22,24 @@
 //!   crate's property test (`tests/coherence.rs`) checks against an
 //!   uncached engine across arbitrary interleavings.
 //!
-//!   Since PR 3 the cache and gateway modules *live in* `secmod_policy`
-//!   (re-exported here unchanged): the kernel embeds one shared gateway
-//!   per registered module, so `sys_smod_call`'s per-call check is a
-//!   cache lookup inside the kernel dispatch path itself, and concurrent
-//!   sessions on one module share the same cache.
-//! * [`scenario`] — a **workload scenario engine**: one table of
-//!   deterministic, seeded traffic shapes ([`ScenarioKind::ALL`]; each
-//!   row's [`ScenarioKind::summary`] says what it does) over one
-//!   multi-threaded runner, reporting ops/sec and hit rate per scenario.
+//!   The cache and gateway modules *live in* `secmod_policy` (re-exported
+//!   here unchanged): the kernel embeds one shared gateway per registered
+//!   module, so `sys_smod_call`'s per-call check is a cache lookup inside
+//!   the kernel dispatch path itself, and concurrent sessions on one
+//!   module share the same cache.
+//! * [`scenario`] — the **test world**: [`build_dispatch_kernel_with_clients`]
+//!   boots a kernel, registers one policy-protected module and
+//!   establishes a pool of sessions, for the coherence suites under
+//!   `tests/` and the workspace's integration tests.
 //!
 //! Quick taste:
 //!
 //! ```
-//! use secmod_gate::{run_scenario, ScenarioConfig, ScenarioKind};
+//! use secmod_gate::{build_dispatch_kernel_with_clients, WorldConfig};
 //!
-//! let report = run_scenario(&ScenarioConfig::builder(ScenarioKind::ZipfianHotKey).quick().seed(42).build());
-//! assert_eq!(report.allows + report.denies, report.total_ops);
-//! assert!(report.hit_rate() > 0.5);
+//! let world = build_dispatch_kernel_with_clients(&WorldConfig::new(42), 2);
+//! assert_eq!(world.clients.len(), 2);
+//! assert!(world.kernel.session_of(world.clients[0]).is_some());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -53,7 +51,4 @@ pub mod scenario;
 
 pub use cache::{CacheConfig, CacheKey, CacheStats, DecisionCache};
 pub use gateway::{AccessRequest, Gateway};
-pub use scenario::{
-    build_dispatch_kernel, build_dispatch_kernel_with_clients, build_universe, run_metrics_demo,
-    run_scenario, DispatchKernel, ScenarioConfig, ScenarioKind, ScenarioReport, Universe,
-};
+pub use scenario::{build_dispatch_kernel_with_clients, DispatchKernel, WorldConfig};

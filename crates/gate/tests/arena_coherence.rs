@@ -14,9 +14,7 @@
 
 use proptest::prelude::*;
 use proptest::{collection, prop_assert, prop_assert_eq, proptest};
-use secmod_gate::{
-    build_dispatch_kernel_with_clients, DispatchKernel, ScenarioConfig, ScenarioKind,
-};
+use secmod_gate::{build_dispatch_kernel_with_clients, DispatchKernel, WorldConfig};
 use secmod_kernel::smod::SmodCallArgs;
 use secmod_ring::{
     ArenaRegion, ArgArena, ArgRef, RingPairConfig, RingSet, RingSlotId, SmodCallReq,
@@ -32,12 +30,7 @@ const ARENA_BYTES: usize = 1 << 20;
 const SIZES: [usize; 3] = [8, 64, 4096];
 
 fn universe(seed: u64, sessions: usize) -> DispatchKernel {
-    let cfg = ScenarioConfig::builder(ScenarioKind::SessionPool)
-        .quick()
-        .seed(seed)
-        .threads(1)
-        .build();
-    build_dispatch_kernel_with_clients(&cfg, sessions)
+    build_dispatch_kernel_with_clients(&WorldConfig::new(seed), sessions)
 }
 
 /// Per-session op lists: `(func index, arg, size class)`. The argument

@@ -18,9 +18,7 @@
 use proptest::prelude::*;
 use proptest::{collection, prop_assert_eq, proptest};
 use secmod_async::{AsyncPlane, CallFuture, Executor, SimDriver};
-use secmod_gate::{
-    build_dispatch_kernel_with_clients, DispatchKernel, ScenarioConfig, ScenarioKind,
-};
+use secmod_gate::{build_dispatch_kernel_with_clients, DispatchKernel, WorldConfig};
 use secmod_kernel::dispatch::DispatchError;
 use secmod_kernel::smod::SmodCallArgs;
 use secmod_kernel::PlaneConfig;
@@ -36,14 +34,12 @@ const MAX_LOGICAL: usize = 8;
 const SESSIONS: usize = 3;
 
 fn universe(seed: u64, sessions: usize) -> DispatchKernel {
-    let cfg = ScenarioConfig::builder(ScenarioKind::AsyncDispatch)
-        .quick()
-        .seed(seed)
-        .threads(2)
-        // One delegated tenant per requested session: the builder caps
-        // clients at the tenant count.
-        .tenants(sessions.max(16))
-        .build();
+    // One delegated tenant per requested session: the builder caps
+    // clients at the tenant count.
+    let cfg = WorldConfig {
+        tenants: sessions.max(16),
+        ..WorldConfig::new(seed)
+    };
     build_dispatch_kernel_with_clients(&cfg, sessions)
 }
 

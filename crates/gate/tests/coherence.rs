@@ -19,8 +19,8 @@
 
 use proptest::prelude::*;
 use proptest::{collection, prop_assert_eq, prop_assert_ne, proptest};
-use secmod_gate::{build_dispatch_kernel, AccessRequest, CacheConfig, Gateway};
-use secmod_gate::{ScenarioConfig, ScenarioKind};
+use secmod_gate::{build_dispatch_kernel_with_clients, WorldConfig};
+use secmod_gate::{AccessRequest, CacheConfig, Gateway};
 use secmod_kernel::smod::{ModuleKeyDelivery, SmodCallArgs};
 use secmod_kernel::smodreg::FunctionTable;
 use secmod_kernel::{Credential, Errno, Kernel, Pid};
@@ -471,13 +471,9 @@ fn remove_and_reregister_never_serves_stale_allow() {
 /// operation stays denied, across every teardown the churn injects.
 #[test]
 fn concurrent_dispatch_with_racing_detach_stays_coherent() {
-    let cfg = ScenarioConfig::builder(ScenarioKind::KernelDispatch)
-        .quick()
-        .seed(23)
-        .threads(3)
-        .ops_per_thread(1_500)
-        .build();
-    let dispatch_kernel = build_dispatch_kernel(&cfg);
+    const OPS_PER_THREAD: u64 = 1_500;
+    let cfg = WorldConfig::new(23);
+    let dispatch_kernel = build_dispatch_kernel_with_clients(&cfg, 3);
     let kernel = &dispatch_kernel.kernel;
     let m_id = dispatch_kernel.module;
     let restricted = dispatch_kernel.func_ids[0];
@@ -515,7 +511,7 @@ fn concurrent_dispatch_with_racing_detach_stays_coherent() {
     std::thread::scope(|s| {
         for (t, &client) in dispatch_kernel.clients.iter().enumerate() {
             s.spawn(move || {
-                for i in 0..cfg.ops_per_thread {
+                for i in 0..OPS_PER_THREAD {
                     let func = if i % 3 == 0 { restricted } else { allowed };
                     let outcome = dispatch(kernel, client, m_id, func).unwrap();
                     assert_eq!(

@@ -10,18 +10,13 @@
 
 use proptest::prelude::*;
 use proptest::{collection, prop_assert, prop_assert_eq, proptest};
-use secmod_gate::{build_dispatch_kernel, DispatchKernel, ScenarioConfig, ScenarioKind};
+use secmod_gate::{build_dispatch_kernel_with_clients, DispatchKernel, WorldConfig};
 use secmod_kernel::smod::SmodCallArgs;
 use secmod_kernel::Errno;
 use secmod_ring::{Ring, SmodCallReq};
 
 fn universe(seed: u64) -> DispatchKernel {
-    let cfg = ScenarioConfig::builder(ScenarioKind::KernelDispatch)
-        .quick()
-        .seed(seed)
-        .threads(1)
-        .build();
-    build_dispatch_kernel(&cfg)
+    build_dispatch_kernel_with_clients(&WorldConfig::new(seed), 1)
 }
 
 /// Drive `ops` sequentially; returns per-op `(errno, result bytes)`.

@@ -15,21 +15,14 @@
 
 use proptest::prelude::*;
 use proptest::{collection, prop_assert, prop_assert_eq, proptest};
-use secmod_gate::{
-    build_dispatch_kernel_with_clients, DispatchKernel, ScenarioConfig, ScenarioKind,
-};
+use secmod_gate::{build_dispatch_kernel_with_clients, DispatchKernel, WorldConfig};
 use secmod_kernel::smod::SmodCallArgs;
 use secmod_ring::{RingPairConfig, RingSet, RingSlotId, SmodCallReq};
 
 const MAX_SESSIONS: usize = 6;
 
 fn universe(seed: u64, sessions: usize) -> DispatchKernel {
-    let cfg = ScenarioConfig::builder(ScenarioKind::SessionPool)
-        .quick()
-        .seed(seed)
-        .threads(1)
-        .build();
-    build_dispatch_kernel_with_clients(&cfg, sessions)
+    build_dispatch_kernel_with_clients(&WorldConfig::new(seed), sessions)
 }
 
 /// Per-session op lists: `plan[s]` is the (func index, arg) sequence

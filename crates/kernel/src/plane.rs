@@ -538,7 +538,7 @@ impl DispatchPlane {
     }
 
     /// The QoS scheduler, when the plane was started with a policy.
-    /// Scenarios and reports read per-tenant lanes through
+    /// Tests and reports read per-tenant lanes through
     /// [`SweepScheduler::metrics`].
     pub fn scheduler(&self) -> Option<Arc<SweepScheduler>> {
         self.shared.sched.clone()
@@ -575,12 +575,17 @@ impl DispatchPlane {
         // Every drainer handed back its own claims on the way out. Finish
         // inline, with no scheduler, whatever is still flagged — slots the
         // drainers' last scheduled sweeps deferred, or a seat's work when
-        // its respawn failed — since no drainer remains to do it.
+        // its respawn failed — since no drainer remains to do it. These
+        // are the plane's sweeps, recorded as the drainers' are.
+        let ledger = self.shared.set.claim_ledger();
         while self.shared.set.any_ready() {
-            let Ok(report) = self.shared.kernel.sys_smod_sweep(
+            let Ok(report) = self.shared.kernel.sweep_claimed(
                 self.shared.reaper_pid,
                 &self.shared.set,
+                &ledger,
+                None,
                 SESSION_BUDGET,
+                Flavor::Plane,
             ) else {
                 break;
             };
@@ -1768,5 +1773,231 @@ mod tests {
         assert_eq!(resp.errno, Errno::EIDRM.code());
         assert_eq!(resp.user_data, 7);
         plane.shutdown();
+    }
+
+    /// How long a producer waits for any answer before calling one lost:
+    /// a lost doorbell or a stranded entry fails the test, not hangs it.
+    const ANSWER_LIMIT: Duration = Duration::from_secs(10);
+
+    /// A producer's ledger of the calls `first..first + seen.len()`. A
+    /// call's argument is its id, so its answer is `id + 1`.
+    struct Ledger {
+        first: u64,
+        seen: Vec<bool>,
+        answered: u64,
+        eidrm: u64,
+        last_answer: Instant,
+    }
+
+    impl Ledger {
+        fn new(ids: std::ops::Range<u64>) -> Ledger {
+            Ledger {
+                first: ids.start,
+                seen: vec![false; (ids.end - ids.start) as usize],
+                answered: 0,
+                eidrm: 0,
+                last_answer: Instant::now(),
+            }
+        }
+
+        fn total(&self) -> u64 {
+            self.seen.len() as u64
+        }
+
+        /// Reap what `handle` has ready. Each call must be answered
+        /// exactly once, with `id + 1` or, when `eidrm_ok`, with `EIDRM`.
+        fn reap(&mut self, handle: &PlaneHandle, eidrm_ok: bool) {
+            let before = self.answered;
+            while let Some(resp) = handle.reap() {
+                let id = resp.user_data;
+                let idx = (id - self.first) as usize;
+                assert!(!self.seen[idx], "call {id} answered twice");
+                self.seen[idx] = true;
+                self.answered += 1;
+                if eidrm_ok && resp.errno == Errno::EIDRM.code() {
+                    self.eidrm += 1;
+                } else {
+                    assert!(resp.is_ok(), "call {id} failed: errno {}", resp.errno);
+                    let ret = u64::from_le_bytes(resp.into_ret().try_into().unwrap());
+                    assert_eq!(ret, id + 1, "call {id} got another call's answer");
+                }
+            }
+            if self.answered > before {
+                self.last_answer = Instant::now();
+                return;
+            }
+            assert!(
+                self.last_answer.elapsed() < ANSWER_LIMIT,
+                "no answer for {ANSWER_LIMIT:?}: {} of {} calls outstanding",
+                self.total() - self.answered,
+                self.total()
+            );
+            std::thread::yield_now();
+        }
+    }
+
+    /// Stream the ledger's calls through `handle`, `burst` per
+    /// `SubmitBatch` (its drop rings the doorbell once), never more than
+    /// `depth` in flight: the ring never fills, so no bounce rings a
+    /// doorbell in the batch's place. With `big_every > 0` every
+    /// `big_every`-th payload is a 64 KiB block that travels through the
+    /// plane's arena.
+    fn stream(
+        handle: &PlaneHandle,
+        incr: u32,
+        ledger: &mut Ledger,
+        burst: u64,
+        depth: u64,
+        big_every: u64,
+    ) {
+        let mut sent = 0;
+        while ledger.answered < ledger.total() {
+            let n = burst.min(ledger.total() - sent);
+            if n > 0 && sent - ledger.answered + n <= depth {
+                let mut batch = handle.batch();
+                for id in ledger.first + sent..ledger.first + sent + n {
+                    let mut args = id.to_le_bytes().to_vec();
+                    if big_every > 0 && id.is_multiple_of(big_every) {
+                        args.resize(64 * 1024, 0);
+                    }
+                    batch
+                        .push(incr, id, args)
+                        .expect("depth never fills the ring");
+                }
+                sent += n;
+            }
+            ledger.reap(handle, false);
+        }
+    }
+
+    #[test]
+    fn coalesced_bursts_reach_a_lone_drainer_exactly_once() {
+        const PRODUCERS: usize = 4;
+        const PER_PRODUCER: u64 = 2_000;
+        const BURST: u64 = 32;
+        let (kernel, plane, clients, incr) = plane_fixture(PRODUCERS, 1);
+        std::thread::scope(|s| {
+            for (p, &client) in clients.iter().enumerate() {
+                let handle = plane.attach(client).unwrap();
+                s.spawn(move || {
+                    let first = p as u64 * PER_PRODUCER;
+                    let mut ledger = Ledger::new(first..first + PER_PRODUCER);
+                    stream(&handle, incr, &mut ledger, BURST, 2 * BURST, 0);
+                });
+            }
+        });
+        let stats = plane.shutdown();
+        assert_eq!(stats.completed, PRODUCERS as u64 * PER_PRODUCER);
+        // Every doorbell was a batch's: no bounce rang one in its place.
+        assert_eq!(kernel.metrics.ring_full_bounces.get(), 0);
+    }
+
+    #[test]
+    fn a_stall_antagonist_delays_entries_but_never_loses_one() {
+        const PRODUCERS: usize = 2;
+        const PER_PRODUCER: u64 = 1_000;
+        let (kernel, plane, clients, incr) = plane_fixture(PRODUCERS, 1);
+        let set = plane.ring_set();
+        let handles: Vec<PlaneHandle> = clients.iter().map(|&c| plane.attach(c).unwrap()).collect();
+        let slots: Vec<RingSlotId> = handles.iter().map(PlaneHandle::slot).collect();
+        let (done, held) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        std::thread::scope(|s| {
+            // The antagonist flags every slot itself, so it always has
+            // something to sit on, then claims whatever is ready and sits
+            // on it: the claimed bits hide the slots from the drainer, the
+            // drain flag of the one it visits blocks it, and `true`
+            // re-flags the slot, so the work is delayed, never dropped.
+            s.spawn(|| {
+                while done.load(Ordering::Acquire) < PRODUCERS {
+                    slots.iter().for_each(|&slot| set.mark_ready(slot));
+                    set.sweep_ready(|_slot, _rings| {
+                        held.fetch_add(1, Ordering::Relaxed);
+                        std::thread::sleep(Duration::from_micros(200));
+                        true
+                    });
+                    std::thread::sleep(Duration::from_micros(50));
+                }
+            });
+            for (p, handle) in handles.into_iter().enumerate() {
+                let done = &done;
+                s.spawn(move || {
+                    let first = p as u64 * PER_PRODUCER;
+                    let mut ledger = Ledger::new(first..first + PER_PRODUCER);
+                    stream(&handle, incr, &mut ledger, 4, 64, 4);
+                    done.fetch_add(1, Ordering::Release);
+                });
+            }
+        });
+        assert!(
+            held.load(Ordering::Relaxed) > 0,
+            "the antagonist never held a slot"
+        );
+        let stats = plane.shutdown();
+        assert_eq!(stats.completed, PRODUCERS as u64 * PER_PRODUCER);
+        assert_eq!(
+            kernel.metrics.arena.bytes_in_flight.get(),
+            0,
+            "arena bytes leaked"
+        );
+    }
+
+    #[test]
+    fn a_churn_storm_answers_every_entry_once_and_moves_the_epoch_per_cycle() {
+        const BURSTS: u64 = 16;
+        const BURST: u64 = 32;
+        const NEIGHBOUR_OPS: u64 = 4_000;
+        let (k, module, clients, incr) = kernel_with_clients(None, 2);
+        let kernel = Arc::new(k);
+        let plane = DispatchPlane::start(Arc::clone(&kernel), PlaneConfig::default()).unwrap();
+        let (storm, neighbour) = (clients[0], clients[1]);
+        let epoch_before = kernel.smod_epoch();
+        let eidrm = std::thread::scope(|s| {
+            let handle = plane.attach(neighbour).unwrap();
+            s.spawn(move || {
+                let mut ledger = Ledger::new(0..NEIGHBOUR_OPS);
+                stream(&handle, incr, &mut ledger, 8, 64, 0);
+            });
+            // The storm: a fresh slot per burst, dropped once the burst
+            // is answered; every second burst its session is detached
+            // with the burst in flight, then re-handshaken.
+            let mut ledger = Ledger::new(0..BURSTS * BURST);
+            for burst in 0..BURSTS {
+                let handle = plane.attach(storm).unwrap();
+                let mut batch = handle.batch();
+                for id in burst * BURST..(burst + 1) * BURST {
+                    batch.push(incr, id, id.to_le_bytes().to_vec()).unwrap();
+                }
+                drop(batch);
+                let cycle = burst % 2 == 1;
+                if cycle {
+                    kernel.smod_detach(storm, "churn storm").unwrap();
+                }
+                while ledger.answered < (burst + 1) * BURST {
+                    ledger.reap(&handle, cycle);
+                }
+                drop(handle);
+                if cycle {
+                    let (_session, handle) = kernel.sys_smod_start_session(storm, module).unwrap();
+                    kernel.sys_smod_session_info(handle).unwrap();
+                    kernel.sys_smod_handle_info(storm).unwrap();
+                }
+            }
+            ledger.eidrm
+        });
+        let cycles = BURSTS / 2;
+        assert_eq!(
+            kernel.smod_epoch() - epoch_before,
+            cycles,
+            "one epoch move per cycle"
+        );
+        let stats = plane.shutdown();
+        assert_eq!(
+            stats.completed + stats.failed,
+            BURSTS * BURST + NEIGHBOUR_OPS
+        );
+        assert_eq!(
+            stats.failed, eidrm,
+            "only the storm's detached bursts may fail"
+        );
     }
 }

@@ -1900,4 +1900,47 @@ mod tests {
             ]
         );
     }
+
+    #[test]
+    fn a_herd_of_sessions_established_at_once_are_distinct_and_callable() {
+        const HERD: usize = 8;
+        let (k, m_id, clients, incr) = crate::batch::tests::kernel_with_clients(None, HERD);
+        for &client in &clients {
+            k.smod_detach(client, "herd teardown").unwrap();
+        }
+        assert!(k.sessions.is_empty(), "the herd starts cold");
+        // Every client re-handshakes at once, released by one barrier.
+        let barrier = std::sync::Barrier::new(HERD);
+        let sessions: Vec<SessionId> = std::thread::scope(|s| {
+            let herd: Vec<_> = clients
+                .iter()
+                .map(|&client| {
+                    let (k, barrier) = (&k, &barrier);
+                    s.spawn(move || {
+                        barrier.wait();
+                        let (session, handle) = k.sys_smod_start_session(client, m_id).unwrap();
+                        k.sys_smod_session_info(handle).unwrap();
+                        k.sys_smod_handle_info(client).unwrap();
+                        session
+                    })
+                })
+                .collect();
+            herd.into_iter().map(|t| t.join().unwrap()).collect()
+        });
+        let distinct: std::collections::BTreeSet<_> = sessions.iter().collect();
+        assert_eq!(distinct.len(), HERD, "two clients were handed one session");
+        assert_eq!(k.sessions.len(), HERD);
+        for (i, &client) in clients.iter().enumerate() {
+            assert_eq!(k.session_of(client).unwrap().id, sessions[i]);
+            let ret = call(&k, client, m_id, incr, (i as u64).to_le_bytes().to_vec()).unwrap();
+            assert_eq!(ret, (i as u64 + 1).to_le_bytes());
+        }
+        for &client in &clients {
+            k.smod_detach(client, "herd done").unwrap();
+        }
+        assert!(
+            k.sessions.is_empty(),
+            "a detached session stayed in the table"
+        );
+    }
 }

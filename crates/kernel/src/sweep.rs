@@ -186,11 +186,15 @@ impl Kernel {
         // One trap, however many sessions it visited — the pair of
         // counters behind `DispatchMetrics::sessions_per_trap`, the
         // paper's multi-session amortisation made observable — and one
-        // context-switch pair per *sweep*.
-        self.metrics.sweep_traps.incr();
-        self.metrics
-            .sweep_sessions
-            .add(tally.report.sessions_ready as u64);
+        // context-switch pair per *sweep*. The counters describe direct
+        // `sys_smod_sweep` calls; a plane's sweeps, idle ones included,
+        // are counted by its `PlaneStats`.
+        if flavor == Flavor::Sweep {
+            self.metrics.sweep_traps.incr();
+            self.metrics
+                .sweep_sessions
+                .add(tally.report.sessions_ready as u64);
+        }
         let fixed_ns = self
             .cost
             .sweep_dispatch_ns(tally.sessions_checked, tally.checked);
@@ -704,6 +708,44 @@ mod tests {
         assert_eq!(k.metrics.gate_hits.get(), hits + 1);
         assert_eq!(k.metrics.gate_misses.get(), 1);
         assert_eq!(gateway.cache_stats().hits, sharded_hits);
+    }
+
+    #[test]
+    fn sweep_counters_count_direct_sweeps_only() {
+        const PLANE_ENTRIES: u64 = 32;
+        const SESSIONS: usize = 3;
+        let (k, _m, clients, incr) = kernel_with_clients(None, SESSIONS);
+        let k = Arc::new(k);
+        let plane_cfg = crate::PlaneConfig::builder().drainers(1).build();
+        let plane = crate::DispatchPlane::start(Arc::clone(&k), plane_cfg).unwrap();
+        let handle = plane.attach(clients[0]).unwrap();
+        let mut reaped = 0;
+        for i in 0..PLANE_ENTRIES {
+            handle.submit(incr, i, i.to_le_bytes().to_vec()).unwrap();
+        }
+        while reaped < PLANE_ENTRIES {
+            while handle.reap().is_some() {
+                reaped += 1;
+            }
+            std::thread::yield_now();
+        }
+        drop(handle);
+        let stats = plane.shutdown();
+        assert_eq!(stats.drained, PLANE_ENTRIES);
+        assert!(stats.sweeps >= 1);
+        // The plane's sweeps are in its own stats, not in the trap count.
+        assert_eq!(k.metrics.sweep_traps.get(), 0, "a plane sweep is no trap");
+        assert_eq!(k.metrics.sweep_sessions.get(), 0);
+
+        let (set, slots) = ring_set_for(&k, &clients, 8);
+        for (&client, &slot) in clients.iter().zip(&slots) {
+            set.submit(slot, req(&k, client, incr, 0, 1)).unwrap();
+        }
+        let report = k.sys_smod_sweep(sweeper(&k), &set, 8).unwrap();
+        assert_eq!(report.sessions_ready, SESSIONS);
+        assert_eq!(k.metrics.sweep_traps.get(), 1);
+        assert_eq!(k.metrics.sweep_sessions.get(), SESSIONS as u64);
+        assert_eq!(k.metrics.sessions_per_trap(), SESSIONS as f64);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //!   park/unpark cycles, EIDRM teardown failures, async re-submits.
 //! * [`LatencySummary`] / [`HistogramSnapshot`] — point-in-time copies
 //!   for reports, and [`DispatchMetrics::text_report`] renders the whole
-//!   registry as the table `gate_report --metrics` prints.
+//!   registry as the table `Kernel::metrics_report` prints.
 //!
 //! The crate sits *below* the kernel (it depends on nothing), so every
 //! layer — kernel syscalls, the dispatch plane, the async frontend — can
@@ -418,7 +418,8 @@ impl Gauge {
 pub struct ArenaMetrics {
     /// Bytes currently held by live arena slots (allocated, not yet
     /// freed). Returns to 0 when every request and response has been
-    /// reaped or torn down — the leak check every scenario asserts.
+    /// reaped or torn down — the leak check the plane and arena tests
+    /// assert.
     pub bytes_in_flight: Gauge,
     /// Arena slot allocations that succeeded.
     pub allocs: Counter,
@@ -467,7 +468,8 @@ pub enum Flavor {
     /// `sys_smod_call_batch`: one session drained per trap.
     Batch,
     /// `sys_smod_sweep`: every ready session drained per trap. Direct
-    /// calls only; a plane's drainers record under [`Flavor::Plane`].
+    /// calls only; a plane's sweeps, its shutdown sweep included, record
+    /// under [`Flavor::Plane`].
     Sweep,
     /// What a `DispatchPlane`'s drainers drained (recorded by the drain,
     /// as it computes each entry's cost; a producer's reap records
@@ -541,9 +543,10 @@ pub struct DispatchMetrics {
     pub gate_hits: Counter,
     /// Per-call decision-cache misses (full policy fixpoint runs).
     pub gate_misses: Counter,
-    /// `sys_smod_sweep` invocations (traps paid).
+    /// Direct `sys_smod_sweep` invocations (traps paid). A plane's
+    /// sweeps are counted by its own `PlaneStats`, not here.
     pub sweep_traps: Counter,
-    /// Ready sessions visited across all sweeps — divide by
+    /// Ready sessions visited across those sweeps — divide by
     /// [`DispatchMetrics::sweep_traps`] for sessions-per-trap.
     pub sweep_sessions: Counter,
     /// Times a plane drainer parked (found no ready work).
@@ -620,9 +623,8 @@ impl DispatchMetrics {
         self.arena.reset();
     }
 
-    /// Render the whole registry as the table `gate_report --metrics`
-    /// prints: one row per flavor that recorded anything, then the
-    /// counter line.
+    /// Render the whole registry as a table: one row per flavor that
+    /// recorded anything, then the counter line.
     pub fn text_report(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();

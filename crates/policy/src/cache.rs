@@ -39,9 +39,7 @@ pub(crate) fn fnv64_chain(mut h: u64, bytes: &[u8]) -> u64 {
 }
 
 /// SplitMix64 finalizer: turns a structured value into well-spread bits.
-/// Public because workload generators (the gate's scenario engine) reuse it
-/// to derive per-thread seeds.
-pub fn mix64(mut z: u64) -> u64 {
+pub(crate) fn mix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);

@@ -427,7 +427,7 @@ impl Drop for RegionState {
         // The last handle (region clone or outstanding slot) is gone:
         // settle the magazine so `bytes_in_flight` returns to exactly
         // what it was before the region existed. This is what keeps the
-        // scenario/teardown `bytes_in_flight == 0` assertions holding
+        // plane/teardown `bytes_in_flight == 0` assertions holding
         // bit-for-bit with magazines enabled.
         if let Some(mutex) = self.magazine.as_mut() {
             mutex.get_mut().flush(&self.arena, &self.in_flight);

@@ -9,8 +9,8 @@
 //! logical operations over one ring can match completions to requests
 //! without relying on ordering. Completions arrive in submission order
 //! only while a *single* drainer serves the ring pair; concurrent
-//! drainers sweeping one ring (legal — the gate crate's ring scenario
-//! does it at 4+ threads) may interleave their chunks, so
+//! drainers sweeping one ring (legal: several `sys_smod_call_batch`
+//! callers may drain the same pair) may interleave their chunks, so
 //! order-sensitive clients must match on `user_data`.
 //!
 //! Both entries are sized to the ring's cache line: a request is 48 B

@@ -344,7 +344,7 @@ mod tests {
     fn heap_payloads_survive_the_ring_and_drop_cleanly() {
         // Heap payloads (Vec) round-trip intact, and entries still queued
         // at drop time are freed (leaks would trip sanitizers/valgrind and
-        // show up as memory growth in the scenario engine).
+        // show up as memory growth in a long-running plane).
         let ring = Ring::with_capacity(8);
         for i in 0..6u8 {
             ring.push(vec![i; 100]).unwrap();

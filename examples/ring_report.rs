@@ -17,21 +17,19 @@
 //! the **dispatch plane** (multi-session sweeps: per-session batches →
 //! one `sys_smod_sweep`, then a drainer-count sweep through the real
 //! `DispatchPlane`), demonstrates the **zero-copy argument path**
-//! (64 KiB blocks by value vs by `ArgArena` descriptor), runs the
-//! multi-threaded `ring`, `plane` and `arena` workload scenarios, and
-//! finishes with the **QoS plane**: the weighted-fair `multitenant`
-//! scenario plus a per-tenant lane report showing the victim's drain
-//! share, a **jitter** analysis (per-tenant inter-service gap
+//! (64 KiB blocks by value vs by `ArgArena` descriptor), and
+//! finishes with the **QoS plane**: a per-tenant lane report showing a
+//! flooded victim's drain share, a **jitter** analysis (per-tenant inter-service gap
 //! distributions under DRR; that every tenant is re-served is asserted
 //! by `tests/ring_report_claims.rs`), and a pinned-vs-unpinned drainer
 //! wall-clock diagnostic (non-gating).
 //!
 //! ```sh
 //! cargo run --release --example ring_report
-//! cargo run --release --example ring_report -- --threads 2 --ops 2000 --seed 7
+//! cargo run --release --example ring_report -- --seed 7
 //! ```
 
-use secmod::gate::{run_scenario, ScenarioConfig, ScenarioKind};
+use secmod::gate::{build_dispatch_kernel_with_clients, WorldConfig};
 use secmod::kernel::CostModel;
 use secmod::prelude::*;
 use secmod::ring::{Ring, RingPairConfig, RingSet, SmodCallReq};
@@ -70,13 +68,6 @@ fn parse_flag(args: &[String], flag: &str) -> Option<u64> {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let seed = parse_flag(&args, "--seed").unwrap_or(42);
-    let threads = parse_flag(&args, "--threads").unwrap_or(4) as usize;
-    let default_ops = if cfg!(debug_assertions) {
-        2_000
-    } else {
-        50_000
-    };
-    let ops = parse_flag(&args, "--ops").unwrap_or(default_ops);
 
     println!("secmod_ring batched dispatch report");
     println!("submit -> drain -> complete: SmodCallReq rings in, SmodCallResp rings out;");
@@ -252,13 +243,7 @@ fn main() {
     // traps), which is exactly the trade the plane exposes.
     println!("\ndispatch plane, level 2 — dedicated drainer threads (producers never trap):");
     for drainer_count in [1usize, 2, 4] {
-        let dispatch = secmod::gate::build_dispatch_kernel_with_clients(
-            &ScenarioConfig::builder(ScenarioKind::PlaneDispatch)
-                .seed(seed)
-                .threads(1)
-                .build(),
-            PLANE_CLIENTS,
-        );
+        let dispatch = build_dispatch_kernel_with_clients(&WorldConfig::new(seed), PLANE_CLIENTS);
         let incr_func = dispatch.func_ids[1];
         let clients = dispatch.clients.clone();
         let kernel = Arc::new(dispatch.kernel);
@@ -301,13 +286,7 @@ fn main() {
     let mut sim_ns = [0u64; 2];
     let (mut high_water, mut in_flight) = (0u64, 0u64);
     for (which, use_arena) in [(0usize, false), (1usize, true)] {
-        let dispatch = secmod::gate::build_dispatch_kernel_with_clients(
-            &ScenarioConfig::builder(ScenarioKind::PlaneDispatch)
-                .seed(seed)
-                .threads(1)
-                .build(),
-            1,
-        );
+        let dispatch = build_dispatch_kernel_with_clients(&WorldConfig::new(seed), 1);
         let set = if use_arena {
             let arena = ArgArena::with_metrics(8 << 20, Arc::clone(&dispatch.kernel.metrics.arena));
             RingSet::with_arena(1, arena, 8 << 20)
@@ -394,68 +373,12 @@ fn main() {
         entry.user_data
     );
 
-    // --- 6. the multi-threaded ring + plane scenarios ------------------
-    let ring_cfg = ScenarioConfig::builder(ScenarioKind::RingDispatch)
-        .seed(seed)
-        .threads(threads)
-        .ops_per_thread(ops)
-        .build();
-    println!(
-        "\nScenarioKind::RingDispatch ({threads} producers, {} drainer(s), {ops} ops/producer):",
-        ring_cfg.effective_drainers()
-    );
-    let report = run_scenario(&ring_cfg);
-    println!("{report}");
-    let plane_cfg = ScenarioConfig::builder(ScenarioKind::PlaneDispatch)
-        .seed(seed)
-        .threads(threads)
-        .ops_per_thread(ops)
-        .build();
-    println!(
-        "\nScenarioKind::PlaneDispatch ({threads} producers, {} dedicated drainer(s), \
-         {ops} ops/producer):",
-        plane_cfg.effective_drainers()
-    );
-    let report = run_scenario(&plane_cfg);
-    println!("{report}");
-    let arena_cfg = ScenarioConfig::builder(ScenarioKind::ArenaMix)
-        .seed(seed)
-        .threads(threads)
-        .ops_per_thread(ops)
-        .build();
-    println!(
-        "\nScenarioKind::ArenaMix (same plane, every 4th submission a 64 KiB arena block,\n\
-         the rest 8 B inline — the runner asserts 0 arena bytes in flight after shutdown):"
-    );
-    let report = run_scenario(&arena_cfg);
-    println!("{report}");
-
-    // --- 7. the QoS plane: weighted-fair sweeps, per-tenant lanes ------
-    // First the full scenario (its runner *asserts* the starvation floor:
-    // the victim must hold >= 25% of drain service at its own finish
-    // line, half its 50% fair share), then a small inline plane so the
-    // per-tenant lane ledger and the victim's share can be printed.
+    // --- 6. the QoS plane: weighted-fair sweeps, per-tenant lanes ------
+    // A small inline plane: a 1-slot victim tenant against an adversary
+    // flooding 4 slots, so the per-tenant lane ledger and the victim's
+    // share can be printed.
     use secmod::qos::{QosPolicy, TenantId, TenantSpec};
-    let mt_cfg = ScenarioConfig::builder(ScenarioKind::MultiTenant)
-        .seed(seed)
-        .threads(threads)
-        .ops_per_thread(ops)
-        .build();
-    println!(
-        "\nScenarioKind::MultiTenant ({threads} producers: thread 0 is a 1-slot victim\n\
-         tenant, every other thread floods 4 slots for the adversary tenant; equal\n\
-         weights, so weighted-fair sweeps must keep serving the victim):"
-    );
-    let report = run_scenario(&mt_cfg);
-    println!("{report}");
-
-    let dispatch = secmod::gate::build_dispatch_kernel_with_clients(
-        &ScenarioConfig::builder(ScenarioKind::MultiTenant)
-            .seed(seed)
-            .threads(1)
-            .build(),
-        2,
-    );
+    let dispatch = build_dispatch_kernel_with_clients(&WorldConfig::new(seed), 2);
     let incr_func = dispatch.func_ids[1];
     let victim_client = dispatch.clients[0];
     let flood_client = dispatch.clients[1];
@@ -517,7 +440,7 @@ fn main() {
     );
     print!("{}", sched.metrics().text_report());
 
-    // --- 7b. DRR jitter: inter-service gaps -----------------------------
+    // --- 6b. DRR jitter: inter-service gaps -----------------------------
     // DRR minimises *jitter*: every backlogged tenant is served nearly
     // every sweep, so inter-service gaps sit at one sweep period. Both
     // tenants stay backlogged and the scheduler is driven directly with a
@@ -568,7 +491,7 @@ fn main() {
         println!("    tenant {tenant}: gap p50 {p50:>5} ns  p99 {p99:>5} ns  max {max:>5} ns");
     }
 
-    // --- 8. pinned vs unpinned drainers: wall-clock diagnostic ---------
+    // --- 7. pinned vs unpinned drainers: wall-clock diagnostic ---------
     // The same plane workload twice, drainers unpinned then pinned to
     // cores. Wall-clock, not the simulated clock — and NON-GATING:
     // affinity is best-effort (containers and cpusets may refuse the
@@ -577,13 +500,7 @@ fn main() {
     use std::time::Instant;
     println!("\npinned vs unpinned drainers — wall-clock sweep diagnostic (non-gating):");
     for pinned in [false, true] {
-        let dispatch = secmod::gate::build_dispatch_kernel_with_clients(
-            &ScenarioConfig::builder(ScenarioKind::PlaneDispatch)
-                .seed(seed)
-                .threads(1)
-                .build(),
-            PLANE_CLIENTS,
-        );
+        let dispatch = build_dispatch_kernel_with_clients(&WorldConfig::new(seed), PLANE_CLIENTS);
         let incr_func = dispatch.func_ids[1];
         let clients = dispatch.clients.clone();
         let kernel = Arc::new(dispatch.kernel);
@@ -615,9 +532,6 @@ fn main() {
         );
     }
 
-    println!("\nthe p50/p99/p99.9 columns are simulated-cost nanoseconds per drained entry,");
-    println!("from the kernel's per-flavor dispatch histograms (secmod_obs): the ring row");
-    println!("records at sys_smod_call_batch drain time, the plane row at producer reap time.");
     println!("\npaper mapping: the SecModule call is ~10x cheaper than local RPC because it");
     println!("avoids marshalling and the socket round trip; batching goes after what remains —");
     println!("the fixed syscall-entry and resolution cost per call — by amortising it across");

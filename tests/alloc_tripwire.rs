@@ -13,7 +13,7 @@
 //! global to the process, and the test harness itself allocates on one
 //! thread and frees on another whenever a test starts or finishes.
 
-use secmod::gate::{build_dispatch_kernel_with_clients, ScenarioConfig, ScenarioKind};
+use secmod::gate::{build_dispatch_kernel_with_clients, WorldConfig};
 use secmod::kernel::plane::{DispatchPlane, PlaneConfig, PlaneHandle};
 use secmod::kernel::SmodCallArgs;
 use secmod::prelude::Credential;
@@ -116,11 +116,7 @@ fn stream(handle: &PlaneHandle, proc_id: u32, calls: u64) {
 #[test]
 fn the_dispatch_path_allocates_and_frees_where_it_should() {
     const CALLS: u64 = 10_000;
-    let cfg = ScenarioConfig::builder(ScenarioKind::PlaneDispatch)
-        .seed(42)
-        .threads(1)
-        .build();
-    let dispatch = build_dispatch_kernel_with_clients(&cfg, 1);
+    let dispatch = build_dispatch_kernel_with_clients(&WorldConfig::new(42), 1);
     let module = dispatch.module;
     let kernel = Arc::new(dispatch.kernel);
     let client = dispatch.clients[0];

@@ -2,10 +2,9 @@
 //!
 //! Examples are walkthrough documentation, and documentation that doesn't
 //! run is worse than none — this test keeps them honest. Each example is a
-//! short self-contained program (milliseconds of work), so running all five
-//! is cheap.
+//! short self-contained program (well under a second of work), so running
+//! every one of them is cheap.
 
-use secmod::gate::ScenarioKind;
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -78,132 +77,5 @@ fn every_example_builds_and_runs() {
             !output.stdout.is_empty(),
             "example {example} printed nothing — walkthroughs should narrate"
         );
-    }
-}
-
-/// `gate_report` must run every row of the scenario table and report
-/// ops/sec and a cache hit rate for each — and, because decisions are
-/// seed-deterministic, two runs with the same seed must agree on every
-/// allow/deny count even though timing differs.
-#[test]
-fn gate_report_covers_all_scenarios_deterministically() {
-    let dir = examples_dir();
-    if !dir.join("gate_report").exists() {
-        build_examples();
-    }
-    let run = || {
-        let output = Command::new(dir.join("gate_report"))
-            .args(["--threads", "2", "--ops", "2000", "--seed", "7"])
-            .output()
-            .expect("run gate_report");
-        assert!(output.status.success(), "gate_report failed: {output:?}");
-        String::from_utf8_lossy(&output.stdout).into_owned()
-    };
-    let first = run();
-    for scenario in ScenarioKind::ALL.map(|kind| kind.name()) {
-        assert!(
-            first.contains(scenario),
-            "gate_report output is missing the {scenario} scenario:\n{first}"
-        );
-    }
-    assert!(first.contains("ops/sec"), "no throughput column:\n{first}");
-    assert!(first.contains("hit-rate"), "no hit-rate column:\n{first}");
-
-    // Strip the timing-dependent columns; the decision columns must match.
-    let decisions = |out: &str| -> Vec<(String, String)> {
-        out.lines()
-            .filter(|l| l.contains("allow"))
-            .filter_map(|l| {
-                let allow = l.split("allow").nth(1)?.split_whitespace().next()?;
-                let deny = l.split("deny").nth(1)?.split_whitespace().next()?;
-                Some((allow.to_string(), deny.to_string()))
-            })
-            .collect()
-    };
-    let second = run();
-    assert_eq!(
-        decisions(&first),
-        decisions(&second),
-        "allow/deny splits changed between identically seeded runs"
-    );
-    assert_eq!(
-        decisions(&first).len(),
-        ScenarioKind::ALL.len(),
-        "expected one row per scenario"
-    );
-
-    // Dispatch scenarios additionally report simulated-cost latency
-    // quantiles drawn from the kernel's per-flavor histograms.
-    assert!(
-        first.contains("p99"),
-        "no latency quantiles in dispatch rows:\n{first}"
-    );
-
-    // --metrics drives all five flavors on one kernel and prints the
-    // DispatchMetrics table; no flavor may come up empty.
-    let output = Command::new(dir.join("gate_report"))
-        .args(["--metrics", "--seed", "7"])
-        .output()
-        .expect("run gate_report --metrics");
-    assert!(output.status.success(), "--metrics run failed: {output:?}");
-    let metrics = String::from_utf8_lossy(&output.stdout);
-    for flavor in ["syscall", "batch", "sweep", "plane", "async"] {
-        assert!(
-            metrics.contains(flavor),
-            "metrics table missing the {flavor} flavor:\n{metrics}"
-        );
-    }
-    assert!(
-        !metrics.contains("(no samples)"),
-        "a dispatch flavor recorded nothing:\n{metrics}"
-    );
-
-    // The CI smoke shape: an explicit drainer count plus --only filters
-    // the report down to the single requested scenario.
-    let output = Command::new(dir.join("gate_report"))
-        .args([
-            "--threads",
-            "4",
-            "--ops",
-            "1000",
-            "--seed",
-            "7",
-            "--drainers",
-            "2",
-            "--only",
-            "plane",
-        ])
-        .output()
-        .expect("run gate_report --only plane");
-    assert!(output.status.success(), "plane-only run failed: {output:?}");
-    let plane_only = String::from_utf8_lossy(&output.stdout);
-    assert!(plane_only.contains("plane"), "missing plane row");
-    assert_eq!(
-        decisions(&plane_only).len(),
-        1,
-        "--only must run exactly one scenario"
-    );
-
-    // A typo'd scenario name must fail loudly, not exit green having run
-    // nothing (the CI smoke leg depends on this).
-    let output = Command::new(dir.join("gate_report"))
-        .args(["--only", "plan"])
-        .output()
-        .expect("run gate_report --only plan");
-    assert!(
-        !output.status.success(),
-        "unknown --only name must exit non-zero"
-    );
-}
-
-/// README's scenario table restates the engine's table; it must list
-/// every row by the engine's own name and summary.
-#[test]
-fn readme_scenario_table_matches_the_engine() {
-    let readme = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("README.md");
-    let readme = std::fs::read_to_string(readme).expect("read README.md");
-    for kind in ScenarioKind::ALL {
-        let row = format!("| `{}` | {} |", kind.name(), kind.summary());
-        assert!(readme.contains(&row), "README is missing the row: {row}");
     }
 }

@@ -2,7 +2,7 @@
 //! a walkthrough and only narrates; what it says must hold is held here,
 //! on the same shapes.
 
-use secmod::gate::{build_dispatch_kernel_with_clients, ScenarioConfig, ScenarioKind};
+use secmod::gate::{build_dispatch_kernel_with_clients, WorldConfig};
 use secmod::prelude::Credential;
 use secmod::qos::{QosPolicy, SweepScheduler, TenantSpec};
 use secmod::ring::{ArgArena, ArgRef, RingPairConfig, RingSet, SmodCallReq};
@@ -16,11 +16,7 @@ use std::sync::Arc;
 fn arena_settles_to_zero_after_a_64k_sweep() {
     const BIG: usize = 64 * 1024;
     const CALLS: usize = 32;
-    let cfg = ScenarioConfig::builder(ScenarioKind::PlaneDispatch)
-        .seed(42)
-        .threads(1)
-        .build();
-    let dispatch = build_dispatch_kernel_with_clients(&cfg, 1);
+    let dispatch = build_dispatch_kernel_with_clients(&WorldConfig::new(42), 1);
     let kernel = &dispatch.kernel;
     let gauge = &kernel.metrics.arena.bytes_in_flight;
     let arena = ArgArena::with_metrics(8 << 20, Arc::clone(&kernel.metrics.arena));
