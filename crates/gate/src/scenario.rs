@@ -246,6 +246,31 @@ mod tests {
         assert_eq!(metrics.gate_hits.get(), ROUNDS * keys - keys);
     }
 
+    /// Deterministically, on one thread: a fixed list of `sys_smod_call`s
+    /// over `keys` distinct (client, operation) pairs. Each key misses
+    /// once and hits ever after — mostly in the thread-local L0 tier,
+    /// which the sharded tier's own hit counter never sees — so only the
+    /// kernel's gate counters add up to these numbers.
+    #[test]
+    fn report_assembly_reads_the_gate_counters() {
+        const ROUNDS: u64 = 5;
+        let world = build_dispatch_kernel_with_clients(&WorldConfig::new(5), 4);
+        let metrics = &world.kernel.metrics;
+        let gateway = &world.kernel.registry.get(world.module).unwrap().gateway;
+        let gate = || (metrics.gate_hits.get(), metrics.gate_misses.get());
+        let ((hits, misses), sharded) = (gate(), gateway.cache_stats());
+        call_every_operation(&world, ROUNDS);
+        let keys = (world.clients.len() * world.func_ids.len()) as u64;
+        let (gate_hits, gate_misses) = gate();
+        assert_eq!(gate_misses - misses, keys);
+        assert_eq!(gate_hits - hits, ROUNDS * keys - keys);
+        let sharded_hits = gateway.cache_stats().hits - sharded.hits;
+        assert!(
+            sharded_hits < gate_hits - hits,
+            "the sharded tier saw {sharded_hits} hits; L0 hits must not reach it"
+        );
+    }
+
     #[test]
     fn kernel_dispatch_uncached_baseline_never_hits() {
         let cfg = WorldConfig::new(11);
