@@ -9,10 +9,10 @@
 //! | SMOD(test-incr)      | 1,000,000   | 6.407   | 0.0751  |
 //! | RPC(test-incr)       |   100,000   | 63.230  | 0.1348  |
 //!
-//! [`run_simulated`] reproduces the first three rows on the deterministic,
+//! `run_simulated` reproduces the first three rows on the deterministic,
 //! paper-calibrated kernel simulator (the RPC row has no simulated
 //! equivalent — it is a real userland RPC stack, measured natively).
-//! [`run_native`] measures the same rows in wall-clock time on the host.
+//! `run_native` measures the same rows in wall-clock time on the host.
 //! Its SMOD rows time the simulated rows' own kernel call, crossed two
 //! ways: `sys_smod_call` on the calling thread, and a depth-1 round trip
 //! through a one-drainer dispatch plane ([`CrossThread`]). Absolute values
@@ -216,7 +216,7 @@ fn libc_world() -> (SimWorld, Pid) {
 
 /// Run the simulated rows (native getpid, SMOD-getpid, SMOD-testincr) using
 /// the kernel simulator's clock.  Deterministic.
-pub fn run_simulated(config: TrialConfig) -> Vec<Figure8Row> {
+fn run_simulated(config: TrialConfig) -> Vec<Figure8Row> {
     let (mut world, client) = libc_world();
 
     // The simulator is deterministic, so "trials" differ only through the
@@ -263,7 +263,7 @@ pub fn run_simulated(config: TrialConfig) -> Vec<Figure8Row> {
 
 /// Run the wall-clock rows on the host: `getpid()`, each SMOD row once
 /// per crossing, and RPC(test-incr).
-pub fn run_native(config: TrialConfig) -> Vec<Figure8Row> {
+fn run_native(config: TrialConfig) -> Vec<Figure8Row> {
     let mut rows = Vec::new();
     let mut timed = |name: &str, paper: f64, calls: u64, per_call: &mut dyn FnMut(u64)| {
         let mut samples = Vec::with_capacity(config.trials);

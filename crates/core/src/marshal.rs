@@ -25,29 +25,6 @@ impl ArgWriter {
         self
     }
 
-    /// Push a 64-bit signed value.
-    pub fn push_i64(self, v: i64) -> ArgWriter {
-        self.push_u64(v as u64)
-    }
-
-    /// Push a 32-bit value (widened to a stack word).
-    pub fn push_u32(self, v: u32) -> ArgWriter {
-        self.push_u64(v as u64)
-    }
-
-    /// Push a pointer-sized address.
-    pub fn push_addr(self, addr: u64) -> ArgWriter {
-        self.push_u64(addr)
-    }
-
-    /// Push a length-prefixed byte block (for by-value buffers).
-    pub fn push_bytes(mut self, data: &[u8]) -> ArgWriter {
-        self.buf
-            .extend_from_slice(&(data.len() as u64).to_le_bytes());
-        self.buf.extend_from_slice(data);
-        self
-    }
-
     /// Finish and return the marshalled bytes.
     pub fn finish(self) -> Vec<u8> {
         self.buf
@@ -130,13 +107,16 @@ mod tests {
 
     #[test]
     fn roundtrip_mixed_arguments() {
-        let block = ArgWriter::new()
+        // Signed values, 32-bit values and addresses are widened to a
+        // stack word; a byte block is its length word, then its bytes.
+        let mut block = ArgWriter::new()
             .push_u64(42)
-            .push_i64(-7)
-            .push_u32(0xDEAD)
-            .push_addr(0x1000_0000)
-            .push_bytes(b"hello")
+            .push_u64(-7i64 as u64)
+            .push_u64(0xDEAD)
+            .push_u64(0x1000_0000)
+            .push_u64(5)
             .finish();
+        block.extend_from_slice(b"hello");
         let mut r = ArgReader::new(&block);
         assert_eq!(r.u64().unwrap(), 42);
         assert_eq!(r.i64().unwrap(), -7);
@@ -151,7 +131,8 @@ mod tests {
         let block = ArgWriter::new().push_u64(1).finish();
         let mut r = ArgReader::new(&block[..4]);
         assert!(r.u64().is_err());
-        let block = ArgWriter::new().push_bytes(&[1, 2, 3]).finish();
+        let mut block = ArgWriter::new().push_u64(3).finish();
+        block.extend_from_slice(&[1, 2, 3]);
         let mut r = ArgReader::new(&block[..9]);
         assert!(r.bytes().is_err());
     }

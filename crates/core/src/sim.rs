@@ -20,11 +20,9 @@
 
 use crate::secure_module::SecureModule;
 use crate::{Result, SmodError};
-use secmod_async::SimDriver;
 use secmod_kernel::smod::{SessionId, SmodCallArgs};
 use secmod_kernel::{CostModel, Credential, Kernel, Pid};
 use secmod_module::ModuleId;
-use secmod_ring::RingPairConfig;
 use secmod_vm::Vaddr;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -62,12 +60,7 @@ impl Default for SimWorld {
 impl SimWorld {
     /// Boot a world with the default (paper-calibrated) cost model.
     pub fn new() -> SimWorld {
-        Self::with_cost_model(CostModel::default())
-    }
-
-    /// Boot a world with a custom cost model.
-    pub fn with_cost_model(cost: CostModel) -> SimWorld {
-        let kernel = Kernel::new(cost);
+        let kernel = Kernel::new(CostModel::default());
         let registrar = kernel
             .spawn_process("smod-registrar", Credential::root(), vec![0x90; 4096], 2, 2)
             .expect("registrar process");
@@ -227,28 +220,14 @@ impl SimWorld {
             .copied()
             .ok_or_else(|| SmodError::UnknownFunction(symbol.to_string()))
     }
-
-    /// An async driver over this world's kernel, on the simulated clock:
-    /// attach connected clients with [`SimDriver::attach`] and drive
-    /// `session.call(proc_id, args).await` futures deterministically with
-    /// [`SimDriver::run`]. `slots` bounds concurrently attached sessions;
-    /// `session_budget` is the per-session drain budget of each simulated
-    /// sweep.
-    pub fn async_driver(&self, slots: usize, session_budget: usize) -> Result<SimDriver<'_>> {
-        Ok(SimDriver::new(
-            &self.kernel,
-            slots,
-            RingPairConfig::default(),
-            session_budget,
-        )?)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::secure_module::SecureModuleBuilder;
-    use secmod_ring::SmodCallReq;
+    use secmod_async::SimDriver;
+    use secmod_ring::{RingPairConfig, SmodCallReq};
 
     const KEY: &[u8] = b"alice-key";
 
@@ -293,7 +272,7 @@ mod tests {
     fn async_driver_agrees_with_sequential_calls() {
         let (world, client) = connected_world();
         let incr = world.func_id(client, "incr").unwrap();
-        let driver = world.async_driver(4, 8).unwrap();
+        let driver = SimDriver::new(&world.kernel, 4, RingPairConfig::default(), 8).unwrap();
         let session = driver.attach(client).unwrap();
         let futures: Vec<_> = (0..10u64)
             .map(|i| {

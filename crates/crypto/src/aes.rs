@@ -1,6 +1,6 @@
 //! AES block cipher (FIPS-197), supporting 128/192/256-bit keys.
 //!
-//! The S-box and inverse S-box are derived algebraically (multiplicative
+//! The S-box is derived algebraically (multiplicative
 //! inverse in GF(2^8) followed by the affine transform) instead of being
 //! hard-coded, and the implementation is validated against the FIPS-197
 //! Appendix C known-answer vectors in the test module.
@@ -12,7 +12,7 @@ pub const BLOCK_SIZE: usize = 16;
 
 /// Multiply two elements of GF(2^8) with the AES reduction polynomial
 /// `x^8 + x^4 + x^3 + x + 1` (0x11b).
-pub fn gf_mul(mut a: u8, mut b: u8) -> u8 {
+fn gf_mul(mut a: u8, mut b: u8) -> u8 {
     let mut p: u8 = 0;
     for _ in 0..8 {
         if b & 1 != 0 {
@@ -47,10 +47,9 @@ fn gf_inv(a: u8) -> u8 {
     result
 }
 
-/// Compute the forward and inverse S-boxes.
-fn compute_sboxes() -> ([u8; 256], [u8; 256]) {
+/// Compute the S-box.
+fn compute_sbox() -> [u8; 256] {
     let mut sbox = [0u8; 256];
-    let mut inv = [0u8; 256];
     for (i, slot) in sbox.iter_mut().enumerate() {
         let x = gf_inv(i as u8);
         // Affine transform: b ^= rotl(b,1) ^ rotl(b,2) ^ rotl(b,3) ^ rotl(b,4) ^ 0x63
@@ -58,15 +57,14 @@ fn compute_sboxes() -> ([u8; 256], [u8; 256]) {
         let s =
             b ^ b.rotate_left(1) ^ b.rotate_left(2) ^ b.rotate_left(3) ^ b.rotate_left(4) ^ 0x63;
         *slot = s;
-        inv[s as usize] = i as u8;
     }
-    (sbox, inv)
+    sbox
 }
 
-fn sboxes() -> &'static ([u8; 256], [u8; 256]) {
+fn sbox() -> &'static [u8; 256] {
     use std::sync::OnceLock;
-    static SBOXES: OnceLock<([u8; 256], [u8; 256])> = OnceLock::new();
-    SBOXES.get_or_init(compute_sboxes)
+    static SBOX: OnceLock<[u8; 256]> = OnceLock::new();
+    SBOX.get_or_init(compute_sbox)
 }
 
 /// An AES key of one of the three permitted lengths.
@@ -146,7 +144,7 @@ impl AesKey {
     }
 }
 
-/// An expanded AES key schedule ready to encrypt or decrypt 16-byte blocks.
+/// An expanded AES key schedule ready to encrypt 16-byte blocks.
 #[derive(Clone)]
 pub struct Aes {
     round_keys: Vec<[u8; 16]>,
@@ -162,7 +160,7 @@ impl std::fmt::Debug for Aes {
 impl Aes {
     /// Expand `key` into the round-key schedule.
     pub fn new(key: &AesKey) -> Self {
-        let (sbox, _) = sboxes();
+        let sbox = sbox();
         let nk = key.len() / 4; // key length in 32-bit words
         let rounds = key.rounds();
         let total_words = 4 * (rounds + 1);
@@ -211,7 +209,7 @@ impl Aes {
 
     /// Encrypt a single 16-byte block in place.
     pub fn encrypt_block(&self, block: &mut [u8; 16]) {
-        let (sbox, _) = sboxes();
+        let sbox = sbox();
         add_round_key(block, &self.round_keys[0]);
         for r in 1..self.rounds {
             sub_bytes(block, sbox);
@@ -222,21 +220,6 @@ impl Aes {
         sub_bytes(block, sbox);
         shift_rows(block);
         add_round_key(block, &self.round_keys[self.rounds]);
-    }
-
-    /// Decrypt a single 16-byte block in place.
-    pub fn decrypt_block(&self, block: &mut [u8; 16]) {
-        let (_, inv_sbox) = sboxes();
-        add_round_key(block, &self.round_keys[self.rounds]);
-        for r in (1..self.rounds).rev() {
-            inv_shift_rows(block);
-            sub_bytes(block, inv_sbox);
-            add_round_key(block, &self.round_keys[r]);
-            inv_mix_columns(block);
-        }
-        inv_shift_rows(block);
-        sub_bytes(block, inv_sbox);
-        add_round_key(block, &self.round_keys[0]);
     }
 
     /// Number of rounds in the schedule (10, 12 or 14).
@@ -269,15 +252,6 @@ fn shift_rows(state: &mut [u8; 16]) {
     }
 }
 
-fn inv_shift_rows(state: &mut [u8; 16]) {
-    for r in 1..4 {
-        let row = [state[r], state[r + 4], state[r + 8], state[r + 12]];
-        for c in 0..4 {
-            state[r + 4 * c] = row[(c + 4 - r) % 4];
-        }
-    }
-}
-
 fn mix_columns(state: &mut [u8; 16]) {
     for c in 0..4 {
         let col = [
@@ -290,25 +264,6 @@ fn mix_columns(state: &mut [u8; 16]) {
         state[4 * c + 1] = col[0] ^ gf_mul(col[1], 2) ^ gf_mul(col[2], 3) ^ col[3];
         state[4 * c + 2] = col[0] ^ col[1] ^ gf_mul(col[2], 2) ^ gf_mul(col[3], 3);
         state[4 * c + 3] = gf_mul(col[0], 3) ^ col[1] ^ col[2] ^ gf_mul(col[3], 2);
-    }
-}
-
-fn inv_mix_columns(state: &mut [u8; 16]) {
-    for c in 0..4 {
-        let col = [
-            state[4 * c],
-            state[4 * c + 1],
-            state[4 * c + 2],
-            state[4 * c + 3],
-        ];
-        state[4 * c] =
-            gf_mul(col[0], 14) ^ gf_mul(col[1], 11) ^ gf_mul(col[2], 13) ^ gf_mul(col[3], 9);
-        state[4 * c + 1] =
-            gf_mul(col[0], 9) ^ gf_mul(col[1], 14) ^ gf_mul(col[2], 11) ^ gf_mul(col[3], 13);
-        state[4 * c + 2] =
-            gf_mul(col[0], 13) ^ gf_mul(col[1], 9) ^ gf_mul(col[2], 14) ^ gf_mul(col[3], 11);
-        state[4 * c + 3] =
-            gf_mul(col[0], 11) ^ gf_mul(col[1], 13) ^ gf_mul(col[2], 9) ^ gf_mul(col[3], 14);
     }
 }
 
@@ -325,15 +280,17 @@ mod tests {
 
     #[test]
     fn sbox_known_entries() {
-        let (sbox, inv) = compute_sboxes();
+        let sbox = compute_sbox();
         // Spot-check well-known entries of the AES S-box.
         assert_eq!(sbox[0x00], 0x63);
         assert_eq!(sbox[0x01], 0x7c);
         assert_eq!(sbox[0x53], 0xed);
         assert_eq!(sbox[0xff], 0x16);
-        // Inverse S-box must invert the forward one for every byte.
-        for i in 0..256usize {
-            assert_eq!(inv[sbox[i] as usize] as usize, i);
+        // The S-box is a permutation of the bytes.
+        let mut seen = [false; 256];
+        for s in sbox {
+            assert!(!seen[s as usize], "{s:#x} appears twice");
+            seen[s as usize] = true;
         }
     }
 
@@ -361,8 +318,6 @@ mod tests {
         block.copy_from_slice(&hex("00112233445566778899aabbccddeeff"));
         aes.encrypt_block(&mut block);
         assert_eq!(block.to_vec(), hex("69c4e0d86a7b0430d8cdb78070b4c55a"));
-        aes.decrypt_block(&mut block);
-        assert_eq!(block.to_vec(), hex("00112233445566778899aabbccddeeff"));
     }
 
     #[test]
@@ -374,8 +329,6 @@ mod tests {
         block.copy_from_slice(&hex("00112233445566778899aabbccddeeff"));
         aes.encrypt_block(&mut block);
         assert_eq!(block.to_vec(), hex("dda97ca4864cdfe06eaf70a0ec0d7191"));
-        aes.decrypt_block(&mut block);
-        assert_eq!(block.to_vec(), hex("00112233445566778899aabbccddeeff"));
     }
 
     #[test]
@@ -389,8 +342,6 @@ mod tests {
         block.copy_from_slice(&hex("00112233445566778899aabbccddeeff"));
         aes.encrypt_block(&mut block);
         assert_eq!(block.to_vec(), hex("8ea2b7ca516745bfeafc49904b496089"));
-        aes.decrypt_block(&mut block);
-        assert_eq!(block.to_vec(), hex("00112233445566778899aabbccddeeff"));
     }
 
     #[test]
@@ -424,20 +375,6 @@ mod tests {
     }
 
     proptest::proptest! {
-        #[test]
-        fn encrypt_decrypt_roundtrip(key in proptest::collection::vec(0u8..=255, 16),
-                                     pt in proptest::collection::vec(0u8..=255, 16)) {
-            let key = AesKey::from_bytes(&key).unwrap();
-            let aes = Aes::new(&key);
-            let mut block = [0u8; 16];
-            block.copy_from_slice(&pt);
-            let original = block;
-            aes.encrypt_block(&mut block);
-            proptest::prop_assert_ne!(block, original); // astronomically unlikely to be a fixed point
-            aes.decrypt_block(&mut block);
-            proptest::prop_assert_eq!(block, original);
-        }
-
         #[test]
         fn gf_mul_commutative(a in 0u8..=255, b in 0u8..=255) {
             proptest::prop_assert_eq!(gf_mul(a, b), gf_mul(b, a));

@@ -65,7 +65,7 @@ impl BigUint {
     }
 
     /// Serialize to big-endian bytes with no leading zero bytes (empty for 0).
-    pub fn to_bytes_be(&self) -> Vec<u8> {
+    fn to_bytes_be(&self) -> Vec<u8> {
         if self.is_zero() {
             return Vec::new();
         }
@@ -97,24 +97,6 @@ impl BigUint {
         let mut out = vec![0u8; len - bytes.len()];
         out.extend_from_slice(&bytes);
         out
-    }
-
-    /// Parse from a hexadecimal string (no prefix).
-    pub fn from_hex(s: &str) -> Option<Self> {
-        if s.is_empty() || !s.chars().all(|c| c.is_ascii_hexdigit()) {
-            return None;
-        }
-        // Left-pad to even length.
-        let padded = if s.len() % 2 == 1 {
-            format!("0{s}")
-        } else {
-            s.to_string()
-        };
-        let bytes: Vec<u8> = (0..padded.len())
-            .step_by(2)
-            .map(|i| u8::from_str_radix(&padded[i..i + 2], 16).unwrap())
-            .collect();
-        Some(Self::from_bytes_be(&bytes))
     }
 
     /// Lower-case hexadecimal representation without leading zeros ("0" for 0).
@@ -170,15 +152,6 @@ impl BigUint {
             .get(limb)
             .map(|l| (l >> off) & 1 == 1)
             .unwrap_or(false)
-    }
-
-    /// Value as u64, if it fits.
-    pub fn to_u64(&self) -> Option<u64> {
-        match self.limbs.len() {
-            0 => Some(0),
-            1 => Some(self.limbs[0]),
-            _ => None,
-        }
     }
 
     fn normalize(&mut self) {
@@ -269,7 +242,7 @@ impl BigUint {
     }
 
     /// Shift left by `bits`.
-    pub fn shl(&self, bits: usize) -> BigUint {
+    fn shl(&self, bits: usize) -> BigUint {
         if self.is_zero() || bits == 0 {
             return self.clone();
         }
@@ -321,7 +294,7 @@ impl BigUint {
     }
 
     /// Division with remainder; panics on division by zero.
-    pub fn div_rem(&self, divisor: &BigUint) -> (BigUint, BigUint) {
+    fn div_rem(&self, divisor: &BigUint) -> (BigUint, BigUint) {
         assert!(!divisor.is_zero(), "division by zero");
         if self.cmp_to(divisor) == Ordering::Less {
             return (BigUint::zero(), self.clone());
@@ -459,24 +432,39 @@ mod tests {
         BigUint::from_u64(v)
     }
 
+    /// Parse a hexadecimal string (no prefix): the test vectors' notation.
+    fn from_hex(s: &str) -> Option<BigUint> {
+        if s.is_empty() || !s.chars().all(|c| c.is_ascii_hexdigit()) {
+            return None;
+        }
+        // Left-pad to even length.
+        let padded = if s.len() % 2 == 1 {
+            format!("0{s}")
+        } else {
+            s.to_string()
+        };
+        let bytes: Vec<u8> = (0..padded.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&padded[i..i + 2], 16).unwrap())
+            .collect();
+        Some(BigUint::from_bytes_be(&bytes))
+    }
+
     #[test]
     fn basic_construction_and_display() {
         assert!(BigUint::zero().is_zero());
         assert!(BigUint::one().is_one());
         assert_eq!(n(0x1234).to_hex(), "1234");
         assert_eq!(BigUint::zero().to_hex(), "0");
-        assert_eq!(
-            BigUint::from_hex("deadbeef").unwrap().to_u64(),
-            Some(0xdeadbeef)
-        );
-        assert_eq!(BigUint::from_hex("f").unwrap().to_u64(), Some(15));
-        assert!(BigUint::from_hex("xyz").is_none());
-        assert!(BigUint::from_hex("").is_none());
+        assert_eq!(from_hex("deadbeef").unwrap(), n(0xdeadbeef));
+        assert_eq!(from_hex("f").unwrap(), n(15));
+        assert!(from_hex("xyz").is_none());
+        assert!(from_hex("").is_none());
     }
 
     #[test]
     fn bytes_roundtrip() {
-        let v = BigUint::from_hex("0102030405060708090a0b0c0d0e0f10").unwrap();
+        let v = from_hex("0102030405060708090a0b0c0d0e0f10").unwrap();
         let bytes = v.to_bytes_be();
         assert_eq!(BigUint::from_bytes_be(&bytes), v);
         assert_eq!(v.to_bytes_be_padded(20).len(), 20);
@@ -510,7 +498,7 @@ mod tests {
     fn mul_known_values() {
         assert_eq!(n(7).mul(&n(6)), n(42));
         assert_eq!(n(0).mul(&n(12345)), BigUint::zero());
-        let a = BigUint::from_hex("ffffffffffffffff").unwrap();
+        let a = from_hex("ffffffffffffffff").unwrap();
         assert_eq!(a.mul(&a).to_hex(), "fffffffffffffffe0000000000000001");
     }
 
@@ -541,8 +529,8 @@ mod tests {
         let (q, r) = n(5).div_rem(&n(100));
         assert_eq!((q, r), (BigUint::zero(), n(5)));
         // Multi-limb division.
-        let a = BigUint::from_hex("123456789abcdef0123456789abcdef0").unwrap();
-        let b = BigUint::from_hex("fedcba9876543211").unwrap();
+        let a = from_hex("123456789abcdef0123456789abcdef0").unwrap();
+        let b = from_hex("fedcba9876543211").unwrap();
         let (q, r) = a.div_rem(&b);
         assert_eq!(q.mul(&b).add(&r), a);
         assert!(r.cmp_to(&b) == Ordering::Less);
@@ -573,8 +561,8 @@ mod tests {
         assert!(n(6).mod_inv(&n(9)).is_none()); // gcd != 1
         assert!(n(5).mod_inv(&BigUint::one()).is_none());
         // Larger inverse.
-        let m = BigUint::from_hex("ffffffffffffffc5").unwrap(); // a 64-bit prime
-        let a = BigUint::from_hex("123456789abcdef").unwrap();
+        let m = from_hex("ffffffffffffffc5").unwrap(); // a 64-bit prime
+        let a = from_hex("123456789abcdef").unwrap();
         let inv = a.mod_inv(&m).unwrap();
         assert_eq!(a.mod_mul(&inv, &m), BigUint::one());
     }
@@ -618,7 +606,7 @@ mod tests {
         #[test]
         fn prop_hex_roundtrip(a in proptest::collection::vec(0u8..=255, 0..24)) {
             let a = BigUint::from_bytes_be(&a);
-            proptest::prop_assert_eq!(BigUint::from_hex(&a.to_hex()).unwrap(), a);
+            proptest::prop_assert_eq!(from_hex(&a.to_hex()).unwrap(), a);
         }
 
         #[test]

@@ -76,15 +76,6 @@ impl KeyStore {
         self.inner.lock().host_key = Some(key);
     }
 
-    /// The host system's public key, if a host key has been installed.
-    pub fn host_public_key(&self) -> Option<crate::rsa::RsaPublicKey> {
-        self.inner
-            .lock()
-            .host_key
-            .as_ref()
-            .map(|k| k.public.clone())
-    }
-
     /// Generate a fresh module key of `len` bytes (16/24/32) and store it.
     pub fn generate(&self, label: &str, len: usize) -> Result<KeyHandle> {
         if !matches!(len, 16 | 24 | 32) {
@@ -169,25 +160,6 @@ impl KeyStore {
     /// Verify an HMAC tag with the named key.
     pub fn verify_mac(&self, handle: KeyHandle, message: &[u8], tag: &[u8]) -> Result<bool> {
         Ok(crate::ct_eq(&self.mac(handle, message)?, tag))
-    }
-
-    /// Export the key *wrapped under the host public key of another store*.
-    /// The plaintext key still never crosses the API boundary unprotected.
-    pub fn export_wrapped(
-        &self,
-        handle: KeyHandle,
-        recipient: &crate::rsa::RsaPublicKey,
-    ) -> Result<Vec<u8>> {
-        let mut inner = self.inner.lock();
-        let key = inner
-            .keys
-            .get(&handle)
-            .cloned()
-            .ok_or(CryptoError::UnknownKey)?;
-        if key.revoked {
-            return Err(CryptoError::UnknownKey);
-        }
-        recipient.wrap(&key.material, &mut inner.rng)
     }
 
     /// Revoke a key; subsequent use fails.
@@ -303,7 +275,8 @@ mod tests {
 
     #[test]
     fn wrapped_import_via_host_key() {
-        // Module creator's store wraps the key for the hosting system.
+        // The module creator wraps the key under the hosting system's
+        // public key; only the host's store can import it.
         let creator = KeyStore::new(b"creator");
         let module_key = creator
             .import_raw("module-m", b"0123456789abcdef", [2u8; 8])
@@ -314,9 +287,8 @@ mod tests {
         let host_rsa = generate_keypair(512, &mut rng);
         let host_pub = host_rsa.public.clone();
         host.set_host_key(host_rsa);
-        assert_eq!(host.host_public_key().unwrap(), host_pub);
 
-        let wrapped = creator.export_wrapped(module_key, &host_pub).unwrap();
+        let wrapped = host_pub.wrap(b"0123456789abcdef", &mut rng).unwrap();
         let imported = host.import_wrapped("module-m", &wrapped, [2u8; 8]).unwrap();
 
         // Both stores must produce identical encryptors for the same key.

@@ -14,9 +14,9 @@
 //! This crate provides everything the rest of the workspace needs for that
 //! story, implemented from first principles (no external crypto crates):
 //!
-//! * [`aes`] — the AES block cipher (128/192/256-bit keys) with the S-boxes
+//! * [`aes`] — the AES block cipher (128/192/256-bit keys) with the S-box
 //!   derived algebraically rather than from hard-coded tables.
-//! * [`modes`] — CTR and CBC modes plus PKCS#7 padding.
+//! * [`modes`] — CTR mode, addressable by byte offset.
 //! * [`sha256`] — SHA-256 with round constants generated from exact integer
 //!   square/cube roots.
 //! * [`hmac`] — HMAC-SHA-256 for credential MACs.

@@ -1,33 +1,10 @@
-//! Block cipher modes of operation: CTR and CBC with PKCS#7 padding.
+//! The block cipher mode of operation: CTR.
 //!
-//! The SecModule kernel encrypts module text with CTR (length-preserving,
-//! which matters because the encrypted image must keep its exact layout so
-//! relocation offsets remain valid) and uses CBC+PKCS#7 for variable-length
-//! registration blobs.
+//! The SecModule kernel encrypts module text with CTR, which is
+//! length-preserving: the encrypted image keeps its exact layout, so
+//! relocation offsets remain valid.
 
 use crate::aes::{Aes, BLOCK_SIZE};
-use crate::{CryptoError, Result};
-
-/// AES-CTR keystream encryption/decryption (the two are identical).
-///
-/// `nonce` forms the first 8 bytes of the counter block; the remaining 8
-/// bytes are a big-endian block counter starting at `initial_counter`.
-pub fn ctr_xor(aes: &Aes, nonce: &[u8; 8], initial_counter: u64, data: &mut [u8]) {
-    let mut counter = initial_counter;
-    let mut offset = 0usize;
-    while offset < data.len() {
-        let mut block = [0u8; BLOCK_SIZE];
-        block[..8].copy_from_slice(nonce);
-        block[8..].copy_from_slice(&counter.to_be_bytes());
-        aes.encrypt_block(&mut block);
-        let n = usize::min(BLOCK_SIZE, data.len() - offset);
-        for i in 0..n {
-            data[offset + i] ^= block[i];
-        }
-        offset += n;
-        counter = counter.wrapping_add(1);
-    }
-}
 
 /// Encrypt an arbitrary byte range with CTR, starting the keystream at the
 /// counter corresponding to `byte_offset` within the overall stream.
@@ -55,73 +32,6 @@ pub fn ctr_xor_at(aes: &Aes, nonce: &[u8; 8], byte_offset: usize, data: &mut [u8
     }
 }
 
-/// Apply PKCS#7 padding, returning a new buffer whose length is a multiple of
-/// the block size.
-pub fn pkcs7_pad(data: &[u8]) -> Vec<u8> {
-    let pad = BLOCK_SIZE - (data.len() % BLOCK_SIZE);
-    let mut out = Vec::with_capacity(data.len() + pad);
-    out.extend_from_slice(data);
-    out.extend(std::iter::repeat_n(pad as u8, pad));
-    out
-}
-
-/// Remove PKCS#7 padding.
-pub fn pkcs7_unpad(data: &[u8]) -> Result<Vec<u8>> {
-    if data.is_empty() || !data.len().is_multiple_of(BLOCK_SIZE) {
-        return Err(CryptoError::BadPadding);
-    }
-    let pad = *data.last().unwrap() as usize;
-    if pad == 0 || pad > BLOCK_SIZE || pad > data.len() {
-        return Err(CryptoError::BadPadding);
-    }
-    let (body, tail) = data.split_at(data.len() - pad);
-    if tail.iter().any(|&b| b as usize != pad) {
-        return Err(CryptoError::BadPadding);
-    }
-    Ok(body.to_vec())
-}
-
-/// CBC-encrypt `plaintext` (PKCS#7-padded) under `aes` with the given IV.
-pub fn cbc_encrypt(aes: &Aes, iv: &[u8; BLOCK_SIZE], plaintext: &[u8]) -> Vec<u8> {
-    let padded = pkcs7_pad(plaintext);
-    let mut out = Vec::with_capacity(padded.len());
-    let mut prev = *iv;
-    for chunk in padded.chunks(BLOCK_SIZE) {
-        let mut block = [0u8; BLOCK_SIZE];
-        block.copy_from_slice(chunk);
-        for i in 0..BLOCK_SIZE {
-            block[i] ^= prev[i];
-        }
-        aes.encrypt_block(&mut block);
-        out.extend_from_slice(&block);
-        prev = block;
-    }
-    out
-}
-
-/// CBC-decrypt and strip PKCS#7 padding.
-pub fn cbc_decrypt(aes: &Aes, iv: &[u8; BLOCK_SIZE], ciphertext: &[u8]) -> Result<Vec<u8>> {
-    if ciphertext.is_empty() || !ciphertext.len().is_multiple_of(BLOCK_SIZE) {
-        return Err(CryptoError::InvalidLength {
-            reason: "CBC ciphertext must be a non-empty multiple of 16 bytes",
-        });
-    }
-    let mut out = Vec::with_capacity(ciphertext.len());
-    let mut prev = *iv;
-    for chunk in ciphertext.chunks(BLOCK_SIZE) {
-        let mut block = [0u8; BLOCK_SIZE];
-        block.copy_from_slice(chunk);
-        let saved = block;
-        aes.decrypt_block(&mut block);
-        for i in 0..BLOCK_SIZE {
-            block[i] ^= prev[i];
-        }
-        out.extend_from_slice(&block);
-        prev = saved;
-    }
-    pkcs7_unpad(&out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,9 +47,9 @@ mod tests {
         let nonce = [1u8; 8];
         let original: Vec<u8> = (0..1000u32).map(|i| (i % 251) as u8).collect();
         let mut data = original.clone();
-        ctr_xor(&aes, &nonce, 0, &mut data);
+        ctr_xor_at(&aes, &nonce, 0, &mut data);
         assert_ne!(data, original);
-        ctr_xor(&aes, &nonce, 0, &mut data);
+        ctr_xor_at(&aes, &nonce, 0, &mut data);
         assert_eq!(data, original);
     }
 
@@ -168,92 +78,20 @@ mod tests {
         let aes = test_aes();
         for len in [0usize, 1, 15, 16, 17, 31, 32, 33, 1000] {
             let mut data = vec![0xA5u8; len];
-            ctr_xor(&aes, &[0u8; 8], 0, &mut data);
+            ctr_xor_at(&aes, &[0u8; 8], 0, &mut data);
             assert_eq!(data.len(), len);
         }
     }
 
-    #[test]
-    fn pkcs7_pad_unpad_roundtrip() {
-        for len in 0..64usize {
-            let data: Vec<u8> = (0..len as u8).collect();
-            let padded = pkcs7_pad(&data);
-            assert_eq!(padded.len() % BLOCK_SIZE, 0);
-            assert!(padded.len() > data.len());
-            assert_eq!(pkcs7_unpad(&padded).unwrap(), data);
-        }
-    }
-
-    #[test]
-    fn pkcs7_rejects_bad_padding() {
-        assert_eq!(pkcs7_unpad(&[]).unwrap_err(), CryptoError::BadPadding);
-        assert_eq!(
-            pkcs7_unpad(&[1u8; 15]).unwrap_err(),
-            CryptoError::BadPadding
-        );
-        // Last byte claims 0 bytes of padding.
-        let mut block = [2u8; 16];
-        block[15] = 0;
-        assert_eq!(pkcs7_unpad(&block).unwrap_err(), CryptoError::BadPadding);
-        // Padding byte larger than block size.
-        let mut block = [2u8; 16];
-        block[15] = 17;
-        assert_eq!(pkcs7_unpad(&block).unwrap_err(), CryptoError::BadPadding);
-        // Inconsistent padding bytes.
-        let mut block = [3u8; 16];
-        block[14] = 9;
-        assert_eq!(pkcs7_unpad(&block).unwrap_err(), CryptoError::BadPadding);
-    }
-
-    #[test]
-    fn cbc_roundtrip_various_lengths() {
-        let aes = test_aes();
-        let iv = [9u8; 16];
-        for len in [0usize, 1, 15, 16, 17, 64, 1000] {
-            let data: Vec<u8> = (0..len).map(|i| (i % 256) as u8).collect();
-            let ct = cbc_encrypt(&aes, &iv, &data);
-            assert_eq!(ct.len() % BLOCK_SIZE, 0);
-            assert!(ct.len() > data.len());
-            assert_eq!(cbc_decrypt(&aes, &iv, &ct).unwrap(), data);
-        }
-    }
-
-    #[test]
-    fn cbc_decrypt_rejects_bad_lengths() {
-        let aes = test_aes();
-        let iv = [0u8; 16];
-        assert!(cbc_decrypt(&aes, &iv, &[]).is_err());
-        assert!(cbc_decrypt(&aes, &iv, &[0u8; 15]).is_err());
-        assert!(cbc_decrypt(&aes, &iv, &[0u8; 17]).is_err());
-    }
-
-    #[test]
-    fn cbc_different_iv_different_ciphertext() {
-        let aes = test_aes();
-        let data = b"the same plaintext every time!!!";
-        let c1 = cbc_encrypt(&aes, &[0u8; 16], data);
-        let c2 = cbc_encrypt(&aes, &[1u8; 16], data);
-        assert_ne!(c1, c2);
-    }
-
     proptest::proptest! {
-        #[test]
-        fn prop_cbc_roundtrip(data in proptest::collection::vec(0u8..=255, 0..512),
-                              iv in proptest::array::uniform16(0u8..=255),
-                              key in proptest::array::uniform16(0u8..=255)) {
-            let aes = Aes::new(&AesKey::Aes128(key));
-            let ct = cbc_encrypt(&aes, &iv, &data);
-            proptest::prop_assert_eq!(cbc_decrypt(&aes, &iv, &ct).unwrap(), data);
-        }
-
         #[test]
         fn prop_ctr_roundtrip(data in proptest::collection::vec(0u8..=255, 0..512),
                               nonce in proptest::array::uniform8(0u8..=255),
-                              ctr in 0u64..1_000_000) {
+                              offset in 0usize..1_000_000) {
             let aes = test_aes();
             let mut buf = data.clone();
-            ctr_xor(&aes, &nonce, ctr, &mut buf);
-            ctr_xor(&aes, &nonce, ctr, &mut buf);
+            ctr_xor_at(&aes, &nonce, offset, &mut buf);
+            ctr_xor_at(&aes, &nonce, offset, &mut buf);
             proptest::prop_assert_eq!(buf, data);
         }
     }

@@ -5,8 +5,7 @@
 //! pseudo-random keys for the symmetric cipher".  For the simulation we want
 //! two properties: reproducibility (the kernel simulator is deterministic
 //! given a seed) and reasonable statistical quality.  We therefore implement
-//! a small counter-mode generator over SHA-256 (hash-DRBG style) plus a
-//! SplitMix64 fallback for cheap non-cryptographic needs.
+//! a small counter-mode generator over SHA-256 (hash-DRBG style).
 
 use crate::sha256::Sha256;
 
@@ -77,54 +76,6 @@ impl HashDrbg {
         self.fill_bytes(&mut b);
         u64::from_le_bytes(b)
     }
-
-    /// Generate a pseudo-random value uniformly in `[0, bound)`.
-    ///
-    /// Uses rejection sampling to avoid modulo bias. `bound` must be > 0.
-    pub fn next_below(&mut self, bound: u64) -> u64 {
-        assert!(bound > 0, "bound must be positive");
-        let zone = u64::MAX - (u64::MAX % bound);
-        loop {
-            let v = self.next_u64();
-            if v < zone {
-                return v % bound;
-            }
-        }
-    }
-}
-
-/// SplitMix64: a tiny, fast, non-cryptographic generator used for scheduler
-/// jitter and synthetic workload generation inside the simulator.
-#[derive(Clone, Copy, Debug)]
-pub struct SplitMix64 {
-    state: u64,
-}
-
-impl SplitMix64 {
-    /// Create a generator from a 64-bit seed.
-    pub fn new(seed: u64) -> Self {
-        SplitMix64 { state: seed }
-    }
-
-    /// Next 64-bit output.
-    pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E3779B97F4A7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z ^ (z >> 31)
-    }
-
-    /// Next value uniformly in `[0, bound)`; `bound` must be > 0.
-    pub fn next_below(&mut self, bound: u64) -> u64 {
-        assert!(bound > 0);
-        self.next_u64() % bound
-    }
-
-    /// Next f64 in [0, 1).
-    pub fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
 }
 
 #[cfg(test)]
@@ -159,47 +110,11 @@ mod tests {
     }
 
     #[test]
-    fn next_below_respects_bound() {
-        let mut g = HashDrbg::new(b"bound");
-        for bound in [1u64, 2, 3, 17, 1000, u64::MAX / 2] {
-            for _ in 0..50 {
-                assert!(g.next_below(bound) < bound);
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic]
-    fn next_below_zero_panics() {
-        HashDrbg::new(b"z").next_below(0);
-    }
-
-    #[test]
     fn from_entropy_produces_distinct_streams() {
         let mut a = HashDrbg::from_entropy();
         let mut b = HashDrbg::from_entropy();
         // 32 bytes colliding would mean broken entropy.
         assert_ne!(a.bytes(32), b.bytes(32));
-    }
-
-    #[test]
-    fn splitmix_deterministic_and_varied() {
-        let mut a = SplitMix64::new(42);
-        let mut b = SplitMix64::new(42);
-        let xs: Vec<u64> = (0..10).map(|_| a.next_u64()).collect();
-        let ys: Vec<u64> = (0..10).map(|_| b.next_u64()).collect();
-        assert_eq!(xs, ys);
-        // outputs should not all be equal
-        assert!(xs.windows(2).any(|w| w[0] != w[1]));
-    }
-
-    #[test]
-    fn splitmix_f64_in_unit_interval() {
-        let mut g = SplitMix64::new(7);
-        for _ in 0..1000 {
-            let x = g.next_f64();
-            assert!((0.0..1.0).contains(&x));
-        }
     }
 
     proptest::proptest! {

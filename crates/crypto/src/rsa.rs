@@ -40,12 +40,12 @@ impl std::fmt::Debug for RsaPrivateKey {
 
 impl RsaPublicKey {
     /// Size of the modulus in bytes (rounded up).
-    pub fn modulus_len(&self) -> usize {
+    fn modulus_len(&self) -> usize {
         self.n.bit_len().div_ceil(8)
     }
 
     /// Raw RSA encryption of an integer `m < n`.
-    pub fn encrypt_raw(&self, m: &BigUint) -> Result<BigUint> {
+    fn encrypt_raw(&self, m: &BigUint) -> Result<BigUint> {
         if m.cmp_to(&self.n) != std::cmp::Ordering::Less {
             return Err(CryptoError::MessageTooLarge);
         }
@@ -80,7 +80,7 @@ impl RsaPublicKey {
 
 impl RsaPrivateKey {
     /// Raw RSA decryption.
-    pub fn decrypt_raw(&self, c: &BigUint) -> Result<BigUint> {
+    fn decrypt_raw(&self, c: &BigUint) -> Result<BigUint> {
         if c.cmp_to(&self.public.n) != std::cmp::Ordering::Less {
             return Err(CryptoError::MessageTooLarge);
         }
@@ -114,7 +114,7 @@ impl RsaPrivateKey {
 }
 
 /// Miller–Rabin primality test with `rounds` random bases.
-pub fn is_probable_prime(n: &BigUint, rounds: usize, rng: &mut HashDrbg) -> bool {
+fn is_probable_prime(n: &BigUint, rounds: usize, rng: &mut HashDrbg) -> bool {
     if n.cmp_to(&BigUint::from_u64(2)) == std::cmp::Ordering::Less {
         return false;
     }
@@ -176,7 +176,7 @@ fn random_below(bound: &BigUint, rng: &mut HashDrbg) -> BigUint {
 }
 
 /// Generate a random probable prime of exactly `bits` bits.
-pub fn generate_prime(bits: usize, rng: &mut HashDrbg) -> BigUint {
+fn generate_prime(bits: usize, rng: &mut HashDrbg) -> BigUint {
     assert!(bits >= 8, "prime size too small");
     loop {
         let byte_len = bits.div_ceil(8);

@@ -57,7 +57,7 @@ impl SkipRange {
 
 /// Normalise a list of skip ranges: sort, drop empties, merge overlaps and
 /// adjacent ranges.
-pub fn normalize_ranges(mut ranges: Vec<SkipRange>) -> Vec<SkipRange> {
+fn normalize_ranges(mut ranges: Vec<SkipRange>) -> Vec<SkipRange> {
     ranges.retain(|r| !r.is_empty());
     ranges.sort();
     let mut out: Vec<SkipRange> = Vec::with_capacity(ranges.len());

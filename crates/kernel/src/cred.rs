@@ -14,14 +14,13 @@ pub struct Credential {
     pub gid: u32,
     /// Supplementary groups.
     pub groups: Vec<u32>,
-    /// Per-module SecModule credentials: module name → opaque key material
-    /// identifying the principal the process acts as for that module.
-    /// (The paper: the objects "that hold the name and version of the
-    /// needed SecModules, as well as the credentials that allow access to
-    /// it are linked in" to the client executable.)
-    smod_credentials: BTreeMap<String, Vec<u8>>,
-    /// The policy principal derived from each credential, computed once at
-    /// attach time so the per-call check never re-hashes key material.
+    /// Per-module SecModule credentials: module name → the policy
+    /// principal the process acts as for that module. (The paper: the
+    /// objects "that hold the name and version of the needed SecModules,
+    /// as well as the credentials that allow access to it are linked in"
+    /// to the client executable.) The principal is derived from the key
+    /// material once, at attach time, so the per-call check never
+    /// re-hashes it.
     smod_principals: BTreeMap<String, Principal>,
 }
 
@@ -32,7 +31,6 @@ impl Credential {
             uid: 0,
             gid: 0,
             groups: Vec::new(),
-            smod_credentials: BTreeMap::new(),
             smod_principals: BTreeMap::new(),
         }
     }
@@ -43,7 +41,6 @@ impl Credential {
             uid,
             gid,
             groups: Vec::new(),
-            smod_credentials: BTreeMap::new(),
             smod_principals: BTreeMap::new(),
         }
     }
@@ -52,18 +49,11 @@ impl Credential {
     /// policy principal is derived (SHA-256 of the key material) here,
     /// once, not on every access check.
     pub fn with_smod_credential(mut self, module: &str, key_material: &[u8]) -> Credential {
-        self.smod_credentials
-            .insert(module.to_string(), key_material.to_vec());
         self.smod_principals.insert(
             module.to_string(),
             Principal::from_key(&format!("uid{}", self.uid), key_material),
         );
         self
-    }
-
-    /// The raw credential material presented for `module`, if any.
-    pub fn smod_credential(&self, module: &str) -> Option<&[u8]> {
-        self.smod_credentials.get(module).map(|v| v.as_slice())
     }
 
     /// The policy principal this credential identifies for `module`
@@ -81,11 +71,6 @@ impl Credential {
     pub fn principal_fp64(&self, module: &str) -> Option<u64> {
         self.smod_principals.get(module).map(|p| p.fingerprint())
     }
-
-    /// Does the credential carry any SecModule material at all?
-    pub fn has_smod_credentials(&self) -> bool {
-        !self.smod_credentials.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -96,10 +81,9 @@ mod tests {
     fn construction_and_lookup() {
         let c = Credential::user(1000, 100).with_smod_credential("libc", b"alice-key");
         assert_eq!(c.uid, 1000);
-        assert!(c.has_smod_credentials());
-        assert_eq!(c.smod_credential("libc"), Some(b"alice-key".as_slice()));
-        assert_eq!(c.smod_credential("libm"), None);
-        assert!(!Credential::root().has_smod_credentials());
+        assert!(c.principal_for("libc").is_some());
+        assert!(c.principal_for("libm").is_none());
+        assert!(Credential::root().principal_for("libc").is_none());
     }
 
     #[test]

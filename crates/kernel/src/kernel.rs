@@ -295,23 +295,6 @@ impl Kernel {
         }
     }
 
-    /// `kill()`: deliver a signal.  Signals aimed at handle processes are
-    /// redirected to their client (§4.3: "signals … must be modified such
-    /// that they effect the client, not the handle").
-    pub fn sys_kill(&self, sender: Pid, target: Pid, signal: i32) -> SysResult<()> {
-        let trap = self.cost.syscall_trap_ns;
-        self.charge(sender, trap);
-        let redirected = self.procs.with(target, |t| {
-            if t.flags.smod_handle {
-                t.smod.map(|l| l.peer).unwrap_or(target)
-            } else {
-                target
-            }
-        })?;
-        self.procs
-            .with_mut(redirected, |t| t.pending_signals.push(signal))
-    }
-
     /// `ptrace()` attach: denied outright for any process associated with a
     /// SecModule handle (§3.1 item 4).
     pub fn sys_ptrace_attach(&self, tracer: Pid, target: Pid) -> SysResult<()> {
@@ -464,19 +447,6 @@ mod tests {
         // Child is gone now.
         assert!(!k.procs.exists(child));
         assert_eq!(k.sys_wait(parent).unwrap_err(), Errno::ECHILD);
-    }
-
-    #[test]
-    fn kill_delivers_signals() {
-        let k = kernel();
-        let a = spawn(&k, "a");
-        let b = spawn(&k, "b");
-        k.sys_kill(a, b, 15).unwrap();
-        assert_eq!(
-            k.procs.with(b, |p| p.pending_signals.clone()).unwrap(),
-            vec![15]
-        );
-        assert_eq!(k.sys_kill(a, Pid(99), 9).unwrap_err(), Errno::ESRCH);
     }
 
     #[test]

@@ -250,12 +250,6 @@ impl PlaneConfigBuilder {
         self
     }
 
-    /// Idle-drainer park timeout (lost-unpark backstop).
-    pub fn park_timeout(mut self, park_timeout: Duration) -> Self {
-        self.cfg.park_timeout = park_timeout;
-        self
-    }
-
     /// Pin drainer threads to cores (best-effort).
     pub fn pin_drainers(mut self, pin_drainers: bool) -> Self {
         self.cfg.pin_drainers = pin_drainers;
@@ -542,13 +536,6 @@ impl DispatchPlane {
     /// [`SweepScheduler::metrics`].
     pub fn scheduler(&self) -> Option<Arc<SweepScheduler>> {
         self.shared.sched.clone()
-    }
-
-    /// Whether the armed crash drill has fired (always `false` on a
-    /// plane without one). Crash drills poll this to know the victim is
-    /// down before asserting on recovery.
-    pub fn crash_fired(&self) -> bool {
-        self.shared.crash_fired.load(Ordering::Acquire)
     }
 
     /// Stop the drainers (after one final forced sweep of every attached
@@ -1464,7 +1451,10 @@ mod tests {
                 }
                 std::thread::yield_now();
             }
-            assert!(plane.crash_fired(), "the drill must have fired ({qos:?})");
+            assert!(
+                plane.shared.crash_fired.load(Ordering::Acquire),
+                "the drill must have fired ({qos:?})"
+            );
             drop(handle);
             let stats = plane.shutdown();
             assert!(seen.iter().all(|&s| s), "an entry was lost ({qos:?})");
@@ -1620,10 +1610,11 @@ mod tests {
         let (k, _m, clients, incr) = kernel_with_clients(None, 1);
         let plane = DispatchPlane::start(
             Arc::new(k),
-            PlaneConfig::builder()
-                .drainers(1)
-                .park_timeout(park_timeout)
-                .build(),
+            PlaneConfig {
+                drainers: 1,
+                park_timeout,
+                ..PlaneConfig::default()
+            },
         )
         .unwrap();
         let handle = plane.attach(clients[0]).unwrap();

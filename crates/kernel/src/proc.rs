@@ -77,8 +77,6 @@ pub struct Process {
     pub smod: Option<SmodLink>,
     /// Accumulated CPU time in simulated nanoseconds.
     pub cpu_time_ns: u64,
-    /// Signals delivered but not yet handled (signal number list).
-    pub pending_signals: Vec<i32>,
     /// Whether the process has produced a core dump (only possible when
     /// `flags.no_coredump` is false).
     pub dumped_core: bool,
@@ -97,7 +95,6 @@ impl Process {
             flags: ProcFlags::default(),
             smod: None,
             cpu_time_ns: 0,
-            pending_signals: Vec::new(),
             dumped_core: false,
         }
     }
@@ -105,11 +102,6 @@ impl Process {
     /// Is the process alive (not a zombie)?
     pub fn is_alive(&self) -> bool {
         !matches!(self.state, ProcState::Zombie(_))
-    }
-
-    /// Is the process a member of an smod pair?
-    pub fn in_smod_pair(&self) -> bool {
-        self.smod.is_some()
     }
 
     /// Simulate a crash: the process terminates; whether a core image is
@@ -146,7 +138,7 @@ mod tests {
             vm("c"),
         );
         assert!(p.is_alive());
-        assert!(!p.in_smod_pair());
+        assert!(p.smod.is_none());
         assert_eq!(p.pid.to_string(), "pid2");
         p.state = ProcState::Zombie(0);
         assert!(!p.is_alive());

@@ -159,11 +159,6 @@ impl Session {
         self.calls.load(Relaxed)
     }
 
-    /// The registered module this session dispatches into.
-    pub fn module_ref(&self) -> &Arc<RegisteredModule> {
-        &self.module_ref
-    }
-
     /// Advance the handshake if it is exactly at `from`; returns whether
     /// the transition happened (false ⇒ out-of-order handshake step).
     fn transition(&self, from: SessionState, to: SessionState) -> bool {
@@ -293,7 +288,7 @@ impl SessionTable {
     }
 
     /// Is any active session bound to `module`?
-    pub fn any_for_module(&self, module: ModuleId) -> bool {
+    fn any_for_module(&self, module: ModuleId) -> bool {
         self.shards
             .iter()
             .any(|s| s.read().values().any(|session| session.module == module))

@@ -13,7 +13,7 @@
 
 use crate::cred::Credential;
 use crate::errno::Errno;
-use crate::proc::{Pid, ProcState, Process};
+use crate::proc::{Pid, Process};
 use crate::SysResult;
 use parking_lot::{Mutex, RwLock};
 use secmod_vm::VmSpace;
@@ -155,42 +155,8 @@ impl ProcessTable {
         pids
     }
 
-    /// Children of `parent`.
-    pub fn children_of(&self, parent: Pid) -> Vec<Pid> {
-        self.scan(|p| if p.ppid == parent { Some(p.pid) } else { None })
-    }
-
-    /// First zombie child of `parent` (in pid order), if any.
-    pub fn zombie_child_of(&self, parent: Pid) -> Option<(Pid, i32)> {
-        self.scan_first(|p| match p.state {
-            ProcState::Zombie(status) if p.ppid == parent => Some((p.pid, status)),
-            _ => None,
-        })
-    }
-
-    /// Visit every process (in pid order, each under its own lock) and
-    /// collect the non-`None` results of `f`.
-    pub fn scan<R>(&self, mut f: impl FnMut(&Process) -> Option<R>) -> Vec<R> {
-        let mut snapshot: Vec<(Pid, ProcRef)> = self
-            .shards
-            .iter()
-            .flat_map(|s| {
-                s.read()
-                    .iter()
-                    .map(|(pid, r)| (*pid, r.clone()))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        snapshot.sort_unstable_by_key(|(pid, _)| *pid);
-        snapshot
-            .iter()
-            .filter_map(|(_, proc_ref)| f(&proc_ref.lock()))
-            .collect()
-    }
-
     /// Visit processes in pid order and return the first non-`None` result
-    /// of `f`, unlocking and stopping as soon as it is found (the
-    /// `find_map` analogue of [`ProcessTable::scan`]).
+    /// of `f`, each under its own lock, stopping as soon as it is found.
     pub fn scan_first<R>(&self, mut f: impl FnMut(&Process) -> Option<R>) -> Option<R> {
         let mut snapshot: Vec<(Pid, ProcRef)> = self
             .shards
@@ -236,6 +202,7 @@ pub(crate) fn lock_pair_ordered<R>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proc::ProcState;
     use secmod_vm::Layout;
     use std::sync::Arc;
 
@@ -255,7 +222,7 @@ mod tests {
         assert_eq!(t.with(client, |p| p.name.clone()).unwrap(), "client");
         assert_eq!(t.get(Pid(99)).unwrap_err(), Errno::ESRCH);
         assert!(t.exists(init));
-        assert_eq!(t.children_of(init), vec![client]);
+        assert_eq!(t.with(client, |p| p.ppid).unwrap(), init);
         assert_eq!(t.pids(), vec![init, client]);
     }
 
@@ -289,10 +256,10 @@ mod tests {
         let t = ProcessTable::new();
         let parent = t.spawn(Pid(0), "parent", Credential::root(), vm("p"));
         let child = t.spawn(parent, "child", Credential::root(), vm("c"));
-        assert!(t.zombie_child_of(parent).is_none());
+        assert!(t.with(child, |p| p.is_alive()).unwrap());
         t.with_mut(child, |p| p.state = ProcState::Zombie(3))
             .unwrap();
-        assert_eq!(t.zombie_child_of(parent), Some((child, 3)));
+        assert_eq!(t.with(child, |p| p.state).unwrap(), ProcState::Zombie(3));
         let removed = t.remove(child).unwrap();
         assert_eq!(removed.pid, child);
         assert!(!t.exists(child));

@@ -147,7 +147,7 @@ impl ModuleBuilder {
     }
 
     /// Add a read-only object to `.rodata`.
-    pub fn add_rodata_object(&mut self, name: &str, bytes: &[u8]) -> &mut Self {
+    fn add_rodata_object(&mut self, name: &str, bytes: &[u8]) -> &mut Self {
         self.image.rodata.align_to(4);
         let offset = self.image.rodata.append(bytes);
         self.image.symbols.push(Symbol::object(

@@ -69,15 +69,6 @@ impl ModuleImage {
         }
     }
 
-    /// Mutable access to the section of the given kind.
-    pub fn section_mut(&mut self, kind: SectionKind) -> &mut Section {
-        match kind {
-            SectionKind::Text => &mut self.text,
-            SectionKind::Data => &mut self.data,
-            SectionKind::RoData => &mut self.rodata,
-        }
-    }
-
     /// Find a symbol by name.
     pub fn symbol(&self, name: &str) -> Option<&Symbol> {
         self.symbols.iter().find(|s| s.name == name)
@@ -142,9 +133,9 @@ mod tests {
     #[test]
     fn sections_by_kind() {
         let mut img = ModuleImage::empty("x", 1);
-        img.section_mut(SectionKind::Text).append(b"code");
-        img.section_mut(SectionKind::Data).append(b"data!");
-        img.section_mut(SectionKind::RoData).append(b"ro");
+        img.text.append(b"code");
+        img.data.append(b"data!");
+        img.rodata.append(b"ro");
         assert_eq!(img.section(SectionKind::Text).len(), 4);
         assert_eq!(img.section(SectionKind::Data).len(), 5);
         assert_eq!(img.section(SectionKind::RoData).len(), 2);

@@ -30,13 +30,6 @@ pub struct LinkedImage {
     pub symbol_addresses: HashMap<String, u64>,
 }
 
-impl LinkedImage {
-    /// Address of a symbol defined in the image.
-    pub fn address_of(&self, symbol: &str) -> Option<u64> {
-        self.symbol_addresses.get(symbol).copied()
-    }
-}
-
 /// Link `image` at the given base addresses, resolving any symbols not
 /// defined by the image through `externs`.
 pub fn link_at(
@@ -147,14 +140,18 @@ mod tests {
 
         let callee = img.symbol("callee").unwrap();
         assert_eq!(
-            linked.address_of("callee"),
+            linked.symbol_addresses.get("callee").copied(),
             Some(0x1000 + callee.offset as u64)
         );
         assert_eq!(
-            linked.address_of("counter"),
+            linked.symbol_addresses.get("counter").copied(),
             Some(0x2000 + img.symbol("counter").unwrap().offset as u64)
         );
-        assert!(linked.address_of("external_fn").is_none());
+        assert!(linked
+            .symbol_addresses
+            .get("external_fn")
+            .copied()
+            .is_none());
         assert_eq!(linked.text.len(), img.text.len());
     }
 
@@ -174,13 +171,16 @@ mod tests {
             );
             match (&reloc.kind, reloc.target.as_str()) {
                 (RelocKind::Abs32, "counter") => {
-                    assert_eq!(field as u64, linked.address_of("counter").unwrap());
+                    assert_eq!(
+                        field as u64,
+                        linked.symbol_addresses.get("counter").copied().unwrap()
+                    );
                 }
                 (RelocKind::Rel32, target) => {
                     let target_addr = if target == "external_fn" {
                         0x9000u64
                     } else {
-                        linked.address_of(target).unwrap()
+                        linked.symbol_addresses.get(target).copied().unwrap()
                     };
                     let site_end = 0x1000 + reloc.offset as u64 + 4;
                     assert_eq!(field, (target_addr.wrapping_sub(site_end)) as u32);
@@ -251,6 +251,9 @@ mod tests {
         let a = link_at(&img, 0x1000, 0x2000, 0x3000, &externs).unwrap();
         let b = link_at(&img, 0x1000, 0x8000, 0x3000, &externs).unwrap();
         assert_ne!(a.text, b.text, "abs32 data references must differ");
-        assert_eq!(a.address_of("caller"), b.address_of("caller"));
+        assert_eq!(
+            a.symbol_addresses.get("caller").copied(),
+            b.symbol_addresses.get("caller").copied()
+        );
     }
 }

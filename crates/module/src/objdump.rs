@@ -10,7 +10,7 @@ use crate::symbol::Symbol;
 
 /// Render one symbol in `objdump -t` style:
 /// `00000120 g     F .text  00000040 malloc`.
-pub fn format_symbol(sym: &Symbol) -> String {
+fn format_symbol(sym: &Symbol) -> String {
     format!(
         "{:08x} {}     {} {:<7} {:08x} {}",
         sym.offset,
@@ -48,12 +48,6 @@ pub fn stub_candidates(image: &ModuleImage) -> Vec<String> {
         .collect()
 }
 
-/// Parse a symbol name back out of an `objdump -t` style line (the last
-/// whitespace-separated field).
-pub fn symbol_name_from_line(line: &str) -> Option<&str> {
-    line.split_whitespace().last()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -84,9 +78,10 @@ mod tests {
         assert!(funcs.len() < all.len(), "data objects must be filtered out");
         assert!(funcs.iter().all(|l| l.contains(" F ")));
         // The functions the paper names are present.
+        // The symbol name is a line's last field.
         let names: Vec<&str> = funcs
             .iter()
-            .filter_map(|l| symbol_name_from_line(l))
+            .filter_map(|l| l.split_whitespace().last())
             .collect();
         assert!(names.contains(&"malloc"));
         assert!(names.contains(&"getpid"));
@@ -103,14 +98,5 @@ mod tests {
         assert!(candidates.contains(&"malloc".to_string()));
         assert!(!candidates.contains(&"imalloc".to_string()));
         assert!(!candidates.contains(&"malloc_pagepool".to_string()));
-    }
-
-    #[test]
-    fn symbol_name_parsing() {
-        assert_eq!(
-            symbol_name_from_line("00000120 g     F .text   00000040 malloc"),
-            Some("malloc")
-        );
-        assert_eq!(symbol_name_from_line(""), None);
     }
 }

@@ -68,7 +68,7 @@ impl Relocation {
     }
 
     /// The skip range handed to the selective encryptor.
-    pub fn skip_range(&self) -> SkipRange {
+    fn skip_range(&self) -> SkipRange {
         SkipRange::new(self.offset, self.offset + self.kind.size())
     }
 }

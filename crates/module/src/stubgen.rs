@@ -5,8 +5,8 @@
 //! pushes the `(moduleID, funcID)` pair that names the protected function
 //! and relays to the kernel's `sys_smod_call()` (Figure 3, step 1→2).
 //! Because the real stub manipulates the stack frame it cannot be written
-//! in C; here we generate the stub *descriptors* (what the runtime needs to
-//! dispatch) plus a rendering of the assembly for documentation/tests.
+//! in C; here we generate the stub *descriptors*: what the runtime needs to
+//! dispatch.
 
 use crate::image::{ModuleImage, ModuleVersion};
 use serde::{Deserialize, Serialize};
@@ -83,41 +83,6 @@ impl StubTable {
             .get(func_id as usize)
             .filter(|s| s.func_id == func_id)
     }
-
-    /// Render the synthetic assembly for one stub — the shape of Figure 3
-    /// step (1): duplicate the return address and frame pointer, push the
-    /// `(moduleID, funcID)` pair, and trap into `sys_smod_call()`.
-    pub fn render_stub_asm(&self, stub: &ClientStub, module_id: u32) -> String {
-        format!(
-            "SMOD_client_{name}:\n\
-             \tpushl\t%ebp\t\t# duplicate client FP for the kernel's view\n\
-             \tpushl\t4(%ebp)\t\t# duplicate return address\n\
-             \tpushl\t${func_id}\t\t# funcID  ({name})\n\
-             \tpushl\t${module_id}\t\t# moduleID ({module})\n\
-             \tcall\tsys_smod_call\t# indirect, kernel-mediated dispatch\n\
-             \taddl\t$16, %esp\n\
-             \tret\n",
-            name = stub.symbol,
-            func_id = stub.func_id,
-            module_id = module_id,
-            module = self.module_name,
-        )
-    }
-
-    /// Render the client-side header that overrides the system prototypes —
-    /// the "single additional #include statement" of §4.2.
-    pub fn render_override_header(&self) -> String {
-        let mut out = String::from(
-            "/* auto-generated by the SecModule toolchain — include after all system headers */\n",
-        );
-        for stub in &self.stubs {
-            out.push_str(&format!(
-                "#define {sym} SMOD_client_{sym}\nextern int SMOD_client_{sym}();\n",
-                sym = stub.symbol
-            ));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -159,31 +124,5 @@ mod tests {
             assert_eq!(stub.text_offset, sym.offset);
             assert_eq!(stub.text_size, sym.size);
         }
-    }
-
-    #[test]
-    fn rendered_asm_mentions_ids_and_syscall() {
-        let img = ModuleBuilder::libc_like();
-        let table = StubTable::generate(&img);
-        let stub = table.by_name("malloc").unwrap();
-        let asm = table.render_stub_asm(stub, 7);
-        assert!(asm.contains("SMOD_client_malloc:"));
-        assert!(asm.contains(&format!("${}", stub.func_id)));
-        assert!(asm.contains("$7"));
-        assert!(asm.contains("sys_smod_call"));
-    }
-
-    #[test]
-    fn override_header_covers_every_stub() {
-        let img = ModuleBuilder::libc_like();
-        let table = StubTable::generate(&img);
-        let header = table.render_override_header();
-        for stub in &table.stubs {
-            assert!(header.contains(&format!(
-                "#define {} SMOD_client_{}",
-                stub.symbol, stub.symbol
-            )));
-        }
-        assert!(!header.contains("imalloc"));
     }
 }

@@ -55,25 +55,6 @@ pub fn check(image: &ModuleImage, allow_extern_relocs: bool) -> Result<()> {
     Ok(())
 }
 
-/// Check that no two *function* symbols overlap in the text section
-/// (a stricter property the builder guarantees; useful for externally
-/// supplied images).
-pub fn check_no_overlapping_functions(image: &ModuleImage) -> Result<()> {
-    let mut funcs = image.exported_functions();
-    funcs.sort_by_key(|s| s.offset);
-    for pair in funcs.windows(2) {
-        if pair[0].offset + pair[0].size > pair[1].offset {
-            return Err(ModuleError::Malformed {
-                reason: format!(
-                    "functions `{}` and `{}` overlap in .text",
-                    pair[0].name, pair[1].name
-                ),
-            });
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -93,8 +74,7 @@ mod tests {
     fn valid_image_passes() {
         let img = valid_image();
         check(&img, false).unwrap();
-        check_no_overlapping_functions(&img).unwrap();
-        check_no_overlapping_functions(&ModuleBuilder::libc_like()).unwrap();
+        check(&ModuleBuilder::libc_like(), false).unwrap();
     }
 
     #[test]
@@ -138,17 +118,5 @@ mod tests {
             Err(ModuleError::UnknownSymbol { .. })
         ));
         check(&img, true).unwrap();
-    }
-
-    #[test]
-    fn overlapping_functions_detected() {
-        let mut img = valid_image();
-        // Manufacture an overlap with the existing function `f` at offset 0.
-        let f = img.symbol("f").unwrap().clone();
-        img.symbols
-            .push(Symbol::function("overlap", f.offset + 1, f.size));
-        // Keep it in-bounds for `check` by growing text.
-        img.text.data.resize(f.offset + 1 + f.size + f.size, 0);
-        assert!(check_no_overlapping_functions(&img).is_err());
     }
 }

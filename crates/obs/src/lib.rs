@@ -56,7 +56,7 @@ pub fn bucket_index(v: u64) -> usize {
 
 /// The smallest value mapping to `idx`.
 #[inline]
-pub fn bucket_low(idx: usize) -> u64 {
+fn bucket_low(idx: usize) -> u64 {
     if idx < SUB_BUCKETS as usize {
         idx as u64
     } else {

@@ -70,8 +70,6 @@ pub struct Assertion {
     pub licensees: LicenseeExpr,
     /// The conditions under which the grant applies.
     pub conditions: Expr,
-    /// Free-text comment (KeyNote's `Comment:` field).
-    pub comment: String,
     /// HMAC signature over the canonical form, keyed by the authorizer's key
     /// material.  Policy assertions are unsigned (locally trusted).
     pub signature: Option<[u8; 32]>,
@@ -84,7 +82,6 @@ impl Assertion {
             authorizer: Principal::policy_root(),
             licensees,
             conditions: parse(conditions_src)?,
-            comment: String::new(),
             signature: None,
         })
     }
@@ -100,19 +97,12 @@ impl Assertion {
             authorizer,
             licensees,
             conditions: parse(conditions_src)?,
-            comment: String::new(),
             signature: None,
         })
     }
 
-    /// Attach a comment.
-    pub fn with_comment(mut self, comment: &str) -> Assertion {
-        self.comment = comment.to_string();
-        self
-    }
-
     /// The canonical byte string that is signed.
-    pub fn canonical_bytes(&self) -> Vec<u8> {
+    fn canonical_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(self.authorizer.fingerprint.as_bytes());
         out.push(0);
@@ -222,7 +212,6 @@ mod tests {
             "module == \"libcrypto\"",
         )
         .unwrap()
-        .with_comment("vendor licenses the client app")
         .sign(b"vendor-key");
 
         assert!(a.verify(b"vendor-key").is_ok());

@@ -315,11 +315,6 @@ impl DecisionCache {
         self.shard(&key).lock().insert(key, decision);
     }
 
-    /// Number of independently locked shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Snapshot the counters and the resident entry count (sums the
     /// per-shard accounting).
     pub fn stats(&self) -> CacheStats {
@@ -462,11 +457,11 @@ mod tests {
             shards: 5,
             capacity: 100,
         });
-        assert_eq!(cache.shard_count(), 8);
+        assert_eq!(cache.shards.len(), 8);
         let one = DecisionCache::new(CacheConfig {
             shards: 0,
             capacity: 1,
         });
-        assert_eq!(one.shard_count(), 1);
+        assert_eq!(one.shards.len(), 1);
     }
 }

@@ -31,9 +31,8 @@
 //! * [`audit`] — an audit trail of decisions for the examples and tests.
 //! * [`cache`] / [`gateway`] — the concurrent decision layer: a sharded,
 //!   epoch-invalidated decision cache and the [`Gateway`] fronting a
-//!   [`PolicyEngine`] with it. These live here (rather than in
-//!   `secmod_gate`, which re-exports them) so the kernel can embed one
-//!   gateway per registered module without a dependency cycle.
+//!   [`PolicyEngine`] with it. They live beside the engine so the kernel
+//!   can embed one gateway per registered module.
 //! * [`l0`] — the thread-local L0 tier in front of the sharded cache:
 //!   epoch-tagged per-thread tables whose hits touch no shared state.
 

@@ -64,7 +64,7 @@ impl UnixCreds {
     }
 
     /// Does this credential include the group?
-    pub fn in_group(&self, gid: Gid) -> bool {
+    fn in_group(&self, gid: Gid) -> bool {
         self.gid == gid || self.groups.contains(&gid)
     }
 }

@@ -23,9 +23,6 @@
 //!   `{ user_data, ret, errno, cost_ns }` flowing back through a
 //!   [`CompletionRing`]. The kernel's `sys_smod_call_batch` resolves the
 //!   session once, then drains the submission ring up to a batch budget.
-//! * [`byte`] — a [`ByteRing`]: an SPSC byte pipe over atomic slots, two
-//!   of which form the full-duplex in-process shared-memory stream behind
-//!   `secmod_rpc`'s `shm:` transport (the socket-free RPC comparison row).
 //! * [`arena`] — an [`ArgArena`]: the shared-memory byte arena behind
 //!   the zero-copy argument path. Payloads above [`arena::INLINE_ARG_MAX`]
 //!   bytes are written once into an arena slot and travel by
@@ -66,13 +63,11 @@
 #![warn(missing_docs)]
 
 pub mod arena;
-pub mod byte;
 pub mod call;
 pub mod ring;
 pub mod set;
 
 pub use arena::{ArenaRegion, ArenaSlot, ArgArena, ArgRef, INLINE_ARG_MAX, MAGAZINE_DEPTH};
-pub use byte::ByteRing;
 pub use call::{CompletionRing, SmodCallReq, SmodCallResp, SMOD_BATCH_DEFAULT_BUDGET};
 pub use call::{RingPairConfig, SubmissionRing};
 pub use ring::Ring;

@@ -166,14 +166,6 @@ impl ClaimLedger {
             .fetch_and(!(1u64 << (slot % 64)), Ordering::Release);
     }
 
-    /// Bits currently claimed and unresolved.
-    pub fn claimed_count(&self) -> usize {
-        self.words
-            .iter()
-            .map(|w| w.0.load(Ordering::Acquire).count_ones() as usize)
-            .sum()
-    }
-
     /// Is every claim resolved (drained or released)?
     pub fn is_empty(&self) -> bool {
         self.words.iter().all(|w| w.0.load(Ordering::Acquire) == 0)
@@ -442,7 +434,7 @@ impl RingSet {
     }
 
     /// The tenant id `slot` was registered under, if registered.
-    pub fn tenant_of(&self, slot: RingSlotId) -> Option<u32> {
+    fn tenant_of(&self, slot: RingSlotId) -> Option<u32> {
         self.slots.get(slot.0)?.read().as_ref().map(|r| r.tenant)
     }
 
@@ -580,6 +572,15 @@ impl RingSet {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicBool;
+
+    /// Bits `ledger` holds claimed and unresolved.
+    fn claimed_count(ledger: &ClaimLedger) -> usize {
+        ledger
+            .words
+            .iter()
+            .map(|w| w.0.load(Ordering::Acquire).count_ones() as usize)
+            .sum()
+    }
 
     fn req(session: u32, user_data: u64) -> SmodCallReq {
         SmodCallReq {
@@ -859,7 +860,7 @@ mod tests {
         let claimed = set.claim_ready(&ledger, |slot, tenant| candidates.push((slot, tenant)));
         assert_eq!(claimed, 2);
         assert_eq!(candidates, vec![(a, 3), (b, 4)]);
-        assert_eq!(ledger.claimed_count(), 2, "claims are observable");
+        assert_eq!(claimed_count(&ledger), 2, "claims are observable");
         assert!(!set.any_ready(), "claimed bits left the bitmap");
 
         // Drain one slot, defer the other.
@@ -930,7 +931,7 @@ mod tests {
             })
         }));
         assert!(died.is_err());
-        assert_eq!(ledger.claimed_count(), 2, "the unfinished claims survive");
+        assert_eq!(claimed_count(&ledger), 2, "the unfinished claims survive");
         assert!(!set.any_ready(), "stranded work is invisible to the bitmap");
         // Even a forced re-mark cannot reach the slot it died in: the
         // dead drainer's drain flag still excludes everyone.

@@ -14,15 +14,13 @@
 //! framing ([`message`]), record-marking stream framing ([`record`]), a
 //! Unix-domain-socket (or loopback TCP) transport ([`transport`]), a
 //! threaded server with a dispatch table ([`server`]), a client
-//! ([`client`]), a tiny portmapper ([`portmap`]) and the paper's `testincr`
-//! program ([`services`]).
+//! ([`client`]) and the paper's `testincr` program ([`services`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod client;
 pub mod message;
-pub mod portmap;
 pub mod record;
 pub mod server;
 pub mod services;

@@ -46,13 +46,13 @@ impl RpcServer {
     }
 
     /// Number of calls served so far.
-    pub fn calls_served(&self) -> u64 {
+    fn calls_served(&self) -> u64 {
         self.calls_served.load(Ordering::Relaxed)
     }
 
     /// Dispatch a single decoded call message to the registered handler and
     /// produce the reply (also used directly by in-process tests).
-    pub fn dispatch_message(&self, msg: &RpcMessage) -> RpcMessage {
+    fn dispatch_message(&self, msg: &RpcMessage) -> RpcMessage {
         let (xid, body) = match msg {
             RpcMessage::Call { xid, body } => (*xid, body),
             RpcMessage::Reply { xid, .. } => {

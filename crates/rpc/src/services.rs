@@ -110,16 +110,6 @@ pub fn spawn_local_testincr_server() -> Result<crate::server::ServerHandle> {
     server.serve(&crate::transport::Endpoint::temp_unix("testincr"))
 }
 
-/// Convenience: start a testincr server on a fresh in-process
-/// shared-memory ring endpoint — the socket-free variant of
-/// [`spawn_local_testincr_server`], measuring the RPC protocol without
-/// the host's socket stack underneath it.
-pub fn spawn_shm_testincr_server() -> Result<crate::server::ServerHandle> {
-    let server = RpcServer::new();
-    register_testincr(&server);
-    server.serve(&crate::transport::Endpoint::temp_shm("testincr"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,20 +140,6 @@ mod tests {
         let client = TestIncrClient::connect(handle.endpoint()).unwrap();
         for i in 0..200u64 {
             assert_eq!(client.incr(i).unwrap(), i + 1);
-        }
-    }
-
-    #[test]
-    fn works_over_shm_rings_too() {
-        let handle = spawn_shm_testincr_server().unwrap();
-        let client = TestIncrClient::connect(handle.endpoint()).unwrap();
-        for i in 0..200u64 {
-            assert_eq!(client.incr(i).unwrap(), i + 1);
-        }
-        client.null().unwrap();
-        for len in [0usize, 1, 4096, 70_000] {
-            let data: Vec<u8> = (0..len).map(|i| (i % 256) as u8).collect();
-            assert_eq!(client.echo(&data).unwrap(), data);
         }
     }
 

@@ -1,26 +1,11 @@
 //! Stream transports: Unix-domain sockets (the "locally running RPC
-//! service" of the paper), loopback TCP, and the in-process shared-memory
-//! ring transport (`shm:`).
-//!
-//! The `shm:` transport carries the same record-marked frames as the
-//! socket transports, but over a pair of `secmod_ring::ByteRing`s (one
-//! per direction) instead of a kernel socket — the "what would RPC cost
-//! without the socket stack" comparison row. A process-global name
-//! registry plays the role of the filesystem socket namespace: binding a
-//! [`Listener`] to `Endpoint::Shm(name)` parks a connection queue under
-//! that name, and [`Stream::connect`] hands the listener one end of a
-//! freshly built duplex ring pair.
+//! service" of the paper) and loopback TCP.
 
 use crate::Result;
-use parking_lot::Mutex;
-use secmod_ring::ByteRing;
-use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
-use std::sync::mpsc;
-use std::sync::{Arc, OnceLock};
 
 /// A transport endpoint address.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -29,8 +14,6 @@ pub enum Endpoint {
     Unix(PathBuf),
     /// A TCP address (loopback in all our uses).
     Tcp(SocketAddr),
-    /// An in-process shared-memory ring endpoint (named, per-process).
-    Shm(String),
 }
 
 impl std::fmt::Display for Endpoint {
@@ -38,7 +21,6 @@ impl std::fmt::Display for Endpoint {
         match self {
             Endpoint::Unix(p) => write!(f, "unix:{}", p.display()),
             Endpoint::Tcp(a) => write!(f, "tcp:{a}"),
-            Endpoint::Shm(name) => write!(f, "shm:{name}"),
         }
     }
 }
@@ -52,118 +34,6 @@ impl Endpoint {
             std::env::temp_dir().join(format!("secmod-rpc-{tag}-{}-{n}.sock", std::process::id()));
         Endpoint::Unix(path)
     }
-
-    /// A fresh, unique shared-memory endpoint name.
-    pub fn temp_shm(tag: &str) -> Endpoint {
-        static COUNTER: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let n = COUNTER.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        Endpoint::Shm(format!("{tag}-{n}"))
-    }
-}
-
-// --------------------------------------------------------------------
-// The shared-memory stream
-// --------------------------------------------------------------------
-
-/// Bytes per direction of one shm connection: comfortably bigger than a
-/// `MAX_FRAGMENT` record so a full fragment never deadlocks a writer
-/// against its own unread reply.
-const SHM_RING_BYTES: usize = 128 * 1024;
-
-/// One end of an in-process duplex byte-ring pair. Reads spin-then-park
-/// on the incoming ring; a dropped peer closes both rings, turning
-/// blocked reads into clean end-of-stream.
-#[derive(Debug)]
-pub struct ShmStream {
-    rx: Arc<ByteRing>,
-    tx: Arc<ByteRing>,
-}
-
-impl ShmStream {
-    /// Build a connected pair: (client end, server end).
-    pub fn pair() -> (ShmStream, ShmStream) {
-        let c2s = Arc::new(ByteRing::with_capacity(SHM_RING_BYTES));
-        let s2c = Arc::new(ByteRing::with_capacity(SHM_RING_BYTES));
-        (
-            ShmStream {
-                rx: Arc::clone(&s2c),
-                tx: Arc::clone(&c2s),
-            },
-            ShmStream { rx: c2s, tx: s2c },
-        )
-    }
-}
-
-impl Read for ShmStream {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        if buf.is_empty() {
-            return Ok(0);
-        }
-        let mut spins = 0u32;
-        loop {
-            let n = self.rx.read(buf);
-            if n > 0 {
-                return Ok(n);
-            }
-            if self.rx.is_closed() {
-                return Ok(0); // EOF: peer hung up and the ring is drained
-            }
-            // Spin briefly (the common case: the peer is mid-reply on
-            // another core), then back off so an idle server connection
-            // does not burn a core between requests.
-            spins += 1;
-            if spins < 64 {
-                std::hint::spin_loop();
-            } else if spins < 256 {
-                std::thread::yield_now();
-            } else {
-                std::thread::sleep(std::time::Duration::from_micros(50));
-            }
-        }
-    }
-}
-
-impl Write for ShmStream {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        if buf.is_empty() {
-            return Ok(0);
-        }
-        loop {
-            let n = self.tx.write(buf);
-            if n > 0 {
-                return Ok(n);
-            }
-            if self.tx.is_closed() {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::BrokenPipe,
-                    "shm peer closed",
-                ));
-            }
-            std::thread::yield_now(); // ring full: wait for the reader
-        }
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(()) // every write is immediately visible to the peer
-    }
-}
-
-impl Drop for ShmStream {
-    fn drop(&mut self) {
-        // Hang up both directions: the peer's blocked read sees EOF, its
-        // next write sees BrokenPipe.
-        self.rx.close();
-        self.tx.close();
-    }
-}
-
-/// The process-global shm "namespace": endpoint name → queue of freshly
-/// connected server-side streams awaiting `accept`.
-type ShmRegistry = Mutex<HashMap<String, mpsc::Sender<ShmStream>>>;
-
-fn shm_registry() -> &'static ShmRegistry {
-    static REGISTRY: OnceLock<ShmRegistry> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
 /// A connected bidirectional stream.
@@ -173,8 +43,6 @@ pub enum Stream {
     Unix(UnixStream),
     /// TCP stream.
     Tcp(TcpStream),
-    /// In-process shared-memory ring stream.
-    Shm(ShmStream),
 }
 
 impl Read for Stream {
@@ -182,7 +50,6 @@ impl Read for Stream {
         match self {
             Stream::Unix(s) => s.read(buf),
             Stream::Tcp(s) => s.read(buf),
-            Stream::Shm(s) => s.read(buf),
         }
     }
 }
@@ -192,7 +59,6 @@ impl Write for Stream {
         match self {
             Stream::Unix(s) => s.write(buf),
             Stream::Tcp(s) => s.write(buf),
-            Stream::Shm(s) => s.write(buf),
         }
     }
 
@@ -200,7 +66,6 @@ impl Write for Stream {
         match self {
             Stream::Unix(s) => s.flush(),
             Stream::Tcp(s) => s.flush(),
-            Stream::Shm(s) => s.flush(),
         }
     }
 }
@@ -215,23 +80,6 @@ impl Stream {
                 s.set_nodelay(true)?;
                 Stream::Tcp(s)
             }
-            Endpoint::Shm(name) => {
-                let (client, server) = ShmStream::pair();
-                let registry = shm_registry().lock();
-                let queue = registry.get(name).ok_or_else(|| {
-                    std::io::Error::new(
-                        std::io::ErrorKind::NotFound,
-                        format!("no shm listener bound to {name:?}"),
-                    )
-                })?;
-                queue.send(server).map_err(|_| {
-                    std::io::Error::new(
-                        std::io::ErrorKind::ConnectionRefused,
-                        format!("shm listener {name:?} is shutting down"),
-                    )
-                })?;
-                Stream::Shm(client)
-            }
         })
     }
 }
@@ -243,8 +91,6 @@ pub enum Listener {
     Unix(UnixListener, PathBuf),
     /// TCP listener.
     Tcp(TcpListener),
-    /// Shared-memory listener (unregisters its name on drop).
-    Shm(String, Mutex<mpsc::Receiver<ShmStream>>),
 }
 
 impl Listener {
@@ -257,25 +103,7 @@ impl Listener {
                 Listener::Unix(UnixListener::bind(path)?, path.clone())
             }
             Endpoint::Tcp(addr) => Listener::Tcp(TcpListener::bind(addr)?),
-            Endpoint::Shm(name) => {
-                let (tx, rx) = mpsc::channel();
-                let mut registry = shm_registry().lock();
-                if registry.contains_key(name) {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::AddrInUse,
-                        format!("shm endpoint {name:?} already bound"),
-                    )
-                    .into());
-                }
-                registry.insert(name.clone(), tx);
-                Listener::Shm(name.clone(), Mutex::new(rx))
-            }
         })
-    }
-
-    /// Bind a loopback TCP listener on an ephemeral port.
-    pub fn bind_loopback() -> Result<Listener> {
-        Listener::bind(&Endpoint::Tcp("127.0.0.1:0".parse().expect("valid addr")))
     }
 
     /// The endpoint clients should connect to.
@@ -283,7 +111,6 @@ impl Listener {
         Ok(match self {
             Listener::Unix(_, path) => Endpoint::Unix(path.clone()),
             Listener::Tcp(l) => Endpoint::Tcp(l.local_addr()?),
-            Listener::Shm(name, _) => Endpoint::Shm(name.clone()),
         })
     }
 
@@ -296,15 +123,6 @@ impl Listener {
                 s.set_nodelay(true)?;
                 Stream::Tcp(s)
             }
-            Listener::Shm(name, rx) => {
-                let stream = rx.lock().recv().map_err(|_| {
-                    std::io::Error::new(
-                        std::io::ErrorKind::ConnectionAborted,
-                        format!("shm endpoint {name:?} closed"),
-                    )
-                })?;
-                Stream::Shm(stream)
-            }
         })
     }
 }
@@ -314,9 +132,6 @@ impl Drop for Listener {
         match self {
             Listener::Unix(_, path) => {
                 let _ = std::fs::remove_file(path);
-            }
-            Listener::Shm(name, _) => {
-                shm_registry().lock().remove(name);
             }
             Listener::Tcp(_) => {}
         }
@@ -350,56 +165,8 @@ mod tests {
     }
 
     #[test]
-    fn shm_ring_roundtrip() {
-        let endpoint = Endpoint::temp_shm("transport-test");
-        exercise(Listener::bind(&endpoint).unwrap());
-    }
-
-    #[test]
-    fn shm_large_records_cross_the_ring() {
-        // Bigger than one ring capacity: forces writer/reader overlap.
-        let endpoint = Endpoint::temp_shm("large");
-        let listener = Listener::bind(&endpoint).unwrap();
-        let server = std::thread::spawn(move || {
-            let mut stream = listener.accept().unwrap();
-            let req = read_record(&mut stream).unwrap();
-            write_record(&mut stream, &req).unwrap();
-            req.len()
-        });
-        let data: Vec<u8> = (0..300_000).map(|i| (i % 241) as u8).collect();
-        let mut client = Stream::connect(&endpoint).unwrap();
-        write_record(&mut client, &data).unwrap();
-        assert_eq!(read_record(&mut client).unwrap(), data);
-        assert_eq!(server.join().unwrap(), data.len());
-    }
-
-    #[test]
-    fn shm_peer_hangup_is_eof_then_broken_pipe() {
-        let (mut client, server) = ShmStream::pair();
-        drop(server);
-        let mut buf = [0u8; 4];
-        assert_eq!(client.read(&mut buf).unwrap(), 0, "hangup must read as EOF");
-        assert_eq!(
-            client.write(b"dead").unwrap_err().kind(),
-            std::io::ErrorKind::BrokenPipe
-        );
-    }
-
-    #[test]
-    fn shm_name_is_exclusive_and_freed_on_drop() {
-        let endpoint = Endpoint::temp_shm("exclusive");
-        let listener = Listener::bind(&endpoint).unwrap();
-        assert!(Listener::bind(&endpoint).is_err(), "double bind must fail");
-        drop(listener);
-        let rebound = Listener::bind(&endpoint).unwrap();
-        drop(rebound);
-        // With no listener bound, connect fails cleanly.
-        assert!(Stream::connect(&endpoint).is_err());
-    }
-
-    #[test]
     fn tcp_loopback_roundtrip() {
-        exercise(Listener::bind_loopback().unwrap());
+        exercise(Listener::bind(&Endpoint::Tcp("127.0.0.1:0".parse().unwrap())).unwrap());
     }
 
     #[test]
@@ -424,9 +191,6 @@ mod tests {
         assert!(a.to_string().starts_with("unix:"));
         let t = Endpoint::Tcp("127.0.0.1:80".parse().unwrap());
         assert_eq!(t.to_string(), "tcp:127.0.0.1:80");
-        let s = Endpoint::Shm("ring0".to_string());
-        assert_eq!(s.to_string(), "shm:ring0");
-        assert_ne!(Endpoint::temp_shm("x"), Endpoint::temp_shm("x"));
     }
 
     #[test]

@@ -58,11 +58,6 @@ impl XdrEncoder {
         self
     }
 
-    /// Encode a boolean.
-    pub fn put_bool(&mut self, v: bool) -> &mut Self {
-        self.put_u32(v as u32)
-    }
-
     /// Encode variable-length opaque data (length prefix + padding).
     pub fn put_opaque(&mut self, data: &[u8]) -> &mut Self {
         self.put_u32(data.len() as u32);
@@ -72,11 +67,6 @@ impl XdrEncoder {
             self.buf.put_u8(0);
         }
         self
-    }
-
-    /// Encode a string.
-    pub fn put_string(&mut self, s: &str) -> &mut Self {
-        self.put_opaque(s.as_bytes())
     }
 }
 
@@ -134,15 +124,6 @@ impl XdrDecoder {
         Ok(self.buf.get_i64())
     }
 
-    /// Decode a boolean.
-    pub fn get_bool(&mut self) -> Result<bool> {
-        match self.get_u32()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            other => Err(RpcError::Xdr(format!("invalid boolean {other}"))),
-        }
-    }
-
     /// Decode variable-length opaque data.
     pub fn get_opaque(&mut self) -> Result<Vec<u8>> {
         let len = self.get_u32()? as usize;
@@ -156,12 +137,6 @@ impl XdrDecoder {
         }
         Ok(data)
     }
-
-    /// Decode a string.
-    pub fn get_string(&mut self) -> Result<String> {
-        let bytes = self.get_opaque()?;
-        String::from_utf8(bytes).map_err(|e| RpcError::Xdr(format!("invalid UTF-8: {e}")))
-    }
 }
 
 #[cfg(test)]
@@ -174,16 +149,14 @@ mod tests {
         e.put_u32(42)
             .put_i32(-7)
             .put_u64(1 << 40)
-            .put_i64(-(1 << 40))
-            .put_bool(true);
+            .put_i64(-(1 << 40));
         let bytes = e.into_bytes();
-        assert_eq!(bytes.len(), 4 + 4 + 8 + 8 + 4);
+        assert_eq!(bytes.len(), 4 + 4 + 8 + 8);
         let mut d = XdrDecoder::new(&bytes);
         assert_eq!(d.get_u32().unwrap(), 42);
         assert_eq!(d.get_i32().unwrap(), -7);
         assert_eq!(d.get_u64().unwrap(), 1 << 40);
         assert_eq!(d.get_i64().unwrap(), -(1 << 40));
-        assert!(d.get_bool().unwrap());
         assert_eq!(d.remaining(), 0);
     }
 
@@ -209,28 +182,11 @@ mod tests {
     }
 
     #[test]
-    fn string_roundtrip() {
-        let mut e = XdrEncoder::new();
-        e.put_string("portmapper").put_string("");
-        let bytes = e.into_bytes();
-        let mut d = XdrDecoder::new(&bytes);
-        assert_eq!(d.get_string().unwrap(), "portmapper");
-        assert_eq!(d.get_string().unwrap(), "");
-    }
-
-    #[test]
     fn decode_errors() {
         let mut d = XdrDecoder::new(&[0, 0]);
         assert!(d.get_u32().is_err());
         let mut d = XdrDecoder::new(&[0, 0, 0, 9, 1, 2]);
         assert!(d.get_opaque().is_err());
-        let mut d = XdrDecoder::new(&[0, 0, 0, 7]);
-        assert!(d.get_bool().is_err());
-        // Invalid UTF-8 string.
-        let mut e = XdrEncoder::new();
-        e.put_opaque(&[0xFF, 0xFE]);
-        let mut d = XdrDecoder::new(&e.into_bytes());
-        assert!(d.get_string().is_err());
     }
 
     proptest::proptest! {
@@ -246,10 +202,10 @@ mod tests {
         fn prop_mixed_roundtrip(a in proptest::num::u32::ANY, b in proptest::num::i64::ANY,
                                 s in "[a-zA-Z0-9 ]{0,64}") {
             let mut e = XdrEncoder::new();
-            e.put_u32(a).put_string(&s).put_i64(b);
+            e.put_u32(a).put_opaque(s.as_bytes()).put_i64(b);
             let mut d = XdrDecoder::new(&e.into_bytes());
             proptest::prop_assert_eq!(d.get_u32().unwrap(), a);
-            proptest::prop_assert_eq!(d.get_string().unwrap(), s);
+            proptest::prop_assert_eq!(d.get_opaque().unwrap(), s.as_bytes());
             proptest::prop_assert_eq!(d.get_i64().unwrap(), b);
         }
     }

@@ -115,12 +115,6 @@ impl VRange {
         self.start == self.end
     }
 
-    /// Number of pages spanned (requires page-aligned bounds).
-    pub fn page_count(&self) -> u64 {
-        debug_assert!(self.start.is_page_aligned() && self.end.is_page_aligned());
-        self.len() / PAGE_SIZE
-    }
-
     /// Does the range contain the address?
     pub fn contains(&self, addr: Vaddr) -> bool {
         addr >= self.start && addr < self.end
@@ -145,11 +139,6 @@ impl VRange {
         } else {
             None
         }
-    }
-
-    /// Expand bounds outward to page boundaries.
-    pub fn page_aligned(&self) -> VRange {
-        VRange::from_raw(page_align_down(self.start.0), page_align_up(self.end.0))
     }
 
     /// Iterate over the page base addresses covered by this range.
@@ -201,7 +190,6 @@ mod tests {
     fn range_basics() {
         let r = VRange::from_raw(0x1000, 0x3000);
         assert_eq!(r.len(), 0x2000);
-        assert_eq!(r.page_count(), 2);
         assert!(r.contains(Vaddr(0x1000)));
         assert!(r.contains(Vaddr(0x2fff)));
         assert!(!r.contains(Vaddr(0x3000)));
@@ -233,7 +221,6 @@ mod tests {
         let r = VRange::from_raw(0x1800, 0x3800);
         let pages: Vec<u64> = r.pages().map(|p| p.0).collect();
         assert_eq!(pages, vec![0x1000, 0x2000, 0x3000]);
-        assert_eq!(r.page_aligned(), VRange::from_raw(0x1000, 0x4000));
     }
 
     proptest::proptest! {

@@ -72,39 +72,14 @@ impl Layout {
         }
     }
 
-    /// The text region.
-    pub fn text_region(&self) -> VRange {
-        VRange::from_raw(self.text_base, self.text_base + self.text_max)
-    }
-
     /// The region in which the data segment / heap may live.
     pub fn data_region(&self) -> VRange {
         VRange::from_raw(self.data_base, self.data_base + self.data_max)
     }
 
-    /// The region in which the stack may live (stack grows down from
-    /// `stack_top` to at most `stack_top - stack_max`).
-    pub fn stack_region(&self) -> VRange {
-        VRange::from_raw(self.stack_top - self.stack_max, self.stack_top)
-    }
-
     /// The handle-only secret stack/heap region.
     pub fn secret_region(&self) -> VRange {
         VRange::from_raw(self.secret_base, self.secret_base + self.secret_size)
-    }
-
-    /// The upper half of the secret region: the secret *stack* used by
-    /// `smod_std_handle()` (the paper: "the top half of that secret space is
-    /// used as the stack space").
-    pub fn secret_stack_region(&self) -> VRange {
-        let half = self.secret_size / 2;
-        VRange::from_raw(self.secret_base + half, self.secret_base + self.secret_size)
-    }
-
-    /// The lower half of the secret region: the secret heap.
-    pub fn secret_heap_region(&self) -> VRange {
-        let half = self.secret_size / 2;
-        VRange::from_raw(self.secret_base, self.secret_base + half)
     }
 
     /// The region forcibly shared between a SecModule client and its handle:
@@ -157,6 +132,16 @@ impl Layout {
 mod tests {
     use super::*;
 
+    fn text_region(l: &Layout) -> VRange {
+        VRange::from_raw(l.text_base, l.text_base + l.text_max)
+    }
+
+    /// The stack grows down from `stack_top` to at most
+    /// `stack_top - stack_max`.
+    fn stack_region(l: &Layout) -> VRange {
+        VRange::from_raw(l.stack_top - l.stack_max, l.stack_top)
+    }
+
     #[test]
     fn default_layout_is_valid() {
         Layout::default().validate().unwrap();
@@ -167,9 +152,9 @@ mod tests {
     #[test]
     fn regions_are_ordered_and_disjoint() {
         let l = Layout::openbsd_i386();
-        let text = l.text_region();
+        let text = text_region(&l);
         let data = l.data_region();
-        let stack = l.stack_region();
+        let stack = stack_region(&l);
         let secret = l.secret_region();
         assert!(text.end <= data.start);
         assert!(data.end <= stack.start);
@@ -184,20 +169,9 @@ mod tests {
         let l = Layout::openbsd_i386();
         let share = l.share_region();
         assert!(share.contains_range(&l.data_region()));
-        assert!(share.contains_range(&l.stack_region()));
-        assert!(!share.overlaps(&l.text_region()));
+        assert!(share.contains_range(&stack_region(&l)));
+        assert!(!share.overlaps(&text_region(&l)));
         assert!(!share.overlaps(&l.secret_region()));
-    }
-
-    #[test]
-    fn secret_region_halves_partition_it() {
-        let l = Layout::openbsd_i386();
-        let heap = l.secret_heap_region();
-        let stack = l.secret_stack_region();
-        assert_eq!(heap.end, stack.start);
-        assert_eq!(heap.len() + stack.len(), l.secret_region().len());
-        assert!(l.secret_region().contains_range(&heap));
-        assert!(l.secret_region().contains_range(&stack));
     }
 
     #[test]

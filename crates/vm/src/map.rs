@@ -1,6 +1,6 @@
 //! The per-address-space map of entries (`vm_map` analogue).
 
-use crate::addr::{page_align_up, VRange, Vaddr, PAGE_SIZE};
+use crate::addr::{VRange, Vaddr, PAGE_SIZE};
 use crate::entry::{MapEntry, Protection};
 use crate::{Result, VmError};
 use std::collections::BTreeMap;
@@ -47,28 +47,6 @@ impl VmMap {
         }
         self.entries.insert(range.start.0, entry);
         Ok(())
-    }
-
-    /// Find a free, page-aligned range of `size` bytes at or above `hint`
-    /// (UVM `uvm_map()` without `FIXED`): returns the lowest suitable start.
-    pub fn find_space(&self, hint: Vaddr, size: u64, limit: VRange) -> Option<Vaddr> {
-        let size = page_align_up(size);
-        if size == 0 {
-            return None;
-        }
-        let mut candidate = page_align_up(hint.0.max(limit.start.0));
-        loop {
-            if candidate + size > limit.end.0 {
-                return None;
-            }
-            let range = VRange::from_raw(candidate, candidate + size);
-            match self.entries_overlapping(range).next() {
-                None => return Some(Vaddr(candidate)),
-                Some(e) => {
-                    candidate = e.range.end.0;
-                }
-            }
-        }
     }
 
     /// The entry containing `addr`, if any.
@@ -198,28 +176,6 @@ impl VmMap {
         Ok(())
     }
 
-    /// Total number of mapped bytes.
-    pub fn mapped_bytes(&self) -> u64 {
-        self.entries.values().map(|e| e.range.len()).sum()
-    }
-
-    /// Total number of resident (materialised) pages across all anon entries.
-    pub fn resident_pages(&self) -> usize {
-        use std::collections::HashSet;
-        // Count each distinct amap only once even if several entries share it.
-        let mut seen: HashSet<usize> = HashSet::new();
-        let mut total = 0usize;
-        for e in self.entries.values() {
-            if let Some(amap) = e.amap() {
-                let key = std::sync::Arc::as_ptr(amap) as usize;
-                if seen.insert(key) {
-                    total += amap.resident();
-                }
-            }
-        }
-        total
-    }
-
     /// A human-readable listing of the map (similar to `procmap`), useful in
     /// tests and examples.
     pub fn describe(&self) -> String {
@@ -279,7 +235,6 @@ mod tests {
         assert!(m.entry_at(Vaddr(0x3000)).is_none());
         assert_eq!(m.entry_at(Vaddr(0x4000)).unwrap().label, "b");
         assert!(m.entry_at(Vaddr(0x5000)).is_none());
-        assert_eq!(m.mapped_bytes(), 3 * PAGE_SIZE);
     }
 
     #[test]
@@ -299,24 +254,6 @@ mod tests {
             m.insert(unaligned),
             Err(VmError::InvalidRange { .. })
         ));
-    }
-
-    #[test]
-    fn find_space_skips_existing_mappings() {
-        let mut m = VmMap::new();
-        let limit = VRange::from_raw(0x1000, 0x10_000);
-        m.insert(anon(0x2000, 2, "a")).unwrap();
-        assert_eq!(
-            m.find_space(Vaddr(0x1000), PAGE_SIZE, limit),
-            Some(Vaddr(0x1000))
-        );
-        assert_eq!(
-            m.find_space(Vaddr(0x2000), PAGE_SIZE, limit),
-            Some(Vaddr(0x4000))
-        );
-        // Too big to fit anywhere below the limit.
-        assert_eq!(m.find_space(Vaddr(0x1000), 0x100_000, limit), None);
-        assert_eq!(m.find_space(Vaddr(0x1000), 0, limit), None);
     }
 
     #[test]
@@ -396,21 +333,6 @@ mod tests {
         let desc = m.describe();
         assert!(desc.contains("heap"));
         assert!(desc.contains("rw-"));
-    }
-
-    #[test]
-    fn resident_pages_counts_shared_amaps_once() {
-        let mut m = VmMap::new();
-        let e = anon(0x1000, 4, "heap");
-        let shared = e.share_clipped(VRange::from_raw(0x2000, 0x3000));
-        e.amap().unwrap().lookup_or_zero_fill(2);
-        m.insert(e).unwrap();
-        // Insert the shared view at a different spot in the same map (legal:
-        // aliasing mapping).
-        let mut aliased = shared;
-        aliased.range = VRange::from_raw(0x8000, 0x9000);
-        m.insert(aliased).unwrap();
-        assert_eq!(m.resident_pages(), 1);
     }
 
     #[test]

@@ -20,7 +20,7 @@ pub struct Page {
 
 impl Page {
     /// Allocate a zero-filled page.
-    pub fn zeroed() -> Arc<Page> {
+    fn zeroed() -> Arc<Page> {
         Arc::new(Page {
             data: RwLock::new(vec![0u8; PAGE_SIZE as usize].into_boxed_slice()),
         })
@@ -141,11 +141,6 @@ impl Amap {
         })
     }
 
-    /// Iterate over resident virtual page numbers (snapshot).
-    pub fn resident_vpns(&self) -> Vec<u64> {
-        self.pages.lock().keys().copied().collect()
-    }
-
     /// Whether a particular page is currently shared with another amap
     /// (i.e. its frame has more than one strong reference besides this map's).
     pub fn page_is_shared(&self, vpn: u64) -> bool {
@@ -215,7 +210,6 @@ mod tests {
         assert!(!allocated2);
         assert!(Arc::ptr_eq(&p1, &p2));
         assert_eq!(amap.resident(), 1);
-        assert_eq!(amap.resident_vpns(), vec![7]);
     }
 
     #[test]

@@ -29,11 +29,6 @@ impl VmStats {
     pub fn reset(&mut self) {
         *self = VmStats::default();
     }
-
-    /// Sum of all successfully handled faults.
-    pub fn successful_faults(&self) -> u64 {
-        self.faults - self.segfaults - self.protection_violations
-    }
 }
 
 impl std::fmt::Display for VmStats {
@@ -64,7 +59,6 @@ mod tests {
         s.faults = 10;
         s.segfaults = 2;
         s.protection_violations = 1;
-        assert_eq!(s.successful_faults(), 7);
         s.reset();
         assert_eq!(s, VmStats::default());
     }

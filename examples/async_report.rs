@@ -24,9 +24,9 @@
 //! cargo run --release --example async_report -- --drainers 2 --seed 7
 //! ```
 
-use secmod::gate::{build_dispatch_kernel_with_clients, WorldConfig};
 use secmod::kernel::PlaneConfig;
 use secmod::r#async::{block_on, join_all, AsyncPlane};
+use secmod::world::{build_dispatch_kernel_with_clients, WorldConfig};
 use std::sync::Arc;
 
 fn parse_flag(args: &[String], flag: &str) -> Option<u64> {

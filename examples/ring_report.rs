@@ -29,10 +29,10 @@
 //! cargo run --release --example ring_report -- --seed 7
 //! ```
 
-use secmod::gate::{build_dispatch_kernel_with_clients, WorldConfig};
 use secmod::kernel::CostModel;
 use secmod::prelude::*;
 use secmod::ring::{Ring, RingPairConfig, RingSet, SmodCallReq};
+use secmod::world::{build_dispatch_kernel_with_clients, WorldConfig};
 use std::sync::Arc;
 
 /// Submit `total` incr calls round-robin over `handles` and reap every

@@ -1,14 +1,15 @@
 //! Workspace facade for the SecModule baseline reproduction.
 //!
-//! Re-exports the ten member crates under one roof so downstream code
+//! Re-exports the member crates under one roof so downstream code
 //! (and the integration tests / examples in this package) can reach any
-//! layer through a single dependency. The interesting code lives in the
-//! members; see the workspace README for the layout and the paper mapping.
+//! layer through a single dependency, and holds the one test world
+//! ([`world`]) the workspace's suites drive. The interesting code lives in
+//! the members; see the workspace README for the layout and the paper
+//! mapping.
 
 pub use secmod_async as r#async;
 pub use secmod_core as core;
 pub use secmod_crypto as crypto;
-pub use secmod_gate as gate;
 pub use secmod_kernel as kernel;
 pub use secmod_module as module;
 pub use secmod_obs as obs;
@@ -17,6 +18,8 @@ pub use secmod_qos as qos;
 pub use secmod_ring as ring;
 pub use secmod_rpc as rpc;
 pub use secmod_vm as vm;
+
+pub mod world;
 
 pub use secmod_kernel::dispatch::{DispatchError, DispatchOutcome};
 

@@ -1,18 +1,25 @@
-//! The world the gate's test suites drive: one live kernel, one protected
-//! module, and a pool of established sessions.
+//! The one test world: a live kernel, one protected module, and a pool of
+//! established sessions.
 //!
-//! Every suite that holds a dispatch path to an invariant — the
-//! coherence proptests under `tests/`, the workspace's allocation
-//! tripwire and dispatch-metrics tests — starts from
-//! [`build_dispatch_kernel_with_clients`], so they all exercise the same
-//! policy, the same module image and the same handler. Performance is
-//! measured elsewhere, by the repo benchmark.
+//! Every suite that holds a dispatch path to an invariant — the coherence
+//! proptests under `tests/`, the allocation tripwire and the
+//! dispatch-metrics test — starts from [`build_dispatch_kernel_with_clients`],
+//! so they all exercise the same policy, the same module image and the
+//! same handler. Performance is measured elsewhere, by the repo benchmark.
+//!
+//! ```
+//! use secmod::world::{build_dispatch_kernel_with_clients, WorldConfig};
+//!
+//! let world = build_dispatch_kernel_with_clients(&WorldConfig::new(42), 2);
+//! assert_eq!(world.clients.len(), 2);
+//! assert!(world.kernel.session_of(world.clients[0]).is_some());
+//! ```
 
-use crate::cache::CacheConfig;
 use secmod_kernel::smodreg::FunctionTable;
 use secmod_kernel::{Credential, Errno, Kernel, Pid};
 use secmod_module::builder::{FunctionSpec, ModuleBuilder};
 use secmod_module::{ModuleId, SmodPackage, StubTable};
+use secmod_policy::cache::CacheConfig;
 use secmod_policy::{Assertion, LicenseeExpr, PolicyEngine, Principal};
 
 /// Operations the module exports; index 0 is `"restricted"`, which the

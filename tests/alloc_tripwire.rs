@@ -13,11 +13,11 @@
 //! global to the process, and the test harness itself allocates on one
 //! thread and frees on another whenever a test starts or finishes.
 
-use secmod::gate::{build_dispatch_kernel_with_clients, WorldConfig};
 use secmod::kernel::plane::{DispatchPlane, PlaneConfig, PlaneHandle};
 use secmod::kernel::SmodCallArgs;
 use secmod::prelude::Credential;
 use secmod::ring::{ArgRef, RingPairConfig, RingSet, SmodCallReq, SubmitError};
+use secmod::world::{build_dispatch_kernel_with_clients, WorldConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};

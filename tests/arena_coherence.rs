@@ -14,7 +14,7 @@
 
 use proptest::prelude::*;
 use proptest::{collection, prop_assert, prop_assert_eq, proptest};
-use secmod_gate::{build_dispatch_kernel_with_clients, DispatchKernel, WorldConfig};
+use secmod::world::{build_dispatch_kernel_with_clients, DispatchKernel, WorldConfig};
 use secmod_kernel::smod::SmodCallArgs;
 use secmod_ring::{
     ArenaRegion, ArgArena, ArgRef, RingPairConfig, RingSet, RingSlotId, SmodCallReq,

@@ -17,8 +17,8 @@
 
 use proptest::prelude::*;
 use proptest::{collection, prop_assert_eq, proptest};
+use secmod::world::{build_dispatch_kernel_with_clients, DispatchKernel, WorldConfig};
 use secmod_async::{AsyncPlane, CallFuture, Executor, SimDriver};
-use secmod_gate::{build_dispatch_kernel_with_clients, DispatchKernel, WorldConfig};
 use secmod_kernel::dispatch::DispatchError;
 use secmod_kernel::smod::SmodCallArgs;
 use secmod_kernel::PlaneConfig;

@@ -19,8 +19,9 @@
 
 use proptest::prelude::*;
 use proptest::{collection, prop_assert_eq, prop_assert_ne, proptest};
-use secmod_gate::{build_dispatch_kernel_with_clients, WorldConfig};
-use secmod_gate::{AccessRequest, CacheConfig, Gateway};
+use secmod::policy::cache::CacheConfig;
+use secmod::policy::gateway::{AccessRequest, Gateway};
+use secmod::world::{build_dispatch_kernel_with_clients, WorldConfig};
 use secmod_kernel::smod::{ModuleKeyDelivery, SmodCallArgs};
 use secmod_kernel::smodreg::FunctionTable;
 use secmod_kernel::{Credential, Errno, Kernel, Pid};

@@ -11,13 +11,13 @@
 //! cycles through every operation, `restricted` included, so denied
 //! calls are recorded too: a deny still costs its policy check.
 
-use secmod::gate::{build_dispatch_kernel_with_clients, WorldConfig};
 use secmod::kernel::smod::SmodCallArgs;
 use secmod::kernel::{DispatchPlane, Errno, Kernel, PlaneConfig};
 use secmod::obs::Flavor;
 use secmod::prelude::{Credential, DispatchError};
 use secmod::r#async::{block_on, AsyncPlane};
 use secmod::ring::{RingPairConfig, RingSet, SmodCallReq, SMOD_BATCH_DEFAULT_BUDGET};
+use secmod::world::{build_dispatch_kernel_with_clients, WorldConfig};
 use std::sync::Arc;
 
 /// Calls each single-session flavor makes.

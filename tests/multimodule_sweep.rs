@@ -17,7 +17,7 @@
 
 use proptest::prelude::*;
 use proptest::{collection, prop_assert, prop_assert_eq, proptest};
-use secmod_gate::CacheConfig;
+use secmod::policy::cache::CacheConfig;
 use secmod_kernel::smodreg::FunctionTable;
 use secmod_kernel::{Credential, Kernel, Pid};
 use secmod_module::builder::{FunctionSpec, ModuleBuilder};

@@ -2,10 +2,10 @@
 //! a walkthrough and only narrates; what it says must hold is held here,
 //! on the same shapes.
 
-use secmod::gate::{build_dispatch_kernel_with_clients, WorldConfig};
 use secmod::prelude::Credential;
 use secmod::qos::{QosPolicy, SweepScheduler, TenantSpec};
 use secmod::ring::{ArgArena, ArgRef, RingPairConfig, RingSet, SmodCallReq};
+use secmod::world::{build_dispatch_kernel_with_clients, WorldConfig};
 use std::sync::Arc;
 
 /// The zero-copy leg: 32 calls carrying 64 KiB blocks through one
