@@ -84,9 +84,10 @@ impl AsyncPlane {
             let tables = Arc::clone(&tables);
             let routed = Arc::clone(&routed);
             let metrics = Arc::clone(&metrics);
-            plane.on_completions(Arc::new(move || {
+            let registered = plane.on_completions(Arc::new(move || {
                 route_completions(&tables, &metrics, Some(&routed));
             }));
+            debug_assert!(registered, "a fresh plane has no completion hook");
         }
         Ok(AsyncPlane {
             plane: Some(plane),

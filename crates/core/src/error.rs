@@ -71,8 +71,8 @@ mod tests {
         assert!(e.to_string().contains("EACCES"));
         let e: SmodError = secmod_module::ModuleError::IntegrityFailure.into();
         assert!(e.to_string().contains("integrity"));
-        let e: SmodError = secmod_crypto::CryptoError::BadPadding.into();
-        assert!(e.to_string().contains("padding"));
+        let e: SmodError = secmod_crypto::CryptoError::VerifyFailed.into();
+        assert!(e.to_string().contains("verification"));
         let e: SmodError = secmod_policy::PolicyError::UnknownRoot.into();
         assert!(e.to_string().contains("root"));
         assert!(SmodError::UnknownFunction("f".into())

@@ -74,21 +74,6 @@ impl<'a> ArgReader<'a> {
         ))
     }
 
-    /// Read a 64-bit signed value.
-    pub fn i64(&mut self) -> Result<i64> {
-        Ok(self.u64()? as i64)
-    }
-
-    /// Read a 32-bit value.
-    pub fn u32(&mut self) -> Result<u32> {
-        Ok(self.u64()? as u32)
-    }
-
-    /// Read an address.
-    pub fn addr(&mut self) -> Result<u64> {
-        self.u64()
-    }
-
     /// Read a length-prefixed byte block.
     pub fn bytes(&mut self) -> Result<Vec<u8>> {
         let len = self.u64()? as usize;
@@ -119,9 +104,9 @@ mod tests {
         block.extend_from_slice(b"hello");
         let mut r = ArgReader::new(&block);
         assert_eq!(r.u64().unwrap(), 42);
-        assert_eq!(r.i64().unwrap(), -7);
-        assert_eq!(r.u32().unwrap(), 0xDEAD);
-        assert_eq!(r.addr().unwrap(), 0x1000_0000);
+        assert_eq!(r.u64().unwrap() as i64, -7);
+        assert_eq!(r.u64().unwrap(), 0xDEAD);
+        assert_eq!(r.u64().unwrap(), 0x1000_0000);
         assert_eq!(r.bytes().unwrap(), b"hello");
         assert_eq!(r.remaining(), 0);
     }

@@ -65,8 +65,6 @@ pub enum CryptoError {
         /// A human-readable description of the requirement that was violated.
         reason: &'static str,
     },
-    /// PKCS#7 (or other) padding was malformed on decryption.
-    BadPadding,
     /// An RSA message was too large for the modulus.
     MessageTooLarge,
     /// A key referenced through the [`KeyStore`] does not exist or was revoked.
@@ -86,7 +84,6 @@ impl std::fmt::Display for CryptoError {
                 write!(f, "invalid key length: {got} bytes")
             }
             CryptoError::InvalidLength { reason } => write!(f, "invalid length: {reason}"),
-            CryptoError::BadPadding => write!(f, "bad padding"),
             CryptoError::MessageTooLarge => write!(f, "message too large for RSA modulus"),
             CryptoError::UnknownKey => write!(f, "unknown or revoked key"),
             CryptoError::KeyAccessDenied => write!(f, "key access denied"),
@@ -141,7 +138,6 @@ mod tests {
         let errs = [
             CryptoError::InvalidKeyLength { got: 3 },
             CryptoError::InvalidLength { reason: "x" },
-            CryptoError::BadPadding,
             CryptoError::MessageTooLarge,
             CryptoError::UnknownKey,
             CryptoError::KeyAccessDenied,

@@ -93,20 +93,14 @@ pub struct DrainReport {
     pub fixed_cost_ns: u64,
 }
 
-/// Reusable drain buffers: the chunk staging areas. A sweep allocates one
-/// of these and reuses it across every session it visits.
+/// Reusable drain buffers: the chunk staging areas. Each plane drainer
+/// owns one for its whole life; a direct batch or sweep makes one per
+/// trap. The buffers are sized on their first drain, so a sweep that
+/// finds no ready slot allocates nothing.
+#[derive(Default)]
 pub(crate) struct DrainScratch {
     chunk: Vec<SmodCallReq>,
     responses: Vec<SmodCallResp>,
-}
-
-impl DrainScratch {
-    pub(crate) fn new() -> DrainScratch {
-        DrainScratch {
-            chunk: Vec::with_capacity(BATCH_CHUNK),
-            responses: Vec::with_capacity(BATCH_CHUNK),
-        }
-    }
 }
 
 impl Kernel {
@@ -149,7 +143,7 @@ impl Kernel {
             cq,
             None,
             batch_budget,
-            &mut DrainScratch::new(),
+            &mut DrainScratch::default(),
             &mut tally,
         );
         // The amortised fixed cost covers the entries that actually went
@@ -179,6 +173,11 @@ impl Kernel {
     /// `EIDRM` fill cannot drift between paths. What the drain did lands in
     /// the trap's `tally`: its [`DrainReport`] counts and what it adds to
     /// the metrics registry.
+    ///
+    /// Returns `true` when the drain was cut short — by `budget`, or by a
+    /// completion ring with no room — rather than by finding `sq` empty:
+    /// only then can entries be left behind that no later doorbell will
+    /// flag.
     #[allow(clippy::too_many_arguments)] // one arg per drain resource; bundling would obscure them
     pub(crate) fn drain_session_rings(
         &self,
@@ -189,11 +188,14 @@ impl Kernel {
         budget: usize,
         scratch: &mut DrainScratch,
         tally: &mut TrapTally<'_>,
-    ) {
+    ) -> bool {
         let mut smod_epoch = self.smod_epoch();
         let mut dead = session.is_none();
         let mut drained = 0;
+        let mut cut_short = true;
         let DrainScratch { chunk, responses } = scratch;
+        chunk.reserve(BATCH_CHUNK);
+        responses.reserve(BATCH_CHUNK);
 
         while drained < budget {
             // Reserve completion space *before* consuming submissions: a
@@ -205,7 +207,13 @@ impl Kernel {
             // reaping only ever increases the space observed here.
             let cq_free = cq.capacity() - cq.len().min(cq.capacity());
             let take = BATCH_CHUNK.min(budget - drained).min(cq_free);
+            if take == 0 {
+                break; // a full completion ring
+            }
             if sq.pop_many(chunk, take) == 0 {
+                // Dry: whatever is pushed from here on is flagged by the
+                // producer's own doorbell.
+                cut_short = false;
                 break;
             }
 
@@ -265,6 +273,7 @@ impl Kernel {
         }
         tally.report.drained += drained;
         tally.report.sessions_dead += usize::from(dead);
+        cut_short
     }
 
     /// One ring entry through [`Kernel::call_entry`]: the entry must name

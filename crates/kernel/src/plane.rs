@@ -74,7 +74,7 @@
 //! loop: drainer 0 makes the sweep's own claim, then dies inside its
 //! first visit.
 
-use crate::batch::DrainReport;
+use crate::batch::{DrainReport, DrainScratch};
 use crate::cred::Credential;
 use crate::errno::Errno;
 use crate::kernel::Kernel;
@@ -84,13 +84,15 @@ use crate::SysResult;
 use parking_lot::{Mutex, RwLock};
 use secmod_obs::{Counter, Flavor};
 use secmod_qos::{QosPolicy, SweepScheduler, TenantId};
+use secmod_ring::ring::CachePadded;
 use secmod_ring::{
     ArgArena, ArgRef, ClaimLedger, RingPairConfig, RingSet, RingSlotId, SessionRings, SmodCallReq,
     SmodCallResp, SubmitError, SMOD_BATCH_DEFAULT_BUDGET,
 };
+use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
 
@@ -328,15 +330,19 @@ struct DrainerParams {
     starter_cpus: affinity::CpuSet,
 }
 
+/// The doorbell words — `stop`, `idle` and `spinning`, which every
+/// submission reads — sit on cache lines of their own, so a producer's
+/// loads miss only when the word itself changed, never because a drainer
+/// wrote something beside it.
 struct PlaneShared {
     kernel: Arc<Kernel>,
     set: Arc<RingSet>,
-    stop: AtomicBool,
+    stop: CachePadded<AtomicBool>,
     /// Invoked by a drainer after any sweep that produced completions
     /// (and once more at shutdown). The async frontend routes the posted
     /// completions to their wakers from here, on the thread that posted
-    /// them; `None` costs the drainers one relaxed load per sweep.
-    completion_hook: RwLock<Option<Arc<dyn Fn() + Send + Sync>>>,
+    /// them. Set at most once, so reading it is one load and no lock.
+    completion_hook: OnceLock<Arc<dyn Fn() + Send + Sync>>,
     /// Drainer threads for unparking, one entry per seat. Sized at start;
     /// each drainer installs itself before its first sweep, so a
     /// replacement always lands after the drainer it replaces.
@@ -348,13 +354,15 @@ struct PlaneShared {
     /// (`drainer_loop`); a producer sets its bit, fences, and only then
     /// loads this (`wake`). So a producer that observes 0 raced a
     /// drainer that will still see its readiness bit.
-    idle: AtomicUsize,
+    idle: CachePadded<AtomicUsize>,
     /// Set while one drainer polls the readiness bitmap instead of
     /// parking. It is the claim that keeps a plane to one spinner, and it
     /// tells producers that their bit will be seen without an unpark
-    /// even though the other drainers are parked. Cleared before the
-    /// spinner announces itself idle, under the same handshake as `idle`.
-    spinning: AtomicBool,
+    /// even though the other drainers are parked. The spinner holds it
+    /// through the sweeps its poll hits start, since it sweeps again
+    /// before it parks, and clears it only on its way to park, under the
+    /// same handshake as `idle` — or in its exit guard, if it dies first.
+    spinning: CachePadded<AtomicBool>,
     /// The QoS scheduler, when the plane is multi-tenant.
     sched: Option<Arc<SweepScheduler>>,
     /// Whether the fault drill is armed, and its fired-once latch.
@@ -384,7 +392,7 @@ impl PlaneShared {
         // set with `Release` only, so the store-load order needs the
         // fence on this side too.
         fence(Ordering::SeqCst);
-        if self.spinning.load(Ordering::Relaxed) || self.idle.load(Ordering::Relaxed) == 0 {
+        if self.spinning.0.load(Ordering::Relaxed) || self.idle.0.load(Ordering::Relaxed) == 0 {
             return;
         }
         self.unpark_all();
@@ -401,7 +409,7 @@ impl PlaneShared {
     /// Tell the registered completion consumer (if any) that new
     /// completions were pushed.
     fn notify_completions(&self) {
-        if let Some(hook) = self.completion_hook.read().as_ref() {
+        if let Some(hook) = self.completion_hook.get() {
             hook();
         }
     }
@@ -447,11 +455,11 @@ impl DispatchPlane {
             shared: Arc::new(PlaneShared {
                 kernel: Arc::clone(&kernel),
                 set,
-                stop: AtomicBool::new(false),
-                completion_hook: RwLock::new(None),
+                stop: CachePadded(AtomicBool::new(false)),
+                completion_hook: OnceLock::new(),
                 sleepers: RwLock::new(vec![None; n]),
-                idle: AtomicUsize::new(0),
-                spinning: AtomicBool::new(false),
+                idle: CachePadded(AtomicUsize::new(0)),
+                spinning: CachePadded(AtomicBool::new(false)),
                 sched,
                 crash: cfg.crash,
                 crash_fired: AtomicBool::new(false),
@@ -517,13 +525,15 @@ impl DispatchPlane {
 
     /// Register the completion-notification hook: called by a drainer
     /// after every sweep that pushed completions, and once more at
-    /// shutdown, on the thread that ran the last sweep. At most one
-    /// consumer; registering again replaces the previous hook. The hook
-    /// runs on drainer threads, several at once when there are several
-    /// drainers: it routes what was posted and must not block beyond
-    /// short mutex holds.
-    pub fn on_completions(&self, hook: Arc<dyn Fn() + Send + Sync>) {
-        *self.shared.completion_hook.write() = Some(hook);
+    /// shutdown, on the thread that ran the last sweep. A plane takes one
+    /// hook for its whole life: the first call registers it and returns
+    /// `true`; every later call returns `false` and leaves the first hook
+    /// in place, so the drainers read it with one load and no lock. The
+    /// hook runs on drainer threads, several at once when there are
+    /// several drainers: it routes what was posted and must not block
+    /// beyond short mutex holds.
+    pub fn on_completions(&self, hook: Arc<dyn Fn() + Send + Sync>) -> bool {
+        self.shared.completion_hook.set(hook).is_ok()
     }
 
     /// Currently attached sessions.
@@ -546,7 +556,7 @@ impl DispatchPlane {
 
     fn stop_and_join(&mut self) -> PlaneStats {
         self.joined = true;
-        self.shared.stop.store(true, Ordering::Release);
+        self.shared.stop.0.store(true, Ordering::Release);
         self.shared.set.mark_all_ready();
         // Unconditionally: a parked drainer must not sleep out its
         // timeout because a polling one made the doorbell look answered.
@@ -557,7 +567,12 @@ impl DispatchPlane {
         loop {
             let handle = self.shared.handles.lock().pop();
             let Some(handle) = handle else { break };
-            stats.merge(&handle.join().expect("plane drainer panicked"));
+            // A drainer that a panicking body unwound took its counts with
+            // it; its exit guard already handed back its claims and
+            // respawned its seat.
+            if let Ok(drainer) = handle.join() {
+                stats.merge(&drainer);
+            }
         }
         // Every drainer handed back its own claims on the way out. Finish
         // inline, with no scheduler, whatever is still flagged — slots the
@@ -565,6 +580,7 @@ impl DispatchPlane {
         // its respawn failed — since no drainer remains to do it. These
         // are the plane's sweeps, recorded as the drainers' are.
         let ledger = self.shared.set.claim_ledger();
+        let mut scratch = DrainScratch::default();
         while self.shared.set.any_ready() {
             let Ok(report) = self.shared.kernel.sweep_claimed(
                 self.shared.reaper_pid,
@@ -573,6 +589,7 @@ impl DispatchPlane {
                 None,
                 SESSION_BUDGET,
                 Flavor::Plane,
+                &mut scratch,
             ) else {
                 break;
             };
@@ -617,6 +634,7 @@ fn spawn_drainer(shared: &Arc<PlaneShared>, seat: usize, generation: u64) -> Sys
         seat,
         generation,
         ledger: shared.set.claim_ledger(),
+        spinner: Cell::new(false),
         pin_core: shared
             .params
             .pin_drainers
@@ -646,7 +664,35 @@ struct DrainerCtx {
     seat: usize,
     generation: u64,
     ledger: ClaimLedger,
+    /// Whether this drainer holds the plane's spinner claim
+    /// (`PlaneShared::spinning`).
+    spinner: Cell<bool>,
     pin_core: Option<usize>,
+}
+
+impl DrainerCtx {
+    /// Take the plane's spinner claim, or keep it if this drainer already
+    /// holds it. `false` when another drainer holds it.
+    fn claim_spinner(&self, shared: &PlaneShared) -> bool {
+        if !self.spinner.get() {
+            let won = shared
+                .spinning
+                .0
+                .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
+                .is_ok();
+            self.spinner.set(won);
+        }
+        self.spinner.get()
+    }
+
+    /// Hand the spinner claim back if this drainer holds it. The caller
+    /// fences before it next looks at the readiness bitmap: producers
+    /// skipped the unpark while the claim stood.
+    fn release_spinner(&self, shared: &PlaneShared) {
+        if self.spinner.replace(false) {
+            shared.spinning.0.store(false, Ordering::Release);
+        }
+    }
 }
 
 /// A drainer thread's exit path. It drops however `drainer_loop` ends:
@@ -665,7 +711,11 @@ impl Drop for ExitGuard {
         // clean exit.
         let reclaimed = shared.set.reclaim(&self.ctx.ledger);
         shared.reclaimed.add(reclaimed as u64);
-        if shared.stop.load(Ordering::Acquire) {
+        // A drainer that dies inside a sweep its poll started still holds
+        // the spinner claim; left standing, it would keep every later
+        // doorbell from unparking anyone. The `wake` below sees it gone.
+        self.ctx.release_spinner(shared);
+        if shared.stop.0.load(Ordering::Acquire) {
             return;
         }
         // A failed respawn (no process or thread to be had) leaves the
@@ -673,9 +723,10 @@ impl Drop for ExitGuard {
         // drain what it would have.
         if spawn_drainer(shared, self.ctx.seat, self.ctx.generation + 1).is_ok() {
             shared.restarts.incr();
-            // The reclaimed work must not wait for the next doorbell.
-            shared.wake();
         }
+        // The reclaimed work, and any doorbell the claim silenced, must
+        // not wait for the next doorbell.
+        shared.wake();
     }
 }
 
@@ -693,6 +744,7 @@ fn drainer_loop(shared: &PlaneShared, ctx: &DrainerCtx) -> PlaneStats {
     let mut controller = PollController::default();
     let mut episode = IdleEpisode::default();
     let mut stats = PlaneStats::default();
+    let mut scratch = DrainScratch::default();
     loop {
         // The fault drill fires once per plane, so the respawned seat
         // does not re-die. Until it has (or the plane stops), the other
@@ -701,7 +753,7 @@ fn drainer_loop(shared: &PlaneShared, ctx: &DrainerCtx) -> PlaneStats {
         // whenever drainer 0 happens to win a race.
         if shared.crash
             && !shared.crash_fired.load(Ordering::Acquire)
-            && !shared.stop.load(Ordering::Acquire)
+            && !shared.stop.0.load(Ordering::Acquire)
         {
             if ctx.seat == 0 && dies_mid_visit(shared, ctx) {
                 shared.crash_fired.store(true, Ordering::Release);
@@ -713,7 +765,7 @@ fn drainer_loop(shared: &PlaneShared, ctx: &DrainerCtx) -> PlaneStats {
         // `Err` means the drainer's own process is gone (killed through
         // the kernel): end this drainer, and its exit guard starts the
         // seat over on a fresh one.
-        let Ok(drained) = sweep_once(shared, ctx, &mut stats) else {
+        let Ok(drained) = sweep_once(shared, ctx, &mut scratch, &mut stats) else {
             break;
         };
         // Progress = entries answered.
@@ -726,7 +778,7 @@ fn drainer_loop(shared: &PlaneShared, ctx: &DrainerCtx) -> PlaneStats {
         // exit even if unserviceable ready bits remain. (A scheduled
         // sweep may still be *deferring* over-budget slots here; the
         // shutdown path finishes those with its inline pass.)
-        if shared.stop.load(Ordering::Acquire) {
+        if shared.stop.0.load(Ordering::Acquire) {
             break;
         }
         // Idle. The episode that just ended tells the controller how to
@@ -738,21 +790,11 @@ fn drainer_loop(shared: &PlaneShared, ctx: &DrainerCtx) -> PlaneStats {
         // completion ring keeps its slot "ready"; a QoS sweep deferred a
         // tenant): polling a bitmap that never clears would peg a core
         // without serving anyone, so those go to the timed park.
-        if may_poll
-            && controller.polling
-            && !shared.set.any_ready()
-            && shared
-                .spinning
-                .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
-                .is_ok()
-        {
-            let hit = poll_ready(shared, idle_from);
-            // Producers skipped the unpark while the claim stood. The
-            // fence makes every bit set by one who saw it standing
-            // visible to the sweep (or the final look) that comes next.
-            shared.spinning.store(false, Ordering::Release);
-            fence(Ordering::SeqCst);
-            if hit {
+        if may_poll && controller.polling && !shared.set.any_ready() && ctx.claim_spinner(shared) {
+            if poll_ready(shared, idle_from) {
+                // Keep the claim through the sweep the hit starts:
+                // producers go on skipping the unpark, and that is safe
+                // because this drainer sweeps again before it parks.
                 shared.kernel.metrics.drainer_spin_hits.incr();
                 episode.arrival_gap = idle_from.elapsed();
                 continue;
@@ -760,18 +802,20 @@ fn drainer_loop(shared: &PlaneShared, ctx: &DrainerCtx) -> PlaneStats {
             shared.kernel.metrics.drainer_spin_timeouts.incr();
             episode.timed_out = true;
         }
-        // Announce the park, *then* look once more (the drainer's half
-        // of the handshake in `PlaneShared::wake`): a producer whose bit
-        // this look misses is one that will see `idle > 0` and unpark us
+        // Give the claim back (if held) and announce the park, *then*
+        // look once more (the drainer's half of the handshake in
+        // `PlaneShared::wake`): a producer whose bit this look misses is
+        // one that will see the claim gone and `idle > 0`, and unpark us
         // (stored permit — a park after the unpark returns at once).
-        shared.idle.fetch_add(1, Ordering::AcqRel);
+        ctx.release_spinner(shared);
+        shared.idle.0.fetch_add(1, Ordering::AcqRel);
         fence(Ordering::SeqCst);
         let mut rescued = false;
         if shared.set.any_ready() {
             // A doorbell that raced the announcement, or flags on slots
             // no sweep can serve: only a sweep tells them apart. Whatever
             // is flagged after this one's claim has seen `idle > 0`.
-            let drained = sweep_once(shared, ctx, &mut stats);
+            let drained = sweep_once(shared, ctx, &mut scratch, &mut stats);
             episode.served += drained.unwrap_or(0);
             rescued = drained != Ok(0);
         }
@@ -781,7 +825,7 @@ fn drainer_loop(shared: &PlaneShared, ctx: &DrainerCtx) -> PlaneStats {
             std::thread::park_timeout(park_timeout);
             shared.kernel.metrics.drainer_unparks.incr();
         }
-        shared.idle.fetch_sub(1, Ordering::AcqRel);
+        shared.idle.0.fetch_sub(1, Ordering::AcqRel);
         episode.arrival_gap = idle_from.elapsed();
     }
     stats
@@ -808,9 +852,15 @@ fn dies_mid_visit(shared: &PlaneShared, ctx: &DrainerCtx) -> bool {
     .is_err()
 }
 
-/// One sweep of the set on behalf of drainer `ctx`, folded into `stats`;
-/// returns the entries it answered.
-fn sweep_once(shared: &PlaneShared, ctx: &DrainerCtx, stats: &mut PlaneStats) -> SysResult<u64> {
+/// One sweep of the set on behalf of drainer `ctx`, through the
+/// drainer's own `scratch`, folded into `stats`; returns the entries it
+/// answered.
+fn sweep_once(
+    shared: &PlaneShared,
+    ctx: &DrainerCtx,
+    scratch: &mut DrainScratch,
+    stats: &mut PlaneStats,
+) -> SysResult<u64> {
     let report = shared.kernel.sweep_claimed(
         ctx.pid,
         &shared.set,
@@ -818,6 +868,7 @@ fn sweep_once(shared: &PlaneShared, ctx: &DrainerCtx, stats: &mut PlaneStats) ->
         shared.sched.as_deref(),
         SESSION_BUDGET,
         Flavor::Plane,
+        scratch,
     )?;
     stats.absorb(&report);
     if report.drained > 0 {
@@ -858,7 +909,7 @@ fn room_to_poll(mine: &affinity::CpuSet, theirs: &affinity::CpuSet) -> bool {
 /// window closes.
 fn poll_ready(shared: &PlaneShared, from: Instant) -> bool {
     loop {
-        if shared.set.any_ready() || shared.stop.load(Ordering::Acquire) {
+        if shared.set.any_ready() || shared.stop.0.load(Ordering::Acquire) {
             return true;
         }
         if from.elapsed() >= POLL_WINDOW {
@@ -1033,7 +1084,7 @@ impl SubmitBatch<'_> {
             user_data,
             args,
         };
-        if self.handle.shared.stop.load(Ordering::Acquire) {
+        if self.handle.shared.stop.0.load(Ordering::Acquire) {
             self.flush();
             return Err(SubmitError::Detached(req));
         }
@@ -1351,6 +1402,33 @@ mod tests {
     }
 
     #[test]
+    fn a_second_completion_hook_is_refused() {
+        let (_kernel, plane, clients, incr) = plane_fixture(1, 1);
+        let counting = |count: &Arc<AtomicUsize>| -> Arc<dyn Fn() + Send + Sync> {
+            let count = Arc::clone(count);
+            Arc::new(move || {
+                count.fetch_add(1, Ordering::AcqRel);
+            })
+        };
+        let (first, second) = (Arc::default(), Arc::default());
+        assert!(plane.on_completions(counting(&first)));
+        assert!(
+            !plane.on_completions(counting(&second)),
+            "a plane takes one hook for its whole life"
+        );
+        let handle = plane.attach(clients[0]).unwrap();
+        round_trip(&handle, incr, 0);
+        drop(handle);
+        plane.shutdown();
+        assert!(first.load(Ordering::Acquire) > 0, "the first hook stays");
+        assert_eq!(
+            second.load(Ordering::Acquire),
+            0,
+            "the refused one never runs"
+        );
+    }
+
+    #[test]
     fn qos_plane_serves_every_tenant_and_fills_their_lanes() {
         use secmod_qos::TenantSpec;
         const PER_PRODUCER: u64 = 200;
@@ -1633,6 +1711,79 @@ mod tests {
     }
 
     #[test]
+    fn a_drainer_that_dies_holding_the_spinner_claim_gives_it_back() {
+        // A claim the dead drainer kept would silence every later
+        // doorbell: each round trip would wait out this timeout, and no
+        // drainer could poll again.
+        // The drainer is not always polling when the fatal entry lands,
+        // so it dies several times over.
+        const DEATHS: u64 = 8;
+        let park_timeout = Duration::from_secs(10);
+        let (k, _m, clients, incr) = kernel_with_clients(None, 1);
+        let kernel = Arc::new(k);
+        let plane = DispatchPlane::start(
+            Arc::clone(&kernel),
+            PlaneConfig {
+                drainers: 1,
+                park_timeout,
+                ..PlaneConfig::default()
+            },
+        )
+        .unwrap();
+        let handle = plane.attach(clients[0]).unwrap();
+        let hits = &kernel.metrics.drainer_spin_hits;
+        // A caller who waits for each answer and thinks a little before
+        // the next call (back-to-back calls read as a streaming producer,
+        // which ends the polling regime), until the drainer's polls have
+        // answered several calls in a row.
+        let think = || {
+            let from = Instant::now();
+            while from.elapsed() < Duration::from_micros(10) {
+                std::hint::spin_loop();
+            }
+        };
+        let settle = |sent: &mut u64| {
+            let (from, mut polled_in_a_row) = (*sent, 0);
+            while *sent < from + 64 || (host_can_poll() && polled_in_a_row < 8) {
+                let before = hits.get();
+                think();
+                let started = Instant::now();
+                round_trip(&handle, incr, *sent);
+                assert!(
+                    started.elapsed() < park_timeout / 2,
+                    "round trip {sent} waited out the park timeout"
+                );
+                polled_in_a_row = if hits.get() > before {
+                    polled_in_a_row + 1
+                } else {
+                    0
+                };
+                *sent += 1;
+                assert!(
+                    *sent < from + 1_000_000,
+                    "no drainer settled into polling: the claim was never returned"
+                );
+            }
+        };
+        let mut sent = 0;
+        for death in 1..=DEATHS {
+            settle(&mut sent);
+            // An empty argument block makes the fixture's body panic
+            // slicing its eight bytes: the drainer unwinds out of the
+            // sweep its poll hit started, with the spinner claim in hand.
+            handle.submit(incr, u64::MAX, Vec::new()).unwrap();
+            while plane.shared.restarts.get() < death {
+                std::thread::yield_now();
+            }
+        }
+        // The last respawn, too, answers promptly and gets to poll.
+        settle(&mut sent);
+        drop(handle);
+        let stats = plane.shutdown();
+        assert_eq!(stats.drainer_restarts, DEATHS);
+    }
+
+    #[test]
     fn a_slot_stuck_on_a_full_completion_ring_parks_instead_of_polling() {
         let (k, _m, clients, incr) = kernel_with_clients(None, 1);
         let kernel = Arc::new(k);
@@ -1698,12 +1849,12 @@ mod tests {
         // one that gave it), and neither may act on it. Doorbells go
         // unanswered while the claim is held, so each round trip waits
         // for a park to time out.
-        plane.shared.spinning.store(true, Ordering::Release);
+        plane.shared.spinning.0.store(true, Ordering::Release);
         for i in 0..64 {
             round_trip(&handle, incr, i);
         }
         assert_eq!(spins(&kernel), 0, "a drainer polled beside the claim");
-        plane.shared.spinning.store(false, Ordering::Release);
+        plane.shared.spinning.0.store(false, Ordering::Release);
         // Released, the claim is taken by a drainer.
         let mut sent = 64;
         while host_can_poll() && spins(&kernel) == 0 {

@@ -60,14 +60,16 @@ impl Kernel {
     /// its rings into the sweep's `tally` — up to `session_budget` entries
     /// of a live session; for a dead or foreign slot, `EIDRM` for every
     /// queued entry its completion ring has room for, so one visit empties
-    /// it unless the producer has stopped reaping.
+    /// it unless the producer has stopped reaping. Returns whether the
+    /// slot must be flagged again: entries are left that the drain's
+    /// budget or a full completion ring kept it from.
     fn sweep_visit(
         &self,
         rings: &SessionRings,
         session_budget: usize,
         scratch: &mut DrainScratch,
         tally: &mut TrapTally<'_>,
-    ) {
+    ) -> bool {
         tally.report.sessions_ready += 1;
         // --- once-per-sweep resolution of this session ------------------
         let live = self
@@ -81,7 +83,7 @@ impl Kernel {
             usize::MAX
         };
         let (checked, dead) = (tally.checked, tally.report.sessions_dead);
-        self.drain_session_rings(
+        let cut_short = self.drain_session_rings(
             live.as_deref(),
             &rings.sq,
             &rings.cq,
@@ -92,6 +94,9 @@ impl Kernel {
         );
         tally.sessions_checked += usize::from(tally.checked > checked);
         tally.report.sessions_swept += usize::from(tally.report.sessions_dead == dead);
+        // A drain that ran the submission ring dry leaves the slot to the
+        // producers' doorbells; only a cut-short one reads their tail.
+        cut_short && !rings.sq.is_empty()
     }
 
     /// Drain every ready session in `set`, up to `session_budget` entries
@@ -116,7 +121,15 @@ impl Kernel {
         session_budget: usize,
     ) -> SysResult<DrainReport> {
         let ledger = set.claim_ledger();
-        self.sweep_claimed(caller, set, &ledger, None, session_budget, Flavor::Sweep)
+        self.sweep_claimed(
+            caller,
+            set,
+            &ledger,
+            None,
+            session_budget,
+            Flavor::Sweep,
+            &mut DrainScratch::default(),
+        )
     }
 
     /// The sweep: claim the ready set into the drainer's `ledger`, visit
@@ -134,6 +147,9 @@ impl Kernel {
     /// Each checked entry's latency is recorded once, here, under
     /// `flavor`: [`Flavor::Sweep`] for `sys_smod_sweep`, [`Flavor::Plane`]
     /// for a plane drainer's sweep. Nothing downstream records it again.
+    /// The chunk buffers come from `scratch`, which a plane drainer keeps
+    /// for its whole life.
+    #[allow(clippy::too_many_arguments)] // the drainer's own resources, each used once
     pub(crate) fn sweep_claimed(
         &self,
         caller: Pid,
@@ -142,17 +158,16 @@ impl Kernel {
         sched: Option<&SweepScheduler>,
         session_budget: usize,
         flavor: Flavor,
+        scratch: &mut DrainScratch,
     ) -> SysResult<DrainReport> {
         self.procs.with(caller, |_| ())?; // the drainer must be a live process
         let mut tally = TrapTally::new(self.metrics.latency(flavor), 0);
-        let mut scratch = DrainScratch::new();
         // One claimed slot's visit; `false` when the slot was busy or gone.
+        // Budget leftovers (or a cq-full stall) re-flag the slot so the
+        // next sweep picks it straight back up.
         let mut visit = |slot: RingSlotId, budget: usize, tally: &mut TrapTally<'_>| {
             set.drain_claimed(slot, ledger, |_, rings| {
-                self.sweep_visit(rings, budget, &mut scratch, tally);
-                // Budget leftovers (or a cq-full stall) re-flag the slot
-                // so the next sweep picks it straight back up.
-                !rings.sq.is_empty()
+                self.sweep_visit(rings, budget, scratch, tally)
             })
         };
         match sched {
@@ -790,6 +805,7 @@ mod tests {
                 Some(&sched),
                 SMOD_BATCH_DEFAULT_BUDGET,
                 Flavor::Sweep,
+                &mut DrainScratch::default(),
             )
             .unwrap();
         assert_eq!(report.sessions_ready, SESSIONS);
@@ -860,8 +876,16 @@ mod tests {
         let mut reaped = [(0u64, 0u64); 2]; // (completed, failed) per tenant
         let mut guard = 0;
         while set.any_ready() {
-            k.sweep_claimed(drainer, &set, &ledger, Some(&sched), 16, Flavor::Sweep)
-                .unwrap();
+            k.sweep_claimed(
+                drainer,
+                &set,
+                &ledger,
+                Some(&sched),
+                16,
+                Flavor::Sweep,
+                &mut DrainScratch::default(),
+            )
+            .unwrap();
             for (s, slot) in slots.iter().enumerate() {
                 let totals = &mut reaped[tenants[s] as usize];
                 while let Some(resp) = set.get(*slot).unwrap().cq.pop_spsc() {
@@ -928,8 +952,16 @@ mod tests {
         let victim_rings = set.get(slots[0]).unwrap();
         let mut guard = 0;
         while !victim_rings.sq.is_empty() {
-            k.sweep_claimed(drainer, &set, &ledger, Some(&sched), 64, Flavor::Sweep)
-                .unwrap();
+            k.sweep_claimed(
+                drainer,
+                &set,
+                &ledger,
+                Some(&sched),
+                64,
+                Flavor::Sweep,
+                &mut DrainScratch::default(),
+            )
+            .unwrap();
             for slot in &slots {
                 let rings = set.get(*slot).unwrap();
                 while rings.cq.pop_spsc().is_some() {}
@@ -975,7 +1007,15 @@ mod tests {
         );
         let ledger_b = set.claim_ledger();
         let report = k
-            .sweep_claimed(drainer_b, &set, &ledger_b, Some(&sched), 64, Flavor::Sweep)
+            .sweep_claimed(
+                drainer_b,
+                &set,
+                &ledger_b,
+                Some(&sched),
+                64,
+                Flavor::Sweep,
+                &mut DrainScratch::default(),
+            )
             .unwrap();
         assert_eq!(
             report.completed,

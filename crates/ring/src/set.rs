@@ -205,7 +205,10 @@ pub struct SessionRings {
     /// [`ClaimLedger`] whose drainer is visiting the slot. Taken by
     /// [`RingSet::drain_claimed`]; a sweeper finding the slot busy hands
     /// the ready bit back instead.
-    draining: AtomicUsize,
+    ///
+    /// On a cache line of its own: the sweeper writes it twice a visit,
+    /// and the producer reads the fields beside it on every push.
+    draining: CachePadded<AtomicUsize>,
     /// Monotonic source of per-session `user_data` cookies (see
     /// [`SessionRings::alloc_user_data`]).
     next_user_data: AtomicU64,
@@ -328,7 +331,7 @@ impl RingSet {
             arena: self.arena.as_ref().map(|(arena, quota)| {
                 ArenaRegion::with_magazine(Arc::clone(arena), *quota, crate::MAGAZINE_DEPTH)
             }),
-            draining: AtomicUsize::new(0),
+            draining: CachePadded(AtomicUsize::new(0)),
             next_user_data: AtomicU64::new(0),
         }));
         self.len.fetch_add(1, Ordering::Relaxed);
@@ -501,6 +504,7 @@ impl RingSet {
         };
         if rings
             .draining
+            .0
             .compare_exchange(0, ledger.id, Ordering::Acquire, Ordering::Relaxed)
             .is_err()
         {
@@ -511,7 +515,7 @@ impl RingSet {
             return false;
         }
         let remark = visit(slot, &rings);
-        rings.draining.store(0, Ordering::Release);
+        rings.draining.0.store(0, Ordering::Release);
         if remark {
             self.mark_ready(slot);
         }
@@ -554,7 +558,7 @@ impl RingSet {
                 bits &= bits - 1;
                 let slot = RingSlotId(word_idx * 64 + bit);
                 if let Some(rings) = self.get(slot) {
-                    let _ = rings.draining.compare_exchange(
+                    let _ = rings.draining.0.compare_exchange(
                         ledger.id,
                         0,
                         Ordering::Release,
@@ -891,11 +895,12 @@ mod tests {
         set.get(a)
             .unwrap()
             .draining
+            .0
             .store(other.id, Ordering::Release);
         assert!(!set.drain_claimed(a, &ledger, |_, _| panic!("busy slot visited")));
         assert!(set.any_ready(), "bit handed back for the live drainer");
         assert!(ledger.is_empty(), "claim resolved without draining");
-        set.get(a).unwrap().draining.store(0, Ordering::Release);
+        set.get(a).unwrap().draining.0.store(0, Ordering::Release);
     }
 
     #[test]

@@ -40,21 +40,9 @@ impl XdrEncoder {
         self
     }
 
-    /// Encode a 32-bit signed integer.
-    pub fn put_i32(&mut self, v: i32) -> &mut Self {
-        self.buf.put_i32(v);
-        self
-    }
-
     /// Encode a 64-bit unsigned integer (XDR "unsigned hyper").
     pub fn put_u64(&mut self, v: u64) -> &mut Self {
         self.buf.put_u64(v);
-        self
-    }
-
-    /// Encode a 64-bit signed integer (XDR "hyper").
-    pub fn put_i64(&mut self, v: i64) -> &mut Self {
-        self.buf.put_i64(v);
         self
     }
 
@@ -106,22 +94,10 @@ impl XdrDecoder {
         Ok(self.buf.get_u32())
     }
 
-    /// Decode a 32-bit signed integer.
-    pub fn get_i32(&mut self) -> Result<i32> {
-        self.need(4)?;
-        Ok(self.buf.get_i32())
-    }
-
     /// Decode a 64-bit unsigned integer.
     pub fn get_u64(&mut self) -> Result<u64> {
         self.need(8)?;
         Ok(self.buf.get_u64())
-    }
-
-    /// Decode a 64-bit signed integer.
-    pub fn get_i64(&mut self) -> Result<i64> {
-        self.need(8)?;
-        Ok(self.buf.get_i64())
     }
 
     /// Decode variable-length opaque data.
@@ -146,17 +122,12 @@ mod tests {
     #[test]
     fn integer_roundtrip() {
         let mut e = XdrEncoder::new();
-        e.put_u32(42)
-            .put_i32(-7)
-            .put_u64(1 << 40)
-            .put_i64(-(1 << 40));
+        e.put_u32(42).put_u64(1 << 40);
         let bytes = e.into_bytes();
-        assert_eq!(bytes.len(), 4 + 4 + 8 + 8);
+        assert_eq!(bytes.len(), 4 + 8);
         let mut d = XdrDecoder::new(&bytes);
         assert_eq!(d.get_u32().unwrap(), 42);
-        assert_eq!(d.get_i32().unwrap(), -7);
         assert_eq!(d.get_u64().unwrap(), 1 << 40);
-        assert_eq!(d.get_i64().unwrap(), -(1 << 40));
         assert_eq!(d.remaining(), 0);
     }
 
@@ -199,14 +170,14 @@ mod tests {
         }
 
         #[test]
-        fn prop_mixed_roundtrip(a in proptest::num::u32::ANY, b in proptest::num::i64::ANY,
+        fn prop_mixed_roundtrip(a in proptest::num::u32::ANY, b in proptest::num::u64::ANY,
                                 s in "[a-zA-Z0-9 ]{0,64}") {
             let mut e = XdrEncoder::new();
-            e.put_u32(a).put_opaque(s.as_bytes()).put_i64(b);
+            e.put_u32(a).put_opaque(s.as_bytes()).put_u64(b);
             let mut d = XdrDecoder::new(&e.into_bytes());
             proptest::prop_assert_eq!(d.get_u32().unwrap(), a);
             proptest::prop_assert_eq!(d.get_opaque().unwrap(), s.as_bytes());
-            proptest::prop_assert_eq!(d.get_i64().unwrap(), b);
+            proptest::prop_assert_eq!(d.get_u64().unwrap(), b);
         }
     }
 }

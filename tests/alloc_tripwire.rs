@@ -6,8 +6,9 @@
 //! the ring entry, so the only allocation a drained call makes is the
 //! function body's own result `Vec` (as does a direct `sys_smod_call`
 //! whose arguments the caller owns), a submission from a borrowed slice
-//! makes none, and nothing allocated on one side of a running plane is
-//! freed on the other.
+//! makes none, a running plane's drainer makes that one and nothing per
+//! sweep, idle sweeps included, and nothing allocated on one side of a
+//! running plane is freed on the other.
 //!
 //! This binary holds exactly one `#[test]`: the cross-thread counter is
 //! global to the process, and the test harness itself allocates on one
@@ -20,10 +21,16 @@ use secmod::ring::{ArgRef, RingPairConfig, RingSet, SmodCallReq, SubmitError};
 use secmod::world::{build_dispatch_kernel_with_clients, WorldConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 static CROSS_THREAD_FREES: AtomicU64 = AtomicU64::new(0);
+
+/// The plane drainer's thread tag, once its completion hook has run there,
+/// and the allocations that thread has made since.
+static DRAINER: AtomicUsize = AtomicUsize::new(0);
+static DRAINER_ALLOCS: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     /// Allocations made by this thread; its address also names the
@@ -71,7 +78,11 @@ unsafe impl GlobalAlloc for Counting {
             return base;
         }
         ALLOCS.with(|count| count.set(count.get() + 1));
-        (base as *mut usize).write(thread_tag());
+        let tag = thread_tag();
+        if DRAINER.load(Ordering::Relaxed) == tag {
+            DRAINER_ALLOCS.fetch_add(1, Ordering::Relaxed);
+        }
+        (base as *mut usize).write(tag);
         base.add(header)
     }
 
@@ -213,8 +224,15 @@ fn the_dispatch_path_allocates_and_frees_where_it_should() {
         },
     )
     .expect("plane");
+    // The hook runs on the drainer after each sweep that answered
+    // something: the first run names the drainer's thread to the
+    // allocator.
+    assert!(plane.on_completions(Arc::new(|| {
+        let _ = DRAINER.compare_exchange(0, thread_tag(), Ordering::Relaxed, Ordering::Relaxed);
+    })));
     let handle = plane.attach(client).expect("attach");
     stream(&handle, allowed, 1_000); // warm-up, as above
+    assert_ne!(DRAINER.load(Ordering::Relaxed), 0, "the hook ran");
 
     let values: Vec<[u8; 8]> = (0..64u64).map(u64::to_le_bytes).collect();
     let calls: Vec<(u32, u64, &[u8])> = values
@@ -237,6 +255,33 @@ fn the_dispatch_path_allocates_and_frees_where_it_should() {
             None => std::thread::yield_now(),
         }
     }
+
+    // Depth-1 round trips, a pause between them: the drainer sweeps once
+    // to answer each call and again, finding nothing, before it polls or
+    // parks. A completion is published after its result `Vec` is made, so
+    // once it is reaped the drainer's count covers that call.
+    let before = DRAINER_ALLOCS.load(Ordering::Relaxed);
+    for i in 0..CALLS / 10 {
+        handle
+            .submit(allowed, i, i.to_le_bytes().to_vec())
+            .expect("room");
+        let resp = loop {
+            match handle.reap() {
+                Some(resp) => break resp,
+                None => std::thread::yield_now(),
+            }
+        };
+        assert_eq!(resp.ret_bytes(), (i + 1).to_le_bytes());
+        let pause = Instant::now();
+        while pause.elapsed() < Duration::from_micros(5) {
+            std::hint::spin_loop();
+        }
+    }
+    assert_eq!(
+        DRAINER_ALLOCS.load(Ordering::Relaxed) - before,
+        CALLS / 10,
+        "a drained call allocates once on the drainer: the body's result `Vec`; a sweep, idle or not, allocates nothing"
+    );
 
     // Owned 8-byte arguments one way, the bodies' 8-byte results the
     // other: each `Vec` dies on the thread that made it.
