@@ -62,17 +62,16 @@
 //! drained, the deferred ones released.
 //!
 //! A drainer recovers its own seat, the way the kernel tears a process
-//! down on its exit path rather than on a timer. Each drainer thread owns
-//! an exit guard that runs however the thread ends — a return, or a
-//! panic unwinding out of a visit. The guard hands back whatever the
-//! ledger still holds claimed (the readiness bits go back to the set and
-//! the drain flag the drainer died holding is cleared, so no submitted
-//! entry is stranded) and, unless the plane is stopping, spawns the
-//! seat's next drainer. Nothing watches a live drainer, so a long drain
-//! is never mistaken for a dead one. [`PlaneConfig::crash`]
-//! ([`PlaneConfigBuilder::crash`]) is the fault drill that proves the
-//! loop: drainer 0 makes the sweep's own claim, then dies inside its
-//! first visit.
+//! down on its exit path rather than on a timer. A drainer dies one of
+//! two ways: a handler panics out of a visit, or its kernel process
+//! exits, and its next sweep fails `ESRCH`. Either way the thread ends
+//! through its exit guard, which owns everything the drainer owns. The
+//! guard hands back whatever the ledger still holds claimed (the
+//! readiness bits go back to the set and the drain flag the drainer died
+//! holding is cleared, so no submitted entry is stranded), adds the
+//! drainer's work to the plane's account, and, unless the plane is
+//! stopping, spawns the seat's next drainer. Nothing watches a live
+//! drainer, so a long drain is never mistaken for a dead one.
 
 use crate::batch::{DrainReport, DrainScratch};
 use crate::cred::Credential;
@@ -82,15 +81,13 @@ use crate::proc::Pid;
 use crate::smod::SessionState;
 use crate::SysResult;
 use parking_lot::{Mutex, RwLock};
-use secmod_obs::{Counter, Flavor};
+use secmod_obs::Flavor;
 use secmod_qos::{QosPolicy, SweepScheduler, TenantId};
 use secmod_ring::ring::CachePadded;
 use secmod_ring::{
     ArgArena, ArgRef, ClaimLedger, RingPairConfig, RingSet, RingSlotId, SessionRings, SmodCallReq,
     SmodCallResp, SubmitError, SMOD_BATCH_DEFAULT_BUDGET,
 };
-use std::cell::Cell;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::{JoinHandle, Thread};
@@ -192,15 +189,6 @@ pub struct PlaneConfig {
     /// [`TenantId::DEFAULT`]); `Some` puts the weighted-fair scheduler
     /// between claim and drain.
     pub qos: Option<QosPolicy>,
-    /// Fault-injection drill: drainer 0 makes the sweep's own claim
-    /// into its seat's ledger, takes the first claimed slot's drain flag,
-    /// then dies holding both (its thread exits without draining). Fires
-    /// once per plane, on the first queued work drainer 0 claims — a
-    /// crash that strands nothing proves nothing. Until it has fired the
-    /// other drainers stand aside, and drainer 0 parks between claims
-    /// instead of sweeping, so it fires by construction, not by winning a
-    /// race. A plane that stops first never fires it.
-    pub crash: bool,
 }
 
 impl Default for PlaneConfig {
@@ -212,7 +200,6 @@ impl Default for PlaneConfig {
             park_timeout: Duration::from_millis(1),
             pin_drainers: false,
             qos: None,
-            crash: false,
         }
     }
 }
@@ -265,19 +252,14 @@ impl PlaneConfigBuilder {
         self
     }
 
-    /// Arm the drainer-crash fault drill ([`PlaneConfig::crash`]).
-    pub fn crash(mut self) -> Self {
-        self.cfg.crash = true;
-        self
-    }
-
     /// Finish the build.
     pub fn build(self) -> PlaneConfig {
         self.cfg
     }
 }
 
-/// Aggregate work done by the plane's drainers (summed at shutdown).
+/// Aggregate work done by the plane's drainers. Each drainer's exit guard
+/// adds its share when the drainer ends, however it ends.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PlaneStats {
     /// Sweeps run, across all drainers and the shutdown pass.
@@ -365,18 +347,16 @@ struct PlaneShared {
     spinning: CachePadded<AtomicBool>,
     /// The QoS scheduler, when the plane is multi-tenant.
     sched: Option<Arc<SweepScheduler>>,
-    /// Whether the fault drill is armed, and its fired-once latch.
-    crash: bool,
-    crash_fired: AtomicBool,
     /// Spawn parameters reused by respawns.
     params: DrainerParams,
     /// Drainer join handles. Shared (not on `DispatchPlane`) so a dying
     /// drainer can push its replacement's; drained at shutdown, where
     /// joining a dying drainer waits out that push.
-    handles: Mutex<Vec<JoinHandle<PlaneStats>>>,
-    /// Seats respawned, and claims handed back, by drainers' exit guards.
-    restarts: Counter,
-    reclaimed: Counter,
+    handles: Mutex<Vec<JoinHandle<()>>>,
+    /// The work of every drainer that has ended, with the claims it
+    /// handed back and the seat it respawned. Written once per drainer,
+    /// by its exit guard.
+    account: Mutex<PlaneStats>,
     /// Kernel process charged for the shutdown's inline sweep.
     reaper_pid: Pid,
 }
@@ -461,8 +441,6 @@ impl DispatchPlane {
                 idle: CachePadded(AtomicUsize::new(0)),
                 spinning: CachePadded(AtomicBool::new(false)),
                 sched,
-                crash: cfg.crash,
-                crash_fired: AtomicBool::new(false),
                 params: DrainerParams {
                     park_timeout: cfg.park_timeout,
                     pin_drainers: cfg.pin_drainers,
@@ -470,8 +448,7 @@ impl DispatchPlane {
                     starter_cpus: thread_cpus(cores),
                 },
                 handles: Mutex::new(Vec::new()),
-                restarts: Counter::default(),
-                reclaimed: Counter::default(),
+                account: Mutex::new(PlaneStats::default()),
                 reaper_pid,
             }),
             ring: cfg.ring,
@@ -517,7 +494,7 @@ impl DispatchPlane {
     }
 
     /// The plane's shared ring set, for callers that inspect or sweep it
-    /// directly (tests, fault drills); producers go through
+    /// directly (tests); producers go through
     /// [`DispatchPlane::attach`].
     pub fn ring_set(&self) -> Arc<RingSet> {
         Arc::clone(&self.shared.set)
@@ -562,18 +539,15 @@ impl DispatchPlane {
         // timeout because a polling one made the doorbell look answered.
         self.shared.unpark_all();
         // A drainer that dies now pushes its replacement's handle before
-        // its own join returns, so the loop sees every one.
-        let mut stats = PlaneStats::default();
-        loop {
-            let handle = self.shared.handles.lock().pop();
-            let Some(handle) = handle else { break };
-            // A drainer that a panicking body unwound took its counts with
-            // it; its exit guard already handed back its claims and
-            // respawned its seat.
-            if let Ok(drainer) = handle.join() {
-                stats.merge(&drainer);
-            }
+        // its own join returns, so the loop sees every one; the lock is
+        // released before each join, so that push cannot block. A join
+        // that reports a panic needs nothing more: the drainer's exit
+        // guard ran during the unwind.
+        let next = || self.shared.handles.lock().pop();
+        while let Some(handle) = next() {
+            let _ = handle.join();
         }
+        let mut stats = *self.shared.account.lock();
         // Every drainer handed back its own claims on the way out. Finish
         // inline, with no scheduler, whatever is still flagged — slots the
         // drainers' last scheduled sweeps deferred, or a seat's work when
@@ -598,8 +572,6 @@ impl DispatchPlane {
                 break;
             }
         }
-        stats.drainer_restarts += self.shared.restarts.get();
-        stats.reclaimed += self.shared.reclaimed.get();
         // One final notification after the last drainer exits: whatever
         // the shutdown sweeps completed is now visible, and this thread
         // ran those sweeps, so it is the one to hand them on.
@@ -634,7 +606,8 @@ fn spawn_drainer(shared: &Arc<PlaneShared>, seat: usize, generation: u64) -> Sys
         seat,
         generation,
         ledger: shared.set.claim_ledger(),
-        spinner: Cell::new(false),
+        spinner: false,
+        stats: PlaneStats::default(),
         pin_core: shared
             .params
             .pin_drainers
@@ -646,12 +619,12 @@ fn spawn_drainer(shared: &Arc<PlaneShared>, seat: usize, generation: u64) -> Sys
         .spawn(move || {
             // Armed inside the thread: a spawn that fails must not run
             // the exit path of a drainer that never ran.
-            let guard = ExitGuard {
+            let mut guard = ExitGuard {
                 shared: shared_for_thread,
                 ctx,
             };
             guard.shared.sleepers.write()[seat] = Some(std::thread::current());
-            drainer_loop(&guard.shared, &guard.ctx)
+            drainer_loop(&guard.shared, &mut guard.ctx);
         })
         .map_err(|_| Errno::EAGAIN)?;
     shared.handles.lock().push(handle);
@@ -666,38 +639,41 @@ struct DrainerCtx {
     ledger: ClaimLedger,
     /// Whether this drainer holds the plane's spinner claim
     /// (`PlaneShared::spinning`).
-    spinner: Cell<bool>,
+    spinner: bool,
     pin_core: Option<usize>,
+    /// The work this drainer has done, handed to the plane's account by
+    /// its exit guard.
+    stats: PlaneStats,
 }
 
 impl DrainerCtx {
     /// Take the plane's spinner claim, or keep it if this drainer already
     /// holds it. `false` when another drainer holds it.
-    fn claim_spinner(&self, shared: &PlaneShared) -> bool {
-        if !self.spinner.get() {
-            let won = shared
+    fn claim_spinner(&mut self, shared: &PlaneShared) -> bool {
+        if !self.spinner {
+            self.spinner = shared
                 .spinning
                 .0
                 .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
                 .is_ok();
-            self.spinner.set(won);
         }
-        self.spinner.get()
+        self.spinner
     }
 
     /// Hand the spinner claim back if this drainer holds it. The caller
     /// fences before it next looks at the readiness bitmap: producers
     /// skipped the unpark while the claim stood.
-    fn release_spinner(&self, shared: &PlaneShared) {
-        if self.spinner.replace(false) {
+    fn release_spinner(&mut self, shared: &PlaneShared) {
+        if std::mem::take(&mut self.spinner) {
             shared.spinning.0.store(false, Ordering::Release);
         }
     }
 }
 
 /// A drainer thread's exit path. It drops however `drainer_loop` ends:
-/// the crash drill's return, a panic unwinding out of a visit, or the
-/// exit after the stop-time sweep.
+/// a panic unwinding out of a visit, the return after a sweep refused
+/// because the drainer's process exited, or the exit after the stop-time
+/// sweep.
 struct ExitGuard {
     shared: Arc<PlaneShared>,
     ctx: DrainerCtx,
@@ -709,28 +685,28 @@ impl Drop for ExitGuard {
         // Only this thread ever claimed into the ledger, and it is done:
         // whatever the ledger holds, the drainer died holding. Empty on a
         // clean exit.
-        let reclaimed = shared.set.reclaim(&self.ctx.ledger);
-        shared.reclaimed.add(reclaimed as u64);
+        self.ctx.stats.reclaimed = shared.set.reclaim(&self.ctx.ledger) as u64;
         // A drainer that dies inside a sweep its poll started still holds
         // the spinner claim; left standing, it would keep every later
         // doorbell from unparking anyone. The `wake` below sees it gone.
         self.ctx.release_spinner(shared);
-        if shared.stop.0.load(Ordering::Acquire) {
-            return;
-        }
         // A failed respawn (no process or thread to be had) leaves the
         // seat empty; the other seats, or the shutdown's inline sweep,
         // drain what it would have.
-        if spawn_drainer(shared, self.ctx.seat, self.ctx.generation + 1).is_ok() {
-            shared.restarts.incr();
+        let stopping = shared.stop.0.load(Ordering::Acquire);
+        self.ctx.stats.drainer_restarts = u64::from(
+            !stopping && spawn_drainer(shared, self.ctx.seat, self.ctx.generation + 1).is_ok(),
+        );
+        shared.account.lock().merge(&self.ctx.stats);
+        if !stopping {
+            // The reclaimed work, and any doorbell the claim silenced,
+            // must not wait for the next doorbell.
+            shared.wake();
         }
-        // The reclaimed work, and any doorbell the claim silenced, must
-        // not wait for the next doorbell.
-        shared.wake();
     }
 }
 
-fn drainer_loop(shared: &PlaneShared, ctx: &DrainerCtx) -> PlaneStats {
+fn drainer_loop(shared: &PlaneShared, ctx: &mut DrainerCtx) {
     if let Some(core) = ctx.pin_core {
         // Best-effort: a refused mask (container cpuset, non-Linux) just
         // leaves the drainer migratable, exactly as before pinning existed.
@@ -743,31 +719,11 @@ fn drainer_loop(shared: &PlaneShared, ctx: &DrainerCtx) -> PlaneStats {
     );
     let mut controller = PollController::default();
     let mut episode = IdleEpisode::default();
-    let mut stats = PlaneStats::default();
     let mut scratch = DrainScratch::default();
-    loop {
-        // The fault drill fires once per plane, so the respawned seat
-        // does not re-die. Until it has (or the plane stops), the other
-        // seats leave the ready set to drainer 0, and drainer 0 only ever
-        // claims to die: the drill fires on the first work there is, not
-        // whenever drainer 0 happens to win a race.
-        if shared.crash
-            && !shared.crash_fired.load(Ordering::Acquire)
-            && !shared.stop.0.load(Ordering::Acquire)
-        {
-            if ctx.seat == 0 && dies_mid_visit(shared, ctx) {
-                shared.crash_fired.store(true, Ordering::Release);
-                return stats;
-            }
-            std::thread::park_timeout(park_timeout);
-            continue;
-        }
-        // `Err` means the drainer's own process is gone (killed through
-        // the kernel): end this drainer, and its exit guard starts the
-        // seat over on a fresh one.
-        let Ok(drained) = sweep_once(shared, ctx, &mut scratch, &mut stats) else {
-            break;
-        };
+    // `Err` means the drainer's own process has exited (or is gone from
+    // the table): end this drainer, and its exit guard starts the seat
+    // over on a fresh one.
+    while let Ok(drained) = sweep_once(shared, ctx, &mut scratch) {
         // Progress = entries answered.
         if drained > 0 {
             episode.served += drained;
@@ -815,7 +771,7 @@ fn drainer_loop(shared: &PlaneShared, ctx: &DrainerCtx) -> PlaneStats {
             // A doorbell that raced the announcement, or flags on slots
             // no sweep can serve: only a sweep tells them apart. Whatever
             // is flagged after this one's claim has seen `idle > 0`.
-            let drained = sweep_once(shared, ctx, &mut scratch, &mut stats);
+            let drained = sweep_once(shared, ctx, &mut scratch);
             episode.served += drained.unwrap_or(0);
             rescued = drained != Ok(0);
         }
@@ -828,38 +784,15 @@ fn drainer_loop(shared: &PlaneShared, ctx: &DrainerCtx) -> PlaneStats {
         shared.idle.0.fetch_sub(1, Ordering::AcqRel);
         episode.arrival_gap = idle_from.elapsed();
     }
-    stats
-}
-
-/// The fault drill's death: make the sweep's claim, start the first visit
-/// and unwind out of it — the claimed bits in the ledger, the slot's drain
-/// flag held, exactly what a drainer killed mid-drain leaves behind.
-/// `false` when nothing was queued (the claim then returns normally: a
-/// crash that strands nothing exercises nothing).
-fn dies_mid_visit(shared: &PlaneShared, ctx: &DrainerCtx) -> bool {
-    // `resume_unwind` is a panic that skips the panic hook: the death is
-    // staged, so it prints nothing.
-    catch_unwind(AssertUnwindSafe(|| {
-        shared.set.claim_ready(&ctx.ledger, |slot, _tenant| {
-            shared.set.drain_claimed(slot, &ctx.ledger, |_, rings| {
-                if rings.sq.is_empty() {
-                    return false; // a stale bit: nothing here to strand
-                }
-                resume_unwind(Box::new("crash drill"))
-            });
-        })
-    }))
-    .is_err()
 }
 
 /// One sweep of the set on behalf of drainer `ctx`, through the
-/// drainer's own `scratch`, folded into `stats`; returns the entries it
-/// answered.
+/// drainer's own `scratch`, folded into the drainer's stats; returns the
+/// entries it answered.
 fn sweep_once(
     shared: &PlaneShared,
-    ctx: &DrainerCtx,
+    ctx: &mut DrainerCtx,
     scratch: &mut DrainScratch,
-    stats: &mut PlaneStats,
 ) -> SysResult<u64> {
     let report = shared.kernel.sweep_claimed(
         ctx.pid,
@@ -870,7 +803,7 @@ fn sweep_once(
         Flavor::Plane,
         scratch,
     )?;
-    stats.absorb(&report);
+    ctx.stats.absorb(&report);
     if report.drained > 0 {
         // Completions were pushed: hand them to the registered consumer
         // on this thread.
@@ -1191,23 +1124,8 @@ mod tests {
         // all charged under the drainers' sweeps. The drainer processes
         // carry the fixed costs.
         for i in 0..2 {
-            let drainer_ns = kernel
-                .procs
-                .with(
-                    kernel
-                        .procs
-                        .pids()
-                        .into_iter()
-                        .find(|p| {
-                            kernel
-                                .procs
-                                .with(*p, |proc_| proc_.name == format!("plane-drainer{i}"))
-                                .unwrap_or(false)
-                        })
-                        .expect("drainer process exists"),
-                    |p| p.cpu_time_ns,
-                )
-                .unwrap();
+            let drainer = pid_named(&kernel, &format!("plane-drainer{i}"));
+            let drainer_ns = kernel.procs.with(drainer, |p| p.cpu_time_ns).unwrap();
             assert!(drainer_ns > 0, "drainer {i} never charged a sweep");
         }
     }
@@ -1487,62 +1405,124 @@ mod tests {
         }
     }
 
+    /// Queue call `id` on `handle`'s slot and flag the slot, ringing no
+    /// doorbell: a parked drainer sleeps on.
+    fn submit_quietly(
+        plane: &DispatchPlane,
+        handle: &PlaneHandle,
+        incr: u32,
+        id: u64,
+        args: Vec<u8>,
+    ) {
+        let req = SmodCallReq {
+            session: handle.rings().session,
+            proc_id: incr,
+            user_data: id,
+            args: ArgRef::place_vec(args, None),
+        };
+        assert!(plane.shared.set.submit(handle.slot(), req).is_ok());
+    }
+
     #[test]
     fn crashed_drainer_is_reclaimed_respawned_and_no_entry_is_lost() {
-        const ENTRIES: u64 = 48;
+        // A drainer dies the way a real one does: a handler panics out of
+        // a visit. Its sweep claims slots A and B with one word swap and
+        // dies inside A's visit, with B's claim still in its ledger and
+        // A's drain flag held: only its exit guard can give them back.
+        const ROUND_TRIPS: u64 = 4;
+        const GOOD: u64 = 16;
+        const LATER: u64 = ROUND_TRIPS + GOOD;
         // The ledger is the sweep's, not the scheduler's: a plane with
         // no policy recovers exactly like one with.
         for qos in [None, Some(QosPolicy::weighted_fair([]))] {
-            let (k, _m, clients, incr) = kernel_with_clients(None, 1);
+            let (k, _m, clients, incr) = kernel_with_clients(None, 2);
             let plane = DispatchPlane::start(
                 Arc::new(k),
                 PlaneConfig {
                     drainers: 1,
+                    // Only the wake below, or the respawn, sweeps.
+                    park_timeout: Duration::from_secs(60),
                     qos: qos.clone(),
-                    crash: true,
                     ..PlaneConfig::default()
                 },
             )
             .unwrap();
-            let handle = plane.attach(clients[0]).unwrap();
-            // The lone drainer dies on the first submission it sees (the
-            // crash drill claims the ready bit and exits), so every reaped
-            // completion below proves its exit guard reclaimed the claim
-            // and respawned the seat.
-            let mut seen = vec![false; ENTRIES as usize];
-            let mut received = 0u64;
-            let mut sent = 0u64;
-            while received < ENTRIES {
-                if sent < ENTRIES
-                    && handle
-                        .submit(incr, sent, sent.to_le_bytes().to_vec())
-                        .is_ok()
-                {
-                    sent += 1;
-                }
-                while let Some(resp) = handle.reap() {
-                    assert!(resp.is_ok());
-                    let idx = resp.user_data as usize;
-                    assert!(!seen[idx], "entry {idx} completed twice ({qos:?})");
-                    seen[idx] = true;
-                    received += 1;
-                }
+            // A's bit sits below B's, so the sweep visits A first.
+            let a = plane.attach(clients[0]).unwrap();
+            let b = plane.attach(clients[1]).unwrap();
+            for i in 0..ROUND_TRIPS {
+                round_trip(&b, incr, i);
+            }
+            let shared = &plane.shared;
+            while shared.idle.0.load(Ordering::Acquire) == 0
+                || shared.spinning.0.load(Ordering::Acquire)
+            {
                 std::thread::yield_now();
             }
-            assert!(
-                plane.shared.crash_fired.load(Ordering::Acquire),
-                "the drill must have fired ({qos:?})"
+            // An empty argument block makes the fixture's body panic
+            // slicing its eight bytes.
+            submit_quietly(&plane, &a, incr, u64::MAX, Vec::new());
+            for id in ROUND_TRIPS..LATER {
+                submit_quietly(&plane, &b, incr, id, id.to_le_bytes().to_vec());
+            }
+            shared.unpark_all();
+            let mut good = Ledger::new(ROUND_TRIPS..LATER);
+            while good.answered < good.total() {
+                good.reap(&b, false);
+            }
+            // Served only if the guard cleared the drain flag A's visit
+            // died holding; FIFO puts the poison's answer, if any, first.
+            a.submit(incr, LATER, LATER.to_le_bytes().to_vec()).unwrap();
+            assert_eq!(
+                next_completion(&a).user_data,
+                LATER,
+                "the poison was answered ({qos:?})"
             );
-            drop(handle);
             let stats = plane.shutdown();
-            assert!(seen.iter().all(|&s| s), "an entry was lost ({qos:?})");
-            assert_eq!(stats.completed, ENTRIES);
             assert!(
-                stats.drainer_restarts >= 1,
-                "seat never respawned ({qos:?})"
+                a.reap().is_none() && b.reap().is_none(),
+                "an entry was answered twice ({qos:?})"
             );
+            assert_eq!(stats.drainer_restarts, 1, "{qos:?}");
             assert!(stats.reclaimed >= 1, "claim never reclaimed ({qos:?})");
+            // The dead drainer's round trips are in the account too.
+            assert_eq!(stats.completed, LATER + 1, "{qos:?}");
+            assert_eq!(stats.failed, 0, "{qos:?}");
         }
+    }
+
+    #[test]
+    fn an_exited_drainer_is_respawned_and_no_entry_is_lost() {
+        const CALLS: u64 = 200;
+        let (k, _m, clients, incr) = kernel_with_clients(None, 1);
+        let kernel = Arc::new(k);
+        let plane = DispatchPlane::start(
+            Arc::clone(&kernel),
+            PlaneConfig {
+                drainers: 1,
+                park_timeout: Duration::from_secs(60),
+                ..PlaneConfig::default()
+            },
+        )
+        .unwrap();
+        let handle = plane.attach(clients[0]).unwrap();
+        let mut first = Ledger::new(0..CALLS / 2);
+        stream(&handle, incr, &mut first, 1, 1, 0);
+        let drainer = pid_named(&kernel, "plane-drainer0");
+        kernel.sys_exit(drainer, 0).unwrap();
+        let cpu_time = |pid| kernel.procs.with(pid, |p| p.cpu_time_ns).unwrap();
+        let charged = cpu_time(drainer);
+        // The exited drainer's next sweep is refused, and its exit guard
+        // hands the seat to a fresh process.
+        let mut second = Ledger::new(CALLS / 2..CALLS);
+        stream(&handle, incr, &mut second, 1, 1, 0);
+        let respawned = pid_named(&kernel, "plane-drainer0r1");
+        assert!(kernel.procs.with(respawned, |p| p.is_alive()).unwrap());
+        assert_eq!(cpu_time(drainer), charged, "the exited drainer swept on");
+        let stats = plane.shutdown();
+        assert!(handle.reap().is_none(), "an entry was answered twice");
+        assert_eq!(stats.drainer_restarts, 1);
+        assert_eq!(stats.completed, CALLS);
     }
 
     /// Whether (unpinned) drainers started from this thread may poll.
@@ -1575,13 +1555,36 @@ mod tests {
         kernel.metrics.drainer_spin_hits.get() + kernel.metrics.drainer_spin_timeouts.get()
     }
 
+    /// The next answer on `handle`, waited for up to [`ANSWER_LIMIT`].
     fn next_completion(handle: &PlaneHandle) -> SmodCallResp {
+        let from = Instant::now();
         loop {
             match handle.reap() {
                 Some(resp) => break resp,
-                None => std::thread::yield_now(),
+                None => {
+                    assert!(
+                        from.elapsed() < ANSWER_LIMIT,
+                        "no answer for {ANSWER_LIMIT:?}"
+                    );
+                    std::thread::yield_now();
+                }
             }
         }
+    }
+
+    /// The pid of the kernel process called `name`.
+    fn pid_named(kernel: &Kernel, name: &str) -> Pid {
+        kernel
+            .procs
+            .pids()
+            .into_iter()
+            .find(|&p| {
+                kernel
+                    .procs
+                    .with(p, |proc_| proc_.name == name)
+                    .unwrap_or(false)
+            })
+            .unwrap_or_else(|| panic!("no process named {name}"))
     }
 
     /// One depth-1 round trip: submit, wait for the answer.
@@ -1772,7 +1775,7 @@ mod tests {
             // slicing its eight bytes: the drainer unwinds out of the
             // sweep its poll hit started, with the spinner claim in hand.
             handle.submit(incr, u64::MAX, Vec::new()).unwrap();
-            while plane.shared.restarts.get() < death {
+            while plane.shared.account.lock().drainer_restarts < death {
                 std::thread::yield_now();
             }
         }
@@ -1781,6 +1784,9 @@ mod tests {
         drop(handle);
         let stats = plane.shutdown();
         assert_eq!(stats.drainer_restarts, DEATHS);
+        // The dead drainers' work is in the account: every call but the
+        // fatal ones was answered.
+        assert_eq!(stats.completed, sent);
     }
 
     #[test]

@@ -46,8 +46,9 @@
 //! charged what its slots' visits added to the trap's report.
 
 use crate::batch::{DrainReport, DrainScratch};
+use crate::errno::Errno;
 use crate::kernel::Kernel;
-use crate::proc::Pid;
+use crate::proc::{Pid, Process};
 use crate::smod::{SessionState, TrapTally};
 use crate::SysResult;
 use secmod_obs::Flavor;
@@ -160,7 +161,11 @@ impl Kernel {
         flavor: Flavor,
         scratch: &mut DrainScratch,
     ) -> SysResult<DrainReport> {
-        self.procs.with(caller, |_| ())?; // the drainer must be a live process
+        // The drainer must be a live process: an exited one is a zombie
+        // that is still in the table.
+        if !self.procs.with(caller, Process::is_alive)? {
+            return Err(Errno::ESRCH);
+        }
         let mut tally = TrapTally::new(self.metrics.latency(flavor), 0);
         // One claimed slot's visit; `false` when the slot was busy or gone.
         // Budget leftovers (or a cq-full stall) re-flag the slot so the
@@ -223,7 +228,6 @@ mod tests {
     use super::*;
     use crate::batch::tests::{clients_on, kernel_with_clients, req, SlowGate, ALICE_KEY};
     use crate::batch::BATCH_CHUNK;
-    use crate::errno::Errno;
     use secmod_module::ModuleId;
     use secmod_policy::assertion::{Assertion, LicenseeExpr};
     use secmod_policy::Principal;
