@@ -4,10 +4,15 @@
 use crate::sha256::{Sha256, BLOCK_SIZE, DIGEST_SIZE};
 
 /// Incremental HMAC-SHA-256.
+///
+/// A fresh instance holds the key's schedule: the inner and the outer
+/// hash state, each past its padded key block. Cloning one keyed
+/// instance per message skips both key compressions, which is how a
+/// registered key is kept.
 #[derive(Clone)]
 pub struct HmacSha256 {
     inner: Sha256,
-    opad_key: [u8; BLOCK_SIZE],
+    outer: Sha256,
 }
 
 impl std::fmt::Debug for HmacSha256 {
@@ -36,10 +41,9 @@ impl HmacSha256 {
 
         let mut inner = Sha256::new();
         inner.update(&ipad);
-        HmacSha256 {
-            inner,
-            opad_key: opad,
-        }
+        let mut outer = Sha256::new();
+        outer.update(&opad);
+        HmacSha256 { inner, outer }
     }
 
     /// Absorb message data.
@@ -50,8 +54,7 @@ impl HmacSha256 {
     /// Finish and return the 32-byte tag.
     pub fn finalize(self) -> [u8; DIGEST_SIZE] {
         let inner_digest = self.inner.finalize();
-        let mut outer = Sha256::new();
-        outer.update(&self.opad_key);
+        let mut outer = self.outer;
         outer.update(&inner_digest);
         outer.finalize()
     }
@@ -136,6 +139,19 @@ mod tests {
     }
 
     proptest::proptest! {
+        #[test]
+        fn prop_a_scheduled_key_cloned_per_message_matches_mac(
+            key in proptest::collection::vec(0u8..=255, 0..=200),
+            msgs in proptest::collection::vec(
+                proptest::collection::vec(0u8..=255, 0..300), 1..16)) {
+            let scheduled = HmacSha256::new(&key);
+            for msg in &msgs {
+                let mut h = scheduled.clone();
+                h.update(msg);
+                proptest::prop_assert_eq!(h.finalize(), HmacSha256::mac(&key, msg));
+            }
+        }
+
         #[test]
         fn prop_mac_depends_on_key_and_message(
             key_a in proptest::collection::vec(0u8..=255, 1..64),

@@ -230,9 +230,11 @@ impl Sha256 {
 
 /// Hex-encode a byte slice (lower-case); small helper used across the workspace.
 pub fn to_hex(bytes: &[u8]) -> String {
+    const NIBBLES: &[u8; 16] = b"0123456789abcdef";
     let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        s.push_str(&format!("{b:02x}"));
+    for &b in bytes {
+        s.push(NIBBLES[usize::from(b >> 4)] as char);
+        s.push(NIBBLES[usize::from(b & 0xf)] as char);
     }
     s
 }
@@ -303,6 +305,9 @@ mod tests {
     fn to_hex_works() {
         assert_eq!(to_hex(&[0x00, 0xff, 0x10]), "00ff10");
         assert_eq!(to_hex(&[]), "");
+        let every: Vec<u8> = (0..=255).collect();
+        let expected: String = every.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(to_hex(&every), expected);
     }
 
     proptest::proptest! {

@@ -378,6 +378,14 @@ impl PlaneShared {
         self.unpark_all();
     }
 
+    /// Announce that the calling drainer is about to park: it counts in
+    /// `idle` until the returned mark drops, on its way back from the
+    /// park or when a handler panic in its rescue sweep unwinds past it.
+    fn announce_idle(&self) -> IdleMark<'_> {
+        self.idle.0.fetch_add(1, Ordering::AcqRel);
+        IdleMark(self)
+    }
+
     /// Unpark every drainer (on a running thread that is a stored permit,
     /// so overshooting is safe, just not free).
     fn unpark_all(&self) {
@@ -392,6 +400,17 @@ impl PlaneShared {
         if let Some(hook) = self.completion_hook.get() {
             hook();
         }
+    }
+}
+
+/// One drainer's count in `PlaneShared::idle`, given back on drop. A
+/// count left behind by a dead drainer would make every later doorbell
+/// pay `unpark_all`.
+struct IdleMark<'a>(&'a PlaneShared);
+
+impl Drop for IdleMark<'_> {
+    fn drop(&mut self) {
+        self.0.idle.0.fetch_sub(1, Ordering::AcqRel);
     }
 }
 
@@ -764,7 +783,7 @@ fn drainer_loop(shared: &PlaneShared, ctx: &mut DrainerCtx) {
         // one that will see the claim gone and `idle > 0`, and unpark us
         // (stored permit — a park after the unpark returns at once).
         ctx.release_spinner(shared);
-        shared.idle.0.fetch_add(1, Ordering::AcqRel);
+        let parking = shared.announce_idle();
         fence(Ordering::SeqCst);
         let mut rescued = false;
         if shared.set.any_ready() {
@@ -781,7 +800,7 @@ fn drainer_loop(shared: &PlaneShared, ctx: &mut DrainerCtx) {
             std::thread::park_timeout(park_timeout);
             shared.kernel.metrics.drainer_unparks.incr();
         }
-        shared.idle.0.fetch_sub(1, Ordering::AcqRel);
+        drop(parking);
         episode.arrival_gap = idle_from.elapsed();
     }
 }
@@ -1787,6 +1806,53 @@ mod tests {
         // The dead drainers' work is in the account: every call but the
         // fatal ones was answered.
         assert_eq!(stats.completed, sent);
+    }
+
+    #[test]
+    fn a_drainer_that_dies_in_its_rescue_sweep_gives_back_its_idle_count() {
+        // A drainer counts itself in `idle` before its last look at the
+        // bitmap, and sweeps what that look finds. A poison entry landing
+        // in that window panics the rescue sweep with the count taken; a
+        // count left behind would make every later doorbell unpark. Each
+        // respawn answers one round trip and then meets a poison entry,
+        // so some of the deaths land in the window.
+        const DEATHS: u64 = 300;
+        let (k, _m, clients, incr) = kernel_with_clients(None, 1);
+        let plane = DispatchPlane::start(
+            Arc::new(k),
+            PlaneConfig {
+                drainers: 1,
+                park_timeout: Duration::from_secs(60),
+                ..PlaneConfig::default()
+            },
+        )
+        .unwrap();
+        let handle = plane.attach(clients[0]).unwrap();
+        for death in 1..=DEATHS {
+            round_trip(&handle, incr, death);
+            // An empty argument block makes the fixture's body panic
+            // slicing its eight bytes.
+            handle.submit(incr, u64::MAX, Vec::new()).unwrap();
+            while plane.shared.account.lock().drainer_restarts < death {
+                std::thread::yield_now();
+            }
+        }
+        // The last respawn finds nothing to do and parks.
+        let idle = &plane.shared.idle.0;
+        let from = Instant::now();
+        while idle.load(Ordering::Acquire) == 0 {
+            assert!(from.elapsed() < ANSWER_LIMIT, "the drainer never parked");
+            std::thread::yield_now();
+        }
+        assert_eq!(
+            idle.load(Ordering::Acquire),
+            1,
+            "one parked drainer, after {DEATHS} deaths"
+        );
+        drop(handle);
+        let stats = plane.shutdown();
+        assert_eq!(stats.drainer_restarts, DEATHS);
+        assert_eq!(stats.completed, DEATHS);
     }
 
     #[test]

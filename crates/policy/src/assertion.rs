@@ -9,6 +9,7 @@ use crate::ast::Expr;
 use crate::parser::parse;
 use crate::principal::Principal;
 use crate::{PolicyError, Result};
+use secmod_crypto::ct_eq;
 use secmod_crypto::hmac::HmacSha256;
 
 /// A licensee expression: which principals (or combinations) are being
@@ -124,17 +125,26 @@ impl Assertion {
     /// Verify the signature with the claimed authorizer's key material.
     /// Policy assertions (no signature required) always verify.
     pub fn verify(&self, authorizer_key: &[u8]) -> Result<()> {
+        self.verify_keyed(&HmacSha256::new(authorizer_key))
+    }
+
+    /// [`Assertion::verify`] against a key already scheduled into an
+    /// HMAC instance, which is cloned, so the key's own compressions are
+    /// paid once per key rather than once per assertion.
+    pub(crate) fn verify_keyed(&self, authorizer_key: &HmacSha256) -> Result<()> {
         if self.authorizer.is_policy_root() {
             return Ok(());
         }
-        match self.signature {
-            Some(sig) if HmacSha256::verify(authorizer_key, &self.canonical_bytes(), &sig) => {
-                Ok(())
+        if let Some(sig) = self.signature {
+            let mut mac = authorizer_key.clone();
+            mac.update(&self.canonical_bytes());
+            if ct_eq(&mac.finalize(), &sig) {
+                return Ok(());
             }
-            _ => Err(PolicyError::BadSignature {
-                authorizer: self.authorizer.name.clone(),
-            }),
         }
+        Err(PolicyError::BadSignature {
+            authorizer: self.authorizer.name.clone(),
+        })
     }
 }
 

@@ -23,6 +23,7 @@ use crate::attr::Attributes;
 use crate::eval::{evaluate, MissingAttr};
 use crate::principal::Principal;
 use crate::Result;
+use secmod_crypto::hmac::HmacSha256;
 use std::collections::HashMap;
 
 /// The outcome of a compliance query.
@@ -52,8 +53,9 @@ impl Decision {
 #[derive(Clone, Debug, Default)]
 pub struct PolicyEngine {
     assertions: Vec<Assertion>,
-    /// fingerprint → key material for signature verification.
-    keys: HashMap<String, Vec<u8>>,
+    /// fingerprint → the principal's key, scheduled once at registration,
+    /// for signature verification.
+    keys: HashMap<String, HmacSha256>,
     /// How to treat attributes missing from the environment.
     pub missing_attr: MissingAttr,
     /// Monotone mutation counter: bumped by every state change that can
@@ -88,12 +90,13 @@ impl PolicyEngine {
     }
 
     /// Register a principal's key material so its assertions can be
-    /// signature-checked. Leaves [`PolicyEngine::revision`] alone: only
-    /// the assertions the key later admits change a decision, and adding
-    /// each of those bumps it.
+    /// signature-checked. The key is scheduled here, once: each assertion
+    /// it later checks starts from a copy of that schedule. Leaves
+    /// [`PolicyEngine::revision`] alone: only the assertions the key later
+    /// admits change a decision, and adding each of those bumps it.
     pub fn register_key(&mut self, principal: &Principal, key_material: &[u8]) {
         self.keys
-            .insert(principal.fingerprint.clone(), key_material.to_vec());
+            .insert(principal.fingerprint.clone(), HmacSha256::new(key_material));
     }
 
     /// Add an assertion.  Non-policy assertions must verify against the
@@ -106,7 +109,7 @@ impl PolicyEngine {
                 .ok_or_else(|| crate::PolicyError::BadSignature {
                     authorizer: assertion.authorizer.name.clone(),
                 })?;
-            assertion.verify(key)?;
+            assertion.verify_keyed(key)?;
         }
         let idx = self.assertions.len();
         if assertion.licensees.satisfied_by(&|_| false) {
@@ -398,10 +401,31 @@ mod tests {
             Assertion::delegation(vendor(), LicenseeExpr::Single(alice()), "true").unwrap();
         assert!(engine.add_assertion(unsigned).is_err());
 
-        let badly_signed = Assertion::delegation(vendor(), LicenseeExpr::Single(alice()), "true")
+        // Signed under another key, or altered after signing: each is
+        // refused by the one schedule `register_key` made.
+        let signed = Assertion::delegation(vendor(), LicenseeExpr::Single(alice()), "uid == 1")
+            .unwrap()
+            .sign(b"vendor-key");
+        let other_key = Assertion::delegation(vendor(), LicenseeExpr::Single(alice()), "uid == 1")
             .unwrap()
             .sign(b"not-the-vendor-key");
-        assert!(engine.add_assertion(badly_signed).is_err());
+        let mut conditions = signed.clone();
+        conditions.conditions = crate::parser::parse("true").unwrap();
+        let mut licensee = signed.clone();
+        licensee.licensees = LicenseeExpr::Single(bob());
+        for (case, badly_signed) in [
+            ("key", other_key),
+            ("conditions", conditions),
+            ("licensee", licensee),
+        ] {
+            assert!(
+                matches!(
+                    engine.add_assertion(badly_signed),
+                    Err(crate::PolicyError::BadSignature { ref authorizer }) if authorizer == "vendor"
+                ),
+                "a delegation with another {case} was admitted"
+            );
+        }
 
         // Unknown authorizer key.
         let unknown = Assertion::delegation(bob(), LicenseeExpr::Single(alice()), "true")
@@ -409,6 +433,8 @@ mod tests {
             .sign(b"bob-key");
         assert!(engine.add_assertion(unknown).is_err());
         assert_eq!(engine.len(), 0);
+        // The untouched original still verifies against the same schedule.
+        assert_eq!(engine.add_assertion(signed).unwrap(), 0);
     }
 
     #[test]

@@ -47,11 +47,19 @@
 //! pops the descriptor. Between alloc and free nobody else reads or
 //! writes the range, the same exclusivity argument the Vyukov ring
 //! makes for its slots.
+//!
+//! The bytes start uninitialised, so an arena commits memory only for
+//! the pages its payloads touch. No uninitialised byte is ever read:
+//! every [`ArenaSlot`] is born in `ArenaRegion::adopt`, which first
+//! writes exactly the slot's `len` bytes at its offset, and a slot is
+//! read only through `ArgArena::slice`, which covers exactly
+//! `[offset, offset + len)`.
 
 use crate::ring::CachePadded;
 use parking_lot::Mutex;
 use secmod_obs::ArenaMetrics;
 use std::cell::UnsafeCell;
+use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -88,8 +96,10 @@ struct FreeList(Mutex<Vec<u32>>);
 pub struct ArgArena {
     /// The byte region. Per-byte `UnsafeCell` because slots are written
     /// and read through `&self`; the alloc/free protocol provides
-    /// exclusivity per range.
-    bytes: Box<[UnsafeCell<u8>]>,
+    /// exclusivity per range. `MaybeUninit` because a byte is written
+    /// only when a payload first lands on it (see the module's safety
+    /// notes).
+    bytes: Box<[UnsafeCell<MaybeUninit<u8>>]>,
     /// Next never-allocated offset; blocks are carved from here when a
     /// size class's freelist is empty. Never rewinds.
     bump: CachePadded<AtomicU64>,
@@ -114,6 +124,12 @@ pub struct ArgArena {
 // and mutex-guarded freelists.
 unsafe impl Send for ArgArena {}
 unsafe impl Sync for ArgArena {}
+
+// The generation tags are built as `u32`s and read as `AtomicU32`s.
+const _: () = assert!(
+    std::mem::size_of::<AtomicU32>() == std::mem::size_of::<u32>()
+        && std::mem::align_of::<AtomicU32>() == std::mem::align_of::<u32>()
+);
 
 impl std::fmt::Debug for ArgArena {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -145,13 +161,37 @@ impl ArgArena {
             .next_power_of_two()
             .trailing_zeros() as usize
             + 1;
+        let bytes = Box::<[u8]>::new_uninit_slice(capacity);
+        // Zeroed by the allocator, so a large arena's tags are untouched
+        // pages until a block is carved over them.
+        let generations = vec![0u32; granules].into_boxed_slice();
         Arc::new(ArgArena {
-            bytes: (0..capacity).map(|_| UnsafeCell::new(0u8)).collect(),
+            // SAFETY: `UnsafeCell<T>` is `repr(transparent)` over `T`, so
+            // the slice keeps its length, layout and allocation.
+            bytes: unsafe {
+                Box::from_raw(Box::into_raw(bytes) as *mut [UnsafeCell<MaybeUninit<u8>>])
+            },
             bump: CachePadded(AtomicU64::new(0)),
             classes: (0..n_classes).map(|_| FreeList::default()).collect(),
-            generations: (0..granules).map(|_| AtomicU32::new(0)).collect(),
+            // SAFETY: `AtomicU32` has the size, alignment (asserted above)
+            // and bit validity of `u32`, and the box is the only owner of
+            // its allocation.
+            generations: unsafe { Box::from_raw(Box::into_raw(generations) as *mut [AtomicU32]) },
             metrics,
         })
+    }
+
+    /// A pointer to the `len` bytes at `offset`, derived from the whole
+    /// slice so it may address the range in one piece.
+    fn range_ptr(&self, offset: u32, len: usize) -> *mut u8 {
+        assert!(
+            (offset as usize).saturating_add(len) <= self.bytes.len(),
+            "arena range {offset}+{len} out of bounds"
+        );
+        // SAFETY: the assert keeps the offset pointer, and the range
+        // behind it, inside the one allocation.
+        let cell = unsafe { self.bytes.as_ptr().add(offset as usize) };
+        UnsafeCell::raw_get(cell).cast::<u8>()
     }
 
     /// Total bytes the arena can hold.
@@ -215,11 +255,15 @@ impl ArgArena {
         // SAFETY: the block at `offset` was popped from a freelist, carved
         // from the bump pointer or popped from a magazine by the caller —
         // in every case this thread is its only owner until the slot it
-        // becomes is dropped. The cells are one contiguous allocation, so
-        // offsetting from the range's first cell stays in bounds.
+        // becomes is dropped, and the block holds at least
+        // `payload.len()` bytes. `range_ptr` checked that the range lies
+        // in the region's one allocation.
         unsafe {
-            let base = self.bytes[offset as usize].get();
-            std::ptr::copy_nonoverlapping(payload.as_ptr(), base, payload.len());
+            std::ptr::copy_nonoverlapping(
+                payload.as_ptr(),
+                self.range_ptr(offset, payload.len()),
+                payload.len(),
+            );
         }
         gen
     }
@@ -231,9 +275,11 @@ impl ArgArena {
             return &[];
         }
         // SAFETY: the caller owns the slot covering this range; nobody
-        // else writes it until the slot is freed, and the cells are one
-        // contiguous in-bounds allocation.
-        unsafe { std::slice::from_raw_parts(self.bytes[offset as usize].get(), len as usize) }
+        // else writes it until the slot is freed. `adopt` wrote exactly
+        // these `len` bytes before the slot existed, so none is
+        // uninitialised, and `range_ptr` checked that the range lies in
+        // the region's one allocation.
+        unsafe { std::slice::from_raw_parts(self.range_ptr(offset, len as usize), len as usize) }
     }
 
     /// Return a slot's block to its freelist and bump the generation so

@@ -55,9 +55,11 @@
 //! exactly one thread between its sequence transitions, and [`arena`]
 //! slots make the same exclusive-owner argument over byte ranges handed
 //! out by the alloc/free protocol. The unsafe surface is confined to
-//! [`ring`]'s two four-line accessors and [`arena`]'s three — a
-//! per-slot mutex alternative measured ~2x slower per hand-off, which
-//! is exactly the margin the batched-dispatch acceptance bar lives on.
+//! [`ring`]'s two four-line accessors and [`arena`]'s three, plus the
+//! arena constructor's two casts that let its bytes start uninitialised
+//! and its generation tags start as zeroed pages — a per-slot mutex
+//! alternative measured ~2x slower per hand-off, which is exactly the
+//! margin the batched-dispatch acceptance bar lives on.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]

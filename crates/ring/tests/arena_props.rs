@@ -3,10 +3,13 @@
 //! overlap, every payload reads back intact, and once everything is
 //! dropped the arena accounts zero bytes in flight — the no-leak
 //! invariant the dispatch paths inherit through `ArenaSlot`'s RAII.
+//! The arena's bytes start uninitialised, so two more tests pin what
+//! that rests on: a slot reads only the bytes its own payload wrote, and
+//! building an arena commits no memory its payloads have not touched.
 
 use proptest::prelude::*;
 use proptest::{collection, prop_assert, prop_assert_eq, proptest};
-use secmod_ring::{ArenaRegion, ArenaSlot, ArgArena, ArgRef, INLINE_ARG_MAX};
+use secmod_ring::{ArenaRegion, ArenaSlot, ArgArena, ArgRef, INLINE_ARG_MAX, MAGAZINE_DEPTH};
 use std::sync::Arc;
 
 proptest! {
@@ -171,4 +174,77 @@ proptest! {
         }
         prop_assert_eq!(region.in_flight(), 0);
     }
+}
+
+#[test]
+fn a_recycled_block_reads_back_only_its_own_payload() {
+    // Each pair lands in one size class: the second payload reuses the
+    // block the first, longer one wrote, and must read back exactly
+    // itself, none of the first one's tail.
+    let pairs = [(64usize, 25usize), (128, 65), (4096, 2049), (65536, 32769)];
+    for magazine in [false, true] {
+        let metrics = Arc::new(secmod_obs::ArenaMetrics::new());
+        let arena = ArgArena::with_metrics(1 << 20, Arc::clone(&metrics));
+        let region = if magazine {
+            ArenaRegion::with_magazine(arena, 1 << 20, MAGAZINE_DEPTH)
+        } else {
+            ArenaRegion::new(arena, 1 << 20)
+        };
+        for (long, short) in pairs {
+            let case = format!("{long} B then {short} B, magazine {magazine}");
+            let first = region.alloc_with(&vec![0xEE; long]).expect(&case);
+            let (offset, _, _) = first.descriptor();
+            drop(first);
+            let payload: Vec<u8> = (0..short).map(|i| i as u8).collect();
+            let second = region.alloc_with(&payload).expect(&case);
+            assert_eq!(second.descriptor().0, offset, "{case}: block not reused");
+            assert_eq!(second.len(), short, "{case}");
+            assert_eq!(second.as_slice(), payload.as_slice(), "{case}");
+            assert!(second.is_current(), "{case}");
+        }
+        region.flush_magazine();
+        assert_eq!(region.in_flight(), 0, "magazine {magazine}");
+        assert_eq!(metrics.bytes_in_flight.get(), 0, "magazine {magazine}");
+        assert_eq!(
+            metrics.allocs.get(),
+            metrics.frees.get(),
+            "magazine {magazine}"
+        );
+    }
+}
+
+/// This process's resident set in KiB, or `None` where
+/// `/proc/self/status` has no `VmRSS` line.
+fn vm_rss_kib() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmRSS:"))?;
+    line.split_whitespace().nth(1)?.parse().ok()
+}
+
+#[test]
+fn building_a_large_arena_commits_only_what_its_payloads_touch() {
+    // A constructor that zero-fills the bytes fails this in debug builds.
+    // In release the optimiser may fold that fill into `calloc`, whose
+    // fresh pages are untouched too, so only the debug run tells the two
+    // apart.
+    const ARENA: usize = 256 << 20;
+    const LIMIT_KIB: u64 = 64 << 10;
+    let Some(before) = vm_rss_kib() else {
+        println!("skipped: no VmRSS in /proc/self/status on this platform");
+        return;
+    };
+    let arena = ArgArena::with_capacity(ARENA);
+    let region = ArenaRegion::new(Arc::clone(&arena), usize::MAX);
+    let slot = region
+        .alloc_with(&[7u8; 4096])
+        .expect("an empty arena has room");
+    assert_eq!(slot.as_slice(), &[7u8; 4096]);
+    let grown = vm_rss_kib()
+        .expect("VmRSS was readable")
+        .saturating_sub(before);
+    assert!(
+        grown < LIMIT_KIB,
+        "a {} MiB arena grew VmRSS by {grown} KiB",
+        ARENA >> 20
+    );
 }
