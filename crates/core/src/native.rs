@@ -4,23 +4,26 @@
 //! Figure 8's wall-clock rows price the call its simulated rows price, and
 //! they cross into it two ways. In-thread, the caller runs `sys_smod_call`
 //! itself. Cross-thread, [`CrossThread`] hands each call to a one-drainer
-//! [`DispatchPlane`]: submit one entry, then spin on `reap` until its
-//! completion arrives. Both end in the kernel's `call_entry`, under the
-//! same credential view, policy verdict and client/handle pair lock, so
-//! the crossing is all that differs between the two rows. The handle's
-//! body reaches the client heap through the shared pages
-//! (`HandleCtx::read` / `HandleCtx::write`) on either crossing.
-//! [`native_getpid`] is the baseline both are set against.
+//! [`DispatchPlane`]: submit one entry, then wait on a [`Doorbell`] that
+//! the drainer rings when it posts the completion. Both end in the
+//! kernel's `call_entry`, under the same credential view, policy verdict
+//! and client/handle pair lock, so the crossing is all that differs
+//! between the two rows. The handle's body reaches the client heap
+//! through the shared pages (`HandleCtx::read` / `HandleCtx::write`) on
+//! either crossing. [`native_getpid`] is the baseline both are set against.
 
 use crate::sim::SimWorld;
 use crate::Result;
-use secmod_kernel::{DispatchPlane, Errno, Pid, PlaneConfig, PlaneHandle};
+use secmod_kernel::doorbell::{room_to_poll, thread_cpus};
+use secmod_kernel::{DispatchPlane, Doorbell, Errno, Pid, PlaneConfig, PlaneHandle};
 use std::sync::Arc;
+use std::thread::ThreadId;
+use std::time::Duration;
 
-/// Empty polls of the completion ring before a caller starts yielding its
-/// CPU: tens of microseconds, well past an uncontended round trip, so only
-/// a caller that shares a CPU with the drainer it waits on ever yields.
-const SPIN_POLLS: u32 = 1 << 10;
+/// The caller's park backstop. Long, so that its timer is seldom the
+/// CPU's next one: on a 2-vCPU virtual machine a 1 ms backstop re-armed
+/// the timer on every park, about 2 µs of a 5 µs one-CPU crossing.
+const BACKSTOP: Duration = Duration::from_millis(100);
 
 /// The native `getpid()` baseline: a real system call on the host.
 pub fn native_getpid() -> u32 {
@@ -30,11 +33,21 @@ pub fn native_getpid() -> u32 {
 /// A depth-1 protected call across threads: one client's session attached
 /// to a one-drainer [`DispatchPlane`] on a [`SimWorld`]'s kernel. This is
 /// the benchmark's `plane_pingpong` round trip without its think time.
+///
+/// The caller waits through a one-seat [`Doorbell`] that the plane's
+/// completion hook rings. It spins only where it and the drainer have
+/// more than one CPU between them ([`room_to_poll`]); otherwise it parks,
+/// so on one CPU the drainer runs while the caller sleeps.
 #[derive(Debug)]
 pub struct CrossThread {
     // Declared first so the slot detaches before the plane shuts down.
     handle: PlaneHandle,
     _plane: DispatchPlane,
+    bell: Arc<Doorbell>,
+    /// The CPUs the (unpinned) drainer inherited from `start`'s thread.
+    drainer_cpus: affinity::CpuSet,
+    /// The thread in the doorbell's seat, and whether it may spin.
+    seated: Option<(ThreadId, bool)>,
 }
 
 impl CrossThread {
@@ -43,13 +56,19 @@ impl CrossThread {
     pub fn start(world: &SimWorld, client: Pid) -> Result<CrossThread> {
         let config = PlaneConfig::builder().drainers(1).slots(1).build();
         let plane = DispatchPlane::start(Arc::clone(&world.kernel), config)?;
+        let bell = Arc::new(Doorbell::new(1));
+        let ringer = Arc::clone(&bell);
+        plane.on_completions(Arc::new(move || ringer.ring()));
         Ok(CrossThread {
             handle: plane.attach(client)?,
             _plane: plane,
+            bell,
+            drainer_cpus: thread_cpus(),
+            seated: None,
         })
     }
 
-    /// Call `func_id` with `args` and spin until the answer arrives. A
+    /// Call `func_id` with `args` and wait until the answer arrives. A
     /// refusal comes back as the errno `sys_smod_call` would have returned.
     pub fn call(&mut self, func_id: u32, args: &[u8]) -> Result<Vec<u8>> {
         // `&mut self` keeps one call in flight, so the ring is never full
@@ -58,19 +77,25 @@ impl CrossThread {
         if !matches!(self.handle.submit_many(&[(func_id, 0, args)]), Ok(1)) {
             return Err(Errno::EAGAIN.into());
         }
-        let mut polls = 0;
-        loop {
-            if let Some(resp) = self.handle.reap() {
-                if resp.is_ok() {
-                    return Ok(resp.into_ret());
-                }
-                return Err(Errno::from_code(resp.errno).unwrap_or(Errno::EINVAL).into());
-            }
-            if polls < SPIN_POLLS {
-                polls += 1;
-                std::hint::spin_loop();
-            } else {
-                std::thread::yield_now();
+        let may_spin = self.sit_down();
+        let resp = self.bell.wait(may_spin, BACKSTOP, || self.handle.reap());
+        if resp.is_ok() {
+            return Ok(resp.into_ret());
+        }
+        Err(Errno::from_code(resp.errno).unwrap_or(Errno::EINVAL).into())
+    }
+
+    /// Seat the calling thread unless it sits already (a ring must never
+    /// unpark a thread the crossing left); `true` if it may spin.
+    fn sit_down(&mut self) -> bool {
+        let here = std::thread::current();
+        match self.seated {
+            Some((id, may_spin)) if id == here.id() => may_spin,
+            _ => {
+                let may_spin = room_to_poll(&thread_cpus(), &self.drainer_cpus);
+                self.seated = Some((here.id(), may_spin));
+                self.bell.seat(0, here);
+                may_spin
             }
         }
     }

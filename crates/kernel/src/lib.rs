@@ -43,6 +43,7 @@ pub mod clock;
 pub mod cost;
 pub mod cred;
 pub mod dispatch;
+pub mod doorbell;
 pub mod errno;
 pub mod kernel;
 pub mod plane;
@@ -58,6 +59,7 @@ pub use clock::SimClock;
 pub use cost::CostModel;
 pub use cred::Credential;
 pub use dispatch::{DispatchError, DispatchOutcome};
+pub use doorbell::Doorbell;
 pub use errno::Errno;
 pub use kernel::Kernel;
 pub use plane::{DispatchPlane, PlaneConfig, PlaneHandle, PlaneStats, SubmitBatch};

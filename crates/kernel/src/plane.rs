@@ -25,62 +25,45 @@
 //!
 //! ## Idle drainers: poll, then park
 //!
-//! A drainer whose sweep found the set empty has two ways to wait. It can
-//! **park** (`std::thread::park_timeout`), which costs the next producer
-//! a futex wake and the entry a wake-up latency, but lets a streaming
-//! producer's entries pile up into one sweep for free. Or it can **poll**
-//! [`RingSet::any_ready`] (a bitmap load, no trap) for a bounded window
-//! (`POLL_WINDOW`) and sweep the moment a bit appears, which costs the
-//! producer nothing and a core its idle time. A per-drainer
-//! `PollController` picks the regime from the traffic: several
-//! consecutive shallow idle episodes (a caller who waits for each answer)
-//! enter polling; one wasted window, or several arrivals in a row that
-//! the park would have batched anyway (a streaming producer), leave it.
-//! At most one drainer per plane polls at a time, and none does where it
-//! shares a single CPU with the thread that started the plane
-//! (`room_to_poll`) or after a sweep that left unserviceable slots
-//! flagged.
-//!
-//! The park itself uses the permit protocol (`park` + `unpark`) and a
-//! Dekker handshake: a producer sets its readiness bit and *then* looks
-//! for someone to wake (`PlaneShared::wake`); a drainer announces
-//! itself idle and *then* re-checks the bitmap, with a `SeqCst` fence
-//! between the two steps on both sides, so one of them always sees the
-//! other. The park timeout only paces retries on slots a sweep could not
-//! serve. Shutdown flags every slot once more and lets each drainer
-//! sweep the set dry before joining.
+//! A drainer whose sweep found the set empty either **parks**, which
+//! costs the next producer a futex wake but lets a streaming producer's
+//! entries pile up into one sweep for free, or **polls**
+//! [`RingSet::any_ready`] for a bounded window (`POLL_WINDOW`), which
+//! costs the producer nothing and a core its idle time. A per-drainer
+//! `PollController` picks the regime from the traffic. At most one
+//! drainer per plane polls at a time, and none where it shares a single
+//! CPU with the thread that started the plane (`room_to_poll`) or after a
+//! sweep that left unserviceable slots flagged. The wake and the park are
+//! the two halves of the plane's [`Doorbell`], whose doc holds the
+//! argument that no doorbell is lost.
 //!
 //! ## Multi-tenant planes, dead drainers
 //!
-//! Every drainer sweeps through its own [`ClaimLedger`]: the ready
-//! slots it claims stay recorded there until each one's visit has
-//! returned. A plane configured with a [`QosPolicy`]
-//! ([`PlaneConfigBuilder::qos`]) hosts sessions from many tenants:
-//! [`DispatchPlane::attach_tenant`] tags each attachment's ring-set slot
-//! with a [`TenantId`], and the shared [`SweepScheduler`] sits between
-//! claim and drain — it plans a weighted-fair split, the chosen slots are
-//! drained, the deferred ones released.
+//! A plane configured with a [`QosPolicy`] ([`PlaneConfigBuilder::qos`])
+//! hosts sessions from many tenants: [`DispatchPlane::attach_tenant`]
+//! tags each slot with a [`TenantId`], and the shared [`SweepScheduler`]
+//! plans a weighted-fair split between claim and drain.
 //!
-//! A drainer recovers its own seat, the way the kernel tears a process
-//! down on its exit path rather than on a timer. A drainer dies one of
-//! two ways: a handler panics out of a visit, or its kernel process
-//! exits, and its next sweep fails `ESRCH`. Either way the thread ends
-//! through its exit guard, which owns everything the drainer owns. The
-//! guard hands back whatever the ledger still holds claimed (the
-//! readiness bits go back to the set and the drain flag the drainer died
-//! holding is cleared, so no submitted entry is stranded), adds the
-//! drainer's work to the plane's account, and, unless the plane is
-//! stopping, spawns the seat's next drainer. Nothing watches a live
-//! drainer, so a long drain is never mistaken for a dead one.
+//! Every drainer sweeps through its own [`ClaimLedger`], and recovers its
+//! own seat, the way the kernel tears a process down on its exit path
+//! rather than on a timer. A drainer dies when a handler panics out of a
+//! visit, or when its kernel process exits and its next sweep fails
+//! `ESRCH`. Either way its exit guard hands back what the ledger still
+//! holds claimed, adds the drainer's work to the plane's account and,
+//! unless the plane is stopping, spawns the seat's next drainer. Nothing
+//! watches a live drainer, so a long drain is never mistaken for a dead
+//! one. Shutdown flags every slot once more and lets each drainer sweep
+//! the set dry before joining.
 
 use crate::batch::{DrainReport, DrainScratch};
 use crate::cred::Credential;
+use crate::doorbell::{room_to_poll, spin, thread_cpus, Doorbell, SpinnerClaim};
 use crate::errno::Errno;
 use crate::kernel::Kernel;
 use crate::proc::Pid;
 use crate::smod::SessionState;
 use crate::SysResult;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use secmod_obs::Flavor;
 use secmod_qos::{QosPolicy, SweepScheduler, TenantId};
 use secmod_ring::ring::CachePadded;
@@ -88,9 +71,9 @@ use secmod_ring::{
     ArgArena, ArgRef, ClaimLedger, RingPairConfig, RingSet, RingSlotId, SessionRings, SmodCallReq,
     SmodCallResp, SubmitError, SMOD_BATCH_DEFAULT_BUDGET,
 };
-use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::thread::{JoinHandle, Thread};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// How long a drainer in the polling regime watches the readiness bitmap
@@ -176,18 +159,16 @@ pub struct PlaneConfig {
     pub slots: usize,
     /// Ring pair sizing for each attached session.
     pub ring: RingPairConfig,
-    /// How long an idle drainer parks before re-checking the set (the
-    /// backstop for a lost unpark race; producers normally wake drainers
-    /// long before this expires).
+    /// How long an idle drainer parks before re-checking the set: the
+    /// pace of retries on slots a sweep could not serve.
     pub park_timeout: Duration,
     /// Pin drainer `i` to core `i % available_parallelism` via
     /// `sched_setaffinity`. Best-effort: platforms without affinity
     /// support run unpinned.
     pub pin_drainers: bool,
     /// Multi-tenant scheduling policy. `None` drains every claimed slot
-    /// in bitmap order (every registration lands in
-    /// [`TenantId::DEFAULT`]); `Some` puts the weighted-fair scheduler
-    /// between claim and drain.
+    /// in bitmap order; `Some` puts the weighted-fair scheduler between
+    /// claim and drain.
     pub qos: Option<QosPolicy>,
 }
 
@@ -300,8 +281,7 @@ impl PlaneStats {
     }
 }
 
-/// Per-drainer spawn parameters, reused when a dead drainer's exit guard
-/// respawns its seat.
+/// Per-drainer spawn parameters, reused by respawns.
 struct DrainerParams {
     park_timeout: Duration,
     pin_drainers: bool,
@@ -312,105 +292,45 @@ struct DrainerParams {
     starter_cpus: affinity::CpuSet,
 }
 
-/// The doorbell words — `stop`, `idle` and `spinning`, which every
-/// submission reads — sit on cache lines of their own, so a producer's
-/// loads miss only when the word itself changed, never because a drainer
-/// wrote something beside it.
+/// What a plane's drainers, producers and shutdown share. It derefs to
+/// the drainers' [`Doorbell`], one seat per drainer. `stop`, which every
+/// submission reads, sits on a cache line of its own, as the doorbell's
+/// words do.
 struct PlaneShared {
     kernel: Arc<Kernel>,
     set: Arc<RingSet>,
+    doorbell: Doorbell,
     stop: CachePadded<AtomicBool>,
-    /// Invoked by a drainer after any sweep that produced completions
-    /// (and once more at shutdown). The async frontend routes the posted
-    /// completions to their wakers from here, on the thread that posted
-    /// them. Set at most once, so reading it is one load and no lock.
+    /// See [`DispatchPlane::on_completions`].
     completion_hook: OnceLock<Arc<dyn Fn() + Send + Sync>>,
-    /// Drainer threads for unparking, one entry per seat. Sized at start;
-    /// each drainer installs itself before its first sweep, so a
-    /// replacement always lands after the drainer it replaces.
-    sleepers: RwLock<Vec<Option<Thread>>>,
-    /// How many drainers are (about to be) parked. Producers skip the
-    /// unpark entirely while it is 0 — the hot path's wake is then a
-    /// fence and two loads, not a futex op per submission. A drainer
-    /// increments, fences, and only then makes its final readiness check
-    /// (`drainer_loop`); a producer sets its bit, fences, and only then
-    /// loads this (`wake`). So a producer that observes 0 raced a
-    /// drainer that will still see its readiness bit.
-    idle: CachePadded<AtomicUsize>,
-    /// Set while one drainer polls the readiness bitmap instead of
-    /// parking. It is the claim that keeps a plane to one spinner, and it
-    /// tells producers that their bit will be seen without an unpark
-    /// even though the other drainers are parked. The spinner holds it
-    /// through the sweeps its poll hits start, since it sweeps again
-    /// before it parks, and clears it only on its way to park, under the
-    /// same handshake as `idle` — or in its exit guard, if it dies first.
-    spinning: CachePadded<AtomicBool>,
     /// The QoS scheduler, when the plane is multi-tenant.
     sched: Option<Arc<SweepScheduler>>,
-    /// Spawn parameters reused by respawns.
     params: DrainerParams,
-    /// Drainer join handles. Shared (not on `DispatchPlane`) so a dying
-    /// drainer can push its replacement's; drained at shutdown, where
-    /// joining a dying drainer waits out that push.
+    /// Drainer join handles, shared so a dying drainer can push its
+    /// replacement's.
     handles: Mutex<Vec<JoinHandle<()>>>,
-    /// The work of every drainer that has ended, with the claims it
-    /// handed back and the seat it respawned. Written once per drainer,
-    /// by its exit guard.
+    /// The work of every drainer that has ended, written by its exit
+    /// guard.
     account: Mutex<PlaneStats>,
     /// Kernel process charged for the shutdown's inline sweep.
     reaper_pid: Pid,
 }
 
+impl std::ops::Deref for PlaneShared {
+    type Target = Doorbell;
+
+    fn deref(&self) -> &Doorbell {
+        &self.doorbell
+    }
+}
+
 impl PlaneShared {
-    /// The producer's half of the doorbell, rung *after* the readiness
-    /// bit is set: wake the drainers unless one of them is certain to see
-    /// the bit by itself, because it is polling or has yet to make its
-    /// final check before parking.
-    fn wake(&self) {
-        // Dekker pair with `drainer_loop`: (set bit, fence, load flags)
-        // here against (store flags, fence, load bits) there. The bit is
-        // set with `Release` only, so the store-load order needs the
-        // fence on this side too.
-        fence(Ordering::SeqCst);
-        if self.spinning.0.load(Ordering::Relaxed) || self.idle.0.load(Ordering::Relaxed) == 0 {
-            return;
-        }
-        self.unpark_all();
-    }
-
-    /// Announce that the calling drainer is about to park: it counts in
-    /// `idle` until the returned mark drops, on its way back from the
-    /// park or when a handler panic in its rescue sweep unwinds past it.
-    fn announce_idle(&self) -> IdleMark<'_> {
-        self.idle.0.fetch_add(1, Ordering::AcqRel);
-        IdleMark(self)
-    }
-
-    /// Unpark every drainer (on a running thread that is a stored permit,
-    /// so overshooting is safe, just not free).
-    fn unpark_all(&self) {
-        for t in self.sleepers.read().iter().flatten() {
-            t.unpark();
-        }
-    }
-
     /// Tell the registered completion consumer (if any) that new
     /// completions were pushed.
     fn notify_completions(&self) {
         if let Some(hook) = self.completion_hook.get() {
             hook();
         }
-    }
-}
-
-/// One drainer's count in `PlaneShared::idle`, given back on drop. A
-/// count left behind by a dead drainer would make every later doorbell
-/// pay `unpark_all`.
-struct IdleMark<'a>(&'a PlaneShared);
-
-impl Drop for IdleMark<'_> {
-    fn drop(&mut self) {
-        self.0.idle.0.fetch_sub(1, Ordering::AcqRel);
     }
 }
 
@@ -425,7 +345,7 @@ pub struct DispatchPlane {
 impl std::fmt::Debug for DispatchPlane {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DispatchPlane")
-            .field("drainers", &self.shared.sleepers.read().len())
+            .field("drainers", &self.shared.seats())
             .field("attached", &self.shared.set.len())
             .field("multi_tenant", &self.shared.sched.is_some())
             .finish()
@@ -454,17 +374,15 @@ impl DispatchPlane {
             shared: Arc::new(PlaneShared {
                 kernel: Arc::clone(&kernel),
                 set,
+                doorbell: Doorbell::new(n),
                 stop: CachePadded(AtomicBool::new(false)),
                 completion_hook: OnceLock::new(),
-                sleepers: RwLock::new(vec![None; n]),
-                idle: CachePadded(AtomicUsize::new(0)),
-                spinning: CachePadded(AtomicBool::new(false)),
                 sched,
                 params: DrainerParams {
                     park_timeout: cfg.park_timeout,
                     pin_drainers: cfg.pin_drainers,
                     cores,
-                    starter_cpus: thread_cpus(cores),
+                    starter_cpus: thread_cpus(),
                 },
                 handles: Mutex::new(Vec::new()),
                 account: Mutex::new(PlaneStats::default()),
@@ -481,12 +399,10 @@ impl DispatchPlane {
         Ok(plane)
     }
 
-    /// Attach a client's established session: register its ring pair in
-    /// the plane's set and hand back the producer-side [`PlaneHandle`].
-    /// `EPERM` without a session, `EINVAL` before the handshake
-    /// completes, `ENOMEM` when every slot is taken. The attachment
-    /// lands in [`TenantId::DEFAULT`]; multi-tenant callers use
-    /// [`DispatchPlane::attach_tenant`].
+    /// Attach a client's established session in [`TenantId::DEFAULT`]
+    /// and hand back the producer-side [`PlaneHandle`]: `EPERM` without a
+    /// session, `EINVAL` before the handshake completes, `ENOMEM` when
+    /// every slot is taken.
     pub fn attach(&self, client: Pid) -> SysResult<PlaneHandle> {
         self.attach_tenant(client, TenantId::DEFAULT)
     }
@@ -513,21 +429,16 @@ impl DispatchPlane {
     }
 
     /// The plane's shared ring set, for callers that inspect or sweep it
-    /// directly (tests); producers go through
-    /// [`DispatchPlane::attach`].
+    /// directly; producers go through [`DispatchPlane::attach`].
     pub fn ring_set(&self) -> Arc<RingSet> {
         Arc::clone(&self.shared.set)
     }
 
-    /// Register the completion-notification hook: called by a drainer
-    /// after every sweep that pushed completions, and once more at
-    /// shutdown, on the thread that ran the last sweep. A plane takes one
-    /// hook for its whole life: the first call registers it and returns
-    /// `true`; every later call returns `false` and leaves the first hook
-    /// in place, so the drainers read it with one load and no lock. The
-    /// hook runs on drainer threads, several at once when there are
-    /// several drainers: it routes what was posted and must not block
-    /// beyond short mutex holds.
+    /// Register the plane's one completion hook, called on a drainer
+    /// thread after every sweep that pushed completions and once more at
+    /// shutdown. Only the first call registers (and returns `true`), so
+    /// drainers read the hook with one load and no lock. Several drainers
+    /// may run it at once; it must not block beyond short mutex holds.
     pub fn on_completions(&self, hook: Arc<dyn Fn() + Send + Sync>) -> bool {
         self.shared.completion_hook.set(hook).is_ok()
     }
@@ -554,24 +465,19 @@ impl DispatchPlane {
         self.joined = true;
         self.shared.stop.0.store(true, Ordering::Release);
         self.shared.set.mark_all_ready();
-        // Unconditionally: a parked drainer must not sleep out its
-        // timeout because a polling one made the doorbell look answered.
+        // Unconditionally: a ring skips the parked while a spinner polls.
         self.shared.unpark_all();
         // A drainer that dies now pushes its replacement's handle before
-        // its own join returns, so the loop sees every one; the lock is
-        // released before each join, so that push cannot block. A join
-        // that reports a panic needs nothing more: the drainer's exit
-        // guard ran during the unwind.
+        // its join returns, and the lock is released before each join, so
+        // the loop sees every drainer. A panicked one's exit guard has run.
         let next = || self.shared.handles.lock().pop();
         while let Some(handle) = next() {
             let _ = handle.join();
         }
         let mut stats = *self.shared.account.lock();
-        // Every drainer handed back its own claims on the way out. Finish
-        // inline, with no scheduler, whatever is still flagged — slots the
-        // drainers' last scheduled sweeps deferred, or a seat's work when
-        // its respawn failed — since no drainer remains to do it. These
-        // are the plane's sweeps, recorded as the drainers' are.
+        // Finish inline, with no scheduler, whatever is still flagged
+        // (slots a last scheduled sweep deferred, a seat whose respawn
+        // failed): no drainer remains to do it.
         let ledger = self.shared.set.claim_ledger();
         let mut scratch = DrainScratch::default();
         while self.shared.set.any_ready() {
@@ -591,9 +497,7 @@ impl DispatchPlane {
                 break;
             }
         }
-        // One final notification after the last drainer exits: whatever
-        // the shutdown sweeps completed is now visible, and this thread
-        // ran those sweeps, so it is the one to hand them on.
+        // This thread ran the last sweeps, so it hands their answers on.
         self.shared.notify_completions();
         stats
     }
@@ -625,7 +529,6 @@ fn spawn_drainer(shared: &Arc<PlaneShared>, seat: usize, generation: u64) -> Sys
         seat,
         generation,
         ledger: shared.set.claim_ledger(),
-        spinner: false,
         stats: PlaneStats::default(),
         pin_core: shared
             .params
@@ -642,7 +545,7 @@ fn spawn_drainer(shared: &Arc<PlaneShared>, seat: usize, generation: u64) -> Sys
                 shared: shared_for_thread,
                 ctx,
             };
-            guard.shared.sleepers.write()[seat] = Some(std::thread::current());
+            guard.shared.seat(seat, std::thread::current());
             drainer_loop(&guard.shared, &mut guard.ctx);
         })
         .map_err(|_| Errno::EAGAIN)?;
@@ -656,43 +559,17 @@ struct DrainerCtx {
     seat: usize,
     generation: u64,
     ledger: ClaimLedger,
-    /// Whether this drainer holds the plane's spinner claim
-    /// (`PlaneShared::spinning`).
-    spinner: bool,
     pin_core: Option<usize>,
     /// The work this drainer has done, handed to the plane's account by
     /// its exit guard.
     stats: PlaneStats,
 }
 
-impl DrainerCtx {
-    /// Take the plane's spinner claim, or keep it if this drainer already
-    /// holds it. `false` when another drainer holds it.
-    fn claim_spinner(&mut self, shared: &PlaneShared) -> bool {
-        if !self.spinner {
-            self.spinner = shared
-                .spinning
-                .0
-                .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
-                .is_ok();
-        }
-        self.spinner
-    }
-
-    /// Hand the spinner claim back if this drainer holds it. The caller
-    /// fences before it next looks at the readiness bitmap: producers
-    /// skipped the unpark while the claim stood.
-    fn release_spinner(&mut self, shared: &PlaneShared) {
-        if std::mem::take(&mut self.spinner) {
-            shared.spinning.0.store(false, Ordering::Release);
-        }
-    }
-}
-
 /// A drainer thread's exit path. It drops however `drainer_loop` ends:
 /// a panic unwinding out of a visit, the return after a sweep refused
 /// because the drainer's process exited, or the exit after the stop-time
-/// sweep.
+/// sweep. The loop's doorbell marks, its spinner claim and its idle
+/// count, are its locals: they are given back before the guard runs.
 struct ExitGuard {
     shared: Arc<PlaneShared>,
     ctx: DrainerCtx,
@@ -701,90 +578,74 @@ struct ExitGuard {
 impl Drop for ExitGuard {
     fn drop(&mut self) {
         let shared = &self.shared;
-        // Only this thread ever claimed into the ledger, and it is done:
-        // whatever the ledger holds, the drainer died holding. Empty on a
-        // clean exit.
+        // Whatever the ledger holds, the drainer died holding.
         self.ctx.stats.reclaimed = shared.set.reclaim(&self.ctx.ledger) as u64;
-        // A drainer that dies inside a sweep its poll started still holds
-        // the spinner claim; left standing, it would keep every later
-        // doorbell from unparking anyone. The `wake` below sees it gone.
-        self.ctx.release_spinner(shared);
-        // A failed respawn (no process or thread to be had) leaves the
-        // seat empty; the other seats, or the shutdown's inline sweep,
-        // drain what it would have.
+        // A failed respawn leaves the seat empty; the other seats, or the
+        // shutdown's inline sweep, drain what it would have.
         let stopping = shared.stop.0.load(Ordering::Acquire);
         self.ctx.stats.drainer_restarts = u64::from(
             !stopping && spawn_drainer(shared, self.ctx.seat, self.ctx.generation + 1).is_ok(),
         );
         shared.account.lock().merge(&self.ctx.stats);
         if !stopping {
-            // The reclaimed work, and any doorbell the claim silenced,
-            // must not wait for the next doorbell.
-            shared.wake();
+            // The reclaimed work, and any doorbell the dead drainer's
+            // spinner claim silenced, must not wait for the next doorbell.
+            shared.ring();
         }
     }
 }
 
 fn drainer_loop(shared: &PlaneShared, ctx: &mut DrainerCtx) {
     if let Some(core) = ctx.pin_core {
-        // Best-effort: a refused mask (container cpuset, non-Linux) just
-        // leaves the drainer migratable, exactly as before pinning existed.
+        // Best-effort: a refused mask leaves the drainer migratable.
         let _ = affinity::pin_to_core(core);
     }
     let park_timeout = shared.params.park_timeout;
-    let may_poll = room_to_poll(
-        &thread_cpus(shared.params.cores),
-        &shared.params.starter_cpus,
-    );
+    let may_poll = room_to_poll(&thread_cpus(), &shared.params.starter_cpus);
     let mut controller = PollController::default();
     let mut episode = IdleEpisode::default();
     let mut scratch = DrainScratch::default();
-    // `Err` means the drainer's own process has exited (or is gone from
-    // the table): end this drainer, and its exit guard starts the seat
-    // over on a fresh one.
+    // Held from the poll that takes it through the sweeps its hits start:
+    // producers go on skipping the unpark, and that is safe because this
+    // drainer sweeps again before it parks.
+    let mut spinner: Option<SpinnerClaim<'_>> = None;
+    // `Err` means the drainer's own process has exited: end this drainer,
+    // and its exit guard starts the seat over on a fresh one.
     while let Ok(drained) = sweep_once(shared, ctx, &mut scratch) {
-        // Progress = entries answered.
         if drained > 0 {
             episode.served += drained;
             continue;
         }
-        // Post-stop, a no-progress sweep means the set is as dry as it
-        // can get (the shutdown path force-flagged every slot first):
-        // exit even if unserviceable ready bits remain. (A scheduled
-        // sweep may still be *deferring* over-budget slots here; the
-        // shutdown path finishes those with its inline pass.)
+        // Post-stop, a no-progress sweep means the set is as dry as the
+        // drainers can get it; the shutdown's inline pass does the rest.
         if shared.stop.0.load(Ordering::Acquire) {
             break;
         }
-        // Idle. The episode that just ended tells the controller how to
-        // spend this one.
+        // Idle: the episode that just ended picks this one's regime.
         controller.observe(std::mem::take(&mut episode));
         let idle_from = Instant::now();
         // Bits still set after a sweep that drained nothing are on slots
-        // it could not serve (a producer stopped reaping and its full
-        // completion ring keeps its slot "ready"; a QoS sweep deferred a
-        // tenant): polling a bitmap that never clears would peg a core
-        // without serving anyone, so those go to the timed park.
-        if may_poll && controller.polling && !shared.set.any_ready() && ctx.claim_spinner(shared) {
-            if poll_ready(shared, idle_from) {
-                // Keep the claim through the sweep the hit starts:
-                // producers go on skipping the unpark, and that is safe
-                // because this drainer sweeps again before it parks.
-                shared.kernel.metrics.drainer_spin_hits.incr();
-                episode.arrival_gap = idle_from.elapsed();
-                continue;
+        // it could not serve (a full completion ring, a deferred tenant):
+        // polling them would peg a core, so those go to the timed park.
+        if may_poll && controller.polling && !shared.set.any_ready() {
+            spinner = spinner.or_else(|| shared.claim_spinner());
+            if spinner.is_some() {
+                let hit = spin(POLL_WINDOW, idle_from, || {
+                    (shared.set.any_ready() || shared.stop.0.load(Ordering::Acquire)).then_some(())
+                });
+                if hit.is_some() {
+                    shared.kernel.metrics.drainer_spin_hits.incr();
+                    episode.arrival_gap = idle_from.elapsed();
+                    continue;
+                }
+                shared.kernel.metrics.drainer_spin_timeouts.incr();
+                episode.timed_out = true;
             }
-            shared.kernel.metrics.drainer_spin_timeouts.incr();
-            episode.timed_out = true;
         }
-        // Give the claim back (if held) and announce the park, *then*
-        // look once more (the drainer's half of the handshake in
-        // `PlaneShared::wake`): a producer whose bit this look misses is
-        // one that will see the claim gone and `idle > 0`, and unpark us
-        // (stored permit — a park after the unpark returns at once).
-        ctx.release_spinner(shared);
-        let parking = shared.announce_idle();
-        fence(Ordering::SeqCst);
+        // The doorbell's waiter half: give the claim back, announce, look
+        // once more (the rescue sweep), park.
+        spinner = None;
+        let parking = shared.announce();
         let mut rescued = false;
         if shared.set.any_ready() {
             // A doorbell that raced the announcement, or flags on slots
@@ -805,9 +666,8 @@ fn drainer_loop(shared: &PlaneShared, ctx: &mut DrainerCtx) {
     }
 }
 
-/// One sweep of the set on behalf of drainer `ctx`, through the
-/// drainer's own `scratch`, folded into the drainer's stats; returns the
-/// entries it answered.
+/// One sweep of the set on behalf of drainer `ctx`, folded into its
+/// stats; returns the entries it answered.
 fn sweep_once(
     shared: &PlaneShared,
     ctx: &mut DrainerCtx,
@@ -824,57 +684,13 @@ fn sweep_once(
     )?;
     ctx.stats.absorb(&report);
     if report.drained > 0 {
-        // Completions were pushed: hand them to the registered consumer
-        // on this thread.
         shared.notify_completions();
     }
     Ok(report.drained as u64)
 }
 
-/// The CPUs the calling thread may run on; where the platform does not
-/// tell, the first `cores` of them.
-fn thread_cpus(cores: usize) -> affinity::CpuSet {
-    affinity::get_thread_affinity().unwrap_or_else(|_| {
-        let mut cpus = affinity::CpuSet::empty();
-        for cpu in 0..cores.min(affinity::MAX_CPUS) {
-            let _ = cpus.add(cpu);
-        }
-        cpus
-    })
-}
-
-/// Never poll on one CPU: a drainer confined to `mine` may poll for
-/// producers confined to `theirs` only if the two sets together hold more
-/// than one CPU, or the poll keeps the producer it waits for off the CPU.
-/// A drainer reads its own set after its pin, so a starter pinned to one
-/// CPU leaves room exactly when the drainers pin themselves elsewhere
-/// (`PlaneConfig::pin_drainers`); unpinned, they inherit its one CPU.
-fn room_to_poll(mine: &affinity::CpuSet, theirs: &affinity::CpuSet) -> bool {
-    (0..affinity::MAX_CPUS)
-        .filter(|&cpu| mine.contains(cpu) || theirs.contains(cpu))
-        .nth(1)
-        .is_some()
-}
-
-/// Watch the readiness bitmap from `from` for up to [`POLL_WINDOW`].
-/// `true` the moment a bit (or the stop flag) shows, `false` when the
-/// window closes.
-fn poll_ready(shared: &PlaneShared, from: Instant) -> bool {
-    loop {
-        if shared.set.any_ready() || shared.stop.0.load(Ordering::Acquire) {
-            return true;
-        }
-        if from.elapsed() >= POLL_WINDOW {
-            return false;
-        }
-        std::hint::spin_loop();
-    }
-}
-
 /// A producer's attachment to the plane: submit and reap without ever
-/// trapping. Dropping the handle detaches the slot from the set (any
-/// unreaped completions are dropped with the rings once the last `Arc`
-/// goes away).
+/// trapping. Dropping the handle detaches the slot from the set.
 pub struct PlaneHandle {
     shared: Arc<PlaneShared>,
     slot: RingSlotId,
@@ -891,30 +707,18 @@ impl std::fmt::Debug for PlaneHandle {
 }
 
 impl PlaneHandle {
-    /// Submit one call: push into the submission ring (the session id is
-    /// filled in from the attachment), flag readiness, and wake a
-    /// drainer.
-    ///
-    /// The backpressure contract: [`SubmitError::Full`] means the
-    /// submission ring has no free slot *right now*, but the slot is
-    /// already flagged and the drainers are awake, so space is guaranteed
-    /// to reappear as the in-flight entries complete — reap, yield and
-    /// retry. [`SubmitError::Detached`] means the plane has shut down:
-    /// no drainer will ever run again and retrying is useless.
-    ///
-    /// This is a one-entry [`SubmitBatch`]: the push, and the doorbell
-    /// when the batch drops.
+    /// Submit one call: a one-entry [`SubmitBatch`]. The backpressure
+    /// contract: [`SubmitError::Full`] means the submission ring has no
+    /// free slot *right now*, but the slot is flagged and the drainers are
+    /// awake, so space reappears as the in-flight entries complete: reap,
+    /// yield and retry. [`SubmitError::Detached`] means the plane has shut
+    /// down and retrying is useless.
     pub fn submit(&self, proc_id: u32, user_data: u64, args: Vec<u8>) -> Result<(), SubmitError> {
         self.batch().push(proc_id, user_data, args)
     }
 
-    /// Begin a coalesced submission batch. Entries pushed through the
-    /// returned guard land in the submission ring immediately, but the
-    /// doorbell — the readiness bit plus the drainer unpark — rings once
-    /// per batch instead of once per entry: at [`SubmitBatch::flush`],
-    /// when the guard drops, or on the first bounce. A parked drainer is
-    /// woken at most once per flush, so a producer batching N entries
-    /// pays one `mark_ready` + one `unpark` where N calls to
+    /// Begin a coalesced submission batch: N entries pay one readiness
+    /// bit and at most one unpark, where N calls to
     /// [`PlaneHandle::submit`] paid N of each.
     pub fn batch(&self) -> SubmitBatch<'_> {
         SubmitBatch {
@@ -924,15 +728,11 @@ impl PlaneHandle {
     }
 
     /// Submit `calls` (`(proc_id, user_data, args)`) with a single
-    /// doorbell, returning how many entries were accepted.
-    ///
-    /// `Ok(n)` with `n < calls.len()` means entry `n` bounced off a full
-    /// submission ring: the doorbell has already rung for the accepted
-    /// prefix (the `Full` contract — space reappears as they complete),
-    /// so reap and retry `calls[n..]`. Exactly one `ring_full_bounces`
-    /// tick is recorded per bounce event, not per unsubmitted entry.
-    /// `Err` is only ever [`SubmitError::Detached`]: the plane has shut
-    /// down and the remaining entries will never be accepted.
+    /// doorbell, returning how many entries were accepted. `Ok(n)` with
+    /// `n < calls.len()` means entry `n` bounced off a full submission
+    /// ring (one `ring_full_bounces` tick) after the doorbell rang for the
+    /// accepted prefix: reap and retry `calls[n..]`. `Err` is only ever
+    /// [`SubmitError::Detached`].
     pub fn submit_many(&self, calls: &[(u32, u64, &[u8])]) -> Result<usize, SubmitError> {
         let mut batch = self.batch();
         for (accepted, (proc_id, user_data, args)) in calls.iter().enumerate() {
@@ -948,9 +748,8 @@ impl PlaneHandle {
         Ok(calls.len())
     }
 
-    /// Pop one completion, if any. Records nothing: the drainer already
-    /// put the entry's cost in the plane-flavor histogram when it
-    /// computed it, so a reap touches no line but the ring's.
+    /// Pop one completion, if any. Records nothing (the drainer already
+    /// did), so a reap touches no line but the ring's.
     pub fn reap(&self) -> Option<SmodCallResp> {
         self.rings.cq.pop()
     }
@@ -985,50 +784,29 @@ impl Drop for PlaneHandle {
 }
 
 /// A producer-local submission batch (see [`PlaneHandle::batch`]): pushes
-/// go straight into the submission ring, the doorbell rings once.
-///
-/// The flush guarantee: every accepted entry is made visible to the
-/// drainers no later than the guard's drop — a batch can delay the
-/// doorbell, never lose it. Bounces flush eagerly so the standard `Full`
-/// contract (slot flagged, drainer awake, space guaranteed to reappear)
-/// holds at the moment the caller sees the error.
+/// go straight into the submission ring, and the doorbell rings at
+/// [`SubmitBatch::flush`], at the guard's drop, or at the first bounce. A
+/// batch can delay the doorbell, never lose it.
+#[derive(Debug)]
 pub struct SubmitBatch<'a> {
     handle: &'a PlaneHandle,
     /// Entries pushed since the last doorbell.
     pending: usize,
 }
 
-impl std::fmt::Debug for SubmitBatch<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SubmitBatch")
-            .field("slot", &self.handle.slot)
-            .field("pending", &self.pending)
-            .finish()
-    }
-}
-
 impl SubmitBatch<'_> {
     /// Push one call into the submission ring *without* ringing the
-    /// doorbell; the session id is filled in from the attachment. Large
-    /// payloads go through the session's arena region (when the plane
-    /// has one): the ring slot then carries a 12-byte descriptor and the
-    /// kernel reads the bytes in place. Quota exhaustion falls back to
-    /// by-value transparently.
-    ///
-    /// On [`SubmitError::Full`] the accepted prefix is flushed first
-    /// (drainers are already making space when the caller sees the
-    /// bounce) and one `ring_full_bounces` tick is recorded. On
-    /// [`SubmitError::Detached`] the prefix is also flushed — the
-    /// shutdown sweep drains whatever was accepted.
+    /// doorbell. Large payloads go through the session's arena region,
+    /// and fall back to by-value when its quota is spent. On either
+    /// [`SubmitError`] the accepted prefix is flushed first, and a `Full`
+    /// bounce records one `ring_full_bounces` tick.
     pub fn push(&mut self, proc_id: u32, user_data: u64, args: Vec<u8>) -> Result<(), SubmitError> {
         let args = ArgRef::place_vec(args, self.handle.rings.arena.as_ref());
         self.push_ref(proc_id, user_data, args)
     }
 
-    /// [`SubmitBatch::push`] of an already placed argument block — what
-    /// the callers that start from a borrowed slice use, so the bytes go
-    /// from the slice into the ring entry (or the arena) with no owned
-    /// copy in between.
+    /// [`SubmitBatch::push`] of an already placed argument block, so a
+    /// borrowed slice reaches the ring (or the arena) with no owned copy.
     fn push_ref(&mut self, proc_id: u32, user_data: u64, args: ArgRef) -> Result<(), SubmitError> {
         let req = SmodCallReq {
             session: self.handle.rings.session,
@@ -1050,7 +828,7 @@ impl SubmitBatch<'_> {
                 // being full means in-flight work this drain will clear.
                 self.pending = 0;
                 self.handle.shared.set.mark_ready(self.handle.slot);
-                self.handle.shared.wake();
+                self.handle.shared.ring();
                 self.handle.shared.kernel.metrics.ring_full_bounces.incr();
                 Err(SubmitError::Full(req))
             }
@@ -1069,7 +847,7 @@ impl SubmitBatch<'_> {
         let n = std::mem::take(&mut self.pending);
         if n > 0 {
             self.handle.shared.set.mark_ready(self.handle.slot);
-            self.handle.shared.wake();
+            self.handle.shared.ring();
         }
         n
     }
@@ -1085,6 +863,7 @@ impl Drop for SubmitBatch<'_> {
 mod tests {
     use super::*;
     use crate::batch::tests::kernel_with_clients;
+    use std::sync::atomic::AtomicUsize;
 
     fn plane_fixture(
         n_clients: usize,
@@ -1546,7 +1325,7 @@ mod tests {
 
     /// Whether (unpinned) drainers started from this thread may poll.
     fn host_can_poll() -> bool {
-        let here = thread_cpus(std::thread::available_parallelism().map_or(1, |n| n.get()));
+        let here = thread_cpus();
         room_to_poll(&here, &here)
     }
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Public functions nothing calls: the orphan count per crate.
 #
-# Usage: scripts/surface.sh
+# Usage: scripts/surface.sh [--no-tests]
 #
 # The rule is "every public item has a caller". A `pub fn` defined in a
 # file under crates/*/src is an orphan when its name appears, as a whole
@@ -13,12 +13,45 @@
 # some other file spells is never counted; it undercounts, and never
 # counts a used function.
 #
+# --no-tests counts only non-test code as a caller: each tracked `.rs`
+# file under crates/*/src, src/, benchmark/src and examples/, up to its
+# first `#[cfg(test)]`. A test is not a client, so a name this mode lists
+# is one that only tests call (or nobody).
+#
 # Prints one `<count> crates/<name>` line per crate that has orphans, each
 # followed by its orphans as `  <name>  <file>`, then the total of
 # distinct names. Gates nothing.
 set -euo pipefail
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 cd "$root"
+
+no_tests=false
+case "${1:-}" in
+    "") ;;
+    --no-tests) no_tests=true ;;
+    *) echo "surface.sh: unknown argument $1" >&2; exit 2 ;;
+esac
+
+# The files other than `$1` that name `$2`: any tracked `.rs` file, or
+# with --no-tests the non-test part of the caller files copied to $cut.
+callers() {
+    if $no_tests; then
+        (cd "$cut" && grep -rlw -e "$2" . | sed 's|^\./||')
+    else
+        git grep -lw -e "$2" -- '*.rs'
+    fi | grep -vxF "$1" || true
+}
+
+if $no_tests; then
+    cut="$(mktemp -d)"
+    trap 'rm -rf "$cut"' EXIT
+    git ls-files -- 'crates/*/src/*.rs' 'crates/*/src/**/*.rs' 'src/*.rs' 'src/**/*.rs' \
+        'benchmark/src/*.rs' 'benchmark/src/**/*.rs' 'examples/*.rs' 'examples/**/*.rs' |
+        while IFS= read -r f; do
+            mkdir -p "$cut/$(dirname "$f")"
+            sed '/#\[cfg(test)\]/q' "$f" >"$cut/$f"
+        done
+fi
 
 # `<file> <name>` for every `pub fn` definition under crates/*/src.
 defs="$(git grep -oE '\bpub fn [A-Za-z_][A-Za-z_0-9]*' -- 'crates/*/src/*.rs' 'crates/*/src/**/*.rs' |
@@ -27,8 +60,7 @@ defs="$(git grep -oE '\bpub fn [A-Za-z_][A-Za-z_0-9]*' -- 'crates/*/src/*.rs' 'c
 orphans=""
 while read -r file name; do
     [ -n "$file" ] || continue
-    others="$(git grep -lw -e "$name" -- '*.rs' | grep -vxF "$file" || true)"
-    [ -n "$others" ] || orphans+="$file $name"$'\n'
+    [ -n "$(callers "$file" "$name")" ] || orphans+="$file $name"$'\n'
 done <<<"$defs"
 
 for src in crates/*/src; do
