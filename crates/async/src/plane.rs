@@ -424,13 +424,12 @@ mod tests {
         let kernel = Arc::new(k);
         let plane = AsyncPlane::start(
             Arc::clone(&kernel),
-            PlaneConfig {
-                ring: secmod_ring::RingPairConfig {
+            PlaneConfig::builder()
+                .ring(secmod_ring::RingPairConfig {
                     submission: 4,
                     completion: 64,
-                },
-                ..PlaneConfig::default()
-            },
+                })
+                .build(),
         )
         .unwrap();
         let session = plane.session(clients[0]).unwrap();

@@ -119,6 +119,7 @@ impl<'k> SimDriver<'k> {
         &self.set
     }
 
+    // surface: one sweep and one route, so a test polling by hand sees what one sweep wakes
     /// One explicit turn of the crank: a single `sys_smod_sweep` over
     /// every ready session followed by a single routing pass, returning
     /// `(entries drained, completions routed)`.

@@ -339,12 +339,16 @@ mod tests {
     use super::*;
     use std::sync::Mutex;
 
-    /// Held by each test that runs the wall-clock rows: two of them at
-    /// once on a small host would time each other's spinning crossings.
+    /// Held by each test that runs a table: two of them at once on a
+    /// small host would time each other's spinning crossings, and a
+    /// simulated run's CPU time is taken from a wall-clock one.
     static HOST_CLOCK: Mutex<()> = Mutex::new(());
 
     #[test]
     fn simulated_rows_reproduce_the_papers_shape() {
+        let _host = HOST_CLOCK
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
         let config = TrialConfig {
             calls_per_trial: 200,
             rpc_calls_per_trial: 50,

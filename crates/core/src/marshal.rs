@@ -19,6 +19,7 @@ impl ArgWriter {
         ArgWriter::default()
     }
 
+    // surface: §3's stack-passing marshalling, which ArgReader reads; only tests marshal by hand
     /// Push a 64-bit unsigned value.
     pub fn push_u64(mut self, v: u64) -> ArgWriter {
         self.buf.extend_from_slice(&v.to_le_bytes());

@@ -94,6 +94,7 @@ impl SimWorld {
         Ok(id)
     }
 
+    // surface: the registrar's sys_smod_remove, which ends a module's life; only tests reach it
     /// Remove a module (`sys_smod_remove`, performed by the registrar).
     pub fn uninstall(&mut self, name: &str) -> Result<()> {
         let id = *self
@@ -200,6 +201,7 @@ impl SimWorld {
         Ok(child)
     }
 
+    // surface: a client's detach, which ends a session's life; only tests reach it
     /// Disconnect a client (kills its handle, removes the session).
     pub fn disconnect(&mut self, client: Pid) -> Result<()> {
         self.kernel.smod_detach(client, "client disconnect")?;

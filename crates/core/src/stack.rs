@@ -54,12 +54,14 @@ impl SharedStack {
         self.words.len()
     }
 
+    // surface: a step of Figure 3's stack discipline, which only tests walk
     /// Step (1a): the client pushes the real arguments for `f_i` exactly as
     /// it would for an ordinary call.
     pub fn push_args(&mut self, args: &[Word]) {
         self.words.extend_from_slice(args);
     }
 
+    // surface: a step of Figure 3's stack discipline, which only tests walk
     /// Step (1b): the client-side assembly stub pushes the identification
     /// words the kernel needs.  Returns the stack depth *before* the stub
     /// frame, which the handle side uses to find the first real argument.
@@ -72,6 +74,7 @@ impl SharedStack {
         base
     }
 
+    // surface: a step of Figure 3's stack discipline, which only tests walk
     /// Step (2): the kernel's view — the top four words must be the stub
     /// frame.
     pub fn kernel_view(&self) -> Result<StubFrame> {
@@ -89,6 +92,7 @@ impl SharedStack {
         })
     }
 
+    // surface: a step of Figure 3's stack discipline, which only tests walk
     /// Step (3): `smod_stub_receive()` pops every word above the first real
     /// argument, leaving the callee with a perfectly normal argument stack.
     /// Returns the popped stub frame so it can be restored later.
@@ -104,6 +108,7 @@ impl SharedStack {
         Ok(frame)
     }
 
+    // surface: a step of Figure 3's stack discipline, which only tests walk
     /// The callee's view of its arguments (everything from `arg_base` up).
     pub fn callee_args(&self, arg_base: usize, count: usize) -> Result<Vec<Word>> {
         if arg_base + count > self.words.len() {
@@ -114,12 +119,14 @@ impl SharedStack {
         Ok(self.words[arg_base..arg_base + count].to_vec())
     }
 
+    // surface: a step of Figure 3's stack discipline, which only tests walk
     /// Step (4): before returning, `smod_stub_receive()` replaces "the exact
     /// same arguments that the client stub routine had seen".
     pub fn restore_stub_frame(&mut self, frame: StubFrame) -> usize {
         self.push_stub_frame(frame)
     }
 
+    // surface: a step of Figure 3's stack discipline, which only tests walk
     /// After the client stub returns, it pops its own frame and the
     /// arguments, leaving the stack as it was before the call.
     pub fn client_unwind(&mut self, stub_base: usize, arg_count: usize) -> Result<()> {

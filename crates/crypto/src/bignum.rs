@@ -127,7 +127,7 @@ impl BigUint {
     }
 
     /// Is the low bit set?
-    pub fn is_odd(&self) -> bool {
+    pub(crate) fn is_odd(&self) -> bool {
         self.limbs.first().map(|l| l & 1 == 1).unwrap_or(false)
     }
 

@@ -70,6 +70,7 @@ impl KeyStore {
         }
     }
 
+    // surface: §4.4's host key, which import_wrapped unwraps module keys under; only tests set one
     /// Install the host system's RSA private key, enabling
     /// [`KeyStore::import_wrapped`].
     pub fn set_host_key(&self, key: RsaPrivateKey) {

@@ -29,18 +29,6 @@ impl HashDrbg {
         }
     }
 
-    /// Create a generator seeded from OS entropy via the `rand` crate.
-    pub fn from_entropy() -> Self {
-        use rand::RngCore;
-        let mut seed = [0u8; 32];
-        rand::rngs::OsRng.fill_bytes(&mut seed);
-        HashDrbg {
-            seed,
-            counter: 0,
-            buffer: Vec::new(),
-        }
-    }
-
     fn refill(&mut self) {
         let mut h = Sha256::new();
         h.update(&self.seed);
@@ -50,7 +38,7 @@ impl HashDrbg {
     }
 
     /// Fill `out` with pseudo-random bytes.
-    pub fn fill_bytes(&mut self, out: &mut [u8]) {
+    fn fill_bytes(&mut self, out: &mut [u8]) {
         let mut written = 0;
         while written < out.len() {
             if self.buffer.is_empty() {
@@ -107,14 +95,6 @@ mod tests {
             chunks.extend(b.bytes(n));
         }
         assert_eq!(big, chunks);
-    }
-
-    #[test]
-    fn from_entropy_produces_distinct_streams() {
-        let mut a = HashDrbg::from_entropy();
-        let mut b = HashDrbg::from_entropy();
-        // 32 bytes colliding would mean broken entropy.
-        assert_ne!(a.bytes(32), b.bytes(32));
     }
 
     proptest::proptest! {

@@ -194,6 +194,7 @@ fn generate_prime(bits: usize, rng: &mut HashDrbg) -> BigUint {
     }
 }
 
+// surface: makes §4.4's host key pair; only tests install a host key
 /// Generate an RSA key pair with a modulus of roughly `modulus_bits` bits.
 pub fn generate_keypair(modulus_bits: usize, rng: &mut HashDrbg) -> RsaPrivateKey {
     assert!(modulus_bits >= 64, "modulus too small");

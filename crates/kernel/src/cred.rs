@@ -92,13 +92,13 @@ mod tests {
         let b = Credential::user(1000, 100).with_smod_credential("libc", b"key-2");
         let pa = a.principal_for("libc").unwrap();
         let pb = b.principal_for("libc").unwrap();
-        assert_ne!(pa.hex_fingerprint(), pb.hex_fingerprint());
+        assert_ne!(pa.fingerprint(), pb.fingerprint());
         assert!(a.principal_for("libm").is_none());
         // Same key material → same principal, regardless of uid label.
         let c = Credential::user(2000, 100).with_smod_credential("libc", b"key-1");
         assert_eq!(
-            a.principal_for("libc").unwrap().hex_fingerprint(),
-            c.principal_for("libc").unwrap().hex_fingerprint()
+            a.principal_for("libc").unwrap().fingerprint(),
+            c.principal_for("libc").unwrap().fingerprint()
         );
     }
 }

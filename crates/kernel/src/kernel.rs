@@ -295,6 +295,7 @@ impl Kernel {
         }
     }
 
+    // surface: the attach §3.1 forbids on a handle or its client; only the security tests try it
     /// `ptrace()` attach: denied outright for any process associated with a
     /// SecModule handle (§3.1 item 4).
     pub fn sys_ptrace_attach(&self, tracer: Pid, target: Pid) -> SysResult<()> {

@@ -160,8 +160,9 @@ pub struct PlaneConfig {
     /// Ring pair sizing for each attached session.
     pub ring: RingPairConfig,
     /// How long an idle drainer parks before re-checking the set: the
-    /// pace of retries on slots a sweep could not serve.
-    pub park_timeout: Duration,
+    /// pace of retries on slots a sweep could not serve. Crate-visible:
+    /// only the plane's own tests set it.
+    pub(crate) park_timeout: Duration,
     /// Pin drainer `i` to core `i % available_parallelism` via
     /// `sched_setaffinity`. Best-effort: platforms without affinity
     /// support run unpinned.
@@ -292,13 +293,13 @@ struct DrainerParams {
     starter_cpus: affinity::CpuSet,
 }
 
-/// What a plane's drainers, producers and shutdown share. It derefs to
-/// the drainers' [`Doorbell`], one seat per drainer. `stop`, which every
-/// submission reads, sits on a cache line of its own, as the doorbell's
-/// words do.
+/// What a plane's drainers, producers and shutdown share. `stop`, which
+/// every submission reads, sits on a cache line of its own, as the
+/// doorbell's words do.
 struct PlaneShared {
     kernel: Arc<Kernel>,
     set: Arc<RingSet>,
+    /// The drainers' doorbell, one seat per drainer.
     doorbell: Doorbell,
     stop: CachePadded<AtomicBool>,
     /// See [`DispatchPlane::on_completions`].
@@ -314,14 +315,6 @@ struct PlaneShared {
     account: Mutex<PlaneStats>,
     /// Kernel process charged for the shutdown's inline sweep.
     reaper_pid: Pid,
-}
-
-impl std::ops::Deref for PlaneShared {
-    type Target = Doorbell;
-
-    fn deref(&self) -> &Doorbell {
-        &self.doorbell
-    }
 }
 
 impl PlaneShared {
@@ -345,7 +338,7 @@ pub struct DispatchPlane {
 impl std::fmt::Debug for DispatchPlane {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DispatchPlane")
-            .field("drainers", &self.shared.seats())
+            .field("drainers", &self.shared.doorbell.seats())
             .field("attached", &self.shared.set.len())
             .field("multi_tenant", &self.shared.sched.is_some())
             .finish()
@@ -466,7 +459,7 @@ impl DispatchPlane {
         self.shared.stop.0.store(true, Ordering::Release);
         self.shared.set.mark_all_ready();
         // Unconditionally: a ring skips the parked while a spinner polls.
-        self.shared.unpark_all();
+        self.shared.doorbell.unpark_all();
         // A drainer that dies now pushes its replacement's handle before
         // its join returns, and the lock is released before each join, so
         // the loop sees every drainer. A panicked one's exit guard has run.
@@ -545,7 +538,7 @@ fn spawn_drainer(shared: &Arc<PlaneShared>, seat: usize, generation: u64) -> Sys
                 shared: shared_for_thread,
                 ctx,
             };
-            guard.shared.seat(seat, std::thread::current());
+            guard.shared.doorbell.seat(seat, std::thread::current());
             drainer_loop(&guard.shared, &mut guard.ctx);
         })
         .map_err(|_| Errno::EAGAIN)?;
@@ -590,7 +583,7 @@ impl Drop for ExitGuard {
         if !stopping {
             // The reclaimed work, and any doorbell the dead drainer's
             // spinner claim silenced, must not wait for the next doorbell.
-            shared.ring();
+            shared.doorbell.ring();
         }
     }
 }
@@ -628,7 +621,7 @@ fn drainer_loop(shared: &PlaneShared, ctx: &mut DrainerCtx) {
         // it could not serve (a full completion ring, a deferred tenant):
         // polling them would peg a core, so those go to the timed park.
         if may_poll && controller.polling && !shared.set.any_ready() {
-            spinner = spinner.or_else(|| shared.claim_spinner());
+            spinner = spinner.or_else(|| shared.doorbell.claim_spinner());
             if spinner.is_some() {
                 let hit = spin(POLL_WINDOW, idle_from, || {
                     (shared.set.any_ready() || shared.stop.0.load(Ordering::Acquire)).then_some(())
@@ -645,7 +638,7 @@ fn drainer_loop(shared: &PlaneShared, ctx: &mut DrainerCtx) {
         // The doorbell's waiter half: give the claim back, announce, look
         // once more (the rescue sweep), park.
         spinner = None;
-        let parking = shared.announce();
+        let parking = shared.doorbell.announce();
         let mut rescued = false;
         if shared.set.any_ready() {
             // A doorbell that raced the announcement, or flags on slots
@@ -828,7 +821,7 @@ impl SubmitBatch<'_> {
                 // being full means in-flight work this drain will clear.
                 self.pending = 0;
                 self.handle.shared.set.mark_ready(self.handle.slot);
-                self.handle.shared.ring();
+                self.handle.shared.doorbell.ring();
                 self.handle.shared.kernel.metrics.ring_full_bounces.incr();
                 Err(SubmitError::Full(req))
             }
@@ -847,7 +840,7 @@ impl SubmitBatch<'_> {
         let n = std::mem::take(&mut self.pending);
         if n > 0 {
             self.handle.shared.set.mark_ready(self.handle.slot);
-            self.handle.shared.ring();
+            self.handle.shared.doorbell.ring();
         }
         n
     }
@@ -1252,8 +1245,8 @@ mod tests {
                 round_trip(&b, incr, i);
             }
             let shared = &plane.shared;
-            while shared.idle.0.load(Ordering::Acquire) == 0
-                || shared.spinning.0.load(Ordering::Acquire)
+            while shared.doorbell.idle.0.load(Ordering::Acquire) == 0
+                || shared.doorbell.spinning.0.load(Ordering::Acquire)
             {
                 std::thread::yield_now();
             }
@@ -1263,7 +1256,7 @@ mod tests {
             for id in ROUND_TRIPS..LATER {
                 submit_quietly(&plane, &b, incr, id, id.to_le_bytes().to_vec());
             }
-            shared.unpark_all();
+            shared.doorbell.unpark_all();
             let mut good = Ledger::new(ROUND_TRIPS..LATER);
             while good.answered < good.total() {
                 good.reap(&b, false);
@@ -1617,7 +1610,7 @@ mod tests {
             }
         }
         // The last respawn finds nothing to do and parks.
-        let idle = &plane.shared.idle.0;
+        let idle = &plane.shared.doorbell.idle.0;
         let from = Instant::now();
         while idle.load(Ordering::Acquire) == 0 {
             assert!(from.elapsed() < ANSWER_LIMIT, "the drainer never parked");
@@ -1700,12 +1693,22 @@ mod tests {
         // one that gave it), and neither may act on it. Doorbells go
         // unanswered while the claim is held, so each round trip waits
         // for a park to time out.
-        plane.shared.spinning.0.store(true, Ordering::Release);
+        plane
+            .shared
+            .doorbell
+            .spinning
+            .0
+            .store(true, Ordering::Release);
         for i in 0..64 {
             round_trip(&handle, incr, i);
         }
         assert_eq!(spins(&kernel), 0, "a drainer polled beside the claim");
-        plane.shared.spinning.0.store(false, Ordering::Release);
+        plane
+            .shared
+            .doorbell
+            .spinning
+            .0
+            .store(false, Ordering::Release);
         // Released, the claim is taken by a drainer.
         let mut sent = 64;
         while host_can_poll() && spins(&kernel) == 0 {
@@ -1903,10 +1906,13 @@ mod tests {
             s.spawn(|| {
                 while done.load(Ordering::Acquire) < PRODUCERS {
                     slots.iter().for_each(|&slot| set.mark_ready(slot));
-                    set.sweep_ready(|_slot, _rings| {
-                        held.fetch_add(1, Ordering::Relaxed);
-                        std::thread::sleep(Duration::from_micros(200));
-                        true
+                    let ledger = set.claim_ledger();
+                    set.claim_ready(&ledger, |slot, _tenant| {
+                        set.drain_claimed(slot, &ledger, |_slot, _rings| {
+                            held.fetch_add(1, Ordering::Relaxed);
+                            std::thread::sleep(Duration::from_micros(200));
+                            true
+                        });
                     });
                     std::thread::sleep(Duration::from_micros(50));
                 }

@@ -350,9 +350,9 @@ mod tests {
             );
             assert_eq!(rings.sq.len(), (QUEUED as usize) - BUDGET);
         }
+        let report = k.sys_smod_sweep(drainer, &set, BUDGET).unwrap();
         assert_eq!(
-            set.ready_count(),
-            SESSIONS,
+            report.sessions_ready, SESSIONS,
             "slots with leftovers must be re-flagged"
         );
         // Sweeping to dryness visits everyone again until nothing is left.

@@ -86,11 +86,6 @@ impl ModuleImage {
         funcs
     }
 
-    /// Total image size in bytes (all sections).
-    pub fn total_size(&self) -> usize {
-        self.text.len() + self.data.len() + self.rodata.len()
-    }
-
     /// A stable content fingerprint of the image (name, version, sections,
     /// symbols, relocations) used in registration packages.
     pub fn fingerprint(&self) -> [u8; 32] {
@@ -123,7 +118,7 @@ mod tests {
         let img = ModuleImage::empty("libc", 1);
         assert_eq!(img.name, "libc");
         assert_eq!(img.version, ModuleVersion(1));
-        assert_eq!(img.total_size(), 0);
+        assert_eq!(img.text.len() + img.data.len() + img.rodata.len(), 0);
         assert!(img.exported_functions().is_empty());
         assert!(img.symbol("malloc").is_none());
         assert_eq!(ModuleId(3).to_string(), "m3");
@@ -139,7 +134,7 @@ mod tests {
         assert_eq!(img.section(SectionKind::Text).len(), 4);
         assert_eq!(img.section(SectionKind::Data).len(), 5);
         assert_eq!(img.section(SectionKind::RoData).len(), 2);
-        assert_eq!(img.total_size(), 11);
+        assert_eq!(img.text.len() + img.data.len() + img.rodata.len(), 11);
     }
 
     #[test]

@@ -58,6 +58,7 @@ impl SmodPackage {
         Ok(pkg)
     }
 
+    // surface: the paper's second protection mode; the kernel unseals both, only tests seal this one
     /// Seal without encryption — the paper's second protection mode, where
     /// the kernel simply never maps the text into the client ("have the
     /// kernel unmap the images of the shared library from the client's

@@ -63,13 +63,14 @@ impl Relocation {
     }
 
     /// The byte range this relocation patches.
-    pub fn patched_range(&self) -> std::ops::Range<usize> {
+    pub(crate) fn patched_range(&self) -> std::ops::Range<usize> {
         self.offset..self.offset + self.kind.size()
     }
 
-    /// The skip range handed to the selective encryptor.
+    /// The skip range handed to the selective encryptor: the patched bytes.
     fn skip_range(&self) -> SkipRange {
-        SkipRange::new(self.offset, self.offset + self.kind.size())
+        let patched = self.patched_range();
+        SkipRange::new(patched.start, patched.end)
     }
 }
 

@@ -44,7 +44,7 @@ pub const NUM_BUCKETS: usize = (SUB_BUCKETS as usize) * (64 - SUB_BITS as usize 
 /// The bucket index a value lands in. Monotonic in `v`; exact below
 /// `SUB_BUCKETS`, log-linear above.
 #[inline]
-pub fn bucket_index(v: u64) -> usize {
+fn bucket_index(v: u64) -> usize {
     if v < SUB_BUCKETS {
         v as usize
     } else {
@@ -68,7 +68,7 @@ fn bucket_low(idx: usize) -> u64 {
 
 /// The width (count of distinct values) of bucket `idx`.
 #[inline]
-pub fn bucket_width(idx: usize) -> u64 {
+fn bucket_width(idx: usize) -> u64 {
     if idx < SUB_BUCKETS as usize {
         1
     } else {
@@ -758,6 +758,35 @@ mod tests {
                 est.abs_diff(oracle) <= width,
                 "p({q}): est {est} vs oracle {oracle} (width {width})"
             );
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn p_matches_the_sorted_oracle_within_one_bucket(
+            values in proptest::collection::vec(0u64..2_000_000, 1..400),
+            q_milli in 1u64..=1000,
+        ) {
+            let h = Histogram::new();
+            for &v in &values {
+                h.record(v);
+            }
+            let mut sorted = values.clone();
+            sorted.sort_unstable();
+            let q = q_milli as f64 / 1000.0;
+            // The oracle: the exact order statistic the histogram approximates.
+            let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
+            let oracle = sorted[rank - 1];
+            let est = h.p(q);
+            // Same rank, so the estimate is the midpoint of the oracle's own
+            // bucket: within one bucket width of the exact order statistic.
+            let width = bucket_width(bucket_index(oracle));
+            proptest::prop_assert!(
+                est.abs_diff(oracle) <= width,
+                "p({}) = {} vs oracle {} (bucket width {})",
+                q, est, oracle, width
+            );
+            proptest::prop_assert_eq!(bucket_index(est), bucket_index(oracle));
         }
     }
 

@@ -69,31 +69,6 @@ impl Expr {
             Expr::Not(inner) => 1 + inner.complexity(),
         }
     }
-
-    /// Build a conjunction of `n` independent comparisons over attributes
-    /// `attr_0 … attr_{n-1}` — used to generate policies of controlled
-    /// complexity for benchmarking.
-    pub fn synthetic_conjunction(n: usize) -> Expr {
-        if n == 0 {
-            return Expr::True;
-        }
-        let mut expr = Expr::Cmp {
-            lhs: Operand::Attr("attr_0".to_string()),
-            op: CmpOp::Eq,
-            rhs: Operand::Int(0),
-        };
-        for i in 1..n {
-            expr = Expr::And(
-                Box::new(expr),
-                Box::new(Expr::Cmp {
-                    lhs: Operand::Attr(format!("attr_{i}")),
-                    op: CmpOp::Eq,
-                    rhs: Operand::Int(i as i64),
-                }),
-            );
-        }
-        expr
-    }
 }
 
 impl std::fmt::Display for Expr {
@@ -132,8 +107,33 @@ impl std::fmt::Display for Operand {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// A conjunction of `n` independent comparisons over attributes
+    /// `attr_0 … attr_{n-1}`, requiring `attr_i == i`: a policy of
+    /// controlled complexity.
+    pub(crate) fn synthetic_conjunction(n: usize) -> Expr {
+        if n == 0 {
+            return Expr::True;
+        }
+        let mut expr = Expr::Cmp {
+            lhs: Operand::Attr("attr_0".to_string()),
+            op: CmpOp::Eq,
+            rhs: Operand::Int(0),
+        };
+        for i in 1..n {
+            expr = Expr::And(
+                Box::new(expr),
+                Box::new(Expr::Cmp {
+                    lhs: Operand::Attr(format!("attr_{i}")),
+                    op: CmpOp::Eq,
+                    rhs: Operand::Int(i as i64),
+                }),
+            );
+        }
+        expr
+    }
 
     #[test]
     fn complexity_counts_nodes() {
@@ -150,10 +150,10 @@ mod tests {
 
     #[test]
     fn synthetic_conjunction_scales() {
-        assert_eq!(Expr::synthetic_conjunction(0), Expr::True);
-        assert_eq!(Expr::synthetic_conjunction(1).complexity(), 1);
-        assert_eq!(Expr::synthetic_conjunction(5).complexity(), 9); // 5 leaves + 4 ands
-        assert_eq!(Expr::synthetic_conjunction(32).complexity(), 63);
+        assert_eq!(synthetic_conjunction(0), Expr::True);
+        assert_eq!(synthetic_conjunction(1).complexity(), 1);
+        assert_eq!(synthetic_conjunction(5).complexity(), 9); // 5 leaves + 4 ands
+        assert_eq!(synthetic_conjunction(32).complexity(), 63);
     }
 
     #[test]

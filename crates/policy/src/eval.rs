@@ -190,7 +190,7 @@ mod tests {
     fn synthetic_conjunction_matches_generated_environment() {
         // attr_i == i for every i — the benchmark workload.
         for n in [1usize, 4, 16, 64] {
-            let expr = crate::ast::Expr::synthetic_conjunction(n);
+            let expr = crate::ast::tests::synthetic_conjunction(n);
             let mut env = Environment::new();
             for i in 0..n {
                 env.set(&format!("attr_{i}"), i as i64);

@@ -261,6 +261,7 @@ impl Gateway {
         self.engine.write().register_key(principal, key_material);
     }
 
+    // surface: the out-of-band hook of the invalidation contract in the module doc
     /// Invalidate every cached decision without touching the engine — the
     /// hook for a policy mutation the fronted engine does not see.
     pub fn bump_epoch(&self) {

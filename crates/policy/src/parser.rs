@@ -235,7 +235,7 @@ mod tests {
     proptest::proptest! {
         #[test]
         fn prop_synthetic_conjunctions_roundtrip(n in 0usize..40) {
-            let expr = crate::ast::Expr::synthetic_conjunction(n);
+            let expr = crate::ast::tests::synthetic_conjunction(n);
             let reparsed = parse(&expr.to_string()).unwrap();
             proptest::prop_assert_eq!(expr, reparsed);
         }

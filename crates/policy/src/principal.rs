@@ -21,7 +21,7 @@ pub struct Principal {
     pub name: String,
     /// Hex fingerprint of the principal's key material. Crate-visible only
     /// so the `fp64` invariant below cannot be broken by field mutation;
-    /// external readers use [`Principal::hex_fingerprint`].
+    /// external readers compare the derived [`Principal::fingerprint`].
     pub(crate) fingerprint: String,
     /// Precomputed 64-bit digest of `fingerprint`, used as the hot-path
     /// identity in `PolicyEngine::query` and as a cache-key component so
@@ -80,14 +80,6 @@ impl Principal {
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
         self.fp64
-    }
-
-    /// The full hex fingerprint of the principal's key material (the
-    /// collision-resistant identity; the 64-bit [`Principal::fingerprint`]
-    /// is a derived fast path). Also precomputed at construction.
-    #[must_use]
-    pub fn hex_fingerprint(&self) -> &str {
-        &self.fingerprint
     }
 
     /// Is this the policy root?

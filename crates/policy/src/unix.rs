@@ -86,6 +86,7 @@ impl UnixPolicy {
         UnixPolicy { owner, group, mode }
     }
 
+    // surface: the Unix baseline the paper contrasts SecModule with; only tests draw the contrast
     /// Can a process with `creds` link against (read+execute) the library?
     ///
     /// This is the whole decision: binary, per-library, irrevocable once the
@@ -109,6 +110,7 @@ impl UnixPolicy {
         bits & 0o5 == 0o5
     }
 
+    // surface: the Unix baseline the paper contrasts SecModule with; only tests draw the contrast
     /// Per-function access: always identical to [`UnixPolicy::can_link`] —
     /// the function name is ignored, illustrating the granularity gap.
     pub fn can_call(&self, creds: &UnixCreds, _function: &str) -> bool {

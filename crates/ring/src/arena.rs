@@ -606,6 +606,7 @@ impl ArenaRegion {
         got
     }
 
+    // surface: the allocator under ArgRef::place, which the arena property tests drive directly
     /// Copy `payload` into an arena slot charged to this region, or
     /// `None` when the quota or the arena is exhausted (the fallback is
     /// counted against the arena's metrics either way).
@@ -673,6 +674,7 @@ impl ArenaRegion {
         self.state.in_flight.load(Ordering::Acquire)
     }
 
+    // surface: the magazine's parked bytes, which the arena property tests bound by the charge
     /// Bytes parked in the region's magazine (charged but idle). Zero
     /// for regions without a magazine.
     pub fn magazine_resident(&self) -> u64 {
@@ -682,6 +684,7 @@ impl ArenaRegion {
         }
     }
 
+    // surface: the magazine's release, which the arena property tests interleave with traffic
     /// Return every parked block to the shared freelists and uncharge
     /// them, settling `in_flight` down to live slots only. Returns the
     /// bytes released. A no-op (0) for regions without a magazine.
@@ -740,6 +743,7 @@ impl ArenaSlot {
         (self.offset, self.len, self.gen)
     }
 
+    // surface: the generation check a peer would run on a descriptor; only the arena tests run it
     /// Does this slot's generation still match the arena's tag (i.e. the
     /// slot has not been recycled under a stale descriptor)?
     pub fn is_current(&self) -> bool {
@@ -841,7 +845,7 @@ impl ArgRef {
     }
 
     /// [`ArgRef::place_vec`] with no arena region.
-    pub fn from_vec(bytes: Vec<u8>) -> ArgRef {
+    fn from_vec(bytes: Vec<u8>) -> ArgRef {
         ArgRef::place_vec(bytes, None)
     }
 

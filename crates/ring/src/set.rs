@@ -40,8 +40,7 @@
 //! out a single slot; [`RingSet::drain_claimed`] visits one claimed slot
 //! and [`RingSet::release_claimed`] hands one back unvisited (a scheduler
 //! sitting between claim and drain deferred it), each clearing the slot's
-//! ledger bit. [`RingSet::sweep_ready`] is the two chained with nothing in
-//! between. If the drainer dies between claim and drain, the bits survive
+//! ledger bit. If the drainer dies between claim and drain, the bits survive
 //! in the ledger and [`RingSet::reclaim`] moves them back onto the bitmap
 //! — that is the plane's no-entry-lost recovery path, run by the dying
 //! drainer's exit guard.
@@ -383,8 +382,8 @@ impl RingSet {
         outcome.map_err(SubmitError::Full)
     }
 
-    /// Number of slots currently flagged ready (approximate).
-    pub fn ready_count(&self) -> usize {
+    /// Number of slots currently flagged ready (approximate), for `Debug`.
+    fn ready_count(&self) -> usize {
         self.ready
             .iter()
             .map(|w| w.0.load(Ordering::Relaxed).count_ones() as usize)
@@ -395,7 +394,11 @@ impl RingSet {
     pub fn any_ready(&self) -> bool {
         // Acquire pairs with the producer's release `mark_ready`: a
         // sweeper deciding whether to park sees every bit set before the
-        // call (its park timeout backstops the remaining race window).
+        // call. A bit set after it is not lost either: the sweeper looks
+        // again after it announces itself idle, and the module doc of
+        // `secmod_kernel::doorbell` ("Why no ring is lost") gives the
+        // argument. The park timeout only paces retries on slots that no
+        // sweep can serve.
         self.ready.iter().any(|w| w.0.load(Ordering::Acquire) != 0)
     }
 
@@ -407,27 +410,6 @@ impl RingSet {
                 self.mark_ready(RingSlotId(idx));
             }
         }
-    }
-
-    /// Claim the current ready set and visit each claimed slot exactly
-    /// once: for every ready slot that is still registered, `visit(slot,
-    /// rings)` runs; returning `true` re-marks the slot (work left
-    /// behind, e.g. a budget cut the drain short). Returns how many slots
-    /// were visited.
-    ///
-    /// This is [`RingSet::claim_ready`] with every claimed slot passed
-    /// straight to [`RingSet::drain_claimed`], over a ledger that lives
-    /// for the call — for callers nobody supervises.
-    pub fn sweep_ready(
-        &self,
-        mut visit: impl FnMut(RingSlotId, &Arc<SessionRings>) -> bool,
-    ) -> usize {
-        let ledger = self.claim_ledger();
-        let mut visited = 0;
-        self.claim_ready(&ledger, |slot, _tenant| {
-            visited += usize::from(self.drain_claimed(slot, &ledger, &mut visit));
-        });
-        visited
     }
 
     /// A fresh [`ClaimLedger`] sized for this set's bitmap. Each drainer
@@ -577,6 +559,22 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicBool;
 
+    /// Claim the current ready set and visit each claimed slot exactly
+    /// once: [`RingSet::claim_ready`] with every claimed slot passed
+    /// straight to [`RingSet::drain_claimed`], over a ledger that lives
+    /// for the call. Returns how many slots were visited.
+    fn sweep_ready(
+        set: &RingSet,
+        mut visit: impl FnMut(RingSlotId, &Arc<SessionRings>) -> bool,
+    ) -> usize {
+        let ledger = set.claim_ledger();
+        let mut visited = 0;
+        set.claim_ready(&ledger, |slot, _tenant| {
+            visited += usize::from(set.drain_claimed(slot, &ledger, &mut visit));
+        });
+        visited
+    }
+
     /// Bits `ledger` holds claimed and unresolved.
     fn claimed_count(ledger: &ClaimLedger) -> usize {
         ledger
@@ -616,7 +614,7 @@ mod tests {
         assert_eq!(set.ready_count(), 2);
 
         let mut seen = Vec::new();
-        let visited = set.sweep_ready(|slot, rings| {
+        let visited = sweep_ready(&set, |slot, rings| {
             while let Some(r) = rings.sq.pop() {
                 seen.push((slot, r.user_data));
             }
@@ -666,14 +664,14 @@ mod tests {
             set.submit(a, req(1, i)).unwrap();
         }
         // Visit with a budget of 2: the visitor reports leftover work.
-        let visited = set.sweep_ready(|_, rings| {
+        let visited = sweep_ready(&set, |_, rings| {
             rings.sq.pop().unwrap();
             rings.sq.pop().unwrap();
             !rings.sq.is_empty()
         });
         assert_eq!(visited, 1);
         assert!(set.any_ready(), "short drain must re-flag the slot");
-        let visited = set.sweep_ready(|_, rings| {
+        let visited = sweep_ready(&set, |_, rings| {
             while rings.sq.pop().is_some() {}
             false
         });
@@ -733,7 +731,7 @@ mod tests {
         // A re-mark racing the deregistration leaves a stale bit; the
         // sweep must tolerate it.
         set.ready[0].0.fetch_or(1, Ordering::Release);
-        let visited = set.sweep_ready(|_, _| panic!("empty slot visited"));
+        let visited = sweep_ready(&set, |_, _| panic!("empty slot visited"));
         assert_eq!(visited, 0);
     }
 
@@ -761,7 +759,7 @@ mod tests {
             let sweeper_a = {
                 let (set, in_visit, release) = (&set, &in_visit, &release);
                 s.spawn(move || {
-                    set.sweep_ready(|_, rings| {
+                    sweep_ready(set, |_, rings| {
                         rings.sq.pop().unwrap();
                         in_visit.store(true, Ordering::Release);
                         while !release.load(Ordering::Acquire) {
@@ -777,7 +775,7 @@ mod tests {
             // Producer races in new work mid-drain; sweeper B sees the
             // bit but must skip the busy slot and leave the bit set.
             set.submit(a, req(1, 1)).unwrap();
-            let visited_by_b = set.sweep_ready(|_, _| panic!("slot handed out twice"));
+            let visited_by_b = sweep_ready(&set, |_, _| panic!("slot handed out twice"));
             assert_eq!(visited_by_b, 0);
             assert!(set.any_ready(), "B must hand the ready bit back");
             release.store(true, Ordering::Release);
@@ -785,7 +783,7 @@ mod tests {
         });
         // The slot is free again: the handed-back work is sweepable.
         let drained = std::cell::Cell::new(0);
-        set.sweep_ready(|_, rings| {
+        sweep_ready(&set, |_, rings| {
             while rings.sq.pop().is_some() {
                 drained.set(drained.get() + 1);
             }
@@ -811,7 +809,7 @@ mod tests {
         r.args = crate::ArgRef::place(&payload, rings.arena.as_ref());
         assert!(r.args.is_arena());
         set.submit(a, r).unwrap();
-        set.sweep_ready(|_, rings| {
+        sweep_ready(&set, |_, rings| {
             let got = rings.sq.pop().unwrap();
             assert_eq!(got.args.as_slice(), payload.as_slice());
             false
@@ -876,7 +874,7 @@ mod tests {
         set.release_claimed(b, &ledger);
         assert!(ledger.is_empty(), "both claims resolved");
         assert_eq!(set.ready_count(), 1, "released slot is ready again");
-        set.sweep_ready(|slot, rings| {
+        sweep_ready(&set, |slot, rings| {
             assert_eq!(slot, b);
             assert_eq!(rings.sq.pop().unwrap().user_data, 20);
             false
@@ -941,13 +939,13 @@ mod tests {
         // Even a forced re-mark cannot reach the slot it died in: the
         // dead drainer's drain flag still excludes everyone.
         set.mark_ready(slots[1]);
-        assert_eq!(set.sweep_ready(|_, _| panic!("stranded slot drained")), 0);
+        assert_eq!(sweep_ready(&set, |_, _| panic!("stranded slot drained")), 0);
 
         // The dead drainer's exit path: reclaim, then a normal sweep
         // finds every remaining entry exactly once.
         assert_eq!(set.reclaim(&ledger), 2);
         assert!(ledger.is_empty());
-        set.sweep_ready(|slot, rings| {
+        sweep_ready(&set, |slot, rings| {
             while let Some(r) = rings.sq.pop() {
                 seen.push((slot, r.user_data));
             }
@@ -1052,7 +1050,7 @@ mod tests {
                 s.spawn(move || {
                     while received.load(Ordering::Acquire) < PRODUCERS * PER_PRODUCER as usize {
                         let mut got = 0;
-                        set.sweep_ready(|_, rings| {
+                        sweep_ready(&set, |_, rings| {
                             while rings.sq.pop().is_some() {
                                 got += 1;
                             }

@@ -166,7 +166,7 @@ proptest! {
         for (len, fill) in &payloads {
             let payload: Vec<u8> = (0..*len).map(|i| fill.wrapping_add(i as u8)).collect();
             let placed = ArgRef::place(&payload, Some(&region));
-            let copied = ArgRef::from_vec(payload.clone());
+            let copied = ArgRef::from(payload.clone());
             prop_assert_eq!(&placed, &copied);
             prop_assert_eq!(placed.as_slice(), payload.as_slice());
             prop_assert_eq!(placed.is_arena(), payload.len() > INLINE_ARG_MAX);

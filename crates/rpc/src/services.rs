@@ -19,6 +19,7 @@ pub const PROC_INCR: u32 = 1;
 /// Procedure 2: echo opaque bytes (used by the marshalling-size ablation).
 pub const PROC_ECHO: u32 = 2;
 
+// surface: §4.5's RPC baseline on any transport; only the TCP loopback test picks its own
 /// Register the testincr program on a server.
 pub fn register_testincr(server: &RpcServer) {
     server.register(

@@ -46,11 +46,6 @@ impl Vaddr {
         Vaddr(self.0 - self.0 % PAGE_SIZE)
     }
 
-    /// Checked addition of a byte offset.
-    pub fn checked_add(self, off: u64) -> Option<Vaddr> {
-        self.0.checked_add(off).map(Vaddr)
-    }
-
     /// Saturating addition of a byte offset.
     pub fn saturating_add(self, off: u64) -> Vaddr {
         Vaddr(self.0.saturating_add(off))
@@ -181,8 +176,7 @@ mod tests {
 
     #[test]
     fn checked_and_saturating_add() {
-        assert_eq!(Vaddr(10).checked_add(5), Some(Vaddr(15)));
-        assert_eq!(Vaddr(u64::MAX).checked_add(1), None);
+        assert_eq!(Vaddr(10).saturating_add(5), Vaddr(15));
         assert_eq!(Vaddr(u64::MAX).saturating_add(10), Vaddr(u64::MAX));
     }
 

@@ -12,7 +12,7 @@
 //! OpenBSD data segment, to just above the end of the traditional OpenBSD
 //! stack segment bottom" (§4): in this model, `[data_base, stack_top)`.
 
-use crate::addr::{VRange, Vaddr, PAGE_SIZE};
+use crate::addr::{VRange, PAGE_SIZE};
 use serde::{Deserialize, Serialize};
 
 /// Address-space layout parameters.
@@ -120,17 +120,12 @@ impl Layout {
         let size = initial_pages * PAGE_SIZE;
         VRange::from_raw(self.stack_top - size.min(self.stack_max), self.stack_top)
     }
-
-    /// Initial stack pointer for a new process (top of stack, one page worth
-    /// of headroom for arguments/environment as a real exec would leave).
-    pub fn initial_sp(&self) -> Vaddr {
-        Vaddr(self.stack_top - 64)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::addr::Vaddr;
 
     fn text_region(l: &Layout) -> VRange {
         VRange::from_raw(l.text_base, l.text_base + l.text_max)
@@ -195,6 +190,6 @@ mod tests {
         let stack = l.initial_stack(4);
         assert_eq!(stack.end.0, l.stack_top);
         assert_eq!(stack.len(), 4 * PAGE_SIZE);
-        assert!(stack.contains(l.initial_sp()));
+        assert!(stack.contains(Vaddr(l.stack_top - 1)));
     }
 }

@@ -95,6 +95,7 @@ impl VmSpace {
         self.smod_share
     }
 
+    // surface: §3's unmapped secret region is checked through it, by the address-space tests only
     /// Is there any mapping covering `addr`?
     pub fn has_mapping(&self, addr: Vaddr) -> bool {
         self.map.entry_at(addr).is_some()
@@ -409,6 +410,7 @@ impl VmSpace {
         Ok(range)
     }
 
+    // surface: §3's shared stack and heap, checked frame by frame, by the address-space tests only
     /// Verify that every byte in `range` is backed by the *same* page frames
     /// in `self` and `other` (used by tests to prove genuine sharing).
     pub fn shares_pages_with(&self, other: &VmSpace, range: VRange) -> bool {
@@ -460,7 +462,7 @@ mod tests {
         let l = s.layout;
         assert!(s.has_mapping(Vaddr(l.text_base)));
         assert!(s.has_mapping(Vaddr(l.data_base)));
-        assert!(s.has_mapping(s.layout.initial_sp()));
+        assert!(s.has_mapping(Vaddr(l.stack_top - 1)));
         assert_eq!(s.brk(), Vaddr(l.data_base + 4 * PAGE_SIZE));
         // Nothing mapped in the secret region yet.
         assert!(!s.has_mapping(Vaddr(l.secret_base)));

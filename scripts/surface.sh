@@ -16,11 +16,14 @@
 # --no-tests counts only non-test code as a caller: each tracked `.rs`
 # file under crates/*/src, src/, benchmark/src and examples/, up to its
 # first `#[cfg(test)]`. A test is not a client, so a name this mode lists
-# is one that only tests call (or nobody).
+# is one that only tests call (or nobody). A definition with a
+# `// surface: <reason>` line above it (its doc comment and attributes
+# may sit in between) states why it stays public anyway, and this mode
+# does not list it.
 #
 # Prints one `<count> crates/<name>` line per crate that has orphans, each
 # followed by its orphans as `  <name>  <file>`, then the total of
-# distinct names. Gates nothing.
+# distinct names. Exits 1 when that total is not 0.
 set -euo pipefail
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 cd "$root"
@@ -53,9 +56,33 @@ if $no_tests; then
         done
 fi
 
-# `<file> <name>` for every `pub fn` definition under crates/*/src.
-defs="$(git grep -oE '\bpub fn [A-Za-z_][A-Za-z_0-9]*' -- 'crates/*/src/*.rs' 'crates/*/src/**/*.rs' |
-    sed 's/:pub fn / /' | sort -u)"
+# `<file> <name> <reasoned>` for every `pub fn` definition under
+# crates/*/src, where <reasoned> is 1 when a `// surface: ` line sits
+# above the definition, past its `///` and `#[...]` lines.
+reasons() {
+    git ls-files -- 'crates/*/src/*.rs' 'crates/*/src/**/*.rs' | xargs awk '
+        { above[FNR] = $0 }
+        match($0, /(^|[^A-Za-z_0-9])pub fn [A-Za-z_][A-Za-z_0-9]*/) {
+            name = substr($0, RSTART, RLENGTH)
+            sub(/.*pub fn /, "", name)
+            reasoned = 0
+            for (i = FNR - 1; i > 0; i--) {
+                if (above[i] ~ /^[ \t]*(\/\/\/|#\[)/) continue
+                reasoned = above[i] ~ /^[ \t]*\/\/ surface: [^ ]/
+                break
+            }
+            print FILENAME, name, reasoned
+        }'
+}
+
+# `<file> <name>` for every `pub fn` definition to check: all of them, or
+# with --no-tests those without a reason (a name defined twice in a file
+# needs a reason at both).
+if $no_tests; then
+    defs="$(reasons | awk '$3 == 0 {print $1, $2}' | sort -u)"
+else
+    defs="$(reasons | awk '{print $1, $2}' | sort -u)"
+fi
 
 orphans=""
 while read -r file name; do
@@ -70,4 +97,6 @@ for src in crates/*/src; do
     printf '%6d %s\n' "$(awk '{print $2}' <<<"$mine" | sort -u | wc -l)" "$crate"
     awk '{printf "         %s  %s\n", $2, $1}' <<<"$mine"
 done
-printf '%6d total\n' "$(awk 'NF {print $2}' <<<"$orphans" | sort -u | wc -l)"
+total="$(awk 'NF {print $2}' <<<"$orphans" | sort -u | wc -l)"
+printf '%6d total\n' "$total"
+[ "$total" -eq 0 ]

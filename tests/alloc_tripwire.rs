@@ -218,10 +218,7 @@ fn the_dispatch_path_allocates_and_frees_where_it_should() {
     // --- a running plane: the submit side, then both sides -------------
     let plane = DispatchPlane::start(
         Arc::clone(&kernel),
-        PlaneConfig {
-            drainers: 1,
-            ..PlaneConfig::default()
-        },
+        PlaneConfig::builder().drainers(1).build(),
     )
     .expect("plane");
     // The hook runs on the drainer after each sweep that answered
