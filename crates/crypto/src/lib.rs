@@ -18,7 +18,10 @@
 //!   derived algebraically rather than from hard-coded tables.
 //! * [`modes`] — CTR mode, addressable by byte offset.
 //! * [`sha256`] — SHA-256 with round constants generated from exact integer
-//!   square/cube roots.
+//!   square/cube roots. Each block compresses on the x86 SHA extensions
+//!   where the running CPU reports `sha`, `ssse3` and `sse4.1`, and in
+//!   portable integer rounds everywhere else; the portable rounds are also
+//!   the reference the SHA-unit kernel is tested against.
 //! * [`hmac`] — HMAC-SHA-256 for credential MACs.
 //! * [`bignum`] — a small arbitrary-precision unsigned integer.
 //! * [`rsa`] — textbook RSA (keygen, raw and padded encrypt/decrypt) used to
@@ -32,8 +35,14 @@
 //! Everything here is intended for the SecModule simulation and benchmarks;
 //! it is *not* hardened against side channels and must not be used to
 //! protect real data.
+//!
+//! The crate's one `unsafe` is the call into the SHA-unit kernel, made
+//! only after runtime detection has found the features it is compiled
+//! for; the kernel's body uses no pointers and is safe code. `unsafe_code`
+//! is denied everywhere else, and that call site carries the one
+//! `allow`.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod aes;

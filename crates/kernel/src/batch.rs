@@ -97,10 +97,22 @@ pub struct DrainReport {
 /// owns one for its whole life; a direct batch or sweep makes one per
 /// trap. The buffers are sized on their first drain, so a sweep that
 /// finds no ready slot allocates nothing.
+///
+/// The scratch also keeps the running count of what the drains through
+/// it popped and answered. A chunk is counted before its answers are
+/// published, so a drain that unwinds mid-sweep has still counted every
+/// answer a producer can have reaped; the trap's [`DrainReport`], which
+/// an unwind drops, is not that account.
 #[derive(Default)]
 pub(crate) struct DrainScratch {
     chunk: Vec<SmodCallReq>,
     responses: Vec<SmodCallResp>,
+    /// Submission entries drained, counted with their chunk's answers.
+    pub(crate) drained: u64,
+    /// Entries answered with `errno == 0`.
+    pub(crate) completed: u64,
+    /// Entries answered with an error.
+    pub(crate) failed: u64,
 }
 
 impl Kernel {
@@ -193,7 +205,13 @@ impl Kernel {
         let mut dead = session.is_none();
         let mut drained = 0;
         let mut cut_short = true;
-        let DrainScratch { chunk, responses } = scratch;
+        let DrainScratch {
+            chunk,
+            responses,
+            drained: popped,
+            completed,
+            failed,
+        } = scratch;
         chunk.reserve(BATCH_CHUNK);
         responses.reserve(BATCH_CHUNK);
 
@@ -257,14 +275,16 @@ impl Kernel {
             // can see a completion, then publish the chunk's completions.
             drained += chunk.len();
             chunk.clear();
+            let mut ok = 0;
             for resp in responses.iter() {
-                if resp.is_ok() {
-                    tally.report.completed += 1;
-                } else {
-                    tally.report.failed += 1;
-                }
+                ok += usize::from(resp.is_ok());
                 tally.eidrm_failures += u64::from(resp.errno == Errno::EIDRM.code());
             }
+            tally.report.completed += ok;
+            tally.report.failed += responses.len() - ok;
+            *popped += responses.len() as u64;
+            *completed += ok as u64;
+            *failed += (responses.len() - ok) as u64;
             while !responses.is_empty() {
                 if cq.push_many(responses) == 0 {
                     std::thread::yield_now();

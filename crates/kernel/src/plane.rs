@@ -266,9 +266,14 @@ impl PlaneStats {
     fn absorb(&mut self, report: &DrainReport) {
         self.sweeps += 1;
         self.productive_sweeps += u64::from(report.sessions_ready > 0);
-        self.drained += report.drained as u64;
-        self.completed += report.completed as u64;
-        self.failed += report.failed as u64;
+    }
+
+    /// Add what the drains through `scratch` popped and answered: counted
+    /// chunk by chunk, so it holds the answers of a sweep that unwound.
+    fn answered(&mut self, scratch: &DrainScratch) {
+        self.drained += scratch.drained;
+        self.completed += scratch.completed;
+        self.failed += scratch.failed;
     }
 
     fn merge(&mut self, s: &PlaneStats) {
@@ -490,6 +495,7 @@ impl DispatchPlane {
                 break;
             }
         }
+        stats.answered(&scratch);
         // This thread ran the last sweeps, so it hands their answers on.
         self.shared.notify_completions();
         stats
@@ -522,6 +528,7 @@ fn spawn_drainer(shared: &Arc<PlaneShared>, seat: usize, generation: u64) -> Sys
         seat,
         generation,
         ledger: shared.set.claim_ledger(),
+        scratch: DrainScratch::default(),
         stats: PlaneStats::default(),
         pin_core: shared
             .params
@@ -553,8 +560,12 @@ struct DrainerCtx {
     generation: u64,
     ledger: ClaimLedger,
     pin_core: Option<usize>,
-    /// The work this drainer has done, handed to the plane's account by
-    /// its exit guard.
+    /// The drain buffers, and the count of what this drainer has
+    /// answered: its exit guard reads that count however the drainer
+    /// ends.
+    scratch: DrainScratch,
+    /// The sweeps this drainer has run, handed to the plane's account by
+    /// its exit guard with the scratch's count.
     stats: PlaneStats,
 }
 
@@ -573,6 +584,7 @@ impl Drop for ExitGuard {
         let shared = &self.shared;
         // Whatever the ledger holds, the drainer died holding.
         self.ctx.stats.reclaimed = shared.set.reclaim(&self.ctx.ledger) as u64;
+        self.ctx.stats.answered(&self.ctx.scratch);
         // A failed respawn leaves the seat empty; the other seats, or the
         // shutdown's inline sweep, drain what it would have.
         let stopping = shared.stop.0.load(Ordering::Acquire);
@@ -597,14 +609,13 @@ fn drainer_loop(shared: &PlaneShared, ctx: &mut DrainerCtx) {
     let may_poll = room_to_poll(&thread_cpus(), &shared.params.starter_cpus);
     let mut controller = PollController::default();
     let mut episode = IdleEpisode::default();
-    let mut scratch = DrainScratch::default();
     // Held from the poll that takes it through the sweeps its hits start:
     // producers go on skipping the unpark, and that is safe because this
     // drainer sweeps again before it parks.
     let mut spinner: Option<SpinnerClaim<'_>> = None;
     // `Err` means the drainer's own process has exited: end this drainer,
     // and its exit guard starts the seat over on a fresh one.
-    while let Ok(drained) = sweep_once(shared, ctx, &mut scratch) {
+    while let Ok(drained) = sweep_once(shared, ctx) {
         if drained > 0 {
             episode.served += drained;
             continue;
@@ -644,7 +655,7 @@ fn drainer_loop(shared: &PlaneShared, ctx: &mut DrainerCtx) {
             // A doorbell that raced the announcement, or flags on slots
             // no sweep can serve: only a sweep tells them apart. Whatever
             // is flagged after this one's claim has seen `idle > 0`.
-            let drained = sweep_once(shared, ctx, &mut scratch);
+            let drained = sweep_once(shared, ctx);
             episode.served += drained.unwrap_or(0);
             rescued = drained != Ok(0);
         }
@@ -661,11 +672,7 @@ fn drainer_loop(shared: &PlaneShared, ctx: &mut DrainerCtx) {
 
 /// One sweep of the set on behalf of drainer `ctx`, folded into its
 /// stats; returns the entries it answered.
-fn sweep_once(
-    shared: &PlaneShared,
-    ctx: &mut DrainerCtx,
-    scratch: &mut DrainScratch,
-) -> SysResult<u64> {
+fn sweep_once(shared: &PlaneShared, ctx: &mut DrainerCtx) -> SysResult<u64> {
     let report = shared.kernel.sweep_claimed(
         ctx.pid,
         &shared.set,
@@ -673,7 +680,7 @@ fn sweep_once(
         shared.sched.as_deref(),
         SESSION_BUDGET,
         Flavor::Plane,
-        scratch,
+        &mut ctx.scratch,
     )?;
     ctx.stats.absorb(&report);
     if report.drained > 0 {
@@ -856,6 +863,7 @@ impl Drop for SubmitBatch<'_> {
 mod tests {
     use super::*;
     use crate::batch::tests::kernel_with_clients;
+    use crate::batch::BATCH_CHUNK;
     use std::sync::atomic::AtomicUsize;
 
     fn plane_fixture(
@@ -1625,6 +1633,48 @@ mod tests {
         let stats = plane.shutdown();
         assert_eq!(stats.drainer_restarts, DEATHS);
         assert_eq!(stats.completed, DEATHS);
+    }
+
+    #[test]
+    fn answers_published_before_a_panic_in_the_same_sweep_are_counted() {
+        // One chunk of good entries and a poison entry behind it, rung in
+        // with one doorbell: the drainer's one sweep publishes the chunk's
+        // answers, then panics on the poison. The answers it handed out
+        // are in the account.
+        let (k, _m, clients, incr) = kernel_with_clients(None, 1);
+        let plane = DispatchPlane::start(
+            Arc::new(k),
+            PlaneConfig {
+                drainers: 1,
+                park_timeout: Duration::from_secs(60),
+                ..PlaneConfig::default()
+            },
+        )
+        .unwrap();
+        let handle = plane.attach(clients[0]).unwrap();
+        let good = BATCH_CHUNK as u64;
+        let args: Vec<[u8; 8]> = (0..good).map(u64::to_le_bytes).collect();
+        let mut calls: Vec<(u32, u64, &[u8])> = (0..good)
+            .map(|i| (incr, i, args[i as usize].as_slice()))
+            .collect();
+        // An empty argument block makes the fixture's body panic slicing
+        // its eight bytes.
+        calls.push((incr, u64::MAX, &[]));
+        assert_eq!(handle.submit_many(&calls), Ok(calls.len()));
+        for i in 0..good {
+            let resp = next_completion(&handle);
+            assert_eq!((resp.user_data, resp.errno), (i, 0));
+        }
+        let from = Instant::now();
+        while plane.shared.account.lock().drainer_restarts == 0 {
+            assert!(from.elapsed() < ANSWER_LIMIT, "the poison never struck");
+            std::thread::yield_now();
+        }
+        drop(handle);
+        let stats = plane.shutdown();
+        assert_eq!(stats.drainer_restarts, 1);
+        assert_eq!(stats.completed, good, "the dead drainer's answers");
+        assert_eq!(stats.failed, 0);
     }
 
     #[test]

@@ -49,7 +49,8 @@
 //!   drainer's stranded readiness bits can be reclaimed.
 //!
 //! Nearly all of the workspace's `unsafe` lives in this crate (the rest
-//! is the `vendor/affinity` syscall shim): ring slot payloads live in
+//! is the `vendor/affinity` syscall shim and `secmod_crypto`'s one call
+//! into its SHA-extension kernel): ring slot payloads live in
 //! `UnsafeCell<MaybeUninit<T>>` (as in crossbeam's `ArrayQueue`), with
 //! the Vyukov sequence protocol guaranteeing each slot is owned by
 //! exactly one thread between its sequence transitions, and [`arena`]

@@ -20,13 +20,15 @@
 //! to. Each position of the run is then filled or taken exactly as a
 //! single push or pop would; `push` and `pop` are the run of one.
 //!
-//! This crate is the one place in the workspace that uses `unsafe`: the
-//! payload lives in an `UnsafeCell<MaybeUninit<T>>` per slot, exactly as
-//! in crossbeam's `ArrayQueue`. The unsafe surface is two lines, the
-//! write in `fill` and the read in `take`, which every path (single,
-//! run and SPSC alike) goes through, each guarded by the sequence
-//! protocol above; everything else in the workspace stays
-//! `#![forbid(unsafe_code)]`.
+//! This crate's data structures are the workspace's one use of `unsafe`
+//! for memory: the payload lives in an `UnsafeCell<MaybeUninit<T>>` per
+//! slot, exactly as in crossbeam's `ArrayQueue`. The unsafe surface is
+//! two lines, the write in `fill` and the read in `take`, which every
+//! path (single, run and SPSC alike) goes through, each guarded by the
+//! sequence protocol above. The only other `unsafe` in the workspace is
+//! the call from `secmod_crypto`'s SHA-256 `compress` into its x86
+//! SHA-extension kernel, made after runtime feature detection; every
+//! other crate stays `#![forbid(unsafe_code)]`.
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;

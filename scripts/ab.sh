@@ -27,10 +27,12 @@
 #   unresolved       anything else: the runs cannot tell
 # then `failed` and `correct` per workload. Exits 1 on any `worse`, or when
 # the change failed more operations or got fewer runs correct than the
-# parent; 2 on a usage error. A commit is exported with `git archive` into a
-# temporary directory (under $TMPDIR, removed on exit): nothing is
-# written to the repository's .git, and the only files the run leaves in
-# the working tree are the benchmark's own benchmark/out/.
+# parent; 2 on a usage error. Both sides build and run in a temporary
+# directory (under $TMPDIR, removed on exit): a commit is exported with
+# `git archive`, the working tree as its tracked files plus the untracked
+# ones git does not ignore, edits included. So both sides build the same
+# way, and the run writes nothing to the repository: not to its .git, not
+# to its working tree.
 set -euo pipefail
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 
@@ -71,14 +73,20 @@ work="$(mktemp -d "${TMPDIR:-/tmp}/secmod-ab.XXXXXX")"
 trap 'rm -rf "$work"' EXIT
 declare -A checkout # side -> the directory its runs start in
 
-# side <name> <ref-or-empty>: export the commit, build its benchmark into
-# a target directory of its own, keep a copy of the binary.
+# side <name> <ref-or-empty>: export the commit (or the working tree),
+# build its benchmark into a target directory of its own, keep a copy of
+# the binary.
 side() {
-    local name="$1" ref="$2" dir="$root"
+    local name="$1" ref="$2" dir="$work/$1-src"
+    mkdir -p "$dir"
     if [[ -n $ref ]]; then
-        dir="$work/$name-src"
-        mkdir -p "$dir"
         git -C "$root" archive "$ref" | tar -x -C "$dir"
+    else
+        # A tracked file deleted in the working tree is left out.
+        git -C "$root" ls-files -z --cached --others --exclude-standard |
+            while IFS= read -r -d '' f; do
+                if [[ -e $root/$f ]]; then printf '%s\0' "$f"; fi
+            done | tar -C "$root" --null -T - -cf - | tar -x -C "$dir"
     fi
     echo "building $name (${ref:-working tree})" >&2
     (cd "$dir" && CARGO_TARGET_DIR="$work/$name-target" \
